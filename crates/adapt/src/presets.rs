@@ -4,7 +4,7 @@
 //! these presets express the same two points as (policy, config) pairs
 //! for the generic controller — plus the forecasting point the survey's
 //! *adaptive* framing asks about — so `hpcc-core` scenarios and the
-//! `bench_adapt` sweep run the exact same control loop.
+//! `bench adapt` sweep run the exact same control loop.
 
 use crate::controller::{AccountingModel, ControllerConfig};
 use crate::policy::{EwmaForecastPolicy, PartitionPolicy, QueueThresholdPolicy, StaticPolicy};

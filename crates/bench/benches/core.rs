@@ -1,5 +1,5 @@
-//! Criterion view of the simulator-core microbenches (the `bench_core`
-//! binary is the gated driver; this harness gives per-iteration timings).
+//! Criterion view of the simulator-core microbenches (`bench core`
+//! is the gated driver; this harness gives per-iteration timings).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hpcc_bench::core_suite::CORE_BENCHES;

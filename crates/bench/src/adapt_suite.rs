@@ -1,5 +1,5 @@
 //! Policy × trace sweep for the adaptive partition control plane, behind
-//! the `bench_adapt` binary and the CI `bench-adapt` stage.
+//! `bench adapt` and the CI `bench-adapt` stage.
 //!
 //! Each of the three shipped policies (static carve-out, queue-threshold
 //! reaction, EWMA forecasting with a warm pool) runs over each of the
@@ -14,15 +14,14 @@
 //! of the same tree produce byte-identical JSON — drift is a timing-model
 //! change, and must come with a `--bless`.
 
-use crate::json::{self, Json};
-use crate::suite::REGRESSION_TOLERANCE;
+use crate::harness::{self, Clock, GateResult};
+use crate::json::Json;
 use hpcc_adapt::presets;
 use hpcc_adapt::traces::{generate, TraceConfig, TraceShape};
 use hpcc_adapt::{AdaptOutcome, RunSpec};
 use hpcc_core::scenarios::common::MeasuredCri;
 use hpcc_sim::{FaultInjector, SimSpan, Tracer};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Cluster width every sweep configuration uses.
@@ -36,22 +35,6 @@ pub const POLICIES: [&str; 3] = ["static", "queue-threshold", "ewma-forecast"];
 
 /// Trace-shape labels in sweep order.
 pub const TRACES: [&str; 3] = ["bursty", "diurnal", "poisson"];
-
-/// Where the current results land (repo root, next to the other BENCH_*).
-pub fn results_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_adapt.json"
-    ))
-}
-
-/// The checked-in baseline the `--check` gate compares against.
-pub fn baseline_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/bench/BENCH_adapt_baseline.json"
-    ))
-}
 
 /// The canonical trace of one shape: 16 nodes, ~30 pods over an hour,
 /// twelve front-loaded batch jobs as WLM backdrop. The job pressure is
@@ -228,8 +211,9 @@ pub fn render(runs: &[AdaptRun]) -> Json {
 
 /// Structural sanity of a fresh sweep, independent of any baseline: the
 /// acceptance properties of the adaptive control plane itself.
-pub fn structural_check(runs: &[AdaptRun]) -> Result<(), Vec<String>> {
+pub fn structural_check(runs: &[AdaptRun]) -> GateResult {
     let mut errors = Vec::new();
+    let mut report = Vec::new();
     let find = |p: &str, t: &str| runs.iter().find(|r| r.policy == p && r.trace == t);
     for r in runs {
         if r.pods_failed > 0 || r.pods_succeeded == 0 {
@@ -257,90 +241,80 @@ pub fn structural_check(runs: &[AdaptRun]) -> Result<(), Vec<String>> {
                 ewma.p95_pod_start_ns, qt.p95_pod_start_ns
             ));
         }
+        report.push(format!(
+            "bursty: ewma-forecast utilization {:.4} vs static {:.4}, p95 pod start {} ns vs \
+             queue-threshold {} ns",
+            ewma.combined_utilization,
+            stat.combined_utilization,
+            ewma.p95_pod_start_ns,
+            qt.p95_pod_start_ns
+        ));
     } else {
         errors.push("bursty sweep is missing a policy".into());
     }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
+    harness::verdict(report, errors)
 }
 
-/// Compare a fresh sweep against the parsed baseline. Makespan, p95
-/// latency or reprovision count >10% over baseline — or a run missing
-/// from the baseline — is an error.
-pub fn compare_to_baseline(runs: &[AdaptRun], baseline: &Json) -> Result<Vec<String>, Vec<String>> {
-    let mut errors = Vec::new();
-    let mut report = Vec::new();
-    let base_runs = baseline
-        .get("runs")
-        .and_then(|r| r.as_arr())
-        .ok_or_else(|| vec!["baseline has no `runs` array".to_string()])?;
-    for r in runs {
-        let Some(base) = base_runs.iter().find(|b| {
-            b.get("policy").and_then(|v| v.as_str()) == Some(r.policy)
-                && b.get("trace").and_then(|v| v.as_str()) == Some(r.trace)
-        }) else {
-            errors.push(format!(
-                "{}@{}: no baseline entry (re-bless with `bench_adapt --bless`)",
-                r.policy, r.trace
-            ));
-            continue;
-        };
-        for (metric, current) in [
-            ("makespan_ns", r.makespan_ns),
-            ("p95_pod_start_ns", r.p95_pod_start_ns),
-            ("reprovisions", r.reprovisions as u64),
-        ] {
-            let Some(expected) = base.get(metric).and_then(|v| v.as_u64()) else {
-                errors.push(format!("{}@{}: baseline lacks {metric}", r.policy, r.trace));
-                continue;
-            };
-            let limit = expected as f64 * (1.0 + REGRESSION_TOLERANCE);
-            let ratio = if expected == 0 {
-                1.0
-            } else {
-                current as f64 / expected as f64
-            };
-            if current as f64 > limit && current > expected {
-                errors.push(format!(
-                    "{}@{}: {metric} regressed {:.1}% ({} vs baseline {})",
-                    r.policy,
-                    r.trace,
-                    (ratio - 1.0) * 100.0,
-                    current,
-                    expected
-                ));
-            } else {
-                report.push(format!(
-                    "{}@{} {metric}: {} vs {} baseline ({:+.1}%)",
-                    r.policy,
-                    r.trace,
-                    current,
-                    expected,
-                    (ratio - 1.0) * 100.0
-                ));
-            }
-        }
-    }
-    if errors.is_empty() {
-        Ok(report)
-    } else {
-        Err(errors)
-    }
-}
+/// `bench adapt`.
+pub struct Adapt;
 
-/// Load and parse the baseline file.
-pub fn load_baseline() -> Result<Json, String> {
-    let path = baseline_path();
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read baseline {} ({e}); create it with `bench_adapt --bless`",
-            path.display()
+impl harness::Suite for Adapt {
+    const NAME: &'static str = "adapt";
+    const CLOCK: Clock = Clock::Logical;
+    type Results = Vec<AdaptRun>;
+
+    fn run(_quick: bool) -> Vec<AdaptRun> {
+        run_suite()
+    }
+
+    fn render(runs: &Vec<AdaptRun>) -> Json {
+        render(runs)
+    }
+
+    fn gates(runs: &Vec<AdaptRun>) -> GateResult {
+        structural_check(runs)
+    }
+
+    fn gated_metrics(doc: &Json) -> Vec<(String, f64)> {
+        harness::row_metrics(
+            doc,
+            "runs",
+            &["policy", "trace"],
+            &["makespan_ns", "p95_pod_start_ns", "reprovisions"],
         )
-    })?;
-    json::parse(&text).map_err(|e| format!("baseline {}: {e}", path.display()))
+    }
+
+    fn table(runs: &Vec<AdaptRun>) -> Vec<Vec<String>> {
+        let secs = |ns: u64, digits: usize| format!("{:.digits$} s", ns as f64 / 1e9);
+        let pct = |x: f64| format!("{:.1}%", x * 100.0);
+        let header = [
+            "policy",
+            "trace",
+            "makespan",
+            "combined util",
+            "k8s util",
+            "p50 pod start",
+            "p95 pod start",
+            "reprovisions",
+            "SLO misses",
+        ];
+        harness::table(
+            header,
+            runs.iter().map(|r| {
+                [
+                    r.policy.to_string(),
+                    r.trace.to_string(),
+                    secs(r.makespan_ns, 1),
+                    pct(r.combined_utilization),
+                    pct(r.k8s_utilization),
+                    secs(r.p50_pod_start_ns, 3),
+                    secs(r.p95_pod_start_ns, 3),
+                    r.reprovisions.to_string(),
+                    r.slo_violations.to_string(),
+                ]
+            }),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -355,19 +329,5 @@ mod tests {
         assert_eq!(a.p95_pod_start_ns, b.p95_pod_start_ns);
         assert_eq!(a.reprovisions, b.reprovisions);
         assert_eq!(a.decisions, b.decisions);
-    }
-
-    #[test]
-    fn render_and_compare_roundtrip() {
-        let runs = vec![
-            run_config("static", "poisson"),
-            run_config("ewma-forecast", "poisson"),
-        ];
-        let doc = render(&runs);
-        let parsed = json::parse(&doc.render()).unwrap();
-        assert!(compare_to_baseline(&runs, &parsed).is_ok());
-        let mut slow = runs.clone();
-        slow[0].makespan_ns = (slow[0].makespan_ns as f64 * 1.2) as u64;
-        assert!(compare_to_baseline(&slow, &parsed).is_err());
     }
 }

@@ -18,10 +18,11 @@
 //! All builds run sequentially (fleets of one) so cache hit/miss counts
 //! are exact and gateable; the fleet-parallel path is covered by
 //! `hpcc-build`'s own tests. Everything runs on the logical clock, so
-//! the `bench_build` binary double-runs and demands byte-identical
-//! documents (the shared de-flake guard).
+//! the harness double-runs and demands byte-identical documents (the
+//! shared de-flake guard).
 
-use crate::json::{self, Json};
+use crate::harness::{self, Clock, GateResult};
+use crate::json::Json;
 use hpcc_build::{build_fleet, sign_and_push, BuildCache, BuildRequest, BuildSpec, MpiFamily};
 use hpcc_crypto::translog::TransparencyLog;
 use hpcc_crypto::wots::Keypair;
@@ -33,7 +34,6 @@ use hpcc_sim::obs::Tracer;
 use hpcc_sim::{CrashInjector, SimClock, SimTime};
 use hpcc_storage::journal::JournaledStore;
 use hpcc_storage::BlobStore;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Tenants in the sweep.
@@ -48,25 +48,6 @@ pub const LAYER_STEPS: u64 = 3;
 pub const SHARED_STEPS: u64 = 2;
 /// A warm rebuild must beat the cold build by at least this factor.
 pub const WARM_WIN_FLOOR: f64 = 5.0;
-/// Baseline gate: a metric whose current/baseline ratio exceeds the
-/// run's median ratio by more than this fraction is a regression.
-pub const REGRESSION_TOLERANCE: f64 = 0.10;
-
-/// Where the current results land (repo root, next to the other BENCH_*).
-pub fn results_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_build.json"
-    ))
-}
-
-/// The checked-in baseline the `--check` gate compares against.
-pub fn baseline_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/bench/BENCH_build_baseline.json"
-    ))
-}
 
 /// One scenario's measurement. All times logical ns.
 #[derive(Debug, Clone)]
@@ -88,12 +69,6 @@ pub struct BuildRow {
     /// Origin blobs each subsequent tenant added (asserted uniform in
     /// the measurement loop; this is the common value).
     pub origin_added_per_extra_tenant: u64,
-}
-
-/// Results of the full sweep.
-#[derive(Debug, Clone)]
-pub struct BuildResults {
-    pub rows: Vec<BuildRow>,
 }
 
 // ------------------------------------------------------------ measurement
@@ -143,243 +118,16 @@ fn build_tenant(
         .collect()
 }
 
-fn cache_delta(cache: &BuildCache, before: (u64, u64)) -> (u64, u64) {
+/// `(hits, misses)` so far.
+fn cache_counts(cache: &BuildCache) -> (u64, u64) {
     let s = cache.stats();
-    (s.hits - before.0, s.misses - before.1)
-}
-
-/// Measure all three scenarios.
-pub fn run_all() -> BuildResults {
-    // Per-tenant caches and image stores for the cold/warm pair.
-    let caches: Vec<Arc<BuildCache>> = (0..TENANTS).map(|_| BuildCache::node_local()).collect();
-    let stores: Vec<Cas> = (0..TENANTS).map(|_| Cas::new()).collect();
-
-    // ---- cold ------------------------------------------------------
-    let cold = {
-        let (_, tracer) = traced_engine();
-        let clock = SimClock::new();
-        let mut hits = 0;
-        let mut misses = 0;
-        for t in 0..TENANTS {
-            let before = {
-                let s = caches[t].stats();
-                (s.hits, s.misses)
-            };
-            build_tenant(t, &caches[t], &stores[t], &tracer, &clock);
-            let (h, m) = cache_delta(&caches[t], before);
-            hits += h;
-            misses += m;
-        }
-        BuildRow {
-            scenario: "cold",
-            tenants: TENANTS,
-            builds_per_tenant: BUILDS_PER_TENANT,
-            cache_hits: hits,
-            cache_misses: misses,
-            build_ns: clock.now().since(SimTime::ZERO).0,
-            push_ns: 0,
-            origin_blobs: 0,
-            origin_added_first_tenant: 0,
-            origin_added_per_extra_tenant: 0,
-        }
-    };
-
-    // ---- warm ------------------------------------------------------
-    let warm = {
-        let (_, tracer) = traced_engine();
-        let clock = SimClock::new();
-        let mut hits = 0;
-        let mut misses = 0;
-        for t in 0..TENANTS {
-            let before = {
-                let s = caches[t].stats();
-                (s.hits, s.misses)
-            };
-            build_tenant(t, &caches[t], &stores[t], &tracer, &clock);
-            let (h, m) = cache_delta(&caches[t], before);
-            hits += h;
-            misses += m;
-        }
-        BuildRow {
-            scenario: "warm",
-            tenants: TENANTS,
-            builds_per_tenant: BUILDS_PER_TENANT,
-            cache_hits: hits,
-            cache_misses: misses,
-            build_ns: clock.now().since(SimTime::ZERO).0,
-            push_ns: 0,
-            origin_blobs: 0,
-            origin_added_first_tenant: 0,
-            origin_added_per_extra_tenant: 0,
-        }
-    };
-
-    // ---- shared-base ----------------------------------------------
-    let shared = {
-        let (engine, tracer) = traced_engine();
-        let clock = SimClock::new();
-        let registry = Registry::new("origin", RegistryCaps::open());
-        let shared_cache = BuildCache::new(BlobStore::new(8, 8 << 30));
-        let journal = JournaledStore::new(Arc::clone(shared_cache.store()));
-        let crash = CrashInjector::disabled();
-        journal.set_crash_injector(Arc::clone(&crash));
-        let mut key = Keypair::generate(b"bench-build", 5);
-        let mut log = TransparencyLog::new();
-
-        let mut hits = 0;
-        let mut misses = 0;
-        let mut added: Vec<u64> = Vec::with_capacity(TENANTS);
-        let mut build_ns = 0;
-        let mut prev_blobs = 0u64;
-        for (t, cas) in stores.iter().enumerate() {
-            registry.create_namespace(&format!("t{t}"), None).unwrap();
-            let before = {
-                let s = shared_cache.stats();
-                (s.hits, s.misses)
-            };
-            let build_start = clock.now();
-            let outs = build_tenant(t, &shared_cache, cas, &tracer, &clock);
-            build_ns += clock.now().since(build_start).0;
-            let (h, m) = cache_delta(&shared_cache, before);
-            hits += h;
-            misses += m;
-            for out in &outs {
-                sign_and_push(
-                    &engine, &mut key, &mut log, &registry, out, cas, &journal, &crash, &clock,
-                )
-                .expect("bench push succeeds");
-            }
-            let blobs = registry.cas().stats().blobs;
-            added.push(blobs - prev_blobs);
-            prev_blobs = blobs;
-        }
-        let extras = &added[1..];
-        assert!(
-            extras.windows(2).all(|w| w[0] == w[1]),
-            "origin blob increments must be uniform past the first tenant: {added:?}"
-        );
-        BuildRow {
-            scenario: "shared-base",
-            tenants: TENANTS,
-            builds_per_tenant: BUILDS_PER_TENANT,
-            cache_hits: hits,
-            cache_misses: misses,
-            build_ns,
-            push_ns: clock.now().since(SimTime::ZERO).0 - build_ns,
-            origin_blobs: prev_blobs,
-            origin_added_first_tenant: added[0],
-            origin_added_per_extra_tenant: extras[0],
-        }
-    };
-
-    BuildResults {
-        rows: vec![cold, warm, shared],
-    }
+    (s.hits, s.misses)
 }
 
 // ------------------------------------------------------------- live gate
 
-fn row<'a>(results: &'a BuildResults, scenario: &str) -> Option<&'a BuildRow> {
-    results.rows.iter().find(|r| r.scenario == scenario)
-}
-
-/// Structural gates that hold regardless of baseline state:
-///
-/// 1. Warm rebuilds miss nothing and beat cold by [`WARM_WIN_FLOOR`]×.
-/// 2. Cold misses are exactly one full spec plus one unique leaf per
-///    extra build, per tenant — the intra-tenant prefix dedups even cold.
-/// 3. Under the shared cache, the base prefix builds once *ever*:
-///    misses = shared steps + one leaf per (tenant, build).
-/// 4. Origin blob count is flat in the tenant count: every tenant past
-///    the first adds the same blob count, and the first tenant's surplus
-///    is exactly the shared base layers (uploaded once ever).
-pub fn live_gate(results: &BuildResults) -> Result<Vec<String>, Vec<String>> {
-    let mut errors = Vec::new();
-    let mut report = Vec::new();
-    let (Some(cold), Some(warm), Some(shared)) = (
-        row(results, "cold"),
-        row(results, "warm"),
-        row(results, "shared-base"),
-    ) else {
-        return Err(vec!["missing scenario rows".to_string()]);
-    };
-    let n = TENANTS as u64;
-    let m = BUILDS_PER_TENANT as u64;
-
-    if warm.cache_misses != 0 {
-        errors.push(format!(
-            "warm rebuild missed {} steps — cache not absorbing unchanged specs",
-            warm.cache_misses
-        ));
-    }
-    if warm.cache_hits != n * m * LAYER_STEPS {
-        errors.push(format!(
-            "warm rebuild hit {} steps, expected {}",
-            warm.cache_hits,
-            n * m * LAYER_STEPS
-        ));
-    }
-    let win = cold.build_ns as f64 / warm.build_ns.max(1) as f64;
-    if win < WARM_WIN_FLOOR {
-        errors.push(format!(
-            "warm rebuild {:.2} ms must beat cold {:.2} ms by ≥{WARM_WIN_FLOOR}× (got {win:.2}×)",
-            warm.build_ns as f64 / 1e6,
-            cold.build_ns as f64 / 1e6,
-        ));
-    } else {
-        report.push(format!(
-            "warm rebuild {:.2} ms vs cold {:.2} ms ({win:.1}× win, 0 misses)",
-            warm.build_ns as f64 / 1e6,
-            cold.build_ns as f64 / 1e6,
-        ));
-    }
-
-    let cold_expected = n * (SHARED_STEPS + m);
-    if cold.cache_misses != cold_expected {
-        errors.push(format!(
-            "cold misses {} != expected {} (per-tenant prefix dedup broken)",
-            cold.cache_misses, cold_expected
-        ));
-    } else {
-        report.push(format!(
-            "cold misses {} = {TENANTS} tenants × (shared {SHARED_STEPS} + {BUILDS_PER_TENANT} leaves)",
-            cold.cache_misses
-        ));
-    }
-
-    let shared_expected = SHARED_STEPS + n * m;
-    if shared.cache_misses != shared_expected {
-        errors.push(format!(
-            "shared-base misses {} != expected {} (base must build once ever)",
-            shared.cache_misses, shared_expected
-        ));
-    } else {
-        report.push(format!(
-            "shared-base misses {} = shared {SHARED_STEPS} built once + {} unique leaves",
-            shared.cache_misses,
-            n * m
-        ));
-    }
-
-    if shared.origin_added_first_tenant != shared.origin_added_per_extra_tenant + SHARED_STEPS {
-        errors.push(format!(
-            "origin blobs: first tenant added {}, extras add {} — surplus must be exactly the {} shared base layers",
-            shared.origin_added_first_tenant,
-            shared.origin_added_per_extra_tenant,
-            SHARED_STEPS
-        ));
-    } else {
-        report.push(format!(
-            "origin blob count flat: first tenant +{}, each extra +{} (shared base uploaded once)",
-            shared.origin_added_first_tenant, shared.origin_added_per_extra_tenant
-        ));
-    }
-
-    if errors.is_empty() {
-        Ok(report)
-    } else {
-        Err(errors)
-    }
+fn row<'a>(rows: &'a [BuildRow], scenario: &str) -> Option<&'a BuildRow> {
+    rows.iter().find(|r| r.scenario == scenario)
 }
 
 // ----------------------------------------------------------------- render
@@ -405,173 +153,280 @@ fn render_row(r: &BuildRow) -> Json {
     ])
 }
 
-/// Render results as the BENCH_build.json document.
-pub fn render(results: &BuildResults) -> Json {
-    Json::obj([
-        ("schema", Json::Str("hpcc-bench-build/v1".to_string())),
-        ("tenants", Json::Num(TENANTS as f64)),
-        ("builds_per_tenant", Json::Num(BUILDS_PER_TENANT as f64)),
-        ("workers", Json::Num(WORKERS as f64)),
-        (
-            "rows",
-            Json::Arr(results.rows.iter().map(render_row).collect()),
-        ),
-    ])
-}
+/// `bench build`.
+pub struct Build;
 
-// --------------------------------------------------------------- baseline
+impl harness::Suite for Build {
+    const NAME: &'static str = "build";
+    const CLOCK: Clock = Clock::Logical;
+    type Results = Vec<BuildRow>;
 
-/// Median-normalized regression gate, same discipline as the other
-/// suites: time metrics contribute current/baseline ratios, and a metric
-/// drifting more than [`REGRESSION_TOLERANCE`] past the median ratio
-/// fails. With pure logical time the median is exactly 1.0 unless the
-/// timing model moved.
-pub fn compare_to_baseline(
-    results: &BuildResults,
-    baseline: &Json,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut errors = Vec::new();
-    let base_rows = baseline
-        .get("rows")
-        .and_then(|b| b.as_arr())
-        .ok_or_else(|| vec!["baseline has no `rows` array".to_string()])?;
-    let base_metric = |scenario: &str, key: &str| {
-        base_rows
-            .iter()
-            .find(|b| b.get("scenario").and_then(|v| v.as_str()) == Some(scenario))
-            .and_then(|b| b.get(key))
-            .and_then(|v| v.as_f64())
-    };
-
-    let mut ratios: Vec<(String, f64, f64, f64)> = Vec::new();
-    for r in &results.rows {
-        let mut metrics = vec![("build_ns", r.build_ns)];
-        if r.push_ns > 0 {
-            metrics.push(("push_ns", r.push_ns));
-        }
-        for (key, cur) in metrics {
-            let label = format!("{}.{key}", r.scenario);
-            let Some(base) = base_metric(r.scenario, key) else {
-                errors.push(format!(
-                    "{label}: no baseline entry (re-bless with `bench_build --bless`)"
-                ));
-                continue;
-            };
-            if base <= 0.0 {
-                errors.push(format!("{label}: baseline value is not positive"));
-                continue;
+    /// Measure all three scenarios.
+    fn run(_quick: bool) -> Vec<BuildRow> {
+        // Per-tenant caches and image stores for the cold/warm pair: the
+        // warm pass rebuilds the same specs on the caches cold populated.
+        let caches: Vec<Arc<BuildCache>> = (0..TENANTS).map(|_| BuildCache::node_local()).collect();
+        let stores: Vec<Cas> = (0..TENANTS).map(|_| Cas::new()).collect();
+        let per_tenant_pass = |scenario: &'static str| {
+            let (_, tracer) = traced_engine();
+            let clock = SimClock::new();
+            let (mut hits, mut misses) = (0, 0);
+            for t in 0..TENANTS {
+                let before = cache_counts(&caches[t]);
+                build_tenant(t, &caches[t], &stores[t], &tracer, &clock);
+                let after = cache_counts(&caches[t]);
+                hits += after.0 - before.0;
+                misses += after.1 - before.1;
             }
-            ratios.push((label, cur as f64, base, cur as f64 / base));
-        }
-    }
-    if !errors.is_empty() {
-        return Err(errors);
-    }
-    if ratios.is_empty() {
-        return Err(vec!["no rows to compare".to_string()]);
+            BuildRow {
+                scenario,
+                tenants: TENANTS,
+                builds_per_tenant: BUILDS_PER_TENANT,
+                cache_hits: hits,
+                cache_misses: misses,
+                build_ns: clock.now().since(SimTime::ZERO).0,
+                push_ns: 0,
+                origin_blobs: 0,
+                origin_added_first_tenant: 0,
+                origin_added_per_extra_tenant: 0,
+            }
+        };
+        let cold = per_tenant_pass("cold");
+        let warm = per_tenant_pass("warm");
+
+        // ---- shared-base ----------------------------------------------
+        let shared = {
+            let (engine, tracer) = traced_engine();
+            let clock = SimClock::new();
+            let registry = Registry::new("origin", RegistryCaps::open());
+            let shared_cache = BuildCache::new(BlobStore::new(8, 8 << 30));
+            let journal = JournaledStore::new(Arc::clone(shared_cache.store()));
+            let crash = CrashInjector::disabled();
+            journal.set_crash_injector(Arc::clone(&crash));
+            let mut key = Keypair::generate(b"bench-build", 5);
+            let mut log = TransparencyLog::new();
+
+            let (mut hits, mut misses) = (0, 0);
+            let mut added: Vec<u64> = Vec::with_capacity(TENANTS);
+            let mut build_ns = 0;
+            let mut prev_blobs = 0u64;
+            for (t, cas) in stores.iter().enumerate() {
+                registry.create_namespace(&format!("t{t}"), None).unwrap();
+                let before = cache_counts(&shared_cache);
+                let build_start = clock.now();
+                let outs = build_tenant(t, &shared_cache, cas, &tracer, &clock);
+                build_ns += clock.now().since(build_start).0;
+                let after = cache_counts(&shared_cache);
+                hits += after.0 - before.0;
+                misses += after.1 - before.1;
+                for out in &outs {
+                    sign_and_push(
+                        &engine, &mut key, &mut log, &registry, out, cas, &journal, &crash, &clock,
+                    )
+                    .expect("bench push succeeds");
+                }
+                let blobs = registry.cas().stats().blobs;
+                added.push(blobs - prev_blobs);
+                prev_blobs = blobs;
+            }
+            let extras = &added[1..];
+            assert!(
+                extras.windows(2).all(|w| w[0] == w[1]),
+                "origin blob increments must be uniform past the first tenant: {added:?}"
+            );
+            BuildRow {
+                scenario: "shared-base",
+                tenants: TENANTS,
+                builds_per_tenant: BUILDS_PER_TENANT,
+                cache_hits: hits,
+                cache_misses: misses,
+                build_ns,
+                push_ns: clock.now().since(SimTime::ZERO).0 - build_ns,
+                origin_blobs: prev_blobs,
+                origin_added_first_tenant: added[0],
+                origin_added_per_extra_tenant: extras[0],
+            }
+        };
+
+        vec![cold, warm, shared]
     }
 
-    let mut sorted: Vec<f64> = ratios.iter().map(|(_, _, _, q)| *q).collect();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let median = sorted[sorted.len() / 2];
-    let limit = median * (1.0 + REGRESSION_TOLERANCE);
+    /// Render results as the BENCH_build.json document.
+    fn render(results: &Vec<BuildRow>) -> Json {
+        Json::obj([
+            ("schema", Json::Str("hpcc-bench-build/v1".to_string())),
+            ("tenants", Json::Num(TENANTS as f64)),
+            ("builds_per_tenant", Json::Num(BUILDS_PER_TENANT as f64)),
+            ("workers", Json::Num(WORKERS as f64)),
+            ("rows", Json::Arr(results.iter().map(render_row).collect())),
+        ])
+    }
 
-    let mut report = vec![format!(
-        "median current/baseline ratio {median:.3} (timing-model drift factor)"
-    )];
-    for (label, cur, base, ratio) in &ratios {
-        if *ratio > limit {
+    /// Structural gates that hold regardless of baseline state:
+    ///
+    /// 1. Warm rebuilds miss nothing and beat cold by [`WARM_WIN_FLOOR`]×.
+    /// 2. Cold misses are exactly one full spec plus one unique leaf per
+    ///    extra build, per tenant — the intra-tenant prefix dedups even cold.
+    /// 3. Under the shared cache, the base prefix builds once *ever*:
+    ///    misses = shared steps + one leaf per (tenant, build).
+    /// 4. Origin blob count is flat in the tenant count: every tenant past
+    ///    the first adds the same blob count, and the first tenant's surplus
+    ///    is exactly the shared base layers (uploaded once ever).
+    fn gates(results: &Vec<BuildRow>) -> GateResult {
+        let mut errors = Vec::new();
+        let mut report = Vec::new();
+        let (Some(cold), Some(warm), Some(shared)) = (
+            row(results, "cold"),
+            row(results, "warm"),
+            row(results, "shared-base"),
+        ) else {
+            return Err(vec!["missing scenario rows".to_string()]);
+        };
+        let n = TENANTS as u64;
+        let m = BUILDS_PER_TENANT as u64;
+
+        if warm.cache_misses != 0 {
             errors.push(format!(
-                "{label}: {:.2} ms vs baseline {:.2} ms — ratio {ratio:.3} exceeds median {median:.3} by more than {:.0}%",
-                cur / 1e6,
-                base / 1e6,
-                REGRESSION_TOLERANCE * 100.0
+                "warm rebuild missed {} steps — cache not absorbing unchanged specs",
+                warm.cache_misses
+            ));
+        }
+        if warm.cache_hits != n * m * LAYER_STEPS {
+            errors.push(format!(
+                "warm rebuild hit {} steps, expected {}",
+                warm.cache_hits,
+                n * m * LAYER_STEPS
+            ));
+        }
+        let win = cold.build_ns as f64 / warm.build_ns.max(1) as f64;
+        if win < WARM_WIN_FLOOR {
+            errors.push(format!(
+                "warm rebuild {:.2} ms must beat cold {:.2} ms by ≥{WARM_WIN_FLOOR}× (got {win:.2}×)",
+                warm.build_ns as f64 / 1e6,
+                cold.build_ns as f64 / 1e6,
             ));
         } else {
             report.push(format!(
-                "{label}: {:.2} ms vs {:.2} ms baseline (ratio {ratio:.3})",
-                cur / 1e6,
-                base / 1e6
+                "warm rebuild {:.2} ms vs cold {:.2} ms ({win:.1}× win, 0 misses)",
+                warm.build_ns as f64 / 1e6,
+                cold.build_ns as f64 / 1e6,
             ));
         }
-    }
-    if errors.is_empty() {
-        Ok(report)
-    } else {
-        Err(errors)
-    }
-}
 
-/// Load and parse the baseline file.
-pub fn load_baseline() -> Result<Json, String> {
-    let path = baseline_path();
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read baseline {} ({e}); create it with `bench_build --bless`",
-            path.display()
-        )
-    })?;
-    json::parse(&text).map_err(|e| format!("baseline {}: {e}", path.display()))
-}
-
-/// A markdown incremental-rebuild/dedup table for EXPERIMENTS.md.
-pub fn render_markdown_table(results: &BuildResults) -> String {
-    let mut out = String::from(
-        "| scenario | tenants × builds | cache hits/misses | build time | push time | origin blobs (first / per-extra tenant) |\n\
-         |---|---:|---:|---:|---:|---:|\n",
-    );
-    let ms = |ns: u64| {
-        if ns == 0 {
-            "—".to_string()
+        let cold_expected = n * (SHARED_STEPS + m);
+        if cold.cache_misses != cold_expected {
+            errors.push(format!(
+                "cold misses {} != expected {} (per-tenant prefix dedup broken)",
+                cold.cache_misses, cold_expected
+            ));
         } else {
-            format!("{:.2} ms", ns as f64 / 1e6)
+            report.push(format!(
+                "cold misses {} = {TENANTS} tenants × (shared {SHARED_STEPS} + {BUILDS_PER_TENANT} leaves)",
+                cold.cache_misses
+            ));
         }
-    };
-    for r in &results.rows {
-        let origin = if r.origin_blobs == 0 {
-            "—".to_string()
+
+        let shared_expected = SHARED_STEPS + n * m;
+        if shared.cache_misses != shared_expected {
+            errors.push(format!(
+                "shared-base misses {} != expected {} (base must build once ever)",
+                shared.cache_misses, shared_expected
+            ));
         } else {
-            format!(
-                "{} (+{} / +{})",
-                r.origin_blobs, r.origin_added_first_tenant, r.origin_added_per_extra_tenant
-            )
-        };
-        out.push_str(&format!(
-            "| {} | {} × {} | {} / {} | {} | {} | {} |\n",
-            r.scenario,
-            r.tenants,
-            r.builds_per_tenant,
-            r.cache_hits,
-            r.cache_misses,
-            ms(r.build_ns),
-            ms(r.push_ns),
-            origin,
-        ));
+            report.push(format!(
+                "shared-base misses {} = shared {SHARED_STEPS} built once + {} unique leaves",
+                shared.cache_misses,
+                n * m
+            ));
+        }
+
+        if shared.origin_added_first_tenant != shared.origin_added_per_extra_tenant + SHARED_STEPS {
+            errors.push(format!(
+                "origin blobs: first tenant added {}, extras add {} — surplus must be exactly the {} shared base layers",
+                shared.origin_added_first_tenant,
+                shared.origin_added_per_extra_tenant,
+                SHARED_STEPS
+            ));
+        } else {
+            report.push(format!(
+                "origin blob count flat: first tenant +{}, each extra +{} (shared base uploaded once)",
+                shared.origin_added_first_tenant, shared.origin_added_per_extra_tenant
+            ));
+        }
+
+        if errors.is_empty() {
+            Ok(report)
+        } else {
+            Err(errors)
+        }
     }
-    out
+
+    /// `push_ns` is zero outside shared-base; the harness holds a zero
+    /// baseline to exactly zero, so a push appearing there is caught.
+    fn gated_metrics(doc: &Json) -> Vec<(String, f64)> {
+        harness::row_metrics(doc, "rows", &["scenario"], &["build_ns", "push_ns"])
+    }
+
+    /// The incremental-rebuild/dedup table of EXPERIMENTS.md.
+    fn table(results: &Vec<BuildRow>) -> Vec<Vec<String>> {
+        let ms = |ns: u64| match ns {
+            0 => "—".to_string(),
+            _ => format!("{:.2} ms", ns as f64 / 1e6),
+        };
+        let header = [
+            "scenario",
+            "tenants × builds",
+            "cache hits/misses",
+            "build time",
+            "push time",
+            "origin blobs (first / per-extra tenant)",
+        ];
+        let row = |r: &BuildRow| {
+            let origin = match r.origin_blobs {
+                0 => "—".to_string(),
+                n => format!(
+                    "{n} (+{} / +{})",
+                    r.origin_added_first_tenant, r.origin_added_per_extra_tenant
+                ),
+            };
+            [
+                r.scenario.to_string(),
+                format!("{} × {}", r.tenants, r.builds_per_tenant),
+                format!("{} / {}", r.cache_hits, r.cache_misses),
+                ms(r.build_ns),
+                ms(r.push_ns),
+                origin,
+            ]
+        };
+        harness::table(header, results.iter().map(row))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Suite;
 
     /// The full sweep satisfies every structural gate and renders a
     /// well-formed document.
     #[test]
     fn sweep_passes_structural_gates() {
-        let results = run_all();
-        match live_gate(&results) {
+        let results = Build::run(false);
+        match Build::gates(&results) {
             Ok(report) => assert!(!report.is_empty()),
             Err(errors) => panic!("gates failed: {errors:?}"),
         }
-        let doc = render(&results);
+        let doc = Build::render(&results);
         assert!(doc.render().contains("shared-base"));
-        assert_eq!(json::parse(&doc.render()).unwrap(), doc);
+        assert_eq!(crate::json::parse(&doc.render()).unwrap(), doc);
     }
 
     /// Two full sweeps are byte-identical (logical time only).
     #[test]
     fn sweep_is_deterministic() {
-        assert_eq!(render(&run_all()).render(), render(&run_all()).render());
+        assert_eq!(
+            Build::render(&Build::run(false)).render(),
+            Build::render(&Build::run(false)).render()
+        );
     }
 }

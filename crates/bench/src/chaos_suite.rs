@@ -1,6 +1,6 @@
 //! Game-day chaos benchmark + the `bench-chaos` CI gate.
 //!
-//! `bench_storm` proves the pull plane is *fast*; this suite proves it is
+//! `bench storm` proves the pull plane is *fast*; this suite proves it is
 //! *survivable*. A 1024-node fleet runs the same tiered pull workload
 //! while one correlated outage after another strikes the topology
 //! ([`hpcc_sim::DomainSchedule`]): a rack loses power, a row switch
@@ -20,7 +20,7 @@
 //! Every number is logical DES time, so the whole document is
 //! bit-for-bit deterministic (the driver double-runs and compares).
 //!
-//! Gates, enforced by `bench_chaos --check` (the `bench-chaos` ci.sh
+//! Gates, enforced by `bench chaos --check` (the `bench-chaos` ci.sh
 //! stage):
 //!
 //! * **Chaos is real** — the `none` row of every scenario must lose
@@ -33,13 +33,12 @@
 //! * **Rack-scale tree repair** — a mid-broadcast rack power loss must
 //!   be repaired in one whole-subtree pass and every dead node
 //!   re-attached and served only after its domain heals.
-//! * **Regression gate** — p50/p95 vs the checked-in baseline
-//!   (`tests/bench/BENCH_chaos_baseline.json`), median-normalized with
-//!   [`REGRESSION_TOLERANCE`], mirroring `bench-storm`. `--bless`
-//!   re-baselines.
+//! * **Regression gate** — every cell's p50/p95 vs the checked-in
+//!   baseline under the harness's [`Clock::Logical`] rule.
 
-use crate::json::{self, Json};
-use crate::storm_suite::chunk_clocks;
+use crate::harness::{self, Clock, GateResult};
+use crate::json::Json;
+use crate::storm_suite::{percentile, seed_pulls};
 use hpcc_registry::registry::RegistryError;
 use hpcc_registry::tiered::{ImageSpec, StormConfig, StormTopology};
 use hpcc_sim::net::{Fabric, NodeId};
@@ -52,7 +51,6 @@ use hpcc_sim::{
 use hpcc_storage::p2p::{
     broadcast_tree_from_seeds_gated, DistributionTree, TreeSpec, TREE_REPAIR_LATENCY,
 };
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Fleet size every scenario runs at.
@@ -73,26 +71,6 @@ pub const OUTAGE_LEN: SimSpan = SimSpan(60_000_000_000);
 /// Post-heal recovery budget: the slowest recovery-wave pull of a
 /// resilient row must land within this span of the heal instant.
 pub const RECOVERY_CEILING: SimSpan = SimSpan(5_000_000_000);
-
-/// Baseline gate: a row whose current/baseline ratio exceeds the run's
-/// median ratio by more than this fraction is a regression.
-pub const REGRESSION_TOLERANCE: f64 = 0.10;
-
-/// Where the current results land (repo root, next to the other BENCH_*).
-pub fn results_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_chaos.json"
-    ))
-}
-
-/// The checked-in baseline the `--check` gate compares against.
-pub fn baseline_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/bench/BENCH_chaos_baseline.json"
-    ))
-}
 
 fn outage_from() -> SimTime {
     SimTime::ZERO + OUTAGE_FROM
@@ -189,12 +167,6 @@ pub struct ChaosResults {
     pub cells: Vec<ChaosRow>,
     /// The mid-broadcast tree repair measurement.
     pub tree: TreeRehealRow,
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    assert!(!sorted.is_empty());
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }
 
 fn scenario_schedule(topo: DomainTopology, scenario: &str) -> DomainSchedule {
@@ -482,17 +454,7 @@ fn tree_reheal() -> TreeRehealRow {
             ..TreeSpec::default()
         },
     );
-    let spec = tree.spec();
-    let seed_chunk_done: Vec<Vec<SimTime>> = (0..spec.seeds)
-        .map(|s| {
-            let node = tree.assignments()[tree.seed_root(s)];
-            let (done, blob_done) = topo
-                .pull_image_sized(node, 0, &image, SimTime::ZERO)
-                .expect("model-plane pull cannot fail");
-            let mdone = done.min(*blob_done.iter().min().unwrap_or(&done));
-            chunk_clocks(&image, mdone, &blob_done, spec.chunk)
-        })
-        .collect();
+    let (_, seed_chunk_done) = seed_pulls(&topo, &tree, &image);
 
     // Rack 1 loses power (rack 0 holds seed roots, which repair
     // protects); it heals two seconds in.
@@ -547,22 +509,6 @@ fn tree_reheal() -> TreeRehealRow {
     }
 }
 
-/// Run the full scenario × mode sweep plus the tree-repair cell. Pure
-/// logical time: identical output every run.
-pub fn run_all() -> ChaosResults {
-    let mut cells = Vec::with_capacity(SCENARIOS.len() * MODES.len());
-    for (si, scenario) in SCENARIOS.iter().enumerate() {
-        for (mi, mode) in MODES.iter().enumerate() {
-            let seed = 0xC4A0_5EED ^ ((si as u64) << 8) ^ mi as u64;
-            cells.push(run_cell(NODES, scenario, mode, seed));
-        }
-    }
-    ChaosResults {
-        cells,
-        tree: tree_reheal(),
-    }
-}
-
 // ------------------------------------------------------------------ gates
 
 fn cell<'a>(results: &'a ChaosResults, scenario: &str, mode: &str) -> Option<&'a ChaosRow> {
@@ -570,91 +516,6 @@ fn cell<'a>(results: &'a ChaosResults, scenario: &str, mode: &str) -> Option<&'a
         .cells
         .iter()
         .find(|r| r.scenario == scenario && r.mode == mode)
-}
-
-/// The structural acceptance gates: real chaos in the `none` rows, zero
-/// give-ups and bounded recovery in the resilient rows, and exact
-/// rack-scale tree repair.
-pub fn live_gate(results: &ChaosResults) -> Result<Vec<String>, Vec<String>> {
-    let mut report = Vec::new();
-    let mut errors = Vec::new();
-    for &scenario in SCENARIOS {
-        match cell(results, scenario, "none") {
-            Some(none) => {
-                if none.failed + none.down_skipped == 0 {
-                    errors.push(format!(
-                        "{scenario}/none: no failed pulls and no dead nodes — the outage did nothing"
-                    ));
-                } else {
-                    report.push(format!(
-                        "{scenario}/none: {} failed, {} dead-rack skips, {} shed (chaos is real)",
-                        none.failed, none.down_skipped, none.shed
-                    ));
-                }
-            }
-            None => errors.push(format!("{scenario}/none: row missing")),
-        }
-        for mode in ["breakers", "breakers+hedging"] {
-            let Some(r) = cell(results, scenario, mode) else {
-                errors.push(format!("{scenario}/{mode}: row missing"));
-                continue;
-            };
-            if r.failed > 0 {
-                errors.push(format!(
-                    "{scenario}/{mode}: {} pulls delivered nothing while the mirror stayed reachable",
-                    r.failed
-                ));
-            } else {
-                report.push(format!(
-                    "{scenario}/{mode}: {}/{} pulls ok ({} mirror fallbacks, {} breaker rejects, {} hedges)",
-                    r.ok, r.pulls, r.mirror_fallbacks, r.breaker_rejects, r.hedges
-                ));
-            }
-            if r.recovery_ns == 0 {
-                errors.push(format!("{scenario}/{mode}: recovery wave measured nothing"));
-            } else if r.recovery_ns > RECOVERY_CEILING.0 {
-                errors.push(format!(
-                    "{scenario}/{mode}: recovery took {:.1} s, above the {:.1} s ceiling",
-                    r.recovery_ns as f64 / 1e9,
-                    RECOVERY_CEILING.0 as f64 / 1e9
-                ));
-            } else {
-                report.push(format!(
-                    "{scenario}/{mode}: recovered {:.2} s after heal (ceiling {:.0} s)",
-                    r.recovery_ns as f64 / 1e9,
-                    RECOVERY_CEILING.0 as f64 / 1e9
-                ));
-            }
-        }
-    }
-    let t = &results.tree;
-    if t.repairs != t.dead as u64 {
-        errors.push(format!(
-            "tree: {} repairs for {} dead nodes — repair is not rack-scale",
-            t.repairs, t.dead
-        ));
-    }
-    if t.rewired_edges == 0 {
-        errors.push("tree: no subtree edges rewired — the dead rack held no subtrees".to_string());
-    }
-    if t.reattach_done_ns < t.heal_ns + TREE_REPAIR_LATENCY.0 {
-        errors.push(format!(
-            "tree: a dead node finished {} ns after start, before heal+repair at {} ns",
-            t.reattach_done_ns,
-            t.heal_ns + TREE_REPAIR_LATENCY.0
-        ));
-    }
-    if errors.is_empty() {
-        report.push(format!(
-            "tree: {} dead repaired in one pass ({} edges rewired), re-attached nodes served {:.2} s after heal",
-            t.dead,
-            t.rewired_edges,
-            (t.reattach_done_ns - t.heal_ns) as f64 / 1e9
-        ));
-        Ok(report)
-    } else {
-        Err(errors)
-    }
 }
 
 // ----------------------------------------------------------------- render
@@ -679,156 +540,176 @@ fn render_cell(r: &ChaosRow) -> Json {
     ])
 }
 
-/// Render results as the BENCH_chaos.json document.
-pub fn render(results: &ChaosResults) -> Json {
-    let t = &results.tree;
-    Json::obj([
-        ("schema", Json::Str("hpcc-bench-chaos/v1".to_string())),
-        ("nodes", Json::Num(NODES as f64)),
-        (
-            "outage",
-            Json::obj([
-                ("from_ns", Json::Num(OUTAGE_FROM.0 as f64)),
-                ("len_ns", Json::Num(OUTAGE_LEN.0 as f64)),
-            ]),
-        ),
-        (
-            "cells",
-            Json::Arr(results.cells.iter().map(render_cell).collect()),
-        ),
-        (
-            "tree",
-            Json::obj([
-                ("nodes", Json::Num(t.nodes as f64)),
-                ("dead", Json::Num(t.dead as f64)),
-                ("repairs", Json::Num(t.repairs as f64)),
-                ("rewired_edges", Json::Num(t.rewired_edges as f64)),
-                ("heal_ns", Json::Num(t.heal_ns as f64)),
-                ("reattach_done_ns", Json::Num(t.reattach_done_ns as f64)),
-                ("all_done_ns", Json::Num(t.all_done_ns as f64)),
-            ]),
-        ),
-    ])
-}
+/// `bench chaos`.
+pub struct Chaos;
 
-// --------------------------------------------------------------- baseline
+impl harness::Suite for Chaos {
+    const NAME: &'static str = "chaos";
+    const CLOCK: Clock = Clock::Logical;
+    type Results = ChaosResults;
 
-/// Compare against the checked-in baseline, median-normalized like
-/// `storm_suite::compare_to_baseline`: every cell's p50 and p95 ratio is
-/// collected, and a cell drifting more than [`REGRESSION_TOLERANCE`]
-/// past the median ratio fails. With pure logical time the median is
-/// exactly 1.0 unless the timing model itself moved.
-pub fn compare_to_baseline(
-    results: &ChaosResults,
-    baseline: &Json,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut errors = Vec::new();
-    let base_rows = baseline
-        .get("cells")
-        .and_then(|b| b.as_arr())
-        .ok_or_else(|| vec!["baseline has no `cells` array".to_string()])?;
-    let base_metric = |scenario: &str, mode: &str, key: &str| {
-        base_rows
-            .iter()
-            .find(|b| {
-                b.get("scenario").and_then(|v| v.as_str()) == Some(scenario)
-                    && b.get("mode").and_then(|v| v.as_str()) == Some(mode)
-            })
-            .and_then(|b| b.get(key))
-            .and_then(|v| v.as_f64())
-    };
-
-    let mut ratios: Vec<(String, f64, f64, f64)> = Vec::new();
-    for row in &results.cells {
-        for (key, cur) in [("p50_ns", row.p50_ns), ("p95_ns", row.p95_ns)] {
-            let label = format!("{}/{}.{key}", row.scenario, row.mode);
-            let Some(base) = base_metric(row.scenario, row.mode, key) else {
-                errors.push(format!(
-                    "{label}: no baseline entry (re-bless with `bench_chaos --bless`)"
-                ));
-                continue;
-            };
-            if base <= 0.0 {
-                errors.push(format!("{label}: baseline value is not positive"));
-                continue;
+    /// Run the full scenario × mode sweep plus the tree-repair cell. Pure
+    /// logical time: identical output every run.
+    fn run(_quick: bool) -> ChaosResults {
+        let mut cells = Vec::with_capacity(SCENARIOS.len() * MODES.len());
+        for (si, scenario) in SCENARIOS.iter().enumerate() {
+            for (mi, mode) in MODES.iter().enumerate() {
+                let seed = 0xC4A0_5EED ^ ((si as u64) << 8) ^ mi as u64;
+                cells.push(run_cell(NODES, scenario, mode, seed));
             }
-            ratios.push((label, cur as f64, base, cur as f64 / base));
+        }
+        ChaosResults {
+            cells,
+            tree: tree_reheal(),
         }
     }
-    if !errors.is_empty() {
-        return Err(errors);
-    }
-    if ratios.is_empty() {
-        return Err(vec!["no cells to compare".to_string()]);
+
+    /// Render results as the BENCH_chaos.json document.
+    fn render(results: &ChaosResults) -> Json {
+        let t = &results.tree;
+        Json::obj([
+            ("schema", Json::Str("hpcc-bench-chaos/v1".to_string())),
+            ("nodes", Json::Num(NODES as f64)),
+            (
+                "outage",
+                Json::obj([
+                    ("from_ns", Json::Num(OUTAGE_FROM.0 as f64)),
+                    ("len_ns", Json::Num(OUTAGE_LEN.0 as f64)),
+                ]),
+            ),
+            (
+                "cells",
+                Json::Arr(results.cells.iter().map(render_cell).collect()),
+            ),
+            (
+                "tree",
+                Json::obj([
+                    ("nodes", Json::Num(t.nodes as f64)),
+                    ("dead", Json::Num(t.dead as f64)),
+                    ("repairs", Json::Num(t.repairs as f64)),
+                    ("rewired_edges", Json::Num(t.rewired_edges as f64)),
+                    ("heal_ns", Json::Num(t.heal_ns as f64)),
+                    ("reattach_done_ns", Json::Num(t.reattach_done_ns as f64)),
+                    ("all_done_ns", Json::Num(t.all_done_ns as f64)),
+                ]),
+            ),
+        ])
     }
 
-    let mut sorted: Vec<f64> = ratios.iter().map(|(_, _, _, q)| *q).collect();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let median = sorted[sorted.len() / 2];
-    let limit = median * (1.0 + REGRESSION_TOLERANCE);
-
-    let mut report = vec![format!(
-        "median current/baseline ratio {median:.3} (timing-model drift factor)"
-    )];
-    for (label, cur, base, ratio) in &ratios {
-        if *ratio > limit {
+    /// The structural acceptance gates: real chaos in the `none` rows, zero
+    /// give-ups and bounded recovery in the resilient rows, and exact
+    /// rack-scale tree repair.
+    fn gates(results: &ChaosResults) -> GateResult {
+        let mut report = Vec::new();
+        let mut errors = Vec::new();
+        for &scenario in SCENARIOS {
+            match cell(results, scenario, "none") {
+                Some(none) => {
+                    if none.failed + none.down_skipped == 0 {
+                        errors.push(format!(
+                            "{scenario}/none: no failed pulls and no dead nodes — the outage did nothing"
+                        ));
+                    } else {
+                        report.push(format!(
+                            "{scenario}/none: {} failed, {} dead-rack skips, {} shed (chaos is real)",
+                            none.failed, none.down_skipped, none.shed
+                        ));
+                    }
+                }
+                None => errors.push(format!("{scenario}/none: row missing")),
+            }
+            for mode in ["breakers", "breakers+hedging"] {
+                let Some(r) = cell(results, scenario, mode) else {
+                    errors.push(format!("{scenario}/{mode}: row missing"));
+                    continue;
+                };
+                if r.failed > 0 {
+                    errors.push(format!(
+                        "{scenario}/{mode}: {} pulls delivered nothing while the mirror stayed reachable",
+                        r.failed
+                    ));
+                } else {
+                    report.push(format!(
+                        "{scenario}/{mode}: {}/{} pulls ok ({} mirror fallbacks, {} breaker rejects, {} hedges)",
+                        r.ok, r.pulls, r.mirror_fallbacks, r.breaker_rejects, r.hedges
+                    ));
+                }
+                if r.recovery_ns == 0 {
+                    errors.push(format!("{scenario}/{mode}: recovery wave measured nothing"));
+                } else if r.recovery_ns > RECOVERY_CEILING.0 {
+                    errors.push(format!(
+                        "{scenario}/{mode}: recovery took {:.1} s, above the {:.1} s ceiling",
+                        r.recovery_ns as f64 / 1e9,
+                        RECOVERY_CEILING.0 as f64 / 1e9
+                    ));
+                } else {
+                    report.push(format!(
+                        "{scenario}/{mode}: recovered {:.2} s after heal (ceiling {:.0} s)",
+                        r.recovery_ns as f64 / 1e9,
+                        RECOVERY_CEILING.0 as f64 / 1e9
+                    ));
+                }
+            }
+        }
+        let t = &results.tree;
+        if t.repairs != t.dead as u64 {
             errors.push(format!(
-                "{label}: {:.1} ms vs baseline {:.1} ms — ratio {ratio:.3} exceeds median {median:.3} by more than {:.0}%",
-                cur / 1e6,
-                base / 1e6,
-                REGRESSION_TOLERANCE * 100.0
-            ));
-        } else {
-            report.push(format!(
-                "{label}: {:.1} ms vs {:.1} ms baseline (ratio {ratio:.3})",
-                cur / 1e6,
-                base / 1e6
+                "tree: {} repairs for {} dead nodes — repair is not rack-scale",
+                t.repairs, t.dead
             ));
         }
+        if t.rewired_edges == 0 {
+            errors.push(
+                "tree: no subtree edges rewired — the dead rack held no subtrees".to_string(),
+            );
+        }
+        if t.reattach_done_ns < t.heal_ns + TREE_REPAIR_LATENCY.0 {
+            errors.push(format!(
+                "tree: a dead node finished {} ns after start, before heal+repair at {} ns",
+                t.reattach_done_ns,
+                t.heal_ns + TREE_REPAIR_LATENCY.0
+            ));
+        }
+        if errors.is_empty() {
+            report.push(format!(
+                "tree: {} dead repaired in one pass ({} edges rewired), re-attached nodes served {:.2} s after heal",
+                t.dead,
+                t.rewired_edges,
+                (t.reattach_done_ns - t.heal_ns) as f64 / 1e9
+            ));
+            Ok(report)
+        } else {
+            Err(errors)
+        }
     }
-    if errors.is_empty() {
-        Ok(report)
-    } else {
-        Err(errors)
-    }
-}
 
-/// Load and parse the baseline file.
-pub fn load_baseline() -> Result<Json, String> {
-    let path = baseline_path();
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read baseline {} ({e}); create it with `bench_chaos --bless`",
-            path.display()
-        )
-    })?;
-    json::parse(&text).map_err(|e| format!("baseline {}: {e}", path.display()))
-}
-
-/// A markdown game-day recovery table for EXPERIMENTS.md.
-pub fn render_markdown_table(results: &ChaosResults) -> String {
-    let mut out = String::from(
-        "| scenario | mode | pulls | failed | shed | mirror | hedges | p50 | p95 | recovery |\n\
-         |---|---|---:|---:|---:|---:|---:|---:|---:|---:|\n",
-    );
-    let ms = |ns: u64| format!("{:.1} ms", ns as f64 / 1e6);
-    let s = |ns: u64| format!("{:.2} s", ns as f64 / 1e9);
-    for r in &results.cells {
-        out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
-            r.scenario,
-            r.mode,
-            r.pulls,
-            r.failed,
-            r.shed,
-            r.mirror_fallbacks,
-            r.hedges,
-            ms(r.p50_ns),
-            ms(r.p95_ns),
-            s(r.recovery_ns)
-        ));
+    fn gated_metrics(doc: &Json) -> Vec<(String, f64)> {
+        harness::row_metrics(doc, "cells", &["scenario", "mode"], &["p50_ns", "p95_ns"])
     }
-    out
+
+    /// The game-day recovery table of EXPERIMENTS.md.
+    fn table(results: &ChaosResults) -> Vec<Vec<String>> {
+        let ms = |ns: u64| format!("{:.1} ms", ns as f64 / 1e6);
+        let header = [
+            "scenario", "mode", "pulls", "failed", "shed", "mirror", "hedges", "p50", "p95",
+            "recovery",
+        ];
+        let row = |r: &ChaosRow| {
+            [
+                r.scenario.to_string(),
+                r.mode.to_string(),
+                r.pulls.to_string(),
+                r.failed.to_string(),
+                r.shed.to_string(),
+                r.mirror_fallbacks.to_string(),
+                r.hedges.to_string(),
+                ms(r.p50_ns),
+                ms(r.p95_ns),
+                format!("{:.2} s", r.recovery_ns as f64 / 1e9),
+            ]
+        };
+        harness::table(header, results.cells.iter().map(row))
+    }
 }
 
 #[cfg(test)]
@@ -905,46 +786,5 @@ mod tests {
             "no chunk may land on a dead node before its rack heals"
         );
         assert!(t.all_done_ns >= t.reattach_done_ns);
-    }
-
-    #[test]
-    fn baseline_comparison_flags_skew_not_uniform_drift() {
-        let cells = vec![
-            run_cell(64, "rack-power", "none", 1),
-            run_cell(64, "rack-power", "breakers", 2),
-        ];
-        let results = ChaosResults {
-            cells,
-            tree: tree_reheal(),
-        };
-        let doc = render(&results);
-        // Identical baseline: passes with every ratio 1.0.
-        assert!(compare_to_baseline(&results, &doc).is_ok());
-        // Uniformly halved baseline (everything 2x slower now): the
-        // median shifts with it, still passes.
-        let uniform = {
-            let mut halved = results.clone();
-            for r in &mut halved.cells {
-                r.p50_ns /= 2;
-                r.p95_ns /= 2;
-            }
-            render(&halved)
-        };
-        assert!(compare_to_baseline(&results, &uniform).is_ok());
-        // One cell skewed far past the median: fails and names it.
-        let skewed = {
-            let mut sk = results.clone();
-            sk.cells[1].p50_ns /= 3;
-            render(&sk)
-        };
-        let err = compare_to_baseline(&results, &skewed).unwrap_err();
-        assert!(
-            err.iter().any(|e| e.contains("rack-power/breakers.p50_ns")),
-            "{err:?}"
-        );
-        // Missing cell: fails with a bless hint.
-        let missing = Json::obj([("cells", Json::Arr(vec![]))]);
-        let err = compare_to_baseline(&results, &missing).unwrap_err();
-        assert!(err.iter().any(|e| e.contains("re-bless")), "{err:?}");
     }
 }

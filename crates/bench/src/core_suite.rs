@@ -3,61 +3,38 @@
 //! Every other benchmark in this crate measures *logical* time; this suite
 //! measures *wall-clock* time of the primitives everything sits on: DES
 //! event dispatch (timing wheel vs the retained `BinaryHeap` reference),
-//! schedule/cancel/reschedule churn, blobstore get/put, span open/close
-//! (interned + batched vs an emulation of the pre-refactor per-event
-//! emission), and counter bumps (string-keyed vs batched typed handles).
+//! schedule/cancel/reschedule churn, blobstore get/put, span open/close,
+//! and counter bumps (string-keyed vs batched typed handles).
 //!
 //! Two gates, designed so the hard one is machine-independent:
 //!
 //! * **Speedup floor** — the event-dispatch speedup is the ratio of the
 //!   legacy path to the current path *measured live in the same run*, so
-//!   it compares code, not machines. `--check` fails if it drops below
+//!   it compares code, not machines. It fails below
 //!   [`DISPATCH_SPEEDUP_FLOOR`].
-//! * **Regression gate** — ns/op against the checked-in baseline
-//!   (`tests/bench/BENCH_core_baseline.json`), normalized by the median
-//!   current/baseline ratio across all benches. A uniformly faster or
-//!   slower machine shifts every ratio equally and passes; one bench
-//!   regressing more than [`REGRESSION_TOLERANCE`] past the median fails.
-//!   `--bless` re-baselines.
+//! * **Regression gate** — ns/op against the checked-in baseline, under
+//!   the harness's median-normalised [`Clock::Wall`] rule. Quick and full
+//!   sizes have different per-op profiles, so the suite declares
+//!   [`Suite::HAS_QUICK`] and keeps one baseline section per mode.
 //!
 //! All workloads are seeded and deterministic in *what* they execute; only
-//! the wall-clock measurement varies run to run, which is why the driver
+//! the wall-clock measurement varies run to run, which is why the suite
 //! keeps the best of several repeats.
 
-use crate::json::{self, Json};
+use crate::harness::{self, Clock, Comparison, GateResult, Suite};
+use crate::json::Json;
 use hpcc_crypto::sha256::Digest;
 use hpcc_sim::des::{DesBackend, Engine};
 use hpcc_sim::obs::{Stage, Tracer};
 use hpcc_sim::time::{SimSpan, SimTime};
 use hpcc_sim::{sym, CounterBatch, MetricsRegistry};
 use hpcc_storage::BlobStore;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Live gate: current event dispatch must beat the legacy path by at
 /// least this factor (events/sec), measured in the same process.
 pub const DISPATCH_SPEEDUP_FLOOR: f64 = 5.0;
-
-/// Baseline gate: a bench whose current/baseline ns-per-op ratio exceeds
-/// the run's median ratio by more than this fraction is a regression.
-pub const REGRESSION_TOLERANCE: f64 = 0.15;
-
-/// Where the current results land (repo root, next to the other BENCH_*).
-pub fn results_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_core.json"
-    ))
-}
-
-/// The checked-in baseline the `--check` gate compares against.
-pub fn baseline_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/bench/BENCH_core_baseline.json"
-    ))
-}
 
 // ------------------------------------------------------------- workloads
 
@@ -107,7 +84,10 @@ struct LegacyRecord {
 /// Faithful emulation of the pre-refactor `Tracer::record` hot path: take
 /// the state lock, allocate the record, and key two registry walks with
 /// `format!` strings — the exact per-event costs interning and batching
-/// removed.
+/// removed. This is the larger half of the legacy side of the gated
+/// dispatch pair: the reference heap under the *current* tracer is only
+/// ~2.3x slower than the wheel, so [`DISPATCH_SPEEDUP_FLOOR`] and the
+/// checked-in `des.event_dispatch.legacy_heap` rows stand on it.
 struct LegacyTracer {
     state: std::sync::Mutex<(u64, Vec<LegacyRecord>)>,
     registry: Arc<MetricsRegistry>,
@@ -297,28 +277,6 @@ fn span_open_close_interned(ops: u64) -> u64 {
     start.elapsed().as_nanos() as u64
 }
 
-/// What the pre-refactor span storage looked like per finished span:
-/// owned name plus owned attr pairs.
-type LegacySpanRow = (u64, String, Vec<(String, String)>);
-
-/// Pre-refactor span lifecycle emulation: owned `String` name and attr
-/// key per span, plus two `format!`-keyed registry walks per end.
-fn span_open_close_legacy(ops: u64) -> u64 {
-    let registry = MetricsRegistry::new();
-    let mut finished: Vec<LegacySpanRow> = Vec::with_capacity(ops as usize);
-    let start = Instant::now();
-    for i in 0..ops {
-        let name = "core.span".to_string();
-        let attrs = vec![("worker".to_string(), (i & 7).to_string())];
-        registry.incr(&format!("span.{name}.count"));
-        registry.observe(&format!("span.{name}.ns"), 5);
-        finished.push((i * 10, name, attrs));
-    }
-    let elapsed = start.elapsed().as_nanos() as u64;
-    std::hint::black_box(&finished);
-    elapsed
-}
-
 /// String-keyed counter bump: one registry lock + `BTreeMap` walk per op.
 fn counter_direct(ops: u64) -> u64 {
     let registry = MetricsRegistry::new();
@@ -394,12 +352,6 @@ pub const CORE_BENCHES: &[CoreBenchDef] = &[
         run: span_open_close_interned,
     },
     CoreBenchDef {
-        name: "obs.span_open_close.legacy",
-        quick_ops: 50_000,
-        full_ops: 200_000,
-        run: span_open_close_legacy,
-    },
-    CoreBenchDef {
         name: "metrics.counter_bump.direct",
         quick_ops: 200_000,
         full_ops: 1_000_000,
@@ -435,38 +387,11 @@ impl BenchResult {
     }
 }
 
-/// Run the whole suite. Quick mode shrinks workloads and repeats — used by
-/// the `bench-core` ci.sh stage; `--bless` should use full mode.
-///
-/// Repeats are interleaved in whole-suite rounds (per-bench min across
-/// rounds) rather than run back to back: a transient machine-load spike
-/// then dents every bench a little instead of landing squarely on one,
-/// which is the failure mode the median-normalized gate cannot absorb.
-pub fn run_all(quick: bool) -> Vec<BenchResult> {
-    let repeats = if quick { 3 } else { 5 };
-    let ops: Vec<u64> = CORE_BENCHES
-        .iter()
-        .map(|def| if quick { def.quick_ops } else { def.full_ops })
-        .collect();
-    // Warmup round at a fraction of each size.
-    for (def, &n) in CORE_BENCHES.iter().zip(&ops) {
-        (def.run)(n / 10);
-    }
-    let mut best = vec![u64::MAX; CORE_BENCHES.len()];
-    for _ in 0..repeats {
-        for (i, def) in CORE_BENCHES.iter().enumerate() {
-            best[i] = best[i].min((def.run)(ops[i]));
-        }
-    }
-    CORE_BENCHES
-        .iter()
-        .enumerate()
-        .map(|(i, def)| BenchResult {
-            name: def.name,
-            ops: ops[i],
-            best_total_ns: best[i].max(1),
-        })
-        .collect()
+/// One run of the whole suite at one size.
+#[derive(Debug, Clone)]
+pub struct CoreResults {
+    pub quick: bool,
+    pub benches: Vec<BenchResult>,
 }
 
 fn find<'a>(results: &'a [BenchResult], name: &str) -> Option<&'a BenchResult> {
@@ -475,7 +400,7 @@ fn find<'a>(results: &'a [BenchResult], name: &str) -> Option<&'a BenchResult> {
 
 /// Live speedups: legacy/new ns-per-op ratios from the same run.
 pub fn speedups(results: &[BenchResult]) -> Vec<(&'static str, f64)> {
-    let pairs: [(&'static str, &str, &str); 4] = [
+    let pairs: [(&'static str, &str, &str); 3] = [
         (
             "event_dispatch",
             "des.event_dispatch.legacy_heap",
@@ -485,11 +410,6 @@ pub fn speedups(results: &[BenchResult]) -> Vec<(&'static str, f64)> {
             "sched_churn",
             "des.sched_churn.heap",
             "des.sched_churn.wheel",
-        ),
-        (
-            "span_open_close",
-            "obs.span_open_close.legacy",
-            "obs.span_open_close.interned",
         ),
         (
             "counter_bump",
@@ -507,203 +427,147 @@ pub fn speedups(results: &[BenchResult]) -> Vec<(&'static str, f64)> {
         .collect()
 }
 
-/// The machine-independent acceptance gate: dispatch speedup measured in
-/// this very run must clear [`DISPATCH_SPEEDUP_FLOOR`].
-pub fn live_gate(results: &[BenchResult]) -> Result<Vec<String>, Vec<String>> {
-    let sp = speedups(results);
-    let mut report = Vec::new();
-    let mut errors = Vec::new();
-    for (label, x) in &sp {
-        report.push(format!("{label}: {x:.2}x over legacy path"));
-    }
-    match sp.iter().find(|(l, _)| *l == "event_dispatch") {
-        Some((_, x)) if *x >= DISPATCH_SPEEDUP_FLOOR => {}
-        Some((_, x)) => errors.push(format!(
-            "event dispatch speedup {x:.2}x below the {DISPATCH_SPEEDUP_FLOOR:.0}x floor"
-        )),
-        None => errors.push("event dispatch benches missing from run".to_string()),
-    }
-    if errors.is_empty() {
-        Ok(report)
-    } else {
-        Err(errors)
-    }
-}
-
-/// Render results (and live speedups) as the BENCH_core.json document.
-pub fn render(results: &[BenchResult], quick: bool) -> Json {
-    let benches = results
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("name", Json::Str(r.name.to_string())),
-                ("ops", Json::Num(r.ops as f64)),
-                ("best_total_ns", Json::Num(r.best_total_ns as f64)),
-                (
-                    "ns_per_op",
-                    Json::Num((r.ns_per_op() * 100.0).round() / 100.0),
-                ),
-            ])
-        })
-        .collect();
-    let sp = speedups(results)
-        .into_iter()
-        .map(|(label, x)| {
-            Json::obj([
-                ("name", Json::Str(label.to_string())),
-                ("speedup", Json::Num((x * 100.0).round() / 100.0)),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("schema", Json::Str("hpcc-bench-core/v1".to_string())),
-        (
-            "mode",
-            Json::Str(if quick { "quick" } else { "full" }.to_string()),
-        ),
-        ("benches", Json::Arr(benches)),
-        ("speedups", Json::Arr(sp)),
-    ])
-}
-
-/// Render the baseline document: one section per mode, because workload
-/// sizes (and therefore per-op profiles) differ between quick and full
-/// runs — each mode must compare against its own numbers.
-pub fn render_baseline(full: &[BenchResult], quick: &[BenchResult]) -> Json {
-    Json::obj([
-        ("schema", Json::Str("hpcc-bench-core/v1".to_string())),
-        ("full", render(full, false)),
-        ("quick", render(quick, true)),
-    ])
-}
-
-/// Compare against the checked-in baseline (the section matching this
-/// run's mode), normalized by the median current/baseline ratio so
-/// absolute machine speed cancels out: on a machine uniformly 2x slower
-/// every ratio doubles, the median doubles with them, and nothing trips;
-/// one structure regressing relative to the rest does.
-pub fn compare_to_baseline(
-    results: &[BenchResult],
-    baseline: &Json,
-    quick: bool,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut errors = Vec::new();
-    let mode = if quick { "quick" } else { "full" };
-    let base_benches = baseline
-        .get(mode)
-        .and_then(|m| m.get("benches"))
-        .and_then(|b| b.as_arr())
-        .ok_or_else(|| vec![format!("baseline has no `{mode}.benches` array")])?;
-    let base_ns = |name: &str| {
-        base_benches
-            .iter()
-            .find(|b| b.get("name").and_then(|v| v.as_str()) == Some(name))
-            .and_then(|b| b.get("ns_per_op"))
-            .and_then(|v| v.as_f64())
-    };
-
-    let mut ratios: Vec<(&'static str, f64, f64, f64)> = Vec::new();
-    for r in results {
-        let Some(base) = base_ns(r.name) else {
-            errors.push(format!(
-                "{}: no baseline entry (re-bless with `bench_core --bless`)",
-                r.name
-            ));
-            continue;
-        };
-        if base <= 0.0 {
-            errors.push(format!("{}: baseline ns_per_op is not positive", r.name));
-            continue;
-        }
-        ratios.push((r.name, r.ns_per_op(), base, r.ns_per_op() / base));
-    }
-    if !errors.is_empty() {
-        return Err(errors);
-    }
-    if ratios.is_empty() {
-        return Err(vec!["no benches to compare".to_string()]);
-    }
-
-    let mut sorted: Vec<f64> = ratios.iter().map(|(_, _, _, q)| *q).collect();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let median = sorted[sorted.len() / 2];
-    let limit = median * (1.0 + REGRESSION_TOLERANCE);
-
-    let mut report = vec![format!(
-        "median current/baseline ratio {median:.3} (machine speed factor)"
-    )];
-    for (name, cur, base, ratio) in &ratios {
-        if *ratio > limit {
-            errors.push(format!(
-                "{name}: {cur:.1} ns/op vs baseline {base:.1} — ratio {ratio:.3} \
-                 exceeds median {median:.3} by more than {:.0}%",
-                REGRESSION_TOLERANCE * 100.0
-            ));
-        } else {
-            report.push(format!(
-                "{name}: {cur:.1} ns/op vs {base:.1} baseline (ratio {ratio:.3})"
-            ));
-        }
-    }
-    if errors.is_empty() {
-        Ok(report)
-    } else {
-        Err(errors)
-    }
-}
-
 /// Extra measurement rounds granted to benches the baseline comparison
 /// flags, before a failure is believed.
 const CHECK_RETRIES: usize = 4;
 
-/// The `--check` driver around [`compare_to_baseline`]: a flagged bench is
-/// re-measured (min-merged into its result) up to `CHECK_RETRIES` more
-/// rounds before the gate fails. Real regressions reproduce every round;
-/// a load spike that dented one bench's original rounds does not — and on
-/// shared hardware that spike is otherwise the dominant failure mode.
-pub fn check_against_baseline(
-    results: &mut [BenchResult],
-    baseline: &Json,
-    quick: bool,
-) -> Result<Vec<String>, Vec<String>> {
-    for _ in 0..CHECK_RETRIES {
-        let errors = match compare_to_baseline(results, baseline, quick) {
-            Ok(report) => return Ok(report),
-            Err(errors) => errors,
-        };
-        let suspects: Vec<usize> = CORE_BENCHES
+/// `bench core`.
+pub struct Core;
+
+impl Suite for Core {
+    const NAME: &'static str = "core";
+    const HAS_QUICK: bool = true;
+    const CLOCK: Clock = Clock::Wall;
+    type Results = CoreResults;
+
+    /// Quick mode shrinks workloads and repeats — used by the `bench-core`
+    /// ci.sh stage; `--bless` uses full mode.
+    ///
+    /// Repeats are interleaved in whole-suite rounds (per-bench min across
+    /// rounds) rather than run back to back: a transient machine-load spike
+    /// then dents every bench a little instead of landing squarely on one,
+    /// which is the failure mode the median-normalized gate cannot absorb.
+    fn run(quick: bool) -> CoreResults {
+        let repeats = if quick { 3 } else { 5 };
+        let ops: Vec<u64> = CORE_BENCHES
+            .iter()
+            .map(|def| if quick { def.quick_ops } else { def.full_ops })
+            .collect();
+        // Warmup round at a fraction of each size.
+        for (def, &n) in CORE_BENCHES.iter().zip(&ops) {
+            (def.run)(n / 10);
+        }
+        let mut best = vec![u64::MAX; CORE_BENCHES.len()];
+        for _ in 0..repeats {
+            for (i, def) in CORE_BENCHES.iter().enumerate() {
+                best[i] = best[i].min((def.run)(ops[i]));
+            }
+        }
+        let benches = CORE_BENCHES
             .iter()
             .enumerate()
-            .filter(|(_, def)| {
-                errors.iter().any(|e| {
-                    e.starts_with(&format!("{}:", def.name)) && e.contains("exceeds median")
-                })
+            .map(|(i, def)| BenchResult {
+                name: def.name,
+                ops: ops[i],
+                best_total_ns: best[i].max(1),
             })
-            .map(|(i, _)| i)
             .collect();
-        if suspects.is_empty() {
-            // Structural errors (missing entries, bad baseline) are not
-            // measurement noise; retrying cannot fix them.
-            return Err(errors);
-        }
-        for i in suspects {
-            let rerun = (CORE_BENCHES[i].run)(results[i].ops).max(1);
-            results[i].best_total_ns = results[i].best_total_ns.min(rerun);
-        }
+        CoreResults { quick, benches }
     }
-    compare_to_baseline(results, baseline, quick)
-}
 
-/// Load and parse the baseline file.
-pub fn load_baseline() -> Result<Json, String> {
-    let path = baseline_path();
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read baseline {} ({e}); create it with `bench_core --bless`",
-            path.display()
+    /// Results and live speedups as the BENCH_core.json document.
+    fn render(results: &CoreResults) -> Json {
+        let benches = results
+            .benches
+            .iter()
+            .map(|r| {
+                Json::obj([
+                    ("name", Json::Str(r.name.to_string())),
+                    ("ops", Json::Num(r.ops as f64)),
+                    ("best_total_ns", Json::Num(r.best_total_ns as f64)),
+                    (
+                        "ns_per_op",
+                        Json::Num((r.ns_per_op() * 100.0).round() / 100.0),
+                    ),
+                ])
+            })
+            .collect();
+        let sp = speedups(&results.benches)
+            .into_iter()
+            .map(|(label, x)| {
+                Json::obj([
+                    ("name", Json::Str(label.to_string())),
+                    ("speedup", Json::Num((x * 100.0).round() / 100.0)),
+                ])
+            })
+            .collect();
+        let mode = if results.quick { "quick" } else { "full" };
+        Json::obj([
+            ("schema", Json::Str("hpcc-bench-core/v1".to_string())),
+            ("mode", Json::Str(mode.to_string())),
+            ("benches", Json::Arr(benches)),
+            ("speedups", Json::Arr(sp)),
+        ])
+    }
+
+    /// The machine-independent acceptance gate: dispatch speedup measured
+    /// in this very run must clear [`DISPATCH_SPEEDUP_FLOOR`].
+    fn gates(results: &CoreResults) -> GateResult {
+        let sp = speedups(&results.benches);
+        let mut errors = Vec::new();
+        match sp.iter().find(|(l, _)| *l == "event_dispatch") {
+            Some((_, x)) if *x >= DISPATCH_SPEEDUP_FLOOR => {}
+            Some((_, x)) => errors.push(format!(
+                "event dispatch speedup {x:.2}x below the {DISPATCH_SPEEDUP_FLOOR:.0}x floor"
+            )),
+            None => errors.push("event dispatch benches missing from run".to_string()),
+        }
+        let report = sp
+            .iter()
+            .map(|(label, x)| format!("{label}: {x:.2}x over legacy path"))
+            .collect();
+        harness::verdict(report, errors)
+    }
+
+    fn gated_metrics(doc: &Json) -> Vec<(String, f64)> {
+        harness::row_metrics(doc, "benches", &["name"], &["ns_per_op"])
+    }
+
+    fn table(results: &CoreResults) -> Vec<Vec<String>> {
+        harness::table(
+            ["bench", "ops", "ns/op", "ops/sec"],
+            results.benches.iter().map(|r| {
+                [
+                    r.name.to_string(),
+                    r.ops.to_string(),
+                    format!("{:.1}", r.ns_per_op()),
+                    format!("{:.0}", r.ops_per_sec()),
+                ]
+            }),
         )
-    })?;
-    json::parse(&text).map_err(|e| format!("baseline {}: {e}", path.display()))
+    }
+
+    /// A flagged bench is re-measured (min-merged into its result) up to
+    /// `CHECK_RETRIES` more rounds before the gate fails. Real
+    /// regressions reproduce every round; a load spike that dented one
+    /// bench's original rounds does not — and on shared hardware that
+    /// spike is otherwise the dominant failure mode. Baseline defects are
+    /// not measurement noise; retrying cannot fix them.
+    fn check(results: &mut CoreResults, baseline: &Json) -> Comparison {
+        for _ in 0..CHECK_RETRIES {
+            let cmp = harness::compare_to_baseline::<Core>(&Self::render(results), baseline);
+            if cmp.regressed.is_empty() || !cmp.invalid.is_empty() {
+                return cmp;
+            }
+            for (def, r) in CORE_BENCHES.iter().zip(&mut results.benches) {
+                let label = format!("{}.ns_per_op", def.name);
+                if cmp.regressed.iter().any(|(l, _)| *l == label) {
+                    r.best_total_ns = r.best_total_ns.min((def.run)(r.ops).max(1));
+                }
+            }
+        }
+        harness::compare_to_baseline::<Core>(&Self::render(results), baseline)
+    }
 }
 
 #[cfg(test)]
@@ -714,7 +578,7 @@ mod tests {
     /// needed by the gates must exist.
     #[test]
     fn suite_runs_and_exposes_gate_pairs() {
-        let results: Vec<BenchResult> = CORE_BENCHES
+        let benches: Vec<BenchResult> = CORE_BENCHES
             .iter()
             .map(|def| BenchResult {
                 name: def.name,
@@ -722,72 +586,16 @@ mod tests {
                 best_total_ns: (def.run)(500).max(1),
             })
             .collect();
-        let sp = speedups(&results);
-        assert_eq!(sp.len(), 4, "{sp:?}");
-        let doc = render(&results, true);
+        let sp = speedups(&benches);
+        assert_eq!(sp.len(), 3, "{sp:?}");
+        let doc = Core::render(&CoreResults {
+            quick: true,
+            benches,
+        });
         assert_eq!(
             doc.get("schema").and_then(|s| s.as_str()),
             Some("hpcc-bench-core/v1")
         );
-        assert_eq!(
-            doc.get("benches").and_then(|b| b.as_arr()).map(|b| b.len()),
-            Some(CORE_BENCHES.len())
-        );
-    }
-
-    #[test]
-    fn normalized_compare_tolerates_uniform_slowdown_but_not_skew() {
-        let results = vec![
-            BenchResult {
-                name: "des.event_dispatch.wheel",
-                ops: 1000,
-                best_total_ns: 100_000,
-            },
-            BenchResult {
-                name: "des.sched_churn.wheel",
-                ops: 1000,
-                best_total_ns: 100_000,
-            },
-            BenchResult {
-                name: "blobstore.get_put",
-                ops: 1000,
-                best_total_ns: 100_000,
-            },
-        ];
-        let mk_baseline = |ns: [f64; 3]| {
-            let benches = Json::obj([(
-                "benches",
-                Json::Arr(
-                    results
-                        .iter()
-                        .zip(ns)
-                        .map(|(r, v)| {
-                            Json::obj([
-                                ("name", Json::Str(r.name.to_string())),
-                                ("ns_per_op", Json::Num(v)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            )]);
-            Json::obj([("full", benches)])
-        };
-        // Uniformly 2x faster baseline machine (we are 2x slower): passes.
-        let uniform = mk_baseline([50.0, 50.0, 50.0]);
-        assert!(compare_to_baseline(&results, &uniform, false).is_ok());
-        // Comparing against a mode the baseline lacks: fails loudly.
-        let err = compare_to_baseline(&results, &uniform, true).unwrap_err();
-        assert!(err.iter().any(|e| e.contains("quick.benches")), "{err:?}");
-        // One bench skewed: we are 2x slower than median on it: fails.
-        let skewed = mk_baseline([100.0, 100.0, 50.0]);
-        let err = compare_to_baseline(&results, &skewed, false).unwrap_err();
-        assert!(
-            err.iter().any(|e| e.contains("blobstore.get_put")),
-            "{err:?}"
-        );
-        // Missing entry: fails with a bless hint.
-        let missing = Json::obj([("full", Json::obj([("benches", Json::Arr(vec![]))]))]);
-        let err = compare_to_baseline(&results, &missing, false).unwrap_err();
-        assert!(err.iter().any(|e| e.contains("re-bless")), "{err:?}");
+        assert_eq!(Core::gated_metrics(&doc).len(), CORE_BENCHES.len());
     }
 }

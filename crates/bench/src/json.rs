@@ -40,10 +40,6 @@ impl Json {
         }
     }
 
-    pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().map(|n| n as u64)
-    }
-
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
@@ -142,14 +138,18 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The bench documents
+/// nest four deep; the cap turns a hostile `[[[[…` into an error instead
+/// of a stack overflow.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a JSON document. Supports the full value grammar the renderer
 /// emits (and standard escapes); errors carry a byte offset.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(value)
@@ -170,8 +170,14 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// `pos` only ever advances past whole characters, so it is always on a
+/// char boundary of `text`.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
+    if depth > MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -184,10 +190,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 map.insert(key, value);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -209,7 +215,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -221,7 +227,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
             }
         }
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -252,48 +258,44 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .ok_or_else(|| format!("bad number at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    expect(text.as_bytes(), pos, b'"')?;
     let mut out = String::new();
+    // `text` is already valid UTF-8: walk its chars, never re-validate.
+    let mut chars = text[*pos..].chars();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
+        let Some(c) = chars.next() else {
+            return Err("unterminated string".into());
+        };
+        *pos += c.len_utf8();
+        match c {
+            '"' => return Ok(out),
+            '\\' => {
+                let Some(esc) = chars.next() else {
+                    return Err(format!("bad escape at byte {pos}"));
+                };
+                *pos += esc.len_utf8();
+                match esc {
+                    '"' | '\\' | '/' => out.push(esc),
+                    'n' => out.push('\n'),
+                    'r' => out.push('\r'),
+                    't' => out.push('\t'),
+                    'b' => out.push('\u{8}'),
+                    'f' => out.push('\u{c}'),
+                    'u' => {
+                        let hex = chars.as_str().get(..4);
+                        let code = hex
+                            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
                             .and_then(|h| u32::from_str_radix(h, 16).ok())
                             .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        chars = chars.as_str()[4..].chars();
                         *pos += 4;
                     }
-                    _ => return Err(format!("bad escape at byte {pos}")),
+                    _ => return Err(format!("bad escape before byte {pos}")),
                 }
-                *pos += 1;
             }
-            Some(_) => {
-                // Push the full UTF-8 character starting here.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid utf-8 at byte {pos}"))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            c => out.push(c),
         }
     }
 }
@@ -301,6 +303,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrips_nested_document() {
@@ -340,5 +343,84 @@ mod tests {
     fn integers_render_without_fraction() {
         let text = Json::Num(123456789.0).render();
         assert_eq!(text.trim(), "123456789");
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_offset() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(
+            err.contains("nesting deeper") && err.contains("byte"),
+            "{err}"
+        );
+        let err = parse(&"{\"k\":".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+    }
+
+    #[test]
+    fn long_multibyte_strings_parse_in_one_pass() {
+        // Quadratic re-validation made this take minutes; linear is instant.
+        let body = "é\\n".repeat(400_000);
+        let parsed = parse(&format!("\"{body}\"")).unwrap();
+        assert_eq!(parsed.as_str().map(str::len), Some(400_000 * 3));
+    }
+
+    /// A document from raw bytes: every value kind, bounded depth.
+    fn doc_from(bytes: &mut std::slice::Iter<u8>, depth: usize) -> Json {
+        let mut next = || bytes.next().copied().unwrap_or(0);
+        match (next() % 7, depth) {
+            (0, _) => Json::Null,
+            (1, _) => Json::Bool(next() % 2 == 0),
+            (2, _) => Json::Num(next() as f64 * 0.25 - 8.0),
+            (3, _) | (_, 0) => {
+                let picks = ['a', '"', '\\', '\n', '\u{1}', 'é', '✓', '/'];
+                let n = next() % 6;
+                Json::Str((0..n).map(|_| picks[next() as usize % 8]).collect())
+            }
+            (4 | 5, _) => Json::Arr(
+                (0..next() % 4)
+                    .map(|_| doc_from(bytes, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..next() % 4)
+                    .map(|i| (format!("k{i}"), doc_from(bytes, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Tokens that steer random text into the parser's deeper branches.
+    const NOISE: &[&str] = &[
+        "[", "]", "{", "}", "\"", ",", ":", "\\", "\\u", "00e9", "n", "é", "✓", " ", "1", "-", ".",
+        "e", "true", "false", "null",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(bytes in collection::vec(any::<u8>(), 0..256)) {
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn parse_never_panics_on_json_shaped_noise(picks in collection::vec(0..NOISE.len(), 0..64)) {
+            let text: String = picks.iter().map(|&i| NOISE[i]).collect();
+            let _ = parse(&text);
+        }
+
+        #[test]
+        fn parse_survives_any_bracket_depth(depth in 0usize..200_000, object in any::<bool>()) {
+            let unit = if object { "{\"k\":" } else { "[" };
+            let _ = parse(&unit.repeat(depth));
+        }
+
+        #[test]
+        fn render_then_parse_is_identity(bytes in collection::vec(any::<u8>(), 0..128)) {
+            let doc = doc_from(&mut bytes.iter(), 4);
+            prop_assert_eq!(parse(&doc.render()), Ok(doc));
+        }
     }
 }

@@ -17,15 +17,18 @@
 //! full scan (`materialize`) must *lose* to eager, reproducing the §7
 //! trade-off. Both directions are gated live, alongside a
 //! bytes-to-first-exec gate and a shared-store sibling gate, plus the
-//! median-normalized regression gate against
+//! harness's [`Clock::Logical`] regression gate against
 //! `tests/bench/BENCH_lazy_baseline.json` (re-bless with
-//! `bench_lazy --bless`).
+//! `bench lazy --bless`).
 //!
 //! Everything runs on the logical clock: runs are bit-for-bit
-//! deterministic and the `bench_lazy` binary double-runs to prove it.
+//! deterministic and the harness double-runs to prove it.
 
-use crate::json::{self, Json};
-use crate::suite::{self, Workload, WORKLOADS};
+use crate::harness::{self, Clock, GateResult};
+use crate::json::Json;
+use crate::storm_suite::percentile;
+use crate::suite::{Workload, WORKLOADS};
+use crate::workloads::push_image;
 use hpcc_codec::archive::Archive;
 use hpcc_engine::engine::{Engine, Host, PullSources};
 use hpcc_engine::engines;
@@ -39,7 +42,6 @@ use hpcc_storage::BlobStore;
 use hpcc_vfs::fs::MemFs;
 use hpcc_vfs::path::VPath;
 use hpcc_vfs::seekable::DEFAULT_CHUNK_SIZE;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Cold replicas measured per (shape, path); the first-exec set varies by
@@ -55,26 +57,6 @@ pub const EAGER_PARALLELISM: usize = 4;
 /// least this factor (strictly greater than 1 would gate on a rounding
 /// error; this demands a visible win).
 pub const LAZY_WIN_FLOOR: f64 = 1.05;
-
-/// Baseline gate: a metric whose current/baseline ratio exceeds the run's
-/// median ratio by more than this fraction is a regression.
-pub const REGRESSION_TOLERANCE: f64 = 0.10;
-
-/// Where the current results land (repo root, next to the other BENCH_*).
-pub fn results_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_lazy.json"
-    ))
-}
-
-/// The checked-in baseline the `--check` gate compares against.
-pub fn baseline_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/bench/BENCH_lazy_baseline.json"
-    ))
-}
 
 /// One workload shape's lazy-vs-eager measurement. All times logical ns.
 #[derive(Debug, Clone)]
@@ -109,12 +91,6 @@ pub struct LazyRow {
     pub eager_full_ns: u64,
 }
 
-/// Results of the full sweep.
-#[derive(Debug, Clone)]
-pub struct LazyResults {
-    pub rows: Vec<LazyRow>,
-}
-
 // ------------------------------------------------------------ measurement
 
 /// The deterministic set of image-relative paths the entrypoint reads
@@ -139,7 +115,7 @@ pub fn first_exec_set(workload: Workload, replica: usize) -> Vec<String> {
 
 /// The workload's flattened root tree (what eager conversion produces and
 /// what the seekable image is built from).
-fn flattened_rootfs(workload: Workload, cas: &Cas) -> (MemFs, usize, u64) {
+fn flattened_rootfs(workload: Workload, cas: &Cas) -> MemFs {
     let img = workload.build(cas);
     let layers: Vec<Archive> = img
         .manifest
@@ -147,9 +123,7 @@ fn flattened_rootfs(workload: Workload, cas: &Cas) -> (MemFs, usize, u64) {
         .iter()
         .map(|d| Archive::from_bytes(&cas.get(&d.digest).unwrap()).unwrap())
         .collect();
-    let fs = layer::flatten(&layers).unwrap();
-    let image_bytes = img.manifest.layers.iter().map(|d| d.size).sum();
-    (fs, img.manifest.layers.len(), image_bytes)
+    layer::flatten(&layers).unwrap()
 }
 
 fn fresh_eager_engine() -> (Engine, Arc<FaultInjector>) {
@@ -171,9 +145,9 @@ fn fresh_lazy_engine() -> (Engine, Arc<JournaledStore>, Arc<FaultInjector>) {
     (engine, journal, inj)
 }
 
-/// One eager cold start: pull + prepare + read the first-exec set through
-/// the prepared driver. Returns (ttfe ns, fetched bytes).
-fn eager_cold_start(registry: &Registry, repo: &str, touch: &[String]) -> (u64, u64) {
+/// One eager cold start: pull + prepare + read `touch` (every file when
+/// `None`) through the prepared driver. Returns (ns, fetched bytes).
+fn eager_cold_start(registry: &Registry, repo: &str, touch: Option<&[String]>) -> (u64, u64) {
     let (engine, inj) = fresh_eager_engine();
     let host = Host::compute_node();
     let clock = SimClock::new();
@@ -183,7 +157,8 @@ fn eager_cold_start(registry: &Registry, repo: &str, touch: &[String]) -> (u64, 
     let prepared = engine
         .prepare(&pulled, 1000, &host, true, &clock)
         .expect("bench eager prepare succeeds");
-    for p in touch {
+    let touch = touch.map_or_else(|| prepared.driver.file_paths(), <[String]>::to_vec);
+    for p in &touch {
         prepared
             .driver
             .read_file(p, &clock)
@@ -195,33 +170,14 @@ fn eager_cold_start(registry: &Registry, repo: &str, touch: &[String]) -> (u64, 
     )
 }
 
-/// Eager pipeline plus a full local scan of every file.
-fn eager_full_scan(registry: &Registry, repo: &str) -> u64 {
-    let (engine, _inj) = fresh_eager_engine();
-    let host = Host::compute_node();
-    let clock = SimClock::new();
-    let pulled = engine.pull(registry, repo, "v1", &clock).unwrap();
-    let prepared = engine.prepare(&pulled, 1000, &host, true, &clock).unwrap();
-    for p in prepared.driver.file_paths() {
-        prepared.driver.read_file(&p, &clock).unwrap();
-    }
-    clock.now().since(hpcc_sim::SimTime::ZERO).0
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    assert!(!sorted.is_empty());
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 /// Measure one workload shape end to end.
 pub fn bench_workload(workload: Workload) -> LazyRow {
     let cas = Cas::new();
-    let (rootfs, _layers, _image_bytes) = flattened_rootfs(workload, &cas);
+    let rootfs = flattened_rootfs(workload, &cas);
     let registry = Registry::new("bench-lazy", RegistryCaps::open());
     registry.create_namespace("bench", None).unwrap();
     let img = workload.build(&cas);
-    suite::push_image(&registry, &cas, "bench/app", "v1", &img);
+    push_image(&registry, &cas, "bench/app", "v1", &img);
     let (index_digest, index) =
         publish_seekable(&registry, &rootfs, &VPath::root(), DEFAULT_CHUNK_SIZE).unwrap();
     let index_bytes = index.to_bytes().len() as u64;
@@ -261,7 +217,7 @@ pub fn bench_workload(workload: Workload) -> LazyRow {
     let mut eager_pull_bytes = 0;
     for r in 0..REPLICAS {
         let touch = first_exec_set(workload, r);
-        let (ns, bytes) = eager_cold_start(&registry, "bench/app", &touch);
+        let (ns, bytes) = eager_cold_start(&registry, "bench/app", Some(&touch));
         eager_ttfe.push(ns);
         if r == 0 {
             eager_pull_bytes = bytes;
@@ -279,7 +235,7 @@ pub fn bench_workload(workload: Workload) -> LazyRow {
         c.materialize(&clock).unwrap();
         clock.now().since(hpcc_sim::SimTime::ZERO).0
     };
-    let eager_full_ns = eager_full_scan(&registry, "bench/app");
+    let (eager_full_ns, _) = eager_cold_start(&registry, "bench/app", None);
 
     LazyRow {
         workload: workload.name(),
@@ -300,99 +256,10 @@ pub fn bench_workload(workload: Workload) -> LazyRow {
     }
 }
 
-/// Run all three workload shapes.
-pub fn run_all() -> LazyResults {
-    LazyResults {
-        rows: WORKLOADS.into_iter().map(bench_workload).collect(),
-    }
-}
-
 // ------------------------------------------------------------- live gate
 
-fn row<'a>(results: &'a LazyResults, workload: &str) -> Option<&'a LazyRow> {
-    results.rows.iter().find(|r| r.workload == workload)
-}
-
-/// Structural gates that hold regardless of baseline state:
-///
-/// 1. On many-small-files, lazy ttfe beats eager cold-start by at least
-///    [`LAZY_WIN_FLOOR`]× — the headline claim.
-/// 2. On many-small-files, lazy moves strictly fewer bytes to first exec.
-/// 3. On many-small-files, a full scan *loses* lazily — the trade-off has
-///    two sides or the model is broken.
-/// 4. On every shape, a sibling on a warmed node launches faster than the
-///    cold p50 — the shared store must pay off.
-pub fn live_gate(results: &LazyResults) -> Result<Vec<String>, Vec<String>> {
-    let mut errors = Vec::new();
-    let mut report = Vec::new();
-
-    let Some(msf) = row(results, "many-small-files") else {
-        return Err(vec!["no many-small-files row".to_string()]);
-    };
-    let win = msf.eager_ttfe_p50_ns as f64 / msf.lazy_ttfe_p50_ns.max(1) as f64;
-    if win < LAZY_WIN_FLOOR {
-        errors.push(format!(
-            "many-small-files: lazy ttfe {:.2} ms must beat eager {:.2} ms by ≥{LAZY_WIN_FLOOR}× (got {win:.2}×)",
-            msf.lazy_ttfe_p50_ns as f64 / 1e6,
-            msf.eager_ttfe_p50_ns as f64 / 1e6,
-        ));
-    } else {
-        report.push(format!(
-            "many-small-files: lazy ttfe {:.2} ms vs eager {:.2} ms ({win:.2}× win)",
-            msf.lazy_ttfe_p50_ns as f64 / 1e6,
-            msf.eager_ttfe_p50_ns as f64 / 1e6,
-        ));
-    }
-    if msf.lazy_first_exec_bytes >= msf.eager_pull_bytes {
-        errors.push(format!(
-            "many-small-files: lazy moved {} B to first exec, not under eager's {} B",
-            msf.lazy_first_exec_bytes, msf.eager_pull_bytes
-        ));
-    } else {
-        report.push(format!(
-            "many-small-files: {} B to first exec vs {} B eager ({:.1}× fewer)",
-            msf.lazy_first_exec_bytes,
-            msf.eager_pull_bytes,
-            msf.eager_pull_bytes as f64 / msf.lazy_first_exec_bytes.max(1) as f64
-        ));
-    }
-    if msf.lazy_full_ns <= msf.eager_full_ns {
-        errors.push(format!(
-            "many-small-files: full scan should favor eager, but lazy {:.2} ms ≤ eager {:.2} ms",
-            msf.lazy_full_ns as f64 / 1e6,
-            msf.eager_full_ns as f64 / 1e6
-        ));
-    } else {
-        report.push(format!(
-            "many-small-files: full scan lazily {:.2} ms vs eager {:.2} ms (eager wins, as it must)",
-            msf.lazy_full_ns as f64 / 1e6,
-            msf.eager_full_ns as f64 / 1e6
-        ));
-    }
-
-    for r in &results.rows {
-        if r.sibling_ttfe_ns >= r.lazy_ttfe_p50_ns {
-            errors.push(format!(
-                "{}: sibling ttfe {:.3} ms not under cold p50 {:.3} ms — shared store not paying off",
-                r.workload,
-                r.sibling_ttfe_ns as f64 / 1e6,
-                r.lazy_ttfe_p50_ns as f64 / 1e6
-            ));
-        } else {
-            report.push(format!(
-                "{}: sibling ttfe {:.3} ms vs cold {:.3} ms",
-                r.workload,
-                r.sibling_ttfe_ns as f64 / 1e6,
-                r.lazy_ttfe_p50_ns as f64 / 1e6
-            ));
-        }
-    }
-
-    if errors.is_empty() {
-        Ok(report)
-    } else {
-        Err(errors)
-    }
+fn row<'a>(rows: &'a [LazyRow], workload: &str) -> Option<&'a LazyRow> {
+    rows.iter().find(|r| r.workload == workload)
 }
 
 // ----------------------------------------------------------------- render
@@ -420,147 +287,163 @@ fn render_row(r: &LazyRow) -> Json {
     ])
 }
 
-/// Render results as the BENCH_lazy.json document.
-pub fn render(results: &LazyResults) -> Json {
-    Json::obj([
-        ("schema", Json::Str("hpcc-bench-lazy/v1".to_string())),
-        ("replicas", Json::Num(REPLICAS as f64)),
-        ("chunk_size", Json::Num(DEFAULT_CHUNK_SIZE as f64)),
-        ("eager_parallelism", Json::Num(EAGER_PARALLELISM as f64)),
-        (
-            "rows",
-            Json::Arr(results.rows.iter().map(render_row).collect()),
-        ),
-    ])
-}
+/// `bench lazy`.
+pub struct Lazy;
 
-// --------------------------------------------------------------- baseline
+impl harness::Suite for Lazy {
+    const NAME: &'static str = "lazy";
+    const CLOCK: Clock = Clock::Logical;
+    type Results = Vec<LazyRow>;
 
-/// Compare against the checked-in baseline, median-normalized like the
-/// storm and core suites: every row's headline metrics contribute a
-/// current/baseline ratio, and a metric drifting more than
-/// [`REGRESSION_TOLERANCE`] past the median ratio fails. With pure
-/// logical time the median is exactly 1.0 unless the timing model moved.
-pub fn compare_to_baseline(
-    results: &LazyResults,
-    baseline: &Json,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut errors = Vec::new();
-    let base_rows = baseline
-        .get("rows")
-        .and_then(|b| b.as_arr())
-        .ok_or_else(|| vec!["baseline has no `rows` array".to_string()])?;
-    let base_metric = |workload: &str, key: &str| {
-        base_rows
-            .iter()
-            .find(|b| b.get("workload").and_then(|v| v.as_str()) == Some(workload))
-            .and_then(|b| b.get(key))
-            .and_then(|v| v.as_f64())
-    };
-
-    let mut ratios: Vec<(String, f64, f64, f64)> = Vec::new();
-    for r in &results.rows {
-        for (key, cur) in [
-            ("lazy_ttfe_p50_ns", r.lazy_ttfe_p50_ns),
-            ("lazy_ttfe_p95_ns", r.lazy_ttfe_p95_ns),
-            ("eager_ttfe_p50_ns", r.eager_ttfe_p50_ns),
-            ("sibling_ttfe_ns", r.sibling_ttfe_ns),
-            ("lazy_full_ns", r.lazy_full_ns),
-            ("eager_full_ns", r.eager_full_ns),
-        ] {
-            let label = format!("{}.{key}", r.workload);
-            let Some(base) = base_metric(r.workload, key) else {
-                errors.push(format!(
-                    "{label}: no baseline entry (re-bless with `bench_lazy --bless`)"
-                ));
-                continue;
-            };
-            if base <= 0.0 {
-                errors.push(format!("{label}: baseline value is not positive"));
-                continue;
-            }
-            ratios.push((label, cur as f64, base, cur as f64 / base));
-        }
-    }
-    if !errors.is_empty() {
-        return Err(errors);
-    }
-    if ratios.is_empty() {
-        return Err(vec!["no rows to compare".to_string()]);
+    /// Run all three workload shapes.
+    fn run(_quick: bool) -> Vec<LazyRow> {
+        WORKLOADS.into_iter().map(bench_workload).collect()
     }
 
-    let mut sorted: Vec<f64> = ratios.iter().map(|(_, _, _, q)| *q).collect();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let median = sorted[sorted.len() / 2];
-    let limit = median * (1.0 + REGRESSION_TOLERANCE);
+    /// Render results as the BENCH_lazy.json document.
+    fn render(results: &Vec<LazyRow>) -> Json {
+        Json::obj([
+            ("schema", Json::Str("hpcc-bench-lazy/v1".to_string())),
+            ("replicas", Json::Num(REPLICAS as f64)),
+            ("chunk_size", Json::Num(DEFAULT_CHUNK_SIZE as f64)),
+            ("eager_parallelism", Json::Num(EAGER_PARALLELISM as f64)),
+            ("rows", Json::Arr(results.iter().map(render_row).collect())),
+        ])
+    }
 
-    let mut report = vec![format!(
-        "median current/baseline ratio {median:.3} (timing-model drift factor)"
-    )];
-    for (label, cur, base, ratio) in &ratios {
-        if *ratio > limit {
+    /// Structural gates that hold regardless of baseline state:
+    ///
+    /// 1. On many-small-files, lazy ttfe beats eager cold-start by at least
+    ///    [`LAZY_WIN_FLOOR`]× — the headline claim.
+    /// 2. On many-small-files, lazy moves strictly fewer bytes to first exec.
+    /// 3. On many-small-files, a full scan *loses* lazily — the trade-off has
+    ///    two sides or the model is broken.
+    /// 4. On every shape, a sibling on a warmed node launches faster than the
+    ///    cold p50 — the shared store must pay off.
+    fn gates(results: &Vec<LazyRow>) -> GateResult {
+        let mut errors = Vec::new();
+        let mut report = Vec::new();
+
+        let Some(msf) = row(results, "many-small-files") else {
+            return Err(vec!["no many-small-files row".to_string()]);
+        };
+        let win = msf.eager_ttfe_p50_ns as f64 / msf.lazy_ttfe_p50_ns.max(1) as f64;
+        if win < LAZY_WIN_FLOOR {
             errors.push(format!(
-                "{label}: {:.2} ms vs baseline {:.2} ms — ratio {ratio:.3} exceeds median {median:.3} by more than {:.0}%",
-                cur / 1e6,
-                base / 1e6,
-                REGRESSION_TOLERANCE * 100.0
+                "many-small-files: lazy ttfe {:.2} ms must beat eager {:.2} ms by ≥{LAZY_WIN_FLOOR}× (got {win:.2}×)",
+                msf.lazy_ttfe_p50_ns as f64 / 1e6,
+                msf.eager_ttfe_p50_ns as f64 / 1e6,
             ));
         } else {
             report.push(format!(
-                "{label}: {:.2} ms vs {:.2} ms baseline (ratio {ratio:.3})",
-                cur / 1e6,
-                base / 1e6
+                "many-small-files: lazy ttfe {:.2} ms vs eager {:.2} ms ({win:.2}× win)",
+                msf.lazy_ttfe_p50_ns as f64 / 1e6,
+                msf.eager_ttfe_p50_ns as f64 / 1e6,
             ));
         }
-    }
-    if errors.is_empty() {
-        Ok(report)
-    } else {
-        Err(errors)
-    }
-}
+        if msf.lazy_first_exec_bytes >= msf.eager_pull_bytes {
+            errors.push(format!(
+                "many-small-files: lazy moved {} B to first exec, not under eager's {} B",
+                msf.lazy_first_exec_bytes, msf.eager_pull_bytes
+            ));
+        } else {
+            report.push(format!(
+                "many-small-files: {} B to first exec vs {} B eager ({:.1}× fewer)",
+                msf.lazy_first_exec_bytes,
+                msf.eager_pull_bytes,
+                msf.eager_pull_bytes as f64 / msf.lazy_first_exec_bytes.max(1) as f64
+            ));
+        }
+        if msf.lazy_full_ns <= msf.eager_full_ns {
+            errors.push(format!(
+                "many-small-files: full scan should favor eager, but lazy {:.2} ms ≤ eager {:.2} ms",
+                msf.lazy_full_ns as f64 / 1e6,
+                msf.eager_full_ns as f64 / 1e6
+            ));
+        } else {
+            report.push(format!(
+                "many-small-files: full scan lazily {:.2} ms vs eager {:.2} ms (eager wins, as it must)",
+                msf.lazy_full_ns as f64 / 1e6,
+                msf.eager_full_ns as f64 / 1e6
+            ));
+        }
 
-/// Load and parse the baseline file.
-pub fn load_baseline() -> Result<Json, String> {
-    let path = baseline_path();
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read baseline {} ({e}); create it with `bench_lazy --bless`",
-            path.display()
-        )
-    })?;
-    json::parse(&text).map_err(|e| format!("baseline {}: {e}", path.display()))
-}
+        for r in results {
+            if r.sibling_ttfe_ns >= r.lazy_ttfe_p50_ns {
+                errors.push(format!(
+                    "{}: sibling ttfe {:.3} ms not under cold p50 {:.3} ms — shared store not paying off",
+                    r.workload,
+                    r.sibling_ttfe_ns as f64 / 1e6,
+                    r.lazy_ttfe_p50_ns as f64 / 1e6
+                ));
+            } else {
+                report.push(format!(
+                    "{}: sibling ttfe {:.3} ms vs cold {:.3} ms",
+                    r.workload,
+                    r.sibling_ttfe_ns as f64 / 1e6,
+                    r.lazy_ttfe_p50_ns as f64 / 1e6
+                ));
+            }
+        }
 
-/// A markdown time-to-first-exec table for EXPERIMENTS.md.
-pub fn render_markdown_table(results: &LazyResults) -> String {
-    let mut out = String::from(
-        "| shape | files | lazy ttfe p50 | eager ttfe p50 | win | first-exec bytes (lazy/eager) | sibling ttfe | full scan (lazy/eager) |\n\
-         |---|---:|---:|---:|---:|---:|---:|---:|\n",
-    );
-    let ms = |ns: u64| format!("{:.2} ms", ns as f64 / 1e6);
-    let kb = |b: u64| format!("{:.0} KiB", b as f64 / 1024.0);
-    for r in &results.rows {
-        out.push_str(&format!(
-            "| {} | {} | {} | {} | {:.2}× | {} / {} | {} | {} / {} |\n",
-            r.workload,
-            r.files,
-            ms(r.lazy_ttfe_p50_ns),
-            ms(r.eager_ttfe_p50_ns),
-            r.eager_ttfe_p50_ns as f64 / r.lazy_ttfe_p50_ns.max(1) as f64,
-            kb(r.lazy_first_exec_bytes),
-            kb(r.eager_pull_bytes),
-            ms(r.sibling_ttfe_ns),
-            ms(r.lazy_full_ns),
-            ms(r.eager_full_ns),
-        ));
+        if errors.is_empty() {
+            Ok(report)
+        } else {
+            Err(errors)
+        }
     }
-    out
+
+    fn gated_metrics(doc: &Json) -> Vec<(String, f64)> {
+        let metrics = [
+            "lazy_ttfe_p50_ns",
+            "lazy_ttfe_p95_ns",
+            "eager_ttfe_p50_ns",
+            "sibling_ttfe_ns",
+            "lazy_full_ns",
+            "eager_full_ns",
+        ];
+        harness::row_metrics(doc, "rows", &["workload"], &metrics)
+    }
+
+    /// The time-to-first-exec table of EXPERIMENTS.md.
+    fn table(results: &Vec<LazyRow>) -> Vec<Vec<String>> {
+        let ms = |ns: u64| format!("{:.2} ms", ns as f64 / 1e6);
+        let kb = |b: u64| format!("{:.0} KiB", b as f64 / 1024.0);
+        let header = [
+            "shape",
+            "files",
+            "lazy ttfe p50",
+            "eager ttfe p50",
+            "win",
+            "first-exec bytes (lazy/eager)",
+            "sibling ttfe",
+            "full scan (lazy/eager)",
+        ];
+        let row = |r: &LazyRow| {
+            let win = r.eager_ttfe_p50_ns as f64 / r.lazy_ttfe_p50_ns.max(1) as f64;
+            [
+                r.workload.to_string(),
+                r.files.to_string(),
+                ms(r.lazy_ttfe_p50_ns),
+                ms(r.eager_ttfe_p50_ns),
+                format!("{win:.2}×"),
+                format!(
+                    "{} / {}",
+                    kb(r.lazy_first_exec_bytes),
+                    kb(r.eager_pull_bytes)
+                ),
+                ms(r.sibling_ttfe_ns),
+                format!("{} / {}", ms(r.lazy_full_ns), ms(r.eager_full_ns)),
+            ]
+        };
+        harness::table(header, results.iter().map(row))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Suite;
 
     /// One shape measured end to end satisfies the structural gates and
     /// renders a well-formed row.
@@ -579,19 +462,15 @@ mod tests {
             "full scan favors eager"
         );
         assert!(row.sibling_ttfe_ns < row.lazy_ttfe_p50_ns);
-        let json = render(&LazyResults { rows: vec![row] });
+        let json = Lazy::render(&vec![row]);
         assert!(json.render().contains("many-small-files"));
     }
 
     /// Two runs of one shape are byte-identical (logical time only).
     #[test]
     fn rows_are_deterministic() {
-        let a = render(&LazyResults {
-            rows: vec![bench_workload(Workload::Small)],
-        });
-        let b = render(&LazyResults {
-            rows: vec![bench_workload(Workload::Small)],
-        });
+        let a = Lazy::render(&vec![bench_workload(Workload::Small)]);
+        let b = Lazy::render(&vec![bench_workload(Workload::Small)]);
         assert_eq!(a.render(), b.render());
     }
 
@@ -599,7 +478,7 @@ mod tests {
     fn first_exec_sets_are_within_the_image() {
         let cas = Cas::new();
         for w in WORKLOADS {
-            let (rootfs, _, _) = flattened_rootfs(w, &cas);
+            let rootfs = flattened_rootfs(w, &cas);
             for r in 0..REPLICAS {
                 for p in first_exec_set(w, r) {
                     assert!(

@@ -11,6 +11,7 @@ pub mod build_suite;
 pub mod chaos_suite;
 pub mod core_suite;
 pub mod guard;
+pub mod harness;
 pub mod json;
 pub mod lazy_suite;
 pub mod probes;

@@ -1,9 +1,9 @@
 //! Fleet-scale pull-storm benchmark + the `bench-storm` CI gate.
 //!
 //! Unlike `core_suite` (wall clock), every number here is *logical* time
-//! from the DES, so runs are bit-for-bit deterministic: the double-run
-//! guard in `bench_storm` asserts the rendered JSON is byte-identical,
-//! and any baseline drift is a real timing-model change, not noise.
+//! from the DES, so runs are bit-for-bit deterministic: the harness's
+//! double-run guard asserts the rendered JSON is byte-identical, and any
+//! baseline drift is a real timing-model change, not noise.
 //!
 //! Three distribution strategies pull the same multi-GiB image across a
 //! node sweep from 16 to 10,000:
@@ -19,7 +19,7 @@
 //!   else receives the image down a chunk-pipelined fan-out tree over
 //!   the node fabric ([`hpcc_storage::p2p`]).
 //!
-//! Gates, enforced by `bench_storm --check` (the `bench-storm` ci.sh
+//! Gates, enforced by `bench storm --check` (the `bench-storm` ci.sh
 //! stage):
 //!
 //! * **Flat-latency floor** — tiered p50 per-node latency at 10k nodes
@@ -29,18 +29,16 @@
 //!   is real, not an easy workload).
 //! * **Coalescing** — every tiered run must reach the origin exactly
 //!   once per distinct blob, regardless of fleet size.
-//! * **Regression gate** — logical latencies vs the checked-in baseline
-//!   (`tests/bench/BENCH_storm_baseline.json`), median-normalized, with
-//!   a [`REGRESSION_TOLERANCE`] tolerance mirroring `bench-core`'s
-//!   shape. `--bless` re-baselines.
+//! * **Regression gate** — every sweep row's p50 and makespan vs the
+//!   checked-in baseline under the harness's [`Clock::Logical`] rule.
 
-use crate::json::{self, Json};
+use crate::harness::{self, Clock, GateResult};
+use crate::json::Json;
 use hpcc_registry::tiered::{ImageSpec, StormConfig, StormTopology, TenantPolicy};
 use hpcc_sim::net::{Fabric, NodeId};
 use hpcc_sim::obs::Tracer;
 use hpcc_sim::{Bytes, FaultInjector, MetricsRegistry, QueueServer, SimSpan, SimTime};
 use hpcc_storage::p2p::{broadcast_tree_from_seeds, chunk_count, DistributionTree, TreeSpec};
-use std::path::PathBuf;
 
 /// Fleet sizes swept by every strategy.
 pub const NODE_COUNTS: &[usize] = &[16, 64, 256, 1024, 4096, 10_000];
@@ -52,26 +50,6 @@ pub const FLAT_LATENCY_CEILING: f64 = 2.0;
 /// The direct path must degrade by at least this factor over the same
 /// sweep, or the workload is too easy to prove anything.
 pub const DIRECT_BLOWUP_FLOOR: f64 = 50.0;
-
-/// Baseline gate: a row whose current/baseline latency ratio exceeds the
-/// run's median ratio by more than this fraction is a regression.
-pub const REGRESSION_TOLERANCE: f64 = 0.10;
-
-/// Where the current results land (repo root, next to the other BENCH_*).
-pub fn results_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_storm.json"
-    ))
-}
-
-/// The checked-in baseline the `--check` gate compares against.
-pub fn baseline_path() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/bench/BENCH_storm_baseline.json"
-    ))
-}
 
 /// The image every storm pulls: 4 layers, 2 GiB total, plus config and
 /// manifest blobs.
@@ -97,7 +75,7 @@ pub struct StormRow {
     pub rack_hit_ratio: f64,
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
+pub(crate) fn percentile(sorted: &[u64], p: f64) -> u64 {
     assert!(!sorted.is_empty());
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx]
@@ -177,7 +155,7 @@ fn tiered_storm(nodes: usize, image: &ImageSpec) -> StormRow {
 /// the concatenated image stream (manifest, then blobs in pull order):
 /// chunk `c` is held once every blob overlapping its byte range landed.
 /// Clocks are made monotone so pipelined sends never run backwards.
-pub(crate) fn chunk_clocks(
+fn chunk_clocks(
     image: &ImageSpec,
     mdone: SimTime,
     blob_done: &[SimTime],
@@ -211,6 +189,27 @@ pub(crate) fn chunk_clocks(
     clocks
 }
 
+/// Every seed root of `tree` pulls `image` through the tiers at time zero.
+/// Returns each seed's `(node, image-complete time)` and, per seed, the
+/// chunk availability clocks the tree broadcast starts from.
+pub(crate) fn seed_pulls(
+    topo: &StormTopology,
+    tree: &DistributionTree,
+    image: &ImageSpec,
+) -> (Vec<(usize, SimTime)>, Vec<Vec<SimTime>>) {
+    (0..tree.spec().seeds)
+        .map(|s| {
+            let node = tree.assignments()[tree.seed_root(s)];
+            let (done, blob_done) = topo
+                .pull_image_sized(node, 0, image, SimTime::ZERO)
+                .expect("model-plane pull cannot fail");
+            let mdone = done.min(*blob_done.iter().min().unwrap_or(&done));
+            let clocks = chunk_clocks(image, mdone, &blob_done, tree.spec().chunk);
+            ((node, done), clocks)
+        })
+        .unzip()
+}
+
 /// Seeds (scaled with the fleet) pull through the tiers; the rest of the
 /// fleet receives the image down the chunk-pipelined distribution tree.
 fn tiered_tree_storm(nodes: usize, image: &ImageSpec) -> StormRow {
@@ -220,19 +219,7 @@ fn tiered_tree_storm(nodes: usize, image: &ImageSpec) -> StormRow {
         ..TreeSpec::default()
     };
     let tree = DistributionTree::build(nodes, spec);
-    let spec = tree.spec();
-    let mut seed_latency: Vec<(usize, u64)> = Vec::with_capacity(spec.seeds);
-    let seed_chunk_done: Vec<Vec<SimTime>> = (0..spec.seeds)
-        .map(|s| {
-            let node = tree.assignments()[tree.seed_root(s)];
-            let (done, blob_done) = topo
-                .pull_image_sized(node, 0, image, SimTime::ZERO)
-                .expect("model-plane pull cannot fail");
-            seed_latency.push((node, done.as_nanos()));
-            let mdone = done.min(*blob_done.iter().min().unwrap_or(&done));
-            chunk_clocks(image, mdone, &blob_done, spec.chunk)
-        })
-        .collect();
+    let (seed_done, seed_chunk_done) = seed_pulls(&topo, &tree, image);
 
     let ids: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
     let fabric = Fabric::with_defaults(ids.iter().copied());
@@ -249,8 +236,8 @@ fn tiered_tree_storm(nodes: usize, image: &ImageSpec) -> StormRow {
         &MetricsRegistry::new(),
     );
     let mut lat: Vec<u64> = report.per_node_done.iter().map(|t| t.as_nanos()).collect();
-    for (node, done) in seed_latency {
-        lat[node] = lat[node].max(done);
+    for (node, done) in seed_done {
+        lat[node] = lat[node].max(done.as_nanos());
     }
     let mut row = row_from_latencies("tiered-tree", nodes, lat);
     attach_tier_stats(&mut row, &topo);
@@ -317,24 +304,6 @@ pub struct StormResults {
     pub tenant_rate_wait_ns: u64,
 }
 
-/// Run the full sweep + the multi-tenant variant. Pure logical time:
-/// identical output every run.
-pub fn run_all() -> StormResults {
-    let image = storm_image();
-    let mut sweep = Vec::with_capacity(NODE_COUNTS.len() * 3);
-    for &nodes in NODE_COUNTS {
-        sweep.push(direct_storm(nodes, &image));
-        sweep.push(tiered_storm(nodes, &image));
-        sweep.push(tiered_tree_storm(nodes, &image));
-    }
-    let (tenants, tenant_rate_wait_ns) = tenant_storm(&image);
-    StormResults {
-        sweep,
-        tenants,
-        tenant_rate_wait_ns,
-    }
-}
-
 // ------------------------------------------------------------------ gates
 
 fn sweep_row<'a>(results: &'a StormResults, mode: &str, nodes: usize) -> Option<&'a StormRow> {
@@ -342,63 +311,6 @@ fn sweep_row<'a>(results: &'a StormResults, mode: &str, nodes: usize) -> Option<
         .sweep
         .iter()
         .find(|r| r.mode == mode && r.nodes == nodes)
-}
-
-/// The structural acceptance gates: flat tiered latency, a genuinely
-/// degrading direct path, and exactly one origin fetch per blob.
-pub fn live_gate(results: &StormResults) -> Result<Vec<String>, Vec<String>> {
-    let mut report = Vec::new();
-    let mut errors = Vec::new();
-    let (lo, hi) = (NODE_COUNTS[0], *NODE_COUNTS.last().unwrap());
-    for mode in ["tiered", "tiered-tree"] {
-        match (sweep_row(results, mode, lo), sweep_row(results, mode, hi)) {
-            (Some(small), Some(large)) => {
-                let growth = large.p50_ns as f64 / small.p50_ns.max(1) as f64;
-                if growth <= FLAT_LATENCY_CEILING {
-                    report.push(format!(
-                        "{mode}: p50 grows {growth:.2}x from {lo} to {hi} nodes (ceiling {FLAT_LATENCY_CEILING}x)"
-                    ));
-                } else {
-                    errors.push(format!(
-                        "{mode}: p50 grows {growth:.2}x from {lo} to {hi} nodes, above the {FLAT_LATENCY_CEILING}x ceiling"
-                    ));
-                }
-            }
-            _ => errors.push(format!("{mode}: sweep rows missing")),
-        }
-    }
-    match (
-        sweep_row(results, "direct", lo),
-        sweep_row(results, "direct", hi),
-    ) {
-        (Some(small), Some(large)) => {
-            let growth = large.p50_ns as f64 / small.p50_ns.max(1) as f64;
-            if growth >= DIRECT_BLOWUP_FLOOR {
-                report.push(format!(
-                    "direct: p50 grows {growth:.0}x from {lo} to {hi} nodes (the storm is real)"
-                ));
-            } else {
-                errors.push(format!(
-                    "direct: p50 grows only {growth:.1}x from {lo} to {hi} nodes, below the {DIRECT_BLOWUP_FLOOR}x floor — workload too easy"
-                ));
-            }
-        }
-        _ => errors.push("direct: sweep rows missing".to_string()),
-    }
-    let distinct_blobs = storm_image().blobs.len() as u64 + 1;
-    for row in results.sweep.iter().filter(|r| r.mode != "direct") {
-        if row.origin_requests != distinct_blobs {
-            errors.push(format!(
-                "{} @ {} nodes: {} origin requests, expected exactly {distinct_blobs} (coalescing broke)",
-                row.mode, row.nodes, row.origin_requests
-            ));
-        }
-    }
-    if errors.is_empty() {
-        Ok(report)
-    } else {
-        Err(errors)
-    }
 }
 
 // ----------------------------------------------------------------- render
@@ -419,148 +331,146 @@ fn render_row(r: &StormRow) -> Json {
     ])
 }
 
-/// Render results as the BENCH_storm.json document.
-pub fn render(results: &StormResults) -> Json {
-    let image = storm_image();
-    Json::obj([
-        ("schema", Json::Str("hpcc-bench-storm/v1".to_string())),
-        (
-            "image",
-            Json::obj([
-                ("blobs", Json::Num(image.blobs.len() as f64 + 1.0)),
-                ("bytes", Json::Num(image.total_bytes() as f64)),
-            ]),
-        ),
-        (
-            "sweep",
-            Json::Arr(results.sweep.iter().map(render_row).collect()),
-        ),
-        (
-            "tenants",
-            Json::Arr(results.tenants.iter().map(render_row).collect()),
-        ),
-        (
-            "tenant_rate_wait_ns",
-            Json::Num(results.tenant_rate_wait_ns as f64),
-        ),
-    ])
-}
+/// `bench storm`.
+pub struct Storm;
 
-// --------------------------------------------------------------- baseline
+impl harness::Suite for Storm {
+    const NAME: &'static str = "storm";
+    const CLOCK: Clock = Clock::Logical;
+    type Results = StormResults;
 
-/// Compare against the checked-in baseline, median-normalized like
-/// `core_suite::compare_to_baseline`: every row's p50 and makespan ratio
-/// is collected, and a row drifting more than [`REGRESSION_TOLERANCE`]
-/// past the median ratio fails. With pure logical time the median is
-/// exactly 1.0 unless the timing model itself moved.
-pub fn compare_to_baseline(
-    results: &StormResults,
-    baseline: &Json,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut errors = Vec::new();
-    let base_rows = baseline
-        .get("sweep")
-        .and_then(|b| b.as_arr())
-        .ok_or_else(|| vec!["baseline has no `sweep` array".to_string()])?;
-    let base_metric = |mode: &str, nodes: usize, key: &str| {
-        base_rows
-            .iter()
-            .find(|b| {
-                b.get("mode").and_then(|v| v.as_str()) == Some(mode)
-                    && b.get("nodes").and_then(|v| v.as_f64()) == Some(nodes as f64)
-            })
-            .and_then(|b| b.get(key))
-            .and_then(|v| v.as_f64())
-    };
+    /// Run the full sweep + the multi-tenant variant. Pure logical time:
+    /// identical output every run.
+    fn run(_quick: bool) -> StormResults {
+        let image = storm_image();
+        let mut sweep = Vec::with_capacity(NODE_COUNTS.len() * 3);
+        for &nodes in NODE_COUNTS {
+            sweep.push(direct_storm(nodes, &image));
+            sweep.push(tiered_storm(nodes, &image));
+            sweep.push(tiered_tree_storm(nodes, &image));
+        }
+        let (tenants, tenant_rate_wait_ns) = tenant_storm(&image);
+        StormResults {
+            sweep,
+            tenants,
+            tenant_rate_wait_ns,
+        }
+    }
 
-    let mut ratios: Vec<(String, f64, f64, f64)> = Vec::new();
-    for row in &results.sweep {
-        for (key, cur) in [("p50_ns", row.p50_ns), ("makespan_ns", row.makespan_ns)] {
-            let label = format!("{}@{}.{key}", row.mode, row.nodes);
-            let Some(base) = base_metric(row.mode, row.nodes, key) else {
-                errors.push(format!(
-                    "{label}: no baseline entry (re-bless with `bench_storm --bless`)"
-                ));
-                continue;
-            };
-            if base <= 0.0 {
-                errors.push(format!("{label}: baseline value is not positive"));
-                continue;
+    /// Render results as the BENCH_storm.json document.
+    fn render(results: &StormResults) -> Json {
+        let image = storm_image();
+        Json::obj([
+            ("schema", Json::Str("hpcc-bench-storm/v1".to_string())),
+            (
+                "image",
+                Json::obj([
+                    ("blobs", Json::Num(image.blobs.len() as f64 + 1.0)),
+                    ("bytes", Json::Num(image.total_bytes() as f64)),
+                ]),
+            ),
+            (
+                "sweep",
+                Json::Arr(results.sweep.iter().map(render_row).collect()),
+            ),
+            (
+                "tenants",
+                Json::Arr(results.tenants.iter().map(render_row).collect()),
+            ),
+            (
+                "tenant_rate_wait_ns",
+                Json::Num(results.tenant_rate_wait_ns as f64),
+            ),
+        ])
+    }
+
+    /// The structural acceptance gates: flat tiered latency, a genuinely
+    /// degrading direct path, and exactly one origin fetch per blob.
+    fn gates(results: &StormResults) -> GateResult {
+        let mut report = Vec::new();
+        let mut errors = Vec::new();
+        let (lo, hi) = (NODE_COUNTS[0], *NODE_COUNTS.last().unwrap());
+        for mode in ["tiered", "tiered-tree"] {
+            match (sweep_row(results, mode, lo), sweep_row(results, mode, hi)) {
+                (Some(small), Some(large)) => {
+                    let growth = large.p50_ns as f64 / small.p50_ns.max(1) as f64;
+                    if growth <= FLAT_LATENCY_CEILING {
+                        report.push(format!(
+                            "{mode}: p50 grows {growth:.2}x from {lo} to {hi} nodes (ceiling {FLAT_LATENCY_CEILING}x)"
+                        ));
+                    } else {
+                        errors.push(format!(
+                            "{mode}: p50 grows {growth:.2}x from {lo} to {hi} nodes, above the {FLAT_LATENCY_CEILING}x ceiling"
+                        ));
+                    }
+                }
+                _ => errors.push(format!("{mode}: sweep rows missing")),
             }
-            ratios.push((label, cur as f64, base, cur as f64 / base));
         }
-    }
-    if !errors.is_empty() {
-        return Err(errors);
-    }
-    if ratios.is_empty() {
-        return Err(vec!["no rows to compare".to_string()]);
-    }
-
-    let mut sorted: Vec<f64> = ratios.iter().map(|(_, _, _, q)| *q).collect();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let median = sorted[sorted.len() / 2];
-    let limit = median * (1.0 + REGRESSION_TOLERANCE);
-
-    let mut report = vec![format!(
-        "median current/baseline ratio {median:.3} (timing-model drift factor)"
-    )];
-    for (label, cur, base, ratio) in &ratios {
-        if *ratio > limit {
-            errors.push(format!(
-                "{label}: {:.1} ms vs baseline {:.1} ms — ratio {ratio:.3} exceeds median {median:.3} by more than {:.0}%",
-                cur / 1e6,
-                base / 1e6,
-                REGRESSION_TOLERANCE * 100.0
-            ));
+        match (
+            sweep_row(results, "direct", lo),
+            sweep_row(results, "direct", hi),
+        ) {
+            (Some(small), Some(large)) => {
+                let growth = large.p50_ns as f64 / small.p50_ns.max(1) as f64;
+                if growth >= DIRECT_BLOWUP_FLOOR {
+                    report.push(format!(
+                        "direct: p50 grows {growth:.0}x from {lo} to {hi} nodes (the storm is real)"
+                    ));
+                } else {
+                    errors.push(format!(
+                        "direct: p50 grows only {growth:.1}x from {lo} to {hi} nodes, below the {DIRECT_BLOWUP_FLOOR}x floor — workload too easy"
+                    ));
+                }
+            }
+            _ => errors.push("direct: sweep rows missing".to_string()),
+        }
+        let distinct_blobs = storm_image().blobs.len() as u64 + 1;
+        for row in results.sweep.iter().filter(|r| r.mode != "direct") {
+            if row.origin_requests != distinct_blobs {
+                errors.push(format!(
+                    "{} @ {} nodes: {} origin requests, expected exactly {distinct_blobs} (coalescing broke)",
+                    row.mode, row.nodes, row.origin_requests
+                ));
+            }
+        }
+        if errors.is_empty() {
+            Ok(report)
         } else {
-            report.push(format!(
-                "{label}: {:.1} ms vs {:.1} ms baseline (ratio {ratio:.3})",
-                cur / 1e6,
-                base / 1e6
-            ));
+            Err(errors)
         }
     }
-    if errors.is_empty() {
-        Ok(report)
-    } else {
-        Err(errors)
-    }
-}
 
-/// Load and parse the baseline file.
-pub fn load_baseline() -> Result<Json, String> {
-    let path = baseline_path();
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read baseline {} ({e}); create it with `bench_storm --bless`",
-            path.display()
-        )
-    })?;
-    json::parse(&text).map_err(|e| format!("baseline {}: {e}", path.display()))
-}
-
-/// A markdown latency-vs-node-count table for EXPERIMENTS.md.
-pub fn render_markdown_table(results: &StormResults) -> String {
-    let mut out = String::from(
-        "| nodes | direct p50 | tiered p50 | tiered+tree p50 | tiered rack hit | origin reqs |\n\
-         |---:|---:|---:|---:|---:|---:|\n",
-    );
-    let ms = |ns: u64| format!("{:.1} ms", ns as f64 / 1e6);
-    for &nodes in NODE_COUNTS {
-        let d = sweep_row(results, "direct", nodes).expect("direct row");
-        let t = sweep_row(results, "tiered", nodes).expect("tiered row");
-        let tt = sweep_row(results, "tiered-tree", nodes).expect("tree row");
-        out.push_str(&format!(
-            "| {nodes} | {} | {} | {} | {:.1}% | {} |\n",
-            ms(d.p50_ns),
-            ms(t.p50_ns),
-            ms(tt.p50_ns),
-            t.rack_hit_ratio * 100.0,
-            t.origin_requests
-        ));
+    fn gated_metrics(doc: &Json) -> Vec<(String, f64)> {
+        harness::row_metrics(doc, "sweep", &["mode", "nodes"], &["p50_ns", "makespan_ns"])
     }
-    out
+
+    /// The latency-vs-node-count table of EXPERIMENTS.md.
+    fn table(results: &StormResults) -> Vec<Vec<String>> {
+        let ms = |ns: u64| format!("{:.1} ms", ns as f64 / 1e6);
+        let header = [
+            "nodes",
+            "direct p50",
+            "tiered p50",
+            "tiered+tree p50",
+            "tiered rack hit",
+            "origin reqs",
+        ];
+        let row = |nodes: &usize| {
+            let d = sweep_row(results, "direct", *nodes).expect("direct row");
+            let t = sweep_row(results, "tiered", *nodes).expect("tiered row");
+            let tt = sweep_row(results, "tiered-tree", *nodes).expect("tree row");
+            [
+                nodes.to_string(),
+                ms(d.p50_ns),
+                ms(t.p50_ns),
+                ms(tt.p50_ns),
+                format!("{:.1}%", t.rack_hit_ratio * 100.0),
+                t.origin_requests.to_string(),
+            ]
+        };
+        harness::table(header, NODE_COUNTS.iter().map(row))
+    }
 }
 
 #[cfg(test)]
@@ -628,54 +538,5 @@ mod tests {
         let a = tiered_storm(64, &image);
         let b = tiered_storm(64, &image);
         assert_eq!(render_row(&a).render(), render_row(&b).render());
-    }
-
-    #[test]
-    fn baseline_comparison_flags_skew_not_uniform_drift() {
-        let image = storm_image();
-        let results = StormResults {
-            sweep: vec![direct_storm(16, &image), tiered_storm(16, &image)],
-            tenants: Vec::new(),
-            tenant_rate_wait_ns: 0,
-        };
-        let doc = render(&results);
-        // Identical baseline: passes with every ratio 1.0.
-        assert!(compare_to_baseline(&results, &doc).is_ok());
-        // Uniformly halved baseline (everything 2x slower now): the
-        // median shifts with it, still passes.
-        let uniform = {
-            let mut rows = Vec::new();
-            for r in &results.sweep {
-                let mut half = r.clone();
-                half.p50_ns /= 2;
-                half.makespan_ns /= 2;
-                rows.push(half);
-            }
-            render(&StormResults {
-                sweep: rows,
-                tenants: Vec::new(),
-                tenant_rate_wait_ns: 0,
-            })
-        };
-        assert!(compare_to_baseline(&results, &uniform).is_ok());
-        // One row skewed far past the median: fails and names it.
-        let skewed = {
-            let mut rows: Vec<StormRow> = results.sweep.clone();
-            rows[1].p50_ns /= 3;
-            render(&StormResults {
-                sweep: rows,
-                tenants: Vec::new(),
-                tenant_rate_wait_ns: 0,
-            })
-        };
-        let err = compare_to_baseline(&results, &skewed).unwrap_err();
-        assert!(
-            err.iter().any(|e| e.contains("tiered@16.p50_ns")),
-            "{err:?}"
-        );
-        // Missing row: fails with a bless hint.
-        let missing = Json::obj([("sweep", Json::Arr(vec![]))]);
-        let err = compare_to_baseline(&results, &missing).unwrap_err();
-        assert!(err.iter().any(|e| e.contains("re-bless")), "{err:?}");
     }
 }

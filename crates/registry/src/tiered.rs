@@ -19,7 +19,7 @@
 //!   cache quotas.
 //!
 //! The topology runs in two planes. The **model plane** moves only
-//! `(digest, size)` metadata, which is what lets `bench_storm` drive
+//! `(digest, size)` metadata, which is what lets `bench storm` drive
 //! 10,000 nodes pulling a multi-GB image without materializing terabytes.
 //! The **data plane** (an origin [`Registry`] attached) moves real bytes
 //! and is what the engine integration and the correctness tests use.

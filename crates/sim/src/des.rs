@@ -22,7 +22,7 @@
 //! * [`DesBackend::ReferenceHeap`] — the original `BinaryHeap` queue, kept
 //!   as the executable specification. The equivalence property suite drives
 //!   random schedule/cancel/fire workloads through both backends and
-//!   asserts identical fire order; `bench_core` measures the speedup of the
+//!   asserts identical fire order; `bench core` measures the speedup of the
 //!   wheel over this reference.
 //!
 //! Both backends fire events in ascending `(time, EventId)` order — FIFO

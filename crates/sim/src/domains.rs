@@ -230,7 +230,7 @@ impl DomainSchedule {
     /// A seeded game-day schedule: one rack power loss, one row
     /// partition and one origin overload, placed deterministically from
     /// `seed` inside `[warmup, warmup + 3 * outage)` with staggered,
-    /// non-overlapping windows — the standard `bench_chaos` storyline.
+    /// non-overlapping windows — the standard `bench chaos` storyline.
     pub fn game_day(
         topo: DomainTopology,
         seed: u64,

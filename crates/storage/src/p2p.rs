@@ -566,7 +566,7 @@ pub fn repair_forest(
 /// The fan-out phase of a tree broadcast, starting from per-seed chunk
 /// availability times (`seed_chunk_done[s][c]` = when seed `s` holds chunk
 /// `c`). Lets callers feed the seeds from any upstream — shared fs here,
-/// the tiered registry in `bench_storm`.
+/// the tiered registry in `bench storm`.
 #[allow(clippy::too_many_arguments)]
 pub fn broadcast_tree_from_seeds(
     fabric: &Fabric,

@@ -8,39 +8,39 @@
 #                identical seeds and their printed fingerprints diffed
 #   goldens      checked-in golden traces match the code (staleness)
 #   bench        pipeline benchmark suite vs checked-in baseline (>10%
-#                makespan regression fails)
+#                makespan regression fails; every bench-* stage below
+#                is `bench <suite> --check`, and `bench <suite> --bless`
+#                re-baselines it)
 #   bench-adapt  adaptive-partition policy sweep vs checked-in baseline
 #                (>10% regression in makespan / p95 pod start /
 #                reprovision count fails; re-baseline with
-#                `bench_adapt --bless`); skipped under CI_QUICK=1
+#                `bench adapt --bless`); skipped under CI_QUICK=1
 #   bench-core   simulator-core wall-clock microbenches (quick sizes):
 #                live event-dispatch speedup floor plus >15% normalized
 #                ns/op regression vs checked-in baseline (re-baseline
-#                with `bench_core --bless`); skipped under CI_QUICK=1
+#                with `bench core --bless`); skipped under CI_QUICK=1
 #   bench-storm  fleet-scale pull-storm sweep (16 -> 10k nodes, logical
 #                time): flat-latency + coalescing structural gates plus
-#                >10% normalized regression vs checked-in baseline
-#                (re-baseline with `bench_storm --bless`); skipped
-#                under CI_QUICK=1
+#                >10% regression vs checked-in baseline (re-baseline
+#                with `bench storm --bless`); skipped under CI_QUICK=1
 #   bench-lazy   lazy-vs-eager pull benchmark: time-to-first-exec
 #                structural gates (lazy wins on many-small-files, moves
 #                fewer bytes; full scans still favor eager) plus >10%
-#                normalized regression vs checked-in baseline
-#                (re-baseline with `bench_lazy --bless`); skipped under
-#                CI_QUICK=1
+#                regression vs checked-in baseline (re-baseline with
+#                `bench lazy --bless`); skipped under CI_QUICK=1
 #   bench-build  build-plane sweep (N tenants x M builds, cold / warm /
 #                shared-base): warm rebuilds replay from cache, shared
 #                base builds and uploads once (origin blob count flat),
-#                plus >10% normalized regression vs checked-in baseline
-#                (re-baseline with `bench_build --bless`); skipped under
+#                plus >10% regression vs checked-in baseline
+#                (re-baseline with `bench build --bless`); skipped under
 #                CI_QUICK=1
 #   bench-chaos  game-day chaos suite (rack power loss, row partition,
 #                origin overload x none / breakers / breakers+hedging):
 #                resilient modes must absorb every outage with zero
 #                failed pulls and recover within the ceiling, the dead
 #                rack's broadcast subtree must re-heal, plus >10%
-#                normalized latency regression vs checked-in baseline
-#                (re-baseline with `bench_chaos --bless`); skipped under
+#                latency regression vs checked-in baseline
+#                (re-baseline with `bench chaos --bless`); skipped under
 #                CI_QUICK=1
 #   crash-matrix kill-at-every-crash-point recovery matrix, run in the
 #                debug profile so the unregistered-journal-site debug
@@ -152,64 +152,27 @@ stage_goldens() {
     echo "OK: golden traces up to date"
 }
 
-stage_bench() {
-    echo "==> pipeline benchmark suite vs baseline"
-    cargo run --release -q -p hpcc-bench --bin bench_suite -- --check
-}
-
-stage_bench-adapt() {
+# Every bench stage is `bench <suite> --check [flags]`; the heavy sweeps
+# are skipped under CI_QUICK=1.
+bench_stage() {
+    local suite="$1" banner="$2"
+    shift 2
     if [[ "$CI_QUICK" == 1 ]]; then
-        echo "==> adaptive policy sweep skipped (CI_QUICK=1)"
+        echo "==> $banner skipped (CI_QUICK=1)"
         return 0
     fi
-    echo "==> adaptive-partition policy sweep vs baseline"
-    cargo run --release -q -p hpcc-bench --bin bench_adapt -- --check
+    echo "==> $banner"
+    cargo run --release -q -p hpcc-bench --bin bench -- "$suite" --check "$@"
 }
 
-stage_bench-core() {
-    if [[ "$CI_QUICK" == 1 ]]; then
-        echo "==> simulator-core microbenches skipped (CI_QUICK=1)"
-        return 0
-    fi
-    echo "==> simulator-core microbenches: speedup floor + baseline gate"
-    cargo run --release -q -p hpcc-bench --bin bench_core -- --quick --check
-}
-
-stage_bench-storm() {
-    if [[ "$CI_QUICK" == 1 ]]; then
-        echo "==> pull-storm sweep skipped (CI_QUICK=1)"
-        return 0
-    fi
-    echo "==> fleet-scale pull-storm sweep: flat-latency + baseline gate"
-    cargo run --release -q -p hpcc-bench --bin bench_storm -- --check
-}
-
-stage_bench-lazy() {
-    if [[ "$CI_QUICK" == 1 ]]; then
-        echo "==> lazy-pull benchmark skipped (CI_QUICK=1)"
-        return 0
-    fi
-    echo "==> lazy-vs-eager pull: time-to-first-exec gates + baseline"
-    cargo run --release -q -p hpcc-bench --bin bench_lazy -- --check
-}
-
-stage_bench-build() {
-    if [[ "$CI_QUICK" == 1 ]]; then
-        echo "==> build-plane sweep skipped (CI_QUICK=1)"
-        return 0
-    fi
-    echo "==> build plane: incremental-rebuild + shared-base gates + baseline"
-    cargo run --release -q -p hpcc-bench --bin bench_build -- --check
-}
-
-stage_bench-chaos() {
-    if [[ "$CI_QUICK" == 1 ]]; then
-        echo "==> game-day chaos suite skipped (CI_QUICK=1)"
-        return 0
-    fi
-    echo "==> game-day chaos suite: outage absorption + recovery + baseline"
-    cargo run --release -q -p hpcc-bench --bin bench_chaos -- --check
-}
+# The quick job keeps the pipeline gate live, so this stage ignores CI_QUICK.
+stage_bench() { CI_QUICK=0 bench_stage pipeline "pipeline benchmark suite vs baseline"; }
+stage_bench-adapt() { bench_stage adapt "adaptive-partition policy sweep vs baseline"; }
+stage_bench-core() { bench_stage core "simulator-core microbenches: speedup floor + baseline gate" --quick; }
+stage_bench-storm() { bench_stage storm "fleet-scale pull-storm sweep: flat-latency + baseline gate"; }
+stage_bench-lazy() { bench_stage lazy "lazy-vs-eager pull: time-to-first-exec gates + baseline"; }
+stage_bench-build() { bench_stage build "build plane: incremental-rebuild + shared-base gates + baseline"; }
+stage_bench-chaos() { bench_stage chaos "game-day chaos suite: outage absorption + recovery + baseline"; }
 
 stage_crash-matrix() {
     if [[ "$CI_QUICK" == 1 ]]; then
