@@ -3,13 +3,16 @@
 //! the touched fraction grows.
 
 use hpcc_crypto::sha256::sha256;
-use hpcc_engine::lazy::{eager_pull, publish, LazyMount};
+use hpcc_engine::engine::PullSources;
+use hpcc_engine::engines;
+use hpcc_engine::lazy::publish_seekable;
 use hpcc_oci::image::MediaType;
 use hpcc_registry::registry::{Registry, RegistryCaps};
 use hpcc_sim::{Bytes, SimClock, SimTime};
 use hpcc_vfs::driver::DriverProfile;
 use hpcc_vfs::fs::MemFs;
 use hpcc_vfs::path::VPath;
+use hpcc_vfs::seekable::DEFAULT_CHUNK_SIZE;
 use hpcc_vfs::squash::SquashImage;
 
 fn pseudo_random_tree(files: usize, size: usize) -> MemFs {
@@ -36,7 +39,8 @@ fn main() {
     let size = 64 << 10;
     let fs = pseudo_random_tree(files, size);
     let reg = Registry::new("lazyhub", RegistryCaps::open());
-    let (toc_digest, toc) = publish(&reg, &fs, &VPath::root()).unwrap();
+    let (index_digest, index) =
+        publish_seekable(&reg, &fs, &VPath::root(), DEFAULT_CHUNK_SIZE).unwrap();
     let squash = SquashImage::build(&fs, &VPath::root(), hpcc_codec::compress::Codec::Lz).unwrap();
     let sq_desc = reg
         .push_blob(
@@ -48,14 +52,17 @@ fn main() {
     println!(
         "image: {files} files x {}, total {}\n",
         Bytes::new(size as u64),
-        Bytes::new(toc.total_orig_bytes())
+        Bytes::new((files * size) as u64)
     );
 
     // Eager baseline: full pull, then local kernel-driver reads.
     let eager_clock = SimClock::new();
-    let image = eager_pull(&reg, &sq_desc.digest, &eager_clock).unwrap();
+    let (bytes, done) = reg.pull_blob(&sq_desc.digest, eager_clock.now()).unwrap();
+    eager_clock.advance_to(done);
+    let image = SquashImage::from_bytes(bytes.as_ref().clone()).unwrap();
     let eager_ready = eager_clock.now().since(SimTime::ZERO);
     let profile = DriverProfile::kernel_squash();
+    let engine = engines::sarus();
 
     println!(
         "{:>14} {:>14} {:>14} {:>16}",
@@ -63,8 +70,10 @@ fn main() {
     );
     for touch in [1usize, 5, 20, 50, 100, 200] {
         let lazy_clock = SimClock::new();
-        let mount = LazyMount::mount(&reg, &toc_digest, &lazy_clock).unwrap();
-        let paths: Vec<String> = mount.toc().entries.keys().take(touch).cloned().collect();
+        let mount = engine
+            .pull_lazy(PullSources::primary_only(&reg), &index_digest, &lazy_clock)
+            .unwrap();
+        let paths: Vec<&str> = index.file_paths().take(touch).collect();
         for p in &paths {
             mount.read_file(p, &lazy_clock).unwrap();
         }

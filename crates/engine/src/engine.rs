@@ -34,9 +34,8 @@ use hpcc_runtime::rootless::{
 use hpcc_sim::faults::RetryCause;
 use hpcc_sim::sym;
 use hpcc_sim::{
-    run_hedged, BreakerConfig, CircuitBreaker, CrashInjector, Crashed, Deadline, Executor,
-    FaultInjector, HedgeBudget, HedgePolicy, RetryErr, RetryPolicy, SimClock, SimSpan, SimTime,
-    Stage, TaskFinish, TaskGraph, Tracer,
+    BreakerConfig, CircuitBreaker, CrashInjector, Crashed, Executor, FaultInjector, RetryErr,
+    RetryPolicy, SimClock, SimSpan, SimTime, SpanId, Stage, Symbol, TaskFinish, TaskGraph, Tracer,
 };
 use hpcc_storage::blobstore::BlobStore;
 use hpcc_storage::journal::JournaledStore;
@@ -232,10 +231,33 @@ pub struct RunReport {
     pub state: BTreeMap<String, String>,
 }
 
-/// Where [`Engine::pull_resilient`] may fetch from, in degradation order:
-/// the authoritative registry first, the node's tiered cache hierarchy
-/// next, then a site pull-through proxy, then a mirror, and finally the
-/// engine's warm in-memory pull cache.
+/// The pull ladder's hops in degradation order. A hop's label names its
+/// circuit breaker, its side of the `degrade.<op>.<from>_to_<to>` counters
+/// and the source reported to the caller.
+const HOPS: [&str; 4] = ["primary", "tier", "proxy", "mirror"];
+/// Label of the source past the last hop: the engine's in-memory pull memo.
+const WARM_CACHE: &str = "warm-cache";
+/// `retry.<stem>.*` metric stem of each hop for whole-image pulls; the
+/// first also keys `degrade.<stem>.*`.
+const PULL_OPS: [&str; 4] = [
+    "engine.pull",
+    "engine.pull.tier",
+    "engine.pull.proxy",
+    "engine.pull.mirror",
+];
+/// The same stems for a lazy container's index and chunk fetches.
+pub(crate) const LAZY_FETCH_OPS: [&str; 4] = [
+    "engine.lazy.fetch",
+    "engine.lazy.fetch.tier",
+    "engine.lazy.fetch.proxy",
+    "engine.lazy.fetch.mirror",
+];
+
+/// Where a pull may fetch from, in degradation order: the authoritative
+/// registry first, the node's tiered cache hierarchy next, then a site
+/// pull-through proxy, then a mirror. [`Engine::pull`] is the ladder over
+/// the primary alone; [`Engine::pull_resilient`] and
+/// [`Engine::pull_lazy`] walk whatever is present.
 pub struct PullSources<'a> {
     pub primary: &'a Registry,
     /// The node's handle on the rack → row → site cache hierarchy.
@@ -245,8 +267,7 @@ pub struct PullSources<'a> {
 }
 
 impl<'a> PullSources<'a> {
-    /// Just the primary registry — degradation can still reach the warm
-    /// pull cache.
+    /// Just the primary registry: a ladder of one hop.
     pub fn primary_only(primary: &'a Registry) -> PullSources<'a> {
         PullSources {
             primary,
@@ -257,99 +278,28 @@ impl<'a> PullSources<'a> {
     }
 }
 
-/// Self-healing configuration for the pull degradation chain: one
-/// circuit breaker per endpoint (shared across pulls, so endpoint health
-/// survives individual requests), optional hedging of slow primary pulls
-/// against the mirror, and an optional per-pull deadline propagated to
-/// every hop. Attach with [`Engine::set_pull_resilience`]; without it the
-/// chain behaves exactly as before (retry-until-exhausted per hop).
+/// Endpoint health for the pull ladder: one circuit breaker per hop,
+/// shared by every whole-image pull and lazy chunk fetch of the engine it
+/// is attached to, so what one request learns about an endpoint
+/// short-circuits the next. Attach with [`Engine::set_pull_resilience`];
+/// without it every hop is always consulted (retry-until-exhausted).
 pub struct PullResilience {
-    breakers: HashMap<&'static str, CircuitBreaker>,
-    hedge: Option<(HedgePolicy, HedgeBudget)>,
-    deadline: Option<SimSpan>,
+    breakers: [CircuitBreaker; 4],
 }
 
 impl PullResilience {
-    /// Breakers for the four chain endpoints, no hedging, no deadline.
+    /// Breakers for the four ladder hops.
     pub fn new(cfg: BreakerConfig) -> PullResilience {
-        let breakers = ["primary", "tier", "proxy", "mirror"]
-            .into_iter()
-            .map(|label| (label, CircuitBreaker::new(label, cfg)))
-            .collect();
         PullResilience {
-            breakers,
-            hedge: None,
-            deadline: None,
+            breakers: HOPS.map(|label| CircuitBreaker::new(label, cfg)),
         }
-    }
-
-    /// Builder: hedge slow primary pulls against the mirror, capped at
-    /// `budget` hedges across the engine's lifetime.
-    pub fn with_hedging(mut self, policy: HedgePolicy, budget: u64) -> PullResilience {
-        self.hedge = Some((policy, HedgeBudget::new(budget)));
-        self
-    }
-
-    /// Builder: bound every resilient pull (all hops, all retries) by
-    /// one shared deadline.
-    pub fn with_deadline(mut self, budget: SimSpan) -> PullResilience {
-        self.deadline = Some(budget);
-        self
     }
 
     /// The breaker guarding `endpoint` ("primary", "tier", "proxy" or
     /// "mirror").
     pub fn breaker(&self, endpoint: &str) -> &CircuitBreaker {
-        &self.breakers[endpoint]
-    }
-
-    /// Hedging configuration, when enabled.
-    pub fn hedging(&self) -> Option<&(HedgePolicy, HedgeBudget)> {
-        self.hedge.as_ref()
-    }
-
-    /// Ask `endpoint`'s breaker whether a request may proceed at `now`.
-    /// `Ok(false)` means short-circuit: skip the endpoint and move the
-    /// degradation chain along without burning retry budget.
-    pub(crate) fn allow(
-        &self,
-        endpoint: &'static str,
-        faults: &FaultInjector,
-        crash: &CrashInjector,
-        now: SimTime,
-    ) -> Result<bool, Crashed> {
-        self.breakers[endpoint].allow(faults, crash, now)
-    }
-
-    /// Feed one request outcome to `endpoint`'s breaker. Only exhausted
-    /// retries count as endpoint failure — a fatal error (unknown repo,
-    /// digest mismatch) says nothing about endpoint health.
-    pub(crate) fn observe(
-        &self,
-        endpoint: &'static str,
-        faults: &FaultInjector,
-        now: SimTime,
-        healthy: bool,
-    ) {
-        if healthy {
-            self.breakers[endpoint].on_success(faults, now);
-        } else {
-            self.breakers[endpoint].on_failure(faults, now);
-        }
-    }
-
-    /// The per-hop retry policy: the base policy clamped to the pull's
-    /// shared deadline, when one is configured.
-    pub(crate) fn hop_policy(
-        &self,
-        base: RetryPolicy,
-        pull_start: SimTime,
-        now: SimTime,
-    ) -> RetryPolicy {
-        match self.deadline {
-            Some(budget) => Deadline::after(pull_start, budget).clamp_policy(base, now),
-            None => base,
-        }
+        let hop = HOPS.iter().position(|label| *label == endpoint);
+        &self.breakers[hop.expect("endpoint is a ladder hop label")]
     }
 }
 
@@ -425,6 +375,113 @@ impl PullBackend for ProxyRegistry {
     }
 }
 
+/// Every settable knob of an [`Engine`] as one value. Setters write one
+/// field; each public operation takes one snapshot when it starts and
+/// passes it down by reference, so an operation in flight sees a single
+/// configuration whatever setters run meanwhile.
+#[derive(Clone)]
+pub(crate) struct PullCtx {
+    pub(crate) retry: RetryPolicy,
+    pub(crate) faults: Arc<FaultInjector>,
+    pub(crate) tracer: Arc<Tracer>,
+    /// Pipeline worker count: how many blob fetches / per-layer
+    /// conversions may overlap. 1 reproduces the sequential pipeline.
+    parallelism: usize,
+    /// Optional node-local content-addressed layer store, shared across
+    /// engines (and the registry proxy) on the same node.
+    pub(crate) store: Option<Arc<BlobStore>>,
+    /// Optional write-ahead intent journal over the blob store; when
+    /// attached, pulls and conversions run as journalled intents and
+    /// resume idempotently after a crash.
+    pub(crate) journal: Option<Arc<JournaledStore>>,
+    /// Crash-point injector; the default disabled one never fires.
+    pub(crate) crash: Arc<CrashInjector>,
+    /// Optional per-hop circuit breakers over the pull ladder.
+    breakers: Option<Arc<PullResilience>>,
+}
+
+impl PullCtx {
+    /// The one degradation loop. Each present hop of `sources`, in
+    /// [`HOPS`] order: consult its breaker (open: skip without burning
+    /// retry budget), record the degrade decision, run `fetch` under the
+    /// retry policy as `ops[hop]`, feed the breaker (only an exhausted
+    /// retry ladder counts against an endpoint) and advance the clock. A
+    /// *fatal* error on the primary (unknown repo, digest mismatch)
+    /// returns at once with the clock untouched, since no fallback can
+    /// fix the request itself; a fatal error on a fallback (a cold proxy
+    /// reporting the repo unknown) only moves the chain along. Past the
+    /// last hop `warm` may still serve. Returns the value, the label of
+    /// the source that served it and the attempts spent across all hops.
+    pub(crate) fn ladder<T>(
+        &self,
+        ops: &[&'static str; 4],
+        sources: &PullSources<'_>,
+        clock: &SimClock,
+        fetch: impl Fn(&dyn PullBackend, SimTime) -> Result<(T, SimTime), EngineError>,
+        warm: impl FnOnce() -> Option<T>,
+    ) -> Result<(T, &'static str, u32), EngineError> {
+        let backends: [Option<&dyn PullBackend>; 4] = [
+            Some(sources.primary),
+            sources.tier.map(|t| t as _),
+            sources.proxy.map(|p| p as _),
+            sources.mirror.map(|m| m as _),
+        ];
+        let mut from = HOPS[0];
+        let mut attempts = 0;
+        // What a chain that never got to ask anyone reports.
+        let mut last = EngineError::Registry(RegistryError::Unavailable { status: 503 });
+        for (hop, backend) in backends.into_iter().enumerate() {
+            let Some(backend) = backend else { continue };
+            let breaker = self.breakers.as_ref().map(|b| &b.breakers[hop]);
+            if let Some(b) = breaker {
+                if !b.allow(&self.faults, &self.crash, clock.now())? {
+                    continue;
+                }
+            }
+            if hop > 0 {
+                self.faults
+                    .note_degrade(ops[0], from, HOPS[hop], clock.now());
+                from = HOPS[hop];
+            }
+            match self.retry.run_timed(
+                &self.faults,
+                ops[hop],
+                Stage::Pull,
+                clock.now(),
+                EngineError::is_transient,
+                |_, at| fetch(backend, at),
+            ) {
+                Ok(ok) => {
+                    if let Some(b) = breaker {
+                        b.on_success(&self.faults, ok.done);
+                    }
+                    clock.advance_to(ok.done);
+                    return Ok((ok.value, HOPS[hop], attempts + ok.attempts));
+                }
+                Err(err) if hop == 0 && !err.gave_up => {
+                    return Err(Engine::unwrap_retry(ops[hop], err))
+                }
+                Err(err) => {
+                    clock.advance_to(err.at);
+                    if let (Some(b), true) = (breaker, err.gave_up) {
+                        b.on_failure(&self.faults, err.at);
+                    }
+                    attempts += err.attempts;
+                    last = Engine::unwrap_retry(ops[hop], err);
+                }
+            }
+        }
+        match warm() {
+            Some(value) => {
+                self.faults
+                    .note_degrade(ops[0], from, "warm_cache", clock.now());
+                Ok((value, WARM_CACHE, attempts))
+            }
+            None => Err(last),
+        }
+    }
+}
+
 /// A configured container engine.
 pub struct Engine {
     pub info: EngineInfo,
@@ -432,26 +489,10 @@ pub struct Engine {
     pub runtime: LowLevelRuntime,
     hooks: HookRegistry,
     cache: ConversionCache,
-    retry: RwLock<RetryPolicy>,
-    faults: RwLock<Arc<FaultInjector>>,
-    tracer: RwLock<Arc<Tracer>>,
-    /// Pipeline worker count: how many blob fetches / per-layer
-    /// conversions may overlap. 1 reproduces the sequential pipeline.
-    parallelism: RwLock<usize>,
-    /// Optional node-local content-addressed layer store, shared across
-    /// engines (and the registry proxy) on the same node.
-    blob_store: RwLock<Option<Arc<BlobStore>>>,
-    /// Optional write-ahead intent journal over the blob store; when
-    /// attached, pulls and conversions run as journalled intents and
-    /// resume idempotently after a crash.
-    journal: RwLock<Option<Arc<JournaledStore>>>,
-    /// Crash-point injector; the default disabled one never fires.
-    crash: RwLock<Arc<CrashInjector>>,
+    ctx: RwLock<PullCtx>,
     /// Successfully pulled images by (repo, tag) — the degradation path's
     /// last resort when every remote source is down.
     pull_memo: RwLock<HashMap<(String, String), PulledImage>>,
-    /// Optional self-healing layer over the pull degradation chain.
-    resilience: RwLock<Option<Arc<PullResilience>>>,
 }
 
 /// Local blob-store read: latency floor plus node-local NVMe-class
@@ -474,52 +515,43 @@ impl Engine {
             runtime,
             hooks,
             cache,
-            retry: RwLock::new(RetryPolicy::default()),
-            faults: RwLock::new(FaultInjector::disabled()),
-            tracer: RwLock::new(Tracer::disabled()),
-            parallelism: RwLock::new(1),
-            blob_store: RwLock::new(None),
-            journal: RwLock::new(None),
-            crash: RwLock::new(CrashInjector::disabled()),
+            ctx: RwLock::new(PullCtx {
+                retry: RetryPolicy::default(),
+                faults: FaultInjector::disabled(),
+                tracer: Tracer::disabled(),
+                parallelism: 1,
+                store: None,
+                journal: None,
+                crash: CrashInjector::disabled(),
+                breakers: None,
+            }),
             pull_memo: RwLock::new(HashMap::new()),
-            resilience: RwLock::new(None),
         }
     }
 
-    /// Attach (or clear) the self-healing layer over the pull chain:
-    /// per-endpoint circuit breakers, optional mirror hedging, optional
-    /// shared deadline. `None` restores plain retry-per-hop behaviour.
-    pub fn set_pull_resilience(&self, resilience: Option<Arc<PullResilience>>) {
-        *self.resilience.write() = resilience;
+    /// The snapshot an operation runs under.
+    pub(crate) fn ctx(&self) -> PullCtx {
+        self.ctx.read().clone()
     }
 
-    /// The attached self-healing layer, if any.
-    pub fn pull_resilience(&self) -> Option<Arc<PullResilience>> {
-        self.resilience.read().clone()
+    /// Attach (or clear) per-endpoint circuit breakers over the pull
+    /// ladder. `None` restores plain retry-per-hop behaviour.
+    pub fn set_pull_resilience(&self, resilience: Option<Arc<PullResilience>>) {
+        self.ctx.write().breakers = resilience;
     }
 
     /// Set how many pipeline tasks (blob fetches, per-layer conversions)
     /// may run concurrently. Clamped to at least 1; the default of 1
     /// reproduces the strictly sequential pipeline byte-for-byte.
     pub fn set_parallelism(&self, workers: usize) {
-        *self.parallelism.write() = workers.max(1);
-    }
-
-    /// Current pipeline worker count.
-    pub fn parallelism(&self) -> usize {
-        *self.parallelism.read()
+        self.ctx.write().parallelism = workers.max(1);
     }
 
     /// Attach a shared content-addressed blob store. Subsequent pulls
     /// consult it before fetching from the registry (layer dedup across
     /// images and engines, §3.1) and deposit verified blobs into it.
     pub fn set_blob_store(&self, store: Arc<BlobStore>) {
-        *self.blob_store.write() = Some(store);
-    }
-
-    /// The engine's blob store, if one is attached.
-    pub fn blob_store(&self) -> Option<Arc<BlobStore>> {
-        self.blob_store.read().clone()
+        self.ctx.write().store = Some(store);
     }
 
     /// Attach a journalled blob store: the engine's pulls and conversions
@@ -528,24 +560,15 @@ impl Engine {
     /// crashed pull resumes idempotently — committed layers are read back
     /// instead of re-fetched.
     pub fn set_journaled_store(&self, journal: Arc<JournaledStore>) {
-        *self.blob_store.write() = Some(journal.store());
-        *self.journal.write() = Some(journal);
-    }
-
-    /// The engine's journalled store, if one is attached.
-    pub fn journaled_store(&self) -> Option<Arc<JournaledStore>> {
-        self.journal.read().clone()
+        let mut ctx = self.ctx.write();
+        ctx.store = Some(journal.store());
+        ctx.journal = Some(journal);
     }
 
     /// Install a crash-point injector; the pull/convert pipeline passes
     /// named crash points through it from now on.
     pub fn set_crash_injector(&self, crash: Arc<CrashInjector>) {
-        *self.crash.write() = crash;
-    }
-
-    /// The engine's current crash injector.
-    pub fn crash_injector(&self) -> Arc<CrashInjector> {
-        self.crash.read().clone()
+        self.ctx.write().crash = crash;
     }
 
     /// The engine's hook registry (engines and sites may register more).
@@ -561,22 +584,17 @@ impl Engine {
     /// Install a fault schedule; pulls and deploys consult it (and record
     /// their retry/degrade decisions to it) from now on.
     pub fn set_fault_injector(&self, injector: Arc<FaultInjector>) {
-        *self.faults.write() = injector;
+        self.ctx.write().faults = injector;
     }
 
     /// The engine's current fault injector (trace/metrics inspection).
     pub fn fault_injector(&self) -> Arc<FaultInjector> {
-        self.faults.read().clone()
+        self.ctx.read().faults.clone()
     }
 
     /// Replace the pipeline retry policy.
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        *self.retry.write() = policy;
-    }
-
-    /// The current retry policy (shared with the lazy page-in path).
-    pub(crate) fn retry_policy(&self) -> RetryPolicy {
-        *self.retry.read()
+        self.ctx.write().retry = policy;
     }
 
     /// Install a tracer; pull/prepare/run record stage spans to it from
@@ -584,12 +602,46 @@ impl Engine {
     /// leaving timing and behaviour bit-identical to an uninstrumented
     /// engine.
     pub fn set_tracer(&self, tracer: Arc<Tracer>) {
-        *self.tracer.write() = tracer;
+        self.ctx.write().tracer = tracer;
     }
 
     /// The engine's current tracer (span inspection/export).
     pub fn tracer(&self) -> Arc<Tracer> {
-        self.tracer.read().clone()
+        self.ctx.read().tracer.clone()
+    }
+
+    /// The one span wrapper: open `name`, run `body` (which adds its own
+    /// attrs), tag a failure and close the span at the clock. With
+    /// `dies_here` — the spans crash points fire directly under — a
+    /// crash first stops the clock where the process died, so the
+    /// enclosing spans close covering every task span recorded before
+    /// death, and leaves one `crash.engine` span marking the spot.
+    pub(crate) fn spanned<T>(
+        tracer: &Tracer,
+        name: Symbol,
+        stage: Stage,
+        dies_here: bool,
+        clock: &SimClock,
+        body: impl FnOnce(SpanId) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        let span = tracer.begin(name, stage, clock.now());
+        let result = body(span);
+        if let Err(e) = &result {
+            tracer.attr(span, sym!("error"), e);
+        }
+        if let (Err(EngineError::Crash(c)), true) = (&result, dies_here) {
+            clock.advance_to(c.at);
+            let now = clock.now();
+            tracer.record(
+                sym!("crash.engine"),
+                Stage::Other,
+                now,
+                now,
+                &[("point", c.point.to_string()), ("seq", c.seq.to_string())],
+            );
+        }
+        tracer.end(span, clock.now());
+        result
     }
 
     // ------------------------------------------------------------- pull
@@ -602,24 +654,25 @@ impl Engine {
     /// With parallelism 1 the schedule degenerates to the sequential
     /// config-then-layers order this method used to hard-code.
     fn pull_via(
-        &self,
+        ctx: &PullCtx,
         source: &dyn PullBackend,
         repo: &str,
         tag: &str,
         arrival: SimTime,
     ) -> Result<(PulledImage, SimTime), EngineError> {
         let (manifest, t) = source.manifest(repo, tag, arrival)?;
-        let store = self.blob_store();
-        let store = store.as_deref();
-        let tracer = self.tracer();
-        let crash = self.crash_injector();
-        let faults = self.fault_injector();
+        let PullCtx {
+            crash,
+            faults,
+            journal,
+            ..
+        } = ctx;
+        let store = ctx.store.as_deref();
         crash.crash_point("pull.manifest.post", t)?;
 
         // Open a journalled pull intent: every fetched blob is staged
         // under it and only a commit makes the batch durable.
-        let journal = self.journaled_store();
-        let intent = match &journal {
+        let intent = match journal {
             Some(j) => Some(j.begin("engine.pull", &format!("{repo}:{tag}"), t)?),
             None => None,
         };
@@ -640,9 +693,6 @@ impl Engine {
         for (i, &(digest, size, verify)) in blobs.iter().enumerate() {
             let fetched = &fetched;
             let pinned = &pinned;
-            let crash = &crash;
-            let faults = &faults;
-            let journal = &journal;
             graph.add(sym!("pull.blob"), Stage::Pull, &[], move |at| {
                 let (bytes, done, cached) = match store.and_then(|s| s.get(&digest)) {
                     Some(bytes) => {
@@ -685,7 +735,7 @@ impl Engine {
                     .attr("cached", cached))
             });
         }
-        let run = Executor::new(self.parallelism()).run(graph, t, &tracer);
+        let run = Executor::new(ctx.parallelism).run(graph, t, &ctx.tracer);
         // Whatever happened, the plain path's in-flight pins end here.
         if let Some(s) = store {
             for digest in pinned.borrow().iter() {
@@ -694,7 +744,7 @@ impl Engine {
         }
         let report = match run {
             Ok(report) => {
-                if let (Some(j), Some(intent)) = (&journal, intent) {
+                if let (Some(j), Some(intent)) = (journal, intent) {
                     j.commit(intent, report.end)?;
                 }
                 report
@@ -712,7 +762,7 @@ impl Engine {
                     }
                     _ => {
                         // Any other error rolls the intent back.
-                        if let (Some(j), Some(intent)) = (&journal, intent) {
+                        if let (Some(j), Some(intent)) = (journal, intent) {
                             j.abort(intent, t)?;
                         }
                     }
@@ -743,7 +793,7 @@ impl Engine {
     /// pass through unchanged, exhaustion is wrapped in
     /// [`EngineError::Exhausted`], and a stage timeout becomes a registry
     /// timeout.
-    pub(crate) fn unwrap_retry(op: &'static str, err: RetryErr<EngineError>) -> EngineError {
+    fn unwrap_retry(op: &'static str, err: RetryErr<EngineError>) -> EngineError {
         let gave_up = err.gave_up;
         let attempts = err.attempts;
         let last = match err.cause {
@@ -763,18 +813,14 @@ impl Engine {
         }
     }
 
-    fn memoize_pull(&self, repo: &str, tag: &str, pulled: &PulledImage) {
-        self.pull_memo
-            .write()
-            .insert((repo.to_string(), tag.to_string()), pulled.clone());
-    }
-
     /// Pull an image from a registry, charging the clock with transfer
     /// time and verifying layer digests. Transient registry failures are
     /// retried per the engine's [`RetryPolicy`]; exhaustion surfaces as
-    /// [`EngineError::Exhausted`]. Without an installed fault schedule the
-    /// first attempt always succeeds or fails fatally, so behaviour (and
-    /// timing) is identical to a retry-free pull.
+    /// [`EngineError::Exhausted`] with the clock at the last attempt.
+    /// Without an installed fault schedule the first attempt always
+    /// succeeds or fails fatally, so behaviour (and timing) is identical
+    /// to a retry-free pull. This is [`Engine::pull_resilient`] over the
+    /// primary alone, minus the warm-memo last resort.
     pub fn pull(
         &self,
         registry: &Registry,
@@ -782,63 +828,21 @@ impl Engine {
         tag: &str,
         clock: &SimClock,
     ) -> Result<PulledImage, EngineError> {
-        let tracer = self.tracer();
-        let span = tracer.begin(sym!("engine.pull"), Stage::Pull, clock.now());
-        tracer.attr(span, sym!("image"), format_args!("{repo}:{tag}"));
-        let faults = self.fault_injector();
-        let policy = *self.retry.read();
-        let result = match policy.run_timed(
-            &faults,
-            "engine.pull",
-            Stage::Pull,
-            clock.now(),
-            EngineError::is_transient,
-            |_, at| self.pull_via(registry, repo, tag, at),
-        ) {
-            Ok(ok) => {
-                clock.advance_to(ok.done);
-                self.memoize_pull(repo, tag, &ok.value);
-                tracer.attr(span, sym!("source"), "primary");
-                tracer.attr(span, sym!("attempts"), ok.attempts);
-                Ok(ok.value)
-            }
-            Err(err) => {
-                tracer.attr(span, sym!("error"), &err);
-                Err(Self::unwrap_retry("engine.pull", err))
-            }
-        };
-        if let Err(EngineError::Crash(c)) = &result {
-            // The clock stops where the process died, so the enclosing
-            // spans close covering every task span recorded before death.
-            clock.advance_to(c.at);
-            Self::record_crash_span(&tracer, c, clock.now());
-        }
-        tracer.end(span, clock.now());
-        result
+        let sources = PullSources::primary_only(registry);
+        self.pull_with(&self.ctx(), &sources, false, repo, tag, clock)
+            .map(|(pulled, _)| pulled)
     }
 
-    /// One `crash.engine` span marking where the (modelled) process died.
-    pub(crate) fn record_crash_span(tracer: &Tracer, c: &Crashed, now: SimTime) {
-        tracer.record(
-            sym!("crash.engine"),
-            Stage::Other,
-            now,
-            now,
-            &[("point", c.point.to_string()), ("seq", c.seq.to_string())],
-        );
-    }
-
-    /// Pull with graceful degradation. The primary registry is retried per
-    /// the engine's [`RetryPolicy`]; if retries exhaust, the tiered cache
-    /// hierarchy, then the proxy cache, then the mirror, then the warm
-    /// in-memory pull cache are tried in order, each fallback recorded as
-    /// a degrade decision in the fault injector's metrics. A *fatal*
-    /// primary error (unknown repo, digest mismatch, policy) propagates
-    /// immediately — a fallback cannot fix a semantic failure — but fatal
-    /// errors at fallback sources (e.g. a cold proxy cache reporting the
-    /// repo unknown) only move the chain along. Returns the image plus the
-    /// label of the source that served it: "primary", "tier", "proxy",
-    /// "mirror" or "warm-cache".
+    /// Pull with graceful degradation: walk the pull ladder over `sources`
+    /// — primary, then the tiered cache hierarchy, the proxy cache and the
+    /// mirror, each retried per the engine's [`RetryPolicy`] and each
+    /// fallback recorded as a degrade decision in the fault injector's
+    /// metrics — and, when every remote source is down, serve the engine's
+    /// warm in-memory copy of an earlier pull. A *fatal* primary error
+    /// (unknown repo, digest mismatch) propagates immediately; fatal
+    /// errors at fallback sources only move the chain along. Returns the
+    /// image plus the label of the source that served it: "primary",
+    /// "tier", "proxy", "mirror" or "warm-cache".
     pub fn pull_resilient(
         &self,
         sources: &PullSources<'_>,
@@ -846,205 +850,41 @@ impl Engine {
         tag: &str,
         clock: &SimClock,
     ) -> Result<(PulledImage, &'static str), EngineError> {
-        let tracer = self.tracer();
-        let span = tracer.begin(sym!("engine.pull"), Stage::Pull, clock.now());
-        tracer.attr(span, sym!("image"), format_args!("{repo}:{tag}"));
-        let result = self.pull_resilient_inner(sources, repo, tag, clock);
-        match &result {
-            Ok((_, source)) => tracer.attr(span, sym!("source"), source),
-            Err(e) => tracer.attr(span, sym!("error"), e),
-        }
-        if let Err(EngineError::Crash(c)) = &result {
-            // The clock stops where the process died, so the enclosing
-            // spans close covering every task span recorded before death.
-            clock.advance_to(c.at);
-            Self::record_crash_span(&tracer, c, clock.now());
-        }
-        tracer.end(span, clock.now());
-        result
+        self.pull_with(&self.ctx(), sources, true, repo, tag, clock)
     }
 
-    fn pull_resilient_inner(
+    fn pull_with(
         &self,
+        ctx: &PullCtx,
         sources: &PullSources<'_>,
+        memo_fallback: bool,
         repo: &str,
         tag: &str,
         clock: &SimClock,
     ) -> Result<(PulledImage, &'static str), EngineError> {
-        let faults = self.fault_injector();
-        let crash = self.crash_injector();
-        let res = self.pull_resilience();
-        let base_policy = *self.retry.read();
-        let pull_start = clock.now();
-
-        // Breaker consult: Ok(false) short-circuits the endpoint so the
-        // chain moves on without burning its retry budget.
-        let allow = |endpoint: &'static str, now: SimTime| -> Result<bool, EngineError> {
-            match &res {
-                Some(r) => r
-                    .allow(endpoint, &faults, &crash, now)
-                    .map_err(EngineError::Crash),
-                None => Ok(true),
+        let name = sym!("engine.pull");
+        Self::spanned(&ctx.tracer, name, Stage::Pull, true, clock, |span| {
+            ctx.tracer
+                .attr(span, sym!("image"), format_args!("{repo}:{tag}"));
+            let key = (repo.to_string(), tag.to_string());
+            let (pulled, source, attempts) = ctx.ladder(
+                &PULL_OPS,
+                sources,
+                clock,
+                |backend, at| Self::pull_via(ctx, backend, repo, tag, at),
+                || {
+                    memo_fallback
+                        .then(|| self.pull_memo.read().get(&key).cloned())
+                        .flatten()
+                },
+            )?;
+            if source != WARM_CACHE {
+                self.pull_memo.write().insert(key, pulled.clone());
             }
-        };
-        // Endpoint health feedback: only exhausted retries count.
-        let observe = |endpoint: &'static str, now: SimTime, healthy: bool| {
-            if let Some(r) = &res {
-                r.observe(endpoint, &faults, now, healthy);
-            }
-        };
-        // Deadline propagation: every hop's policy shares the pull's
-        // remaining budget.
-        let policy_at = |now: SimTime| match &res {
-            Some(r) => r.hop_policy(base_policy, pull_start, now),
-            None => base_policy,
-        };
-
-        let mut last;
-        if allow("primary", clock.now())? {
-            let policy = policy_at(clock.now());
-            let hedging = res
-                .as_ref()
-                .and_then(|r| r.hedging())
-                .and_then(|h| sources.mirror.map(|m| (h, m)));
-            let outcome = match hedging {
-                Some(((hp, budget), mirror)) => run_hedged(
-                    &policy,
-                    hp,
-                    budget,
-                    &faults,
-                    "engine.pull",
-                    Stage::Pull,
-                    clock.now(),
-                    EngineError::is_transient,
-                    |_, at| self.pull_via(sources.primary, repo, tag, at),
-                    |_, at| self.pull_via(mirror, repo, tag, at),
-                ),
-                None => policy.run_timed(
-                    &faults,
-                    "engine.pull",
-                    Stage::Pull,
-                    clock.now(),
-                    EngineError::is_transient,
-                    |_, at| self.pull_via(sources.primary, repo, tag, at),
-                ),
-            };
-            match outcome {
-                Ok(ok) => {
-                    observe("primary", ok.done, true);
-                    clock.advance_to(ok.done);
-                    self.memoize_pull(repo, tag, &ok.value);
-                    return Ok((ok.value, "primary"));
-                }
-                Err(err) if !err.gave_up => return Err(Self::unwrap_retry("engine.pull", err)),
-                Err(err) => {
-                    clock.advance_to(err.at);
-                    observe("primary", err.at, false);
-                    last = Self::unwrap_retry("engine.pull", err);
-                }
-            }
-        } else {
-            last = EngineError::Registry(RegistryError::Unavailable { status: 503 });
-        }
-        let mut from = "primary";
-
-        if let Some(tier) = sources.tier {
-            if allow("tier", clock.now())? {
-                faults.note_degrade("engine.pull", from, "tier", clock.now());
-                from = "tier";
-                match policy_at(clock.now()).run_timed(
-                    &faults,
-                    "engine.pull.tier",
-                    Stage::Pull,
-                    clock.now(),
-                    EngineError::is_transient,
-                    |_, at| self.pull_via(tier, repo, tag, at),
-                ) {
-                    Ok(ok) => {
-                        observe("tier", ok.done, true);
-                        clock.advance_to(ok.done);
-                        self.memoize_pull(repo, tag, &ok.value);
-                        return Ok((ok.value, "tier"));
-                    }
-                    Err(err) => {
-                        clock.advance_to(err.at);
-                        if err.gave_up {
-                            observe("tier", err.at, false);
-                        }
-                        last = Self::unwrap_retry("engine.pull.tier", err);
-                    }
-                }
-            }
-        }
-
-        if let Some(proxy) = sources.proxy {
-            if allow("proxy", clock.now())? {
-                faults.note_degrade("engine.pull", from, "proxy", clock.now());
-                from = "proxy";
-                match policy_at(clock.now()).run_timed(
-                    &faults,
-                    "engine.pull.proxy",
-                    Stage::Pull,
-                    clock.now(),
-                    EngineError::is_transient,
-                    |_, at| self.pull_via(proxy, repo, tag, at),
-                ) {
-                    Ok(ok) => {
-                        observe("proxy", ok.done, true);
-                        clock.advance_to(ok.done);
-                        self.memoize_pull(repo, tag, &ok.value);
-                        return Ok((ok.value, "proxy"));
-                    }
-                    Err(err) => {
-                        clock.advance_to(err.at);
-                        if err.gave_up {
-                            observe("proxy", err.at, false);
-                        }
-                        last = Self::unwrap_retry("engine.pull.proxy", err);
-                    }
-                }
-            }
-        }
-
-        if let Some(mirror) = sources.mirror {
-            if allow("mirror", clock.now())? {
-                faults.note_degrade("engine.pull", from, "mirror", clock.now());
-                from = "mirror";
-                match policy_at(clock.now()).run_timed(
-                    &faults,
-                    "engine.pull.mirror",
-                    Stage::Pull,
-                    clock.now(),
-                    EngineError::is_transient,
-                    |_, at| self.pull_via(mirror, repo, tag, at),
-                ) {
-                    Ok(ok) => {
-                        observe("mirror", ok.done, true);
-                        clock.advance_to(ok.done);
-                        self.memoize_pull(repo, tag, &ok.value);
-                        return Ok((ok.value, "mirror"));
-                    }
-                    Err(err) => {
-                        clock.advance_to(err.at);
-                        if err.gave_up {
-                            observe("mirror", err.at, false);
-                        }
-                        last = Self::unwrap_retry("engine.pull.mirror", err);
-                    }
-                }
-            }
-        }
-
-        let memo = self
-            .pull_memo
-            .read()
-            .get(&(repo.to_string(), tag.to_string()))
-            .cloned();
-        if let Some(pulled) = memo {
-            faults.note_degrade("engine.pull", from, "warm_cache", clock.now());
-            return Ok((pulled, "warm-cache"));
-        }
-        Err(last)
+            ctx.tracer.attr(span, sym!("source"), source);
+            ctx.tracer.attr(span, sym!("attempts"), attempts);
+            Ok((pulled, source))
+        })
     }
 
     /// Pull by parsed [`hpcc_oci::reference::ImageRef`]. When the
@@ -1128,39 +968,44 @@ impl Engine {
         &self,
         pulled: &PulledImage,
         user: u32,
-        host: &Host,
+        _host: &Host,
         explicit: bool,
         clock: &SimClock,
     ) -> Result<Prepared, EngineError> {
-        let tracer = self.tracer();
-        let span = tracer.begin(sym!("engine.prepare"), Stage::Convert, clock.now());
-        let result = self.prepare_inner(pulled, user, host, explicit, clock, &tracer);
-        match &result {
-            Ok(p) => {
-                tracer.attr(span, sym!("root_kind"), p.root_kind);
-                tracer.attr(span, sym!("cache_hit"), p.cache_hit);
-            }
-            Err(e) => tracer.attr(span, sym!("error"), e),
-        }
-        if let Err(EngineError::Crash(c)) = &result {
-            // The clock stops where the process died, so the enclosing
-            // spans close covering every task span recorded before death.
-            clock.advance_to(c.at);
-            Self::record_crash_span(&tracer, c, clock.now());
-        }
-        tracer.end(span, clock.now());
-        result
+        self.prepare_with(&self.ctx(), pulled, user, explicit, clock)
+    }
+
+    fn prepare_with(
+        &self,
+        ctx: &PullCtx,
+        pulled: &PulledImage,
+        user: u32,
+        explicit: bool,
+        clock: &SimClock,
+    ) -> Result<Prepared, EngineError> {
+        let name = sym!("engine.prepare");
+        Self::spanned(&ctx.tracer, name, Stage::Convert, true, clock, |span| {
+            let p = self.prepare_inner(ctx, pulled, user, explicit, clock)?;
+            ctx.tracer.attr(span, sym!("root_kind"), p.root_kind);
+            ctx.tracer.attr(span, sym!("cache_hit"), p.cache_hit);
+            Ok(p)
+        })
     }
 
     fn prepare_inner(
         &self,
+        ctx: &PullCtx,
         pulled: &PulledImage,
         user: u32,
-        _host: &Host,
         explicit: bool,
         clock: &SimClock,
-        tracer: &Tracer,
     ) -> Result<Prepared, EngineError> {
+        let PullCtx {
+            tracer,
+            crash,
+            journal,
+            ..
+        } = ctx;
         let rootfs = layer::flatten(&pulled.layers)?;
 
         let needs_conversion = !matches!(self.caps.native_format, NativeFormat::OciLayers);
@@ -1231,9 +1076,7 @@ impl Engine {
                         // after the conversion work — and its crash
                         // points — completed, so a crash mid-convert
                         // never leaves a cached artifact behind.
-                        let crash = self.crash_injector();
-                        let journal = self.journaled_store();
-                        let intent = match &journal {
+                        let intent = match journal {
                             Some(j) => Some(j.begin("engine.convert", &key, clock.now())?),
                             None => None,
                         };
@@ -1255,7 +1098,6 @@ impl Engine {
                         let mut deps = Vec::with_capacity(pulled.layers.len());
                         for layer in &pulled.layers {
                             let bytes = layer.total_size();
-                            let crash = &crash;
                             deps.push(graph.add(
                                 sym!("convert.layer"),
                                 Stage::Convert,
@@ -1271,19 +1113,16 @@ impl Engine {
                                 },
                             ));
                         }
-                        {
-                            let crash = &crash;
-                            graph.add(sym!("convert.assemble"), Stage::Convert, &deps, move |at| {
-                                crash.crash_point("convert.assemble.pre", at)?;
-                                Ok(TaskFinish::at(
-                                    at + SimSpan::from_secs_f64(
-                                        total_bytes as f64 / (1u64 << 30) as f64,
-                                    ),
-                                )
-                                .attr("bytes", total_bytes))
-                            });
-                        }
-                        let run = Executor::new(self.parallelism()).run(graph, t_conv, tracer);
+                        graph.add(sym!("convert.assemble"), Stage::Convert, &deps, move |at| {
+                            crash.crash_point("convert.assemble.pre", at)?;
+                            Ok(TaskFinish::at(
+                                at + SimSpan::from_secs_f64(
+                                    total_bytes as f64 / (1u64 << 30) as f64,
+                                ),
+                            )
+                            .attr("bytes", total_bytes))
+                        });
+                        let run = Executor::new(ctx.parallelism).run(graph, t_conv, tracer);
                         let report = match run {
                             Ok(report) => report,
                             Err(e) => {
@@ -1297,7 +1136,7 @@ impl Engine {
                                     c.at = c.at.max(stopped);
                                     clock.advance_to(c.at);
                                     tracer.end(conv_span, clock.now());
-                                } else if let (Some(j), Some(intent)) = (&journal, intent) {
+                                } else if let (Some(j), Some(intent)) = (journal, intent) {
                                     j.abort(intent, t_conv)?;
                                 }
                                 return Err(error);
@@ -1322,7 +1161,7 @@ impl Engine {
                             .to_vec()
                         });
                         self.cache.insert(&key, user, Arc::clone(&artifact));
-                        if let (Some(j), Some(intent)) = (&journal, intent) {
+                        if let (Some(j), Some(intent)) = (journal, intent) {
                             j.commit(intent, clock.now())?;
                         }
                         artifact
@@ -1391,7 +1230,7 @@ impl Engine {
                         .attr("bytes", bytes))
                     });
                 }
-                let report = Executor::new(self.parallelism())
+                let report = Executor::new(ctx.parallelism)
                     .run(graph, t_conv, tracer)
                     .map_err(|e| e.error)?;
                 clock.advance_to(report.end);
@@ -1421,17 +1260,24 @@ impl Engine {
         opts: RunOptions,
         clock: &SimClock,
     ) -> Result<RunReport, EngineError> {
-        let tracer = self.tracer();
-        let span = tracer.begin(sym!("engine.run"), Stage::Run, clock.now());
-        let result = self.run_inner(prepared, user, host, opts, clock);
-        match &result {
-            Ok(report) => {
-                tracer.attr(span, sym!("exit"), report.container.exit_code.unwrap_or(-1));
-            }
-            Err(err) => tracer.attr(span, sym!("error"), err),
-        }
-        tracer.end(span, clock.now());
-        result
+        self.run_with(&self.ctx().tracer, prepared, user, host, opts, clock)
+    }
+
+    fn run_with(
+        &self,
+        tracer: &Tracer,
+        prepared: Prepared,
+        user: u32,
+        host: &Host,
+        opts: RunOptions,
+        clock: &SimClock,
+    ) -> Result<RunReport, EngineError> {
+        let name = sym!("engine.run");
+        Self::spanned(tracer, name, Stage::Run, false, clock, |span| {
+            let report = self.run_inner(prepared, user, host, opts, clock)?;
+            tracer.attr(span, sym!("exit"), report.container.exit_code.unwrap_or(-1));
+            Ok(report)
+        })
     }
 
     fn run_inner(
@@ -1731,8 +1577,8 @@ impl Engine {
         })
     }
 
-    /// Convenience: the full pull→prepare→run pipeline, returning the
-    /// wall-clock span it took.
+    /// Convenience: the full pull→prepare→run pipeline against one
+    /// registry, returning the wall-clock span it took.
     #[allow(clippy::too_many_arguments)]
     pub fn deploy(
         &self,
@@ -1744,31 +1590,14 @@ impl Engine {
         opts: RunOptions,
         clock: &SimClock,
     ) -> Result<(RunReport, SimSpan), EngineError> {
-        let tracer = self.tracer();
-        let span = tracer.begin(sym!("engine.deploy"), Stage::Other, clock.now());
-        tracer.attr(span, sym!("image"), format_args!("{repo}:{tag}"));
-        let t0 = clock.now();
-        let result = (|| {
-            let pulled = self.pull(registry, repo, tag, clock)?;
-            let prepared = self.prepare(&pulled, user, host, true, clock)?;
-            tracer.attr(
-                span,
-                sym!("root_kind"),
-                format_args!("{:?}", prepared.root_kind),
-            );
-            tracer.attr(span, sym!("cache_hit"), prepared.cache_hit);
-            self.run(prepared, user, host, opts, clock)
-        })();
-        if let Err(err) = &result {
-            tracer.attr(span, sym!("error"), err);
-        }
-        tracer.end(span, clock.now());
-        result.map(|report| (report, clock.now().since(t0)))
+        let sources = PullSources::primary_only(registry);
+        self.deploy_with(&sources, false, repo, tag, user, host, opts, clock)
+            .map(|(report, took, _)| (report, took))
     }
 
-    /// [`Engine::deploy`] under the engine's retry policy and fault
-    /// schedule: the pull degrades across `sources` when the primary is
-    /// down; prepare and run behave as in `deploy`. Returns the report,
+    /// [`Engine::deploy`] with [`Engine::pull_resilient`] as its pull:
+    /// the pull degrades across `sources` (and to the warm memo) when the
+    /// primary is down; prepare and run are the same. Returns the report,
     /// the wall-clock span, and which source served the image.
     #[allow(clippy::too_many_arguments)]
     pub fn deploy_resilient(
@@ -1781,35 +1610,42 @@ impl Engine {
         opts: RunOptions,
         clock: &SimClock,
     ) -> Result<(RunReport, SimSpan, &'static str), EngineError> {
-        let tracer = self.tracer();
-        let span = tracer.begin(sym!("engine.deploy"), Stage::Other, clock.now());
-        tracer.attr(span, sym!("image"), format_args!("{repo}:{tag}"));
+        self.deploy_with(sources, true, repo, tag, user, host, opts, clock)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn deploy_with(
+        &self,
+        sources: &PullSources<'_>,
+        memo_fallback: bool,
+        repo: &str,
+        tag: &str,
+        user: u32,
+        host: &Host,
+        opts: RunOptions,
+        clock: &SimClock,
+    ) -> Result<(RunReport, SimSpan, &'static str), EngineError> {
+        let ctx = self.ctx();
+        let tracer = &ctx.tracer;
         let t0 = clock.now();
-        let result = (|| {
-            let (pulled, source) = self.pull_resilient(sources, repo, tag, clock)?;
+        let name = sym!("engine.deploy");
+        Self::spanned(tracer, name, Stage::Other, false, clock, |span| {
+            tracer.attr(span, sym!("image"), format_args!("{repo}:{tag}"));
+            let (pulled, source) =
+                self.pull_with(&ctx, sources, memo_fallback, repo, tag, clock)?;
             tracer.attr(span, sym!("source"), source);
-            let prepared = self.prepare(&pulled, user, host, true, clock)?;
+            let prepared = self.prepare_with(&ctx, &pulled, user, true, clock)?;
             tracer.attr(
                 span,
                 sym!("root_kind"),
                 format_args!("{:?}", prepared.root_kind),
             );
             tracer.attr(span, sym!("cache_hit"), prepared.cache_hit);
-            let report = self.run(prepared, user, host, opts, clock)?;
-            Ok((report, source))
-        })();
-        if let Err(err) = &result {
-            tracer.attr(span, sym!("error"), err);
-        }
-        tracer.end(span, clock.now());
-        result.map(|(report, source)| (report, clock.now().since(t0), source))
+            let report = self.run_with(tracer, prepared, user, host, opts, clock)?;
+            Ok((report, clock.now().since(t0), source))
+        })
     }
 }
-
-// `SimTime` is used in doc positions above; silence the unused import when
-// features shuffle.
-#[allow(unused)]
-fn _t(_: SimTime) {}
 
 #[cfg(test)]
 mod tests {
@@ -1928,6 +1764,83 @@ mod tests {
             other => panic!("expected Exhausted, got {other}"),
         }
         assert_eq!(inj.metrics().get("retry.engine.pull.giveup"), 1);
+    }
+
+    #[test]
+    fn failed_pull_leaves_the_clock_where_the_ladder_stopped() {
+        // Regression: `pull` used to return `Exhausted` without advancing
+        // the clock, so seconds of simulated backoff vanished — the
+        // caller's clock still read the start time and the `engine.pull`
+        // span closed with zero duration.
+        let reg = registry_with_solver("site");
+        let inj = outage_forever(3);
+        reg.set_fault_injector(Arc::clone(&inj));
+        let engine = engines::apptainer();
+        engine.set_fault_injector(inj);
+        engine.set_retry_policy(RetryPolicy {
+            jitter: 0.0,
+            ..RetryPolicy::default()
+        });
+        let tracer = Tracer::new();
+        engine.set_tracer(Arc::clone(&tracer));
+        let clock = SimClock::new();
+        let err = engine.pull(&reg, "hpc/solver", "v1", &clock).unwrap_err();
+        assert!(matches!(err, EngineError::Exhausted { attempts: 5, .. }));
+        // Four backoffs between five attempts: 100 + 200 + 400 + 800 ms.
+        let backoffs = SimSpan::millis(1500);
+        assert!(clock.now() >= SimTime::ZERO + backoffs, "{:?}", clock.now());
+        let spans = tracer.finished();
+        let pull = spans.iter().find(|s| s.name == "engine.pull").unwrap();
+        assert!(pull.duration() >= backoffs);
+
+        // A fatal first attempt, by contrast, costs no simulated time.
+        let healthy = registry_with_solver("healthy");
+        let clock = SimClock::new();
+        engine
+            .pull(&healthy, "hpc/ghost", "v1", &clock)
+            .unwrap_err();
+        assert_eq!(clock.now(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn setters_reach_the_next_operation_and_never_one_in_flight() {
+        let reg = registry_with_solver("site");
+        reg.set_fault_injector(outage_forever(1));
+        let engine = engines::apptainer();
+        let first = Arc::new(FaultInjector::new(1, Vec::new()));
+        let three_tries = RetryPolicy {
+            max_attempts: 3,
+            ..RetryPolicy::default()
+        };
+        // Two setters between operations: the next snapshot has both.
+        engine.set_fault_injector(Arc::clone(&first));
+        engine.set_retry_policy(three_tries);
+        let ctx = engine.ctx();
+        assert!(Arc::ptr_eq(&ctx.faults, &first));
+        assert_eq!(ctx.retry, three_tries);
+
+        // In flight, every attempt re-points the engine at another
+        // injector and policy; the ladder keeps the snapshot it began with.
+        let second = Arc::new(FaultInjector::new(2, Vec::new()));
+        let clock = SimClock::new();
+        let fetch = |_: &dyn PullBackend, _| -> Result<((), SimTime), EngineError> {
+            engine.set_fault_injector(Arc::clone(&second));
+            engine.set_retry_policy(RetryPolicy::no_retries());
+            Err(RegistryError::Unavailable { status: 503 }.into())
+        };
+        let sources = PullSources::primary_only(&reg);
+        let err = ctx
+            .ladder(&PULL_OPS, &sources, &clock, fetch, || None)
+            .unwrap_err();
+        assert!(matches!(err, EngineError::Exhausted { attempts: 3, .. }));
+        assert_eq!(first.metrics().get("retry.engine.pull.attempts"), 3);
+        assert_eq!(second.metrics().get("retry.engine.pull.attempts"), 0);
+
+        // The operation after that runs under what the setters left.
+        let err = engine.pull(&reg, "hpc/solver", "v1", &clock).unwrap_err();
+        assert!(matches!(err, EngineError::Exhausted { attempts: 1, .. }));
+        assert_eq!(first.metrics().get("retry.engine.pull.attempts"), 3);
+        assert_eq!(second.metrics().get("retry.engine.pull.attempts"), 1);
     }
 
     #[test]

@@ -3,32 +3,25 @@
 //! "With registries like Quay or Dragonfly providing eStargz or EroFS
 //! images ... we assume it won't be long until these formats will be
 //! evaluated and possibly adopted for HPC usage as an alternative to
-//! SIF." This module implements that evaluation: an image whose table of
-//! contents is pulled eagerly while file contents are fetched from the
-//! registry *on first access*, chunk by chunk, with a node-local cache.
+//! SIF." This module implements that evaluation over the seekable indexed
+//! format ([`SeekableIndex`]): [`Engine::pull_lazy`] launches a
+//! [`LazyContainer`] on the index blob alone, fixed-size chunk *ranges*
+//! fault in on first touch through the FUSE cost model, every fetch goes
+//! down the engine's one pull ladder (primary→tier→proxy→mirror, shared
+//! breakers) at blob granularity, and fetched ranges are deposited into
+//! the shared blob store under journalled intents so a crash mid-page-in
+//! recovers like a crashed pull.
 //!
-//! The trade-off measured in `quant8`: lazy pulling slashes time-to-first
-//! -read and bytes moved for sparse access patterns, but pays a
-//! per-miss registry round trip, losing to an eagerly staged squash image
-//! once most of the image is touched.
-//!
-//! Two generations live here:
-//!
-//! * [`LazyMount`] — the original whole-file-chunk prototype against a
-//!   single registry (kept for `quant8`).
-//! * [`Engine::pull_lazy`] / [`LazyContainer`] — the production path over
-//!   the seekable indexed format ([`SeekableIndex`]): launch on the index
-//!   blob alone, fault fixed-size chunk *ranges* in on first touch through
-//!   the FUSE cost model, fetch through the engine's full
-//!   primary→tier→proxy→mirror degradation chain, deposit into the shared
-//!   blob store under journalled intents so a crash mid-page-in recovers
-//!   like a crashed pull.
+//! The trade-off measured in `quant8` and `bench lazy`: lazy pulling
+//! slashes time-to-first-read and bytes moved for sparse access patterns,
+//! but pays a per-miss registry round trip, losing to an eagerly staged
+//! squash image once most of the image is touched.
 
 use crate::engine::{
-    Engine, EngineError, PullBackend, PullSources, BLOB_STORE_READ_BPS, BLOB_STORE_READ_LATENCY,
+    Engine, EngineError, PullBackend, PullCtx, PullSources, BLOB_STORE_READ_BPS,
+    BLOB_STORE_READ_LATENCY, LAZY_FETCH_OPS,
 };
 use hpcc_codec::compress::{self, Codec};
-use hpcc_codec::wire::{put_str, put_varint, Reader, WireError};
 use hpcc_crypto::sha256::{sha256, Digest};
 use hpcc_oci::cas::CasError;
 use hpcc_oci::image::MediaType;
@@ -36,91 +29,19 @@ use hpcc_registry::registry::{Registry, RegistryError};
 use hpcc_sim::{sym, SimClock, SimSpan, SimTime, Stage};
 use hpcc_storage::blobstore::BlobStore;
 use hpcc_vfs::driver::DriverProfile;
-use hpcc_vfs::fs::{FileType, FsError, MemFs};
+use hpcc_vfs::fs::MemFs;
 use hpcc_vfs::path::VPath;
 use hpcc_vfs::seekable::{ChunkRef, SeekableEntry, SeekableIndex};
 use hpcc_vfs::squash::SquashError;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-const TOC_MAGIC: &[u8; 4] = b"HLZY";
-
-/// Table-of-contents entry: where one file's chunk lives.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TocEntry {
-    /// Digest of the compressed chunk blob in the registry.
-    pub chunk: Digest,
-    /// Compressed size.
-    pub stored_len: u64,
-    /// Uncompressed size.
-    pub orig_len: u64,
-}
-
-/// The eagerly-pulled table of contents.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LazyToc {
-    /// path → entry (files only; directories/symlinks are implicit in
-    /// paths for this format).
-    pub entries: BTreeMap<String, TocEntry>,
-}
-
-impl LazyToc {
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(TOC_MAGIC);
-        put_varint(&mut out, self.entries.len() as u64);
-        for (path, e) in &self.entries {
-            put_str(&mut out, path);
-            out.extend_from_slice(&e.chunk.0);
-            put_varint(&mut out, e.stored_len);
-            put_varint(&mut out, e.orig_len);
-        }
-        out
-    }
-
-    pub fn from_bytes(data: &[u8]) -> Result<LazyToc, WireError> {
-        let mut r = Reader::new(data);
-        if r.take(4)? != TOC_MAGIC {
-            return Err(WireError::Truncated);
-        }
-        let n = r.varint()? as usize;
-        let mut entries = BTreeMap::new();
-        for _ in 0..n {
-            let path = r.str()?.to_string();
-            let mut chunk = [0u8; 32];
-            chunk.copy_from_slice(r.take(32)?);
-            entries.insert(
-                path,
-                TocEntry {
-                    chunk: Digest(chunk),
-                    stored_len: r.varint()?,
-                    orig_len: r.varint()?,
-                },
-            );
-        }
-        Ok(LazyToc { entries })
-    }
-
-    pub fn digest(&self) -> Digest {
-        sha256(&self.to_bytes())
-    }
-
-    /// Total (uncompressed) image size.
-    pub fn total_orig_bytes(&self) -> u64 {
-        self.entries.values().map(|e| e.orig_len).sum()
-    }
-}
-
-/// Errors from lazy-image operations.
+/// Errors from publishing a lazy image.
 #[derive(Debug)]
 pub enum LazyError {
     Registry(RegistryError),
-    Wire(WireError),
-    Codec(hpcc_codec::compress::CodecError),
-    Fs(FsError),
-    Squash(hpcc_vfs::squash::SquashError),
-    NotFound(String),
+    Squash(SquashError),
 }
 
 impl From<RegistryError> for LazyError {
@@ -128,23 +49,8 @@ impl From<RegistryError> for LazyError {
         LazyError::Registry(e)
     }
 }
-impl From<WireError> for LazyError {
-    fn from(e: WireError) -> Self {
-        LazyError::Wire(e)
-    }
-}
-impl From<hpcc_codec::compress::CodecError> for LazyError {
-    fn from(e: hpcc_codec::compress::CodecError) -> Self {
-        LazyError::Codec(e)
-    }
-}
-impl From<FsError> for LazyError {
-    fn from(e: FsError) -> Self {
-        LazyError::Fs(e)
-    }
-}
-impl From<hpcc_vfs::squash::SquashError> for LazyError {
-    fn from(e: hpcc_vfs::squash::SquashError) -> Self {
+impl From<SquashError> for LazyError {
+    fn from(e: SquashError) -> Self {
         LazyError::Squash(e)
     }
 }
@@ -153,167 +59,12 @@ impl std::fmt::Display for LazyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LazyError::Registry(e) => write!(f, "registry: {e}"),
-            LazyError::Wire(e) => write!(f, "wire: {e}"),
-            LazyError::Codec(e) => write!(f, "codec: {e}"),
-            LazyError::Fs(e) => write!(f, "fs: {e}"),
             LazyError::Squash(e) => write!(f, "squash: {e}"),
-            LazyError::NotFound(p) => write!(f, "{p}: not in lazy image"),
         }
     }
 }
 
 impl std::error::Error for LazyError {}
-
-/// Publish a filesystem tree as a lazy image: one compressed chunk blob
-/// per file plus the TOC blob. Returns the TOC digest (the image
-/// reference) and the TOC itself.
-pub fn publish(
-    registry: &Registry,
-    fs: &MemFs,
-    root: &VPath,
-) -> Result<(Digest, LazyToc), LazyError> {
-    let mut toc = LazyToc::default();
-    for p in fs.walk(root)? {
-        let st = fs.lstat(&p)?;
-        if st.kind != FileType::File {
-            continue;
-        }
-        let data = fs.read(&p)?;
-        let chunk = compress::compress(Codec::Lz, &data);
-        let digest = sha256(&chunk);
-        if !registry.has_blob(&digest) {
-            registry.push_blob(MediaType::Layer, digest, chunk.clone())?;
-        }
-        let rel = p
-            .rebase(root, &VPath::root())
-            .expect("walked path under root")
-            .to_string()
-            .trim_start_matches('/')
-            .to_string();
-        toc.entries.insert(
-            rel,
-            TocEntry {
-                chunk: digest,
-                stored_len: chunk.len() as u64,
-                orig_len: data.len() as u64,
-            },
-        );
-    }
-    let toc_bytes = toc.to_bytes();
-    let toc_digest = sha256(&toc_bytes);
-    registry.push_blob(MediaType::UserDefined, toc_digest, toc_bytes)?;
-    Ok((toc_digest, toc))
-}
-
-/// Statistics of a lazy mount.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LazyStats {
-    pub misses: u64,
-    pub hits: u64,
-    /// Bytes fetched from the registry (compressed).
-    pub bytes_fetched: u64,
-}
-
-/// A lazily-backed mount: TOC local, chunks fetched on demand.
-pub struct LazyMount<'a> {
-    registry: &'a Registry,
-    toc: LazyToc,
-    cache: Mutex<HashMap<Digest, Vec<u8>>>,
-    stats: Mutex<LazyStats>,
-    /// Extra cost per chunk miss beyond the registry's own timing
-    /// (FUSE-style interposition, like SquashFUSE).
-    per_miss_overhead: SimSpan,
-    per_hit_overhead: SimSpan,
-}
-
-impl<'a> LazyMount<'a> {
-    /// Mount by TOC digest: pulls only the TOC eagerly.
-    pub fn mount(
-        registry: &'a Registry,
-        toc_digest: &Digest,
-        clock: &SimClock,
-    ) -> Result<LazyMount<'a>, LazyError> {
-        let (toc_bytes, done) = registry.pull_blob(toc_digest, clock.now())?;
-        clock.advance_to(done);
-        let toc = LazyToc::from_bytes(&toc_bytes)?;
-        Ok(LazyMount {
-            registry,
-            toc,
-            cache: Mutex::new(HashMap::new()),
-            stats: Mutex::new(LazyStats::default()),
-            per_miss_overhead: SimSpan::micros(80),
-            per_hit_overhead: SimSpan::micros(25),
-        })
-    }
-
-    pub fn toc(&self) -> &LazyToc {
-        &self.toc
-    }
-
-    pub fn stats(&self) -> LazyStats {
-        *self.stats.lock()
-    }
-
-    /// Read one file, fetching its chunk from the registry on first
-    /// access and caching it node-locally.
-    pub fn read_file(&self, path: &str, clock: &SimClock) -> Result<Vec<u8>, LazyError> {
-        let entry = self
-            .toc
-            .entries
-            .get(path)
-            .ok_or_else(|| LazyError::NotFound(path.to_string()))?;
-        let cached = self.cache.lock().get(&entry.chunk).cloned();
-        let chunk = match cached {
-            Some(c) => {
-                clock.advance(self.per_hit_overhead);
-                self.stats.lock().hits += 1;
-                c
-            }
-            None => {
-                clock.advance(self.per_miss_overhead);
-                let (data, done) = self.registry.pull_blob(&entry.chunk, clock.now())?;
-                clock.advance_to(done);
-                let mut st = self.stats.lock();
-                st.misses += 1;
-                st.bytes_fetched += data.len() as u64;
-                drop(st);
-                let v = data.as_ref().clone();
-                self.cache.lock().insert(entry.chunk, v.clone());
-                v
-            }
-        };
-        // Decompression CPU (~0.25 ns/B like the FUSE squash path).
-        clock.advance(SimSpan::from_secs_f64(entry.orig_len as f64 * 0.25e-9));
-        Ok(compress::decompress(&chunk)?)
-    }
-
-    /// Prefetch everything (degenerates to an eager pull).
-    pub fn prefetch_all(&self, clock: &SimClock) -> Result<(), LazyError> {
-        let paths: Vec<String> = self.toc.entries.keys().cloned().collect();
-        for p in paths {
-            self.read_file(&p, clock)?;
-        }
-        Ok(())
-    }
-}
-
-/// The eager comparison: pull the whole tree as one squash image, then
-/// serve reads locally. Returns (time until image ready, squash image).
-pub fn eager_pull(
-    registry: &Registry,
-    squash_digest: &Digest,
-    clock: &SimClock,
-) -> Result<hpcc_vfs::squash::SquashImage, LazyError> {
-    let (bytes, done) = registry.pull_blob(squash_digest, clock.now())?;
-    clock.advance_to(done);
-    Ok(hpcc_vfs::squash::SquashImage::from_bytes(
-        bytes.as_ref().clone(),
-    )?)
-}
-
-// --------------------------------------------------------------------
-// Seekable lazy pulls: Engine::pull_lazy + LazyContainer
-// --------------------------------------------------------------------
 
 /// Publish a filesystem tree as a *seekable* lazy image: content-addressed
 /// compressed chunk-range blobs plus the manifest-first [`SeekableIndex`]
@@ -369,86 +120,30 @@ struct ReadaheadState {
     run: u32,
 }
 
-/// Fetch one blob through the engine's degradation chain: the primary
-/// registry retried per the engine's [`RetryPolicy`](hpcc_sim::RetryPolicy),
-/// then tier → proxy → mirror, each fallback recorded as a degrade
-/// decision. Mirrors [`Engine::pull_resilient`]'s semantics at blob
-/// granularity: a *fatal* primary error propagates immediately, fallback
-/// fatals only move the chain along.
-fn fetch_blob_resilient(
-    engine: &Engine,
+/// Fetch one blob down the pull ladder (see [`PullCtx::ladder`]) at blob
+/// granularity, past the named crash point, and verify it against its
+/// digest. Returns the bytes and the label of the hop that served them.
+fn fetch_blob(
+    ctx: &PullCtx,
     sources: &PullSources<'_>,
+    crash_point: &'static str,
     digest: &Digest,
     clock: &SimClock,
 ) -> Result<(Arc<Vec<u8>>, &'static str), EngineError> {
-    let faults = engine.fault_injector();
-    let crash = engine.crash_injector();
-    let res = engine.pull_resilience();
-    let policy = engine.retry_policy();
-
-    let mut backends: Vec<(&'static str, &'static str, &dyn PullBackend)> =
-        vec![("primary", "engine.lazy.fetch", sources.primary)];
-    if let Some(tier) = sources.tier {
-        backends.push(("tier", "engine.lazy.fetch.tier", tier));
+    ctx.crash.crash_point(crash_point, clock.now())?;
+    let fetch = |backend: &dyn PullBackend, at| backend.blob(digest, at);
+    let (bytes, source, _) = ctx.ladder(&LAZY_FETCH_OPS, sources, clock, fetch, || None)?;
+    ctx.faults
+        .metrics()
+        .add("engine.lazy.fetched_bytes", bytes.len() as u64);
+    let actual = sha256(&bytes);
+    if actual != *digest {
+        return Err(EngineError::Cas(CasError::DigestMismatch {
+            claimed: *digest,
+            actual,
+        }));
     }
-    if let Some(proxy) = sources.proxy {
-        backends.push(("proxy", "engine.lazy.fetch.proxy", proxy));
-    }
-    if let Some(mirror) = sources.mirror {
-        backends.push(("mirror", "engine.lazy.fetch.mirror", mirror));
-    }
-
-    let mut from = "primary";
-    let mut last: Option<EngineError> = None;
-    for (i, (label, op, backend)) in backends.into_iter().enumerate() {
-        // The breakers are shared with the whole-image pull chain —
-        // endpoint health learned there short-circuits chunk faults
-        // here, and vice versa.
-        if let Some(r) = &res {
-            if !r
-                .allow(label, &faults, &crash, clock.now())
-                .map_err(EngineError::Crash)?
-            {
-                if last.is_none() {
-                    last = Some(EngineError::Registry(RegistryError::Unavailable {
-                        status: 503,
-                    }));
-                }
-                continue;
-            }
-        }
-        if i > 0 {
-            faults.note_degrade("engine.lazy.fetch", from, label, clock.now());
-            from = label;
-        }
-        match policy.run_timed(
-            &faults,
-            op,
-            Stage::Pull,
-            clock.now(),
-            EngineError::is_transient,
-            |_, at| backend.blob(digest, at),
-        ) {
-            Ok(ok) => {
-                if let Some(r) = &res {
-                    r.observe(label, &faults, ok.done, true);
-                }
-                clock.advance_to(ok.done);
-                return Ok((ok.value, label));
-            }
-            Err(err) if i == 0 && !err.gave_up => return Err(Engine::unwrap_retry(op, err)),
-            Err(err) => {
-                clock.advance_to(err.at);
-                if err.gave_up {
-                    if let Some(r) = &res {
-                        r.observe(label, &faults, err.at, false);
-                    }
-                }
-                last = Some(Engine::unwrap_retry(op, err));
-            }
-        }
-    }
-    Err(last.expect("at least the primary backend was tried"))
+    Ok((bytes, source))
 }
 
 impl Engine {
@@ -463,36 +158,26 @@ impl Engine {
         index_digest: &Digest,
         clock: &SimClock,
     ) -> Result<LazyContainer<'a>, EngineError> {
-        let tracer = self.tracer();
-        let span = tracer.begin(sym!("engine.pull_lazy"), Stage::Pull, clock.now());
-        tracer.attr(span, sym!("index"), index_digest.short());
-        let result = self.pull_lazy_inner(sources, index_digest, clock);
-        match &result {
-            Ok(c) => {
-                tracer.attr(span, sym!("source"), c.index_source);
-                tracer.attr(span, sym!("entries"), c.index.entry_count() as u64);
-            }
-            Err(e) => tracer.attr(span, sym!("error"), e),
-        }
-        if let Err(EngineError::Crash(c)) = &result {
-            clock.advance_to(c.at);
-            Self::record_crash_span(&tracer, c, clock.now());
-        }
-        tracer.end(span, clock.now());
-        result
+        let ctx = self.ctx();
+        let name = sym!("engine.pull_lazy");
+        Self::spanned(&ctx.tracer, name, Stage::Pull, true, clock, |span| {
+            ctx.tracer.attr(span, sym!("index"), index_digest.short());
+            let c = self.pull_lazy_inner(&ctx, sources, index_digest, clock)?;
+            ctx.tracer.attr(span, sym!("source"), c.index_source);
+            ctx.tracer
+                .attr(span, sym!("entries"), c.index.entry_count() as u64);
+            Ok(c)
+        })
     }
 
     fn pull_lazy_inner<'a>(
         &'a self,
+        ctx: &PullCtx,
         sources: PullSources<'a>,
         index_digest: &Digest,
         clock: &SimClock,
     ) -> Result<LazyContainer<'a>, EngineError> {
-        let store = self.blob_store();
-        let journal = self.journaled_store();
-        let crash = self.crash_injector();
-        let faults = self.fault_injector();
-
+        let store = ctx.store.clone();
         let (index_bytes, index_source) = match store.as_ref().and_then(|s| s.get(index_digest)) {
             Some(bytes) => {
                 clock.advance(
@@ -502,21 +187,11 @@ impl Engine {
                 (bytes, "store")
             }
             None => {
-                crash.crash_point("lazy.index.fetch.pre", clock.now())?;
-                let (bytes, label) = fetch_blob_resilient(self, &sources, index_digest, clock)?;
-                faults
-                    .metrics()
-                    .add("engine.lazy.fetched_bytes", bytes.len() as u64);
-                let actual = sha256(&bytes);
-                if actual != *index_digest {
-                    return Err(EngineError::Cas(CasError::DigestMismatch {
-                        claimed: *index_digest,
-                        actual,
-                    }));
-                }
+                let (bytes, label) =
+                    fetch_blob(ctx, &sources, "lazy.index.fetch.pre", index_digest, clock)?;
                 // Deposit the index under its own journalled intent so a
                 // crash between fetch and durability leaves no orphan.
-                match &journal {
+                match &ctx.journal {
                     Some(j) => {
                         let intent =
                             j.begin("engine.lazy.index", &index_digest.short(), clock.now())?;
@@ -639,7 +314,7 @@ impl LazyContainer<'_> {
     /// eagerly pulled image would return.
     pub fn read_file(&self, path: &str, clock: &SimClock) -> Result<Vec<u8>, EngineError> {
         let (orig_len, chunks) = self.index.file_chunks(path)?;
-        self.fault_in(path, chunks, clock)?;
+        self.fault_in(&self.engine.ctx(), path, chunks, &[], clock)?;
         let stored: u64 = chunks.iter().map(|c| c.stored_len).sum();
         clock.advance(self.profile.read_cost(stored, orig_len));
         self.stats.lock().files_touched += 1;
@@ -693,7 +368,7 @@ impl LazyContainer<'_> {
             }
         };
 
-        self.fault_in_with_prefetch(path, demand, &prefetch, clock)?;
+        self.fault_in(&self.engine.ctx(), path, demand, &prefetch, clock)?;
         let stored: u64 = demand.iter().map(|c| c.stored_len).sum();
         clock.advance(self.profile.read_cost(stored, end - offset));
         self.stats.lock().files_touched += 1;
@@ -713,26 +388,18 @@ impl LazyContainer<'_> {
         Ok(buf[lo..hi.min(buf.len())].to_vec())
     }
 
-    /// Make every chunk of one file resident. Shared-store hits charge
-    /// blob-store read costs; misses charge a FUSE round trip plus the
-    /// resilient fetch, and land in the store under one journalled intent
-    /// (begin → stage-per-chunk → commit) so a crash mid-page-in is
-    /// recovered by the same fsck as a crashed pull — no orphaned chunks.
+    /// Make every `demand` chunk resident, plus an optional readahead
+    /// set. Shared-store hits charge blob-store read costs; misses charge
+    /// a FUSE round trip plus the ladder fetch, and land in the store
+    /// under one journalled intent (begin → stage-per-chunk → commit) so a
+    /// crash mid-page-in is recovered by the same fsck as a crashed pull —
+    /// no orphaned chunks. `prefetch` chunks ride the same intent and
+    /// fetch path but skip the per-chunk FUSE round-trip charge (they
+    /// piggyback the demand fault's service) and count as
+    /// `chunks_prefetched`.
     fn fault_in(
         &self,
-        key: &str,
-        chunks: &[ChunkRef],
-        clock: &SimClock,
-    ) -> Result<(), EngineError> {
-        self.fault_in_with_prefetch(key, chunks, &[], clock)
-    }
-
-    /// [`fault_in`](Self::fault_in) plus an optional readahead set:
-    /// `prefetch` chunks ride the same journalled intent and fetch path
-    /// but skip the per-chunk FUSE round-trip charge (they piggyback the
-    /// demand fault's service) and count as `chunks_prefetched`.
-    fn fault_in_with_prefetch(
-        &self,
+        ctx: &PullCtx,
         key: &str,
         demand: &[ChunkRef],
         prefetch: &[ChunkRef],
@@ -780,10 +447,8 @@ impl LazyContainer<'_> {
             return Ok(());
         }
 
-        let crash = self.engine.crash_injector();
-        let faults = self.engine.fault_injector();
-        let journal = self.engine.journaled_store();
-        let intent = match &journal {
+        let journal = &ctx.journal;
+        let intent = match journal {
             Some(j) => Some(j.begin("engine.lazy.fault", key, clock.now())?),
             None => None,
         };
@@ -794,20 +459,9 @@ impl LazyContainer<'_> {
                 if !is_prefetch {
                     clock.advance(self.profile.per_op);
                 }
-                crash.crash_point("lazy.fault.fetch.pre", clock.now())?;
                 let (bytes, _source) =
-                    fetch_blob_resilient(self.engine, &self.sources, &c.digest, clock)?;
-                faults
-                    .metrics()
-                    .add("engine.lazy.fetched_bytes", bytes.len() as u64);
-                let actual = sha256(&bytes);
-                if actual != c.digest {
-                    return Err(EngineError::Cas(CasError::DigestMismatch {
-                        claimed: c.digest,
-                        actual,
-                    }));
-                }
-                match (&journal, intent) {
+                    fetch_blob(ctx, &self.sources, "lazy.fault.fetch.pre", &c.digest, clock)?;
+                match (journal, intent) {
                     (Some(j), Some(intent)) => {
                         j.stage(intent, c.digest, Arc::clone(&bytes), clock.now())?;
                     }
@@ -836,7 +490,7 @@ impl LazyContainer<'_> {
         })();
         match fetched {
             Ok(()) => {
-                if let (Some(j), Some(intent)) = (&journal, intent) {
+                if let (Some(j), Some(intent)) = (journal, intent) {
                     j.commit(intent, clock.now())?;
                 }
                 Ok(())
@@ -845,7 +499,7 @@ impl LazyContainer<'_> {
                 // A crash leaves the intent open for recovery; any other
                 // failure rolls it back so no orphaned chunks survive.
                 if !matches!(e, EngineError::Crash(_)) {
-                    if let (Some(j), Some(intent)) = (&journal, intent) {
+                    if let (Some(j), Some(intent)) = (journal, intent) {
                         j.abort(intent, clock.now())?;
                     }
                 }
@@ -857,10 +511,10 @@ impl LazyContainer<'_> {
     /// Fault in every chunk of the image (background prefetch). Charges
     /// only the fault-in path, no read costs.
     pub fn prefetch_all(&self, clock: &SimClock) -> Result<(), EngineError> {
-        let paths: Vec<String> = self.index.file_paths().map(str::to_string).collect();
-        for p in &paths {
+        let ctx = self.engine.ctx();
+        for p in self.index.file_paths() {
             let (_, chunks) = self.index.file_chunks(p)?;
-            self.fault_in(p, chunks, clock)?;
+            self.fault_in(&ctx, p, chunks, &[], clock)?;
         }
         Ok(())
     }
@@ -901,69 +555,6 @@ mod tests {
         Registry::new("lazy-test", RegistryCaps::open())
     }
 
-    #[test]
-    fn publish_and_lazy_read_roundtrip() {
-        let reg = registry();
-        let fs = tree(20, 2048);
-        let (toc_digest, toc) = publish(&reg, &fs, &VPath::root()).unwrap();
-        assert_eq!(toc.entries.len(), 20);
-        let clock = SimClock::new();
-        let mount = LazyMount::mount(&reg, &toc_digest, &clock).unwrap();
-        let data = mount.read_file("app/pkg0/f0.py", &clock).unwrap();
-        assert_eq!(data, vec![0u8; 2048]);
-    }
-
-    #[test]
-    fn toc_roundtrip() {
-        let reg = registry();
-        let fs = tree(5, 128);
-        let (_, toc) = publish(&reg, &fs, &VPath::root()).unwrap();
-        let parsed = LazyToc::from_bytes(&toc.to_bytes()).unwrap();
-        assert_eq!(parsed, toc);
-        assert_eq!(parsed.digest(), toc.digest());
-        assert_eq!(parsed.total_orig_bytes(), 5 * 128);
-    }
-
-    #[test]
-    fn cache_hits_skip_the_registry() {
-        let reg = registry();
-        let fs = tree(4, 1024);
-        let (toc_digest, _) = publish(&reg, &fs, &VPath::root()).unwrap();
-        let clock = SimClock::new();
-        let mount = LazyMount::mount(&reg, &toc_digest, &clock).unwrap();
-        mount.read_file("app/pkg0/f0.py", &clock).unwrap();
-        let pulls_before = reg.stats().blob_pulls;
-        mount.read_file("app/pkg0/f0.py", &clock).unwrap();
-        assert_eq!(reg.stats().blob_pulls, pulls_before, "second read is local");
-        let s = mount.stats();
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.hits, 1);
-    }
-
-    #[test]
-    fn sparse_access_fetches_only_whats_read() {
-        let reg = registry();
-        let fs = tree(100, 4096);
-        let (toc_digest, toc) = publish(&reg, &fs, &VPath::root()).unwrap();
-        let clock = SimClock::new();
-        let mount = LazyMount::mount(&reg, &toc_digest, &clock).unwrap();
-        // Touch 5 of 100 files.
-        for i in 0..5 {
-            mount
-                .read_file(&format!("app/pkg{}/f{i}.py", i % 7), &clock)
-                .unwrap();
-        }
-        let s = mount.stats();
-        assert_eq!(s.misses, 5);
-        let total_stored: u64 = toc.entries.values().map(|e| e.stored_len).sum();
-        assert!(
-            s.bytes_fetched < total_stored / 10,
-            "fetched {} of {} stored bytes",
-            s.bytes_fetched,
-            total_stored
-        );
-    }
-
     /// A tree of barely-compressible files (eager pulls must move real
     /// bytes for the first-read comparison to be meaningful).
     fn incompressible_tree(files: usize, size: usize) -> MemFs {
@@ -984,89 +575,6 @@ mod tests {
         fs
     }
 
-    #[test]
-    fn lazy_first_read_beats_eager_full_pull() {
-        // The §7 trade-off: time to the first useful byte.
-        let reg = registry();
-        let fs = incompressible_tree(120, 65536);
-        let (toc_digest, _) = publish(&reg, &fs, &VPath::root()).unwrap();
-        let squash = SquashImage::build(&fs, &VPath::root(), Codec::Lz).unwrap();
-        let sq_desc = reg
-            .push_blob(
-                MediaType::SquashImage,
-                sha256(squash.as_bytes()),
-                squash.as_bytes().to_vec(),
-            )
-            .unwrap();
-
-        // Lazy: mount + one file.
-        let lazy_clock = SimClock::new();
-        let mount = LazyMount::mount(&reg, &toc_digest, &lazy_clock).unwrap();
-        mount.read_file("app/pkg0/f0.bin", &lazy_clock).unwrap();
-        // Eager: full image pull + one local read.
-        let eager_clock = SimClock::new();
-        let image = eager_pull(&reg, &sq_desc.digest, &eager_clock).unwrap();
-        image.read_file("app/pkg0/f0.bin").unwrap();
-
-        assert!(
-            lazy_clock.now() < eager_clock.now(),
-            "lazy {:?} should beat eager {:?} to first read",
-            lazy_clock.now(),
-            eager_clock.now()
-        );
-    }
-
-    #[test]
-    fn full_scan_favors_eager() {
-        // Reading everything: per-miss round trips lose to one bulk pull.
-        let reg = registry();
-        let fs = tree(300, 2048);
-        let (toc_digest, _) = publish(&reg, &fs, &VPath::root()).unwrap();
-        let squash = SquashImage::build(&fs, &VPath::root(), Codec::Lz).unwrap();
-        let sq_desc = reg
-            .push_blob(
-                MediaType::SquashImage,
-                sha256(squash.as_bytes()),
-                squash.as_bytes().to_vec(),
-            )
-            .unwrap();
-
-        let lazy_clock = SimClock::new();
-        let mount = LazyMount::mount(&reg, &toc_digest, &lazy_clock).unwrap();
-        mount.prefetch_all(&lazy_clock).unwrap();
-
-        let eager_clock = SimClock::new();
-        let image = eager_pull(&reg, &sq_desc.digest, &eager_clock).unwrap();
-        for p in image.paths().map(str::to_string).collect::<Vec<_>>() {
-            let _ = image.read_file(&p);
-        }
-        // Charge the eager local reads through the kernel driver profile.
-        let profile = hpcc_vfs::driver::DriverProfile::kernel_squash();
-        for _ in 0..300 {
-            eager_clock.advance(profile.read_cost(2048, 2048));
-        }
-
-        assert!(
-            lazy_clock.now() > eager_clock.now(),
-            "full scan: lazy {:?} should lose to eager {:?}",
-            lazy_clock.now(),
-            eager_clock.now()
-        );
-    }
-
-    #[test]
-    fn missing_path_errors() {
-        let reg = registry();
-        let fs = tree(2, 64);
-        let (toc_digest, _) = publish(&reg, &fs, &VPath::root()).unwrap();
-        let clock = SimClock::new();
-        let mount = LazyMount::mount(&reg, &toc_digest, &clock).unwrap();
-        assert!(matches!(
-            mount.read_file("nope", &clock),
-            Err(LazyError::NotFound(_))
-        ));
-    }
-
     // ---------------------------------------------- seekable lazy pulls
 
     use crate::engines;
@@ -1079,6 +587,75 @@ mod tests {
         let journal = JournaledStore::new(Arc::clone(&store));
         engine.set_journaled_store(Arc::clone(&journal));
         (engine, store, journal)
+    }
+
+    /// The eager comparison: publish the whole tree as one squash image,
+    /// pull it as a single blob and open it. The clock ends at the instant
+    /// the image is readable.
+    fn eager_pull(reg: &Registry, fs: &MemFs, clock: &SimClock) -> SquashImage {
+        let squash = SquashImage::build(fs, &VPath::root(), Codec::Lz).unwrap();
+        let digest = sha256(squash.as_bytes());
+        reg.push_blob(MediaType::SquashImage, digest, squash.as_bytes().to_vec())
+            .unwrap();
+        let (bytes, done) = reg.pull_blob(&digest, clock.now()).unwrap();
+        clock.advance_to(done);
+        SquashImage::from_bytes(bytes.as_ref().clone()).unwrap()
+    }
+
+    #[test]
+    fn sparse_access_fetches_only_whats_read() {
+        let reg = registry();
+        let fs = tree(100, 4096);
+        let (index_digest, index) =
+            publish_seekable(&reg, &fs, &VPath::root(), DEFAULT_CHUNK_SIZE).unwrap();
+        let (engine, _store, _journal) = engine_with_store();
+        let clock = SimClock::new();
+        let c = engine
+            .pull_lazy(PullSources::primary_only(&reg), &index_digest, &clock)
+            .unwrap();
+        // Touch 5 of 100 files, each with distinct contents.
+        for i in 0..5 {
+            c.read_file(&format!("app/pkg{}/f{i}.py", i % 7), &clock)
+                .unwrap();
+        }
+        let s = c.stats();
+        assert_eq!(s.chunk_misses, 5);
+        assert!(
+            s.bytes_fetched < index.total_stored_bytes() / 10,
+            "fetched {} of {} stored bytes",
+            s.bytes_fetched,
+            index.total_stored_bytes()
+        );
+    }
+
+    #[test]
+    fn full_scan_favors_eager() {
+        // Reading everything: per-miss round trips lose to one bulk pull.
+        let reg = registry();
+        let fs = tree(300, 2048);
+        let (index_digest, _) =
+            publish_seekable(&reg, &fs, &VPath::root(), DEFAULT_CHUNK_SIZE).unwrap();
+        let (engine, _store, _journal) = engine_with_store();
+        let lazy_clock = SimClock::new();
+        let c = engine
+            .pull_lazy(PullSources::primary_only(&reg), &index_digest, &lazy_clock)
+            .unwrap();
+        c.prefetch_all(&lazy_clock).unwrap();
+
+        let eager_clock = SimClock::new();
+        let image = eager_pull(&reg, &fs, &eager_clock);
+        // Charge the eager local reads through the kernel driver profile.
+        let profile = DriverProfile::kernel_squash();
+        for (stored, orig) in image.paths().filter_map(|p| image.stored_len(p).ok()) {
+            eager_clock.advance(profile.read_cost(stored, orig));
+        }
+
+        assert!(
+            lazy_clock.now() > eager_clock.now(),
+            "full scan: lazy {:?} should lose to eager {:?}",
+            lazy_clock.now(),
+            eager_clock.now()
+        );
     }
 
     #[test]
@@ -1098,21 +675,16 @@ mod tests {
         assert_eq!(data.len(), 65536);
 
         // Eager comparison: the full squash image must cross the wire
-        // before the first byte is readable.
-        let squash = SquashImage::build(&fs, &VPath::root(), Codec::Lz).unwrap();
-        let sq_digest = sha256(squash.as_bytes());
-        reg.push_blob(
-            MediaType::SquashImage,
-            sq_digest,
-            squash.as_bytes().to_vec(),
-        )
-        .unwrap();
+        // before the first byte is readable — lazy has launched *and*
+        // served its first read by then.
         let eager_clock = SimClock::new();
-        eager_pull(&reg, &sq_digest, &eager_clock).unwrap();
+        eager_pull(&reg, &fs, &eager_clock);
 
+        assert!(launched < clock.now());
         assert!(
-            launched < eager_clock.now(),
-            "lazy launch {launched:?} should precede eager pull completion {:?}",
+            clock.now() < eager_clock.now(),
+            "lazy first read {:?} should precede eager pull completion {:?}",
+            clock.now(),
             eager_clock.now()
         );
         let s = c.stats();
@@ -1214,10 +786,15 @@ mod tests {
         assert_eq!(c.touch("app/pkg0/f0.py", &clock).unwrap(), 3000);
         assert_eq!(c.touch("app/latest", &clock).unwrap(), 3000, "via symlink");
         assert_eq!(reg.stats().blob_pulls, pulls, "touch faults nothing in");
-        assert!(matches!(
-            c.touch("nope", &clock),
-            Err(EngineError::Squash(SquashError::NotFound(_)))
-        ));
+        for missing in [
+            c.touch("nope", &clock).err(),
+            c.read_file("nope", &clock).err(),
+        ] {
+            assert!(matches!(
+                missing,
+                Some(EngineError::Squash(SquashError::NotFound(_)))
+            ));
+        }
     }
 
     #[test]
@@ -1228,10 +805,26 @@ mod tests {
             fs.write_p(&VPath::parse(&format!("/f{i}")), vec![7u8; 4096])
                 .unwrap();
         }
-        let (_, toc) = publish(&reg, &fs, &VPath::root()).unwrap();
-        let chunks: std::collections::HashSet<Digest> =
-            toc.entries.values().map(|e| e.chunk).collect();
+        let (index_digest, index) =
+            publish_seekable(&reg, &fs, &VPath::root(), DEFAULT_CHUNK_SIZE).unwrap();
+        let chunks: HashSet<Digest> = index
+            .file_paths()
+            .flat_map(|p| index.file_chunks(p).unwrap().1)
+            .map(|c| c.digest)
+            .collect();
         assert_eq!(chunks.len(), 1, "identical contents dedup to one chunk");
+        assert_eq!(reg.stats().pushes, 2, "one chunk blob plus the index");
+
+        // And a container reading all ten files fetches that chunk once.
+        let (engine, _store, _journal) = engine_with_store();
+        let clock = SimClock::new();
+        let c = engine
+            .pull_lazy(PullSources::primary_only(&reg), &index_digest, &clock)
+            .unwrap();
+        for i in 0..10 {
+            assert_eq!(c.read_file(&format!("f{i}"), &clock).unwrap(), [7u8; 4096]);
+        }
+        assert_eq!(c.stats().chunk_misses, 1);
     }
 
     // ---------------------------------------------- readahead prefetch

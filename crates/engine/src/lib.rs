@@ -29,5 +29,5 @@ pub use engine::{
     Engine, EngineError, Host, MpiFlavor, Prepared, PullResilience, PulledImage, RunOptions,
     RunReport,
 };
-pub use lazy::{publish_seekable, LazyContainer, LazyMount, LazyPullStats, LazyStats, LazyToc};
+pub use lazy::{publish_seekable, LazyContainer, LazyPullStats};
 pub use sif::{SifError, SifImage};

@@ -45,6 +45,11 @@
 #   crash-matrix kill-at-every-crash-point recovery matrix, run in the
 #                debug profile so the unregistered-journal-site debug
 #                assertion is live; skipped under CI_QUICK=1
+#   hostbench    the host-time benchmark package (`benchmark/`, its own
+#                workspace and lock file) compiled and tested against
+#                the workspace crates — the only stage that notices a
+#                change breaking the call surface `benchmark/src/sut.rs`
+#                is frozen against; skipped under CI_QUICK=1
 #
 # Usage:
 #   scripts/ci.sh                 run every stage
@@ -68,7 +73,7 @@ CHAOS_SEED="${CHAOS_SEED:-42}"
 export CHAOS_SEED
 CI_QUICK="${CI_QUICK:-0}"
 
-STAGES=(build lint test determinism goldens bench bench-adapt bench-core bench-storm bench-lazy bench-build bench-chaos crash-matrix)
+STAGES=(build lint test determinism goldens bench bench-adapt bench-core bench-storm bench-lazy bench-build bench-chaos crash-matrix hostbench)
 ONLY_STAGE=""
 if [[ "${1:-}" == "--list-stages" ]]; then
     printf '%s\n' "${STAGES[@]}"
@@ -183,6 +188,16 @@ stage_crash-matrix() {
     # to register its crash points trips a debug assertion here.
     echo "==> crash matrix: kill at every registered crash point, recover"
     cargo test -q -p hpcc-core --test integration_crash
+}
+
+stage_hostbench() {
+    if [[ "$CI_QUICK" == 1 ]]; then
+        echo "==> hostbench skipped (CI_QUICK=1)"
+        return 0
+    fi
+    # Read-only use of benchmark/: it builds into benchmark/target.
+    echo "==> hostbench: benchmark/ compiles and passes against the workspace"
+    (cd benchmark && cargo test -q --offline)
 }
 
 # Every STAGES entry must have a stage_<name>() function and vice versa;

@@ -8,8 +8,8 @@
 //! whose byte-identity across runs `scripts/ci.sh` checks by diffing two
 //! executions with the same seed.
 
-use hpcc_engine::engine::{EngineError, Host, PullSources};
-use hpcc_engine::engines;
+use hpcc_engine::engine::{EngineError, Host, PullResilience, PullSources};
+use hpcc_engine::{engines, publish_seekable};
 use hpcc_k8s::bridge::VirtualKubelet;
 use hpcc_k8s::kubelet::{EngineCri, Kubelet, KubeletMode};
 use hpcc_k8s::objects::{ApiServer, PodPhase, PodSpec, Resources};
@@ -17,11 +17,13 @@ use hpcc_k8s::scheduler::Scheduler;
 use hpcc_oci::builder::samples;
 use hpcc_oci::cas::Cas;
 use hpcc_registry::registry::{Registry, RegistryCaps};
-use hpcc_registry::ProxyRegistry;
+use hpcc_registry::tiered::TierClient;
+use hpcc_registry::{ProxyRegistry, StormConfig, StormTopology};
 use hpcc_runtime::cgroup::{CgroupTree, CgroupVersion};
 use hpcc_sim::net::{Fabric, NodeId};
 use hpcc_sim::{
-    Bytes, FaultInjector, FaultKind, FaultRule, RetryPolicy, SimClock, SimSpan, SimTime, Stage,
+    BreakerConfig, BreakerState, Bytes, FaultInjector, FaultKind, FaultRule, RetryPolicy, SimClock,
+    SimSpan, SimTime, Stage,
 };
 use hpcc_storage::local::{stage_image_to_nodes, NodeLocalDisk};
 use hpcc_storage::p2p::{broadcast_p2p, broadcast_p2p_with_faults};
@@ -109,6 +111,181 @@ fn registry_outage_mid_pull_recovers_via_proxy_cache() {
         "degrade decision recorded"
     );
     assert!(m.get("faults.injected.registry_unavailable") >= 1);
+}
+
+// ------------------------------------------------------------ pull ladder
+
+/// The lazy image every ladder row faults from: one single-chunk file.
+const LAZY_FILE: &str = "opt/tool/run.py";
+
+fn outage_forever(seed: u64) -> Arc<FaultInjector> {
+    Arc::new(FaultInjector::new(
+        seed,
+        vec![FaultRule::sticky(
+            FaultKind::RegistryUnavailable,
+            SimTime::ZERO,
+            forever(),
+        )],
+    ))
+}
+
+/// The one degradation ladder, at both granularities it serves — a
+/// whole-image `pull_resilient` and a `LazyContainer`'s blob fetches (the
+/// index at launch, then a chunk fault) — through every serving hop.
+/// Everything upstream of the serving hop is out for good: the hub is
+/// down, the tier and proxy in front of it are cold unless they are the
+/// hop under test, and for the warm-cache row the mirror is down too. Each
+/// row pins the label the caller gets back and the exact `degrade.*` /
+/// `retry.*.giveup` counters: one per link walked, none past the hop that
+/// served. Last, the breakers are one set for both granularities: a
+/// breaker an image pull opened short-circuits the next chunk fault.
+#[test]
+fn pull_ladder_serves_both_granularities_from_every_hop() {
+    const CHAIN: [&str; 5] = ["primary", "tier", "proxy", "mirror", "warm_cache"];
+    let stems = |op: &str| {
+        [
+            op.to_string(),
+            format!("{op}.tier"),
+            format!("{op}.proxy"),
+            format!("{op}.mirror"),
+        ]
+    };
+    let mut lazy_fs = MemFs::new();
+    lazy_fs
+        .write_p(&VPath::parse("/opt/tool/run.py"), vec![0x5A; 3000])
+        .unwrap();
+
+    for (serving, label) in ["primary", "tier", "proxy", "mirror", "warm-cache"]
+        .into_iter()
+        .enumerate()
+    {
+        for lazy in [false, true] {
+            if lazy && label == "warm-cache" {
+                continue; // blobs have no memo past the mirror
+            }
+            let row = format!("{label}/{}", if lazy { "blob" } else { "image" });
+            // Hub and mirror publish identically; tier and proxy front the hub.
+            let hub = hub_with_image();
+            let mirror = hub_with_image();
+            let (index_digest, index) =
+                publish_seekable(&hub, &lazy_fs, &VPath::root(), 4096).unwrap();
+            publish_seekable(&mirror, &lazy_fs, &VPath::root(), 4096).unwrap();
+            let topo = StormTopology::with_origin(StormConfig::two_tier(8, 4), Arc::clone(&hub));
+            let tier = TierClient::new(topo, 0);
+            let proxy = ProxyRegistry::new(site_registry(), Arc::clone(&hub)).unwrap();
+            let sources = || PullSources {
+                primary: &hub,
+                tier: Some(&tier),
+                proxy: Some(&proxy),
+                mirror: Some(&mirror),
+            };
+
+            // Warm only the cache hop under test, while the hub is healthy.
+            let (_, chunks) = index.file_chunks(LAZY_FILE).unwrap();
+            let blobs = std::iter::once(index_digest).chain(chunks.iter().map(|c| c.digest));
+            let t0 = SimTime::ZERO;
+            match label {
+                "tier" => {
+                    let (m, _) = tier.pull_manifest("hpc/app", "v1", t0).unwrap();
+                    let image = std::iter::once(&m.config).chain(m.layers.iter());
+                    for d in image.map(|d| d.digest).chain(blobs) {
+                        tier.pull_blob(&d, t0).unwrap();
+                    }
+                }
+                "proxy" => {
+                    proxy.pull_manifest("hpc/app", "v1", t0).unwrap();
+                    for d in blobs {
+                        proxy.pull_blob(&d, t0).unwrap();
+                    }
+                }
+                _ => {}
+            }
+            let engine = engines::podman();
+            let clock = SimClock::new();
+            if label == "warm-cache" {
+                engine
+                    .pull_resilient(&sources(), "hpc/app", "v1", &clock)
+                    .unwrap();
+            }
+
+            // Then everything upstream of the serving hop goes away.
+            let inj = outage_forever(31);
+            if serving > 0 {
+                hub.set_fault_injector(Arc::clone(&inj));
+            }
+            if label == "warm-cache" {
+                mirror.set_fault_injector(Arc::clone(&inj));
+            }
+            engine.set_fault_injector(Arc::clone(&inj));
+
+            let (op, ops_per_row) = if lazy {
+                let c = engine.pull_lazy(sources(), &index_digest, &clock).unwrap();
+                assert_eq!(c.index_source(), label, "{row}");
+                assert_eq!(c.read_file(LAZY_FILE, &clock).unwrap(), [0x5A; 3000]);
+                assert_eq!(c.stats().chunk_misses, 1, "{row}");
+                ("engine.lazy.fetch", 2) // the index, then the chunk
+            } else {
+                let (pulled, source) = engine
+                    .pull_resilient(&sources(), "hpc/app", "v1", &clock)
+                    .unwrap();
+                assert_eq!(source, label, "{row}");
+                assert!(!pulled.layers.is_empty());
+                ("engine.pull", 1)
+            };
+
+            let m = inj.metrics();
+            for link in 0..4 {
+                let walked = if link < serving { ops_per_row } else { 0 };
+                let degrade = format!("degrade.{op}.{}_to_{}", CHAIN[link], CHAIN[link + 1]);
+                assert_eq!(m.get(&degrade), walked, "{row}: {degrade}");
+                let giveup = format!("retry.{}.giveup", stems(op)[link]);
+                assert_eq!(m.get(&giveup), walked, "{row}: {giveup}");
+            }
+        }
+    }
+
+    // Shared breakers: an exhausted image pull opens the primary's
+    // breaker, and the next chunk fault on the same engine skips the
+    // primary without spending a single attempt on it.
+    let hub = hub_with_image();
+    let mirror = hub_with_image();
+    let (index_digest, _) = publish_seekable(&hub, &lazy_fs, &VPath::root(), 4096).unwrap();
+    publish_seekable(&mirror, &lazy_fs, &VPath::root(), 4096).unwrap();
+    let sources = || PullSources {
+        primary: &hub,
+        tier: None,
+        proxy: None,
+        mirror: Some(&mirror),
+    };
+    let engine = engines::podman();
+    let res = Arc::new(PullResilience::new(BreakerConfig {
+        failure_threshold: 1,
+        ..BreakerConfig::default()
+    }));
+    engine.set_pull_resilience(Some(Arc::clone(&res)));
+    let clock = SimClock::new();
+    let container = engine.pull_lazy(sources(), &index_digest, &clock).unwrap();
+    assert_eq!(container.index_source(), "primary");
+
+    let inj = outage_forever(37);
+    hub.set_fault_injector(Arc::clone(&inj));
+    engine.set_fault_injector(Arc::clone(&inj));
+    let (_, source) = engine
+        .pull_resilient(&sources(), "hpc/app", "v1", &clock)
+        .unwrap();
+    assert_eq!(source, "mirror");
+    let m = inj.metrics();
+    assert_eq!(m.get("breaker.primary.open"), 1);
+    assert!(matches!(
+        res.breaker("primary").state(),
+        BreakerState::Open { probe_at } if clock.now() < probe_at
+    ));
+
+    container.read_file(LAZY_FILE, &clock).unwrap();
+    assert_eq!(m.get("breaker.primary.short_circuit"), 1);
+    assert_eq!(m.get("retry.engine.lazy.fetch.attempts"), 0);
+    assert_eq!(m.get("retry.engine.lazy.fetch.mirror.attempts"), 1);
+    assert_eq!(m.get("degrade.engine.lazy.fetch.primary_to_mirror"), 1);
 }
 
 // ------------------------------------------------------------ shared FS
