@@ -2,7 +2,7 @@
 //! everyone pulling from the shared filesystem.
 
 use hpcc_sim::net::{Fabric, NodeId};
-use hpcc_sim::{Bytes, SimTime};
+use hpcc_sim::{Bytes, FaultInjector, SimTime, Tracer};
 use hpcc_storage::p2p::{broadcast_p2p, broadcast_via_shared_fs, ideal_p2p_rounds};
 use hpcc_storage::shared_fs::SharedFs;
 
@@ -21,7 +21,16 @@ fn main() {
         let ids: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
         let shared_b = SharedFs::with_defaults();
         let fabric = Fabric::with_defaults(ids.iter().copied());
-        let p2p = broadcast_p2p(&shared_b, &fabric, image, &ids, 4, SimTime::ZERO);
+        let p2p = broadcast_p2p(
+            &shared_b,
+            &fabric,
+            image,
+            &ids,
+            4,
+            SimTime::ZERO,
+            &FaultInjector::disabled(),
+            &Tracer::disabled(),
+        );
 
         let a = base.all_done.since(SimTime::ZERO).as_secs_f64();
         let b = p2p.all_done.since(SimTime::ZERO).as_secs_f64();

@@ -6,16 +6,15 @@
 //! ([`hpcc_sim::DomainSchedule`]): a rack loses power, a row switch
 //! partitions every cache below it from the origin (split-brain), and
 //! the origin itself saturates and sheds load. Each scenario is swept
-//! across three resilience modes:
+//! across two resilience modes:
 //!
 //! * **none** — a single raw pull per node. Outages surface as failed
 //!   pulls; this row proves the chaos is real.
 //! * **breakers** — pulls run under a fleet-shared per-origin circuit
 //!   breaker plus a bounded retry ladder; retry give-ups fail over to an
 //!   always-on mirror replica, and a tripped breaker short-circuits
-//!   straight to the mirror instead of burning a retry ladder per pull.
-//! * **breakers+hedging** — additionally races slow primaries against a
-//!   budget-capped hedge to the mirror ([`hpcc_sim::resilience`]).
+//!   straight to the mirror instead of burning a retry ladder per pull
+//!   ([`hpcc_sim::resilience`]).
 //!
 //! Every number is logical DES time, so the whole document is
 //! bit-for-bit deterministic (the driver double-runs and compares).
@@ -43,7 +42,7 @@ use hpcc_registry::registry::RegistryError;
 use hpcc_registry::tiered::{ImageSpec, StormConfig, StormTopology};
 use hpcc_sim::net::{Fabric, NodeId};
 use hpcc_sim::obs::Tracer;
-use hpcc_sim::resilience::{run_hedged, BreakerConfig, CircuitBreaker, HedgeBudget, HedgePolicy};
+use hpcc_sim::resilience::{BreakerConfig, CircuitBreaker};
 use hpcc_sim::{
     Bytes, CrashInjector, DomainSchedule, DomainTopology, FaultInjector, MetricsRegistry,
     OutageEvent, OutageKind, QueueServer, RetryPolicy, SimSpan, SimTime, Stage,
@@ -61,7 +60,7 @@ pub const NODES: usize = 1024;
 pub const SCENARIOS: &[&str] = &["rack-power", "row-partition", "origin-overload"];
 
 /// Resilience modes swept per scenario.
-pub const MODES: &[&str] = &["none", "breakers", "breakers+hedging"];
+pub const MODES: &[&str] = &["none", "breakers"];
 
 /// The outage window: strikes at 60 s, timed recovery at 120 s.
 pub const OUTAGE_FROM: SimSpan = SimSpan(60_000_000_000);
@@ -124,8 +123,6 @@ pub struct ChaosRow {
     pub down_skipped: u64,
     /// Requests the origin admission queue shed during the overload.
     pub shed: u64,
-    /// Hedged requests launched against the mirror.
-    pub hedges: u64,
     /// Pulls served by the mirror after a give-up or open breaker.
     pub mirror_fallbacks: u64,
     /// Pulls short-circuited by an open breaker (subset of
@@ -205,8 +202,6 @@ struct CellCtx<'a> {
     mirror: &'a QueueServer,
     breaker: &'a CircuitBreaker,
     policy: &'a RetryPolicy,
-    hedge: &'a HedgePolicy,
-    budget: &'a HedgeBudget,
     mode: &'static str,
 }
 
@@ -236,44 +231,25 @@ fn pull_once(
         c.mirror_fallbacks += 1;
         return Some(mirror_pull(ctx.mirror, image, start));
     }
-    let transient = |e: &RegistryError| e.is_transient();
-    let attempt = |_attempt: u32, at: SimTime| {
-        ctx.topo
-            .pull_image_sized(node, 0, image, at)
-            .map(|(done, _)| ((), done))
-    };
-    let run = if ctx.mode == "breakers+hedging" {
-        run_hedged(
-            ctx.policy,
-            ctx.hedge,
-            ctx.budget,
-            ctx.faults,
-            "chaos.pull",
-            Stage::Pull,
-            start,
-            transient,
-            attempt,
-            |_attempt, at| Ok(((), mirror_pull(ctx.mirror, image, at))),
-        )
-    } else {
-        ctx.policy.run_timed(
-            ctx.faults,
-            "chaos.pull",
-            Stage::Pull,
-            start,
-            transient,
-            attempt,
-        )
-    };
+    let run = ctx.policy.run_timed(
+        ctx.faults,
+        "chaos.pull",
+        Stage::Pull,
+        start,
+        RegistryError::is_transient,
+        |_attempt, at| {
+            ctx.topo
+                .pull_image_sized(node, 0, image, at)
+                .map(|(done, _)| ((), done))
+        },
+    );
+    // A registry error is never a process death.
+    ctx.breaker.settle(ctx.faults, &run, |_| false);
     match run {
-        Ok(ok) => {
-            ctx.breaker.on_success(ctx.faults, ok.done);
-            Some(ok.done)
-        }
+        Ok(ok) => Some(ok.done),
         Err(err) => {
             if err.gave_up {
                 c.gave_up += 1;
-                ctx.breaker.on_failure(ctx.faults, err.at);
             }
             c.mirror_fallbacks += 1;
             Some(mirror_pull(ctx.mirror, image, err.at))
@@ -357,12 +333,6 @@ fn run_cell(nodes: usize, scenario: &'static str, mode: &'static str, seed: u64)
         deadline: SimSpan(20_000_000_000),
         attempt_timeout: None,
     };
-    // Hedge primaries that run past one second: healthy tiered pulls
-    // finish well under that, so hedges fire only on queue-delayed tails.
-    let hedge = HedgePolicy {
-        hedge_after: SimSpan(1_000_000_000),
-    };
-    let budget = HedgeBudget::new(512);
     let ctx = CellCtx {
         topo: &topo,
         schedule: &schedule,
@@ -371,8 +341,6 @@ fn run_cell(nodes: usize, scenario: &'static str, mode: &'static str, seed: u64)
         mirror: &mirror,
         breaker: &breaker,
         policy: &policy,
-        hedge: &hedge,
-        budget: &budget,
         mode,
     };
 
@@ -431,7 +399,6 @@ fn run_cell(nodes: usize, scenario: &'static str, mode: &'static str, seed: u64)
         gave_up: c.gave_up,
         down_skipped: c.down_skipped,
         shed: topo.metrics().get("storm.origin.shed"),
-        hedges: faults.metrics().get("hedge.chaos.pull.launched"),
         mirror_fallbacks: c.mirror_fallbacks,
         breaker_rejects: c.breaker_rejects,
         p50_ns: percentile(&lat, 0.50),
@@ -531,7 +498,6 @@ fn render_cell(r: &ChaosRow) -> Json {
         ("gave_up", Json::Num(r.gave_up as f64)),
         ("down_skipped", Json::Num(r.down_skipped as f64)),
         ("shed", Json::Num(r.shed as f64)),
-        ("hedges", Json::Num(r.hedges as f64)),
         ("mirror_fallbacks", Json::Num(r.mirror_fallbacks as f64)),
         ("breaker_rejects", Json::Num(r.breaker_rejects as f64)),
         ("p50_ns", Json::Num(r.p50_ns as f64)),
@@ -618,7 +584,7 @@ impl harness::Suite for Chaos {
                 }
                 None => errors.push(format!("{scenario}/none: row missing")),
             }
-            for mode in ["breakers", "breakers+hedging"] {
+            for &mode in &MODES[1..] {
                 let Some(r) = cell(results, scenario, mode) else {
                     errors.push(format!("{scenario}/{mode}: row missing"));
                     continue;
@@ -630,8 +596,8 @@ impl harness::Suite for Chaos {
                     ));
                 } else {
                     report.push(format!(
-                        "{scenario}/{mode}: {}/{} pulls ok ({} mirror fallbacks, {} breaker rejects, {} hedges)",
-                        r.ok, r.pulls, r.mirror_fallbacks, r.breaker_rejects, r.hedges
+                        "{scenario}/{mode}: {}/{} pulls ok ({} mirror fallbacks, {} breaker rejects)",
+                        r.ok, r.pulls, r.mirror_fallbacks, r.breaker_rejects
                     ));
                 }
                 if r.recovery_ns == 0 {
@@ -691,8 +657,7 @@ impl harness::Suite for Chaos {
     fn table(results: &ChaosResults) -> Vec<Vec<String>> {
         let ms = |ns: u64| format!("{:.1} ms", ns as f64 / 1e6);
         let header = [
-            "scenario", "mode", "pulls", "failed", "shed", "mirror", "hedges", "p50", "p95",
-            "recovery",
+            "scenario", "mode", "pulls", "failed", "shed", "mirror", "p50", "p95", "recovery",
         ];
         let row = |r: &ChaosRow| {
             [
@@ -702,7 +667,6 @@ impl harness::Suite for Chaos {
                 r.failed.to_string(),
                 r.shed.to_string(),
                 r.mirror_fallbacks.to_string(),
-                r.hedges.to_string(),
                 ms(r.p50_ns),
                 ms(r.p95_ns),
                 format!("{:.2} s", r.recovery_ns as f64 / 1e9),
@@ -733,19 +697,6 @@ mod tests {
         }
     }
 
-    /// Hedging composes with the breaker path: nothing fails and the
-    /// hedge budget shows up where primaries were slow.
-    #[test]
-    fn hedging_mode_survives_the_overload() {
-        let r = run_cell(256, "origin-overload", "breakers+hedging", 7);
-        assert_eq!(r.failed, 0);
-        assert_eq!(r.ok, r.pulls);
-        assert!(
-            r.mirror_fallbacks + r.hedges > 0,
-            "overload should exercise the mirror path"
-        );
-    }
-
     /// Breakers convert doomed retry ladders into cheap short-circuits:
     /// once tripped, later pulls are rejected at the breaker rather than
     /// burning a full ladder each.
@@ -766,8 +717,8 @@ mod tests {
 
     #[test]
     fn two_runs_render_identical_documents() {
-        let a = run_cell(64, "rack-power", "breakers+hedging", 42);
-        let b = run_cell(64, "rack-power", "breakers+hedging", 42);
+        let a = run_cell(64, "rack-power", "breakers", 42);
+        let b = run_cell(64, "rack-power", "breakers", 42);
         assert_eq!(render_cell(&a).render(), render_cell(&b).render());
         let ta = tree_reheal();
         let tb = tree_reheal();

@@ -17,7 +17,7 @@ use hpcc_crypto::wots::Keypair;
 use hpcc_engine::engine::{Engine, EngineError};
 use hpcc_oci::cas::Cas;
 use hpcc_registry::registry::{Registry, RegistryError};
-use hpcc_sim::faults::{FaultInjector, RetryCause, RetryPolicy};
+use hpcc_sim::faults::{FaultInjector, RetryPolicy};
 use hpcc_sim::obs::Stage;
 use hpcc_sim::resilience::CircuitBreaker;
 use hpcc_sim::sym;
@@ -184,8 +184,9 @@ pub fn sign_and_push(
 ///
 /// The breaker short-circuits with `Unavailable { status: 503 }` while
 /// open, so a browned-out origin costs one probe per cooldown instead of
-/// a full retry ladder per build. Only transient registry errors feed the
-/// breaker; signing failures, missing local blobs, and armed crash points
+/// a full retry ladder per build. Only an exhausted ladder of transient
+/// registry errors counts against the breaker ([`CircuitBreaker::settle`]);
+/// signing failures, missing local blobs, and armed crash points
 /// propagate immediately without tripping it. Each retry attempt re-runs
 /// the full sign-and-push, so (as with crash-recovery resumes) every
 /// attempt appends a fresh transparency-log entry and the returned
@@ -227,25 +228,11 @@ pub fn sign_and_push_resilient(
             )
         },
     );
-    match run {
-        Ok(ok) => {
-            breaker.on_success(faults, clock.now());
-            Ok(ok.value)
-        }
-        Err(err) => {
-            if err.gave_up {
-                breaker.on_failure(faults, clock.now());
-            }
-            match err.cause {
-                RetryCause::Op(e) => Err(e),
-                RetryCause::StageTimeout { limit, .. } => {
-                    Err(PublishError::Registry(RegistryError::Timeout {
-                        after: limit,
-                    }))
-                }
-            }
-        }
-    }
+    breaker.settle(faults, &run, |e| matches!(e, PublishError::Crash(_)));
+    run.map(|ok| ok.value).map_err(|err| {
+        err.cause
+            .into_op(|after| PublishError::Registry(RegistryError::Timeout { after }))
+    })
 }
 
 #[allow(clippy::too_many_arguments)]

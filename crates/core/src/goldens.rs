@@ -32,7 +32,7 @@ use hpcc_sim::{
     Bytes, CrashInjector, FaultInjector, FaultKind, FaultRule, MetricsRegistry, Recoverable,
     SimClock, SimSpan, SimTime,
 };
-use hpcc_storage::p2p::{broadcast_p2p_observed, broadcast_tree_observed, TreeSpec};
+use hpcc_storage::p2p::{broadcast_p2p, broadcast_tree, TreeSpec};
 use hpcc_storage::shared_fs::SharedFs;
 use hpcc_storage::{BlobStore, JournaledStore};
 use hpcc_vfs::path::VPath;
@@ -391,7 +391,7 @@ pub fn q10_p2p_broadcast_trace() -> Vec<SpanRecord> {
     shared.set_tracer(Arc::clone(&tracer));
     let ids: Vec<NodeId> = (0..16).map(NodeId).collect();
     let fabric = Fabric::with_defaults(ids.iter().copied());
-    broadcast_p2p_observed(
+    broadcast_p2p(
         &shared,
         &fabric,
         Bytes::gib(2),
@@ -449,7 +449,7 @@ pub fn storm_64_tiered_trace() -> Vec<SpanRecord> {
     shared.set_tracer(Arc::clone(&tracer));
     let ids: Vec<NodeId> = (0..64).map(NodeId).collect();
     let fabric = Fabric::with_defaults(ids.iter().copied());
-    broadcast_tree_observed(
+    broadcast_tree(
         &shared,
         &fabric,
         Bytes::gib(2),

@@ -31,7 +31,6 @@ use hpcc_runtime::container::{Container, ContainerError, LowLevelRuntime, Proces
 use hpcc_runtime::rootless::{
     check_mount, ImageProvenance, MountCredentials, MountRequestKind, PolicyViolation,
 };
-use hpcc_sim::faults::RetryCause;
 use hpcc_sim::sym;
 use hpcc_sim::{
     BreakerConfig, CircuitBreaker, CrashInjector, Crashed, Executor, FaultInjector, RetryErr,
@@ -187,6 +186,13 @@ pub struct PulledImage {
     pub manifest: Manifest,
     pub config: ImageConfig,
     pub layers: Vec<Archive>,
+}
+
+/// A fetched, not yet decoded image: the manifest plus its verified raw
+/// blobs, config first, then the layers in manifest order.
+struct FetchedImage {
+    manifest: Manifest,
+    blobs: Vec<Arc<Vec<u8>>>,
 }
 
 /// The prepared (converted + mountable) image, ready to run.
@@ -404,8 +410,9 @@ impl PullCtx {
     /// The one degradation loop. Each present hop of `sources`, in
     /// [`HOPS`] order: consult its breaker (open: skip without burning
     /// retry budget), record the degrade decision, run `fetch` under the
-    /// retry policy as `ops[hop]`, feed the breaker (only an exhausted
-    /// retry ladder counts against an endpoint) and advance the clock. A
+    /// retry policy as `ops[hop]`, settle the breaker with the outcome
+    /// ([`CircuitBreaker::settle`]: only an exhausted retry ladder counts
+    /// against an endpoint) and advance the clock. A
     /// *fatal* error on the primary (unknown repo, digest mismatch)
     /// returns at once with the clock untouched, since no fallback can
     /// fix the request itself; a fatal error on a fallback (a cold proxy
@@ -443,18 +450,19 @@ impl PullCtx {
                     .note_degrade(ops[0], from, HOPS[hop], clock.now());
                 from = HOPS[hop];
             }
-            match self.retry.run_timed(
+            let run = self.retry.run_timed(
                 &self.faults,
                 ops[hop],
                 Stage::Pull,
                 clock.now(),
                 EngineError::is_transient,
                 |_, at| fetch(backend, at),
-            ) {
+            );
+            if let Some(b) = breaker {
+                b.settle(&self.faults, &run, |e| matches!(e, EngineError::Crash(_)));
+            }
+            match run {
                 Ok(ok) => {
-                    if let Some(b) = breaker {
-                        b.on_success(&self.faults, ok.done);
-                    }
                     clock.advance_to(ok.done);
                     return Ok((ok.value, HOPS[hop], attempts + ok.attempts));
                 }
@@ -463,9 +471,6 @@ impl PullCtx {
                 }
                 Err(err) => {
                     clock.advance_to(err.at);
-                    if let (Some(b), true) = (breaker, err.gave_up) {
-                        b.on_failure(&self.faults, err.at);
-                    }
                     attempts += err.attempts;
                     last = Engine::unwrap_retry(ops[hop], err);
                 }
@@ -646,20 +651,21 @@ impl Engine {
 
     // ------------------------------------------------------------- pull
 
-    /// One pull attempt against any backend: manifest first, then the
-    /// config and layer blobs as independent tasks on the engine's
-    /// bounded worker pool, verifying layer digests on the client side.
-    /// Blobs already resident in the attached [`BlobStore`] are read
+    /// The fetch half of one pull attempt against any backend: manifest
+    /// first, then the config and layer blobs as independent tasks on the
+    /// engine's bounded worker pool, verifying layer digests on the client
+    /// side. Blobs already resident in the attached [`BlobStore`] are read
     /// locally instead of fetched; fetched blobs are deposited there.
     /// With parallelism 1 the schedule degenerates to the sequential
-    /// config-then-layers order this method used to hard-code.
-    fn pull_via(
+    /// config-then-layers order this method used to hard-code. The blobs
+    /// come back raw (possibly still encrypted) for [`Engine::decode`].
+    fn fetch_via(
         ctx: &PullCtx,
         source: &dyn PullBackend,
         repo: &str,
         tag: &str,
         arrival: SimTime,
-    ) -> Result<(PulledImage, SimTime), EngineError> {
+    ) -> Result<(FetchedImage, SimTime), EngineError> {
         let (manifest, t) = source.manifest(repo, tag, arrival)?;
         let PullCtx {
             crash,
@@ -771,22 +777,27 @@ impl Engine {
             }
         };
 
-        let fetched = fetched.into_inner();
-        let config = ImageConfig::from_bytes(fetched[0].as_ref().expect("config blob fetched"))?;
-        let mut layers = Vec::with_capacity(manifest.layers.len());
-        for bytes in &fetched[1..] {
-            layers.push(Archive::from_bytes(
-                bytes.as_ref().expect("layer blob fetched"),
-            )?);
-        }
-        Ok((
-            PulledImage {
-                manifest,
-                config,
-                layers,
-            },
-            report.end,
-        ))
+        let blobs = fetched
+            .into_inner()
+            .into_iter()
+            .map(|bytes| bytes.expect("every blob task ran"))
+            .collect();
+        Ok((FetchedImage { manifest, blobs }, report.end))
+    }
+
+    /// The decode half of a pull: parse the (plaintext) config and layer
+    /// blobs of a fetched image.
+    fn decode(fetched: FetchedImage) -> Result<PulledImage, EngineError> {
+        let config = ImageConfig::from_bytes(&fetched.blobs[0])?;
+        let layers = fetched.blobs[1..]
+            .iter()
+            .map(|bytes| Archive::from_bytes(bytes))
+            .collect::<Result<_, _>>()?;
+        Ok(PulledImage {
+            manifest: fetched.manifest,
+            config,
+            layers,
+        })
     }
 
     /// Collapse a retry failure into a typed engine error: fatal causes
@@ -794,18 +805,13 @@ impl Engine {
     /// [`EngineError::Exhausted`], and a stage timeout becomes a registry
     /// timeout.
     fn unwrap_retry(op: &'static str, err: RetryErr<EngineError>) -> EngineError {
-        let gave_up = err.gave_up;
-        let attempts = err.attempts;
-        let last = match err.cause {
-            RetryCause::Op(e) => e,
-            RetryCause::StageTimeout { limit, .. } => {
-                EngineError::Registry(RegistryError::Timeout { after: limit })
-            }
-        };
-        if gave_up {
+        let last = err
+            .cause
+            .into_op(|after| EngineError::Registry(RegistryError::Timeout { after }));
+        if err.gave_up {
             EngineError::Exhausted {
                 op,
-                attempts,
+                attempts: err.attempts,
                 last: Box::new(last),
             }
         } else {
@@ -862,25 +868,47 @@ impl Engine {
         tag: &str,
         clock: &SimClock,
     ) -> Result<(PulledImage, &'static str), EngineError> {
+        let key = (repo.to_string(), tag.to_string());
+        let warm = || {
+            memo_fallback
+                .then(|| self.pull_memo.read().get(&key).cloned())
+                .flatten()
+        };
+        let plaintext = |fetched| Ok((fetched, SimSpan(0)));
+        let (pulled, source) = Self::pull_spanned(ctx, sources, repo, tag, clock, plaintext, warm)?;
+        if source != WARM_CACHE {
+            self.pull_memo.write().insert(key, pulled.clone());
+        }
+        Ok((pulled, source))
+    }
+
+    /// The `engine.pull` span around one walk of the ladder whose attempts
+    /// are [`Engine::fetch_via`] → `decrypt` (to plaintext blobs, plus the
+    /// CPU time that took) → [`Engine::decode`].
+    fn pull_spanned(
+        ctx: &PullCtx,
+        sources: &PullSources<'_>,
+        repo: &str,
+        tag: &str,
+        clock: &SimClock,
+        decrypt: impl Fn(FetchedImage) -> Result<(FetchedImage, SimSpan), EngineError>,
+        warm: impl FnOnce() -> Option<PulledImage>,
+    ) -> Result<(PulledImage, &'static str), EngineError> {
         let name = sym!("engine.pull");
         Self::spanned(&ctx.tracer, name, Stage::Pull, true, clock, |span| {
             ctx.tracer
                 .attr(span, sym!("image"), format_args!("{repo}:{tag}"));
-            let key = (repo.to_string(), tag.to_string());
             let (pulled, source, attempts) = ctx.ladder(
                 &PULL_OPS,
                 sources,
                 clock,
-                |backend, at| Self::pull_via(ctx, backend, repo, tag, at),
-                || {
-                    memo_fallback
-                        .then(|| self.pull_memo.read().get(&key).cloned())
-                        .flatten()
+                |backend, at| {
+                    let (fetched, done) = Self::fetch_via(ctx, backend, repo, tag, at)?;
+                    let (plain, cpu) = decrypt(fetched)?;
+                    Ok((Self::decode(plain)?, done + cpu))
                 },
+                warm,
             )?;
-            if source != WARM_CACHE {
-                self.pull_memo.write().insert(key, pulled.clone());
-            }
             ctx.tracer.attr(span, sym!("source"), source);
             ctx.tracer.attr(span, sym!("attempts"), attempts);
             Ok((pulled, source))
@@ -910,8 +938,11 @@ impl Engine {
     }
 
     /// Pull an image whose layers may be ocicrypt-style encrypted
-    /// (§7 outlook). Engines without full encryption support refuse
-    /// encrypted content; plaintext images pass through unchanged.
+    /// (§7 outlook): [`Engine::pull`]'s ladder, span, journal intent and
+    /// crash points around the fetch, then decrypt, then the same decode.
+    /// Engines without full encryption support refuse encrypted content;
+    /// plaintext images pass through unchanged. The result never enters
+    /// the pull memo — a later keyless pull must not be served plaintext.
     pub fn pull_with_decryption(
         &self,
         registry: &Registry,
@@ -920,43 +951,38 @@ impl Engine {
         key: Option<&AeadKey>,
         clock: &SimClock,
     ) -> Result<PulledImage, EngineError> {
-        let (manifest, t) = registry.pull_manifest(repo, tag, clock.now())?;
-        clock.advance_to(t);
-        if !hpcc_oci::encryption::is_encrypted(&manifest) {
-            return self.pull(registry, repo, tag, clock);
-        }
-        if !matches!(self.caps.encryption, EncryptionSupport::Yes) {
-            return Err(EngineError::Unsupported("encrypted container images"));
-        }
-        let key = key.ok_or(EngineError::Unsupported("decryption without a key"))?;
-
-        // Fetch encrypted blobs into a client-side CAS, then decrypt.
-        let cas = hpcc_oci::cas::Cas::new();
-        let mut t = clock.now();
-        for d in std::iter::once(&manifest.config).chain(manifest.layers.iter()) {
-            let (bytes, done) = registry.pull_blob(&d.digest, t)?;
-            t = done;
-            cas.put(d.media_type, bytes.as_ref().clone());
-        }
-        clock.advance_to(t);
-        // Decryption CPU: ~1 GiB/s.
-        clock.advance(SimSpan::from_secs_f64(
-            manifest.total_layer_size() as f64 / (1u64 << 30) as f64,
-        ));
-        let plain = hpcc_oci::encryption::decrypt_layers(&manifest, &cas, key)
-            .map_err(|_| EngineError::Unsupported("decryption failed (wrong key?)"))?;
-        let config_bytes = cas.get(&plain.config.digest)?;
-        let config = ImageConfig::from_bytes(&config_bytes)?;
-        let mut layers = Vec::with_capacity(plain.layers.len());
-        for d in &plain.layers {
-            let bytes = cas.get(&d.digest)?;
-            layers.push(Archive::from_bytes(&bytes)?);
-        }
-        Ok(PulledImage {
-            manifest: plain,
-            config,
-            layers,
-        })
+        let decrypt = |fetched: FetchedImage| {
+            let manifest = &fetched.manifest;
+            if !hpcc_oci::encryption::is_encrypted(manifest) {
+                return Ok((fetched, SimSpan(0)));
+            }
+            if !matches!(self.caps.encryption, EncryptionSupport::Yes) {
+                return Err(EngineError::Unsupported("encrypted container images"));
+            }
+            let key = key.ok_or(EngineError::Unsupported("decryption without a key"))?;
+            // Decrypt through a client-side CAS (~1 GiB/s of CPU).
+            let cas = hpcc_oci::cas::Cas::new();
+            let descriptors = std::iter::once(&manifest.config).chain(manifest.layers.iter());
+            for (d, bytes) in descriptors.zip(&fetched.blobs) {
+                cas.put(d.media_type, bytes.as_ref().clone());
+            }
+            let cpu =
+                SimSpan::from_secs_f64(manifest.total_layer_size() as f64 / (1u64 << 30) as f64);
+            let plain = hpcc_oci::encryption::decrypt_layers(manifest, &cas, key)
+                .map_err(|_| EngineError::Unsupported("decryption failed (wrong key?)"))?;
+            let blobs = std::iter::once(&plain.config)
+                .chain(plain.layers.iter())
+                .map(|d| cas.get(&d.digest))
+                .collect::<Result<_, _>>()?;
+            let plain = FetchedImage {
+                manifest: plain,
+                blobs,
+            };
+            Ok((plain, cpu))
+        };
+        let sources = PullSources::primary_only(registry);
+        Self::pull_spanned(&self.ctx(), &sources, repo, tag, clock, decrypt, || None)
+            .map(|(pulled, _)| pulled)
     }
 
     // ---------------------------------------------------------- prepare

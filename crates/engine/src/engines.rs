@@ -384,6 +384,7 @@ mod tests {
     use hpcc_runtime::container::ContainerState;
     use hpcc_sim::SimClock;
     use hpcc_vfs::path::VPath;
+    use std::sync::Arc;
 
     fn registry_with_solver() -> Registry {
         let reg = Registry::new("site", RegistryCaps::open());
@@ -797,14 +798,12 @@ mod tests {
         assert_eq!(st.meta.uid, 4242);
     }
 
-    #[test]
-    fn encrypted_layer_images_work_for_full_encryption_engines() {
-        use hpcc_crypto::aead::AeadKey;
-        // Push an encrypted-layer image to the registry.
+    /// A registry holding `hpc/secret:v1`, the solver image with its
+    /// layers encrypted under `key`.
+    fn registry_with_secret(key: &hpcc_crypto::aead::AeadKey) -> Registry {
         let cas = Cas::new();
         let img = samples::mpi_solver(&cas);
-        let key = AeadKey::derive(b"ocicrypt-key");
-        let enc_manifest = hpcc_oci::encryption::encrypt_layers(&img.manifest, &cas, &key).unwrap();
+        let enc_manifest = hpcc_oci::encryption::encrypt_layers(&img.manifest, &cas, key).unwrap();
         let reg = Registry::new("enc", hpcc_registry::registry::RegistryCaps::open());
         reg.create_namespace("hpc", None).unwrap();
         for d in std::iter::once(&enc_manifest.config).chain(enc_manifest.layers.iter()) {
@@ -814,6 +813,14 @@ mod tests {
         }
         reg.push_manifest("hpc/secret", "v1", &enc_manifest)
             .unwrap();
+        reg
+    }
+
+    #[test]
+    fn encrypted_layer_images_work_for_full_encryption_engines() {
+        use hpcc_crypto::aead::AeadKey;
+        let key = AeadKey::derive(b"ocicrypt-key");
+        let reg = registry_with_secret(&key);
 
         let host = Host::compute_node();
         let clock = SimClock::new();
@@ -842,6 +849,45 @@ mod tests {
             .pull_with_decryption(&reg2, "hpc/solver", "v1", None, &clock)
             .unwrap();
         assert_eq!(plain.layers.len(), 3);
+    }
+
+    /// The encrypted path is the ordinary pull ladder: a 50 ms registry
+    /// blip is retried through, under the same `engine.pull` span.
+    #[test]
+    fn encrypted_pull_retries_through_a_registry_blip() {
+        use hpcc_crypto::aead::AeadKey;
+        use hpcc_sim::{FaultInjector, FaultKind, FaultRule, SimSpan, SimTime, Tracer};
+        let key = AeadKey::derive(b"ocicrypt-key");
+        let reg = registry_with_secret(&key);
+        let blip = SimTime::ZERO + SimSpan::millis(50);
+        let inj = Arc::new(FaultInjector::new(
+            3,
+            vec![FaultRule::sticky(
+                FaultKind::RegistryUnavailable,
+                SimTime::ZERO,
+                blip,
+            )],
+        ));
+        reg.set_fault_injector(Arc::clone(&inj));
+        let engine = podman();
+        engine.set_fault_injector(Arc::clone(&inj));
+        let tracer = Tracer::new();
+        engine.set_tracer(Arc::clone(&tracer));
+
+        let clock = SimClock::new();
+        let pulled = engine
+            .pull_with_decryption(&reg, "hpc/secret", "v1", Some(&key), &clock)
+            .unwrap();
+        assert_eq!(pulled.layers.len(), 3);
+        assert!(clock.now() > blip, "the pull waited the blip out");
+        assert_eq!(inj.metrics().get("retry.engine.pull.recovered"), 1);
+        let spans = tracer.finished();
+        let pulls = spans.iter().filter(|s| s.name.as_str() == "engine.pull");
+        assert_eq!(
+            pulls.count(),
+            1,
+            "one engine.pull span covers the encrypted pull"
+        );
     }
 
     #[test]

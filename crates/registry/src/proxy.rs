@@ -10,7 +10,6 @@
 use crate::registry::{MirrorMode, ProxyMode, Registry, RegistryError};
 use hpcc_crypto::sha256::Digest;
 use hpcc_oci::image::Manifest;
-use hpcc_sim::faults::RetryCause;
 use hpcc_sim::sym;
 use hpcc_sim::{FaultInjector, RetryErr, RetryPolicy, SimSpan, SimTime, Stage, Tracer};
 use hpcc_storage::blobstore::BlobStore;
@@ -85,10 +84,7 @@ impl ProxyError {
 /// Collapse a retry failure back into the typed registry error: the last op
 /// error, or a synthetic timeout when the stage limit was what fired.
 fn unwrap_retry(err: RetryErr<RegistryError>) -> RegistryError {
-    match err.cause {
-        RetryCause::Op(e) => e,
-        RetryCause::StageTimeout { limit, .. } => RegistryError::Timeout { after: limit },
-    }
+    err.cause.into_op(|after| RegistryError::Timeout { after })
 }
 
 impl ProxyRegistry {

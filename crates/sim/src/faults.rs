@@ -312,12 +312,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Builder: set the overall deadline.
-    pub fn with_deadline(mut self, d: SimSpan) -> RetryPolicy {
-        self.deadline = d;
-        self
-    }
-
     /// The pause after `failures` failed attempts (1-based), with jitter
     /// drawn deterministically from `rng`. Saturates at `max_backoff` for
     /// arbitrarily large failure counts: `powi` takes an `i32`, so a raw
@@ -348,34 +342,68 @@ impl RetryPolicy {
     /// immediately with `gave_up == false`. `stage` tags every trace line
     /// (`[pull]`, `[request]`, ...) so retry traces and obs spans join on
     /// the same pipeline stage; metric names stay keyed by `op` alone.
-    #[allow(clippy::too_many_arguments)]
     pub fn run_timed<T, E: fmt::Display>(
         &self,
         injector: &FaultInjector,
         op: &str,
         stage: Stage,
         start: SimTime,
+        transient: impl FnMut(&E) -> bool,
+        attempt_fn: impl FnMut(u32, SimTime) -> Result<(T, SimTime), E>,
+    ) -> Result<RetryOk<T>, RetryErr<E>> {
+        self.drive(injector, op, stage, start, transient, attempt_fn)
+    }
+
+    /// Retry an operation that charges its own costs to a [`SimClock`].
+    ///
+    /// Backoff pauses advance the clock. The clock cannot rewind, so an
+    /// attempt that overruns `attempt_timeout` stays fully charged — the
+    /// timeout only governs the retry decision.
+    pub fn run_clocked<T, E: fmt::Display>(
+        &self,
+        injector: &FaultInjector,
+        op: &str,
+        stage: Stage,
+        clock: &SimClock,
+        transient: impl FnMut(&E) -> bool,
+        mut attempt_fn: impl FnMut(u32) -> Result<T, E>,
+    ) -> Result<RetryOk<T>, RetryErr<E>> {
+        self.drive(injector, op, stage, clock, transient, |attempt, _| {
+            attempt_fn(attempt).map(|value| (value, clock.now()))
+        })
+    }
+
+    /// The one retry state machine: attempt → stage-timeout check →
+    /// recovered / fatal / give-up (attempts, then deadline) → jittered
+    /// backoff, with `time` deciding what an abandoned attempt and a pause
+    /// cost.
+    fn drive<T, E: fmt::Display>(
+        &self,
+        injector: &FaultInjector,
+        op: &str,
+        stage: Stage,
+        mut time: impl RetryTime,
         mut transient: impl FnMut(&E) -> bool,
         mut attempt_fn: impl FnMut(u32, SimTime) -> Result<(T, SimTime), E>,
     ) -> Result<RetryOk<T>, RetryErr<E>> {
         let m = injector.metrics();
+        let start = time.now();
         let hard_deadline = start + self.deadline;
-        let mut now = start;
         let mut attempts = 0;
         loop {
             attempts += 1;
             m.incr(&format!("retry.{op}.attempts"));
-            let cause = match attempt_fn(attempts, now) {
+            let began = time.now();
+            let cause = match attempt_fn(attempts, began) {
                 Ok((value, done)) => {
-                    let took = done.since(now);
+                    let took = done.since(began);
                     match self.attempt_timeout {
                         Some(limit) if took > limit => {
-                            // The client aborts at the timeout: charge the
-                            // limit, not the full (browned-out) completion.
-                            now += limit;
+                            time.abandon(limit);
                             m.incr(&format!("retry.{op}.stage_timeout"));
                             injector.note(format!(
-                                "- {now} {op} [{stage}] attempt {attempts} hit stage timeout {limit} (op needed {took})"
+                                "- {} {op} [{stage}] attempt {attempts} hit stage timeout {limit} (op needed {took})",
+                                time.now()
                             ));
                             RetryCause::StageTimeout { limit, took }
                         }
@@ -398,31 +426,26 @@ impl RetryPolicy {
                         }
                     }
                 }
-                Err(e) => {
-                    if !transient(&e) {
-                        m.incr(&format!("retry.{op}.fatal"));
-                        return Err(RetryErr {
-                            cause: RetryCause::Op(e),
-                            at: now,
-                            attempts,
-                            gave_up: false,
-                        });
-                    }
-                    RetryCause::Op(e)
-                }
+                Err(e) => RetryCause::Op(e),
             };
+            let now = time.now();
+            let stop = |cause, gave_up| RetryErr {
+                cause,
+                at: now,
+                attempts,
+                gave_up,
+            };
+            if matches!(&cause, RetryCause::Op(e) if !transient(e)) {
+                m.incr(&format!("retry.{op}.fatal"));
+                return Err(stop(cause, false));
+            }
             // Transient failure: back off or give up.
             if attempts >= self.max_attempts {
                 m.incr(&format!("retry.{op}.giveup"));
                 injector.note(format!(
                     "- {now} {op} [{stage}] gave up after {attempts} attempts: {cause}"
                 ));
-                return Err(RetryErr {
-                    cause,
-                    at: now,
-                    attempts,
-                    gave_up: true,
-                });
+                return Err(stop(cause, true));
             }
             let pause = injector.with_rng(|rng| self.backoff(attempts, rng));
             if now + pause > hard_deadline {
@@ -431,116 +454,47 @@ impl RetryPolicy {
                     "- {now} {op} [{stage}] gave up: deadline {} exhausted after {attempts} attempts: {cause}",
                     self.deadline
                 ));
-                return Err(RetryErr {
-                    cause,
-                    at: now,
-                    attempts,
-                    gave_up: true,
-                });
+                return Err(stop(cause, true));
             }
-            now += pause;
+            time.pause(pause);
             m.incr(&format!("retry.{op}.backoff"));
         }
     }
+}
 
-    /// Retry an operation that charges its own costs to a [`SimClock`].
-    ///
-    /// Backoff pauses advance the clock. The clock cannot rewind, so an
-    /// attempt that overruns `attempt_timeout` stays fully charged — the
-    /// timeout only governs the retry decision.
-    pub fn run_clocked<T, E: fmt::Display>(
-        &self,
-        injector: &FaultInjector,
-        op: &str,
-        stage: Stage,
-        clock: &SimClock,
-        mut transient: impl FnMut(&E) -> bool,
-        mut attempt_fn: impl FnMut(u32) -> Result<T, E>,
-    ) -> Result<RetryOk<T>, RetryErr<E>> {
-        let m = injector.metrics();
-        let start = clock.now();
-        let hard_deadline = start + self.deadline;
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            m.incr(&format!("retry.{op}.attempts"));
-            let t0 = clock.now();
-            let cause = match attempt_fn(attempts) {
-                Ok(value) => {
-                    let took = clock.now().since(t0);
-                    match self.attempt_timeout {
-                        Some(limit) if took > limit => {
-                            m.incr(&format!("retry.{op}.stage_timeout"));
-                            injector.note(format!(
-                                "- {} {op} [{stage}] attempt {attempts} hit stage timeout {limit} (op needed {took})",
-                                clock.now()
-                            ));
-                            RetryCause::StageTimeout { limit, took }
-                        }
-                        _ => {
-                            if attempts > 1 {
-                                m.incr(&format!("retry.{op}.recovered"));
-                                m.observe(
-                                    &format!("retry.{op}.recovery_ns"),
-                                    clock.now().since(start).as_nanos(),
-                                );
-                                injector.note(format!(
-                                    "- {} {op} [{stage}] recovered on attempt {attempts}",
-                                    clock.now()
-                                ));
-                            }
-                            return Ok(RetryOk {
-                                value,
-                                done: clock.now(),
-                                attempts,
-                            });
-                        }
-                    }
-                }
-                Err(e) => {
-                    if !transient(&e) {
-                        m.incr(&format!("retry.{op}.fatal"));
-                        return Err(RetryErr {
-                            cause: RetryCause::Op(e),
-                            at: clock.now(),
-                            attempts,
-                            gave_up: false,
-                        });
-                    }
-                    RetryCause::Op(e)
-                }
-            };
-            if attempts >= self.max_attempts {
-                m.incr(&format!("retry.{op}.giveup"));
-                injector.note(format!(
-                    "- {} {op} [{stage}] gave up after {attempts} attempts: {cause}",
-                    clock.now()
-                ));
-                return Err(RetryErr {
-                    cause,
-                    at: clock.now(),
-                    attempts,
-                    gave_up: true,
-                });
-            }
-            let pause = injector.with_rng(|rng| self.backoff(attempts, rng));
-            if clock.now() + pause > hard_deadline {
-                m.incr(&format!("retry.{op}.giveup"));
-                injector.note(format!(
-                    "- {} {op} [{stage}] gave up: deadline {} exhausted after {attempts} attempts: {cause}",
-                    clock.now(),
-                    self.deadline
-                ));
-                return Err(RetryErr {
-                    cause,
-                    at: clock.now(),
-                    attempts,
-                    gave_up: true,
-                });
-            }
-            clock.advance(pause);
-            m.incr(&format!("retry.{op}.backoff"));
-        }
+/// Where a retry loop's time lives: a free [`SimTime`] cursor
+/// ([`RetryPolicy::run_timed`]) or a shared [`SimClock`] the attempts
+/// charge themselves ([`RetryPolicy::run_clocked`]).
+trait RetryTime {
+    fn now(&self) -> SimTime;
+    /// The attempt begun at `now()` was abandoned at its stage timeout.
+    fn abandon(&mut self, limit: SimSpan);
+    /// Wait out one backoff.
+    fn pause(&mut self, span: SimSpan);
+}
+
+impl RetryTime for SimTime {
+    fn now(&self) -> SimTime {
+        *self
+    }
+    /// The client aborts at the timeout: charge the limit, not the full
+    /// (browned-out) completion.
+    fn abandon(&mut self, limit: SimSpan) {
+        *self += limit;
+    }
+    fn pause(&mut self, span: SimSpan) {
+        *self += span;
+    }
+}
+
+impl RetryTime for &SimClock {
+    fn now(&self) -> SimTime {
+        SimClock::now(self)
+    }
+    /// The clock cannot rewind: the attempt stays fully charged.
+    fn abandon(&mut self, _limit: SimSpan) {}
+    fn pause(&mut self, span: SimSpan) {
+        self.advance(span);
     }
 }
 
@@ -561,6 +515,18 @@ pub enum RetryCause<E> {
     Op(E),
     /// The attempt overran the policy's per-stage timeout.
     StageTimeout { limit: SimSpan, took: SimSpan },
+}
+
+impl<E> RetryCause<E> {
+    /// Collapse into the caller's error type: the attempt's own error, or
+    /// `timeout(limit)` — the caller's typed timeout — when the stage limit
+    /// was what fired.
+    pub fn into_op(self, timeout: impl FnOnce(SimSpan) -> E) -> E {
+        match self {
+            RetryCause::Op(e) => e,
+            RetryCause::StageTimeout { limit, .. } => timeout(limit),
+        }
+    }
 }
 
 impl<E: fmt::Display> fmt::Display for RetryCause<E> {
@@ -923,6 +889,109 @@ mod tests {
         );
     }
 
+    /// One scripted outcome per attempt: `Err` is a transient 503 (or the
+    /// fatal `not found`), `Ok(ms)` a completion `ms` after the attempt began.
+    type Script = &'static [Result<u64, &'static str>];
+
+    /// Four loops on one injector — recovered through a stage timeout,
+    /// give-up by attempts, give-up by deadline, fatal — through either
+    /// adapter.
+    fn transcript(clocked: bool) -> (Vec<String>, String) {
+        let inj = FaultInjector::new(17, Vec::new());
+        let clock = SimClock::new();
+        clock.advance(SimSpan::secs(1));
+        let ladder = RetryPolicy {
+            max_attempts: 4,
+            ..RetryPolicy::default().with_attempt_timeout(SimSpan::millis(50))
+        };
+        let short = RetryPolicy {
+            max_attempts: 100,
+            deadline: SimSpan::millis(350),
+            ..RetryPolicy::default()
+        };
+        let runs: [(&str, RetryPolicy, Script); 4] = [
+            (
+                "t.recover",
+                ladder,
+                &[Err("503"), Ok(500), Err("503"), Ok(5)],
+            ),
+            ("t.attempts", ladder, &[Err("503"); 4]),
+            ("t.deadline", short, &[Err("503"); 100]),
+            ("t.fatal", ladder, &[Err("503"), Err("not found")]),
+        ];
+        for (op, policy, script) in runs {
+            let transient = |e: &String| e != "not found";
+            let step = |n: u32| script[n as usize - 1].map_err(str::to_string);
+            let stop = if clocked {
+                policy
+                    .run_clocked(&inj, op, Stage::Pull, &clock, transient, |n| {
+                        step(n).map(|ms| clock.advance(SimSpan::millis(ms)))
+                    })
+                    .map_or_else(|e| e.at, |ok| ok.done)
+            } else {
+                policy
+                    .run_timed(&inj, op, Stage::Pull, clock.now(), transient, |n, at| {
+                        step(n).map(|ms| ((), at + SimSpan::millis(ms)))
+                    })
+                    .map_or_else(|e| e.at, |ok| ok.done)
+            };
+            clock.advance_to(stop);
+        }
+        (inj.trace(), inj.metrics().render())
+    }
+
+    /// The trace and metrics of [`transcript`], captured from the two
+    /// hand-written loops the one driver replaced: every line, every
+    /// counter and the emission order are frozen. The adapters differ only
+    /// in what the abandoned 500 ms attempt cost (50 ms vs all of it).
+    #[test]
+    fn both_adapters_reproduce_the_frozen_transcript() {
+        let counters = "counters:
+  retry.t.attempts.attempts                        4
+  retry.t.attempts.backoff                         3
+  retry.t.attempts.giveup                          1
+  retry.t.deadline.attempts                        3
+  retry.t.deadline.backoff                         2
+  retry.t.deadline.giveup                          1
+  retry.t.fatal.attempts                           2
+  retry.t.fatal.backoff                            1
+  retry.t.fatal.fatal                              1
+  retry.t.recover.attempts                         4
+  retry.t.recover.backoff                          3
+  retry.t.recover.recovered                        1
+  retry.t.recover.stage_timeout                    1
+histograms (ns):
+  retry.t.recover.recovery_ns                      ";
+        let (trace, metrics) = transcript(false);
+        assert_eq!(
+            trace,
+            [
+                "- t+1.153s t.recover [pull] attempt 2 hit stage timeout 50.00ms (op needed 500.00ms)",
+                "- t+1.801s t.recover [pull] recovered on attempt 4",
+                "- t+2.552s t.attempts [pull] gave up after 4 attempts: 503",
+                "- t+2.875s t.deadline [pull] gave up: deadline 350.00ms exhausted after 3 attempts: 503",
+            ]
+        );
+        assert_eq!(
+            metrics,
+            format!("{counters}n=1 mean=800887474 p50=771751936 p95=771751936 p99=771751936 max=800887474\n")
+        );
+        let (trace, metrics) = transcript(true);
+        assert_eq!(
+            trace,
+            [
+                "- t+1.603s t.recover [pull] attempt 2 hit stage timeout 50.00ms (op needed 500.00ms)",
+                "- t+2.251s t.recover [pull] recovered on attempt 4",
+                "- t+3.002s t.attempts [pull] gave up after 4 attempts: 503",
+                "- t+3.325s t.deadline [pull] gave up: deadline 350.00ms exhausted after 3 attempts: 503",
+            ]
+        );
+        assert_eq!(
+            metrics,
+            format!("{counters}n=1 mean=1250887474 p50=1207959552 p95=1207959552 p99=1207959552 max=1250887474\n")
+        );
+    }
+
     #[test]
     fn retry_trace_is_deterministic() {
         let run = || {
@@ -954,5 +1023,115 @@ mod tests {
         assert_eq!(m1, m2);
         assert_eq!(d1, d2);
         assert!(!t1.is_empty());
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use std::cell::Cell;
+
+        /// One scripted attempt: a transient error, a fatal one, or a
+        /// success `ms` after it began. Errors cost nothing in either mode.
+        #[derive(Debug, Clone, Copy)]
+        enum Step {
+            Transient,
+            Fatal,
+            Done(u64),
+        }
+
+        fn step() -> impl Strategy<Value = Step> {
+            prop_oneof![
+                Just(Step::Transient),
+                Just(Step::Transient),
+                Just(Step::Fatal),
+                (0u64..400).prop_map(Step::Done),
+            ]
+        }
+
+        /// What one loop did: attempts, `gave_up` (`None` on success),
+        /// stop instant, cost of the last attempt, trace + metrics.
+        type Stopped = (u32, Option<bool>, SimTime, SimSpan, String);
+
+        /// Drive `script` (cycled) through one adapter on a fresh injector.
+        fn run(policy: &RetryPolicy, script: &[Step], seed: u64, clocked: bool) -> Stopped {
+            let inj = FaultInjector::new(seed, Vec::new());
+            let clock = SimClock::new();
+            let last = Cell::new(SimSpan(0));
+            let step = |n: u32| {
+                last.set(SimSpan(0));
+                match script[(n as usize - 1) % script.len()] {
+                    Step::Transient => Err("503"),
+                    Step::Fatal => Err("not found"),
+                    Step::Done(ms) => {
+                        last.set(SimSpan::millis(ms));
+                        Ok(last.get())
+                    }
+                }
+            };
+            let transient = |e: &&str| *e == "503";
+            let outcome = if clocked {
+                policy.run_clocked(&inj, "p", Stage::Pull, &clock, transient, |n| {
+                    step(n).map(|cost| {
+                        clock.advance(cost);
+                    })
+                })
+            } else {
+                policy.run_timed(&inj, "p", Stage::Pull, SimTime::ZERO, transient, |n, at| {
+                    step(n).map(|cost| ((), at + cost))
+                })
+            };
+            let (attempts, gave_up, at) = match outcome {
+                Ok(ok) => (ok.attempts, None, ok.done),
+                Err(e) => (e.attempts, Some(e.gave_up), e.at),
+            };
+            let log = format!("{:?}\n{}", inj.trace(), inj.metrics().render());
+            (attempts, gave_up, at, last.get(), log)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Under any policy and any outcome script the loop is bounded
+            /// — by `max_attempts`, and in time by the deadline plus the
+            /// attempt that was in flight when it ran out — and the two
+            /// adapters are the same machine: unless an attempt overruns
+            /// `attempt_timeout` (the one place they charge differently)
+            /// they agree on the verdict, the stop instant, every trace
+            /// line and every metric.
+            #[test]
+            fn loop_is_bounded_and_adapters_agree(
+                seed in 0u64..10_000,
+                max_attempts in 1u32..8,
+                base_ms in 1u64..500,
+                multiplier in (100u64..300).prop_map(|m| m as f64 / 100.0),
+                jitter in (0u64..50).prop_map(|j| j as f64 / 100.0),
+                deadline_ms in 1u64..5_000,
+                timeout_ms in 0u64..600,
+                script in collection::vec(step(), 1..6),
+            ) {
+                let policy = RetryPolicy {
+                    max_attempts,
+                    base_backoff: SimSpan::millis(base_ms),
+                    max_backoff: SimSpan::secs(2),
+                    multiplier,
+                    jitter,
+                    deadline: SimSpan::millis(deadline_ms),
+                    // The low sixth of the range stands for "no timeout".
+                    attempt_timeout: (timeout_ms >= 100).then(|| SimSpan::millis(timeout_ms)),
+                };
+                let runs = [false, true].map(|clocked| run(&policy, &script, seed, clocked));
+                for (attempts, _, at, last, log) in &runs {
+                    prop_assert!(*attempts <= max_attempts, "{log}");
+                    prop_assert!(*at <= SimTime::ZERO + policy.deadline + *last, "{log}");
+                }
+                let overruns = |s: &Step| match (s, policy.attempt_timeout) {
+                    (Step::Done(ms), Some(limit)) => SimSpan::millis(*ms) > limit,
+                    _ => false,
+                };
+                if !script.iter().any(overruns) {
+                    prop_assert_eq!(&runs[0], &runs[1]);
+                }
+            }
+        }
     }
 }

@@ -24,14 +24,14 @@
 //!   row partitions, origin overload) with timed recovery, feeding both
 //!   the fault injector and the adaptive control loop.
 //! * [`resilience`] — self-healing primitives: per-endpoint circuit
-//!   breakers, hedged requests with budget caps, deadline propagation and
-//!   an admission-control/load-shedding queue, all over logical time.
+//!   breakers (one `settle` rule from a retry outcome to breaker feedback)
+//!   and an admission-control/load-shedding queue, all over logical time.
 //! * [`rng`] — deterministic random number generation plus workload
 //!   distributions (exponential, Zipf, Pareto, log-normal).
 //! * [`faults`] — seeded fault injection (registry 429/5xx/timeouts,
 //!   metadata brownouts, disk-full, peer churn, CRI flaps) and the shared
-//!   retry policy (exponential backoff + jitter, deadlines, stage timeouts)
-//!   executed over logical time.
+//!   retry policy (exponential backoff + jitter, deadlines, stage timeouts):
+//!   one loop executed over logical time, on a time cursor or a clock.
 //! * [`metrics`] — counters, gauges and log-binned histograms collected into
 //!   a registry, used by every experiment to report results.
 //! * [`obs`] — zero-cost-when-disabled hierarchical span tracing over the
@@ -72,8 +72,7 @@ pub use net::{Fabric, LinkClass};
 pub use noise::{bsp_run, BspOutcome, NoiseProfile};
 pub use obs::{SpanId, SpanRecord, Stage, Tracer};
 pub use resilience::{
-    run_hedged, Admission, AdmissionConfig, AdmissionQueue, BreakerConfig, BreakerState,
-    CircuitBreaker, Deadline, HedgeBudget, HedgePolicy,
+    Admission, AdmissionConfig, AdmissionQueue, BreakerConfig, BreakerState, CircuitBreaker,
 };
 pub use resource::{QueueServer, TokenBucket};
 pub use rng::DetRng;

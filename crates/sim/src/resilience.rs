@@ -1,5 +1,5 @@
-//! Reusable self-healing primitives: circuit breakers, hedged requests,
-//! deadline propagation and admission-control load shedding.
+//! Reusable self-healing primitives: circuit breakers and
+//! admission-control load shedding.
 //!
 //! [`crate::faults::RetryPolicy`] handles *per-request* failure; this
 //! module adds the *per-endpoint* layer the survey's multi-domain
@@ -12,13 +12,8 @@
 //!   breaker opens and short-circuits callers (they fail over instead of
 //!   burning retry budget against a dead endpoint); after a seeded
 //!   cooldown a single half-open probe decides whether to close.
-//! * [`run_hedged`] — a retry loop whose slow attempts are raced against
-//!   a hedge to a replica, capped by a shared [`HedgeBudget`]. The loser
-//!   is cancelled: it consumes no retry attempts and emits no `degrade.*`
-//!   metrics — hedging is *latency* insurance, not a degradation event.
-//! * [`Deadline`] — a propagatable completion bound; callers clamp their
-//!   [`RetryPolicy`] to the remaining budget so a chain of fallbacks
-//!   shares one deadline instead of stacking its own.
+//!   [`CircuitBreaker::settle`] is the one rule that turns a retry
+//!   loop's outcome into breaker feedback.
 //! * [`AdmissionQueue`] — bounded-wait admission control for the origin
 //!   registry: a request whose projected queue wait exceeds the bound is
 //!   shed immediately (with a retry-after hint) instead of timing out
@@ -30,12 +25,9 @@
 //! prove the state machines recover.
 
 use crate::crash::{CrashInjector, Crashed};
-use crate::faults::{FaultInjector, RetryCause, RetryErr, RetryOk, RetryPolicy};
-use crate::obs::Stage;
+use crate::faults::{FaultInjector, RetryCause, RetryErr, RetryOk};
 use crate::time::{SimSpan, SimTime};
 use parking_lot::Mutex;
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Crash point passed immediately before a half-open probe is granted.
 pub const BREAKER_PROBE_CRASH_POINT: &str = "resilience.breaker.probe.pre";
@@ -95,9 +87,9 @@ struct BreakerInner {
 /// A per-endpoint circuit breaker over logical time.
 ///
 /// Callers ask [`allow`](CircuitBreaker::allow) before each request and
-/// report the outcome with [`on_success`](CircuitBreaker::on_success) /
-/// [`on_failure`](CircuitBreaker::on_failure). Every transition lands in
-/// the injector's metrics (`breaker.<name>.*`) and ordered trace.
+/// [`settle`](CircuitBreaker::settle) its outcome afterwards. Every
+/// transition lands in the injector's metrics (`breaker.<name>.*`) and
+/// ordered trace.
 #[derive(Debug)]
 pub struct CircuitBreaker {
     name: String,
@@ -213,6 +205,37 @@ impl CircuitBreaker {
         }
     }
 
+    /// Settle the breaker with the outcome of the retry loop a granted
+    /// [`allow`](CircuitBreaker::allow) admitted — the one place a
+    /// request's fate becomes breaker feedback, so a half-open probe
+    /// always leaves `HalfOpen` whatever way it ends. Success, and equally
+    /// a *non-transient* answer (unknown repo, digest mismatch): the
+    /// endpoint is alive, so [`on_success`](CircuitBreaker::on_success).
+    /// An exhausted ladder: [`on_failure`](CircuitBreaker::on_failure).
+    /// A process death (`crashed` recognises it in the caller's error
+    /// type) says nothing about the endpoint: a crashed probe re-opens so
+    /// the restarted process probes again, anything else is left alone.
+    pub fn settle<T, E>(
+        &self,
+        injector: &FaultInjector,
+        outcome: &Result<RetryOk<T>, RetryErr<E>>,
+        crashed: impl FnOnce(&E) -> bool,
+    ) {
+        match outcome {
+            Ok(ok) => self.on_success(injector, ok.done),
+            Err(err) if err.gave_up => self.on_failure(injector, err.at),
+            Err(err) => match &err.cause {
+                RetryCause::Op(e) if crashed(e) => {
+                    let mut inner = self.inner.lock();
+                    if inner.state == BreakerState::HalfOpen {
+                        self.trip(&mut inner, injector, err.at, "reopen");
+                    }
+                }
+                _ => self.on_success(injector, err.at),
+            },
+        }
+    }
+
     fn trip(&self, inner: &mut BreakerInner, injector: &FaultInjector, now: SimTime, what: &str) {
         let jitter = if self.cfg.probe_jitter > 0.0 {
             1.0 + self.cfg.probe_jitter * injector.with_rng(|rng| rng.unit())
@@ -229,241 +252,6 @@ impl CircuitBreaker {
             "- {now} breaker {} {what} (probe at {probe_at})",
             self.name
         ));
-    }
-}
-
-// ------------------------------------------------------------- deadline
-
-/// A propagatable completion bound: "this whole operation — every retry,
-/// every fallback — must finish by `at`".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Deadline {
-    /// Absolute completion bound.
-    pub at: SimTime,
-}
-
-impl Deadline {
-    /// A deadline `budget` after `start`.
-    pub fn after(start: SimTime, budget: SimSpan) -> Deadline {
-        Deadline { at: start + budget }
-    }
-
-    /// Remaining budget at `now`; `None` once expired.
-    pub fn remaining(&self, now: SimTime) -> Option<SimSpan> {
-        (now < self.at).then(|| self.at.since(now))
-    }
-
-    /// True once the bound has passed.
-    pub fn expired(&self, now: SimTime) -> bool {
-        now >= self.at
-    }
-
-    /// Clamp a retry policy's own deadline to this bound's remainder:
-    /// the propagation step each hop of a degradation chain applies
-    /// before retrying, so fallbacks share the caller's budget instead
-    /// of stacking fresh 60-second deadlines. An expired deadline yields
-    /// a zero-budget policy (the first backoff gives up immediately).
-    /// (Named `clamp_policy` because `Ord::clamp` shadows an inherent
-    /// `clamp` on a by-value receiver.)
-    pub fn clamp_policy(&self, policy: RetryPolicy, now: SimTime) -> RetryPolicy {
-        let remaining = self.remaining(now).unwrap_or(SimSpan(0));
-        RetryPolicy {
-            deadline: policy.deadline.min(remaining),
-            ..policy
-        }
-    }
-}
-
-impl fmt::Display for Deadline {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "deadline@{}", self.at)
-    }
-}
-
-// -------------------------------------------------------------- hedging
-
-/// Hedged-request tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HedgePolicy {
-    /// A primary attempt slower than this triggers a hedge to the
-    /// replica (launched at `start + hedge_after`).
-    pub hedge_after: SimSpan,
-}
-
-impl Default for HedgePolicy {
-    fn default() -> HedgePolicy {
-        HedgePolicy {
-            hedge_after: SimSpan::millis(50),
-        }
-    }
-}
-
-/// A shared cap on hedges issued across a whole run, so tail-latency
-/// insurance cannot double the load on the replica during an incident.
-#[derive(Debug)]
-pub struct HedgeBudget {
-    remaining: AtomicU64,
-}
-
-impl HedgeBudget {
-    /// A budget of `cap` hedges.
-    pub fn new(cap: u64) -> HedgeBudget {
-        HedgeBudget {
-            remaining: AtomicU64::new(cap),
-        }
-    }
-
-    /// Take one hedge from the budget; false once exhausted.
-    pub fn try_take(&self) -> bool {
-        self.remaining
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |r| r.checked_sub(1))
-            .is_ok()
-    }
-
-    /// Hedges left.
-    pub fn remaining(&self) -> u64 {
-        self.remaining.load(Ordering::Relaxed)
-    }
-}
-
-/// [`RetryPolicy::run_timed`] with hedging: each attempt races the
-/// primary against a replica hedge launched [`HedgePolicy::hedge_after`]
-/// into the attempt, and the earlier completion wins.
-///
-/// The deadline-under-hedging contract, pinned by regression tests:
-///
-/// * the hedged pair is **one** attempt — `retry.<op>.attempts` counts
-///   the pair once, and a hedge win never consumes extra retry budget;
-/// * the **loser is cancelled** — its result is dropped, it emits no
-///   `degrade.*` metrics and no retry/give-up accounting of its own;
-/// * a failed hedge never surfaces: the primary's outcome stands.
-///
-/// The winner's completion then flows through the policy's normal
-/// stage-timeout / deadline handling, so a hedge that beats the stage
-/// timeout genuinely rescues the attempt.
-#[allow(clippy::too_many_arguments)]
-pub fn run_hedged<T, E: fmt::Display>(
-    policy: &RetryPolicy,
-    hedge: &HedgePolicy,
-    budget: &HedgeBudget,
-    injector: &FaultInjector,
-    op: &str,
-    stage: Stage,
-    start: SimTime,
-    mut transient: impl FnMut(&E) -> bool,
-    mut primary_fn: impl FnMut(u32, SimTime) -> Result<(T, SimTime), E>,
-    mut hedge_fn: impl FnMut(u32, SimTime) -> Result<(T, SimTime), E>,
-) -> Result<RetryOk<T>, RetryErr<E>> {
-    let m = injector.metrics();
-    let hard_deadline = start + policy.deadline;
-    let mut now = start;
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        m.incr(&format!("retry.{op}.attempts"));
-        let outcome = match primary_fn(attempts, now) {
-            Ok((value, done)) if done.since(now) > hedge.hedge_after && budget.try_take() => {
-                // Slow primary: race a hedge from `now + hedge_after`.
-                m.incr(&format!("hedge.{op}.launched"));
-                let hedge_start = now + hedge.hedge_after;
-                match hedge_fn(attempts, hedge_start) {
-                    Ok((hv, hdone)) if hdone < done => {
-                        // Hedge wins; the primary is cancelled at the
-                        // winner's completion — no attempt consumed, no
-                        // degrade recorded.
-                        m.incr(&format!("hedge.{op}.win"));
-                        m.incr(&format!("hedge.{op}.cancelled"));
-                        injector.note(format!(
-                            "- {hdone} {op} [{stage}] hedge won (primary would finish {done})"
-                        ));
-                        Ok((hv, hdone))
-                    }
-                    Ok(_) => {
-                        // Primary wins; the hedge is cancelled.
-                        m.incr(&format!("hedge.{op}.cancelled"));
-                        Ok((value, done))
-                    }
-                    Err(_) => {
-                        // A failed hedge never surfaces.
-                        m.incr(&format!("hedge.{op}.hedge_failed"));
-                        Ok((value, done))
-                    }
-                }
-            }
-            other => other,
-        };
-        let cause = match outcome {
-            Ok((value, done)) => {
-                let took = done.since(now);
-                match policy.attempt_timeout {
-                    Some(limit) if took > limit => {
-                        now += limit;
-                        m.incr(&format!("retry.{op}.stage_timeout"));
-                        injector.note(format!(
-                            "- {now} {op} [{stage}] attempt {attempts} hit stage timeout {limit} (op needed {took})"
-                        ));
-                        RetryCause::StageTimeout { limit, took }
-                    }
-                    _ => {
-                        if attempts > 1 {
-                            m.incr(&format!("retry.{op}.recovered"));
-                            m.observe(
-                                &format!("retry.{op}.recovery_ns"),
-                                done.since(start).as_nanos(),
-                            );
-                            injector.note(format!(
-                                "- {done} {op} [{stage}] recovered on attempt {attempts}"
-                            ));
-                        }
-                        return Ok(RetryOk {
-                            value,
-                            done,
-                            attempts,
-                        });
-                    }
-                }
-            }
-            Err(e) => {
-                if !transient(&e) {
-                    m.incr(&format!("retry.{op}.fatal"));
-                    return Err(RetryErr {
-                        cause: RetryCause::Op(e),
-                        at: now,
-                        attempts,
-                        gave_up: false,
-                    });
-                }
-                RetryCause::Op(e)
-            }
-        };
-        if attempts >= policy.max_attempts {
-            m.incr(&format!("retry.{op}.giveup"));
-            injector.note(format!(
-                "- {now} {op} [{stage}] gave up after {attempts} attempts: {cause}"
-            ));
-            return Err(RetryErr {
-                cause,
-                at: now,
-                attempts,
-                gave_up: true,
-            });
-        }
-        let pause = injector.with_rng(|rng| policy.backoff(attempts, rng));
-        if now + pause > hard_deadline {
-            m.incr(&format!("retry.{op}.giveup"));
-            injector.note(format!(
-                "- {now} {op} [{stage}] gave up: deadline {} exhausted after {attempts} attempts: {cause}",
-                policy.deadline
-            ));
-            return Err(RetryErr {
-                cause,
-                at: now,
-                attempts,
-                gave_up: true,
-            });
-        }
-        now += pause;
-        m.incr(&format!("retry.{op}.backoff"));
     }
 }
 
@@ -658,151 +446,49 @@ mod tests {
         assert_eq!(b.state(), BreakerState::HalfOpen);
     }
 
+    /// Every way a granted half-open probe can end leaves `HalfOpen`.
     #[test]
-    fn deadline_propagates_and_clamps_policies() {
-        let d = Deadline::after(SimTime::ZERO, SimSpan::secs(10));
-        assert_eq!(d.remaining(t(4_000)), Some(SimSpan::secs(6)));
-        assert!(!d.expired(t(9_999)));
-        assert!(d.expired(t(10_000)));
-        assert_eq!(d.remaining(t(10_000)), None);
-        let policy = RetryPolicy::default(); // 60s own deadline
-        let clamped = d.clamp_policy(policy, t(4_000));
-        assert_eq!(clamped.deadline, SimSpan::secs(6));
-        let expired = d.clamp_policy(policy, t(11_000));
-        assert_eq!(expired.deadline, SimSpan(0));
-        // A short own deadline is kept (clamping never extends).
-        let short = RetryPolicy::default().with_deadline(SimSpan::secs(1));
-        assert_eq!(d.clamp_policy(short, t(4_000)).deadline, SimSpan::secs(1));
-    }
-
-    #[test]
-    fn hedge_budget_caps_and_exhausts() {
-        let b = HedgeBudget::new(2);
-        assert!(b.try_take());
-        assert!(b.try_take());
-        assert!(!b.try_take());
-        assert_eq!(b.remaining(), 0);
-    }
-
-    #[test]
-    fn hedged_win_is_one_attempt_with_no_degrade_metrics() {
+    fn settle_never_leaves_a_probe_half_open() {
+        let crash = CrashInjector::disabled();
         let inj = FaultInjector::new(4, Vec::new());
-        let policy = RetryPolicy::default().with_attempt_timeout(SimSpan::millis(200));
-        let hedge = HedgePolicy {
-            hedge_after: SimSpan::millis(50),
+        let cfg = BreakerConfig {
+            failure_threshold: 1,
+            probe_jitter: 0.0,
+            ..BreakerConfig::default()
         };
-        let budget = HedgeBudget::new(10);
-        let out = run_hedged(
-            &policy,
-            &hedge,
-            &budget,
-            &inj,
-            "pull",
-            Stage::Pull,
-            SimTime::ZERO,
-            |_e: &String| true,
-            // Browned-out primary: 500 ms (past the 200 ms stage timeout).
-            |_, at| Ok(("primary", at + SimSpan::millis(500))),
-            // Healthy replica: 30 ms from hedge launch.
-            |_, at| Ok(("mirror", at + SimSpan::millis(30))),
-        )
-        .unwrap();
-        assert_eq!(out.value, "mirror");
-        assert_eq!(out.attempts, 1, "the hedged pair is one attempt");
-        assert_eq!(out.done, SimTime::ZERO + SimSpan::millis(80));
-        let m = inj.metrics();
-        assert_eq!(m.get("retry.pull.attempts"), 1);
-        assert_eq!(m.get("retry.pull.stage_timeout"), 0, "hedge rescued it");
-        assert_eq!(m.get("hedge.pull.launched"), 1);
-        assert_eq!(m.get("hedge.pull.win"), 1);
-        assert_eq!(m.get("hedge.pull.cancelled"), 1);
-        assert!(
-            !m.render().contains("degrade."),
-            "a cancelled loser is not a degradation: {}",
-            m.render()
-        );
-    }
-
-    #[test]
-    fn fast_primary_never_hedges_and_budget_is_untouched() {
-        let inj = FaultInjector::new(5, Vec::new());
-        let budget = HedgeBudget::new(3);
-        let out = run_hedged(
-            &RetryPolicy::default(),
-            &HedgePolicy::default(),
-            &budget,
-            &inj,
-            "pull",
-            Stage::Pull,
-            SimTime::ZERO,
-            |_e: &String| true,
-            |_, at| Ok((1u32, at + SimSpan::millis(10))),
-            |_, _| -> Result<(u32, SimTime), String> { panic!("hedge must not launch") },
-        )
-        .unwrap();
-        assert_eq!(out.value, 1);
-        assert_eq!(budget.remaining(), 3);
-        assert_eq!(inj.metrics().get("hedge.pull.launched"), 0);
-    }
-
-    #[test]
-    fn failed_hedge_never_surfaces_and_slow_hedge_is_cancelled() {
-        let inj = FaultInjector::new(6, Vec::new());
-        let budget = HedgeBudget::new(10);
-        // Hedge errors: primary result stands.
-        let out = run_hedged(
-            &RetryPolicy::default(),
-            &HedgePolicy::default(),
-            &budget,
-            &inj,
-            "a",
-            Stage::Pull,
-            SimTime::ZERO,
-            |_e: &String| true,
-            |_, at| Ok(("primary", at + SimSpan::millis(300))),
-            |_, _| Err("replica down".to_string()),
-        )
-        .unwrap();
-        assert_eq!(out.value, "primary");
-        assert_eq!(inj.metrics().get("hedge.a.hedge_failed"), 1);
-        // Hedge slower than the primary: cancelled, primary wins.
-        let out = run_hedged(
-            &RetryPolicy::default(),
-            &HedgePolicy::default(),
-            &budget,
-            &inj,
-            "b",
-            Stage::Pull,
-            SimTime::ZERO,
-            |_e: &String| true,
-            |_, at| Ok(("primary", at + SimSpan::millis(300))),
-            |_, at| Ok(("mirror", at + SimSpan::secs(5))),
-        )
-        .unwrap();
-        assert_eq!(out.value, "primary");
-        assert_eq!(inj.metrics().get("hedge.b.win"), 0);
-        assert_eq!(inj.metrics().get("hedge.b.cancelled"), 1);
-    }
-
-    #[test]
-    fn exhausted_budget_disables_hedging() {
-        let inj = FaultInjector::new(7, Vec::new());
-        let budget = HedgeBudget::new(0);
-        let out = run_hedged(
-            &RetryPolicy::default(),
-            &HedgePolicy::default(),
-            &budget,
-            &inj,
-            "pull",
-            Stage::Pull,
-            SimTime::ZERO,
-            |_e: &String| true,
-            |_, at| Ok(("primary", at + SimSpan::secs(1))),
-            |_, _| -> Result<(&str, SimTime), String> { panic!("budget is empty") },
-        )
-        .unwrap();
-        assert_eq!(out.value, "primary");
-        assert_eq!(inj.metrics().get("hedge.pull.launched"), 0);
+        let err = |cause: &'static str, gave_up| {
+            Err::<RetryOk<()>, _>(RetryErr {
+                cause: RetryCause::Op(cause),
+                at: t(9_000),
+                attempts: 1,
+                gave_up,
+            })
+        };
+        let probe_ends = |outcome: &Result<RetryOk<()>, RetryErr<&'static str>>| {
+            let b = CircuitBreaker::new("e", cfg);
+            b.on_failure(&inj, t(0));
+            assert!(b.allow(&inj, &crash, t(9_000)).unwrap());
+            assert_eq!(b.state(), BreakerState::HalfOpen);
+            b.settle(&inj, outcome, |e| *e == "crashed");
+            b.state()
+        };
+        let ok = Ok(RetryOk {
+            value: (),
+            done: t(9_001),
+            attempts: 1,
+        });
+        assert_eq!(probe_ends(&ok), BreakerState::Closed);
+        // A fatal answer is still an answer: the endpoint is alive.
+        assert_eq!(probe_ends(&err("not found", false)), BreakerState::Closed);
+        let reopened = BreakerState::Open {
+            probe_at: t(9_000) + cfg.cooldown,
+        };
+        assert_eq!(probe_ends(&err("503", true)), reopened);
+        assert_eq!(probe_ends(&err("crashed", false)), reopened);
+        // A crash under a closed breaker is no verdict on the endpoint.
+        let b = CircuitBreaker::new("e", cfg);
+        b.settle(&inj, &err("crashed", false), |e| *e == "crashed");
+        assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]

@@ -28,8 +28,7 @@ pub use local::{
     StagingReport,
 };
 pub use p2p::{
-    broadcast_p2p, broadcast_tree, broadcast_tree_from_seeds, broadcast_tree_observed,
-    broadcast_via_shared_fs, replicate_to_stores, BroadcastReport, DistributionTree,
-    TreeBroadcastReport, TreeSpec,
+    broadcast_p2p, broadcast_tree, broadcast_tree_from_seeds, broadcast_via_shared_fs,
+    replicate_to_stores, BroadcastReport, DistributionTree, TreeBroadcastReport, TreeSpec,
 };
 pub use shared_fs::{SharedFs, SharedFsConfig};

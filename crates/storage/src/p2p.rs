@@ -62,51 +62,18 @@ pub fn broadcast_via_shared_fs(
 /// Dragonfly-style swarm: `seeds` nodes pull from the shared filesystem;
 /// afterwards every node holding the image serves one peer at a time over
 /// the high-speed fabric.
-pub fn broadcast_p2p(
-    shared: &SharedFs,
-    fabric: &Fabric,
-    image_size: Bytes,
-    node_ids: &[NodeId],
-    seeds: usize,
-    start: SimTime,
-) -> BroadcastReport {
-    broadcast_p2p_with_faults(
-        shared,
-        fabric,
-        image_size,
-        node_ids,
-        seeds,
-        start,
-        &FaultInjector::disabled(),
-    )
-}
-
-/// [`broadcast_p2p`] under a fault schedule: each time a holder is picked
-/// to serve, a [`FaultKind::PeerChurn`] fault makes it leave the swarm
-/// instead (node reclaimed by its job, daemon restarted). Departed holders
-/// stop serving but keep their copy; the broadcast completes as long as at
-/// least one holder remains, which the seed set guarantees — the last
-/// holder is never allowed to depart.
-pub fn broadcast_p2p_with_faults(
-    shared: &SharedFs,
-    fabric: &Fabric,
-    image_size: Bytes,
-    node_ids: &[NodeId],
-    seeds: usize,
-    start: SimTime,
-    faults: &FaultInjector,
-) -> BroadcastReport {
-    let disabled = Tracer::disabled();
-    broadcast_p2p_observed(
-        shared, fabric, image_size, node_ids, seeds, start, faults, &disabled,
-    )
-}
-
-/// [`broadcast_p2p_with_faults`] with a tracer: the whole broadcast becomes
+///
+/// Under a fault schedule, each time a holder is picked to serve a
+/// [`FaultKind::PeerChurn`] fault makes it leave the swarm instead (node
+/// reclaimed by its job, daemon restarted). Departed holders stop serving
+/// but keep their copy; the broadcast completes as long as at least one
+/// holder remains, which the seed set guarantees — the last holder is
+/// never allowed to depart. With a live tracer the whole broadcast becomes
 /// a `p2p.broadcast` span with one `p2p.seed_pull` child per seed fetch and
-/// one `p2p.send` child per peer transfer.
+/// one `p2p.send` child per peer transfer. [`FaultInjector::disabled`] and
+/// [`Tracer::disabled`] switch either off.
 #[allow(clippy::too_many_arguments)]
-pub fn broadcast_p2p_observed(
+pub fn broadcast_p2p(
     shared: &SharedFs,
     fabric: &Fabric,
     image_size: Bytes,
@@ -399,38 +366,16 @@ pub struct TreeBroadcastReport {
     pub chunks_sent: u64,
 }
 
-/// Tree broadcast with faults and observability disabled — the common
-/// test entry point.
-pub fn broadcast_tree(
-    shared: &SharedFs,
-    fabric: &Fabric,
-    image_size: Bytes,
-    node_ids: &[NodeId],
-    spec: TreeSpec,
-    start: SimTime,
-) -> TreeBroadcastReport {
-    let disabled = Tracer::disabled();
-    broadcast_tree_observed(
-        shared,
-        fabric,
-        image_size,
-        node_ids,
-        spec,
-        start,
-        &FaultInjector::disabled(),
-        &disabled,
-        &MetricsRegistry::new(),
-    )
-}
-
 /// Full tree broadcast: seeds fetch the image from the shared filesystem
 /// in chunks (executor tasks, so the schedule rides the DES), then each
 /// seed's segment receives it down a fan-out tree with chunk pipelining.
 /// A [`FaultKind::PeerChurn`] fault fired against an interior node kills
 /// it mid-broadcast; its children (and the node itself, once its daemon
 /// restarts) re-attach to the nearest live ancestor and catch up.
+/// [`FaultInjector::disabled`] and [`Tracer::disabled`] switch faults and
+/// spans off.
 #[allow(clippy::too_many_arguments)]
-pub fn broadcast_tree_observed(
+pub fn broadcast_tree(
     shared: &SharedFs,
     fabric: &Fabric,
     image_size: Bytes,
@@ -566,7 +511,8 @@ pub fn repair_forest(
 /// The fan-out phase of a tree broadcast, starting from per-seed chunk
 /// availability times (`seed_chunk_done[s][c]` = when seed `s` holds chunk
 /// `c`). Lets callers feed the seeds from any upstream — shared fs here,
-/// the tiered registry in `bench storm`.
+/// the tiered registry in `bench storm`. The outage-free call of
+/// [`broadcast_tree_from_seeds_gated`].
 #[allow(clippy::too_many_arguments)]
 pub fn broadcast_tree_from_seeds(
     fabric: &Fabric,
@@ -872,13 +818,34 @@ mod tests {
         )
     }
 
+    /// A fault-free, untraced swarm broadcast from time zero.
+    fn swarm(
+        shared: &SharedFs,
+        fabric: &Fabric,
+        image: Bytes,
+        ids: &[NodeId],
+        seeds: usize,
+    ) -> BroadcastReport {
+        let (faults, tracer) = (FaultInjector::disabled(), Tracer::disabled());
+        broadcast_p2p(
+            shared,
+            fabric,
+            image,
+            ids,
+            seeds,
+            SimTime::ZERO,
+            &faults,
+            &tracer,
+        )
+    }
+
     #[test]
     fn p2p_beats_shared_fs_at_scale() {
         let image = Bytes::gib(2);
         let (shared_a, _, _) = setup(0);
         let base = broadcast_via_shared_fs(&shared_a, image, 256, SimTime::ZERO);
         let (shared_b, fabric, ids) = setup(256);
-        let p2p = broadcast_p2p(&shared_b, &fabric, image, &ids, 4, SimTime::ZERO);
+        let p2p = swarm(&shared_b, &fabric, image, &ids, 4);
         assert!(
             p2p.all_done < base.all_done,
             "p2p {:?} should beat shared-fs {:?} at 256 nodes",
@@ -894,7 +861,7 @@ mod tests {
     fn all_nodes_receive_the_image() {
         let image = Bytes::mib(512);
         let (shared, fabric, ids) = setup(33);
-        let report = broadcast_p2p(&shared, &fabric, image, &ids, 2, SimTime::ZERO);
+        let report = swarm(&shared, &fabric, image, &ids, 2);
         assert_eq!(report.per_node_done.len(), 33);
         assert!(report.per_node_done.iter().all(|t| *t > SimTime::ZERO));
         // 31 non-seed nodes each moved one image copy over p2p.
@@ -906,11 +873,11 @@ mod tests {
         let image = Bytes::gib(1);
         let t64 = {
             let (shared, fabric, ids) = setup(64);
-            broadcast_p2p(&shared, &fabric, image, &ids, 1, SimTime::ZERO).all_done
+            swarm(&shared, &fabric, image, &ids, 1).all_done
         };
         let t512 = {
             let (shared, fabric, ids) = setup(512);
-            broadcast_p2p(&shared, &fabric, image, &ids, 1, SimTime::ZERO).all_done
+            swarm(&shared, &fabric, image, &ids, 1).all_done
         };
         let ratio =
             t512.since(SimTime::ZERO).as_secs_f64() / t64.since(SimTime::ZERO).as_secs_f64();
@@ -936,14 +903,22 @@ mod tests {
                 SimTime::ZERO + SimSpan::secs(600),
             )],
         );
-        let report =
-            broadcast_p2p_with_faults(&shared, &fabric, image, &ids, 4, SimTime::ZERO, &inj);
+        let report = broadcast_p2p(
+            &shared,
+            &fabric,
+            image,
+            &ids,
+            4,
+            SimTime::ZERO,
+            &inj,
+            &Tracer::disabled(),
+        );
         assert_eq!(report.per_node_done.len(), 64);
         assert!(report.per_node_done.iter().all(|t| *t > SimTime::ZERO));
         assert!(inj.metrics().get("faults.injected.peer_churn") > 0);
         // Churn costs time against the fault-free swarm.
         let (shared2, fabric2, ids2) = setup(64);
-        let clean = broadcast_p2p(&shared2, &fabric2, image, &ids2, 4, SimTime::ZERO);
+        let clean = swarm(&shared2, &fabric2, image, &ids2, 4);
         assert!(report.all_done >= clean.all_done);
     }
 
@@ -952,11 +927,11 @@ mod tests {
         let image = Bytes::gib(1);
         let t1 = {
             let (shared, fabric, ids) = setup(128);
-            broadcast_p2p(&shared, &fabric, image, &ids, 1, SimTime::ZERO).all_done
+            swarm(&shared, &fabric, image, &ids, 1).all_done
         };
         let t8 = {
             let (shared, fabric, ids) = setup(128);
-            broadcast_p2p(&shared, &fabric, image, &ids, 8, SimTime::ZERO).all_done
+            swarm(&shared, &fabric, image, &ids, 8).all_done
         };
         assert!(t8 <= t1);
     }
@@ -965,7 +940,7 @@ mod tests {
     fn single_node_is_just_a_seed_pull() {
         let image = Bytes::mib(64);
         let (shared, fabric, ids) = setup(1);
-        let report = broadcast_p2p(&shared, &fabric, image, &ids, 1, SimTime::ZERO);
+        let report = swarm(&shared, &fabric, image, &ids, 1);
         assert_eq!(report.p2p_bytes, Bytes::ZERO);
         assert_eq!(report.per_node_done.len(), 1);
     }
@@ -1003,6 +978,9 @@ mod tests {
             &ids,
             TreeSpec::default(),
             SimTime::ZERO,
+            &FaultInjector::disabled(),
+            &Tracer::disabled(),
+            &MetricsRegistry::new(),
         );
         assert_eq!(report.per_node_done.len(), 100);
         assert!(report.per_node_done.iter().all(|t| *t > SimTime::ZERO));
@@ -1016,13 +994,23 @@ mod tests {
     fn tree_pipelining_beats_whole_image_swarm_at_scale() {
         let image = Bytes::gib(2);
         let (shared_a, fabric_a, ids_a) = setup(512);
-        let swarm = broadcast_p2p(&shared_a, &fabric_a, image, &ids_a, 4, SimTime::ZERO);
+        let swarm = swarm(&shared_a, &fabric_a, image, &ids_a, 4);
         let (shared_b, fabric_b, ids_b) = setup(512);
         let spec = TreeSpec {
             seeds: 4,
             ..TreeSpec::default()
         };
-        let tree = broadcast_tree(&shared_b, &fabric_b, image, &ids_b, spec, SimTime::ZERO);
+        let tree = broadcast_tree(
+            &shared_b,
+            &fabric_b,
+            image,
+            &ids_b,
+            spec,
+            SimTime::ZERO,
+            &FaultInjector::disabled(),
+            &Tracer::disabled(),
+            &MetricsRegistry::new(),
+        );
         assert!(
             tree.all_done < swarm.all_done,
             "pipelined tree {:?} should beat whole-image swarm {:?}",
@@ -1046,7 +1034,7 @@ mod tests {
         );
         let tracer = Tracer::disabled();
         let metrics = MetricsRegistry::new();
-        let churned = broadcast_tree_observed(
+        let churned = broadcast_tree(
             &shared,
             &fabric,
             image,
@@ -1069,6 +1057,9 @@ mod tests {
             &ids2,
             TreeSpec::default(),
             SimTime::ZERO,
+            &FaultInjector::disabled(),
+            &Tracer::disabled(),
+            &MetricsRegistry::new(),
         );
         assert!(
             churned.all_done >= clean.all_done,

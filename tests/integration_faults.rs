@@ -23,10 +23,10 @@ use hpcc_runtime::cgroup::{CgroupTree, CgroupVersion};
 use hpcc_sim::net::{Fabric, NodeId};
 use hpcc_sim::{
     BreakerConfig, BreakerState, Bytes, FaultInjector, FaultKind, FaultRule, RetryPolicy, SimClock,
-    SimSpan, SimTime, Stage,
+    SimSpan, SimTime, Stage, Tracer,
 };
 use hpcc_storage::local::{stage_image_to_nodes, NodeLocalDisk};
-use hpcc_storage::p2p::{broadcast_p2p, broadcast_p2p_with_faults};
+use hpcc_storage::p2p::broadcast_p2p;
 use hpcc_storage::shared_fs::SharedFs;
 use hpcc_vfs::fs::MemFs;
 use hpcc_vfs::path::VPath;
@@ -288,6 +288,70 @@ fn pull_ladder_serves_both_granularities_from_every_hop() {
     assert_eq!(m.get("degrade.engine.lazy.fetch.primary_to_mirror"), 1);
 }
 
+/// A half-open probe that ends in a *non-transient* answer must still
+/// leave `HalfOpen`: the probe of a recovered primary happens to be a pull
+/// of an unknown repo (fatal, never retried), and an unknown repo is still
+/// an answer — the endpoint is alive, the breaker closes, and the pulls
+/// after it go back to the primary instead of the mirror forever.
+#[test]
+fn fatal_probe_answer_closes_the_breaker_instead_of_wedging_it() {
+    let hub = hub_with_image();
+    let mirror = hub_with_image();
+    let sources = PullSources {
+        primary: &hub,
+        tier: None,
+        proxy: None,
+        mirror: Some(&mirror),
+    };
+    let inj = Arc::new(FaultInjector::new(
+        41,
+        vec![FaultRule::sticky(
+            FaultKind::RegistryUnavailable,
+            SimTime::ZERO,
+            SimTime::ZERO + SimSpan::secs(10),
+        )],
+    ));
+    hub.set_fault_injector(Arc::clone(&inj));
+    let engine = engines::podman();
+    engine.set_fault_injector(Arc::clone(&inj));
+    let res = Arc::new(PullResilience::new(BreakerConfig {
+        failure_threshold: 1,
+        cooldown: SimSpan::secs(5),
+        probe_jitter: 0.0,
+        ..BreakerConfig::default()
+    }));
+    engine.set_pull_resilience(Some(Arc::clone(&res)));
+    let clock = SimClock::new();
+
+    // The outage: the ladder exhausts on the primary, the mirror serves.
+    let (_, source) = engine
+        .pull_resilient(&sources, "hpc/app", "v1", &clock)
+        .unwrap();
+    assert_eq!(source, "mirror");
+    assert!(matches!(
+        res.breaker("primary").state(),
+        BreakerState::Open { .. }
+    ));
+
+    // Healed and cooled down: the probe is a pull nobody can serve.
+    clock.advance_to(SimTime::ZERO + SimSpan::secs(30));
+    let err = engine
+        .pull_resilient(&sources, "hpc/ghost", "v1", &clock)
+        .unwrap_err();
+    assert!(!err.is_transient(), "{err}");
+    assert_eq!(inj.metrics().get("breaker.primary.half_open"), 1);
+    assert_eq!(res.breaker("primary").state(), BreakerState::Closed);
+
+    for minute in 1..=5 {
+        clock.advance_to(SimTime::ZERO + SimSpan::secs(30 + 60 * minute));
+        let (_, source) = engine
+            .pull_resilient(&sources, "hpc/app", "v1", &clock)
+            .unwrap();
+        assert_eq!(source, "primary", "pull {minute} after the probe");
+    }
+    assert_eq!(inj.metrics().get("breaker.primary.close"), 1);
+}
+
 // ------------------------------------------------------------ shared FS
 
 /// A metadata-server brownout makes shared-filesystem reads overrun their
@@ -361,11 +425,21 @@ fn p2p_broadcast_survives_seed_churn() {
     let fabric = Fabric::with_defaults(ids.iter().copied());
     let size = Bytes::new(2 * 1024 * 1024 * 1024);
 
-    let calm = broadcast_p2p(&shared, &fabric, size, &ids, 4, SimTime::ZERO);
+    let quiet = Tracer::disabled();
+    let calm = broadcast_p2p(
+        &shared,
+        &fabric,
+        size,
+        &ids,
+        4,
+        SimTime::ZERO,
+        &FaultInjector::disabled(),
+        &quiet,
+    );
 
     shared.reset_contention();
     let inj = FaultInjector::new(29, vec![FaultRule::background(FaultKind::PeerChurn, 0.3)]);
-    let churned = broadcast_p2p_with_faults(&shared, &fabric, size, &ids, 4, SimTime::ZERO, &inj);
+    let churned = broadcast_p2p(&shared, &fabric, size, &ids, 4, SimTime::ZERO, &inj, &quiet);
 
     assert_eq!(churned.per_node_done.len(), nodes, "every node served");
     assert!(
@@ -556,7 +630,7 @@ fn chaos_scenario(seed: u64) -> Arc<FaultInjector> {
     let ids: Vec<NodeId> = (0..32u32).map(NodeId).collect();
     let fabric = Fabric::with_defaults(ids.iter().copied());
     let bcast_fs = SharedFs::with_defaults();
-    broadcast_p2p_with_faults(
+    broadcast_p2p(
         &bcast_fs,
         &fabric,
         Bytes::new(1024 * 1024 * 1024),
@@ -564,6 +638,7 @@ fn chaos_scenario(seed: u64) -> Arc<FaultInjector> {
         2,
         t0,
         &inj,
+        &Tracer::disabled(),
     );
 
     // Doomed prolog.

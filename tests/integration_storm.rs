@@ -31,8 +31,7 @@ use hpcc_sim::net::{Fabric, NodeId};
 use hpcc_sim::obs::Tracer;
 use hpcc_sim::{Bytes, FaultInjector, FaultKind, FaultRule, MetricsRegistry, SimTime};
 use hpcc_storage::p2p::{
-    broadcast_tree, broadcast_tree_observed, replicate_to_stores, tree_depth_bound,
-    DistributionTree, TreeSpec,
+    broadcast_tree, replicate_to_stores, tree_depth_bound, DistributionTree, TreeSpec,
 };
 use hpcc_storage::BlobStore;
 use proptest::prelude::*;
@@ -129,7 +128,7 @@ proptest! {
         );
         let metrics = MetricsRegistry::new();
         let disabled = Tracer::disabled();
-        let report = broadcast_tree_observed(
+        let report = broadcast_tree(
             &shared,
             &fabric,
             Bytes::gib(1),
@@ -241,6 +240,9 @@ fn storm_and_tree_timings_are_run_to_run_identical() {
             &ids,
             TreeSpec::default(),
             SimTime::ZERO,
+            &FaultInjector::disabled(),
+            &Tracer::disabled(),
+            &MetricsRegistry::new(),
         );
         (pulls, tree.per_node_done, tree.p2p_bytes)
     };
