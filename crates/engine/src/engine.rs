@@ -1106,11 +1106,16 @@ impl Engine {
                             Some(j) => Some(j.begin("engine.convert", &key, clock.now())?),
                             None => None,
                         };
-                        // Each layer is compressed independently
-                        // (~500 MiB/s) on the engine's worker pool, then
-                        // one assemble pass (~1 GiB/s over the flattened
-                        // tree) that depends on every layer stitches the
-                        // image.
+                        // Simulated cost: each layer is compressed
+                        // independently (~500 MiB/s) on the engine's
+                        // worker pool, then one assemble pass (~1 GiB/s
+                        // over the flattened tree) that depends on every
+                        // layer stitches the image. The host work below
+                        // has the same shape — `SquashImage::build`
+                        // compresses its per-file blocks side by side,
+                        // then lays them out in order — but it only sees
+                        // bytes, never the clock, so it cannot move a
+                        // simulated number.
                         let t_conv = clock.now();
                         let conv_span =
                             tracer.begin(sym!("engine.convert"), Stage::Convert, t_conv);
@@ -1172,10 +1177,10 @@ impl Engine {
                         tracer.end(conv_span, clock.now());
 
                         crash.crash_point("convert.publish.pre", clock.now())?;
-                        let artifact = Arc::new(if is_sif {
+                        let artifact = if is_sif {
                             let sif = SifImage::build("Bootstrap: oci\n", &rootfs)
                                 .expect("conversion of a flattened tree succeeds");
-                            sif.to_bytes()
+                            Arc::new(sif.to_bytes())
                         } else {
                             SquashImage::build(
                                 &rootfs,
@@ -1183,9 +1188,8 @@ impl Engine {
                                 hpcc_codec::compress::Codec::Lz,
                             )
                             .expect("conversion of a flattened tree succeeds")
-                            .as_bytes()
-                            .to_vec()
-                        });
+                            .into_bytes()
+                        };
                         self.cache.insert(&key, user, Arc::clone(&artifact));
                         if let (Some(j), Some(intent)) = (journal, intent) {
                             j.commit(intent, clock.now())?;
@@ -1198,7 +1202,8 @@ impl Engine {
                     let sif = SifImage::from_bytes(&artifact)?;
                     Arc::new(sif.open_partition()?)
                 } else {
-                    Arc::new(SquashImage::from_bytes(artifact.as_ref().clone())?)
+                    // The cache and the mount share one copy of the image.
+                    Arc::new(SquashImage::from_bytes(artifact)?)
                 };
 
                 // Mount: suid-kernel or FUSE, by capability.

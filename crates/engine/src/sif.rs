@@ -88,7 +88,7 @@ impl SifImage {
         let squash = SquashImage::build(rootfs, &VPath::root(), hpcc_codec::compress::Codec::Lz)?;
         Ok(SifImage {
             definition: definition.to_string(),
-            partition: squash.as_bytes().to_vec(),
+            partition: std::sync::Arc::unwrap_or_clone(squash.into_bytes()),
             encrypted: false,
             signatures: Vec::new(),
             overlay: None,

@@ -704,9 +704,9 @@ impl Registry {
         }
         let fs = layer::flatten(&archives)?;
         let img = SquashImage::build(&fs, &VPath::root(), hpcc_codec::compress::Codec::Lz)?;
-        Ok(self
-            .cas
-            .put(MediaType::SquashImage, img.as_bytes().to_vec()))
+        // The image was just built, so the bytes are ours to hand over.
+        let bytes = Arc::unwrap_or_clone(img.into_bytes());
+        Ok(self.cas.put(MediaType::SquashImage, bytes))
     }
 
     // ------------------------------------------------------- Library API

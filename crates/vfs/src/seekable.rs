@@ -22,7 +22,7 @@
 use crate::fs::{FileType, MemFs, Meta};
 use crate::path::VPath;
 use crate::squash::SquashError;
-use hpcc_codec::compress::{compress, decompress, Codec, CodecError};
+use hpcc_codec::compress::{compress_blocks, decompress, Codec, CodecError};
 use hpcc_codec::wire::{put_str, put_varint, Reader};
 use hpcc_crypto::sha256::{sha256, Digest};
 use std::collections::BTreeMap;
@@ -92,33 +92,53 @@ impl SeekableIndex {
         chunk_size: u64,
     ) -> Result<(SeekableIndex, Vec<ChunkBlob>), SquashError> {
         let chunk_size = chunk_size.max(1);
-        let mut entries = BTreeMap::new();
-        let mut chunks: Vec<(Digest, Arc<Vec<u8>>)> = Vec::new();
-        let mut seen: BTreeMap<Digest, ()> = BTreeMap::new();
+        // Walk first; every range of every file is an independent block,
+        // compressed side by side before digests and dedup are assigned
+        // in walk order.
+        let mut walked = Vec::new();
         for p in fs.walk(root)? {
+            let st = fs.lstat(&p)?;
+            let data = match st.kind {
+                FileType::File => Some(fs.read(&p)?),
+                _ => None,
+            };
+            walked.push((p, st, data));
+        }
+        let ranges: Vec<&[u8]> = walked
+            .iter()
+            .filter_map(|(_, _, data)| data.as_ref())
+            .flat_map(|data| data.chunks(chunk_size as usize))
+            .collect();
+        let mut stored = ranges.iter().zip(compress_blocks(codec, &ranges));
+
+        let mut entries = BTreeMap::new();
+        let mut chunks: Vec<ChunkBlob> = Vec::new();
+        let mut seen: BTreeMap<Digest, ()> = BTreeMap::new();
+        for (p, st, data) in &walked {
             let rel = p
                 .rebase(root, &VPath::root())
                 .expect("walked path under root")
                 .to_string()
                 .trim_start_matches('/')
                 .to_string();
-            let st = fs.lstat(&p)?;
             let entry = match st.kind {
                 FileType::File => {
-                    let data = fs.read(&p)?;
-                    let mut refs = Vec::new();
-                    for range in data.chunks(chunk_size as usize) {
-                        let stored = compress(codec, range);
-                        let digest = sha256(&stored);
-                        if seen.insert(digest, ()).is_none() {
-                            chunks.push((digest, Arc::new(stored.clone())));
-                        }
-                        refs.push(ChunkRef {
-                            digest,
-                            stored_len: stored.len() as u64,
-                            orig_len: range.len() as u64,
-                        });
-                    }
+                    let data = data.as_ref().expect("file was read");
+                    let refs = stored
+                        .by_ref()
+                        .take(data.len().div_ceil(chunk_size as usize))
+                        .map(|(range, stored)| {
+                            let chunk = ChunkRef {
+                                digest: sha256(&stored),
+                                stored_len: stored.len() as u64,
+                                orig_len: range.len() as u64,
+                            };
+                            if seen.insert(chunk.digest, ()).is_none() {
+                                chunks.push((chunk.digest, Arc::new(stored)));
+                            }
+                            chunk
+                        })
+                        .collect();
                     SeekableEntry::File {
                         meta: st.meta,
                         orig_len: data.len() as u64,
@@ -128,7 +148,7 @@ impl SeekableIndex {
                 FileType::Dir => SeekableEntry::Dir { meta: st.meta },
                 FileType::Symlink => SeekableEntry::Symlink {
                     meta: st.meta,
-                    target: fs.readlink(&p)?,
+                    target: fs.readlink(p)?,
                 },
             };
             entries.insert(rel, entry);
@@ -427,6 +447,61 @@ mod tests {
             SeekableIndex::build(&sample_fs(), &VPath::root(), Codec::Lz, DEFAULT_CHUNK_SIZE)
                 .unwrap();
         (index, chunks.into_iter().collect())
+    }
+
+    #[test]
+    fn build_is_one_compress_per_range_in_walk_order() {
+        // The builder as first written — one `compress` at a time, dedup
+        // by first appearance — is the reference: however many threads
+        // compressed the ranges, index and chunk list must equal it.
+        let mut fs = sample_fs();
+        fs.write_p(&p("/usr/lib/libcopy.so"), vec![b'L'; 700_000])
+            .unwrap();
+        let text: Vec<u8> = (0..400_000u32)
+            .map(|i| b"etaoinsh"[(i.wrapping_mul(2_654_435_761) >> 29) as usize])
+            .collect();
+        fs.write_p(&p("/opt/text"), text).unwrap();
+        for chunk_size in [DEFAULT_CHUNK_SIZE, 4096] {
+            let (index, chunks) =
+                SeekableIndex::build(&fs, &VPath::root(), Codec::Lz, chunk_size).unwrap();
+            let mut want: Vec<ChunkBlob> = Vec::new();
+            for path in fs.walk(&VPath::root()).unwrap() {
+                if fs.lstat(&path).unwrap().kind != FileType::File {
+                    continue;
+                }
+                let rel = path.to_string();
+                let (_, refs) = index.file_chunks(rel.trim_start_matches('/')).unwrap();
+                let data = fs.read(&path).unwrap();
+                assert_eq!(refs.len(), data.chunks(chunk_size as usize).len());
+                for (range, r) in data.chunks(chunk_size as usize).zip(refs) {
+                    let stored = hpcc_codec::compress::compress(Codec::Lz, range);
+                    let digest = sha256(&stored);
+                    assert_eq!(
+                        *r,
+                        ChunkRef {
+                            digest,
+                            stored_len: stored.len() as u64,
+                            orig_len: range.len() as u64,
+                        }
+                    );
+                    if want.iter().all(|(d, _)| *d != digest) {
+                        want.push((digest, Arc::new(stored)));
+                    }
+                }
+            }
+            assert!(
+                chunks == want,
+                "chunk list differs at chunk size {chunk_size}"
+            );
+        }
+        // Captured before ranges were compressed in parallel and before
+        // the encoder was rewritten: published indexes must not move.
+        let (index, _) =
+            SeekableIndex::build(&fs, &VPath::root(), Codec::Lz, DEFAULT_CHUNK_SIZE).unwrap();
+        assert_eq!(
+            index.digest().to_string(),
+            "sha256:113a967bf2f3c6118e4301782edc757180b66f9f493d9273a4250fe3e80d1b4d"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::fs::{FileType, FsError, MemFs, Meta};
 use crate::path::VPath;
-use hpcc_codec::compress::{compress, decompress, Codec, CodecError};
+use hpcc_codec::compress::{compress_blocks, decompress, Codec, CodecError};
 use hpcc_codec::wire::{put_str, put_varint, Reader, WireError};
 use hpcc_crypto::sha256::{sha256, Digest};
 use std::collections::BTreeMap;
@@ -100,12 +100,13 @@ pub struct SquashImage {
 impl SquashImage {
     /// Pack the subtree of `fs` at `root` into an image using `codec`.
     pub fn build(fs: &MemFs, root: &VPath, codec: Codec) -> Result<SquashImage, SquashError> {
-        // First pass: collect entries and compress file payloads.
+        // First pass: collect entries; file payloads are compressed side
+        // by side afterwards, one independent block per file.
         struct Pending {
             path: String,
             kind: u8,
             meta: Meta,
-            payload: Option<(Vec<u8>, u64)>, // (compressed, orig_len)
+            data: Option<Arc<Vec<u8>>>,
             target: Option<String>,
         }
         let mut pending = Vec::new();
@@ -117,52 +118,32 @@ impl SquashImage {
                 .trim_start_matches('/')
                 .to_string();
             let st = fs.lstat(&p)?;
-            match st.kind {
-                FileType::File => {
-                    let data = fs.read(&p)?;
-                    let stored = compress(codec, &data);
-                    pending.push(Pending {
-                        path: rel,
-                        kind: 0,
-                        meta: st.meta,
-                        payload: Some((stored, data.len() as u64)),
-                        target: None,
-                    });
-                }
-                FileType::Dir => pending.push(Pending {
-                    path: rel,
-                    kind: 1,
-                    meta: st.meta,
-                    payload: None,
-                    target: None,
-                }),
-                FileType::Symlink => pending.push(Pending {
-                    path: rel,
-                    kind: 2,
-                    meta: st.meta,
-                    payload: None,
-                    target: Some(fs.readlink(&p)?),
-                }),
-            }
+            let (kind, data, target) = match st.kind {
+                FileType::File => (0, Some(fs.read(&p)?), None),
+                FileType::Dir => (1, None, None),
+                FileType::Symlink => (2, None, Some(fs.readlink(&p)?)),
+            };
+            pending.push(Pending {
+                path: rel,
+                kind,
+                meta: st.meta,
+                data,
+                target,
+            });
         }
+        let blocks: Vec<&[u8]> = pending
+            .iter()
+            .filter_map(|p| p.data.as_ref().map(|d| d.as_slice()))
+            .collect();
+        let stored = compress_blocks(codec, &blocks);
 
-        // Assign blob offsets.
-        let mut offset = 0u64;
-        let mut offsets = Vec::with_capacity(pending.len());
-        for p in &pending {
-            if let Some((stored, _)) = &p.payload {
-                offsets.push(offset);
-                offset += stored.len() as u64;
-            } else {
-                offsets.push(0);
-            }
-        }
-
-        // Serialize: header + index + blobs.
+        // Serialize: header + index + blobs, offsets in entry order.
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         put_varint(&mut out, pending.len() as u64);
-        for (p, off) in pending.iter().zip(&offsets) {
+        let mut blobs = stored.iter();
+        let mut offset = 0u64;
+        for p in &pending {
             put_str(&mut out, &p.path);
             out.push(p.kind);
             put_varint(&mut out, p.meta.mode as u64);
@@ -170,20 +151,21 @@ impl SquashImage {
             put_varint(&mut out, p.meta.gid as u64);
             match p.kind {
                 0 => {
-                    let (stored, orig) = p.payload.as_ref().expect("file has payload");
-                    put_varint(&mut out, *off);
-                    put_varint(&mut out, stored.len() as u64);
-                    put_varint(&mut out, *orig);
+                    let data = p.data.as_ref().expect("file has data");
+                    let blob = blobs.next().expect("one block per file");
+                    put_varint(&mut out, offset);
+                    put_varint(&mut out, blob.len() as u64);
+                    put_varint(&mut out, data.len() as u64);
+                    offset += blob.len() as u64;
                 }
                 1 => {}
                 2 => put_str(&mut out, p.target.as_ref().expect("symlink has target")),
                 _ => unreachable!(),
             }
         }
-        for p in &pending {
-            if let Some((stored, _)) = &p.payload {
-                out.extend_from_slice(stored);
-            }
+        out.reserve_exact(offset as usize);
+        for blob in &stored {
+            out.extend_from_slice(blob);
         }
         SquashImage::from_bytes(out)
     }
@@ -232,6 +214,12 @@ impl SquashImage {
     /// The serialized image bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
+    }
+
+    /// The serialized image, shared: what a cache keeps and
+    /// [`SquashImage::from_bytes`] mounts again without copying.
+    pub fn into_bytes(self) -> Arc<Vec<u8>> {
+        self.bytes
     }
 
     /// Size of the serialized image.
@@ -298,12 +286,16 @@ impl SquashImage {
             Some(SquashEntry::File {
                 offset, stored_len, ..
             }) => {
-                let start = self.blob_start + *offset as usize;
-                let end = start + *stored_len as usize;
-                let block = self
-                    .bytes
-                    .get(start..end)
-                    .ok_or(SquashError::Codec(CodecError::Corrupt("blob out of range")))?;
+                // Offsets and lengths come from the image's own index
+                // bytes: overflow is corruption, not a panic.
+                let block = (|| {
+                    let start = self
+                        .blob_start
+                        .checked_add(usize::try_from(*offset).ok()?)?;
+                    let end = start.checked_add(usize::try_from(*stored_len).ok()?)?;
+                    self.bytes.get(start..end)
+                })()
+                .ok_or(SquashError::Codec(CodecError::Corrupt("blob out of range")))?;
                 Ok(decompress(block)?)
             }
             Some(_) => Err(SquashError::NotAFile(path.to_string())),
@@ -384,6 +376,94 @@ mod tests {
 
     fn image() -> SquashImage {
         SquashImage::build(&sample_fs(), &VPath::root(), Codec::Lz).unwrap()
+    }
+
+    /// Nine files from empty to 300 KiB, runs and low-entropy text mixed,
+    /// so blocks differ in size and cost and any reordering would show.
+    fn varied_fs() -> MemFs {
+        let mut fs = MemFs::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for (k, len) in [0usize, 1, 3, 4, 259, 5_000, 70_000, 300_000, 33_000]
+            .into_iter()
+            .enumerate()
+        {
+            let data: Vec<u8> = (0..len)
+                .map(|i| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    if (i / 600) % 2 == 0 {
+                        b"etaoinsh"[(x % 8) as usize]
+                    } else {
+                        k as u8
+                    }
+                })
+                .collect();
+            fs.write_p(&p(&format!("/d{}/f{k}", k % 3)), data).unwrap();
+        }
+        fs.symlink(&p("/d0/link"), "f0").unwrap();
+        fs
+    }
+
+    #[test]
+    fn build_is_one_compress_per_file_in_entry_order() {
+        // However many threads compressed them: block k is exactly
+        // `compress` of file k, and blocks are laid out in index order.
+        let fs = varied_fs();
+        let img = SquashImage::build(&fs, &VPath::root(), Codec::Lz).unwrap();
+        let mut next = 0u64;
+        let mut files = 0;
+        for path in img.paths() {
+            if let Some(SquashEntry::File {
+                offset, stored_len, ..
+            }) = img.entry(path)
+            {
+                let data = fs.read(&VPath::root().join(path)).unwrap();
+                let at = img.blob_start + *offset as usize;
+                assert_eq!(*offset, next, "{path}");
+                assert!(
+                    img.as_bytes()[at..at + *stored_len as usize]
+                        == hpcc_codec::compress::compress(Codec::Lz, &data),
+                    "{path}"
+                );
+                next += stored_len;
+                files += 1;
+            }
+        }
+        assert_eq!(files, 9);
+        assert_eq!(img.blob_start as u64 + next, img.len_bytes());
+        // Captured before blocks were compressed in parallel and before
+        // the encoder was rewritten: stored images must not move.
+        assert_eq!(
+            img.digest().to_string(),
+            "sha256:510739ef847f3860c17b5555e41299eb6b09484f4711417f9b8c6e7bddf4cafa"
+        );
+    }
+
+    #[test]
+    fn index_ranges_that_overflow_are_corrupt_not_a_panic() {
+        let mut out = MAGIC.to_vec();
+        put_varint(&mut out, 1);
+        put_str(&mut out, "f");
+        out.push(0);
+        for v in [0o644, 0, 0, u64::MAX, u64::MAX, 1] {
+            put_varint(&mut out, v);
+        }
+        let img = SquashImage::from_bytes(out).unwrap();
+        assert_eq!(
+            img.read_file("f"),
+            Err(SquashError::Codec(CodecError::Corrupt("blob out of range")))
+        );
+    }
+
+    #[test]
+    fn into_bytes_shares_the_image() {
+        let img = image();
+        let digest = img.digest();
+        let bytes = img.into_bytes();
+        let again = SquashImage::from_bytes(Arc::clone(&bytes)).unwrap();
+        assert_eq!(again.digest(), digest);
+        assert!(Arc::ptr_eq(&bytes, &again.into_bytes()));
     }
 
     #[test]

@@ -3,7 +3,10 @@
 #
 #   build        release build of the workspace
 #   lint         clippy + rustfmt --check + rustdoc (all warnings denied)
-#   test         full test suite
+#   test         full test suite, then hpcc-codec and hpcc-vfs again under
+#                `taskset -c 0` so the inline (one-core) path of block
+#                compression is exercised too (skipped with a notice when
+#                `taskset` is absent)
 #   determinism  chaos suite + golden traces, each run twice with
 #                identical seeds and their printed fingerprints diffed
 #   goldens      checked-in golden traces match the code (staleness)
@@ -119,6 +122,15 @@ stage_lint() {
 stage_test() {
     echo "==> cargo test -q"
     cargo test -q
+    # Block compression runs inline when only one core is available and on
+    # scoped threads otherwise; runners have two or more, so pin the two
+    # crates that use it to one core to keep the inline path tested.
+    if command -v taskset > /dev/null; then
+        echo "==> cargo test -q -p hpcc-codec -p hpcc-vfs (taskset -c 0: one core)"
+        taskset -c 0 cargo test -q -p hpcc-codec -p hpcc-vfs
+    else
+        echo "NOTICE: taskset not found; the one-core rerun of hpcc-codec/hpcc-vfs is skipped"
+    fi
 }
 
 stage_determinism() {
