@@ -30,26 +30,26 @@
 //!
 //! The harness drives the loop as events on [`hpcc_sim::des::Engine`]:
 //! job/pod arrivals are scheduled at their trace times and a
-//! self-rescheduling tick event advances the controller. Tick ordering,
-//! clock sharing and accounting replicate the original §6 scenario
-//! drivers exactly, so the [`crate::presets`] reproduce their numbers.
+//! self-rescheduling tick event advances the controller. The world it
+//! steps — WLM partition, control plane, kubelet boot, the *drained*
+//! predicate, the outcome epilogue — is [`crate::cosim::World`], and step 5
+//! is [`hpcc_k8s::ControlPlane::tick`]: the same code the hand-written §6
+//! scenarios in `hpcc-core` run, so the [`crate::presets`] sit in one
+//! table with them.
 
+use crate::cosim::{external_pod_usage, node_cgroups, World};
 use crate::policy::PartitionPolicy;
 use crate::signals::DemandSignals;
 use crate::traces::TimedWorkload;
 use hpcc_k8s::kubelet::{CriRuntime, Kubelet, KubeletMode};
-use hpcc_k8s::objects::{ApiServer, PodPhase, PodSpec, Resources};
-use hpcc_k8s::scheduler::Scheduler;
-use hpcc_runtime::cgroup::{CgroupTree, CgroupVersion};
+use hpcc_k8s::objects::{PodPhase, PodSpec, Resources};
 use hpcc_sim::des::Engine;
 use hpcc_sim::sym;
 use hpcc_sim::{
-    DomainHealth, DomainSchedule, FaultInjector, FaultKind, SimClock, SimSpan, SimTime, Stage,
-    Tracer,
+    DomainHealth, DomainSchedule, FaultInjector, FaultKind, SimSpan, SimTime, Stage, Tracer,
 };
 use hpcc_wlm::accounting::{UsageRecord, UsageSource};
-use hpcc_wlm::slurm::Slurm;
-use hpcc_wlm::types::{JobState, NodeId, NodeSpec};
+use hpcc_wlm::types::{NodeId, NodeSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -127,15 +127,6 @@ impl ControllerConfig {
     /// Total cores on both sides of the boundary.
     pub fn capacity_cores(&self) -> u64 {
         (self.wlm_nodes + self.static_agents) as u64 * self.node_spec.cores as u64
-    }
-
-    /// Allocatable resources of one node as a Kubernetes object.
-    pub fn node_resources(&self) -> Resources {
-        Resources {
-            cpu_millis: self.node_spec.cores as u64 * 1000,
-            memory_mb: self.node_spec.memory_mb,
-            gpus: self.node_spec.gpus,
-        }
     }
 }
 
@@ -253,6 +244,13 @@ struct AgentSlot {
     idle_since: Option<SimTime>,
 }
 
+impl AgentSlot {
+    /// A dynamic agent that has idled for at least `after` by `t`.
+    fn returnable(&self, t: SimTime, after: SimSpan) -> bool {
+        self.wlm_id.is_some() && self.idle_since.is_some_and(|s| t.since(s) >= after)
+    }
+}
+
 struct Provisioning {
     node: NodeId,
     ready_at: SimTime,
@@ -266,18 +264,11 @@ struct Returning {
     released_at: SimTime,
 }
 
-struct World {
+struct Controller {
     cfg: ControllerConfig,
     policy: Box<dyn PartitionPolicy>,
-    tracer: Arc<Tracer>,
     faults: Arc<FaultInjector>,
-    cri: Arc<dyn CriRuntime>,
-
-    slurm: Slurm,
-    api: ApiServer,
-    sched: Scheduler,
-    clock: SimClock,
-    node_ids: Vec<NodeId>,
+    w: World,
     domains: Option<Arc<DomainSchedule>>,
 
     agents: Vec<AgentSlot>,
@@ -286,11 +277,9 @@ struct World {
     phases: BTreeMap<NodeId, NodePhase>,
 
     arrivals: BTreeMap<String, SimTime>,
-    job_ids: Vec<hpcc_wlm::types::JobId>,
-    total_jobs: usize,
     total_pods: usize,
-    jobs_arrived: usize,
-    pods_arrived: usize,
+    /// Jobs and pods of the trace that have not arrived yet.
+    arrivals_pending: usize,
 
     done_at: Option<SimTime>,
     last_grow: Option<SimTime>,
@@ -304,7 +293,7 @@ struct World {
     agent_capacity_core_seconds: f64,
 }
 
-impl World {
+impl Controller {
     fn set_phase(&mut self, node: NodeId, next: NodePhase) {
         let prev = self.phases.get(&node).copied().unwrap_or(NodePhase::Wlm);
         debug_assert!(
@@ -326,7 +315,7 @@ impl World {
     }
 
     /// Whether the failure domain of the movable node at position `idx`
-    /// (in `node_ids` order) can take a reprovision at `t`: its rack has
+    /// (in `wlm_nodes` order) can take a reprovision at `t`: its rack has
     /// power and its row can still reach the origin registry.
     fn domain_allows(&self, idx: usize, t: SimTime) -> bool {
         self.domains
@@ -341,11 +330,7 @@ impl World {
     fn idle_ready(&self, t: SimTime) -> usize {
         self.agents
             .iter()
-            .filter(|a| {
-                a.wlm_id.is_some()
-                    && a.idle_since
-                        .is_some_and(|s| t.since(s) >= self.cfg.idle_return_after)
-            })
+            .filter(|a| a.returnable(t, self.cfg.idle_return_after))
             .count()
     }
 
@@ -353,47 +338,93 @@ impl World {
     /// reflect the last kubelet sync, so at the top of a tick this reports
     /// the state as of the end of the previous tick.
     fn workload_done(&self) -> bool {
-        if self.pods_arrived != self.total_pods || self.jobs_arrived != self.total_jobs {
-            return false;
-        }
-        let finished = self
-            .api
-            .list_pods(|_| true)
-            .iter()
-            .filter(|p| {
-                matches!(
-                    p.phase,
-                    PodPhase::Succeeded { .. } | PodPhase::Failed { .. }
-                )
-            })
-            .count();
-        finished == self.total_pods
-            && self.slurm.pending_count() == 0
-            && self.slurm.running_count() == 0
+        self.arrivals_pending == 0 && self.w.drained(self.total_pods)
     }
 
-    fn record_tenure(&mut self, since: SimTime, end: SimTime) {
-        self.slurm.record_external_usage(UsageRecord {
-            job: None,
-            user: self.cfg.external_user,
-            cores: self.cfg.node_spec.cores as u64,
-            gpus: 0,
-            start: since,
-            end,
-            source: UsageSource::External,
+    /// Start (or, after a flap, restart) reimaging `node` toward Kubernetes.
+    fn provision(&mut self, node: NodeId, drained_at: SimTime, attempts: u32, t: SimTime) {
+        let ready_at = t + self.cfg.reprovision;
+        self.set_phase(node, NodePhase::Provisioning { ready_at, attempts });
+        self.provisioning.push(Provisioning {
+            node,
+            ready_at,
+            drained_at,
+            attempts,
         });
+        self.reprovisions += 1;
+    }
+
+    /// Start reimaging `node` back toward the WLM.
+    fn send_home(&mut self, node: NodeId, t: SimTime) {
+        let ready_at = t + self.cfg.reprovision;
+        self.set_phase(node, NodePhase::Returning { ready_at });
+        self.returning.push(Returning {
+            node,
+            ready_at,
+            released_at: t,
+        });
+    }
+
+    /// Log one actuation to the decision list and the trace.
+    fn decide<const N: usize>(
+        &mut self,
+        t: SimTime,
+        kind: DecisionKind,
+        requested: u32,
+        applied: u32,
+        context: [(&str, String); N],
+    ) {
+        self.decisions.push(Decision {
+            at: t,
+            kind,
+            requested,
+            applied,
+        });
+        let action = match kind {
+            DecisionKind::Grow => "grow",
+            DecisionKind::Release => "release",
+        };
+        let mut attrs = vec![
+            ("policy", self.policy.name().to_string()),
+            ("action", action.to_string()),
+            ("requested", requested.to_string()),
+            ("applied", applied.to_string()),
+        ];
+        attrs.extend(context);
+        self.w
+            .tracer
+            .record(sym!("adapt.decision"), Stage::Adapt, t, t, &attrs);
+    }
+
+    /// Close `agent`'s books at `t`: the capacity it offered, and — for a
+    /// node borrowed from the WLM under tenure accounting — its whole
+    /// Kubernetes tenure as one external usage record.
+    fn retire(&mut self, agent: &AgentSlot, t: SimTime) {
+        self.agent_capacity_core_seconds +=
+            self.cfg.node_spec.cores as f64 * t.since(agent.since).as_secs_f64();
+        if agent.wlm_id.is_some() && self.cfg.accounting == AccountingModel::AgentTenure {
+            self.w.slurm.record_external_usage(UsageRecord {
+                job: None,
+                user: self.cfg.external_user,
+                cores: self.cfg.node_spec.cores as u64,
+                gpus: 0,
+                start: agent.since,
+                end: t,
+                source: UsageSource::External,
+            });
+        }
     }
 
     /// One control-loop tick at `t`. Returns true when the workload is
     /// done and the partition has settled home.
     fn step(&mut self, t: SimTime) -> bool {
-        self.slurm.advance_to(t);
+        self.w.slurm.advance_to(t);
 
         // Demand signal: pending pods needing capacity, active pod load.
         let mut pending_pods = 0usize;
         let mut pending_pod_millis = 0u64;
         let mut running_pod_millis = 0u64;
-        for p in self.api.list_pods(|_| true) {
+        for p in self.w.k8s.api.list_pods(|_| true) {
             match &p.phase {
                 PodPhase::Pending => {
                     pending_pods += 1;
@@ -412,14 +443,14 @@ impl World {
         // the drain-down releases it and the partition would never settle.
         let workload_done_pre = self.workload_done();
 
-        let node_cpu_millis = self.cfg.node_resources().cpu_millis;
+        let node_cpu_millis = Resources::from(self.cfg.node_spec).cpu_millis;
         let signals = DemandSignals {
             now: t,
             pending_pods,
             pending_pod_millis,
             running_pod_millis,
-            wlm_pending_jobs: self.slurm.pending_count(),
-            wlm_idle_nodes: self.slurm.idle_nodes(),
+            wlm_pending_jobs: self.w.slurm.pending_count(),
+            wlm_idle_nodes: self.w.slurm.idle_nodes(),
             agents: self.dynamic_agents(),
             provisioning: self.provisioning.len(),
             agents_idle_ready: self.idle_ready(t),
@@ -428,7 +459,7 @@ impl World {
                 .domains
                 .as_ref()
                 .map(|d| d.health(t))
-                .unwrap_or_else(|| DomainHealth::all_healthy(self.node_ids.len())),
+                .unwrap_or_else(|| DomainHealth::all_healthy(self.w.wlm_nodes.len())),
         };
 
         // Policy: grow, damped by cooldown and the reprovision budget.
@@ -438,12 +469,8 @@ impl World {
             self.policy.grow(&signals)
         };
         let mut granted = requested;
-        if granted > 0 {
-            if let Some(last) = self.last_grow {
-                if t.since(last) < self.cfg.grow_cooldown {
-                    granted = 0;
-                }
-            }
+        if cooling(self.last_grow, self.cfg.grow_cooldown, t) {
+            granted = 0;
         }
         if let Some(budget) = self.cfg.reprovision_budget {
             granted = granted.min(budget.saturating_sub(self.reprovisions));
@@ -456,8 +483,8 @@ impl World {
             // a reprovision there would boot a kubelet nobody can reach,
             // or pull images through a severed origin path.
             let mut need = granted;
-            let ids = self.node_ids.clone();
-            for (idx, id) in ids.into_iter().enumerate() {
+            for idx in 0..self.w.wlm_nodes.len() {
+                let id = self.w.wlm_nodes[idx];
                 if need == 0 {
                     break;
                 }
@@ -465,22 +492,8 @@ impl World {
                     domain_skipped += 1;
                     continue;
                 }
-                if self.slurm.drain_node(id).is_ok() && self.slurm.offline_node(id).is_ok() {
-                    let ready_at = t + self.cfg.reprovision;
-                    self.provisioning.push(Provisioning {
-                        node: id,
-                        ready_at,
-                        drained_at: t,
-                        attempts: 0,
-                    });
-                    self.set_phase(
-                        id,
-                        NodePhase::Provisioning {
-                            ready_at,
-                            attempts: 0,
-                        },
-                    );
-                    self.reprovisions += 1;
+                if self.w.slurm.drain_node(id).is_ok() && self.w.slurm.offline_node(id).is_ok() {
+                    self.provision(id, t, 0, t);
                     need -= 1;
                     drained += 1;
                 }
@@ -489,7 +502,7 @@ impl World {
                 self.last_grow = Some(t);
             }
             if domain_skipped > 0 {
-                self.tracer.record(
+                self.w.tracer.record(
                     sym!("adapt.domain_skip"),
                     Stage::Adapt,
                     t,
@@ -502,26 +515,11 @@ impl World {
             }
         }
         if requested > 0 {
-            self.decisions.push(Decision {
-                at: t,
-                kind: DecisionKind::Grow,
-                requested,
-                applied: drained,
-            });
-            self.tracer.record(
-                sym!("adapt.decision"),
-                Stage::Adapt,
-                t,
-                t,
-                &[
-                    ("policy", self.policy.name().to_string()),
-                    ("action", "grow".to_string()),
-                    ("requested", requested.to_string()),
-                    ("applied", drained.to_string()),
-                    ("pending_pods", pending_pods.to_string()),
-                    ("supplying", signals.supplying().to_string()),
-                ],
-            );
+            let context = [
+                ("pending_pods", pending_pods.to_string()),
+                ("supplying", signals.supplying().to_string()),
+            ];
+            self.decide(t, DecisionKind::Grow, requested, drained, context);
         }
 
         // Finish provisioning → boot kubelets (or flap and go around).
@@ -536,7 +534,7 @@ impl World {
                     .cfg
                     .reprovision_budget
                     .is_none_or(|b| self.reprovisions < b);
-                self.tracer.record(
+                self.w.tracer.record(
                     sym!("adapt.flap"),
                     Stage::Adapt,
                     t,
@@ -548,41 +546,25 @@ impl World {
                     ],
                 );
                 if within_budget {
-                    self.reprovisions += 1;
-                    let ready_at = t + self.cfg.reprovision;
-                    self.set_phase(prov.node, NodePhase::Provisioning { ready_at, attempts });
-                    self.provisioning.push(Provisioning {
-                        ready_at,
-                        attempts,
-                        ..prov
-                    });
+                    self.provision(prov.node, prov.drained_at, attempts, t);
                 } else {
                     self.abandoned += 1;
-                    let ready_at = t + self.cfg.reprovision;
-                    self.set_phase(prov.node, NodePhase::Returning { ready_at });
-                    self.returning.push(Returning {
-                        node: prov.node,
-                        ready_at,
-                        released_at: t,
-                    });
+                    self.send_home(prov.node, t);
                 }
                 continue;
             }
-            self.clock.advance_to(t);
-            let mut cg = CgroupTree::new(CgroupVersion::V2);
-            let mut kubelet = Kubelet::start(
-                &format!("{}{}", self.cfg.dynamic_agent_prefix, prov.node.0),
-                KubeletMode::Rootful,
-                Arc::clone(&self.cri),
-                &mut cg,
-                self.cfg.node_resources(),
-                BTreeMap::new(),
-                &self.api,
-                &self.clock,
-            )
-            .expect("rootful kubelet boots");
-            kubelet.set_tracer(Arc::clone(&self.tracer));
-            self.tracer.record(
+            // A reprovisioned agent boots on the shared clock, at `t`.
+            self.w.clock.advance_to(t);
+            let kubelet = self
+                .w
+                .boot_kubelet(
+                    &format!("{}{}", self.cfg.dynamic_agent_prefix, prov.node.0),
+                    KubeletMode::Rootful,
+                    &mut node_cgroups(KubeletMode::Rootful),
+                    &self.w.clock,
+                )
+                .expect("rootful kubelet boots");
+            self.w.tracer.record(
                 sym!("adapt.reprovision"),
                 Stage::Adapt,
                 prov.drained_at,
@@ -606,11 +588,12 @@ impl World {
             self.returning.drain(..).partition(|r| r.ready_at <= t);
         self.returning = still;
         for ret in back {
-            self.slurm
+            self.w
+                .slurm
                 .return_node(ret.node)
                 .expect("offline node returns");
             self.set_phase(ret.node, NodePhase::Wlm);
-            self.tracer.record(
+            self.w.tracer.record(
                 sym!("adapt.return"),
                 Stage::Adapt,
                 ret.released_at,
@@ -620,31 +603,18 @@ impl World {
         }
 
         // K8s control loop.
-        self.sched.schedule(&self.api);
-        self.clock.advance_to(t);
-        for i in 0..self.agents.len() {
-            let agent = &mut self.agents[i];
-            agent.kubelet.sync(&self.api, &self.clock);
-            let finished = agent.kubelet.advance_to(&self.api, t);
-            let node_name = agent.kubelet.node_name.clone();
-            for (_, res, started, ended) in finished {
-                self.sched.release(&node_name, &res);
-                self.pod_core_seconds +=
-                    res.cpu_millis as f64 / 1000.0 * ended.since(started).as_secs_f64();
-                if self.cfg.accounting == AccountingModel::PerPod {
-                    // Pod usage is invisible to the WLM: External.
-                    self.slurm.record_external_usage(UsageRecord {
-                        job: None,
-                        user: self.cfg.external_user,
-                        cores: res.cpu_millis.div_ceil(1000),
-                        gpus: res.gpus as u64,
-                        start: started,
-                        end: ended,
-                        source: UsageSource::External,
-                    });
-                }
+        let kubelets = self.agents.iter_mut().map(|a| &mut a.kubelet);
+        self.w.k8s.tick(kubelets, &self.w.clock, t, |pod| {
+            self.pod_core_seconds += pod.resources.cpu_millis as f64 / 1000.0
+                * pod.ended.since(pod.started).as_secs_f64();
+            if self.cfg.accounting == AccountingModel::PerPod {
+                // Pod usage is invisible to the WLM: External.
+                self.w
+                    .slurm
+                    .record_external_usage(external_pod_usage(self.cfg.external_user, &pod));
             }
-            let agent = &mut self.agents[i];
+        });
+        for agent in &mut self.agents {
             agent.idle_since = if agent.kubelet.running_count() == 0 {
                 agent.idle_since.or(Some(t))
             } else {
@@ -666,12 +636,8 @@ impl World {
         };
         let req_release = self.policy.release(&release_signals);
         let mut to_release = req_release.min(idle_ready as u32);
-        if to_release > 0 {
-            if let Some(last) = self.last_release {
-                if t.since(last) < self.cfg.release_cooldown {
-                    to_release = 0;
-                }
-            }
+        if cooling(self.last_release, self.cfg.release_cooldown, t) {
+            to_release = 0;
         }
         if workload_done {
             to_release = idle_ready as u32;
@@ -681,26 +647,10 @@ impl World {
             let mut keep = Vec::with_capacity(self.agents.len());
             let slots = std::mem::take(&mut self.agents);
             for mut agent in slots {
-                let idle_long = agent.wlm_id.is_some()
-                    && agent
-                        .idle_since
-                        .is_some_and(|s| t.since(s) >= self.cfg.idle_return_after);
-                if idle_long && released < to_release {
-                    agent.kubelet.shutdown(&self.api);
-                    self.agent_capacity_core_seconds +=
-                        self.cfg.node_spec.cores as f64 * t.since(agent.since).as_secs_f64();
-                    if self.cfg.accounting == AccountingModel::AgentTenure {
-                        // The node's whole k8s tenure is external usage.
-                        self.record_tenure(agent.since, t);
-                    }
-                    let node = agent.wlm_id.expect("dynamic agent");
-                    let ready_at = t + self.cfg.reprovision;
-                    self.set_phase(node, NodePhase::Returning { ready_at });
-                    self.returning.push(Returning {
-                        node,
-                        ready_at,
-                        released_at: t,
-                    });
+                if agent.returnable(t, self.cfg.idle_return_after) && released < to_release {
+                    agent.kubelet.shutdown(&self.w.k8s.api);
+                    self.retire(&agent, t);
+                    self.send_home(agent.wlm_id.expect("dynamic agent"), t);
                     released += 1;
                     self.releases += 1;
                 } else {
@@ -711,39 +661,36 @@ impl World {
             if released > 0 {
                 self.last_release = Some(t);
             }
-            self.decisions.push(Decision {
-                at: t,
-                kind: DecisionKind::Release,
-                requested: to_release,
-                applied: released,
-            });
-            self.tracer.record(
-                sym!("adapt.decision"),
-                Stage::Adapt,
-                t,
-                t,
-                &[
-                    ("policy", self.policy.name().to_string()),
-                    ("action", "release".to_string()),
-                    ("requested", to_release.to_string()),
-                    ("applied", released.to_string()),
-                    ("idle_ready", idle_ready.to_string()),
-                ],
-            );
+            let context = [("idle_ready", idle_ready.to_string())];
+            self.decide(t, DecisionKind::Release, to_release, released, context);
         }
 
         workload_done && self.dynamic_agents() == 0 && self.returning.is_empty()
     }
 }
 
-fn tick_event(eng: &mut Engine<World>, w: &mut World) {
+/// Whether an actuation at `t` falls inside the cooldown after `last`.
+fn cooling(last: Option<SimTime>, cooldown: SimSpan, t: SimTime) -> bool {
+    last.is_some_and(|last| t.since(last) < cooldown)
+}
+
+/// `num / den`, or zero when there was nothing to divide over.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den == 0.0 {
+        0.0
+    } else {
+        num / den
+    }
+}
+
+fn tick_event(eng: &mut Engine<Controller>, c: &mut Controller) {
     let t = eng.now();
-    if w.step(t) {
-        w.done_at = Some(t);
+    if c.step(t) {
+        c.done_at = Some(t);
         return;
     }
-    if (t + w.cfg.tick).since(SimTime::ZERO) < w.cfg.horizon {
-        eng.after(w.cfg.tick, tick_event);
+    if (t + c.cfg.tick).since(SimTime::ZERO) < c.cfg.horizon {
+        eng.after(c.cfg.tick, tick_event);
     }
 }
 
@@ -759,37 +706,42 @@ fn percentile(sorted: &[SimSpan], q: f64) -> Option<SimSpan> {
 /// Run one controller configuration over one workload trace.
 pub fn run(spec: RunSpec<'_>) -> AdaptOutcome {
     let cfg = spec.config;
-    let tracer = Arc::clone(&spec.tracer);
-    let scenario_span = tracer.begin(sym!("scenario"), Stage::Other, SimTime::ZERO);
-    tracer.attr(scenario_span, sym!("name"), spec.scenario);
-    tracer.attr(scenario_span, sym!("policy"), spec.policy.name());
+    let w = World::new(
+        spec.scenario,
+        &spec.tracer,
+        spec.cri,
+        cfg.node_spec,
+        cfg.wlm_nodes,
+    );
+    w.tracer.attr(w.span, sym!("policy"), spec.policy.name());
 
-    let mut slurm = Slurm::new();
-    let node_ids = slurm.add_partition("batch", cfg.node_spec, cfg.wlm_nodes);
-    slurm.set_tracer(Arc::clone(&tracer));
-    let api = ApiServer::new();
+    // Static carve-out: permanent kubelets on a dedicated control plane,
+    // booted in parallel before the t=0 workload (fresh clocks).
+    let names = (0..cfg.static_agents).map(|i| format!("{}{i}", cfg.static_agent_prefix));
+    let agents = w
+        .boot_fleet(names, KubeletMode::Rootful)
+        .into_iter()
+        .map(|kubelet| AgentSlot {
+            wlm_id: None,
+            kubelet,
+            since: SimTime::ZERO,
+            idle_since: None,
+        })
+        .collect();
 
-    let mut world = World {
+    let arrivals_pending = spec.workload.jobs.len() + spec.workload.pods.len();
+    let mut ctl = Controller {
         policy: spec.policy,
-        tracer: Arc::clone(&tracer),
-        faults: Arc::clone(&spec.faults),
-        cri: Arc::clone(&spec.cri),
-        slurm,
-        api,
-        sched: Scheduler::new(),
-        clock: SimClock::new(),
-        node_ids,
+        faults: spec.faults,
+        w,
         domains: spec.domains,
-        agents: Vec::new(),
+        agents,
         provisioning: Vec::new(),
         returning: Vec::new(),
         phases: BTreeMap::new(),
         arrivals: BTreeMap::new(),
-        job_ids: Vec::new(),
-        total_jobs: spec.workload.jobs.len(),
         total_pods: spec.workload.pods.len(),
-        jobs_arrived: 0,
-        pods_arrived: 0,
+        arrivals_pending,
         done_at: None,
         last_grow: None,
         last_release: None,
@@ -803,179 +755,79 @@ pub fn run(spec: RunSpec<'_>) -> AdaptOutcome {
         cfg,
     };
 
-    // Static carve-out: permanent kubelets on a dedicated control plane,
-    // booted in parallel before the t=0 workload (fresh clocks).
-    for i in 0..cfg.static_agents {
-        let mut cg = CgroupTree::new(CgroupVersion::V2);
-        let mut kubelet = Kubelet::start(
-            &format!("{}{i}", cfg.static_agent_prefix),
-            KubeletMode::Rootful,
-            Arc::clone(&world.cri),
-            &mut cg,
-            cfg.node_resources(),
-            BTreeMap::new(),
-            &world.api,
-            &SimClock::new(),
-        )
-        .expect("rootful kubelet starts");
-        kubelet.set_tracer(Arc::clone(&tracer));
-        world.agents.push(AgentSlot {
-            wlm_id: None,
-            kubelet,
-            since: SimTime::ZERO,
-            idle_since: None,
-        });
-    }
-
     // Arrivals as events; the self-rescheduling tick drives the loop.
-    let mut eng = Engine::<World>::new();
+    let mut eng = Engine::<Controller>::new();
     for (job, at) in spec.workload.jobs.iter().cloned() {
-        eng.at(at, move |e, w: &mut World| {
-            w.jobs_arrived += 1;
-            if let Ok(id) = w.slurm.submit(job, e.now()) {
-                w.job_ids.push(id);
-            }
+        eng.at(at, move |e, c: &mut Controller| {
+            c.arrivals_pending -= 1;
+            c.w.submit(job, e.now());
         });
     }
     for (pod, at) in spec.workload.pods.iter().cloned() {
-        eng.at(at, move |_, w: &mut World| {
-            w.pods_arrived += 1;
-            w.arrivals.insert(pod.name.clone(), at);
-            w.api.create_pod(pod).unwrap();
+        eng.at(at, move |_, c: &mut Controller| {
+            c.arrivals_pending -= 1;
+            c.arrivals.insert(pod.name.clone(), at);
+            c.w.k8s.api.create_pod(pod).unwrap();
         });
     }
     eng.at(SimTime::ZERO, tick_event);
-    let max_events =
-        cfg.horizon.0 / cfg.tick.0.max(1) + (world.total_jobs + world.total_pods) as u64 + 16;
-    eng.run_to_completion(&mut world, max_events);
+    let max_events = cfg.horizon.0 / cfg.tick.0.max(1) + arrivals_pending as u64 + 16;
+    eng.run_to_completion(&mut ctl, max_events);
 
     // Account anything still out when the run stops.
-    let final_t = world.done_at.unwrap_or(SimTime::ZERO + cfg.horizon);
-    for agent in &world.agents {
-        let span = final_t.since(agent.since).as_secs_f64();
-        world.agent_capacity_core_seconds += cfg.node_spec.cores as f64 * span;
+    let final_t = ctl.done_at.unwrap_or(SimTime::ZERO + cfg.horizon);
+    for agent in std::mem::take(&mut ctl.agents) {
+        ctl.retire(&agent, final_t);
     }
-    let tenures: Vec<SimTime> = world
-        .agents
+
+    let capacity = cfg.capacity_cores();
+    let stats = ctl.w.finish(ctl.done_at, cfg.horizon, capacity);
+
+    // Arrival→running latency of every pod that got to run.
+    let mut latencies: Vec<SimSpan> = stats
+        .pod_starts
         .iter()
-        .filter(|a| a.wlm_id.is_some())
-        .map(|a| a.since)
+        .map(|(name, started)| {
+            started.since(ctl.arrivals.get(name).copied().unwrap_or(SimTime::ZERO))
+        })
         .collect();
-    if cfg.accounting == AccountingModel::AgentTenure {
-        for since in tenures {
-            world.record_tenure(since, final_t);
-        }
-    }
-
-    // Pod statistics (mirrors the §6 scenario stats).
-    let mut pods_succeeded = 0;
-    let mut pods_failed = 0;
-    let mut first: Option<SimTime> = None;
-    let mut total_start_ns: u128 = 0;
-    let mut started_count = 0u32;
-    let mut last_pod_end = SimTime::ZERO;
-    let mut latencies: Vec<SimSpan> = Vec::new();
-    for p in world.api.list_pods(|_| true) {
-        let started = match &p.phase {
-            PodPhase::Succeeded { started, ended, .. } => {
-                pods_succeeded += 1;
-                last_pod_end = last_pod_end.max(*ended);
-                Some(*started)
-            }
-            PodPhase::Running { started, .. } => Some(*started),
-            PodPhase::Failed { .. } => {
-                pods_failed += 1;
-                None
-            }
-            _ => None,
-        };
-        if let Some(started) = started {
-            first = Some(first.map_or(started, |f| f.min(started)));
-            total_start_ns += started.as_nanos() as u128;
-            started_count += 1;
-            let arrival = world
-                .arrivals
-                .get(&p.spec.name)
-                .copied()
-                .unwrap_or(SimTime::ZERO);
-            latencies.push(started.since(arrival));
-        }
-    }
-    let mean_pod_start = if started_count > 0 {
-        Some(SimSpan((total_start_ns / started_count as u128) as u64))
-    } else {
-        None
-    };
     latencies.sort();
-    let slo_violations = latencies.iter().filter(|l| **l > cfg.slo_pod_start).count() + pods_failed;
+    let slo_violations =
+        latencies.iter().filter(|l| **l > cfg.slo_pod_start).count() + stats.pods_failed;
 
-    // Job statistics.
-    let mut jobs_completed = 0;
-    let mut last_job_end = SimTime::ZERO;
-    let mut wlm_core_seconds = 0.0f64;
-    for id in &world.job_ids {
-        if let Ok(job) = world.slurm.job(*id) {
-            if let JobState::Completed { ended, .. } = &job.state {
-                jobs_completed += 1;
-                last_job_end = last_job_end.max(*ended);
-            }
-        }
-    }
-    for _ in std::iter::empty::<()>() {}
-    wlm_core_seconds += world
+    let wlm_core_seconds = ctl
+        .w
         .slurm
         .ledger()
         .total_core_seconds(Some(UsageSource::Wlm));
-
-    let done_marker = world.done_at.unwrap_or(SimTime::ZERO);
-    let makespan = done_marker
-        .max(last_pod_end)
-        .max(last_job_end)
-        .since(SimTime::ZERO);
-    let work_makespan = last_pod_end.max(last_job_end).since(SimTime::ZERO);
-    tracer.end(scenario_span, final_t.max(SimTime::ZERO + makespan));
-
-    let capacity = cfg.capacity_cores();
-    let work_secs = work_makespan.as_secs_f64();
-    let combined_utilization = if capacity == 0 || work_secs == 0.0 {
-        0.0
-    } else {
-        (wlm_core_seconds + world.pod_core_seconds) / (capacity as f64 * work_secs)
-    };
+    let work_secs = stats.work_makespan.as_secs_f64();
     let wlm_capacity = cfg.wlm_nodes as u64 * cfg.node_spec.cores as u64;
-    let wlm_utilization = if wlm_capacity == 0 || work_secs == 0.0 {
-        0.0
-    } else {
-        wlm_core_seconds / (wlm_capacity as f64 * work_secs)
-    };
-    let k8s_utilization = if world.agent_capacity_core_seconds == 0.0 {
-        0.0
-    } else {
-        world.pod_core_seconds / world.agent_capacity_core_seconds
-    };
 
     AdaptOutcome {
-        policy: world.policy.name().to_string(),
-        makespan,
-        work_makespan,
-        first_pod_start: first.map(|t| t.since(SimTime::ZERO)),
-        mean_pod_start,
+        policy: ctl.policy.name().to_string(),
+        makespan: stats.makespan,
+        work_makespan: stats.work_makespan,
+        first_pod_start: stats.first_pod_start,
+        mean_pod_start: stats.mean_pod_start,
         p50_pod_start: percentile(&latencies, 0.50),
         p95_pod_start: percentile(&latencies, 0.95),
-        utilization: world.slurm.ledger().utilization(capacity, makespan),
-        combined_utilization,
-        wlm_utilization,
-        k8s_utilization,
-        accounting_coverage: world.slurm.ledger().accounting_coverage(),
-        pods_succeeded,
-        pods_failed,
-        jobs_completed,
-        reprovisions: world.reprovisions,
-        flaps: world.flaps,
-        releases: world.releases,
-        abandoned: world.abandoned,
+        utilization: stats.utilization,
+        combined_utilization: ratio(
+            wlm_core_seconds + ctl.pod_core_seconds,
+            capacity as f64 * work_secs,
+        ),
+        wlm_utilization: ratio(wlm_core_seconds, wlm_capacity as f64 * work_secs),
+        k8s_utilization: ratio(ctl.pod_core_seconds, ctl.agent_capacity_core_seconds),
+        accounting_coverage: stats.accounting_coverage,
+        pods_succeeded: stats.pods_succeeded,
+        pods_failed: stats.pods_failed,
+        jobs_completed: stats.jobs_completed,
+        reprovisions: ctl.reprovisions,
+        flaps: ctl.flaps,
+        releases: ctl.releases,
+        abandoned: ctl.abandoned,
         slo_violations,
-        decisions: world.decisions,
+        decisions: ctl.decisions,
     }
 }
 

@@ -24,19 +24,24 @@
 //!   hands a policy each tick.
 //! * [`policy`] — the [`policy::PartitionPolicy`] trait and the three
 //!   shipped policies.
+//! * [`cosim`] — the one Slurm + Kubernetes co-simulation world: WLM
+//!   partition beside a control plane, kubelet boot, the *drained*
+//!   predicate, the fixed-step driver and the outcome epilogue. The
+//!   controller and every hand-written §6 scenario in `hpcc-core` run on it.
 //! * [`controller`] — per-node state machines, hysteresis/cooldowns, the
 //!   reprovision-budget limiter and the deterministic harness that drives
 //!   everything on [`hpcc_sim::des::Engine`].
 //! * [`traces`] — a seeded bursty/diurnal/Poisson workload-trace
 //!   generator for policy sweeps.
-//! * [`presets`] — the controller instantiations that reproduce the §6
-//!   static-partition and on-demand-reallocation scenarios exactly.
+//! * [`presets`] — the controller instantiations that *are* the §6
+//!   static-partition and on-demand-reallocation scenarios.
 //!
 //! Everything runs on the logical clock with seeded randomness: a run's
 //! outcome — including the full decision log — is a pure function of
 //! (workload trace, policy, controller config, fault seed).
 
 pub mod controller;
+pub mod cosim;
 pub mod policy;
 pub mod presets;
 pub mod signals;

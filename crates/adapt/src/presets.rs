@@ -1,10 +1,11 @@
 //! Controller instantiations of the §6 scenarios.
 //!
-//! The original scenario drivers hard-coded their partition behavior;
-//! these presets express the same two points as (policy, config) pairs
-//! for the generic controller — plus the forecasting point the survey's
-//! *adaptive* framing asks about — so `hpcc-core` scenarios and the
-//! `bench adapt` sweep run the exact same control loop.
+//! The survey's two partition-moving points — static split, on-demand
+//! reallocation — as (policy, config) pairs for the generic controller,
+//! plus the forecasting point its *adaptive* framing asks about. The
+//! `hpcc-core` scenario table and the `bench adapt` sweep both run them
+//! through [`crate::run`], i.e. over [`crate::cosim::World`] like every
+//! other §6 architecture.
 
 use crate::controller::{AccountingModel, ControllerConfig};
 use crate::policy::{EwmaForecastPolicy, PartitionPolicy, QueueThresholdPolicy, StaticPolicy};
@@ -13,7 +14,7 @@ use hpcc_sim::SimSpan;
 /// §6.1 on-demand reallocation: every node starts in the WLM, pending pod
 /// demand claims nodes one drain/reprovision cycle at a time, idle agents
 /// drain back after 120 s. The queue-threshold policy with zero
-/// hysteresis is bit-identical to the original hard-coded trigger.
+/// hysteresis is §6.1's trigger: grow whenever demand exceeds supply.
 pub fn on_demand_reallocation(nodes: u32) -> (Box<dyn PartitionPolicy>, ControllerConfig) {
     (
         Box::new(QueueThresholdPolicy::default()),

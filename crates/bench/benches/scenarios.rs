@@ -12,18 +12,10 @@ fn bench_scenarios(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("scenario_sim");
     group.sample_size(10);
-    type Runner = fn(&ClusterConfig, &MixedWorkload) -> scenarios::ScenarioOutcome;
-    let cases: Vec<(&str, Runner)> = vec![
-        ("static_partition", scenarios::static_partition::run),
-        ("bridge_vk", scenarios::bridge_vk::run),
-        (
-            "kubelet_in_allocation",
-            scenarios::kubelet_in_allocation::run,
-        ),
-    ];
-    for (name, runner) in cases {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &runner, |b, runner| {
-            b.iter(|| std::hint::black_box(runner(&cfg, &wl)))
+    let tracer = hpcc_sim::Tracer::disabled();
+    for (name, run) in scenarios::ALL {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &run, |b, run| {
+            b.iter(|| std::hint::black_box(run(&cfg, &wl, &tracer)))
         });
     }
     group.finish();

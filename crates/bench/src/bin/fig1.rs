@@ -28,7 +28,8 @@ fn main() {
         wl.pods.len()
     );
 
-    let (outcome, joins) = kubelet_in_allocation::run_detailed(&cfg, &wl);
+    let (outcome, joins) =
+        kubelet_in_allocation::run_detailed(&cfg, &wl, &hpcc_sim::Tracer::disabled());
 
     println!("kubelet → apiserver join over the HSN (1 MiB handshake each):");
     for (i, j) in joins.iter().enumerate() {

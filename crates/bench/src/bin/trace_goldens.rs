@@ -15,7 +15,7 @@ fn main() {
     for golden in all_goldens() {
         if bless {
             bless_golden(&golden).expect("golden file writes");
-            println!("blessed {}", golden_path(golden.name).display());
+            println!("blessed {}", golden_path(&golden.name).display());
         } else {
             match check_golden(&golden) {
                 Ok(()) => println!("ok      {}", golden.name),

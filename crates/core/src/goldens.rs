@@ -11,13 +11,10 @@
 //! structure worth pinning: the quickstart pull→convert→cache→run
 //! pipeline (cold + warm), the same pipeline crashed mid-convert and
 //! recovered, Q5's degraded pull through a site proxy during a hub
-//! outage, Q10's peer-to-peer image broadcast, and the five §6
-//! integration scenarios.
+//! outage, Q10's peer-to-peer image broadcast, and every §6 integration
+//! scenario in [`scenarios::ALL`].
 
-use crate::scenarios::{
-    bridge_vk, k8s_in_wlm, kubelet_in_allocation, reallocation, static_partition, wlm_in_k8s,
-    ClusterConfig, MixedWorkload,
-};
+use crate::scenarios::{self, ClusterConfig, MixedWorkload};
 use hpcc_engine::engine::{EngineError, Host, PullSources, RunOptions};
 use hpcc_engine::engines;
 use hpcc_oci::builder::ImageBuilder;
@@ -42,8 +39,8 @@ use std::sync::Arc;
 /// One golden trace: a stable name (also the TSV file stem) and the
 /// deterministic builder that regenerates it from scratch.
 pub struct Golden {
-    pub name: &'static str,
-    pub build: fn() -> Vec<SpanRecord>,
+    pub name: String,
+    pub build: Box<dyn Fn() -> Vec<SpanRecord>>,
 }
 
 /// Directory holding the checked-in golden TSV files.
@@ -56,69 +53,33 @@ pub fn golden_path(name: &str) -> PathBuf {
     goldens_dir().join(format!("{name}.tsv"))
 }
 
-/// The full corpus, in a fixed order.
+/// The full corpus, in a fixed order: the pipeline traces, then one
+/// `scenario_<name>` per entry of [`scenarios::ALL`].
 pub fn all_goldens() -> Vec<Golden> {
-    vec![
-        Golden {
-            name: "quickstart",
-            build: quickstart_trace,
-        },
-        Golden {
-            name: "quickstart_crash_recover",
-            build: quickstart_crash_recover_trace,
-        },
-        Golden {
-            name: "q5_degraded_pull",
-            build: q5_degraded_pull_trace,
-        },
-        Golden {
-            name: "q10_p2p_broadcast",
-            build: q10_p2p_broadcast_trace,
-        },
-        Golden {
-            name: "storm_64_tiered",
-            build: storm_64_tiered_trace,
-        },
-        Golden {
-            name: "build_plane",
-            build: build_plane_trace,
-        },
-        Golden {
-            name: "scenario_static_partition",
-            build: || scenario_trace(static_partition::run_traced),
-        },
-        Golden {
-            name: "scenario_reallocation",
-            build: || scenario_trace(reallocation::run_traced),
-        },
-        Golden {
-            name: "scenario_wlm_in_k8s",
-            build: || scenario_trace(wlm_in_k8s::run_traced),
-        },
-        Golden {
-            name: "scenario_k8s_in_wlm",
-            build: || scenario_trace(k8s_in_wlm::run_traced),
-        },
-        Golden {
-            name: "scenario_bridge_vk",
-            build: || scenario_trace(bridge_vk::run_traced),
-        },
-        Golden {
-            name: "scenario_kubelet_in_allocation",
-            build: || {
-                scenario_trace(|cfg, wl, tracer| {
-                    kubelet_in_allocation::run_detailed_traced(cfg, wl, tracer).0
-                })
-            },
-        },
-    ]
+    let golden = |name: &str, build: fn() -> Vec<SpanRecord>| Golden {
+        name: name.to_string(),
+        build: Box::new(build),
+    };
+    let mut all = vec![
+        golden("quickstart", quickstart_trace),
+        golden("quickstart_crash_recover", quickstart_crash_recover_trace),
+        golden("q5_degraded_pull", q5_degraded_pull_trace),
+        golden("q10_p2p_broadcast", q10_p2p_broadcast_trace),
+        golden("storm_64_tiered", storm_64_tiered_trace),
+        golden("build_plane", build_plane_trace),
+    ];
+    all.extend(scenarios::ALL.map(|(name, run)| Golden {
+        name: format!("scenario_{name}"),
+        build: Box::new(move || scenario_trace(run)),
+    }));
+    all
 }
 
 /// Rebuild a golden and structurally diff it against its checked-in file.
 /// `Ok(())` on a byte-for-byte structural match; `Err` carries a readable
 /// diff (or the reason the file could not be read/parsed).
 pub fn check_golden(golden: &Golden) -> Result<(), String> {
-    let path = golden_path(golden.name);
+    let path = golden_path(&golden.name);
     let text = std::fs::read_to_string(&path).map_err(|e| {
         format!(
             "{}: cannot read golden {} ({e}); run `cargo run -p hpcc-bench --bin trace_goldens -- --bless`",
@@ -146,7 +107,7 @@ pub fn check_golden(golden: &Golden) -> Result<(), String> {
 /// Rebuild a golden and overwrite its checked-in file.
 pub fn bless_golden(golden: &Golden) -> std::io::Result<()> {
     std::fs::create_dir_all(goldens_dir())?;
-    std::fs::write(golden_path(golden.name), export_tsv(&(golden.build)()))
+    std::fs::write(golden_path(&golden.name), export_tsv(&(golden.build)()))
 }
 
 // --------------------------------------------------------- trace builders
@@ -544,9 +505,7 @@ pub fn build_plane_trace() -> Vec<SpanRecord> {
 /// Drive one §6 scenario with a fresh tracer over the canonical small
 /// workload (the same `(seed, jobs, pods)` triple the integration tests
 /// use) and return the trace.
-fn scenario_trace(
-    runner: impl Fn(&ClusterConfig, &MixedWorkload, &Arc<Tracer>) -> crate::scenarios::ScenarioOutcome,
-) -> Vec<SpanRecord> {
+fn scenario_trace(runner: scenarios::Runner) -> Vec<SpanRecord> {
     let cfg = ClusterConfig { nodes: 16 };
     let wl = MixedWorkload::generate(42, 6, 12, &cfg);
     let tracer = Tracer::new();

@@ -7,92 +7,38 @@
 //! container really is started by an engine inside the allocation).
 
 use super::common::{
-    job_stats, measured_container_startup, pod_stats, ClusterConfig, MixedWorkload,
-    ScenarioOutcome, HORIZON, TICK,
+    self, measured_container_startup, ClusterConfig, MixedWorkload, ScenarioOutcome,
 };
 use hpcc_k8s::bridge::VirtualKubelet;
-use hpcc_k8s::objects::{ApiServer, Resources};
-use hpcc_k8s::scheduler::Scheduler;
-use hpcc_sim::sym;
-use hpcc_sim::{SimTime, Stage, Tracer};
-use hpcc_wlm::slurm::Slurm;
+use hpcc_k8s::objects::Resources;
+use hpcc_sim::Tracer;
 use std::sync::Arc;
 
-/// Run the bridged (virtual-kubelet) scenario.
-pub fn run(cfg: &ClusterConfig, wl: &MixedWorkload) -> ScenarioOutcome {
-    run_traced(cfg, wl, &Tracer::disabled())
-}
-
-/// [`run`] with a tracer attached: the whole scenario becomes a `scenario`
-/// span, with every pod→job translation visible as WLM spans inside it.
-pub fn run_traced(
-    cfg: &ClusterConfig,
-    wl: &MixedWorkload,
-    tracer: &Arc<Tracer>,
-) -> ScenarioOutcome {
-    let scenario = tracer.begin(sym!("scenario"), Stage::Other, SimTime::ZERO);
-    tracer.attr(scenario, sym!("name"), "bridge-virtual-kubelet");
-
-    let mut slurm = Slurm::new();
-    slurm.add_partition("batch", cfg.spec(), cfg.nodes);
-    slurm.set_tracer(Arc::clone(tracer));
-
-    let api = ApiServer::new();
-    let mut sched = Scheduler::new();
+/// Run the bridged (virtual-kubelet) scenario under `tracer`'s root
+/// `scenario` span; every pod→job translation shows as WLM spans inside it.
+pub fn run(cfg: &ClusterConfig, wl: &MixedWorkload, tracer: &Arc<Tracer>) -> ScenarioOutcome {
+    const NAME: &str = "bridge-virtual-kubelet";
+    let w = common::world(NAME, cfg, cfg.nodes, wl, |_| {}, tracer);
     let aggregate = Resources {
         cpu_millis: cfg.capacity_cores() * 1000,
         memory_mb: cfg.nodes as u64 * cfg.spec().memory_mb,
         gpus: cfg.nodes * cfg.spec().gpus,
     };
-    let mut vk = VirtualKubelet::start("knoc", "batch", aggregate, &api).expect("vk registers");
-
-    let job_ids: Vec<_> = wl
-        .jobs
-        .iter()
-        .filter_map(|j| slurm.submit(j.clone(), SimTime::ZERO).ok())
-        .collect();
+    let mut vk =
+        VirtualKubelet::start("knoc", "batch", aggregate, &w.k8s.api).expect("vk registers");
     let startup = measured_container_startup();
     for pod in &wl.pods {
-        let mut p = pod.clone();
+        let mut pod = pod.clone();
         // The engine startup happens inside the WLM job.
-        p.duration += startup;
-        api.create_pod(p).unwrap();
+        pod.duration += startup;
+        w.k8s.api.create_pod(pod).unwrap();
     }
-
-    let mut t = SimTime::ZERO;
-    let mut done_at = SimTime::ZERO;
-    while t.since(SimTime::ZERO) < HORIZON {
-        slurm.advance_to(t);
-        sched.schedule(&api);
-        vk.reconcile(&api, &mut slurm, t);
-
-        let (succ, fail, _, _, _) = pod_stats(&api);
-        if succ + fail == wl.pods.len() && slurm.pending_count() == 0 && slurm.running_count() == 0
-        {
-            done_at = t;
-            break;
-        }
-        t += TICK;
-    }
-
-    let (pods_succeeded, pods_failed, first, mean, last_pod_end) = pod_stats(&api);
-    let (jobs_completed, last_job_end) = job_stats(&slurm, &job_ids);
-    let makespan = done_at
-        .max(last_pod_end)
-        .max(last_job_end)
-        .since(SimTime::ZERO);
-    tracer.end(scenario, SimTime::ZERO + makespan);
-
-    ScenarioOutcome {
-        name: "bridge-virtual-kubelet",
-        first_pod_start: first,
-        mean_pod_start: mean,
-        makespan,
-        utilization: slurm.ledger().utilization(cfg.capacity_cores(), makespan),
-        accounting_coverage: slurm.ledger().accounting_coverage(),
-        pods_succeeded,
-        pods_failed,
-        jobs_completed,
-        notes: "transparent pod→job translation; full WLM accounting; non-standard pod environment",
-    }
+    let notes =
+        "transparent pod→job translation; full WLM accounting; non-standard pod environment";
+    common::drive(NAME, notes, cfg, wl, w, |w, t| {
+        // No kubelets to tick: the scheduler binds pods to the virtual
+        // node and the virtual kubelet turns them into WLM jobs.
+        w.k8s.scheduler.schedule(&w.k8s.api);
+        vk.reconcile(&w.k8s.api, &mut w.slurm, t);
+    })
 }

@@ -1,20 +1,23 @@
-//! Shared harness for the Section 6 integration scenarios: cluster
-//! configuration, mixed workload generation, the measured container
-//! startup cost, and outcome metrics.
+//! What the Section 6 integration scenarios share on top of
+//! [`hpcc_adapt::cosim`]: cluster configuration, mixed workload
+//! generation, the measured container startup cost, the world a
+//! hand-written scenario starts from, and outcome metrics.
 
+use hpcc_adapt::cosim::World;
+use hpcc_adapt::{ControllerConfig, PartitionPolicy, RunSpec, TimedWorkload};
 use hpcc_engine::engine::{Host, RunOptions};
 use hpcc_engine::engines;
 use hpcc_k8s::kubelet::CriRuntime;
-use hpcc_k8s::objects::{ApiServer, PodPhase, PodSpec, Resources};
+use hpcc_k8s::objects::{PodSpec, Resources};
 use hpcc_oci::builder::samples;
 use hpcc_oci::cas::Cas;
 use hpcc_registry::registry::{Registry, RegistryCaps};
 use hpcc_sim::rng::DetRng;
-use hpcc_sim::{SimClock, SimSpan, SimTime};
+use hpcc_sim::{FaultInjector, SimClock, SimSpan, SimTime, Tracer};
 use hpcc_storage::BlobStore;
 use hpcc_wlm::slurm::Slurm;
-use hpcc_wlm::types::{JobRequest, JobState, NodeSpec};
-use std::sync::OnceLock;
+use hpcc_wlm::types::{JobId, JobRequest, NodeSpec};
+use std::sync::{Arc, OnceLock};
 
 /// Cluster shape shared by every scenario.
 #[derive(Debug, Clone, Copy)]
@@ -29,16 +32,6 @@ impl ClusterConfig {
 
     pub fn capacity_cores(&self) -> u64 {
         self.nodes as u64 * self.spec().cores as u64
-    }
-
-    /// Allocatable resources of one node as a k8s object.
-    pub fn node_resources(&self) -> Resources {
-        let spec = self.spec();
-        Resources {
-            cpu_millis: spec.cores as u64 * 1000,
-            memory_mb: spec.memory_mb,
-            gpus: spec.gpus,
-        }
     }
 }
 
@@ -168,60 +161,117 @@ impl CriRuntime for MeasuredCri {
     }
 }
 
-/// Collect pod statistics from an API server after a run.
-pub fn pod_stats(api: &ApiServer) -> (usize, usize, Option<SimSpan>, Option<SimSpan>, SimTime) {
-    let pods = api.list_pods(|_| true);
-    let mut succeeded = 0;
-    let mut failed = 0;
-    let mut first: Option<SimTime> = None;
-    let mut total_start_ns: u128 = 0;
-    let mut started_count = 0u32;
-    let mut last_end = SimTime::ZERO;
-    for p in &pods {
-        match &p.phase {
-            PodPhase::Succeeded { started, ended, .. } => {
-                succeeded += 1;
-                first = Some(first.map_or(*started, |f| f.min(*started)));
-                total_start_ns += started.as_nanos() as u128;
-                started_count += 1;
-                last_end = last_end.max(*ended);
-            }
-            PodPhase::Running { started, .. } => {
-                first = Some(first.map_or(*started, |f| f.min(*started)));
-                total_start_ns += started.as_nanos() as u128;
-                started_count += 1;
-            }
-            PodPhase::Failed { .. } => failed += 1,
-            _ => {}
-        }
+/// The world a hand-written scenario starts from: `wlm_nodes` of the
+/// cluster under Slurm with the workload's jobs submitted at t=0 (after
+/// `stretch` had its way with each), the measured-startup CRI behind every
+/// kubelet, and the root span named `name`.
+pub(super) fn world(
+    name: &'static str,
+    cfg: &ClusterConfig,
+    wlm_nodes: u32,
+    wl: &MixedWorkload,
+    stretch: impl Fn(&mut JobRequest),
+    tracer: &Arc<Tracer>,
+) -> World {
+    let mut w = World::new(name, tracer, Arc::new(MeasuredCri), cfg.spec(), wlm_nodes);
+    for job in &wl.jobs {
+        let mut job = job.clone();
+        stretch(&mut job);
+        w.submit(job, SimTime::ZERO);
     }
-    let mean = if started_count > 0 {
-        Some(SimSpan((total_start_ns / started_count as u128) as u64))
-    } else {
-        None
-    };
-    (
-        succeeded,
-        failed,
-        first.map(|t| t.since(SimTime::ZERO)),
-        mean,
-        last_end,
-    )
+    w
 }
 
-/// Count completed WLM jobs and the latest job end time.
-pub fn job_stats(slurm: &Slurm, job_ids: &[hpcc_wlm::types::JobId]) -> (usize, SimTime) {
-    let mut completed = 0;
-    let mut last_end = SimTime::ZERO;
-    for id in job_ids {
-        if let Ok(job) = slurm.job(*id) {
-            if let JobState::Completed { ended, .. } = &job.state {
-                completed += 1;
-                last_end = last_end.max(*ended);
-            }
-        }
+/// Create `wl`'s pods on `w`'s control plane.
+pub(super) fn create_pods(w: &World, wl: &MixedWorkload) {
+    for pod in &wl.pods {
+        w.k8s.api.create_pod(pod.clone()).unwrap();
     }
-    (completed, last_end)
+}
+
+/// Run `step` over `w` tick by tick until `wl` drains and report the outcome.
+pub(super) fn drive(
+    name: &'static str,
+    notes: &'static str,
+    cfg: &ClusterConfig,
+    wl: &MixedWorkload,
+    mut w: World,
+    step: impl FnMut(&mut World, SimTime),
+) -> ScenarioOutcome {
+    let done_at = w.drive(wl.pods.len(), TICK, HORIZON, step);
+    let stats = w.finish(done_at, HORIZON, cfg.capacity_cores());
+    ScenarioOutcome {
+        name,
+        first_pod_start: stats.first_pod_start,
+        mean_pod_start: stats.mean_pod_start,
+        makespan: stats.makespan,
+        utilization: stats.utilization,
+        accounting_coverage: stats.accounting_coverage,
+        pods_succeeded: stats.pods_succeeded,
+        pods_failed: stats.pods_failed,
+        jobs_completed: stats.jobs_completed,
+        notes,
+    }
+}
+
+/// Run a partition-controller preset as a §6 scenario: the workload all
+/// arrives at t=0 and pods start through the measured-startup CRI.
+pub(super) fn run_preset(
+    name: &'static str,
+    notes: &'static str,
+    (policy, mut config): (Box<dyn PartitionPolicy>, ControllerConfig),
+    cfg: &ClusterConfig,
+    wl: &MixedWorkload,
+    tracer: &Arc<Tracer>,
+) -> ScenarioOutcome {
+    config.node_spec = cfg.spec();
+    let out = hpcc_adapt::run(RunSpec {
+        workload: &TimedWorkload::at_zero(wl.jobs.clone(), wl.pods.clone()),
+        policy,
+        config,
+        cri: Arc::new(MeasuredCri),
+        tracer: Arc::clone(tracer),
+        faults: FaultInjector::disabled(),
+        domains: None,
+        scenario: name,
+    });
+    ScenarioOutcome {
+        name,
+        first_pod_start: out.first_pod_start,
+        mean_pod_start: out.mean_pod_start,
+        makespan: out.makespan,
+        utilization: out.utilization,
+        accounting_coverage: out.accounting_coverage,
+        pods_succeeded: out.pods_succeeded,
+        pods_failed: out.pods_failed,
+        jobs_completed: out.jobs_completed,
+        notes,
+    }
+}
+
+/// The WLM job a user's whole pod batch runs inside (§6.3, §6.5): sized
+/// for the pods' aggregate CPU demand — the user must guess a size, a
+/// usability drawback of both — capped at half the cluster, and held until
+/// cancelled.
+pub(super) fn submit_allocation(
+    slurm: &mut Slurm,
+    name: &str,
+    cfg: &ClusterConfig,
+    wl: &MixedWorkload,
+) -> Option<JobId> {
+    let demand: u64 = wl.pods.iter().map(|p| p.resources.cpu_millis).sum();
+    let node = Resources::from(cfg.spec());
+    let nodes = (demand.div_ceil(node.cpu_millis).max(1) as u32)
+        .min(cfg.nodes / 2)
+        .max(1);
+    let mut job = JobRequest::batch(name, 2000, nodes, HORIZON);
+    job.walltime_limit = HORIZON * 2;
+    slurm.submit(job, SimTime::ZERO).ok()
+}
+
+/// `job` if it is running now.
+pub(super) fn running(slurm: &Slurm, job: Option<JobId>) -> Option<JobId> {
+    job.filter(|id| slurm.job(*id).is_ok_and(|j| j.is_running()))
 }
 
 #[cfg(test)]
@@ -254,13 +304,5 @@ mod tests {
         assert_eq!(a, b);
         assert!(a > SimSpan::millis(1), "startup {a} should be nontrivial");
         assert!(a < SimSpan::secs(300), "startup {a} should be bounded");
-    }
-
-    #[test]
-    fn pod_stats_empty_api() {
-        let api = ApiServer::new();
-        let (s, f, first, mean, _) = pod_stats(&api);
-        assert_eq!((s, f), (0, 0));
-        assert!(first.is_none() && mean.is_none());
     }
 }

@@ -8,179 +8,46 @@
 //! is ready, scheduling Pods or running workflows is not possible."
 //! Everything runs inside the allocation, so the WLM accounts 100%.
 
-use super::common::{
-    job_stats, pod_stats, ClusterConfig, MeasuredCri, MixedWorkload, ScenarioOutcome, HORIZON, TICK,
-};
+use super::common::{self, running, ClusterConfig, MixedWorkload, ScenarioOutcome};
 use hpcc_k8s::k3s::{control_plane_boot_span, ControlPlaneFlavor};
-use hpcc_k8s::kubelet::{kubelet_startup_span, Kubelet, KubeletMode};
-use hpcc_k8s::objects::ApiServer;
-use hpcc_k8s::scheduler::Scheduler;
-use hpcc_runtime::cgroup::{CgroupLimits, CgroupTree, CgroupVersion};
-use hpcc_sim::sym;
-use hpcc_sim::{SimClock, SimTime, Stage, Tracer};
-use hpcc_wlm::slurm::Slurm;
-use hpcc_wlm::types::{JobId, JobRequest};
-use std::collections::BTreeMap;
+use hpcc_k8s::kubelet::{kubelet_startup_span, KubeletMode};
+use hpcc_sim::Tracer;
 use std::sync::Arc;
 
-/// Run the Kubernetes-in-WLM scenario.
-pub fn run(cfg: &ClusterConfig, wl: &MixedWorkload) -> ScenarioOutcome {
-    run_traced(cfg, wl, &Tracer::disabled())
-}
+/// Rootless kubelets: the §6.5 requirements apply inside the allocation too.
+const MODE: KubeletMode = KubeletMode::Rootless { uid: 2000 };
 
-/// [`run`] with a tracer attached: the whole scenario becomes a `scenario`
-/// span, with WLM and kubelet activity nested inside it.
-pub fn run_traced(
-    cfg: &ClusterConfig,
-    wl: &MixedWorkload,
-    tracer: &Arc<Tracer>,
-) -> ScenarioOutcome {
-    let scenario = tracer.begin(sym!("scenario"), Stage::Other, SimTime::ZERO);
-    tracer.attr(scenario, sym!("name"), "k8s-in-wlm");
-
-    let mut slurm = Slurm::new();
-    slurm.add_partition("batch", cfg.spec(), cfg.nodes);
-    slurm.set_tracer(Arc::clone(tracer));
-
-    // HPC jobs go to the WLM directly.
-    let job_ids: Vec<JobId> = wl
-        .jobs
-        .iter()
-        .filter_map(|j| slurm.submit(j.clone(), SimTime::ZERO).ok())
-        .collect();
-
-    // The pod batch becomes one allocation sized for the pods' aggregate
-    // demand (the user must guess a size — a §6.3 usability drawback).
-    let node_millis = cfg.node_resources().cpu_millis;
-    let demand: u64 = wl.pods.iter().map(|p| p.spec_cpu()).sum();
-    let k8s_nodes = (demand.div_ceil(node_millis).max(1) as u32)
-        .min(cfg.nodes / 2)
-        .max(1);
-    let mut k8s_job = JobRequest::batch("k8s-cluster@inside", 2000, k8s_nodes, HORIZON);
-    k8s_job.walltime_limit = HORIZON * 2;
-    let k8s_job_id = slurm.submit(k8s_job, SimTime::ZERO).ok();
-
-    let api = ApiServer::new();
-    let mut sched = Scheduler::new();
-    let clock = SimClock::new();
-    let cri = Arc::new(MeasuredCri);
-
-    // Cluster-inside-the-allocation state.
-    let mut cluster_ready_at: Option<SimTime> = None;
-    let mut kubelets: Vec<Kubelet> = Vec::new();
-    let mut pods_submitted = false;
-
-    let mut t = SimTime::ZERO;
-    let mut done_at = SimTime::ZERO;
-    while t.since(SimTime::ZERO) < HORIZON {
-        slurm.advance_to(t);
-
-        // When the allocation starts, boot the control plane + kubelets.
-        if cluster_ready_at.is_none() {
-            if let Some(id) = k8s_job_id {
-                if slurm.job(id).map(|j| j.is_running()).unwrap_or(false) {
-                    // Server on node 0, kubelets join in parallel.
-                    let boot = control_plane_boot_span(ControlPlaneFlavor::K3s)
-                        + kubelet_startup_span(KubeletMode::Rootless { uid: 2000 });
-                    cluster_ready_at = Some(t + boot);
-                }
-            }
+/// Run the Kubernetes-in-WLM scenario under `tracer`'s root `scenario` span.
+pub fn run(cfg: &ClusterConfig, wl: &MixedWorkload, tracer: &Arc<Tracer>) -> ScenarioOutcome {
+    const NAME: &str = "k8s-in-wlm";
+    // HPC jobs go to the WLM directly; the pod batch becomes one allocation.
+    let mut w = common::world(NAME, cfg, cfg.nodes, wl, |_| {}, tracer);
+    let allocation = common::submit_allocation(&mut w.slurm, "k8s-cluster@inside", cfg, wl);
+    let mut cluster_ready_at = None;
+    let mut kubelets = Vec::new();
+    let notes =
+        "full WLM accounting, but cluster boot delays every pod; allocation billed while idle";
+    common::drive(NAME, notes, cfg, wl, w, |w, t| {
+        // When the allocation starts, the server boots on node 0 and the
+        // kubelets join in parallel.
+        if cluster_ready_at.is_none() && running(&w.slurm, allocation).is_some() {
+            let boot =
+                control_plane_boot_span(ControlPlaneFlavor::K3s) + kubelet_startup_span(MODE);
+            cluster_ready_at = Some(t + boot);
         }
-        if let Some(ready) = cluster_ready_at {
-            if t >= ready && kubelets.is_empty() {
-                clock.advance_to(t);
-                for i in 0..k8s_nodes {
-                    // Rootless kubelets need delegated cgroup v2 (§6.5
-                    // requirements apply inside the allocation too).
-                    let mut cg = CgroupTree::new(CgroupVersion::V2);
-                    cg.create("alloc", 0, CgroupLimits::default()).unwrap();
-                    cg.delegate("alloc", 0, 2000).unwrap();
-                    cg.create("alloc/user", 2000, CgroupLimits::default())
-                        .unwrap();
-                    cg.delegate("alloc/user", 2000, 2000).unwrap();
-                    // Kubelet creates its group at the top level in the
-                    // model; delegate root for the in-allocation tree.
-                    cg.delegate("", 0, 2000).unwrap();
-                    let mut kubelet = Kubelet::start(
-                        &format!("alloc-{i}"),
-                        KubeletMode::Rootless { uid: 2000 },
-                        cri.clone(),
-                        &mut cg,
-                        cfg.node_resources(),
-                        BTreeMap::new(),
-                        &api,
-                        &SimClock::new(),
-                    )
-                    .expect("rootless kubelet with delegation boots");
-                    kubelet.set_tracer(Arc::clone(tracer));
-                    kubelets.push(kubelet);
-                }
-                // Only now can pods be submitted/scheduled.
-                for pod in &wl.pods {
-                    api.create_pod(pod.clone()).unwrap();
-                }
-                pods_submitted = true;
-            }
+        if kubelets.is_empty() && cluster_ready_at.is_some_and(|ready| t >= ready) {
+            w.clock.advance_to(t);
+            let nodes = allocation.map_or(0, |id| w.slurm.allocated_nodes(id).len());
+            kubelets = w.boot_fleet((0..nodes).map(|i| format!("alloc-{i}")), MODE);
+            // Only now can pods be submitted/scheduled.
+            common::create_pods(w, wl);
         }
-
-        if pods_submitted {
-            sched.schedule(&api);
-            clock.advance_to(t);
-            for kubelet in &mut kubelets {
-                kubelet.sync(&api, &clock);
-                for (_, res, _, _) in kubelet.advance_to(&api, t) {
-                    sched.release(&kubelet.node_name, &res);
-                }
-            }
-        }
-
-        let (succ, fail, _, _, _) = pod_stats(&api);
-        let pods_done = pods_submitted && succ + fail == wl.pods.len();
+        w.k8s.tick(&mut kubelets, &w.clock, t, |_| {});
         // Tear down the allocation once pods drain.
-        if pods_done {
-            if let Some(id) = k8s_job_id {
-                if slurm.job(id).map(|j| j.is_running()).unwrap_or(false) {
-                    slurm.cancel(id, t).unwrap();
-                }
+        if w.pods_done(wl.pods.len()) {
+            if let Some(id) = running(&w.slurm, allocation) {
+                w.slurm.cancel(id, t).unwrap();
             }
         }
-        let only_k8s_left = slurm.running_count() == 0 && slurm.pending_count() == 0;
-        if pods_done && only_k8s_left {
-            done_at = t;
-            break;
-        }
-        t += TICK;
-    }
-
-    let (pods_succeeded, pods_failed, first, mean, last_pod_end) = pod_stats(&api);
-    let (jobs_completed, last_job_end) = job_stats(&slurm, &job_ids);
-    let makespan = done_at
-        .max(last_pod_end)
-        .max(last_job_end)
-        .since(SimTime::ZERO);
-    tracer.end(scenario, SimTime::ZERO + makespan);
-
-    ScenarioOutcome {
-        name: "k8s-in-wlm",
-        first_pod_start: first,
-        mean_pod_start: mean,
-        makespan,
-        utilization: slurm.ledger().utilization(cfg.capacity_cores(), makespan),
-        accounting_coverage: slurm.ledger().accounting_coverage(),
-        pods_succeeded,
-        pods_failed,
-        jobs_completed,
-        notes:
-            "full WLM accounting, but cluster boot delays every pod; allocation billed while idle",
-    }
-}
-
-trait PodCpu {
-    fn spec_cpu(&self) -> u64;
-}
-
-impl PodCpu for hpcc_k8s::objects::PodSpec {
-    fn spec_cpu(&self) -> u64 {
-        self.resources.cpu_millis
-    }
+    })
 }

@@ -10,180 +10,61 @@
 //! with delegation; the kubelet↔apiserver join rides the HSN fabric; the
 //! allocation is cancelled when the pod queue drains.
 
-use super::common::{
-    job_stats, pod_stats, ClusterConfig, MeasuredCri, MixedWorkload, ScenarioOutcome, HORIZON, TICK,
-};
+use super::common::{self, running, ClusterConfig, MixedWorkload, ScenarioOutcome};
 use hpcc_k8s::kubelet::{Kubelet, KubeletMode};
-use hpcc_k8s::objects::{ApiServer, PodPhase};
-use hpcc_k8s::scheduler::Scheduler;
-use hpcc_runtime::cgroup::{CgroupLimits, CgroupTree, CgroupVersion};
 use hpcc_sim::net::{Fabric, LinkClass, NodeId as NetNode};
-use hpcc_sim::sym;
-use hpcc_sim::{Bytes, SimClock, SimTime, Stage, Tracer};
-use hpcc_wlm::slurm::Slurm;
-use hpcc_wlm::types::JobRequest;
-use std::collections::BTreeMap;
+use hpcc_sim::{Bytes, SimSpan, Tracer};
+use hpcc_wlm::types::NodeId;
 use std::sync::Arc;
 
-/// Run the kubelet-in-allocation scenario. Returns the outcome plus the
-/// per-kubelet join latencies over the HSN (the Figure 1 detail).
+const MODE: KubeletMode = KubeletMode::Rootless { uid: 2000 };
+
+/// Run the kubelet-in-allocation scenario under `tracer`'s root `scenario`
+/// span. Returns the outcome plus the per-kubelet join latencies over the
+/// HSN (the Figure 1 detail).
 pub fn run_detailed(
     cfg: &ClusterConfig,
     wl: &MixedWorkload,
-) -> (ScenarioOutcome, Vec<hpcc_sim::SimSpan>) {
-    run_detailed_traced(cfg, wl, &Tracer::disabled())
-}
-
-/// [`run_detailed`] with a tracer attached: the whole scenario becomes a
-/// `scenario` span, with WLM and kubelet activity nested inside it.
-pub fn run_detailed_traced(
-    cfg: &ClusterConfig,
-    wl: &MixedWorkload,
     tracer: &Arc<Tracer>,
-) -> (ScenarioOutcome, Vec<hpcc_sim::SimSpan>) {
-    let scenario = tracer.begin(sym!("scenario"), Stage::Other, SimTime::ZERO);
-    tracer.attr(scenario, sym!("name"), "kubelet-in-allocation");
-
-    let mut slurm = Slurm::new();
-    slurm.add_partition("batch", cfg.spec(), cfg.nodes);
-    slurm.set_tracer(Arc::clone(tracer));
-
-    // Standing control plane on a service node (net node 0); compute
-    // nodes are net nodes 1..=N.
-    let api = ApiServer::new();
-    let mut sched = Scheduler::new();
+) -> (ScenarioOutcome, Vec<SimSpan>) {
+    const NAME: &str = "kubelet-in-allocation";
+    let mut w = common::world(NAME, cfg, cfg.nodes, wl, |_| {}, tracer);
+    common::create_pods(&w, wl);
+    let allocation = common::submit_allocation(&mut w.slurm, "k8s-agents", cfg, wl);
+    // The standing control plane sits on a service node (net node 0);
+    // compute nodes are net nodes 1..=N.
     let fabric = Fabric::with_defaults((0..=cfg.nodes).map(NetNode));
-    let clock = SimClock::new();
-    let cri = Arc::new(MeasuredCri);
-
-    let job_ids: Vec<_> = wl
-        .jobs
-        .iter()
-        .filter_map(|j| slurm.submit(j.clone(), SimTime::ZERO).ok())
-        .collect();
-    for pod in &wl.pods {
-        api.create_pod(pod.clone()).unwrap();
-    }
-
-    // Size the agent allocation for pod demand.
-    let node_millis = cfg.node_resources().cpu_millis;
-    let demand: u64 = wl.pods.iter().map(|p| p.resources.cpu_millis).sum();
-    let agent_nodes = (demand.div_ceil(node_millis).max(1) as u32)
-        .min(cfg.nodes / 2)
-        .max(1);
-    let mut agent_job = JobRequest::batch("k8s-agents", 2000, agent_nodes, HORIZON);
-    agent_job.walltime_limit = HORIZON * 2;
-    let agent_job_id = slurm.submit(agent_job, SimTime::ZERO).ok();
-
     let mut kubelets: Vec<Kubelet> = Vec::new();
     let mut join_spans = Vec::new();
-    let mut agents_booted = false;
-
-    let mut t = SimTime::ZERO;
-    let mut done_at = SimTime::ZERO;
-    while t.since(SimTime::ZERO) < HORIZON {
-        slurm.advance_to(t);
-
+    let notes = "standing control plane + rootless agents in allocation: full accounting, mainline k8s env, no cluster boot";
+    let outcome = common::drive(NAME, notes, cfg, wl, w, |w, t| {
         // Allocation granted → boot rootless kubelets on its nodes, each
         // joining the standing control plane over the high-speed network.
-        if !agents_booted {
-            if let Some(id) = agent_job_id {
-                if slurm.job(id).map(|j| j.is_running()).unwrap_or(false) {
-                    let alloc = slurm.allocated_nodes(id);
-                    for wlm_node in &alloc {
-                        // Join handshake over the HSN: ~1 MiB of TLS +
-                        // node-sync traffic to the apiserver.
-                        let sent = fabric
-                            .send(
-                                NetNode(wlm_node.0 + 1),
-                                NetNode(0),
-                                LinkClass::HighSpeed,
-                                Bytes::mib(1),
-                                t,
-                            )
-                            .expect("HSN reachable");
-                        join_spans.push(sent.since(t));
-
-                        let boot_clock = SimClock::new();
-                        let mut cg = CgroupTree::new(CgroupVersion::V2);
-                        cg.create("alloc", 0, CgroupLimits::default()).unwrap();
-                        cg.delegate("alloc", 0, 2000).unwrap();
-                        cg.delegate("", 0, 2000).unwrap();
-                        let mut kubelet = Kubelet::start(
-                            &format!("agent-{}", wlm_node.0),
-                            KubeletMode::Rootless { uid: 2000 },
-                            cri.clone(),
-                            &mut cg,
-                            cfg.node_resources(),
-                            BTreeMap::new(),
-                            &api,
-                            &boot_clock,
-                        )
-                        .expect("rootless kubelet with delegation boots");
-                        kubelet.set_tracer(Arc::clone(tracer));
-                        kubelets.push(kubelet);
-                    }
-                    agents_booted = true;
+        if kubelets.is_empty() {
+            if let Some(id) = running(&w.slurm, allocation) {
+                let nodes = w.slurm.allocated_nodes(id);
+                // Join handshake over the HSN: ~1 MiB of TLS + node-sync
+                // traffic to the apiserver.
+                let join = |node: &NodeId| {
+                    let (from, to) = (NetNode(node.0 + 1), NetNode(0));
+                    let sent = fabric.send(from, to, LinkClass::HighSpeed, Bytes::mib(1), t);
+                    sent.expect("HSN reachable").since(t)
+                };
+                join_spans = nodes.iter().map(join).collect();
+                let names = nodes.iter().map(|node| format!("agent-{}", node.0));
+                kubelets = w.boot_fleet(names, MODE);
+            }
+        }
+        w.k8s.tick(&mut kubelets, &w.clock, t, |_| {});
+        // Pod queue drained → agents leave the cluster, then the job ends.
+        if w.pods_done(wl.pods.len()) {
+            if let Some(id) = running(&w.slurm, allocation) {
+                for kubelet in &mut kubelets {
+                    kubelet.shutdown(&w.k8s.api);
                 }
+                w.slurm.cancel(id, t).unwrap();
             }
         }
-
-        sched.schedule(&api);
-        clock.advance_to(t);
-        for kubelet in &mut kubelets {
-            kubelet.sync(&api, &clock);
-            for (_, res, _, _) in kubelet.advance_to(&api, t) {
-                sched.release(&kubelet.node_name, &res);
-            }
-        }
-
-        let (succ, fail, _, _, _) = pod_stats(&api);
-        let pods_done = succ + fail == wl.pods.len()
-            && api
-                .list_pods(|p| matches!(p.phase, PodPhase::Pending | PodPhase::Scheduled { .. }))
-                .is_empty();
-        if pods_done {
-            // Release the allocation.
-            if let Some(id) = agent_job_id {
-                if slurm.job(id).map(|j| j.is_running()).unwrap_or(false) {
-                    for kubelet in &mut kubelets {
-                        kubelet.shutdown(&api);
-                    }
-                    slurm.cancel(id, t).unwrap();
-                }
-            }
-        }
-        if pods_done && slurm.running_count() == 0 && slurm.pending_count() == 0 {
-            done_at = t;
-            break;
-        }
-        t += TICK;
-    }
-
-    let (pods_succeeded, pods_failed, first, mean, last_pod_end) = pod_stats(&api);
-    let (jobs_completed, last_job_end) = job_stats(&slurm, &job_ids);
-    let makespan = done_at
-        .max(last_pod_end)
-        .max(last_job_end)
-        .since(SimTime::ZERO);
-    tracer.end(scenario, SimTime::ZERO + makespan);
-
-    let outcome = ScenarioOutcome {
-        name: "kubelet-in-allocation",
-        first_pod_start: first,
-        mean_pod_start: mean,
-        makespan,
-        utilization: slurm.ledger().utilization(cfg.capacity_cores(), makespan),
-        accounting_coverage: slurm.ledger().accounting_coverage(),
-        pods_succeeded,
-        pods_failed,
-        jobs_completed,
-        notes: "standing control plane + rootless agents in allocation: full accounting, mainline k8s env, no cluster boot",
-    };
+    });
     (outcome, join_spans)
-}
-
-/// Run the scenario, discarding Figure 1 details.
-pub fn run(cfg: &ClusterConfig, wl: &MixedWorkload) -> ScenarioOutcome {
-    run_detailed(cfg, wl).0
 }

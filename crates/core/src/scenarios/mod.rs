@@ -16,30 +16,40 @@ pub mod wlm_in_k8s;
 
 pub use common::{ClusterConfig, MixedWorkload, ScenarioOutcome};
 
+use hpcc_sim::Tracer;
+use std::sync::Arc;
+
+/// A scenario's one entry point: run it under `tracer`'s root `scenario`
+/// span (untraced = [`Tracer::disabled`]).
+pub type Runner = fn(&ClusterConfig, &MixedWorkload, &Arc<Tracer>) -> ScenarioOutcome;
+
+/// The scenario table: every list of scenarios in the tree — [`run_all`],
+/// the `scenario_<name>` goldens, the span-invariant proptest, the
+/// criterion bench — is this one.
+pub const ALL: [(&str, Runner); 6] = [
+    ("static_partition", static_partition::run),
+    ("reallocation", reallocation::run),
+    ("wlm_in_k8s", wlm_in_k8s::run),
+    ("k8s_in_wlm", k8s_in_wlm::run),
+    ("bridge_vk", bridge_vk::run),
+    ("kubelet_in_allocation", |cfg, wl, tracer| {
+        kubelet_in_allocation::run_detailed(cfg, wl, tracer).0
+    }),
+];
+
 /// Run every scenario on the same configuration + workload. The six
 /// simulations are independent, so they run on parallel threads (scoped,
 /// data-race-free — the guides' fork/join idiom without a pool).
 pub fn run_all(cfg: &ClusterConfig, wl: &MixedWorkload) -> Vec<ScenarioOutcome> {
     // Prime the shared measured-startup cache once, outside the threads.
     common::measured_container_startup();
-    type Runner = fn(&ClusterConfig, &MixedWorkload) -> ScenarioOutcome;
-    let runners: [Runner; 6] = [
-        static_partition::run,
-        reallocation::run,
-        wlm_in_k8s::run,
-        k8s_in_wlm::run,
-        bridge_vk::run,
-        kubelet_in_allocation::run,
-    ];
-    let mut out: Vec<Option<ScenarioOutcome>> = (0..runners.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for (slot, runner) in out.iter_mut().zip(runners) {
-            scope.spawn(move || {
-                *slot = Some(runner(cfg, wl));
-            });
-        }
-    });
-    out.into_iter().map(|o| o.expect("scenario ran")).collect()
+        let threads = ALL.map(|(_, run)| scope.spawn(move || run(cfg, wl, &Tracer::disabled())));
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("scenario ran"))
+            .collect()
+    })
 }
 
 /// Render outcomes as an aligned text table.
@@ -80,8 +90,10 @@ mod tests {
 
     #[test]
     fn all_scenarios_complete_the_workload() {
+        // Every pod and job finished, so no scenario ran into the horizon.
         let (cfg, wl) = small();
-        for outcome in run_all(&cfg, &wl) {
+        for (_, run) in ALL {
+            let outcome = run(&cfg, &wl, &Tracer::disabled());
             assert_eq!(
                 outcome.pods_succeeded,
                 wl.pods.len(),
@@ -156,7 +168,7 @@ mod tests {
     #[test]
     fn figure1_join_happens_over_hsn() {
         let (cfg, wl) = small();
-        let (outcome, joins) = kubelet_in_allocation::run_detailed(&cfg, &wl);
+        let (outcome, joins) = kubelet_in_allocation::run_detailed(&cfg, &wl, &Tracer::disabled());
         assert!(!joins.is_empty(), "agents joined");
         for j in &joins {
             assert!(*j < SimSpan::millis(10), "HSN join {j} should be fast");
@@ -167,7 +179,7 @@ mod tests {
     #[test]
     fn render_is_complete() {
         let (cfg, wl) = small();
-        let outcomes = vec![static_partition::run(&cfg, &wl)];
+        let outcomes = vec![static_partition::run(&cfg, &wl, &Tracer::disabled())];
         let text = render_outcomes(&outcomes);
         assert!(text.contains("static-partition"));
         assert!(text.contains("makespan"));

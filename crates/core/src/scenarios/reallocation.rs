@@ -8,53 +8,26 @@
 //! introduces disturbances.
 //!
 //! The scenario is a preset of the generic `hpcc-adapt` controller: the
-//! [`hpcc_adapt::QueueThresholdPolicy`] with zero hysteresis reproduces
-//! the original hard-coded trigger (`wanted = ceil(demand / node)` vs
-//! supply in flight) decision-for-decision, and the controller's
-//! drain → offline → reprovision → hand-over actuation matches the loop
-//! this file used to hand-roll.
+//! [`hpcc_adapt::QueueThresholdPolicy`] with zero hysteresis is §6.1's
+//! trigger (`wanted = ceil(demand / node)` vs supply in flight), and the
+//! controller's drain → offline → reprovision → hand-over actuation runs
+//! around the same [`hpcc_adapt::cosim::World`] and Kubernetes tick as the
+//! hand-written scenarios next door.
 
-use super::common::{ClusterConfig, MeasuredCri, MixedWorkload, ScenarioOutcome};
+use super::common::{run_preset, ClusterConfig, MixedWorkload, ScenarioOutcome};
 use hpcc_adapt::presets;
-use hpcc_adapt::{RunSpec, TimedWorkload};
-use hpcc_sim::{FaultInjector, Tracer};
+use hpcc_sim::Tracer;
 use std::sync::Arc;
 
-/// Run the on-demand reallocation scenario.
-pub fn run(cfg: &ClusterConfig, wl: &MixedWorkload) -> ScenarioOutcome {
-    run_traced(cfg, wl, &Tracer::disabled())
-}
-
-/// [`run`] with a tracer attached: the whole scenario becomes a `scenario`
-/// span, with WLM, kubelet and controller-decision activity nested inside.
-pub fn run_traced(
-    cfg: &ClusterConfig,
-    wl: &MixedWorkload,
-    tracer: &Arc<Tracer>,
-) -> ScenarioOutcome {
-    let (policy, mut ctl) = presets::on_demand_reallocation(cfg.nodes);
-    ctl.node_spec = cfg.spec();
-    let workload = TimedWorkload::at_zero(wl.jobs.clone(), wl.pods.clone());
-    let out = hpcc_adapt::run(RunSpec {
-        workload: &workload,
-        policy,
-        config: ctl,
-        cri: Arc::new(MeasuredCri),
-        tracer: Arc::clone(tracer),
-        faults: FaultInjector::disabled(),
-        domains: None,
-        scenario: "on-demand-reallocation",
-    });
-    ScenarioOutcome {
-        name: "on-demand-reallocation",
-        first_pod_start: out.first_pod_start,
-        mean_pod_start: out.mean_pod_start,
-        makespan: out.makespan,
-        utilization: out.utilization,
-        accounting_coverage: out.accounting_coverage,
-        pods_succeeded: out.pods_succeeded,
-        pods_failed: out.pods_failed,
-        jobs_completed: out.jobs_completed,
-        notes: "slow drain/reprovision cycles; k8s usage invisible to WLM accounting",
-    }
+/// Run the on-demand reallocation scenario under `tracer`'s root
+/// `scenario` span (controller decisions nest inside it).
+pub fn run(cfg: &ClusterConfig, wl: &MixedWorkload, tracer: &Arc<Tracer>) -> ScenarioOutcome {
+    run_preset(
+        "on-demand-reallocation",
+        "slow drain/reprovision cycles; k8s usage invisible to WLM accounting",
+        presets::on_demand_reallocation(cfg.nodes),
+        cfg,
+        wl,
+        tracer,
+    )
 }

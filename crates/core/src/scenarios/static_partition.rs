@@ -9,50 +9,22 @@
 //! The scenario is a preset of the generic `hpcc-adapt` controller: the
 //! [`hpcc_adapt::StaticPolicy`] never moves a node, the half-cluster
 //! carve-out boots as permanent kubelets, and pod usage lands as per-pod
-//! external ledger records — exactly the loop this file used to
-//! hand-roll.
+//! external ledger records. The controller steps the same
+//! [`hpcc_adapt::cosim::World`] as the hand-written scenarios next door.
 
-use super::common::{ClusterConfig, MeasuredCri, MixedWorkload, ScenarioOutcome};
+use super::common::{run_preset, ClusterConfig, MixedWorkload, ScenarioOutcome};
 use hpcc_adapt::presets;
-use hpcc_adapt::{RunSpec, TimedWorkload};
-use hpcc_sim::{FaultInjector, Tracer};
+use hpcc_sim::Tracer;
 use std::sync::Arc;
 
-/// Run the static-partition baseline.
-pub fn run(cfg: &ClusterConfig, wl: &MixedWorkload) -> ScenarioOutcome {
-    run_traced(cfg, wl, &Tracer::disabled())
-}
-
-/// [`run`] with a tracer attached: the whole scenario becomes a `scenario`
-/// span, with WLM and kubelet activity nested inside it.
-pub fn run_traced(
-    cfg: &ClusterConfig,
-    wl: &MixedWorkload,
-    tracer: &Arc<Tracer>,
-) -> ScenarioOutcome {
-    let (policy, mut ctl) = presets::static_partition(cfg.nodes);
-    ctl.node_spec = cfg.spec();
-    let workload = TimedWorkload::at_zero(wl.jobs.clone(), wl.pods.clone());
-    let out = hpcc_adapt::run(RunSpec {
-        workload: &workload,
-        policy,
-        config: ctl,
-        cri: Arc::new(MeasuredCri),
-        tracer: Arc::clone(tracer),
-        faults: FaultInjector::disabled(),
-        domains: None,
-        scenario: "static-partition",
-    });
-    ScenarioOutcome {
-        name: "static-partition",
-        first_pod_start: out.first_pod_start,
-        mean_pod_start: out.mean_pod_start,
-        makespan: out.makespan,
-        utilization: out.utilization,
-        accounting_coverage: out.accounting_coverage,
-        pods_succeeded: out.pods_succeeded,
-        pods_failed: out.pods_failed,
-        jobs_completed: out.jobs_completed,
-        notes: "fixed split; idle capacity stranded on either side; pod usage unaccounted",
-    }
+/// Run the static-partition baseline under `tracer`'s root `scenario` span.
+pub fn run(cfg: &ClusterConfig, wl: &MixedWorkload, tracer: &Arc<Tracer>) -> ScenarioOutcome {
+    run_preset(
+        "static-partition",
+        "fixed split; idle capacity stranded on either side; pod usage unaccounted",
+        presets::static_partition(cfg.nodes),
+        cfg,
+        wl,
+        tracer,
+    )
 }

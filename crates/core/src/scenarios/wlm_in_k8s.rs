@@ -8,133 +8,35 @@
 //! penalties incurred by the additional layer introduced must be
 //! verified": HPC job runtimes stretch by the virtualization-layer factor.
 
-use super::common::{
-    job_stats, pod_stats, ClusterConfig, MeasuredCri, MixedWorkload, ScenarioOutcome, HORIZON, TICK,
-};
-use hpcc_k8s::kubelet::{Kubelet, KubeletMode};
-use hpcc_k8s::objects::ApiServer;
-use hpcc_k8s::scheduler::Scheduler;
-use hpcc_runtime::cgroup::{CgroupTree, CgroupVersion};
-use hpcc_sim::sym;
-use hpcc_sim::{SimClock, SimTime, Stage, Tracer};
-use hpcc_wlm::accounting::{UsageRecord, UsageSource};
-use hpcc_wlm::slurm::Slurm;
-use std::collections::BTreeMap;
+use super::common::{self, ClusterConfig, MixedWorkload, ScenarioOutcome};
+use hpcc_adapt::cosim::external_pod_usage;
+use hpcc_k8s::kubelet::KubeletMode;
+use hpcc_sim::Tracer;
+use hpcc_wlm::types::JobRequest;
 use std::sync::Arc;
 
 /// Runtime stretch from running slurmd inside pods on a shared substrate.
 const WLM_IN_K8S_PENALTY: f64 = 1.05;
 
-/// Run the WLM-in-Kubernetes scenario.
-pub fn run(cfg: &ClusterConfig, wl: &MixedWorkload) -> ScenarioOutcome {
-    run_traced(cfg, wl, &Tracer::disabled())
-}
-
-/// [`run`] with a tracer attached: the whole scenario becomes a `scenario`
-/// span, with WLM and kubelet activity nested inside it.
-pub fn run_traced(
-    cfg: &ClusterConfig,
-    wl: &MixedWorkload,
-    tracer: &Arc<Tracer>,
-) -> ScenarioOutcome {
-    let scenario = tracer.begin(sym!("scenario"), Stage::Other, SimTime::ZERO);
-    tracer.attr(scenario, sym!("name"), "wlm-in-k8s");
-
+/// Run the WLM-in-Kubernetes scenario under `tracer`'s root `scenario` span.
+pub fn run(cfg: &ClusterConfig, wl: &MixedWorkload, tracer: &Arc<Tracer>) -> ScenarioOutcome {
+    const NAME: &str = "wlm-in-k8s";
     // 3/4 of nodes carry pinned slurmd pods, the rest serve user pods.
     let wlm_nodes = (cfg.nodes * 3 / 4).max(1);
-    let k8s_nodes = cfg.nodes - wlm_nodes;
-
-    let mut slurm = Slurm::new();
-    slurm.add_partition("batch", cfg.spec(), wlm_nodes);
-    slurm.set_tracer(Arc::clone(tracer));
-
-    let api = ApiServer::new();
-    let mut sched = Scheduler::new();
-    let clock = SimClock::new();
-    let cri = Arc::new(MeasuredCri);
-    let mut kubelets: Vec<Kubelet> = (0..k8s_nodes)
-        .map(|i| {
-            let mut cg = CgroupTree::new(CgroupVersion::V2);
-            let mut kubelet = Kubelet::start(
-                &format!("user-{i}"),
-                KubeletMode::Rootful,
-                cri.clone(),
-                &mut cg,
-                cfg.node_resources(),
-                BTreeMap::new(),
-                &api,
-                &SimClock::new(),
-            )
-            .expect("kubelet starts");
-            kubelet.set_tracer(Arc::clone(tracer));
-            kubelet
-        })
-        .collect();
-
-    // HPC jobs pay the layer penalty.
-    let job_ids: Vec<_> = wl
-        .jobs
-        .iter()
-        .filter_map(|j| {
-            let mut req = j.clone();
-            req.actual_runtime = req.actual_runtime.scale(WLM_IN_K8S_PENALTY);
-            req.walltime_limit = req.walltime_limit.scale(WLM_IN_K8S_PENALTY);
-            slurm.submit(req, SimTime::ZERO).ok()
-        })
-        .collect();
-    for pod in &wl.pods {
-        api.create_pod(pod.clone()).unwrap();
-    }
-
-    let mut t = SimTime::ZERO;
-    let mut done_at = SimTime::ZERO;
-    while t.since(SimTime::ZERO) < HORIZON {
-        slurm.advance_to(t);
-        sched.schedule(&api);
-        clock.advance_to(t);
-        for kubelet in &mut kubelets {
-            kubelet.sync(&api, &clock);
-            for (_, res, started, ended) in kubelet.advance_to(&api, t) {
-                sched.release(&kubelet.node_name, &res);
-                slurm.record_external_usage(UsageRecord {
-                    job: None,
-                    user: 2000,
-                    cores: res.cpu_millis.div_ceil(1000),
-                    gpus: res.gpus as u64,
-                    start: started,
-                    end: ended,
-                    source: UsageSource::External,
-                });
-            }
-        }
-
-        let (succ, fail, _, _, _) = pod_stats(&api);
-        if succ + fail == wl.pods.len() && slurm.pending_count() == 0 && slurm.running_count() == 0
-        {
-            done_at = t;
-            break;
-        }
-        t += TICK;
-    }
-
-    let (pods_succeeded, pods_failed, first, mean, last_pod_end) = pod_stats(&api);
-    let (jobs_completed, last_job_end) = job_stats(&slurm, &job_ids);
-    let makespan = done_at
-        .max(last_pod_end)
-        .max(last_job_end)
-        .since(SimTime::ZERO);
-    tracer.end(scenario, SimTime::ZERO + makespan);
-
-    ScenarioOutcome {
-        name: "wlm-in-k8s",
-        first_pod_start: first,
-        mean_pod_start: mean,
-        makespan,
-        utilization: slurm.ledger().utilization(cfg.capacity_cores(), makespan),
-        accounting_coverage: slurm.ledger().accounting_coverage(),
-        pods_succeeded,
-        pods_failed,
-        jobs_completed,
-        notes: "HPC jobs pay a layer penalty; pod usage not in WLM accounting",
-    }
+    let layer_penalty = |job: &mut JobRequest| {
+        job.actual_runtime = job.actual_runtime.scale(WLM_IN_K8S_PENALTY);
+        job.walltime_limit = job.walltime_limit.scale(WLM_IN_K8S_PENALTY);
+    };
+    let w = common::world(NAME, cfg, wlm_nodes, wl, layer_penalty, tracer);
+    let names = (0..cfg.nodes - wlm_nodes).map(|i| format!("user-{i}"));
+    let mut kubelets = w.boot_fleet(names, KubeletMode::Rootful);
+    common::create_pods(&w, wl);
+    let notes = "HPC jobs pay a layer penalty; pod usage not in WLM accounting";
+    common::drive(NAME, notes, cfg, wl, w, |w, t| {
+        // Pod usage is visible to the ledger, but not WLM-accounted.
+        w.k8s.tick(&mut kubelets, &w.clock, t, |pod| {
+            w.slurm
+                .record_external_usage(external_pod_usage(2000, &pod))
+        });
+    })
 }

@@ -9,13 +9,9 @@
 //! (bridge/KNoC style) or Kubernetes pods on an agent allocation — with
 //! identical results, differing only in scheduling behaviour.
 
+use hpcc_k8s::k3s::ControlPlane;
 use hpcc_k8s::kubelet::Kubelet;
-#[cfg(test)]
-use hpcc_k8s::kubelet::KubeletMode;
-use hpcc_k8s::objects::{ApiServer, PodPhase, PodSpec, Resources};
-use hpcc_k8s::scheduler::Scheduler;
-#[cfg(test)]
-use hpcc_runtime::cgroup::CgroupTree;
+use hpcc_k8s::objects::{PodPhase, PodSpec, Resources};
 use hpcc_sim::{SimClock, SimSpan, SimTime};
 use hpcc_wlm::slurm::Slurm;
 use hpcc_wlm::types::{JobId, JobRequest, JobState};
@@ -269,8 +265,7 @@ pub fn run_on_wlm(wf: &Workflow, slurm: &mut Slurm) -> Result<WorkflowRun, Workf
 /// a WLM allocation).
 pub fn run_on_k8s(
     wf: &Workflow,
-    api: &ApiServer,
-    sched: &mut Scheduler,
+    k8s: &mut ControlPlane,
     kubelets: &mut [Kubelet],
     clock: &SimClock,
 ) -> Result<WorkflowRun, WorkflowError> {
@@ -292,32 +287,31 @@ pub fn run_on_k8s(
                     gpus: 0,
                 };
                 pod.user = 2000;
-                api.create_pod(pod).map_err(|e| WorkflowError::StepFailed {
-                    step: s.name.clone(),
-                    reason: e.to_string(),
-                })?;
+                k8s.api
+                    .create_pod(pod)
+                    .map_err(|e| WorkflowError::StepFailed {
+                        step: s.name.clone(),
+                        reason: e.to_string(),
+                    })?;
                 submitted.insert(s.name.clone());
             }
         }
-        sched.schedule(api);
-        clock.advance_to(t);
-        for kubelet in kubelets.iter_mut() {
-            kubelet.sync(api, clock);
-            for (pod_name, res, started, ended) in kubelet.advance_to(api, t) {
-                sched.release(&kubelet.node_name, &res);
-                let step = pod_name.trim_start_matches("wf-").to_string();
-                done.insert(
-                    step.clone(),
-                    RunRecord {
-                        step,
-                        started,
-                        ended,
-                    },
-                );
-            }
-        }
+        k8s.tick(kubelets.iter_mut(), clock, t, |pod| {
+            let step = pod.name.trim_start_matches("wf-").to_string();
+            done.insert(
+                step.clone(),
+                RunRecord {
+                    step,
+                    started: pod.started,
+                    ended: pod.ended,
+                },
+            );
+        });
         // Surface pod failures.
-        for pod in api.list_pods(|p| matches!(p.phase, PodPhase::Failed { .. })) {
+        for pod in k8s
+            .api
+            .list_pods(|p| matches!(p.phase, PodPhase::Failed { .. }))
+        {
             if let PodPhase::Failed { reason } = pod.phase {
                 return Err(WorkflowError::StepFailed {
                     step: pod.spec.name,
@@ -345,7 +339,9 @@ pub fn run_on_k8s(
 mod tests {
     use super::*;
     use crate::scenarios::common::MeasuredCri;
-    use hpcc_runtime::cgroup::CgroupVersion;
+    use hpcc_adapt::cosim::World;
+    use hpcc_k8s::kubelet::KubeletMode;
+    use hpcc_sim::Tracer;
     use hpcc_wlm::types::NodeSpec;
     use std::sync::Arc;
 
@@ -411,31 +407,10 @@ mod tests {
 
     #[test]
     fn k8s_backend_matches_wlm_semantics() {
-        let api = ApiServer::new();
-        let mut sched = Scheduler::new();
-        let clock = SimClock::new();
         let cri = Arc::new(MeasuredCri);
-        let mut kubelets: Vec<Kubelet> = (0..2)
-            .map(|i| {
-                let mut cg = CgroupTree::new(CgroupVersion::V2);
-                Kubelet::start(
-                    &format!("n{i}"),
-                    KubeletMode::Rootful,
-                    cri.clone(),
-                    &mut cg,
-                    Resources {
-                        cpu_millis: 64_000,
-                        memory_mb: 64 * 1024,
-                        gpus: 0,
-                    },
-                    BTreeMap::new(),
-                    &api,
-                    &SimClock::new(),
-                )
-                .unwrap()
-            })
-            .collect();
-        let run = run_on_k8s(&diamond(), &api, &mut sched, &mut kubelets, &clock).unwrap();
+        let mut w = World::new("test", &Tracer::disabled(), cri, NodeSpec::cpu_node(), 0);
+        let mut kubelets = w.boot_fleet((0..2).map(|i| format!("n{i}")), KubeletMode::Rootful);
+        let run = run_on_k8s(&diamond(), &mut w.k8s, &mut kubelets, &w.clock).unwrap();
         assert_eq!(run.records.len(), 4);
         let by_name: BTreeMap<&str, &RunRecord> =
             run.records.iter().map(|r| (r.step.as_str(), r)).collect();

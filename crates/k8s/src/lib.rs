@@ -14,7 +14,8 @@
 //!   annotation-driven [`bridge::BridgeOperator`] and the transparent
 //!   KNoC-style [`bridge::VirtualKubelet`].
 //! * [`k3s`] — control-plane bootstrap with the startup costs §6.3 warns
-//!   about.
+//!   about, and [`ControlPlane::tick`], the one schedule → sync → reap
+//!   turn every simulation in the tree runs.
 
 pub mod bridge;
 pub mod k3s;
@@ -23,7 +24,7 @@ pub mod objects;
 pub mod scheduler;
 
 pub use bridge::{BridgeOperator, VirtualKubelet, BRIDGE_ANNOTATION};
-pub use k3s::{control_plane_boot_span, ControlPlane, ControlPlaneFlavor};
+pub use k3s::{control_plane_boot_span, ControlPlane, ControlPlaneFlavor, FinishedPod};
 pub use kubelet::{
     kubelet_startup_span, CriRuntime, EngineCri, Kubelet, KubeletError, KubeletMode,
 };

@@ -43,6 +43,17 @@ impl Resources {
     }
 }
 
+/// Allocatable resources of a whole WLM node offered as a Kubernetes node.
+impl From<hpcc_wlm::types::NodeSpec> for Resources {
+    fn from(spec: hpcc_wlm::types::NodeSpec) -> Resources {
+        Resources {
+            cpu_millis: spec.cores as u64 * 1000,
+            memory_mb: spec.memory_mb,
+            gpus: spec.gpus,
+        }
+    }
+}
+
 /// A pod specification.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PodSpec {

@@ -1,42 +1,44 @@
 //! The Figure 1 proof of concept as a narrated walkthrough: a standing
 //! Kubernetes control plane, a Slurm allocation booting rootless kubelets
 //! over the high-speed network, and pods running with full WLM
-//! accounting (§6.5).
+//! accounting (§6.5). It stands on the same `cosim::World` and steps the same
+//! `ControlPlane::tick` as the `kubelet-in-allocation` scenario,
+//! one call at a time so each step can be narrated.
 //!
 //! Run with: `cargo run -p hpcc-core --example k8s_in_slurm`
 
+use hpcc_adapt::cosim::{node_cgroups, World};
 use hpcc_core::scenarios::common::{ClusterConfig, MeasuredCri};
-use hpcc_k8s::kubelet::{Kubelet, KubeletMode};
-use hpcc_k8s::objects::{ApiServer, PodSpec};
-use hpcc_k8s::scheduler::Scheduler;
-use hpcc_runtime::cgroup::{CgroupLimits, CgroupTree, CgroupVersion};
+use hpcc_k8s::kubelet::KubeletMode;
+use hpcc_k8s::objects::PodSpec;
 use hpcc_sim::net::{Fabric, LinkClass, NodeId as NetNode};
-use hpcc_sim::{Bytes, SimClock, SimSpan, SimTime};
-use hpcc_wlm::slurm::Slurm;
+use hpcc_sim::{Bytes, SimClock, SimSpan, SimTime, Tracer};
 use hpcc_wlm::types::JobRequest;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn main() {
     let cfg = ClusterConfig { nodes: 8 };
     println!("§6.5 walkthrough: Kubelets inside a Slurm allocation\n");
 
-    // Standing control plane on the service node.
-    let api = ApiServer::new();
-    let mut sched = Scheduler::new();
+    // The cluster under its WLM, beside a standing control plane on the
+    // service node.
+    let cri = Arc::new(MeasuredCri);
+    let mut w = World::new(
+        "k8s-in-slurm",
+        &Tracer::disabled(),
+        cri,
+        cfg.spec(),
+        cfg.nodes,
+    );
     println!("[t=0] standing control plane up on service node (no boot cost at job time)");
-
-    // The cluster and its WLM.
-    let mut slurm = Slurm::new();
-    slurm.add_partition("batch", cfg.spec(), cfg.nodes);
     let fabric = Fabric::with_defaults((0..=cfg.nodes).map(NetNode));
 
     // A user submits the agent job: 4 nodes for their k8s workload.
     let mut agent_job = JobRequest::batch("k8s-agents", 2000, 4, SimSpan::secs(3600));
     agent_job.walltime_limit = SimSpan::secs(7200);
-    let job = slurm.submit(agent_job, SimTime::ZERO).unwrap();
-    slurm.schedule(SimTime::ZERO);
-    let alloc = slurm.allocated_nodes(job);
+    let job = w.slurm.submit(agent_job, SimTime::ZERO).unwrap();
+    w.slurm.schedule(SimTime::ZERO);
+    let alloc = w.slurm.allocated_nodes(job);
     println!(
         "[t=0] Slurm granted allocation {:?} to job {}",
         alloc.iter().map(|n| n.0).collect::<Vec<_>>(),
@@ -44,8 +46,7 @@ fn main() {
     );
 
     // Rootless kubelets boot on each allocated node, joining over the HSN.
-    let clock = SimClock::new();
-    let cri = Arc::new(MeasuredCri);
+    let mode = KubeletMode::Rootless { uid: 2000 };
     let mut kubelets = Vec::new();
     for node in &alloc {
         let join = fabric
@@ -57,22 +58,15 @@ fn main() {
                 SimTime::ZERO,
             )
             .unwrap();
-        let mut cg = CgroupTree::new(CgroupVersion::V2);
-        cg.create("alloc", 0, CgroupLimits::default()).unwrap();
-        cg.delegate("alloc", 0, 2000).unwrap();
-        cg.delegate("", 0, 2000).unwrap();
         let boot_clock = SimClock::new();
-        let kubelet = Kubelet::start(
-            &format!("nid{:05}", node.0),
-            KubeletMode::Rootless { uid: 2000 },
-            cri.clone(),
-            &mut cg,
-            cfg.node_resources(),
-            BTreeMap::new(),
-            &api,
-            &boot_clock,
-        )
-        .unwrap();
+        let kubelet = w
+            .boot_kubelet(
+                &format!("nid{:05}", node.0),
+                mode,
+                &mut node_cgroups(mode),
+                &boot_clock,
+            )
+            .unwrap();
         println!(
             "[t~0] rootless kubelet on nid{:05}: cgroup-v2 delegation ok, HSN join {} , boot {}",
             node.0,
@@ -87,30 +81,24 @@ fn main() {
         let mut pod = PodSpec::simple(&format!("wf-step-{i}"), "hpc/pyapp:v1", SimSpan::secs(90));
         pod.resources.cpu_millis = 8000;
         pod.user = 2000;
-        api.create_pod(pod).unwrap();
+        w.k8s.api.create_pod(pod).unwrap();
     }
     println!("\n[t=0] workflow submitted 6 pods to the standing cluster");
 
     // Drive until the pods finish.
     let mut t = SimTime::ZERO;
     loop {
-        sched.schedule(&api);
-        clock.advance_to(t);
-        for kubelet in &mut kubelets {
-            kubelet.sync(&api, &clock);
-            for (name, res, started, ended) in kubelet.advance_to(&api, t) {
-                sched.release(&kubelet.node_name, &res);
-                println!(
-                    "[t={}] pod {name} finished on {} ({} → {})",
-                    t.since(SimTime::ZERO),
-                    kubelet.node_name,
-                    started.since(SimTime::ZERO),
-                    ended.since(SimTime::ZERO),
-                );
-            }
-        }
-        let (succ, fail, ..) = hpcc_core::scenarios::common::pod_stats(&api);
-        if succ + fail == 6 {
+        w.k8s.tick(&mut kubelets, &w.clock, t, |pod| {
+            println!(
+                "[t={}] pod {} finished on {} ({} → {})",
+                t.since(SimTime::ZERO),
+                pod.name,
+                pod.node,
+                pod.started.since(SimTime::ZERO),
+                pod.ended.since(SimTime::ZERO),
+            );
+        });
+        if w.pods_done(6) {
             break;
         }
         t += SimSpan::secs(1);
@@ -118,16 +106,16 @@ fn main() {
 
     // Tear down: kubelets leave, allocation ends, Slurm accounts it all.
     for kubelet in &mut kubelets {
-        kubelet.shutdown(&api);
+        kubelet.shutdown(&w.k8s.api);
     }
-    slurm.cancel(job, t).unwrap();
+    w.slurm.cancel(job, t).unwrap();
     println!(
         "\n[t={}] allocation released; Slurm accounted {:.0} core-seconds to user 2000",
         t.since(SimTime::ZERO),
-        slurm.ledger().user_core_seconds(2000)
+        w.slurm.ledger().user_core_seconds(2000)
     );
     println!(
         "accounting coverage: {:.0}% (everything ran inside the allocation)",
-        slurm.ledger().accounting_coverage() * 100.0
+        w.slurm.ledger().accounting_coverage() * 100.0
     );
 }

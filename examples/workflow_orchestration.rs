@@ -4,16 +4,12 @@
 //!
 //! Run with: `cargo run -p hpcc-core --example workflow_orchestration`
 
+use hpcc_adapt::cosim::World;
 use hpcc_core::scenarios::common::MeasuredCri;
 use hpcc_core::workflow::{run_on_k8s, run_on_wlm, Step, Workflow};
-use hpcc_k8s::kubelet::{Kubelet, KubeletMode};
-use hpcc_k8s::objects::{ApiServer, Resources};
-use hpcc_k8s::scheduler::Scheduler;
-use hpcc_runtime::cgroup::{CgroupTree, CgroupVersion};
-use hpcc_sim::{SimClock, SimSpan};
-use hpcc_wlm::slurm::Slurm;
+use hpcc_k8s::kubelet::KubeletMode;
+use hpcc_sim::{SimSpan, Tracer};
 use hpcc_wlm::types::NodeSpec;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn pipeline() -> Workflow {
@@ -55,10 +51,14 @@ fn main() {
         wf.critical_path().unwrap()
     );
 
+    // One world, two backends: a two-node WLM partition beside a standing
+    // control plane with two whole-node agents.
+    let cri = Arc::new(MeasuredCri);
+    let node = NodeSpec::cpu_node();
+    let mut w = World::new("workflow", &Tracer::disabled(), cri, node, 2);
+
     // Backend 1: WLM jobs (bridge modality).
-    let mut slurm = Slurm::new();
-    slurm.add_partition("batch", NodeSpec::cpu_node(), 2);
-    let wlm_run = run_on_wlm(&wf, &mut slurm).unwrap();
+    let wlm_run = run_on_wlm(&wf, &mut w.slurm).unwrap();
     println!("== WLM backend (pods as shared-allocation jobs) ==");
     for r in &wlm_run.records {
         println!(
@@ -71,35 +71,13 @@ fn main() {
     println!("  makespan {}", wlm_run.makespan);
     println!(
         "  WLM accounted {:.0} core-seconds\n",
-        slurm.ledger().user_core_seconds(2000)
+        w.slurm.ledger().user_core_seconds(2000)
     );
 
     // Backend 2: pods on kubelets (agents-in-allocation modality).
-    let api = ApiServer::new();
-    let mut sched = Scheduler::new();
-    let clock = SimClock::new();
-    let cri = Arc::new(MeasuredCri);
-    let mut kubelets: Vec<Kubelet> = (0..2)
-        .map(|i| {
-            let mut cg = CgroupTree::new(CgroupVersion::V2);
-            Kubelet::start(
-                &format!("agent-{i}"),
-                KubeletMode::Rootful,
-                cri.clone(),
-                &mut cg,
-                Resources {
-                    cpu_millis: 128_000,
-                    memory_mb: 256 * 1024,
-                    gpus: 0,
-                },
-                BTreeMap::new(),
-                &api,
-                &SimClock::new(),
-            )
-            .unwrap()
-        })
-        .collect();
-    let k8s_run = run_on_k8s(&wf, &api, &mut sched, &mut kubelets, &clock).unwrap();
+    let names = (0..2).map(|i| format!("agent-{i}"));
+    let mut kubelets = w.boot_fleet(names, KubeletMode::Rootful);
+    let k8s_run = run_on_k8s(&wf, &mut w.k8s, &mut kubelets, &w.clock).unwrap();
     println!("== Kubernetes backend (pods on allocation agents) ==");
     for r in &k8s_run.records {
         println!(

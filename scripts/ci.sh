@@ -2,7 +2,10 @@
 # CI entry point, split into named stages:
 #
 #   build        release build of the workspace
-#   lint         clippy + rustfmt --check + rustdoc (all warnings denied)
+#   lint         clippy + rustfmt --check + rustdoc (all warnings denied),
+#                then the one-co-simulation-loop guard: a grep that the
+#                Kubernetes tick and kubelet boot each still live in one
+#                file and the per-scenario `run_traced` twins stay gone
 #   test         full test suite, then hpcc-codec and hpcc-vfs again under
 #                `taskset -c 0` so the inline (one-core) path of block
 #                compression is exercised too (skipped with a notice when
@@ -117,6 +120,27 @@ stage_lint() {
     cargo fmt --all -- --check
     echo "==> cargo doc (workspace, no deps, warnings are errors)"
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+    echo "==> one co-simulation loop (DESIGN.md §\"One co-simulation loop\")"
+    # Copies of the Slurm + Kubernetes tick grow back through these two
+    # calls; hpcc-k8s's own unit tests aside, each has one home.
+    only_in() {
+        local what="$1" pattern="$2" skip="$3" home="$4" found
+        found="$(grep -rlE "$pattern" crates/*/src examples --include='*.rs' \
+            | grep -vE "$skip" | sort | tr '\n' ' ' || true)"
+        if [[ "$found" != "$home " ]]; then
+            echo "FAIL: $what belongs in $home only, found in: ${found:-nowhere}" >&2
+            exit 1
+        fi
+    }
+    only_in "the Kubernetes tick (Kubelet::sync / Kubelet::advance_to)" \
+        '\.sync\(&|\.advance_to\(&' '^crates/k8s/src/kubelet\.rs$' crates/k8s/src/k3s.rs
+    only_in "kubelet boot (Kubelet::start)" \
+        '\bKubelet::start\(' '^crates/k8s/' crates/adapt/src/cosim.rs
+    if grep -rnE 'run_traced|run_detailed_traced' crates examples tests --include='*.rs'; then
+        echo "FAIL: one traced entry per scenario; pass Tracer::disabled() for an untraced run" >&2
+        exit 1
+    fi
+    echo "OK: one tick, one kubelet boot, one entry per scenario"
 }
 
 stage_test() {

@@ -7,7 +7,7 @@ use hpcc_engine::engines;
 use hpcc_oci::builder::samples;
 use hpcc_oci::cas::Cas;
 use hpcc_registry::registry::{Registry, RegistryCaps};
-use hpcc_sim::{SimClock, SimSpan, SimTime};
+use hpcc_sim::{SimClock, SimSpan, SimTime, Tracer};
 use hpcc_wlm::slurm::Slurm;
 use hpcc_wlm::spank::ContainerSpank;
 use hpcc_wlm::types::{JobRequest, NodeSpec};
@@ -46,8 +46,8 @@ fn pod_heavy_mix_widens_the_accounting_gap() {
     let cfg = ClusterConfig { nodes: 16 };
     let pod_heavy = MixedWorkload::generate(5, 2, 48, &cfg);
     let job_heavy = MixedWorkload::generate(5, 10, 4, &cfg);
-    let a = scenarios::static_partition::run(&cfg, &pod_heavy);
-    let b = scenarios::static_partition::run(&cfg, &job_heavy);
+    let a = scenarios::static_partition::run(&cfg, &pod_heavy, &Tracer::disabled());
+    let b = scenarios::static_partition::run(&cfg, &job_heavy, &Tracer::disabled());
     assert!(
         a.accounting_coverage < b.accounting_coverage,
         "more pods → more unaccounted usage ({} vs {})",
@@ -150,7 +150,7 @@ fn backfill_keeps_pods_flowing_around_big_jobs() {
         j.actual_runtime = SimSpan::secs(1200);
         j.walltime_limit = SimSpan::secs(2400);
     }
-    let outcome = scenarios::bridge_vk::run(&cfg, &wl);
+    let outcome = scenarios::bridge_vk::run(&cfg, &wl, &Tracer::disabled());
     assert_eq!(outcome.pods_succeeded, wl.pods.len());
     // Pods started long before the second big job finished.
     let first = outcome.first_pod_start.unwrap();
@@ -166,8 +166,8 @@ fn reallocation_disturbs_hpc_jobs() {
     // for pods delays HPC work relative to the bridge scenario.
     let cfg = ClusterConfig { nodes: 8 };
     let wl = MixedWorkload::generate(17, 6, 30, &cfg);
-    let realloc = scenarios::reallocation::run(&cfg, &wl);
-    let bridge = scenarios::bridge_vk::run(&cfg, &wl);
+    let realloc = scenarios::reallocation::run(&cfg, &wl, &Tracer::disabled());
+    let bridge = scenarios::bridge_vk::run(&cfg, &wl, &Tracer::disabled());
     assert!(
         realloc.makespan >= bridge.makespan,
         "reallocation ({}) should not beat the integrated scheduler ({})",

@@ -19,10 +19,7 @@
 use hpcc_core::goldens::{
     all_goldens, check_golden, q5_degraded_pull_trace, quickstart_trace, storm_64_tiered_trace,
 };
-use hpcc_core::scenarios::{
-    bridge_vk, k8s_in_wlm, kubelet_in_allocation, reallocation, wlm_in_k8s, ClusterConfig,
-    MixedWorkload,
-};
+use hpcc_core::scenarios::{self, ClusterConfig, MixedWorkload};
 use hpcc_sim::des::{DesBackend, Engine};
 use hpcc_sim::obs::{
     check_conservation, check_invariants, export_tsv, trace_digest, SpanRecord, Stage, Tracer,
@@ -77,22 +74,11 @@ fn pipeline_traces_conserve_stage_time() {
     }
 }
 
-type TracedRunner = fn(&ClusterConfig, &MixedWorkload, &Arc<Tracer>) -> hpcc_core::ScenarioOutcome;
-
 fn trace_all_scenarios(
     cfg: &ClusterConfig,
     wl: &MixedWorkload,
 ) -> Vec<(&'static str, Vec<SpanRecord>)> {
-    let runners: Vec<(&'static str, TracedRunner)> = vec![
-        ("on-demand-reallocation", reallocation::run_traced),
-        ("wlm-in-k8s", wlm_in_k8s::run_traced),
-        ("k8s-in-wlm", k8s_in_wlm::run_traced),
-        ("bridge-virtual-kubelet", bridge_vk::run_traced),
-        ("kubelet-in-allocation", |cfg, wl, tracer| {
-            kubelet_in_allocation::run_detailed_traced(cfg, wl, tracer).0
-        }),
-    ];
-    runners
+    scenarios::ALL
         .into_iter()
         .map(|(name, run)| {
             let tracer = Tracer::new();
@@ -102,10 +88,29 @@ fn trace_all_scenarios(
         .collect()
 }
 
+/// The scenario goldens are exactly the scenario table: a scenario added
+/// to [`scenarios::ALL`] needs a checked-in `scenario_<name>.tsv`, and a
+/// golden file whose scenario left the table must go with it.
+#[test]
+fn scenario_goldens_are_exactly_the_scenario_table() {
+    let mut files: Vec<String> = std::fs::read_dir(hpcc_core::goldens::goldens_dir())
+        .expect("goldens dir")
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|f| f.starts_with("scenario_"))
+        .collect();
+    files.sort();
+    let mut table: Vec<String> = scenarios::ALL
+        .iter()
+        .map(|(name, _)| format!("scenario_{name}.tsv"))
+        .collect();
+    table.sort();
+    assert_eq!(files, table);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Any workload through any of the five scenarios yields a sound span
+    /// Any workload through any scenario of the table yields a sound span
     /// tree: one root `scenario` span covering everything, children inside
     /// parent intervals, monotone clock.
     #[test]
