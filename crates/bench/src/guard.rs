@@ -1,60 +1,89 @@
-//! The de-flake guard shared by every bench driver.
+//! The de-flake guard shared by both drivers.
 //!
-//! All benches in this repo report *logical* DES time, which admits no
-//! noise: two full runs of the same sweep must serialize byte-identical
-//! JSON documents, or something nondeterministic (hash-map iteration
-//! order, ambient entropy, a data race in a worker pool) crept into the
-//! model. Each driver used to carry its own copy of the double-run
-//! check; this is the one implementation they all call.
+//! Everything this crate checks in — `BENCH_*.json` documents in logical
+//! DES time, experiment transcripts — admits no noise: two full runs must
+//! render byte-identical text, or something nondeterministic (hash-map
+//! iteration order, ambient entropy, a data race in a worker pool) crept
+//! into the model. Each driver used to carry its own copy of the
+//! double-run check; this is the one implementation they all call.
 
-use crate::json::Json;
-
-/// Run a sweep twice and insist both renders are byte-identical.
+/// Run twice and insist both runs render the same text.
 ///
-/// Returns the first run's results and rendered document. On divergence,
-/// prints a diagnostic naming `bin` and the first differing line, then
-/// exits the process with status 1 (this is a bench-driver helper, not a
-/// library routine).
+/// Returns the first run's results; on divergence, the error says where
+/// the two renders first disagree.
 pub fn deterministic_runs<R>(
-    bin: &str,
     run: impl Fn() -> R,
-    render: impl Fn(&R) -> Json,
-) -> (R, Json) {
+    render: impl Fn(&R) -> String,
+) -> Result<R, String> {
     let results = run();
-    let doc = render(&results);
-    let second = render(&run());
-    let (a, b) = (doc.render(), second.render());
-    if a != b {
-        eprintln!("{bin}: two runs rendered different documents — model is nondeterministic");
-        if let Some((n, (l, r))) = a
-            .lines()
-            .zip(b.lines())
-            .enumerate()
-            .find(|(_, (l, r))| l != r)
-        {
-            eprintln!("{bin}: first divergence at line {}:", n + 1);
-            eprintln!("{bin}:   run 1: {l}");
-            eprintln!("{bin}:   run 2: {r}");
-        } else {
-            eprintln!(
-                "{bin}: documents differ in length ({} vs {} bytes)",
-                a.len(),
-                b.len()
-            );
-        }
-        std::process::exit(1);
+    let (first, second) = (render(&results), render(&run()));
+    if first == second {
+        return Ok(results);
     }
-    (results, doc)
+    Err(format!(
+        "two runs rendered different text — the model is nondeterministic\n{}",
+        first_difference(&first, &second, ["run 1", "run 2"])
+    ))
+}
+
+/// Where two differing texts first disagree, one `label: line` row per
+/// side; a side that ran out of lines reads `<end of text>`.
+pub fn first_difference(a: &str, b: &str, labels: [&str; 2]) -> String {
+    let (mut left, mut right) = (a.lines(), b.lines());
+    for n in 1.. {
+        match (left.next(), right.next()) {
+            (None, None) => break,
+            (l, r) if l == r => {}
+            (l, r) => {
+                let end = "<end of text>";
+                return format!(
+                    "first difference at line {n}:\n  {}: {}\n  {}: {}",
+                    labels[0],
+                    l.unwrap_or(end),
+                    labels[1],
+                    r.unwrap_or(end)
+                );
+            }
+        }
+    }
+    format!(
+        "the texts differ only in line endings ({} vs {} bytes)",
+        a.len(),
+        b.len()
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     #[test]
     fn identical_runs_pass_through() {
-        let (results, doc) = deterministic_runs("test", || 42u64, |r| Json::Num(*r as f64));
+        let results = deterministic_runs(|| 42u64, |r| format!("{r}\n")).unwrap();
         assert_eq!(results, 42);
-        assert_eq!(doc.render().trim(), "42");
+    }
+
+    #[test]
+    fn diverging_runs_are_refused_with_the_first_differing_line() {
+        let calls = Cell::new(0);
+        let run = || {
+            calls.set(calls.get() + 1);
+            calls.get()
+        };
+        let err = deterministic_runs(run, |n| format!("header\nrun {n}\n")).unwrap_err();
+        assert!(err.contains("nondeterministic"), "{err}");
+        assert!(err.contains("first difference at line 2:"), "{err}");
+        assert!(err.contains("run 1: run 1") && err.contains("run 2: run 2"));
+    }
+
+    #[test]
+    fn a_text_that_ends_early_is_a_difference() {
+        let diff = first_difference("a\nb\n", "a\n", ["file", "code"]);
+        assert_eq!(
+            diff,
+            "first difference at line 2:\n  file: b\n  code: <end of text>"
+        );
+        assert!(first_difference("a\n", "a", ["file", "code"]).contains("line endings"));
     }
 }

@@ -291,7 +291,7 @@ pub fn drive<S: Suite>(root: &Path, opts: &Opts) -> i32 {
         eprintln!("{me}: --bless needs the full-size run; drop --quick");
         return 2;
     }
-    match drive_checked::<S>(root, opts, &me) {
+    match drive_checked::<S>(root, opts) {
         Ok(()) => 0,
         Err(message) => {
             eprintln!("\n{me}: {message}");
@@ -300,16 +300,15 @@ pub fn drive<S: Suite>(root: &Path, opts: &Opts) -> i32 {
     }
 }
 
-fn drive_checked<S: Suite>(root: &Path, opts: &Opts, me: &str) -> Result<(), String> {
+fn drive_checked<S: Suite>(root: &Path, opts: &Opts) -> Result<(), String> {
     // Logical time admits no noise: before a run is compared or blessed,
     // a second run must render the same bytes. Wall clocks never would.
-    let (mut results, doc) = if S::CLOCK == Clock::Logical && (opts.check || opts.bless) {
-        guard::deterministic_runs(me, || S::run(opts.quick), S::render)
+    let mut results = if S::CLOCK == Clock::Logical && (opts.check || opts.bless) {
+        guard::deterministic_runs(|| S::run(opts.quick), |r| S::render(r).render())?
     } else {
-        let results = S::run(opts.quick);
-        let doc = S::render(&results);
-        (results, doc)
+        S::run(opts.quick)
     };
+    let doc = S::render(&results);
 
     let rows = S::table(&results);
     if opts.markdown {

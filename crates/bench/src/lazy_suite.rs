@@ -28,7 +28,6 @@ use crate::harness::{self, Clock, GateResult};
 use crate::json::Json;
 use crate::storm_suite::percentile;
 use crate::suite::{Workload, WORKLOADS};
-use crate::workloads::push_image;
 use hpcc_codec::archive::Archive;
 use hpcc_engine::engine::{Engine, Host, PullSources};
 use hpcc_engine::engines;
@@ -177,7 +176,9 @@ pub fn bench_workload(workload: Workload) -> LazyRow {
     let registry = Registry::new("bench-lazy", RegistryCaps::open());
     registry.create_namespace("bench", None).unwrap();
     let img = workload.build(&cas);
-    push_image(&registry, &cas, "bench/app", "v1", &img);
+    registry
+        .push_image("bench/app", "v1", &img.manifest, &cas)
+        .unwrap();
     let (index_digest, index) =
         publish_seekable(&registry, &rootfs, &VPath::root(), DEFAULT_CHUNK_SIZE).unwrap();
     let index_bytes = index.to_bytes().len() as u64;

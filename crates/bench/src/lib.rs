@@ -1,5 +1,6 @@
-//! Support library for the benchmark harness: live feature probes and
-//! table rendering.
+//! The two drivers and what they share: [`repro`] regenerates the paper's
+//! tables, figure and quantitative claims, [`harness`] runs the gated
+//! `bench` suites; live feature probes and table rendering sit under both.
 //!
 //! Every *technical* cell of Tables 1–5 is derived by exercising the
 //! corresponding code path ([`probe_engine`], [`probe_registry`]); only
@@ -15,6 +16,7 @@ pub mod harness;
 pub mod json;
 pub mod lazy_suite;
 pub mod probes;
+pub mod repro;
 pub mod storm_suite;
 pub mod suite;
 pub mod tables;

@@ -249,12 +249,7 @@ pub struct RegistryProbe {
 fn push_probe_image(reg: &Registry, repo: &str) -> Option<hpcc_oci::image::Manifest> {
     let cas = hpcc_oci::cas::Cas::new();
     let img = hpcc_oci::builder::samples::base_os(&cas);
-    for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-        let data = cas.get(&d.digest).unwrap();
-        reg.push_blob(d.media_type, d.digest, data.as_ref().clone())
-            .ok()?;
-    }
-    reg.push_manifest(repo, "v1", &img.manifest).ok()?;
+    reg.push_image(repo, "v1", &img.manifest, &cas).ok()?;
     Some(img.manifest)
 }
 

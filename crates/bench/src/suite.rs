@@ -21,7 +21,6 @@
 
 use crate::harness::{self, Clock, GateResult};
 use crate::json::Json;
-use crate::workloads::push_image;
 use hpcc_engine::engine::{Engine, Host};
 use hpcc_engine::engines;
 use hpcc_oci::builder::{BuiltImage, ImageBuilder};
@@ -184,8 +183,11 @@ pub fn run_config(workload: Workload, parallelism: usize) -> PipelineRun {
 
     let registry = Registry::new("bench-site", RegistryCaps::open());
     registry.create_namespace("bench", None).unwrap();
-    push_image(&registry, &cas, "bench/app", "v1", &image);
-    push_image(&registry, &cas, "bench/app-next", "v1", &sibling);
+    for (repo, img) in [("bench/app", &image), ("bench/app-next", &sibling)] {
+        registry
+            .push_image(repo, "v1", &img.manifest, &cas)
+            .unwrap();
+    }
 
     let tracer = Tracer::new();
     registry.set_tracer(Arc::clone(&tracer));

@@ -13,17 +13,6 @@ pub struct SampleImages {
     pub solver: BuiltImage,
 }
 
-/// Push every blob of `img` from `cas`, then its manifest as `repo:tag`.
-pub fn push_image(registry: &Registry, cas: &Cas, repo: &str, tag: &str, img: &BuiltImage) {
-    for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-        let data = cas.get(&d.digest).unwrap();
-        registry
-            .push_blob(d.media_type, d.digest, data.as_ref().clone())
-            .unwrap();
-    }
-    registry.push_manifest(repo, tag, &img.manifest).unwrap();
-}
-
 /// Build a registry holding the sample image family under `hpc/`.
 pub fn site_registry_with_samples(python_modules: usize) -> (Arc<Registry>, SampleImages) {
     let registry = Registry::new("site", RegistryCaps::open());
@@ -37,7 +26,9 @@ pub fn site_registry_with_samples(python_modules: usize) -> (Arc<Registry>, Samp
         ("hpc/pyapp", &python),
         ("hpc/solver", &solver),
     ] {
-        push_image(&registry, &cas, repo, "v1", img);
+        registry
+            .push_image(repo, "v1", &img.manifest, &cas)
+            .unwrap();
     }
     (
         Arc::new(registry),

@@ -39,14 +39,7 @@ fn sample_registry() -> Arc<Registry> {
         ("hpc/pyapp", samples::python_app(&cas, 200)),
         ("hpc/solver", samples::mpi_solver(&cas)),
     ] {
-        for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-            let data = cas.get(&d.digest).unwrap();
-            if !reg.has_blob(&d.digest) {
-                reg.push_blob(d.media_type, d.digest, data.as_ref().clone())
-                    .unwrap();
-            }
-        }
-        reg.push_manifest(repo, "v1", &img.manifest).unwrap();
+        reg.push_image(repo, "v1", &img.manifest, &cas).unwrap();
     }
     Arc::new(reg)
 }

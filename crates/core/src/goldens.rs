@@ -4,7 +4,7 @@
 //! through the instrumented stack with a [`Tracer`] attached — paired with
 //! a checked-in TSV file under `tests/goldens/`. The integration harness
 //! (`tests/integration_traces.rs`) diffs rebuilt traces against the files;
-//! `cargo run -p hpcc-bench --bin trace_goldens -- --bless` regenerates
+//! `cargo run -p hpcc-bench --bin repro -- --bless` regenerates
 //! them after an intentional timing-model change.
 //!
 //! The corpus covers the paper's quantitative claims that have a temporal
@@ -82,7 +82,7 @@ pub fn check_golden(golden: &Golden) -> Result<(), String> {
     let path = golden_path(&golden.name);
     let text = std::fs::read_to_string(&path).map_err(|e| {
         format!(
-            "{}: cannot read golden {} ({e}); run `cargo run -p hpcc-bench --bin trace_goldens -- --bless`",
+            "{0}: cannot read golden {1} ({e}); create it with `repro --bless {0}`",
             golden.name,
             path.display()
         )
@@ -95,7 +95,7 @@ pub fn check_golden(golden: &Golden) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!(
-            "{}: trace diverged from {} ({} difference(s)):\n{}\nif intentional, re-bless with `cargo run -p hpcc-bench --bin trace_goldens -- --bless`",
+            "{0}: trace diverged from {1} ({2} difference(s)):\n{3}\nif intentional, re-bless with `repro --bless {0}`",
             golden.name,
             path.display(),
             diffs.len(),
@@ -112,10 +112,9 @@ pub fn bless_golden(golden: &Golden) -> std::io::Result<()> {
 
 // --------------------------------------------------------- trace builders
 
-/// The quickstart pipeline (examples/quickstart.rs) with a tracer attached:
-/// build → push → cold deploy (pull, convert, cache miss, run) → warm
-/// deploy (cache hit).
-pub fn quickstart_trace() -> Vec<SpanRecord> {
+/// The site registry of examples/quickstart.rs: the two-layer demo image
+/// built from scratch and pushed as `demo/app:v1`.
+fn quickstart_registry() -> Registry {
     let cas = Cas::new();
     let image = ImageBuilder::from_scratch()
         .run("install-base", |fs| {
@@ -133,16 +132,17 @@ pub fn quickstart_trace() -> Vec<SpanRecord> {
 
     let registry = Registry::new("site", RegistryCaps::open());
     registry.create_namespace("demo", None).unwrap();
-    for d in std::iter::once(&image.manifest.config).chain(image.manifest.layers.iter()) {
-        let data = cas.get(&d.digest).unwrap();
-        registry
-            .push_blob(d.media_type, d.digest, data.as_ref().clone())
-            .unwrap();
-    }
     registry
-        .push_manifest("demo/app", "v1", &image.manifest)
+        .push_image("demo/app", "v1", &image.manifest, &cas)
         .unwrap();
+    registry
+}
 
+/// The quickstart pipeline (examples/quickstart.rs) with a tracer attached:
+/// build → push → cold deploy (pull, convert, cache miss, run) → warm
+/// deploy (cache hit).
+pub fn quickstart_trace() -> Vec<SpanRecord> {
+    let registry = quickstart_registry();
     let tracer = Tracer::new();
     registry.set_tracer(Arc::clone(&tracer));
     let engine = engines::sarus();
@@ -193,33 +193,7 @@ pub fn quickstart_trace() -> Vec<SpanRecord> {
 /// trace pins the crash span, the recovery span, and the resumed
 /// pipeline's cache-hit timing.
 pub fn quickstart_crash_recover_trace() -> Vec<SpanRecord> {
-    let cas = Cas::new();
-    let image = ImageBuilder::from_scratch()
-        .run("install-base", |fs| {
-            fs.write_p(&VPath::parse("/usr/lib/libc.so.6"), vec![0xC1; 4096])
-                .map_err(|e| e.to_string())
-        })
-        .run("install-app", |fs| {
-            fs.write_p(&VPath::parse("/opt/app/run"), vec![0xAB; 8192])
-                .map_err(|e| e.to_string())
-        })
-        .entrypoint(&["/opt/app/run"])
-        .env("OMP_NUM_THREADS", "8")
-        .build(&cas)
-        .expect("image builds");
-
-    let registry = Registry::new("site", RegistryCaps::open());
-    registry.create_namespace("demo", None).unwrap();
-    for d in std::iter::once(&image.manifest.config).chain(image.manifest.layers.iter()) {
-        let data = cas.get(&d.digest).unwrap();
-        registry
-            .push_blob(d.media_type, d.digest, data.as_ref().clone())
-            .unwrap();
-    }
-    registry
-        .push_manifest("demo/app", "v1", &image.manifest)
-        .unwrap();
-
+    let registry = quickstart_registry();
     let tracer = Tracer::new();
     registry.set_tracer(Arc::clone(&tracer));
     // Durable state shared across the crash: journalled blob store.
@@ -289,12 +263,8 @@ pub fn q5_degraded_pull_trace() -> Vec<SpanRecord> {
     hub.create_namespace("hpc", None).unwrap();
     let cas = Cas::new();
     let img = hpcc_oci::builder::samples::python_app(&cas, 16);
-    for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-        let data = cas.get(&d.digest).unwrap();
-        hub.push_blob(d.media_type, d.digest, data.as_ref().clone())
-            .unwrap();
-    }
-    hub.push_manifest("hpc/pyapp", "v1", &img.manifest).unwrap();
+    hub.push_image("hpc/pyapp", "v1", &img.manifest, &cas)
+        .unwrap();
     let hub = Arc::new(hub);
 
     let site = Arc::new(Registry::new("site-cache", RegistryCaps::open()));
@@ -375,12 +345,8 @@ pub fn storm_64_tiered_trace() -> Vec<SpanRecord> {
     hub.create_namespace("hpc", None).unwrap();
     let cas = Cas::new();
     let img = hpcc_oci::builder::samples::python_app(&cas, 8);
-    for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-        let data = cas.get(&d.digest).unwrap();
-        hub.push_blob(d.media_type, d.digest, data.as_ref().clone())
-            .unwrap();
-    }
-    hub.push_manifest("hpc/pyapp", "v1", &img.manifest).unwrap();
+    hub.push_image("hpc/pyapp", "v1", &img.manifest, &cas)
+        .unwrap();
     let hub = Arc::new(hub);
 
     let tracer = Tracer::new();

@@ -121,14 +121,8 @@ pub fn measured_container_startup() -> SimSpan {
         registry.create_namespace("hpc", None).unwrap();
         let cas = Cas::new();
         let img = samples::python_app(&cas, 120);
-        for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-            let data = cas.get(&d.digest).unwrap();
-            registry
-                .push_blob(d.media_type, d.digest, data.as_ref().clone())
-                .unwrap();
-        }
         registry
-            .push_manifest("hpc/pyapp", "v1", &img.manifest)
+            .push_image("hpc/pyapp", "v1", &img.manifest, &cas)
             .unwrap();
         let engine = engines::podman_hpc();
         engine.set_parallelism(SCENARIO_PIPELINE_PARALLELISM);

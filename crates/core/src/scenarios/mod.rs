@@ -24,8 +24,8 @@ use std::sync::Arc;
 pub type Runner = fn(&ClusterConfig, &MixedWorkload, &Arc<Tracer>) -> ScenarioOutcome;
 
 /// The scenario table: every list of scenarios in the tree — [`run_all`],
-/// the `scenario_<name>` goldens, the span-invariant proptest, the
-/// criterion bench — is this one.
+/// the `scenario_<name>` goldens, the span-invariant proptest — is this
+/// one.
 pub const ALL: [(&str, Runner); 6] = [
     ("static_partition", static_partition::run),
     ("reallocation", reallocation::run),

@@ -394,7 +394,7 @@ pub(crate) struct PullCtx {
     /// conversions may overlap. 1 reproduces the sequential pipeline.
     parallelism: usize,
     /// Optional node-local content-addressed layer store, shared across
-    /// engines (and the registry proxy) on the same node.
+    /// engines on the same node.
     pub(crate) store: Option<Arc<BlobStore>>,
     /// Optional write-ahead intent journal over the blob store; when
     /// attached, pulls and conversions run as journalled intents and
@@ -1693,12 +1693,7 @@ mod tests {
         reg.create_namespace("hpc", None).unwrap();
         let cas = Cas::new();
         let img = samples::mpi_solver(&cas);
-        for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-            let data = cas.get(&d.digest).unwrap();
-            reg.push_blob(d.media_type, d.digest, data.as_ref().clone())
-                .unwrap();
-        }
-        reg.push_manifest("hpc/solver", "v1", &img.manifest)
+        reg.push_image("hpc/solver", "v1", &img.manifest, &cas)
             .unwrap();
         Arc::new(reg)
     }

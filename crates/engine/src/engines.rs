@@ -391,12 +391,7 @@ mod tests {
         reg.create_namespace("hpc", None).unwrap();
         let cas = Cas::new();
         let img = samples::mpi_solver(&cas);
-        for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-            let data = cas.get(&d.digest).unwrap();
-            reg.push_blob(d.media_type, d.digest, data.as_ref().clone())
-                .unwrap();
-        }
-        reg.push_manifest("hpc/solver", "v1", &img.manifest)
+        reg.push_image("hpc/solver", "v1", &img.manifest, &cas)
             .unwrap();
         reg
     }
@@ -806,12 +801,7 @@ mod tests {
         let enc_manifest = hpcc_oci::encryption::encrypt_layers(&img.manifest, &cas, key).unwrap();
         let reg = Registry::new("enc", hpcc_registry::registry::RegistryCaps::open());
         reg.create_namespace("hpc", None).unwrap();
-        for d in std::iter::once(&enc_manifest.config).chain(enc_manifest.layers.iter()) {
-            let data = cas.get(&d.digest).unwrap();
-            reg.push_blob(d.media_type, d.digest, data.as_ref().clone())
-                .unwrap();
-        }
-        reg.push_manifest("hpc/secret", "v1", &enc_manifest)
+        reg.push_image("hpc/secret", "v1", &enc_manifest, &cas)
             .unwrap();
         reg
     }

@@ -11,8 +11,7 @@ use crate::registry::{MirrorMode, ProxyMode, Registry, RegistryError};
 use hpcc_crypto::sha256::Digest;
 use hpcc_oci::image::Manifest;
 use hpcc_sim::sym;
-use hpcc_sim::{FaultInjector, RetryErr, RetryPolicy, SimSpan, SimTime, Stage, Tracer};
-use hpcc_storage::blobstore::BlobStore;
+use hpcc_sim::{FaultInjector, RetryErr, RetryPolicy, SimTime, Stage, Tracer};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -32,20 +31,12 @@ pub struct ProxyRegistry {
     pub local: Arc<Registry>,
     pub upstream: Arc<Registry>,
     stats: RwLock<ProxyStats>,
-    /// Backoff policy for upstream requests; the local cache is authoritative
-    /// and never retried.
-    retry: RetryPolicy,
-    faults: Arc<FaultInjector>,
     tracer: RwLock<Arc<Tracer>>,
-    /// Optional node-shared content-addressed store: blobs resident there
-    /// are served without touching either registry, and everything the
-    /// proxy fetches is deposited for engines on the same node to reuse.
-    blob_store: RwLock<Option<Arc<BlobStore>>>,
     /// Digest → size of every blob the proxy deposited from upstream.
-    /// `stats()` reconciles this against the backing stores, so
+    /// `stats()` reconciles this against the local registry, so
     /// `bytes_cached` reflects what is actually resident — an entry the
-    /// local registry garbage-collected (or the blob store evicted) stops
-    /// counting, and a re-fetch after eviction does not double-count.
+    /// local registry garbage-collected stops counting, and a re-fetch
+    /// after eviction does not double-count.
     deposited: RwLock<HashMap<Digest, u64>>,
 }
 
@@ -97,10 +88,7 @@ impl ProxyRegistry {
             local,
             upstream,
             stats: RwLock::new(ProxyStats::default()),
-            retry: RetryPolicy::default(),
-            faults: FaultInjector::disabled(),
             tracer: RwLock::new(Tracer::disabled()),
-            blob_store: RwLock::new(None),
             deposited: RwLock::new(HashMap::new()),
         })
     }
@@ -110,43 +98,27 @@ impl ProxyRegistry {
         *self.tracer.write() = tracer;
     }
 
-    /// Attach a node-shared content-addressed blob store (the same store
-    /// engines use), deduplicating layers across the proxy and every
-    /// engine on the node.
-    pub fn set_blob_store(&self, store: Arc<BlobStore>) {
-        *self.blob_store.write() = Some(store);
-    }
-
-    /// Configure retries for upstream requests and the injector whose
-    /// metrics/trace record them.
-    pub fn with_retry(mut self, policy: RetryPolicy, faults: Arc<FaultInjector>) -> ProxyRegistry {
-        self.retry = policy;
-        self.faults = faults;
-        self
-    }
-
-    /// Counters, with `bytes_cached` reconciled against the backing
-    /// stores: only blobs still resident in the local registry or the
-    /// attached blob store count.
+    /// Counters, with `bytes_cached` reconciled against the local
+    /// registry: only blobs still resident there count.
     pub fn stats(&self) -> ProxyStats {
         let mut st = *self.stats.read();
-        let store = self.blob_store.read().clone();
         let mut dep = self.deposited.write();
-        dep.retain(|d, _| self.local.has_blob(d) || store.as_ref().is_some_and(|s| s.contains(d)));
+        dep.retain(|d, _| self.local.has_blob(d));
         st.bytes_cached = dep.values().sum();
         st
     }
 
-    /// One upstream manifest pull under the retry policy.
+    /// One upstream manifest pull under the default backoff policy; the
+    /// local cache is authoritative and never retried.
     fn upstream_manifest(
         &self,
         repo: &str,
         tag: &str,
         arrival: SimTime,
     ) -> Result<(Manifest, SimTime), RegistryError> {
-        self.retry
+        RetryPolicy::default()
             .run_timed(
-                &self.faults,
+                &FaultInjector::disabled(),
                 "proxy.upstream_manifest",
                 Stage::Request,
                 arrival,
@@ -157,15 +129,15 @@ impl ProxyRegistry {
             .map_err(unwrap_retry)
     }
 
-    /// One upstream blob pull under the retry policy.
+    /// One upstream blob pull under the default backoff policy.
     fn upstream_blob(
         &self,
         digest: &Digest,
         arrival: SimTime,
     ) -> Result<(Arc<Vec<u8>>, SimTime), RegistryError> {
-        self.retry
+        RetryPolicy::default()
             .run_timed(
-                &self.faults,
+                &FaultInjector::disabled(),
                 "proxy.upstream_blob",
                 Stage::Request,
                 arrival,
@@ -208,9 +180,6 @@ impl ProxyRegistry {
                         self.deposited.write().insert(d.digest, data.len() as u64);
                         self.local
                             .push_blob(d.media_type, d.digest, data.as_ref().clone())?;
-                        if let Some(s) = self.blob_store.read().as_ref() {
-                            s.insert(d.digest, Arc::clone(&data));
-                        }
                     }
                     self.local.push_manifest(repo, tag, &manifest)?;
                     Ok((manifest, t, false))
@@ -233,34 +202,12 @@ impl ProxyRegistry {
         }
     }
 
-    /// Pull a blob through the proxy. A node-shared blob store (when
-    /// attached) is consulted before either registry; fetched blobs are
-    /// deposited there for other engines on the node.
+    /// Pull a blob through the proxy: local cache first, upstream on miss.
     pub fn pull_blob(
         &self,
         digest: &Digest,
         arrival: SimTime,
     ) -> Result<(Arc<Vec<u8>>, SimTime), ProxyError> {
-        let store = self.blob_store.read().clone();
-        if let Some(data) = store.as_ref().and_then(|s| s.get(digest)) {
-            self.stats.write().cache_hits += 1;
-            // Node-local store read: ~10us + 8 GiB/s.
-            let done = arrival
-                + SimSpan::micros(10)
-                + SimSpan::from_secs_f64(data.len() as f64 / (8u64 << 30) as f64);
-            self.tracer.read().record(
-                sym!("proxy.blob"),
-                Stage::Request,
-                arrival,
-                done,
-                &[
-                    ("digest", format!("{digest}")),
-                    ("bytes", data.len().to_string()),
-                    ("hit", "store".to_string()),
-                ],
-            );
-            return Ok((data, done));
-        }
         let (data, done, hit) = if self.local.has_blob(digest) {
             self.stats.write().cache_hits += 1;
             let (data, done) = self.local.pull_blob(digest, arrival)?;
@@ -279,9 +226,6 @@ impl ProxyRegistry {
             )?;
             (data, done, false)
         };
-        if let Some(s) = store.as_ref() {
-            s.insert(*digest, Arc::clone(&data));
-        }
         self.tracer.read().record(
             sym!("proxy.blob"),
             Stage::Request,
@@ -339,12 +283,7 @@ mod tests {
         hub.create_namespace("library", None).unwrap();
         let cas = Cas::new();
         let img = samples::python_app(&cas, 50);
-        for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-            let data = cas.get(&d.digest).unwrap();
-            hub.push_blob(d.media_type, d.digest, data.as_ref().clone())
-                .unwrap();
-        }
-        hub.push_manifest("library/python-app", "v1", &img.manifest)
+        hub.push_image("library/python-app", "v1", &img.manifest, &cas)
             .unwrap();
         Arc::new(hub)
     }
@@ -447,32 +386,6 @@ mod tests {
         assert!(refetched.upstream_requests > warm.upstream_requests);
     }
 
-    /// The blob-store leg of the same regression: a blob evicted from the
-    /// node-shared store still counts while the local registry holds it,
-    /// and stops counting once both copies are gone.
-    #[test]
-    fn bytes_cached_reconciles_against_the_blob_store() {
-        let hub = hub_with_image(None);
-        let (manifest, _) = hub
-            .pull_manifest("library/python-app", "v1", SimTime::ZERO)
-            .unwrap();
-        let proxy = ProxyRegistry::new(site_registry(), hub).unwrap();
-        let store = BlobStore::new(1, 64);
-        proxy.set_blob_store(Arc::clone(&store));
-        let d = manifest.layers[0].digest;
-        let (data, _) = proxy.pull_blob(&d, SimTime::ZERO).unwrap();
-        // Resident in both the store and the local registry: counted once.
-        assert_eq!(proxy.stats().bytes_cached, data.len() as u64);
-        // Drop the local copy; the store copy alone keeps it cached.
-        proxy.local.garbage_collect();
-        assert!(!proxy.local.has_blob(&d));
-        assert_eq!(proxy.stats().bytes_cached, data.len() as u64);
-        // Evict from the store too: nothing resident anywhere.
-        store.release(&d);
-        assert!(store.remove_unpinned(&d));
-        assert_eq!(proxy.stats().bytes_cached, 0);
-    }
-
     #[test]
     fn proxying_requires_capability() {
         let mut caps = RegistryCaps::open();
@@ -554,18 +467,12 @@ mod tests {
             )],
         ));
         hub.set_fault_injector(Arc::clone(&inj));
-        let proxy = ProxyRegistry::new(site_registry(), hub)
-            .unwrap()
-            .with_retry(RetryPolicy::default(), Arc::clone(&inj));
+        let proxy = ProxyRegistry::new(site_registry(), hub).unwrap();
         let (m, done) = proxy
             .pull_manifest("library/python-app", "v1", SimTime::ZERO)
             .unwrap();
         assert!(!m.layers.is_empty());
         assert!(done > SimTime::ZERO + SimSpan::millis(50));
-        assert_eq!(
-            inj.metrics().get("retry.proxy.upstream_manifest.recovered"),
-            1
-        );
         assert!(inj.metrics().get("faults.injected.registry_unavailable") >= 1);
     }
 

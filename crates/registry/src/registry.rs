@@ -517,6 +517,22 @@ impl Registry {
         Ok(desc)
     }
 
+    /// Upload a whole image from a client-side store: every blob the
+    /// manifest names out of `cas`, then the manifest as `repo:tag`.
+    pub fn push_image(
+        &self,
+        repo: &str,
+        tag: &str,
+        manifest: &Manifest,
+        cas: &Cas,
+    ) -> Result<Descriptor, RegistryError> {
+        for d in std::iter::once(&manifest.config).chain(manifest.layers.iter()) {
+            let data = cas.get(&d.digest)?;
+            self.push_blob(d.media_type, d.digest, data.as_ref().clone())?;
+        }
+        self.push_manifest(repo, tag, manifest)
+    }
+
     // ------------------------------------------------------- pull
 
     /// Resolve a tag to a manifest digest.
@@ -759,13 +775,7 @@ mod tests {
     fn push_sample(reg: &Registry, repo: &str, tag: &str) -> Manifest {
         let cas = Cas::new();
         let img = samples::base_os(&cas);
-        // Transfer blobs client → registry.
-        for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-            let data = cas.get(&d.digest).unwrap();
-            reg.push_blob(d.media_type, d.digest, data.as_ref().clone())
-                .unwrap();
-        }
-        reg.push_manifest(repo, tag, &img.manifest).unwrap();
+        reg.push_image(repo, tag, &img.manifest, &cas).unwrap();
         img.manifest
     }
 
@@ -845,13 +855,8 @@ mod tests {
         reg.create_namespace("small", Some(4096)).unwrap();
         let cas = Cas::new();
         let img = samples::base_os(&cas); // ~14 KiB of layers
-        for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-            let data = cas.get(&d.digest).unwrap();
-            reg.push_blob(d.media_type, d.digest, data.as_ref().clone())
-                .unwrap();
-        }
         let err = reg
-            .push_manifest("small/base", "v1", &img.manifest)
+            .push_image("small/base", "v1", &img.manifest, &cas)
             .unwrap_err();
         assert!(matches!(err, RegistryError::QuotaExceeded { .. }));
         // Roomy namespace succeeds and accounts usage.
@@ -1010,12 +1015,7 @@ mod tests {
             })
             .build(&cas)
             .unwrap();
-        for d in std::iter::once(&unique.manifest.config).chain(unique.manifest.layers.iter()) {
-            let data = cas.get(&d.digest).unwrap();
-            reg.push_blob(d.media_type, d.digest, data.as_ref().clone())
-                .unwrap();
-        }
-        reg.push_manifest("bio/unique", "v1", &unique.manifest)
+        reg.push_image("bio/unique", "v1", &unique.manifest, &cas)
             .unwrap();
         reg.attach_signature(unique.manifest.digest(), b"sig".to_vec())
             .unwrap();

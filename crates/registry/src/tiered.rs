@@ -1022,12 +1022,7 @@ mod tests {
         hub.create_namespace("library", None).unwrap();
         let cas = Cas::new();
         let img = samples::python_app(&cas, 20);
-        for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-            let data = cas.get(&d.digest).unwrap();
-            hub.push_blob(d.media_type, d.digest, data.as_ref().clone())
-                .unwrap();
-        }
-        hub.push_manifest("library/python-app", "v1", &img.manifest)
+        hub.push_image("library/python-app", "v1", &img.manifest, &cas)
             .unwrap();
         let topo = StormTopology::with_origin(StormConfig::two_tier(8, 4), Arc::new(hub));
         let (m, mdone) = topo

@@ -56,13 +56,8 @@ fn main() {
         let mut signer = Keypair::generate(b"bio-lab-signing-key", 4);
         for (tool, lib) in [("aligner", 10u8), ("dedup", 11), ("caller", 12)] {
             let img = tool_image(&cas, tool, lib);
-            for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-                let data = cas.get(&d.digest).unwrap();
-                hub.push_blob(d.media_type, d.digest, data.as_ref().clone())
-                    .unwrap();
-            }
             let desc = hub
-                .push_manifest(&format!("bio/{tool}"), "v1", &img.manifest)
+                .push_image(&format!("bio/{tool}"), "v1", &img.manifest, &cas)
                 .unwrap();
             // Cosign-style detached signature attached in the registry.
             let sig = signer.sign(&desc.digest).unwrap();

@@ -34,14 +34,8 @@ fn main() {
     // 2. Push it to a site registry.
     let registry = Registry::new("site", RegistryCaps::open());
     registry.create_namespace("demo", None).unwrap();
-    for d in std::iter::once(&image.manifest.config).chain(image.manifest.layers.iter()) {
-        let data = cas.get(&d.digest).unwrap();
-        registry
-            .push_blob(d.media_type, d.digest, data.as_ref().clone())
-            .unwrap();
-    }
     registry
-        .push_manifest("demo/app", "v1", &image.manifest)
+        .push_image("demo/app", "v1", &image.manifest, &cas)
         .unwrap();
     println!("pushed to site registry as demo/app:v1");
 

@@ -3,16 +3,20 @@
 #
 #   build        release build of the workspace
 #   lint         clippy + rustfmt --check + rustdoc (all warnings denied),
-#                then the one-co-simulation-loop guard: a grep that the
+#                then the grep guards against copies growing back: the
 #                Kubernetes tick and kubelet boot each still live in one
-#                file and the per-scenario `run_traced` twins stay gone
+#                file and the per-scenario `run_traced` twins stay gone;
+#                hpcc-bench has exactly two drivers (`bench`, `repro`), no
+#                `benches/` and no criterion
 #   test         full test suite, then hpcc-codec and hpcc-vfs again under
 #                `taskset -c 0` so the inline (one-core) path of block
 #                compression is exercised too (skipped with a notice when
 #                `taskset` is absent)
 #   determinism  chaos suite + golden traces, each run twice with
 #                identical seeds and their printed fingerprints diffed
-#   goldens      checked-in golden traces match the code (staleness)
+#   goldens      checked-in golden traces *and experiment transcripts*
+#                match the code (`repro --check`; re-bless with
+#                `repro --bless [name...]`)
 #   bench        pipeline benchmark suite vs checked-in baseline (>10%
 #                makespan regression fails; every bench-* stage below
 #                is `bench <suite> --check`, and `bench <suite> --bless`
@@ -141,6 +145,20 @@ stage_lint() {
         exit 1
     fi
     echo "OK: one tick, one kubelet boot, one entry per scenario"
+    echo "==> two bench drivers (DESIGN.md §\"Bench harness\")"
+    if [[ "$(ls crates/bench/src/bin | tr '\n' ' ')" != "bench.rs repro.rs " ]]; then
+        echo "FAIL: crates/bench/src/bin holds bench.rs and repro.rs only; a new experiment is an entry of repro::EXPERIMENTS" >&2
+        exit 1
+    fi
+    if [[ -e crates/bench/benches ]]; then
+        echo "FAIL: crates/bench/benches is back; host time is measured by benchmark/, logical time by repro" >&2
+        exit 1
+    fi
+    if grep -n criterion Cargo.toml crates/*/Cargo.toml crates/shims/*/Cargo.toml benchmark/Cargo.toml; then
+        echo "FAIL: criterion is back in a Cargo.toml" >&2
+        exit 1
+    fi
+    echo "OK: bench + repro, no benches/, no criterion"
 }
 
 stage_test() {
@@ -188,11 +206,10 @@ stage_determinism() {
 }
 
 stage_goldens() {
-    echo "==> golden traces vs checked-in files"
+    echo "==> experiment transcripts and golden traces vs checked-in files"
     # --release reuses the artifacts of the build stage; a plain
     # `cargo run -q` here used to force a second full debug build.
-    cargo run --release -q -p hpcc-bench --bin trace_goldens
-    echo "OK: golden traces up to date"
+    cargo run --release -q -p hpcc-bench --bin repro -- --check
 }
 
 # Every bench stage is `bench <suite> --check [flags]`; the heavy sweeps

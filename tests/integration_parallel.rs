@@ -139,14 +139,8 @@ fn bench_registry() -> Registry {
     let img = samples::python_app(&cas, 48);
     let registry = Registry::new("par-site", RegistryCaps::open());
     registry.create_namespace("hpc", None).unwrap();
-    for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-        let data = cas.get(&d.digest).unwrap();
-        registry
-            .push_blob(d.media_type, d.digest, data.as_ref().clone())
-            .unwrap();
-    }
     registry
-        .push_manifest("hpc/pyapp", "v1", &img.manifest)
+        .push_image("hpc/pyapp", "v1", &img.manifest, &cas)
         .unwrap();
     registry
 }

@@ -19,12 +19,7 @@ use std::sync::Arc;
 fn populate(reg: &Registry, repo: &str) {
     let cas = Cas::new();
     let img = samples::python_app(&cas, 60);
-    for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-        let data = cas.get(&d.digest).unwrap();
-        reg.push_blob(d.media_type, d.digest, data.as_ref().clone())
-            .unwrap();
-    }
-    reg.push_manifest(repo, "v1", &img.manifest).unwrap();
+    reg.push_image(repo, "v1", &img.manifest, &cas).unwrap();
 }
 
 #[test]
@@ -177,13 +172,8 @@ fn quota_protects_shared_registries_under_engine_traffic() {
     reg.create_namespace("small", Some(8 * 1024)).unwrap();
     let cas = Cas::new();
     let img = samples::python_app(&cas, 120); // well over 8 KiB of layers
-    for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-        let data = cas.get(&d.digest).unwrap();
-        reg.push_blob(d.media_type, d.digest, data.as_ref().clone())
-            .unwrap();
-    }
     assert!(reg
-        .push_manifest("small/pyapp", "v1", &img.manifest)
+        .push_image("small/pyapp", "v1", &img.manifest, &cas)
         .is_err());
 }
 

@@ -66,12 +66,7 @@ fn spank_container_job_launches_a_real_engine() {
         reg.create_namespace("hpc", None).unwrap();
         let cas = Cas::new();
         let img = samples::mpi_solver(&cas);
-        for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-            let data = cas.get(&d.digest).unwrap();
-            reg.push_blob(d.media_type, d.digest, data.as_ref().clone())
-                .unwrap();
-        }
-        reg.push_manifest("hpc/solver", "v1", &img.manifest)
+        reg.push_image("hpc/solver", "v1", &img.manifest, &cas)
             .unwrap();
         reg
     };

@@ -23,12 +23,7 @@ fn registry_with(repo: &str, img: &hpcc_oci::builder::BuiltImage, cas: &Cas) -> 
     let reg = Registry::new("it", RegistryCaps::open());
     reg.create_namespace(repo.split('/').next().unwrap(), None)
         .unwrap();
-    for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-        let data = cas.get(&d.digest).unwrap();
-        reg.push_blob(d.media_type, d.digest, data.as_ref().clone())
-            .unwrap();
-    }
-    reg.push_manifest(repo, "v1", &img.manifest).unwrap();
+    reg.push_image(repo, "v1", &img.manifest, cas).unwrap();
     Arc::new(reg)
 }
 
@@ -110,19 +105,14 @@ fn tampered_layer_is_rejected_by_the_pulling_engine() {
     let img = samples::base_os(&cas);
     let reg = Registry::new("evil", RegistryCaps::open());
     reg.create_namespace("hpc", None).unwrap();
-    // Push real blobs.
-    for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-        let data = cas.get(&d.digest).unwrap();
-        reg.push_blob(d.media_type, d.digest, data.as_ref().clone())
-            .unwrap();
-    }
     // Push a manifest referencing a *different* (existing) blob under a
     // layer slot whose digest does not match what the client will hash...
     // The registry model always serves blob bytes by digest, so a digest
     // mismatch cannot be fabricated through the public API — which is
     // itself the property we assert here: every pulled layer re-hashes to
     // its descriptor digest.
-    reg.push_manifest("hpc/base", "v1", &img.manifest).unwrap();
+    reg.push_image("hpc/base", "v1", &img.manifest, &cas)
+        .unwrap();
     let engine = engines::podman();
     let clock = SimClock::new();
     let pulled = engine.pull(&reg, "hpc/base", "v1", &clock).unwrap();

@@ -160,12 +160,8 @@ fn hub_with_pyapp(layers: usize) -> (Arc<Registry>, Cas, hpcc_oci::builder::Buil
     hub.create_namespace("hpc", None).unwrap();
     let cas = Cas::new();
     let img = samples::python_app(&cas, layers);
-    for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-        let data = cas.get(&d.digest).unwrap();
-        hub.push_blob(d.media_type, d.digest, data.as_ref().clone())
-            .unwrap();
-    }
-    hub.push_manifest("hpc/pyapp", "v1", &img.manifest).unwrap();
+    hub.push_image("hpc/pyapp", "v1", &img.manifest, &cas)
+        .unwrap();
     (Arc::new(hub), cas, img)
 }
 

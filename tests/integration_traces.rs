@@ -5,7 +5,7 @@
 //! 1. **Golden matching** — every trace in the corpus (`hpcc_core::goldens`)
 //!    is rebuilt from scratch and structurally diffed against its
 //!    checked-in TSV under `tests/goldens/`. A timing-model change must be
-//!    re-blessed (`cargo run -p hpcc-bench --bin trace_goldens -- --bless`)
+//!    re-blessed (`cargo run -p hpcc-bench --bin repro -- --bless`)
 //!    to land.
 //! 2. **Span invariants** — deterministic checks on the corpus plus a
 //!    proptest sweep over random workloads through all five §6 scenarios:

@@ -100,12 +100,8 @@ fn fault_pipeline_run(seed: u64, windows: &[(u8, u64, u64)]) -> (Vec<String>, u6
     reg.create_namespace("hpc", None).unwrap();
     let cas = Cas::new();
     let img = hpcc_oci::builder::samples::python_app(&cas, 4);
-    for d in std::iter::once(&img.manifest.config).chain(img.manifest.layers.iter()) {
-        let data = cas.get(&d.digest).unwrap();
-        reg.push_blob(d.media_type, d.digest, data.as_ref().clone())
-            .unwrap();
-    }
-    reg.push_manifest("hpc/app", "v1", &img.manifest).unwrap();
+    reg.push_image("hpc/app", "v1", &img.manifest, &cas)
+        .unwrap();
     reg.set_fault_injector(Arc::clone(&inj));
 
     let engine = hpcc_engine::engines::podman();
