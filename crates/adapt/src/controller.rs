@@ -42,7 +42,7 @@ use crate::policy::PartitionPolicy;
 use crate::signals::DemandSignals;
 use crate::traces::TimedWorkload;
 use hpcc_k8s::kubelet::{CriRuntime, Kubelet, KubeletMode};
-use hpcc_k8s::objects::{PodPhase, PodSpec, Resources};
+use hpcc_k8s::objects::{PodSpec, Resources};
 use hpcc_sim::des::Engine;
 use hpcc_sim::sym;
 use hpcc_sim::{
@@ -421,21 +421,7 @@ impl Controller {
         self.w.slurm.advance_to(t);
 
         // Demand signal: pending pods needing capacity, active pod load.
-        let mut pending_pods = 0usize;
-        let mut pending_pod_millis = 0u64;
-        let mut running_pod_millis = 0u64;
-        for p in self.w.k8s.api.list_pods(|_| true) {
-            match &p.phase {
-                PodPhase::Pending => {
-                    pending_pods += 1;
-                    pending_pod_millis += p.spec.resources.cpu_millis;
-                }
-                PodPhase::Scheduled { .. } | PodPhase::Running { .. } => {
-                    running_pod_millis += p.spec.resources.cpu_millis;
-                }
-                _ => {}
-            }
-        }
+        let pods = self.w.k8s.api.pod_tallies();
         // Workload status at the top of the tick (job queues just advanced;
         // pod phases reflect the end of the previous tick). Once everything
         // is done, growth is pointless: without this gate a policy with a
@@ -446,9 +432,9 @@ impl Controller {
         let node_cpu_millis = Resources::from(self.cfg.node_spec).cpu_millis;
         let signals = DemandSignals {
             now: t,
-            pending_pods,
-            pending_pod_millis,
-            running_pod_millis,
+            pending_pods: pods.pending,
+            pending_pod_millis: pods.pending_cpu_millis,
+            running_pod_millis: pods.bound_cpu_millis,
             wlm_pending_jobs: self.w.slurm.pending_count(),
             wlm_idle_nodes: self.w.slurm.idle_nodes(),
             agents: self.dynamic_agents(),
@@ -516,7 +502,7 @@ impl Controller {
         }
         if requested > 0 {
             let context = [
-                ("pending_pods", pending_pods.to_string()),
+                ("pending_pods", pods.pending.to_string()),
                 ("supplying", signals.supplying().to_string()),
             ];
             self.decide(t, DecisionKind::Grow, requested, drained, context);

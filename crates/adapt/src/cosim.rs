@@ -13,7 +13,7 @@
 
 use hpcc_k8s::k3s::{ControlPlane, FinishedPod};
 use hpcc_k8s::kubelet::{CriRuntime, Kubelet, KubeletError, KubeletMode};
-use hpcc_k8s::objects::{Pod, PodPhase};
+use hpcc_k8s::objects::PodPhase;
 use hpcc_runtime::cgroup::{CgroupTree, CgroupVersion};
 use hpcc_sim::obs::SpanId;
 use hpcc_sim::sym;
@@ -164,13 +164,7 @@ impl World {
 
     /// True once `total_pods` pods are terminal.
     pub fn pods_done(&self, total_pods: usize) -> bool {
-        let terminal = |p: &Pod| {
-            matches!(
-                p.phase,
-                PodPhase::Succeeded { .. } | PodPhase::Failed { .. }
-            )
-        };
-        self.k8s.api.list_pods(terminal).len() == total_pods
+        self.k8s.api.pod_tallies().terminal == total_pods
     }
 
     /// The *drained* predicate: `total_pods` pods are terminal and nothing

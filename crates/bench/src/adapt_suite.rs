@@ -87,16 +87,18 @@ pub struct AdaptRun {
     pub decisions: usize,
 }
 
-fn preset(
+/// The controller preset behind one of [`POLICIES`], on `nodes` nodes.
+pub fn preset(
     policy: &str,
+    nodes: u32,
 ) -> (
     Box<dyn hpcc_adapt::PartitionPolicy>,
     hpcc_adapt::ControllerConfig,
 ) {
     match policy {
-        "static" => presets::static_partition(NODES),
-        "queue-threshold" => presets::on_demand_reallocation(NODES),
-        "ewma-forecast" => presets::ewma_forecast(NODES, SimSpan::secs(300), 2),
+        "static" => presets::static_partition(nodes),
+        "queue-threshold" => presets::on_demand_reallocation(nodes),
+        "ewma-forecast" => presets::ewma_forecast(nodes, SimSpan::secs(300), 2),
         other => panic!("unknown policy `{other}` (expected one of {POLICIES:?})"),
     }
 }
@@ -104,7 +106,7 @@ fn preset(
 /// Run one (policy × trace) configuration from scratch.
 pub fn run_config(policy: &'static str, trace: &'static str) -> AdaptRun {
     let workload = generate(&trace_config(trace));
-    let (p, cfg) = preset(policy);
+    let (p, cfg) = preset(policy, NODES);
     let out: AdaptOutcome = hpcc_adapt::run(RunSpec {
         workload: &workload,
         policy: p,

@@ -1,5 +1,5 @@
 //! The paper's artefacts: `repro <name>` prints one of Tables 1–5, Figure 1
-//! or Q1–Q10; `repro --list` names them; `repro --check [name...]` and
+//! or Q1–Q11; `repro --list` names them; `repro --check [name...]` and
 //! `repro --bless [name...]` compare or rewrite the checked-in transcripts
 //! and golden traces. See `hpcc_bench::repro`.
 

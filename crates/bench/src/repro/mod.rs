@@ -1,6 +1,6 @@
 //! The paper's artefacts behind one driver. `repro <name>` prints one of
 //! [`EXPERIMENTS`] — Tables 1–5, Figure 1, the quantitative claims
-//! Q1–Q10 — and `repro --check` / `repro --bless` walk one list of every
+//! Q1–Q11 — and `repro --check` / `repro --bless` walk one list of every
 //! checked-in text artefact: the transcript of each experiment
 //! (`tests/repro/<name>.txt`, exactly the bytes `repro <name>` prints) and
 //! the golden traces of [`hpcc_core::goldens`]. The `repro` binary is
@@ -14,6 +14,7 @@ use std::path::{Path, PathBuf};
 mod fig1;
 mod quant1;
 mod quant10;
+mod quant11;
 mod quant2;
 mod quant3;
 mod quant4;
@@ -46,7 +47,7 @@ const fn experiment(name: &'static str, paper: &'static str, run: Run) -> Experi
 }
 
 /// Every artefact `repro` regenerates, in paper order.
-pub const EXPERIMENTS: [Experiment; 16] = [
+pub const EXPERIMENTS: [Experiment; 17] = [
     experiment("table1", "Table 1", table1::run),
     experiment("table2", "Table 2", table2::run),
     experiment("table3", "Table 3", table3::run),
@@ -63,6 +64,7 @@ pub const EXPERIMENTS: [Experiment; 16] = [
     experiment("quant8", "§7", quant8::run),
     experiment("quant9", "§3.2", quant9::run),
     experiment("quant10", "§7", quant10::run),
+    experiment("quant11", "§6.1, §6.6 at site scale", quant11::run),
 ];
 
 /// What `repro <name>` prints. An experiment is rendered twice and must
@@ -271,13 +273,13 @@ mod tests {
         drive(registry, Vec::new(), root, &args(a), &mut io::sink()).unwrap()
     }
 
-    /// DESIGN.md's experiment index is this list: the sixteen artefacts in
+    /// DESIGN.md's experiment index is this list: the seventeen artefacts in
     /// paper order, each with a transcript and no transcript without one.
     #[test]
     fn registry_is_the_paper_index() {
         let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
         let tables = (1..=5).map(|n| format!("table{n}"));
-        let quants = (1..=10).map(|n| format!("quant{n}"));
+        let quants = (1..=11).map(|n| format!("quant{n}"));
         let paper: Vec<String> = tables.chain(["fig1".to_string()]).chain(quants).collect();
         assert_eq!(names, paper);
         let mut files: Vec<String> = std::fs::read_dir(repo_root().join("tests/repro"))

@@ -164,10 +164,7 @@ impl VirtualKubelet {
     /// One reconciliation pass: translate bound pods to jobs, mirror job
     /// states back.
     pub fn reconcile(&mut self, api: &ApiServer, slurm: &mut Slurm, now: SimTime) {
-        let mine = api.list_pods(
-            |p| matches!(&p.phase, PodPhase::Scheduled { node } if *node == self.node_name),
-        );
-        for pod in mine {
+        for pod in api.scheduled_pods(&self.node_name) {
             if self.submitted.contains_key(&pod.spec.name) {
                 continue;
             }

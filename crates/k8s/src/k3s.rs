@@ -61,8 +61,13 @@ impl ControlPlane {
     ) {
         self.scheduler.schedule(&self.api);
         clock.advance_to(t);
+        // Nothing is bound while the kubelets take their turns: if no pod
+        // waits on any node now, no kubelet has anything to start.
+        let any_bound = self.api.pod_tallies().scheduled > 0;
         for kubelet in kubelets {
-            kubelet.sync(&self.api, clock);
+            if any_bound {
+                kubelet.sync(&self.api, clock);
+            }
             for (name, resources, started, ended) in kubelet.advance_to(&self.api, t) {
                 self.scheduler.release(&kubelet.node_name, &resources);
                 finished(FinishedPod {

@@ -223,10 +223,9 @@ impl Kubelet {
     /// `Failed`, with a reason carrying the real attempt count.
     pub fn sync(&mut self, api: &ApiServer, clock: &SimClock) -> Vec<String> {
         let mut launched = Vec::new();
-        let mine = api.list_pods(
-            |p| matches!(&p.phase, PodPhase::Scheduled { node } if *node == self.node_name),
-        );
-        for pod in mine {
+        // In pod-name order: launches back off on the shared clock, so
+        // the order pods start in is observable.
+        for pod in api.scheduled_pods(&self.node_name) {
             let cri = Arc::clone(&self.cri);
             let faults = Arc::clone(&self.faults);
             let span = self
@@ -303,6 +302,9 @@ impl Kubelet {
         api: &ApiServer,
         now: SimTime,
     ) -> Vec<(String, Resources, SimTime, SimTime)> {
+        if self.running.is_empty() {
+            return Vec::new();
+        }
         let done: Vec<String> = self
             .running
             .iter()
@@ -606,6 +608,38 @@ mod tests {
         assert_eq!(m.get("faults.injected.cri_flap"), 1);
         assert_eq!(m.get("retry.kubelet.start_pod.recovered"), 1);
         assert_eq!(m.get("retry.kubelet.start_pod.giveup"), 0);
+    }
+
+    /// Launches back off on the shared clock, so which pod goes first is
+    /// visible in when each starts. `b` is bound before `a`; the kubelet
+    /// still starts them in name order, at the instants it always has.
+    #[test]
+    fn bound_pods_start_in_name_order_under_cri_flaps() {
+        use hpcc_sim::faults::FaultRule;
+        let api = ApiServer::new();
+        let clock = SimClock::new();
+        let mut kubelet = started_kubelet(&api, &clock, Arc::new(NullCri));
+        kubelet.set_fault_injector(Arc::new(FaultInjector::new(
+            2,
+            vec![FaultRule::background(FaultKind::CriFlap, 0.5)],
+        )));
+        for name in ["b", "a"] {
+            api.create_pod(PodSpec::simple(name, "hpc/app:v1", SimSpan::secs(60)))
+                .unwrap();
+            let rv = api.pod(name).unwrap().resource_version;
+            api.set_pod_phase(name, rv, PodPhase::Scheduled { node: "n0".into() })
+                .unwrap();
+        }
+        assert_eq!(kubelet.sync(&api, &clock), ["a", "b"]);
+        let started = |name: &str| match api.pod(name).unwrap().phase {
+            PodPhase::Running { started, .. } => started.since(SimTime::ZERO),
+            other => panic!("{name}: {other:?}"),
+        };
+        // Literals from the commit before the per-node sets, where `sync`
+        // filtered `list_pods`: both launches flap, `a` first, and `b`
+        // starts from wherever `a` left the clock.
+        assert_eq!(started("a"), SimSpan(3_414_424_435));
+        assert_eq!(started("b"), SimSpan(3_721_724_441));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use hpcc_sim::{SimSpan, SimTime};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Resource quantities of a pod or node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -172,12 +172,71 @@ impl std::fmt::Display for ApiError {
 
 impl std::error::Error for ApiError {}
 
+/// What control loops ask of the pod set every tick, counted where pods
+/// change phase instead of recounted from [`ApiServer::list_pods`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PodTallies {
+    /// Pods in phase `Pending`, and their aggregate CPU request.
+    pub pending: usize,
+    pub pending_cpu_millis: u64,
+    /// Pods in phase `Scheduled`: bound to a node, not yet started.
+    pub scheduled: usize,
+    /// Aggregate CPU of pods holding a node: `Scheduled` + `Running`.
+    pub bound_cpu_millis: u64,
+    /// Pods in phase `Succeeded` or `Failed`.
+    pub terminal: usize,
+}
+
 #[derive(Default)]
 struct ApiState {
     pods: BTreeMap<String, Pod>,
     nodes: BTreeMap<String, NodeObject>,
     events: Vec<Event>,
     rv: u64,
+    /// Invariant: equal to a recount over `pods`.
+    tallies: PodTallies,
+    /// Names of the `Scheduled` pods of each node that has any.
+    /// Invariant: equal to a regrouping of `pods`.
+    scheduled_on: BTreeMap<String, BTreeSet<String>>,
+}
+
+fn shift<T: std::ops::AddAssign + std::ops::SubAssign>(tally: &mut T, by: T, enter: bool) {
+    if enter {
+        *tally += by;
+    } else {
+        *tally -= by;
+    }
+}
+
+impl ApiState {
+    /// Count a pod requesting `cpu_millis` into (`enter`) or out of the
+    /// tallies and the per-node set of the phase it is in.
+    fn tally(&mut self, name: &str, cpu_millis: u64, phase: &PodPhase, enter: bool) {
+        let t = &mut self.tallies;
+        match phase {
+            PodPhase::Pending => {
+                shift(&mut t.pending, 1, enter);
+                shift(&mut t.pending_cpu_millis, cpu_millis, enter);
+            }
+            PodPhase::Scheduled { node } => {
+                shift(&mut t.scheduled, 1, enter);
+                shift(&mut t.bound_cpu_millis, cpu_millis, enter);
+                if enter {
+                    let on_node = self.scheduled_on.entry(node.clone()).or_default();
+                    on_node.insert(name.to_string());
+                } else if let Some(on_node) = self.scheduled_on.get_mut(node) {
+                    on_node.remove(name);
+                    if on_node.is_empty() {
+                        self.scheduled_on.remove(node);
+                    }
+                }
+            }
+            PodPhase::Running { .. } => shift(&mut t.bound_cpu_millis, cpu_millis, enter),
+            PodPhase::Succeeded { .. } | PodPhase::Failed { .. } => {
+                shift(&mut t.terminal, 1, enter)
+            }
+        }
+    }
 }
 
 /// The API server.
@@ -210,6 +269,12 @@ impl ApiServer {
             phase: PodPhase::Pending,
             resource_version: rv,
         };
+        st.tally(
+            &pod.spec.name,
+            pod.spec.resources.cpu_millis,
+            &pod.phase,
+            true,
+        );
         st.events.push(Event::PodChanged(pod.clone()));
         st.pods.insert(pod.spec.name.clone(), pod);
         Ok(())
@@ -236,6 +301,30 @@ impl ApiServer {
             .collect()
     }
 
+    /// The `Scheduled` pods bound to `node`, in name order: what a kubelet
+    /// has to start.
+    pub fn scheduled_pods(&self, node: &str) -> Vec<Pod> {
+        let st = self.state.read();
+        st.scheduled_on.get(node).map_or_else(Vec::new, |names| {
+            names.iter().map(|name| st.pods[name].clone()).collect()
+        })
+    }
+
+    /// Pod counts and CPU sums by phase.
+    pub fn pod_tallies(&self) -> PodTallies {
+        self.state.read().tallies
+    }
+
+    /// The scheduler's view: every pod and node, borrowed under the read
+    /// lock for the length of `f`.
+    pub(crate) fn view<R>(
+        &self,
+        f: impl FnOnce(&BTreeMap<String, Pod>, &BTreeMap<String, NodeObject>) -> R,
+    ) -> R {
+        let st = self.state.read();
+        f(&st.pods, &st.nodes)
+    }
+
     /// Update a pod's phase with optimistic concurrency.
     pub fn set_pod_phase(
         &self,
@@ -256,9 +345,13 @@ impl ApiServer {
                 actual: pod.resource_version,
             });
         }
-        pod.phase = phase;
+        // Past the refusals: from here the update happens, and is counted.
+        let was = std::mem::replace(&mut pod.phase, phase);
         pod.resource_version = rv;
         let snapshot = pod.clone();
+        let cpu_millis = snapshot.spec.resources.cpu_millis;
+        st.tally(name, cpu_millis, &was, false);
+        st.tally(name, cpu_millis, &snapshot.phase, true);
         st.events.push(Event::PodChanged(snapshot));
         Ok(rv)
     }
@@ -352,9 +445,98 @@ impl ApiServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn spec(name: &str) -> PodSpec {
         PodSpec::simple(name, "hpc/app:v1", SimSpan::secs(60))
+    }
+
+    /// The reference the kept counts answer to: tallies and per-node
+    /// `Scheduled` names recounted from `list_pods`.
+    fn recount(api: &ApiServer) -> (PodTallies, BTreeMap<String, Vec<String>>) {
+        let mut t = PodTallies::default();
+        let mut scheduled_on: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        for p in api.list_pods(|_| true) {
+            let cpu = p.spec.resources.cpu_millis;
+            match p.phase {
+                PodPhase::Pending => {
+                    t.pending += 1;
+                    t.pending_cpu_millis += cpu;
+                }
+                PodPhase::Scheduled { node } => {
+                    t.scheduled += 1;
+                    t.bound_cpu_millis += cpu;
+                    scheduled_on.entry(node).or_default().push(p.spec.name);
+                }
+                PodPhase::Running { .. } => t.bound_cpu_millis += cpu,
+                PodPhase::Succeeded { .. } | PodPhase::Failed { .. } => t.terminal += 1,
+            }
+        }
+        (t, scheduled_on)
+    }
+
+    fn phase(kind: u8, node: u8) -> PodPhase {
+        let node = format!("n{node}");
+        let (started, ended) = (SimTime(1), SimTime(2));
+        match kind {
+            0 => PodPhase::Pending,
+            1 => PodPhase::Scheduled { node },
+            2 => PodPhase::Running { node, started },
+            3 => PodPhase::Succeeded {
+                node,
+                started,
+                ended,
+            },
+            _ => PodPhase::Failed {
+                reason: "test".into(),
+            },
+        }
+    }
+
+    proptest! {
+        /// Any stream of creates and phase updates — accepted, refused as
+        /// stale, or aimed at a pod that does not exist — leaves the
+        /// tallies and every per-node set equal to a recount.
+        #[test]
+        fn tallies_and_scheduled_sets_equal_a_recount(
+            ops in proptest::collection::vec(
+                (0u8..4u8, 0u8..7u8, 0u8..5u8, 0u8..3u8, any::<bool>()),
+                1..60,
+            ),
+        ) {
+            let api = ApiServer::new();
+            for (op, pod, kind, node, stale) in ops {
+                // `p6` is never created: updates to it are `PodNotFound`.
+                let name = format!("p{pod}");
+                if op == 0 && pod < 6 {
+                    let mut spec = spec(&name);
+                    spec.resources.cpu_millis = 500 * (u64::from(pod) + 1);
+                    let _ = api.create_pod(spec);
+                } else {
+                    let rv = api.pod(&name).map_or(0, |p| p.resource_version);
+                    let sent = if stale { rv.wrapping_sub(1) } else { rv };
+                    let updated = api.set_pod_phase(&name, sent, phase(kind, node));
+                    prop_assert_eq!(updated.is_ok(), pod < 6 && rv != 0 && !stale);
+                }
+                let (tallies, scheduled_on) = recount(&api);
+                prop_assert_eq!(api.pod_tallies(), tallies);
+                for n in 0..3 {
+                    let node = format!("n{n}");
+                    let mine: Vec<String> = api
+                        .scheduled_pods(&node)
+                        .into_iter()
+                        .map(|p| p.spec.name)
+                        .collect();
+                    // `list_pods` yields name order, so this checks order too.
+                    let expected = scheduled_on.get(&node).cloned().unwrap_or_default();
+                    prop_assert_eq!(mine, expected, "Scheduled on {}", node);
+                }
+                // No set outlives its last pod.
+                let kept: Vec<String> = api.state.read().scheduled_on.keys().cloned().collect();
+                let nonempty: Vec<String> = scheduled_on.keys().cloned().collect();
+                prop_assert_eq!(kept, nonempty);
+            }
+        }
     }
 
     #[test]

@@ -39,42 +39,49 @@ impl Scheduler {
     /// One scheduling pass: bind every pending pod that fits somewhere.
     /// Returns (pod, node) bindings made.
     pub fn schedule(&mut self, api: &ApiServer) -> Vec<(String, String)> {
-        let mut bindings = Vec::new();
-        let nodes = api.list_nodes();
-        for pod in api.list_pods(|p| p.phase == PodPhase::Pending) {
-            // Score: most free CPU first (spreading).
-            let mut best: Option<(&NodeObject, Resources)> = None;
-            for node in &nodes {
-                if !node.ready || !Self::selector_matches(&pod, node) {
-                    continue;
+        if api.pod_tallies().pending == 0 {
+            return Vec::new();
+        }
+        // Placement reads only the nodes and what this scheduler has
+        // committed, so all of it is decided on borrowed objects before
+        // the first binding is written.
+        let placed: Vec<(String, u64, String)> = api.view(|pods, nodes| {
+            let mut placed = Vec::new();
+            for pod in pods.values().filter(|p| p.phase == PodPhase::Pending) {
+                // Score: most free CPU first (spreading).
+                let mut best: Option<(&NodeObject, Resources)> = None;
+                for node in nodes.values() {
+                    if !node.ready || !Self::selector_matches(pod, node) {
+                        continue;
+                    }
+                    let free = self.free_on(node);
+                    if !pod.spec.resources.fits_in(&free) {
+                        continue;
+                    }
+                    if best
+                        .as_ref()
+                        .is_none_or(|(_, bf)| free.cpu_millis > bf.cpu_millis)
+                    {
+                        best = Some((node, free));
+                    }
                 }
-                let free = self.free_on(node);
-                if !pod.spec.resources.fits_in(&free) {
-                    continue;
-                }
-                if best
-                    .as_ref()
-                    .is_none_or(|(_, bf)| free.cpu_millis > bf.cpu_millis)
-                {
-                    best = Some((node, free));
+                if let Some((node, _)) = best {
+                    let entry = self.committed.entry(node.name.clone()).or_default();
+                    *entry = entry.plus(&pod.spec.resources);
+                    placed.push((
+                        pod.spec.name.clone(),
+                        pod.resource_version,
+                        node.name.clone(),
+                    ));
                 }
             }
-            if let Some((node, _)) = best {
-                let entry = self.committed.entry(node.name.clone()).or_default();
-                *entry = entry.plus(&pod.spec.resources);
-                // Bind.
-                if api
-                    .set_pod_phase(
-                        &pod.spec.name,
-                        pod.resource_version,
-                        PodPhase::Scheduled {
-                            node: node.name.clone(),
-                        },
-                    )
-                    .is_ok()
-                {
-                    bindings.push((pod.spec.name.clone(), node.name.clone()));
-                }
+            placed
+        });
+        let mut bindings = Vec::with_capacity(placed.len());
+        for (pod, rv, node) in placed {
+            let bound = PodPhase::Scheduled { node: node.clone() };
+            if api.set_pod_phase(&pod, rv, bound).is_ok() {
+                bindings.push((pod, node));
             }
         }
         bindings
@@ -132,7 +139,7 @@ mod tests {
         }
         let n = sched.schedule(&api).len();
         assert_eq!(n, 4);
-        assert_eq!(api.list_pods(|p| p.phase == PodPhase::Pending).len(), 1);
+        assert_eq!(api.pod_tallies().pending, 1);
         // Releasing one pod's resources lets the fifth bind.
         sched.release("n0", &pod("_", 4000, 0).resources);
         assert_eq!(sched.schedule(&api).len(), 1);

@@ -64,9 +64,18 @@ struct NodeRec {
     free_cores: u32,
 }
 
+impl NodeRec {
+    /// Idle and wholly free: claimable without touching running work.
+    fn is_idle(&self) -> bool {
+        self.state == NodeState::Idle && self.free_cores == self.spec.cores
+    }
+}
+
 /// The workload manager.
 pub struct Slurm {
     nodes: BTreeMap<NodeId, NodeRec>,
+    /// How many of `nodes` are [`NodeRec::is_idle`].
+    idle: usize,
     partitions: BTreeMap<String, Vec<NodeId>>,
     jobs: BTreeMap<JobId, Job>,
     queue: VecDeque<JobId>,
@@ -92,6 +101,18 @@ pub struct Slurm {
     /// Tracer recording schedule/prolog/epilog/job spans; disabled by
     /// default.
     tracer: Arc<Tracer>,
+    /// `Some(t)`: the scheduling pass at `t` started nothing, and no node,
+    /// queue entry or running job has changed since. Head fit and backfill
+    /// spare do not depend on the time of the pass, and the one test that
+    /// does (`now + walltime_limit <= shadow_time`) only gets harder later,
+    /// so until something changes every later pass starts nothing either.
+    /// Cleared by [`Slurm::update_node`] when a node moves, and by whatever
+    /// edits `queue`, `held` or `running` — a start attempt that fails its
+    /// prolog included.
+    settled: Option<SimTime>,
+    /// Reference scheduler for the tests: never skip a pass.
+    #[cfg(test)]
+    every_pass_in_full: bool,
 }
 
 impl Default for Slurm {
@@ -104,6 +125,7 @@ impl Slurm {
     pub fn new() -> Slurm {
         Slurm {
             nodes: BTreeMap::new(),
+            idle: 0,
             partitions: BTreeMap::new(),
             jobs: BTreeMap::new(),
             queue: VecDeque::new(),
@@ -119,6 +141,9 @@ impl Slurm {
             held: Vec::new(),
             epochs: HashMap::new(),
             tracer: Tracer::disabled(),
+            settled: None,
+            #[cfg(test)]
+            every_pass_in_full: false,
         }
     }
 
@@ -152,6 +177,8 @@ impl Slurm {
 
     /// Add a partition of `count` identical nodes. Returns their ids.
     pub fn add_partition(&mut self, name: &str, spec: NodeSpec, count: u32) -> Vec<NodeId> {
+        self.settled = None;
+        self.idle += count as usize;
         let mut ids = Vec::with_capacity(count as usize);
         for _ in 0..count {
             let id = NodeId(self.next_node);
@@ -225,10 +252,38 @@ impl Slurm {
 
     /// Idle node count (schedulable).
     pub fn idle_nodes(&self) -> usize {
-        self.nodes
-            .values()
-            .filter(|n| n.state == NodeState::Idle && n.free_cores == n.spec.cores)
-            .count()
+        debug_assert_eq!(
+            self.idle,
+            self.nodes.values().filter(|n| n.is_idle()).count()
+        );
+        self.idle
+    }
+
+    /// The one place a node changes after it was added: keeps the idle
+    /// count, and unsettles the scheduler only if the node's state or free
+    /// cores actually moved.
+    fn update_node(&mut self, id: NodeId, change: impl FnOnce(&mut NodeRec)) {
+        let n = self.nodes.get_mut(&id).expect("node exists");
+        let (state, free_cores, was_idle) = (n.state, n.free_cores, n.is_idle());
+        change(n);
+        if (n.state, n.free_cores) != (state, free_cores) {
+            self.idle = self.idle + usize::from(n.is_idle()) - usize::from(was_idle);
+            self.settled = None;
+        }
+    }
+
+    /// Hand `id` back what a job of this shape held on it.
+    fn release_node(&mut self, id: NodeId, exclusive: bool, cores_per_node: u32) {
+        self.update_node(id, |n| {
+            if exclusive {
+                n.free_cores = n.spec.cores;
+            } else {
+                n.free_cores += cores_per_node;
+            }
+            if n.free_cores > 0 && matches!(n.state, NodeState::Allocated(_)) {
+                n.state = NodeState::Idle;
+            }
+        });
     }
 
     // -------------------------------------------------------- submission
@@ -261,52 +316,53 @@ impl Slurm {
             },
         );
         self.queue.push_back(id);
+        self.settled = None;
         Ok(id)
     }
 
     // -------------------------------------------------------- scheduling
 
-    fn schedulable_nodes(&self, partition: &str, req: &JobRequest) -> Vec<NodeId> {
-        let Some(ids) = self.partitions.get(partition) else {
-            return Vec::new();
-        };
-        ids.iter()
-            .filter(|id| {
-                let n = &self.nodes[id];
-                match n.state {
-                    NodeState::Idle => {
-                        if req.exclusive {
-                            n.free_cores == n.spec.cores
-                        } else {
-                            n.free_cores >= req.cores_per_node
-                        }
-                    }
-                    _ => false,
-                }
-            })
-            .copied()
-            .collect()
+    /// Nodes of `req`'s partition it could start on right now, in
+    /// partition order.
+    fn schedulable<'a>(&'a self, req: &'a JobRequest) -> impl Iterator<Item = NodeId> + 'a {
+        let ids = self.partitions.get(&req.partition);
+        ids.into_iter().flatten().copied().filter(move |id| {
+            let n = &self.nodes[id];
+            match n.state {
+                NodeState::Idle if req.exclusive => n.free_cores == n.spec.cores,
+                NodeState::Idle => n.free_cores >= req.cores_per_node,
+                _ => false,
+            }
+        })
+    }
+
+    /// How many nodes [`schedulable`](Self::schedulable) yields for the
+    /// queued job `id`, beside how many it asks for.
+    fn free_and_wanted(&self, id: JobId) -> (u32, u32) {
+        let req = &self.jobs[&id].request;
+        (self.schedulable(req).count() as u32, req.nodes)
     }
 
     /// Try to start `id` on free nodes at `now`. Returns false when the
     /// prolog failed — the allocation is released and the job requeued (or
     /// marked [`JobState::Failed`] once its requeues are exhausted).
     fn start_job(&mut self, id: JobId, now: SimTime) -> bool {
+        self.settled = None;
         let job = self.jobs.get(&id).expect("queued jobs exist").clone();
         let req = &job.request;
-        let candidates = self.schedulable_nodes(&req.partition, req);
-        let chosen: Vec<NodeId> = candidates.into_iter().take(req.nodes as usize).collect();
+        let chosen: Vec<NodeId> = self.schedulable(req).take(req.nodes as usize).collect();
         debug_assert_eq!(chosen.len() as u32, req.nodes);
         for nid in &chosen {
-            let n = self.nodes.get_mut(nid).expect("chosen nodes exist");
-            if req.exclusive {
-                n.free_cores = 0;
-            } else {
-                n.free_cores -= req.cores_per_node;
-            }
-            if n.free_cores == 0 {
-                n.state = NodeState::Allocated(id);
-            }
+            self.update_node(*nid, |n| {
+                if req.exclusive {
+                    n.free_cores = 0;
+                } else {
+                    n.free_cores -= req.cores_per_node;
+                }
+                if n.free_cores == 0 {
+                    n.state = NodeState::Allocated(id);
+                }
+            });
         }
 
         // Prolog on "each node" (one context per job in the model). A
@@ -340,18 +396,8 @@ impl Slurm {
 
         if let Some(reason) = failure {
             // Release the allocation.
-            let exclusive = req.exclusive;
-            let cores_per_node = req.cores_per_node;
             for nid in &chosen {
-                let n = self.nodes.get_mut(nid).expect("chosen nodes exist");
-                if exclusive {
-                    n.free_cores = n.spec.cores;
-                } else {
-                    n.free_cores += cores_per_node;
-                }
-                if n.free_cores > 0 && matches!(n.state, NodeState::Allocated(_)) {
-                    n.state = NodeState::Idle;
-                }
+                self.release_node(*nid, req.exclusive, req.cores_per_node);
             }
             let m = self.faults.metrics();
             m.incr("wlm.prolog.failures");
@@ -390,6 +436,14 @@ impl Slurm {
     /// One scheduling pass at `now`: FIFO head start + EASY backfill.
     /// Returns jobs started.
     pub fn schedule(&mut self, now: SimTime) -> Vec<JobId> {
+        let fruitless = self.settled.is_some_and(|at| at <= now);
+        #[cfg(test)]
+        let fruitless = fruitless && !self.every_pass_in_full;
+        if fruitless {
+            return Vec::new();
+        }
+        // Every start attempt below clears this again.
+        self.settled = Some(now);
         let mut started = Vec::new();
         // Jobs requeued by a failed prolog become eligible again now.
         for id in self.held.drain(..) {
@@ -397,9 +451,8 @@ impl Slurm {
         }
         // Start queue-head jobs while they fit.
         while let Some(&head) = self.queue.front() {
-            let req = self.jobs[&head].request.clone();
-            let fits = self.schedulable_nodes(&req.partition, &req).len() as u32 >= req.nodes;
-            if fits {
+            let (free, wanted) = self.free_and_wanted(head);
+            if free >= wanted {
                 self.queue.pop_front();
                 if self.start_job(head, now) {
                     started.push(head);
@@ -411,8 +464,7 @@ impl Slurm {
 
         // EASY backfill around the blocked head.
         if let Some(&head) = self.queue.front() {
-            let head_req = self.jobs[&head].request.clone();
-            let free_now = self.schedulable_nodes(&head_req.partition, &head_req).len() as u32;
+            let (free_now, head_nodes) = self.free_and_wanted(head);
 
             // Shadow time: when enough nodes free for the head, assuming
             // running jobs end at their wall-time limits.
@@ -433,24 +485,24 @@ impl Slurm {
             let mut avail_at_shadow = avail;
             for (t, n) in ends {
                 avail += n;
-                if avail >= head_req.nodes {
+                if avail >= head_nodes {
                     shadow_time = t;
                     avail_at_shadow = avail;
                     break;
                 }
             }
-            let spare = avail_at_shadow.saturating_sub(head_req.nodes);
+            let spare = avail_at_shadow.saturating_sub(head_nodes);
 
             // Scan the rest of the queue for backfill candidates.
             let rest: Vec<JobId> = self.queue.iter().skip(1).copied().collect();
             for cand in rest {
-                let req = self.jobs[&cand].request.clone();
-                let free = self.schedulable_nodes(&req.partition, &req).len() as u32;
-                if req.nodes > free {
+                let (free, wanted) = self.free_and_wanted(cand);
+                if wanted > free {
                     continue;
                 }
-                let ends_before_shadow = now + req.walltime_limit <= shadow_time;
-                if ends_before_shadow || req.nodes <= spare {
+                let ends_before_shadow =
+                    now + self.jobs[&cand].request.walltime_limit <= shadow_time;
+                if ends_before_shadow || wanted <= spare {
                     self.queue.retain(|j| *j != cand);
                     if self.start_job(cand, now) {
                         started.push(cand);
@@ -481,17 +533,10 @@ impl Slurm {
             _ => return,
         };
         let req = job.request.clone();
+        self.settled = None;
         // Free the nodes.
         for nid in &nodes {
-            let n = self.nodes.get_mut(nid).expect("allocated nodes exist");
-            if req.exclusive {
-                n.free_cores = n.spec.cores;
-            } else {
-                n.free_cores += req.cores_per_node;
-            }
-            if n.free_cores > 0 && matches!(n.state, NodeState::Allocated(_)) {
-                n.state = NodeState::Idle;
-            }
+            self.release_node(*nid, req.exclusive, req.cores_per_node);
         }
         // Account.
         let cores = if req.exclusive {
@@ -603,43 +648,44 @@ impl Slurm {
         }
         self.queue.retain(|j| *j != id);
         self.held.retain(|j| *j != id);
+        self.settled = None;
         self.jobs.get_mut(&id).expect("checked").state = JobState::Cancelled;
         Ok(())
     }
 
     // ----------------------------------------------- node administration
 
-    /// Start draining a node (no new jobs; running work continues).
+    /// Start draining a node (no new jobs; running work continues). A
+    /// node that is already draining, offline or down is left as it is.
     pub fn drain_node(&mut self, id: NodeId) -> Result<(), WlmError> {
-        let n = self.nodes.get_mut(&id).ok_or(WlmError::UnknownNode(id))?;
-        if matches!(n.state, NodeState::Idle) {
-            n.state = NodeState::Draining;
-        } else if matches!(n.state, NodeState::Allocated(_)) {
+        match self.node_state(id)? {
+            NodeState::Idle => self.update_node(id, |n| n.state = NodeState::Draining),
             // Real slurm marks "draining"; model: keep allocation, flag
             // handled at completion by caller re-draining.
-            return Err(WlmError::NodeBusy(id));
+            NodeState::Allocated(_) => return Err(WlmError::NodeBusy(id)),
+            NodeState::Draining | NodeState::Offline | NodeState::Down => {}
         }
         Ok(())
     }
 
     /// Take a drained node offline (hand it to Kubernetes, §6.1).
     pub fn offline_node(&mut self, id: NodeId) -> Result<NodeSpec, WlmError> {
-        let n = self.nodes.get_mut(&id).ok_or(WlmError::UnknownNode(id))?;
-        match n.state {
+        match self.node_state(id)? {
             NodeState::Draining | NodeState::Idle => {
-                n.state = NodeState::Offline;
-                Ok(n.spec)
+                self.update_node(id, |n| n.state = NodeState::Offline);
+                Ok(self.nodes[&id].spec)
             }
             _ => Err(WlmError::NodeBusy(id)),
         }
     }
 
-    /// Return an offline node to service.
+    /// Return an offline node to service; any other node is left as it is.
     pub fn return_node(&mut self, id: NodeId) -> Result<(), WlmError> {
-        let n = self.nodes.get_mut(&id).ok_or(WlmError::UnknownNode(id))?;
-        if n.state == NodeState::Offline {
-            n.state = NodeState::Idle;
-            n.free_cores = n.spec.cores;
+        if self.node_state(id)? == NodeState::Offline {
+            self.update_node(id, |n| {
+                n.state = NodeState::Idle;
+                n.free_cores = n.spec.cores;
+            });
         }
         Ok(())
     }
@@ -685,21 +731,11 @@ impl Slurm {
             };
             // Release the surviving nodes of the allocation; the crashed
             // node's cores die with it.
-            for nid in &nodes {
-                if *nid == id {
-                    continue;
-                }
-                let n = self.nodes.get_mut(nid).expect("allocated nodes exist");
-                if req.exclusive {
-                    n.free_cores = n.spec.cores;
-                } else {
-                    n.free_cores += req.cores_per_node;
-                }
-                if n.free_cores > 0 && matches!(n.state, NodeState::Allocated(_)) {
-                    n.state = NodeState::Idle;
-                }
+            for nid in nodes.into_iter().filter(|nid| *nid != id) {
+                self.release_node(nid, req.exclusive, req.cores_per_node);
             }
             self.running.remove(jid);
+            self.settled = None;
             self.jobs.get_mut(jid).expect("exists").state = JobState::Pending;
             self.held.push(*jid);
             self.faults.metrics().incr("wlm.crash.requeues");
@@ -720,9 +756,10 @@ impl Slurm {
                 ],
             );
         }
-        let n = self.nodes.get_mut(&id).expect("checked above");
-        n.state = NodeState::Offline;
-        n.free_cores = 0;
+        self.update_node(id, |n| {
+            n.state = NodeState::Offline;
+            n.free_cores = 0;
+        });
         self.faults.metrics().incr("wlm.node.crashes");
         self.tracer.record(
             sym!("crash.wlm.node"),
@@ -740,11 +777,7 @@ impl Slurm {
     /// Bring a crashed node back into service at `now` and run a
     /// scheduling pass, so requeued jobs restart under their next epoch.
     pub fn node_recover(&mut self, id: NodeId, now: SimTime) -> Result<Vec<JobId>, WlmError> {
-        let n = self.nodes.get_mut(&id).ok_or(WlmError::UnknownNode(id))?;
-        if n.state == NodeState::Offline {
-            n.state = NodeState::Idle;
-            n.free_cores = n.spec.cores;
-        }
+        self.return_node(id)?;
         self.tracer.record(
             sym!("recover.wlm.node"),
             Stage::Schedule,
@@ -1168,6 +1201,233 @@ mod tests {
         s.schedule(t);
         assert!(s.job(wide).unwrap().is_running());
         assert!(!s.allocated_nodes(wide).contains(&nodes[0]));
+    }
+
+    // ------------------------------------------ settled passes are skipped
+
+    /// A scheduler that runs every pass in full: what `schedule` did before
+    /// it learned to skip, and the oracle the skipping one answers to.
+    fn reference(mut s: Slurm) -> Slurm {
+        s.every_pass_in_full = true;
+        s
+    }
+
+    fn job_in(partition: &str, nodes: u32, limit_secs: u64) -> JobRequest {
+        let mut req = job(nodes, limit_secs);
+        req.partition = partition.into();
+        req.walltime_limit = SimSpan::secs(limit_secs);
+        req
+    }
+
+    /// Backfill computes shadow time and spare once, before its loop, and
+    /// counts running jobs of every partition toward the head's: `x`, which
+    /// this pass starts, hands the next pass an earlier shadow with a node
+    /// to spare, and `y`, refused a moment ago, now backfills. A pass that
+    /// started something must therefore never count as settled.
+    #[test]
+    fn a_pass_that_started_a_job_leaves_the_next_pass_due() {
+        let build = || {
+            let mut s = Slurm::new();
+            s.add_partition("p1", NodeSpec::cpu_node(), 4);
+            s.add_partition("p2", NodeSpec::cpu_node(), 4);
+            s.submit(job_in("p1", 2, 1000), SimTime::ZERO).unwrap();
+            s.submit(job_in("p1", 1, 2000), SimTime::ZERO).unwrap();
+            assert_eq!(s.schedule(SimTime::ZERO).len(), 2);
+            s.submit(job_in("p1", 3, 100), SimTime::ZERO).unwrap(); // blocked head
+            let y = s.submit(job_in("p2", 1, 5000), SimTime::ZERO).unwrap();
+            let x = s.submit(job_in("p2", 3, 500), SimTime::ZERO).unwrap();
+            (s, x, y)
+        };
+        let (mut s, x, y) = build();
+        assert_eq!(s.schedule(SimTime::ZERO), [x]);
+        assert_eq!(s.settled, None, "a start leaves the state changed");
+        assert_eq!(s.schedule(SimTime::ZERO), [y]);
+        // Now nothing is left to admit, and only now is the scheduler settled.
+        assert!(s.schedule(SimTime::ZERO).is_empty());
+        assert_eq!(s.settled, Some(SimTime::ZERO));
+
+        let (full, ..) = build();
+        let mut full = reference(full);
+        assert_eq!(full.schedule(SimTime::ZERO), [x]);
+        assert_eq!(full.schedule(SimTime::ZERO), [y]);
+    }
+
+    /// A pass whose only start attempt failed its prolog returns nothing,
+    /// like a fruitless one — but the job it requeued must be retried.
+    #[test]
+    fn a_held_job_forces_the_next_pass() {
+        use hpcc_sim::{FaultKind, FaultRule};
+        let mut s = cluster(1);
+        let healed = SimTime::ZERO + SimSpan::secs(100);
+        s.set_fault_injector(Arc::new(FaultInjector::new(
+            7,
+            vec![FaultRule::sticky(
+                FaultKind::PrologFailure,
+                SimTime::ZERO,
+                healed,
+            )],
+        )));
+        let id = s.submit(job(1, 50), SimTime::ZERO).unwrap();
+        assert!(s.schedule(SimTime::ZERO).is_empty());
+        assert_eq!(s.held, [id]);
+        assert_eq!(s.settled, None, "the pass started nothing, and is due");
+        assert_eq!(s.schedule(healed), [id]);
+    }
+
+    /// The controller's grow loop drains and offlines every WLM node every
+    /// tick while demand exceeds supply. On a busy partition every one of
+    /// those calls is refused, and a refusal is not a change.
+    #[test]
+    fn refused_node_administration_leaves_a_settled_scheduler_settled() {
+        let build = || {
+            let mut s = cluster(4);
+            for _ in 0..4 {
+                s.submit(job(1, 1000), SimTime::ZERO).unwrap();
+            }
+            s.submit(job(2, 10), SimTime::ZERO).unwrap(); // queued behind them
+            assert_eq!(s.schedule(SimTime::ZERO).len(), 4);
+            assert!(s.schedule(SimTime::ZERO).is_empty());
+            s
+        };
+        let (mut s, mut full) = (build(), reference(build()));
+        assert_eq!(s.settled, Some(SimTime::ZERO));
+        for round in 0..1000u64 {
+            for node in (0..4).map(NodeId) {
+                for s in [&mut s, &mut full] {
+                    assert!(matches!(s.drain_node(node), Err(WlmError::NodeBusy(_))));
+                    assert!(matches!(s.offline_node(node), Err(WlmError::NodeBusy(_))));
+                }
+            }
+            assert_eq!(s.settled, Some(SimTime::ZERO), "round {round}");
+            // The oracle: the full pass the skip stands in for starts nothing.
+            let now = SimTime::ZERO + SimSpan::millis(round);
+            assert!(full.schedule(now).is_empty());
+            assert!(s.schedule(now).is_empty());
+        }
+        assert_eq!(s.idle_nodes(), 0);
+    }
+
+    /// What the calls return is what they always returned; only a call
+    /// that moves a node unsettles the scheduler.
+    #[test]
+    fn node_administration_counts_only_real_transitions() {
+        let mut s = cluster(2);
+        let node = NodeId(0);
+        assert!(s.schedule(SimTime::ZERO).is_empty());
+        let settled = s.settled;
+        assert!(settled.is_some());
+
+        s.return_node(node).unwrap(); // not offline: nothing to return
+        assert_eq!(s.settled, settled);
+        s.drain_node(node).unwrap();
+        assert_eq!(s.settled, None, "Idle -> Draining is a change");
+        assert_eq!(s.idle_nodes(), 1);
+
+        s.schedule(SimTime::ZERO);
+        s.drain_node(node).unwrap(); // already draining: Ok, as before
+        assert_eq!(s.settled, settled);
+        s.offline_node(node).unwrap();
+        assert_eq!(s.settled, None, "Draining -> Offline is a change");
+
+        s.schedule(SimTime::ZERO);
+        s.drain_node(node).unwrap(); // offline: still Ok, still nothing
+        assert!(matches!(s.offline_node(node), Err(WlmError::NodeBusy(_))));
+        assert_eq!(s.settled, settled);
+        assert_eq!(s.node_state(node).unwrap(), NodeState::Offline);
+        s.return_node(node).unwrap();
+        assert_eq!(s.settled, None, "Offline -> Idle is a change");
+        assert_eq!(s.idle_nodes(), 2);
+    }
+
+    /// One step of a random stream of everything that can reach a `Slurm`.
+    /// Operands are reduced modulo what exists when the step runs.
+    type Step = (u8, u32, u64, bool);
+
+    /// Apply `step` at `*now`; returns the job ids the call returned.
+    fn apply(s: &mut Slurm, step: Step, now: &mut SimTime) -> Vec<JobId> {
+        let (op, a, b, flag) = step;
+        let node = NodeId(a % 6);
+        let known_job = JobId(b % s.next_id.max(1));
+        match op {
+            0 | 1 => {
+                let mut req = job(1 + a % 4, 1 + b % 600);
+                if flag {
+                    // Shared jobs pack cores; exclusive ones take nodes.
+                    req.exclusive = false;
+                    req.cores_per_node = 32 * (1 + a % 4);
+                }
+                if op == 1 {
+                    req.walltime_limit = SimSpan::secs(1 + b % 200);
+                }
+                s.submit(req, *now).map_or(Vec::new(), |id| vec![id])
+            }
+            2 | 3 => {
+                *now += SimSpan::secs(b % 300);
+                s.advance_to(*now)
+            }
+            4 => s.schedule(*now),
+            // A pass at an earlier instant than the last one.
+            5 => s.schedule(SimTime(now.0 / 2)),
+            6 => {
+                let _ = s.drain_node(node);
+                if flag {
+                    let _ = s.offline_node(node);
+                }
+                Vec::new()
+            }
+            7 => {
+                let _ = s.return_node(node);
+                Vec::new()
+            }
+            8 => {
+                let _ = s.cancel(known_job, *now);
+                Vec::new()
+            }
+            _ if flag => s.node_crash(node, *now).unwrap_or_default(),
+            _ => s.node_recover(node, *now).unwrap_or_default(),
+        }
+    }
+
+    proptest::proptest! {
+        /// Two schedulers fed one stream — prolog faults on, so failed
+        /// starts and requeues are in it — one of them forced to run every
+        /// pass in full: every call returns the same jobs, and every job,
+        /// node and ledger record ends up the same. A skipped pass that was
+        /// due would start a job late (or never) and show here.
+        #[test]
+        fn skipping_settled_passes_changes_no_outcome(
+            stream in proptest::collection::vec(
+                (0u8..10u8, 0u32..16u32, 0u64..1000u64, proptest::any::<bool>()),
+                1..80,
+            ),
+        ) {
+            use hpcc_sim::{FaultKind, FaultRule};
+            let build = || {
+                let mut s = cluster(6);
+                s.set_fault_injector(Arc::new(FaultInjector::new(
+                    11,
+                    vec![FaultRule::background(FaultKind::PrologFailure, 0.25)],
+                )));
+                s
+            };
+            let (mut fast, mut full) = (build(), reference(build()));
+            let (mut t_fast, mut t_full) = (SimTime::ZERO, SimTime::ZERO);
+            for step in stream {
+                let returned = apply(&mut fast, step, &mut t_fast);
+                proptest::prop_assert_eq!(&returned, &apply(&mut full, step, &mut t_full));
+                let states = |s: &Slurm| -> Vec<JobState> {
+                    s.jobs.values().map(|j| j.state.clone()).collect()
+                };
+                proptest::prop_assert_eq!(states(&fast), states(&full));
+                let nodes = |s: &Slurm| -> Vec<(NodeState, u32)> {
+                    s.nodes.values().map(|n| (n.state, n.free_cores)).collect()
+                };
+                proptest::prop_assert_eq!(nodes(&fast), nodes(&full));
+                proptest::prop_assert_eq!(fast.idle_nodes(), full.idle_nodes());
+                proptest::prop_assert_eq!(fast.ledger().records(), full.ledger().records());
+                proptest::prop_assert_eq!(fast.pending_count(), full.pending_count());
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 #                Kubernetes tick and kubelet boot each still live in one
 #                file and the per-scenario `run_traced` twins stay gone;
 #                hpcc-bench has exactly two drivers (`bench`, `repro`), no
-#                `benches/` and no criterion
+#                `benches/` and no criterion; no per-tick caller recounts
+#                the pod or node set (`list_pods` / `list_nodes`)
 #   test         full test suite, then hpcc-codec and hpcc-vfs again under
 #                `taskset -c 0` so the inline (one-core) path of block
 #                compression is exercised too (skipped with a notice when
@@ -16,7 +17,11 @@
 #                identical seeds and their printed fingerprints diffed
 #   goldens      checked-in golden traces *and experiment transcripts*
 #                match the code (`repro --check`; re-bless with
-#                `repro --bless [name...]`)
+#                `repro --bless [name...]`). It renders every transcript
+#                twice, `quant11` (nine site-scale controller runs)
+#                included: about 2 s of this stage, about 4 min of it
+#                before a controller tick cost O(1) — the number to hold
+#                the stage timer against
 #   bench        pipeline benchmark suite vs checked-in baseline (>10%
 #                makespan regression fails; every bench-* stage below
 #                is `bench <suite> --check`, and `bench <suite> --bless`
@@ -145,6 +150,26 @@ stage_lint() {
         exit 1
     fi
     echo "OK: one tick, one kubelet boot, one entry per scenario"
+    echo "==> no per-tick recount (DESIGN.md §\"What a tick costs\")"
+    # The API server keeps the counts control loops read every tick; the
+    # listing calls are for callers that want the objects themselves.
+    only_in "listing every pod (list_pods(|_| true))" \
+        'list_pods\(\|_\| true\)' '^crates/k8s/src/objects\.rs$' crates/adapt/src/cosim.rs
+    if [[ "$(grep -c 'list_pods(|_| true)' crates/adapt/src/cosim.rs)" != 1 ]]; then
+        echo "FAIL: World::finish is the one caller that lists every pod" >&2
+        exit 1
+    fi
+    sync_body="$(sed -n '/pub fn sync(/,/pub fn advance_to(/p' crates/k8s/src/kubelet.rs)"
+    if [[ -z "$sync_body" ]]; then
+        echo "FAIL: cannot find Kubelet::sync (up to advance_to) in crates/k8s/src/kubelet.rs" >&2
+        exit 1
+    fi
+    if grep -nE 'list_pods|list_nodes' crates/adapt/src/controller.rs crates/k8s/src/scheduler.rs \
+        || grep -nE 'list_pods|list_nodes' <<< "$sync_body"; then
+        echo "FAIL: the controller step, the pod scheduler and Kubelet::sync read ApiServer::pod_tallies / scheduled_pods, not a listing" >&2
+        exit 1
+    fi
+    echo "OK: tick-path callers count nothing themselves"
     echo "==> two bench drivers (DESIGN.md §\"Bench harness\")"
     if [[ "$(ls crates/bench/src/bin | tr '\n' ' ')" != "bench.rs repro.rs " ]]; then
         echo "FAIL: crates/bench/src/bin holds bench.rs and repro.rs only; a new experiment is an entry of repro::EXPERIMENTS" >&2

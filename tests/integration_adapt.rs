@@ -101,6 +101,57 @@ fn node_flaps_are_survivable_across_adaptive_policies() {
     }
 }
 
+// ------------------------------------------------------- a longer trace
+
+/// Two hours of arrivals on 32 nodes — 60 jobs and 90 pods in six bursts —
+/// finish under every preset, and a second run repeats the first down to
+/// the decision log. The site-scale version (64 nodes, 6 h, 400 + 600) is
+/// `repro quant11`; this is the size the debug profile can afford.
+#[test]
+fn two_hour_trace_completes_under_every_preset_and_repeats_itself() {
+    const NODES: u32 = 32;
+    let workload = generate(&TraceConfig {
+        seed: 18,
+        shape: TraceShape::Bursty {
+            bursts: 6,
+            pods_per_burst: 15,
+            spacing: SimSpan::secs(1200),
+            first_at: SimSpan::secs(120),
+        },
+        duration: SimSpan::secs(2 * 3600),
+        nodes: NODES,
+        n_jobs: 60,
+        n_pods: 90,
+        job_window: SimSpan::secs(2 * 3600),
+    });
+    for label in adapt_suite::POLICIES {
+        let replay = || {
+            let (policy, mut config) = adapt_suite::preset(label, NODES);
+            config.horizon = SimSpan::secs(12 * 3600);
+            run(RunSpec {
+                workload: &workload,
+                policy,
+                config,
+                cri: Arc::new(FixedCri(SimSpan::millis(1200))),
+                tracer: Tracer::disabled(),
+                faults: FaultInjector::disabled(),
+                domains: None,
+                scenario: "two-hour",
+            })
+        };
+        let (first, second) = (replay(), replay());
+        assert_eq!(first.pods_succeeded, workload.pods.len(), "{label}");
+        assert_eq!(first.jobs_completed, workload.jobs.len(), "{label}");
+        assert_eq!(
+            first.decisions.is_empty(),
+            label == "static",
+            "{label}: only the static split never actuates"
+        );
+        assert_eq!(first.decisions, second.decisions, "{label}");
+        assert_eq!(first, second, "{label}");
+    }
+}
+
 // ------------------------------------------------------------- purity
 
 fn shape_for(choice: u64) -> TraceShape {
