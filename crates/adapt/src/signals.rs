@@ -45,10 +45,4 @@ impl DemandSignals {
     pub fn supplying(&self) -> usize {
         self.agents + self.provisioning
     }
-
-    /// Nodes the pending pod demand alone would occupy (ceiling).
-    pub fn wanted_nodes(&self) -> u32 {
-        self.pending_pod_millis
-            .div_ceil(self.node_cpu_millis.max(1)) as u32
-    }
 }

@@ -4,17 +4,14 @@
 //! Each of the three shipped policies (static carve-out, queue-threshold
 //! reaction, EWMA forecasting with a warm pool) runs over each of the
 //! three trace shapes (bursty, diurnal, Poisson) on the same 16-node
-//! cluster, charging the measured container-startup cost per pod. The
-//! sweep writes `BENCH_adapt.json`; `--check` compares makespans, p95
-//! pod-startup latencies and reprovision counts against the checked-in
-//! baseline (`tests/bench/BENCH_adapt_baseline.json`) with the same >10%
-//! gate as the pipeline suite.
+//! cluster, charging the measured container-startup cost per pod.
 //!
 //! Everything runs on the logical clock with seeded traces, so two sweeps
-//! of the same tree produce byte-identical JSON — drift is a timing-model
-//! change, and must come with a `--bless`.
+//! of the same tree produce byte-identical JSON and `--check` holds the
+//! sweep to the checked-in `BENCH_adapt.json` byte for byte — any drift
+//! is a timing-model change, and must come with a `--bless`.
 
-use crate::harness::{self, Clock, GateResult};
+use crate::harness::{self, GateResult};
 use crate::json::Json;
 use hpcc_adapt::presets;
 use hpcc_adapt::traces::{generate, TraceConfig, TraceShape};
@@ -211,7 +208,7 @@ pub fn render(runs: &[AdaptRun]) -> Json {
     ])
 }
 
-/// Structural sanity of a fresh sweep, independent of any baseline: the
+/// Structural sanity of a fresh sweep, independent of any golden: the
 /// acceptance properties of the adaptive control plane itself.
 pub fn structural_check(runs: &[AdaptRun]) -> GateResult {
     let mut errors = Vec::new();
@@ -262,28 +259,15 @@ pub struct Adapt;
 
 impl harness::Suite for Adapt {
     const NAME: &'static str = "adapt";
-    const CLOCK: Clock = Clock::Logical;
+    const GOLDEN: Option<harness::Render<Self::Results>> = Some(|rows| render(rows));
     type Results = Vec<AdaptRun>;
 
-    fn run(_quick: bool) -> Vec<AdaptRun> {
+    fn run() -> Vec<AdaptRun> {
         run_suite()
-    }
-
-    fn render(runs: &Vec<AdaptRun>) -> Json {
-        render(runs)
     }
 
     fn gates(runs: &Vec<AdaptRun>) -> GateResult {
         structural_check(runs)
-    }
-
-    fn gated_metrics(doc: &Json) -> Vec<(String, f64)> {
-        harness::row_metrics(
-            doc,
-            "runs",
-            &["policy", "trace"],
-            &["makespan_ns", "p95_pod_start_ns", "reprovisions"],
-        )
     }
 
     fn table(runs: &Vec<AdaptRun>) -> Vec<Vec<String>> {

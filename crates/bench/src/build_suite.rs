@@ -18,10 +18,10 @@
 //! All builds run sequentially (fleets of one) so cache hit/miss counts
 //! are exact and gateable; the fleet-parallel path is covered by
 //! `hpcc-build`'s own tests. Everything runs on the logical clock, so
-//! the harness double-runs and demands byte-identical documents (the
-//! shared de-flake guard).
+//! the harness double-runs, demands byte-identical documents and holds
+//! them to `BENCH_build.json` (the shared exact-bytes guard).
 
-use crate::harness::{self, Clock, GateResult};
+use crate::harness::{self, GateResult};
 use crate::json::Json;
 use hpcc_build::{build_fleet, sign_and_push, BuildCache, BuildRequest, BuildSpec, MpiFamily};
 use hpcc_crypto::translog::TransparencyLog;
@@ -153,16 +153,27 @@ fn render_row(r: &BuildRow) -> Json {
     ])
 }
 
+/// Render results as the BENCH_build.json document.
+fn render(results: &[BuildRow]) -> Json {
+    Json::obj([
+        ("schema", Json::Str("hpcc-bench-build/v1".to_string())),
+        ("tenants", Json::Num(TENANTS as f64)),
+        ("builds_per_tenant", Json::Num(BUILDS_PER_TENANT as f64)),
+        ("workers", Json::Num(WORKERS as f64)),
+        ("rows", Json::Arr(results.iter().map(render_row).collect())),
+    ])
+}
+
 /// `bench build`.
 pub struct Build;
 
 impl harness::Suite for Build {
     const NAME: &'static str = "build";
-    const CLOCK: Clock = Clock::Logical;
+    const GOLDEN: Option<harness::Render<Self::Results>> = Some(|rows| render(rows));
     type Results = Vec<BuildRow>;
 
     /// Measure all three scenarios.
-    fn run(_quick: bool) -> Vec<BuildRow> {
+    fn run() -> Vec<BuildRow> {
         // Per-tenant caches and image stores for the cold/warm pair: the
         // warm pass rebuilds the same specs on the caches cold populated.
         let caches: Vec<Arc<BuildCache>> = (0..TENANTS).map(|_| BuildCache::node_local()).collect();
@@ -251,18 +262,7 @@ impl harness::Suite for Build {
         vec![cold, warm, shared]
     }
 
-    /// Render results as the BENCH_build.json document.
-    fn render(results: &Vec<BuildRow>) -> Json {
-        Json::obj([
-            ("schema", Json::Str("hpcc-bench-build/v1".to_string())),
-            ("tenants", Json::Num(TENANTS as f64)),
-            ("builds_per_tenant", Json::Num(BUILDS_PER_TENANT as f64)),
-            ("workers", Json::Num(WORKERS as f64)),
-            ("rows", Json::Arr(results.iter().map(render_row).collect())),
-        ])
-    }
-
-    /// Structural gates that hold regardless of baseline state:
+    /// Structural gates that hold whatever the golden says:
     ///
     /// 1. Warm rebuilds miss nothing and beat cold by [`WARM_WIN_FLOOR`]×.
     /// 2. Cold misses are exactly one full spec plus one unique leaf per
@@ -361,12 +361,6 @@ impl harness::Suite for Build {
         }
     }
 
-    /// `push_ns` is zero outside shared-base; the harness holds a zero
-    /// baseline to exactly zero, so a push appearing there is caught.
-    fn gated_metrics(doc: &Json) -> Vec<(String, f64)> {
-        harness::row_metrics(doc, "rows", &["scenario"], &["build_ns", "push_ns"])
-    }
-
     /// The incremental-rebuild/dedup table of EXPERIMENTS.md.
     fn table(results: &Vec<BuildRow>) -> Vec<Vec<String>> {
         let ms = |ns: u64| match ns {
@@ -411,22 +405,21 @@ mod tests {
     /// well-formed document.
     #[test]
     fn sweep_passes_structural_gates() {
-        let results = Build::run(false);
+        let results = Build::run();
         match Build::gates(&results) {
             Ok(report) => assert!(!report.is_empty()),
             Err(errors) => panic!("gates failed: {errors:?}"),
         }
-        let doc = Build::render(&results);
+        let doc = render(&results);
         assert!(doc.render().contains("shared-base"));
-        assert_eq!(crate::json::parse(&doc.render()).unwrap(), doc);
     }
 
     /// Two full sweeps are byte-identical (logical time only).
     #[test]
     fn sweep_is_deterministic() {
         assert_eq!(
-            Build::render(&Build::run(false)).render(),
-            Build::render(&Build::run(false)).render()
+            render(&Build::run()).render(),
+            render(&Build::run()).render()
         );
     }
 }

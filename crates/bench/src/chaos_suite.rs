@@ -32,10 +32,10 @@
 //! * **Rack-scale tree repair** — a mid-broadcast rack power loss must
 //!   be repaired in one whole-subtree pass and every dead node
 //!   re-attached and served only after its domain heals.
-//! * **Regression gate** — every cell's p50/p95 vs the checked-in
-//!   baseline under the harness's [`Clock::Logical`] rule.
+//! * **Golden** — the whole document, recovery times and the tree cell
+//!   included, is `BENCH_chaos.json` byte for byte.
 
-use crate::harness::{self, Clock, GateResult};
+use crate::harness::{self, GateResult};
 use crate::json::Json;
 use crate::storm_suite::{percentile, seed_pulls};
 use hpcc_registry::registry::RegistryError;
@@ -506,17 +506,49 @@ fn render_cell(r: &ChaosRow) -> Json {
     ])
 }
 
+/// Render results as the BENCH_chaos.json document.
+fn render(results: &ChaosResults) -> Json {
+    let t = &results.tree;
+    Json::obj([
+        ("schema", Json::Str("hpcc-bench-chaos/v1".to_string())),
+        ("nodes", Json::Num(NODES as f64)),
+        (
+            "outage",
+            Json::obj([
+                ("from_ns", Json::Num(OUTAGE_FROM.0 as f64)),
+                ("len_ns", Json::Num(OUTAGE_LEN.0 as f64)),
+            ]),
+        ),
+        (
+            "cells",
+            Json::Arr(results.cells.iter().map(render_cell).collect()),
+        ),
+        (
+            "tree",
+            Json::obj([
+                ("nodes", Json::Num(t.nodes as f64)),
+                ("dead", Json::Num(t.dead as f64)),
+                ("repairs", Json::Num(t.repairs as f64)),
+                ("rewired_edges", Json::Num(t.rewired_edges as f64)),
+                ("heal_ns", Json::Num(t.heal_ns as f64)),
+                ("reattach_done_ns", Json::Num(t.reattach_done_ns as f64)),
+                ("all_done_ns", Json::Num(t.all_done_ns as f64)),
+            ]),
+        ),
+    ])
+}
+
 /// `bench chaos`.
 pub struct Chaos;
 
 impl harness::Suite for Chaos {
     const NAME: &'static str = "chaos";
-    const CLOCK: Clock = Clock::Logical;
+    const GOLDEN: Option<harness::Render<Self::Results>> = Some(render);
     type Results = ChaosResults;
 
     /// Run the full scenario × mode sweep plus the tree-repair cell. Pure
     /// logical time: identical output every run.
-    fn run(_quick: bool) -> ChaosResults {
+    fn run() -> ChaosResults {
         let mut cells = Vec::with_capacity(SCENARIOS.len() * MODES.len());
         for (si, scenario) in SCENARIOS.iter().enumerate() {
             for (mi, mode) in MODES.iter().enumerate() {
@@ -528,38 +560,6 @@ impl harness::Suite for Chaos {
             cells,
             tree: tree_reheal(),
         }
-    }
-
-    /// Render results as the BENCH_chaos.json document.
-    fn render(results: &ChaosResults) -> Json {
-        let t = &results.tree;
-        Json::obj([
-            ("schema", Json::Str("hpcc-bench-chaos/v1".to_string())),
-            ("nodes", Json::Num(NODES as f64)),
-            (
-                "outage",
-                Json::obj([
-                    ("from_ns", Json::Num(OUTAGE_FROM.0 as f64)),
-                    ("len_ns", Json::Num(OUTAGE_LEN.0 as f64)),
-                ]),
-            ),
-            (
-                "cells",
-                Json::Arr(results.cells.iter().map(render_cell).collect()),
-            ),
-            (
-                "tree",
-                Json::obj([
-                    ("nodes", Json::Num(t.nodes as f64)),
-                    ("dead", Json::Num(t.dead as f64)),
-                    ("repairs", Json::Num(t.repairs as f64)),
-                    ("rewired_edges", Json::Num(t.rewired_edges as f64)),
-                    ("heal_ns", Json::Num(t.heal_ns as f64)),
-                    ("reattach_done_ns", Json::Num(t.reattach_done_ns as f64)),
-                    ("all_done_ns", Json::Num(t.all_done_ns as f64)),
-                ]),
-            ),
-        ])
     }
 
     /// The structural acceptance gates: real chaos in the `none` rows, zero
@@ -647,10 +647,6 @@ impl harness::Suite for Chaos {
         } else {
             Err(errors)
         }
-    }
-
-    fn gated_metrics(doc: &Json) -> Vec<(String, f64)> {
-        harness::row_metrics(doc, "cells", &["scenario", "mode"], &["p50_ns", "p95_ns"])
     }
 
     /// The game-day recovery table of EXPERIMENTS.md.

@@ -6,23 +6,19 @@
 //! schedule/cancel/reschedule churn, blobstore get/put, span open/close,
 //! and counter bumps (string-keyed vs batched typed handles).
 //!
-//! Two gates, designed so the hard one is machine-independent:
-//!
-//! * **Speedup floor** — the event-dispatch speedup is the ratio of the
-//!   reference heap to the timing wheel under the same live tracer,
-//!   *measured in the same run*, so it compares code, not machines. It
-//!   fails below [`DISPATCH_SPEEDUP_FLOOR`].
-//! * **Regression gate** — ns/op against the checked-in baseline, under
-//!   the harness's median-normalised [`Clock::Wall`] rule. Quick and full
-//!   sizes have different per-op profiles, so the suite declares
-//!   [`Suite::HAS_QUICK`] and keeps one baseline section per mode.
+//! Host time cannot be pinned in a file, so the suite has no golden
+//! ([`Suite::GOLDEN`] is `None`) and one verdict, machine-independent by
+//! construction: the event-dispatch speedup is the ratio of the reference
+//! heap to the timing wheel under the same live tracer, *measured in the
+//! same run*, so it compares code, not machines. It fails below
+//! [`DISPATCH_SPEEDUP_FLOOR`]. Claims about absolute host time are made
+//! with `benchmark/run.sh compare`, under alternating pairs.
 //!
 //! All workloads are seeded and deterministic in *what* they execute; only
 //! the wall-clock measurement varies run to run, which is why the suite
 //! keeps the best of several repeats.
 
-use crate::harness::{self, Clock, Comparison, GateResult, Suite};
-use crate::json::Json;
+use crate::harness::{self, GateResult, Suite};
 use hpcc_crypto::sha256::Digest;
 use hpcc_sim::des::{DesBackend, Engine};
 use hpcc_sim::obs::{Stage, Tracer};
@@ -235,64 +231,55 @@ fn counter_batched(ops: u64) -> u64 {
 /// One microbench: a workload sized in ops, returning elapsed wall ns.
 pub struct CoreBenchDef {
     pub name: &'static str,
-    pub quick_ops: u64,
-    pub full_ops: u64,
+    pub ops: u64,
     pub run: fn(u64) -> u64,
 }
 
 pub const CORE_BENCHES: &[CoreBenchDef] = &[
-    // The dispatch pair feeds the speedup floor, so quick mode keeps the
-    // full workload (its per-op profile is occupancy-shaped and ~0.3 s
-    // total); only the repeat count drops.
     CoreBenchDef {
         name: "des.event_dispatch.wheel",
-        quick_ops: 200_000,
-        full_ops: 200_000,
+        ops: 200_000,
         run: dispatch_wheel,
     },
     CoreBenchDef {
         name: "des.event_dispatch.heap",
-        quick_ops: 200_000,
-        full_ops: 200_000,
+        ops: 200_000,
         run: dispatch_heap,
     },
     CoreBenchDef {
         name: "des.sched_churn.wheel",
-        quick_ops: 50_000,
-        full_ops: 200_000,
+        ops: 200_000,
         run: churn_wheel,
     },
     CoreBenchDef {
         name: "des.sched_churn.heap",
-        quick_ops: 50_000,
-        full_ops: 200_000,
+        ops: 200_000,
         run: churn_heap,
     },
     CoreBenchDef {
         name: "blobstore.get_put",
-        quick_ops: 100_000,
-        full_ops: 400_000,
+        ops: 400_000,
         run: blobstore_get_put,
     },
     CoreBenchDef {
         name: "obs.span_open_close.interned",
-        quick_ops: 50_000,
-        full_ops: 200_000,
+        ops: 200_000,
         run: span_open_close_interned,
     },
     CoreBenchDef {
         name: "metrics.counter_bump.direct",
-        quick_ops: 200_000,
-        full_ops: 1_000_000,
+        ops: 1_000_000,
         run: counter_direct,
     },
     CoreBenchDef {
         name: "metrics.counter_bump.batched",
-        quick_ops: 200_000,
-        full_ops: 1_000_000,
+        ops: 1_000_000,
         run: counter_batched,
     },
 ];
+
+/// Whole-suite measurement rounds; each bench keeps its best.
+const ROUNDS: usize = 5;
 
 /// Best-of-repeats measurement of one bench.
 #[derive(Debug, Clone)]
@@ -314,13 +301,6 @@ impl BenchResult {
             self.ops as f64 * 1e9 / self.best_total_ns as f64
         }
     }
-}
-
-/// One run of the whole suite at one size.
-#[derive(Debug, Clone)]
-pub struct CoreResults {
-    pub quick: bool,
-    pub benches: Vec<BenchResult>,
 }
 
 fn find<'a>(results: &'a [BenchResult], name: &str) -> Option<&'a BenchResult> {
@@ -356,93 +336,44 @@ pub fn speedups(results: &[BenchResult]) -> Vec<(&'static str, f64)> {
         .collect()
 }
 
-/// Extra measurement rounds granted to benches the baseline comparison
-/// flags, before a failure is believed.
-const CHECK_RETRIES: usize = 4;
-
 /// `bench core`.
 pub struct Core;
 
 impl Suite for Core {
     const NAME: &'static str = "core";
-    const HAS_QUICK: bool = true;
-    const CLOCK: Clock = Clock::Wall;
-    type Results = CoreResults;
+    const GOLDEN: Option<harness::Render<Self::Results>> = None;
+    type Results = Vec<BenchResult>;
 
-    /// Quick mode shrinks workloads and repeats — used by the `bench-core`
-    /// ci.sh stage; `--bless` uses full mode.
-    ///
     /// Repeats are interleaved in whole-suite rounds (per-bench min across
     /// rounds) rather than run back to back: a transient machine-load spike
-    /// then dents every bench a little instead of landing squarely on one,
-    /// which is the failure mode the median-normalized gate cannot absorb.
-    fn run(quick: bool) -> CoreResults {
-        let repeats = if quick { 3 } else { 5 };
-        let ops: Vec<u64> = CORE_BENCHES
-            .iter()
-            .map(|def| if quick { def.quick_ops } else { def.full_ops })
-            .collect();
+    /// then dents every bench a little instead of landing squarely on one
+    /// side of a speedup pair.
+    fn run() -> Vec<BenchResult> {
         // Warmup round at a fraction of each size.
-        for (def, &n) in CORE_BENCHES.iter().zip(&ops) {
-            (def.run)(n / 10);
+        for def in CORE_BENCHES {
+            (def.run)(def.ops / 10);
         }
         let mut best = vec![u64::MAX; CORE_BENCHES.len()];
-        for _ in 0..repeats {
-            for (i, def) in CORE_BENCHES.iter().enumerate() {
-                best[i] = best[i].min((def.run)(ops[i]));
+        for _ in 0..ROUNDS {
+            for (best, def) in best.iter_mut().zip(CORE_BENCHES) {
+                *best = (*best).min((def.run)(def.ops));
             }
         }
-        let benches = CORE_BENCHES
+        CORE_BENCHES
             .iter()
-            .enumerate()
-            .map(|(i, def)| BenchResult {
+            .zip(best)
+            .map(|(def, best)| BenchResult {
                 name: def.name,
-                ops: ops[i],
-                best_total_ns: best[i].max(1),
+                ops: def.ops,
+                best_total_ns: best.max(1),
             })
-            .collect();
-        CoreResults { quick, benches }
-    }
-
-    /// Results and live speedups as the BENCH_core.json document.
-    fn render(results: &CoreResults) -> Json {
-        let benches = results
-            .benches
-            .iter()
-            .map(|r| {
-                Json::obj([
-                    ("name", Json::Str(r.name.to_string())),
-                    ("ops", Json::Num(r.ops as f64)),
-                    ("best_total_ns", Json::Num(r.best_total_ns as f64)),
-                    (
-                        "ns_per_op",
-                        Json::Num((r.ns_per_op() * 100.0).round() / 100.0),
-                    ),
-                ])
-            })
-            .collect();
-        let sp = speedups(&results.benches)
-            .into_iter()
-            .map(|(label, x)| {
-                Json::obj([
-                    ("name", Json::Str(label.to_string())),
-                    ("speedup", Json::Num((x * 100.0).round() / 100.0)),
-                ])
-            })
-            .collect();
-        let mode = if results.quick { "quick" } else { "full" };
-        Json::obj([
-            ("schema", Json::Str("hpcc-bench-core/v1".to_string())),
-            ("mode", Json::Str(mode.to_string())),
-            ("benches", Json::Arr(benches)),
-            ("speedups", Json::Arr(sp)),
-        ])
+            .collect()
     }
 
     /// The machine-independent acceptance gate: dispatch speedup measured
     /// in this very run must clear [`DISPATCH_SPEEDUP_FLOOR`].
-    fn gates(results: &CoreResults) -> GateResult {
-        let sp = speedups(&results.benches);
+    fn gates(results: &Vec<BenchResult>) -> GateResult {
+        let sp = speedups(results);
         let mut errors = Vec::new();
         match sp.iter().find(|(l, _)| *l == "event_dispatch") {
             Some((_, x)) if *x >= DISPATCH_SPEEDUP_FLOOR => {}
@@ -458,14 +389,10 @@ impl Suite for Core {
         harness::verdict(report, errors)
     }
 
-    fn gated_metrics(doc: &Json) -> Vec<(String, f64)> {
-        harness::row_metrics(doc, "benches", &["name"], &["ns_per_op"])
-    }
-
-    fn table(results: &CoreResults) -> Vec<Vec<String>> {
+    fn table(results: &Vec<BenchResult>) -> Vec<Vec<String>> {
         harness::table(
             ["bench", "ops", "ns/op", "ops/sec"],
-            results.benches.iter().map(|r| {
+            results.iter().map(|r| {
                 [
                     r.name.to_string(),
                     r.ops.to_string(),
@@ -474,28 +401,6 @@ impl Suite for Core {
                 ]
             }),
         )
-    }
-
-    /// A flagged bench is re-measured (min-merged into its result) up to
-    /// `CHECK_RETRIES` more rounds before the gate fails. Real
-    /// regressions reproduce every round; a load spike that dented one
-    /// bench's original rounds does not — and on shared hardware that
-    /// spike is otherwise the dominant failure mode. Baseline defects are
-    /// not measurement noise; retrying cannot fix them.
-    fn check(results: &mut CoreResults, baseline: &Json) -> Comparison {
-        for _ in 0..CHECK_RETRIES {
-            let cmp = harness::compare_to_baseline::<Core>(&Self::render(results), baseline);
-            if cmp.regressed.is_empty() || !cmp.invalid.is_empty() {
-                return cmp;
-            }
-            for (def, r) in CORE_BENCHES.iter().zip(&mut results.benches) {
-                let label = format!("{}.ns_per_op", def.name);
-                if cmp.regressed.iter().any(|(l, _)| *l == label) {
-                    r.best_total_ns = r.best_total_ns.min((def.run)(r.ops).max(1));
-                }
-            }
-        }
-        harness::compare_to_baseline::<Core>(&Self::render(results), baseline)
     }
 }
 
@@ -517,14 +422,36 @@ mod tests {
             .collect();
         let sp = speedups(&benches);
         assert_eq!(sp.len(), 3, "{sp:?}");
-        let doc = Core::render(&CoreResults {
-            quick: true,
-            benches,
-        });
+        assert_eq!(Core::table(&benches).len(), 1 + CORE_BENCHES.len());
+    }
+
+    /// The suite's only verdict: every bench at 100 ns/op but the heap
+    /// side of the dispatch pair.
+    #[test]
+    fn dispatch_below_the_speedup_floor_is_red() {
+        let run = |heap_total_ns: u64| -> Vec<BenchResult> {
+            let total = |name| match name {
+                "des.event_dispatch.heap" => heap_total_ns,
+                _ => 100_000,
+            };
+            CORE_BENCHES
+                .iter()
+                .map(|def| BenchResult {
+                    name: def.name,
+                    ops: 1_000,
+                    best_total_ns: total(def.name),
+                })
+                .collect()
+        };
+        let report = Core::gates(&run(200_000)).unwrap();
+        assert_eq!(report[0], "event_dispatch: 2.00x over the reference path");
+        assert!(Core::gates(&run(140_000)).is_ok());
+        let errors = Core::gates(&run(139_000)).unwrap_err();
         assert_eq!(
-            doc.get("schema").and_then(|s| s.as_str()),
-            Some("hpcc-bench-core/v1")
+            errors,
+            ["event dispatch speedup 1.39x below the 1.4x floor"]
         );
-        assert_eq!(Core::gated_metrics(&doc).len(), CORE_BENCHES.len());
+        let errors = Core::gates(&Vec::new()).unwrap_err();
+        assert_eq!(errors, ["event dispatch benches missing from run"]);
     }
 }

@@ -1,41 +1,20 @@
 //! The one bench harness: a [`Suite`] describes *what* is measured, and
 //! [`drive`] owns everything every suite used to re-implement — argument
-//! handling, the `BENCH_<NAME>.json` / `tests/bench/BENCH_<NAME>_baseline.json`
-//! paths, load/bless, the double-run guard, the baseline comparison and
-//! all pass/fail printing. The `bench` binary is [`run`] over [`SUITES`].
+//! handling, the double-run guard, the structural gates, the golden
+//! `BENCH_<NAME>.json` and all pass/fail printing. The `bench` binary is
+//! [`run`] over [`SUITES`].
 //!
-//! Which regression gate applies is derived from the suite's [`Clock`]
-//! and is not a setting:
-//!
-//! * [`Clock::Logical`] — simulated time admits no noise, so every gated
-//!   metric is held to an absolute [`LOGICAL_TOLERANCE`] of its baseline
-//!   value. A uniform slowdown of the timing model is a regression like
-//!   any other and must come with a `--bless`.
-//! * [`Clock::Wall`] — ratios are normalised by the median
-//!   current/baseline ratio so absolute machine speed cancels; a metric
-//!   more than [`WALL_TOLERANCE`] past the median fails.
+//! A suite is either deterministic — then it has exactly one golden, held
+//! to exact bytes by `--check` and written by nothing but `--bless` — or
+//! it reads the host clock, and then it has none: its only verdict is its
+//! own structural gates, and wall-clock claims are made with
+//! `benchmark/run.sh compare`.
 
-use crate::json::{self, Json};
+use crate::json::Json;
 use crate::tables::render_table;
 use crate::{adapt_suite, build_suite, chaos_suite, core_suite, guard};
 use crate::{lazy_suite, storm_suite, suite};
 use std::path::{Path, PathBuf};
-
-/// The time base a suite reports in; selects the regression gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Clock {
-    /// Simulated DES time: deterministic, gated absolutely.
-    Logical,
-    /// Host wall clock: noisy, gated relative to the median ratio.
-    Wall,
-}
-
-/// A [`Clock::Logical`] metric more than this fraction over baseline fails.
-pub const LOGICAL_TOLERANCE: f64 = 0.10;
-
-/// A [`Clock::Wall`] metric whose current/baseline ratio exceeds the
-/// run's median ratio by more than this fraction fails.
-pub const WALL_TOLERANCE: f64 = 0.15;
 
 /// Report lines on success, one line per violation on failure.
 pub type GateResult = Result<Vec<String>, Vec<String>>;
@@ -61,185 +40,29 @@ pub fn table<const N: usize>(
         .collect()
 }
 
-/// One benchmark suite: a sweep, its JSON document, its structural gates
-/// and the metrics the baseline gate holds still.
+/// Renders a suite's results as its golden document.
+pub type Render<R> = fn(&R) -> Json;
+
+/// One benchmark suite: a sweep, its structural gates, its summary table
+/// and — when every number is simulated time — its golden document.
 pub trait Suite: Sized {
-    /// Name on the command line and in the `BENCH_<NAME>` file names.
+    /// Name on the command line and in `BENCH_<NAME>.json`.
     const NAME: &'static str;
-    /// Whether the suite has smaller `--quick` sizes. Such a suite keeps
-    /// one baseline section per mode, because per-op profiles differ
-    /// with workload size and each mode must compare like with like.
-    const HAS_QUICK: bool = false;
-    /// The suite's time base; selects the regression gate.
-    const CLOCK: Clock;
+    /// The document `BENCH_<NAME>.json` holds, byte for byte; `None` for
+    /// a suite that measures the host, whose numbers no file can pin.
+    const GOLDEN: Option<Render<Self::Results>>;
     type Results;
 
-    /// Run the sweep (`quick` is only ever true when [`Self::HAS_QUICK`]).
-    fn run(quick: bool) -> Self::Results;
-    /// The document written to `BENCH_<NAME>.json` and, blessed, to the
-    /// baseline.
-    fn render(results: &Self::Results) -> Json;
-    /// Structural gates that hold regardless of any baseline.
+    /// Run the sweep.
+    fn run() -> Self::Results;
+    /// Structural gates: what the suite exists to show about this run.
     fn gates(results: &Self::Results) -> GateResult;
-    /// `(label, value)` of every metric the baseline gate compares, read
-    /// back out of a rendered document — the fresh one and the baseline
-    /// alike, so no suite carries baseline-lookup code.
-    fn gated_metrics(doc: &Json) -> Vec<(String, f64)>;
     /// Summary rows, header first; printed aligned or as markdown.
     fn table(results: &Self::Results) -> Vec<Vec<String>>;
-    /// Compare a fresh run with its baseline. One pass of
-    /// [`compare_to_baseline`] by default; a wall-clock suite may
-    /// re-measure what it flags before believing it.
-    fn check(results: &mut Self::Results, baseline: &Json) -> Comparison {
-        compare_to_baseline::<Self>(&Self::render(results), baseline)
-    }
 }
 
-/// [`Suite::gated_metrics`] for a document shaped
-/// `{ <array>: [ { <ids>…, <metrics>… } ] }`: one
-/// `"<id>/<id>.<metric>"` entry per row and metric present.
-pub fn row_metrics(doc: &Json, array: &str, ids: &[&str], metrics: &[&str]) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for row in doc.get(array).and_then(Json::as_arr).unwrap_or(&[]) {
-        let id: Vec<String> = ids
-            .iter()
-            .map(|k| match row.get(k) {
-                Some(Json::Str(s)) => s.clone(),
-                Some(Json::Num(n)) => num(*n),
-                _ => "?".to_string(),
-            })
-            .collect();
-        for m in metrics {
-            if let Some(v) = row.get(m).and_then(Json::as_f64) {
-                out.push((format!("{}.{m}", id.join("/")), v));
-            }
-        }
-    }
-    out
-}
-
-fn num(x: f64) -> String {
-    if x.fract() == 0.0 {
-        format!("{x:.0}")
-    } else {
-        format!("{x:.2}")
-    }
-}
-
-/// Outcome of one baseline comparison.
-#[derive(Debug, Default)]
-pub struct Comparison {
-    /// One line per metric within tolerance.
-    pub passed: Vec<String>,
-    /// `(label, message)` per metric over its limit.
-    pub regressed: Vec<(String, String)>,
-    /// Baseline defects no re-measurement can fix (missing entries).
-    pub invalid: Vec<String>,
-}
-
-impl Comparison {
-    pub fn is_ok(&self) -> bool {
-        self.regressed.is_empty() && self.invalid.is_empty()
-    }
-
-    /// Every failure message, baseline defects first.
-    pub fn errors(&self) -> Vec<String> {
-        let regressed = self.regressed.iter().map(|(_, m)| m.clone());
-        self.invalid.iter().cloned().chain(regressed).collect()
-    }
-}
-
-/// The one regression gate: the suite's gated metrics of the `fresh`
-/// document against the same metrics of the `baseline` document, matched
-/// by label. A metric absent from the baseline is an error; a zero
-/// baseline admits only a zero current value; everything else goes
-/// through the gate the suite's [`Clock`] selects.
-pub fn compare_to_baseline<S: Suite>(fresh: &Json, baseline: &Json) -> Comparison {
-    let base = S::gated_metrics(baseline);
-    let metrics: Vec<(String, f64, Option<f64>)> = S::gated_metrics(fresh)
-        .into_iter()
-        .map(|(label, cur)| {
-            let b = base.iter().find(|(l, _)| *l == label).map(|(_, b)| *b);
-            (label, cur, b)
-        })
-        .collect();
-    let mut cmp = Comparison::default();
-    if metrics.is_empty() {
-        cmp.invalid.push("run produced no gated metrics".into());
-    }
-    let (mut norm, mut past) = (1.0, String::new());
-    let tolerance = match S::CLOCK {
-        Clock::Logical => LOGICAL_TOLERANCE,
-        Clock::Wall => {
-            let mut ratios: Vec<f64> = metrics
-                .iter()
-                .filter_map(|(_, cur, b)| b.filter(|b| *b != 0.0).map(|b| cur / b))
-                .collect();
-            ratios.sort_by(f64::total_cmp);
-            if let Some(median) = ratios.get(ratios.len() / 2) {
-                norm = *median;
-                past = format!(" past the median ratio {norm:.3}");
-                cmp.passed.push(format!(
-                    "median current/baseline ratio {norm:.3} (machine speed factor)"
-                ));
-            }
-            WALL_TOLERANCE
-        }
-    };
-    for (label, cur, b) in metrics {
-        let Some(b) = b else {
-            cmp.invalid.push(format!(
-                "{label}: no baseline entry (re-bless with `bench {} --bless`)",
-                S::NAME
-            ));
-            continue;
-        };
-        let line = format!("{label}: {} vs baseline {}", num(cur), num(b));
-        if b == 0.0 {
-            if cur == 0.0 {
-                cmp.passed.push(line);
-            } else {
-                let why = "a zero baseline admits only zero";
-                cmp.regressed.push((label, format!("{line} — {why}")));
-            }
-        } else {
-            let drift = (cur / b / norm - 1.0) * 100.0;
-            if cur / b > norm * (1.0 + tolerance) {
-                let gate = tolerance * 100.0;
-                let why = format!("{drift:+.1}%{past} exceeds the {gate:.0}% gate");
-                cmp.regressed.push((label, format!("{line} — {why}")));
-            } else {
-                cmp.passed.push(format!("{line} ({drift:+.1}%)"));
-            }
-        }
-    }
-    cmp
-}
-
-fn results_path(root: &Path, name: &str) -> PathBuf {
+fn golden_path(root: &Path, name: &str) -> PathBuf {
     root.join(format!("BENCH_{name}.json"))
-}
-
-fn baseline_path(root: &Path, name: &str) -> PathBuf {
-    root.join(format!("tests/bench/BENCH_{name}_baseline.json"))
-}
-
-fn load_baseline(root: &Path, name: &str) -> Result<Json, String> {
-    let path = baseline_path(root, name);
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read baseline {} ({e}); create it with `bench {name} --bless`",
-            path.display()
-        )
-    })?;
-    json::parse(&text).map_err(|e| format!("baseline {}: {e}", path.display()))
-}
-
-fn write_doc(path: &Path, doc: &Json) -> Result<(), String> {
-    let parent = path.parent().expect("bench paths have a parent");
-    std::fs::create_dir_all(parent)
-        .and_then(|()| std::fs::write(path, doc.render()))
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 /// The summary rows as a markdown table (the EXPERIMENTS.md format).
@@ -254,41 +77,27 @@ pub fn render_markdown_table(rows: &[Vec<String>]) -> String {
     out
 }
 
-fn passed(what: &str, lines: &[String]) {
-    println!("\n{what} passed:");
-    for line in lines {
-        println!("  {line}");
-    }
-}
-
-fn failed(what: &str, errors: &[String]) -> String {
-    let lines: Vec<String> = errors.iter().map(|e| format!("  - {e}")).collect();
-    format!("{what} FAILED:\n{}", lines.join("\n"))
-}
-
 /// What the command line asked for.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Opts {
-    /// Compare against the checked-in baseline; exit 1 on regression.
+    /// Exit 1 unless the gates hold and the run renders its golden.
     pub check: bool,
-    /// Overwrite the baseline with this run.
+    /// Overwrite the golden with this run.
     pub bless: bool,
     /// Print the summary table as markdown instead of aligned text.
     pub markdown: bool,
-    /// Run the suite's quick sizes (only where it declares any).
-    pub quick: bool,
 }
 
-/// Run suite `S` with files under `root`; returns the process exit code
-/// (0 ok, 1 a gate failed, 2 the options make no sense for this suite).
+/// Run suite `S` with its golden under `root`; returns the process exit
+/// code (0 ok, 1 a gate failed, 2 the options make no sense for this
+/// suite).
 pub fn drive<S: Suite>(root: &Path, opts: &Opts) -> i32 {
     let me = format!("bench {}", S::NAME);
-    if opts.quick && !S::HAS_QUICK {
-        eprintln!("{me}: the suite declares no quick sizes; drop --quick");
-        return 2;
-    }
-    if opts.quick && opts.bless {
-        eprintln!("{me}: --bless needs the full-size run; drop --quick");
+    if opts.bless && S::GOLDEN.is_none() {
+        eprintln!(
+            "{me}: the suite measures the host, so it has no golden to bless; \
+             wall-clock claims are made with `benchmark/run.sh compare`"
+        );
         return 2;
     }
     match drive_checked::<S>(root, opts) {
@@ -301,14 +110,16 @@ pub fn drive<S: Suite>(root: &Path, opts: &Opts) -> i32 {
 }
 
 fn drive_checked<S: Suite>(root: &Path, opts: &Opts) -> Result<(), String> {
-    // Logical time admits no noise: before a run is compared or blessed,
-    // a second run must render the same bytes. Wall clocks never would.
-    let mut results = if S::CLOCK == Clock::Logical && (opts.check || opts.bless) {
-        guard::deterministic_runs(|| S::run(opts.quick), |r| S::render(r).render())?
-    } else {
-        S::run(opts.quick)
+    // The golden's text, when this invocation compares or writes it.
+    let render = S::GOLDEN
+        .filter(|_| opts.check || opts.bless)
+        .map(|doc| move |results: &S::Results| doc(results).render());
+    // Simulated time admits no noise: before a run is compared or
+    // blessed, a second run must render the same bytes.
+    let results = match &render {
+        Some(render) => guard::deterministic_runs(S::run, render)?,
+        None => S::run(),
     };
-    let doc = S::render(&results);
 
     let rows = S::table(&results);
     if opts.markdown {
@@ -316,48 +127,29 @@ fn drive_checked<S: Suite>(root: &Path, opts: &Opts) -> Result<(), String> {
     } else {
         print!("{}", render_table(&rows));
     }
-    let out = results_path(root, S::NAME);
-    if opts.quick {
-        println!("\nquick mode: leaving {} untouched", out.display());
-    } else {
-        write_doc(&out, &doc)?;
-        println!("\nwrote {}", out.display());
-    }
 
     // Gates run on every invocation, and before any bless: a run that
-    // fails its own structural gates must never become the baseline.
-    let report = S::gates(&results).map_err(|e| failed("structural gates", &e))?;
-    passed("structural gates", &report);
-
-    if opts.bless {
-        let baseline = if S::HAS_QUICK {
-            println!("\nre-running at quick sizes for the quick baseline section...");
-            let quick = S::render(&S::run(true));
-            let schema = doc.get("schema").cloned().unwrap_or(Json::Null);
-            Json::obj([("schema", schema), ("full", doc), ("quick", quick)])
-        } else {
-            doc
-        };
-        let path = baseline_path(root, S::NAME);
-        write_doc(&path, &baseline)?;
-        println!("\nblessed baseline {}", path.display());
+    // fails its own structural gates must never become the golden.
+    let report = S::gates(&results).map_err(|errors| {
+        let lines: Vec<String> = errors.iter().map(|e| format!("  - {e}")).collect();
+        format!("structural gates FAILED:\n{}", lines.join("\n"))
+    })?;
+    println!("\nstructural gates passed:");
+    for line in report {
+        println!("  {line}");
     }
 
+    let Some(render) = render else { return Ok(()) };
+    let (path, fresh) = (golden_path(root, S::NAME), render(&results));
+    if opts.bless {
+        std::fs::create_dir_all(root)
+            .and_then(|()| std::fs::write(&path, &fresh))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        println!("\nblessed {}", path.display());
+    }
     if opts.check {
-        let baseline = load_baseline(root, S::NAME)?;
-        let mode = if opts.quick { "quick" } else { "full" };
-        let section = if S::HAS_QUICK {
-            baseline
-                .get(mode)
-                .ok_or_else(|| format!("baseline has no `{mode}` section"))?
-        } else {
-            &baseline
-        };
-        let cmp = S::check(&mut results, section);
-        if !cmp.is_ok() {
-            return Err(failed("baseline comparison", &cmp.errors()));
-        }
-        passed("baseline comparison", &cmp.passed);
+        guard::matches_checked_in(&path, &fresh, &format!("bench {} --bless", S::NAME))?;
+        println!("\nrenders {} byte for byte", path.display());
     }
     Ok(())
 }
@@ -365,12 +157,24 @@ fn drive_checked<S: Suite>(root: &Path, opts: &Opts) -> Result<(), String> {
 /// [`drive`] instantiated for one suite.
 pub type Driver = fn(&Path, &Opts) -> i32;
 
-const fn entry<S: Suite>() -> (&'static str, Driver) {
-    (S::NAME, drive::<S>)
+/// One line of [`SUITES`].
+pub struct Entry {
+    pub name: &'static str,
+    /// Whether `BENCH_<name>.json` exists.
+    pub has_golden: bool,
+    pub drive: Driver,
+}
+
+const fn entry<S: Suite>() -> Entry {
+    Entry {
+        name: S::NAME,
+        has_golden: S::GOLDEN.is_some(),
+        drive: drive::<S>,
+    }
 }
 
 /// Every suite the `bench` binary can run, in `--list` order.
-pub const SUITES: &[(&str, Driver)] = &[
+pub const SUITES: &[Entry] = &[
     entry::<suite::Pipeline>(),
     entry::<adapt_suite::Adapt>(),
     entry::<core_suite::Core>(),
@@ -380,13 +184,13 @@ pub const SUITES: &[(&str, Driver)] = &[
     entry::<chaos_suite::Chaos>(),
 ];
 
-/// The `bench` binary: `bench <suite> [--check] [--bless] [--markdown]
-/// [--quick]` or `bench --list`. Returns the process exit code.
+/// The `bench` binary: `bench <suite> [--check] [--bless] [--markdown]`
+/// or `bench --list`. Returns the process exit code.
 pub fn run(args: &[String]) -> i32 {
-    let names: Vec<&str> = SUITES.iter().map(|(name, _)| *name).collect();
+    let names: Vec<&str> = SUITES.iter().map(|suite| suite.name).collect();
     let Some((first, flags)) = args.split_first() else {
         eprintln!(
-            "usage: bench <{}> [--check] [--bless] [--markdown] [--quick]\n       bench --list",
+            "usage: bench <{}> [--check] [--bless] [--markdown]\n       bench --list",
             names.join("|")
         );
         return 2;
@@ -395,7 +199,7 @@ pub fn run(args: &[String]) -> i32 {
         println!("{}", names.join("\n"));
         return 0;
     }
-    let Some((_, drive)) = SUITES.iter().find(|(name, _)| name == first) else {
+    let Some(suite) = SUITES.iter().find(|suite| suite.name == first) else {
         eprintln!(
             "bench: unknown suite `{first}` (one of {})",
             names.join(", ")
@@ -408,53 +212,70 @@ pub fn run(args: &[String]) -> i32 {
             "--check" => opts.check = true,
             "--bless" => opts.bless = true,
             "--markdown" => opts.markdown = true,
-            "--quick" => opts.quick = true,
             bad => {
                 eprintln!(
                     "bench {first}: unknown argument `{bad}` \
-                     (expected --check, --bless, --markdown, --quick)"
+                     (expected --check, --bless, --markdown)"
                 );
                 return 2;
             }
         }
     }
-    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    drive(root, &opts)
+    (suite.drive)(guard::repo_root(), &opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A three-metric suite with a switchable clock and gate verdict.
-    struct Toy<const WALL: bool, const SOUND: bool>;
+    /// A suite with or without a golden and with a switchable gate verdict.
+    struct Toy<const GOLDEN: bool, const SOUND: bool>;
 
-    type Rows = Vec<(&'static str, f64)>;
+    /// `(name, ns, bytes)` per row, and the names of the `tenants` array.
+    struct ToyRun {
+        rows: Vec<(&'static str, f64, f64)>,
+        tenants: Vec<&'static str>,
+    }
 
-    fn doc(rows: &[(&'static str, f64)]) -> Json {
-        let row = |(name, ns): &(&'static str, f64)| {
+    fn base() -> ToyRun {
+        ToyRun {
+            rows: vec![
+                ("a", 100.0, 4096.0),
+                ("b", 200.0, 512.0),
+                ("idle", 0.0, 0.0),
+            ],
+            tenants: vec!["batch", "guest"],
+        }
+    }
+
+    fn doc(run: &ToyRun) -> Json {
+        let row = |(name, ns, bytes): &(&'static str, f64, f64)| {
             Json::obj([
                 ("name", Json::Str(name.to_string())),
                 ("ns", Json::Num(*ns)),
+                ("bytes", Json::Num(*bytes)),
             ])
         };
-        Json::obj([("rows", Json::Arr(rows.iter().map(row).collect()))])
+        let tenant = |name: &&'static str| Json::obj([("name", Json::Str(name.to_string()))]);
+        Json::obj([
+            ("rows", Json::Arr(run.rows.iter().map(row).collect())),
+            (
+                "tenants",
+                Json::Arr(run.tenants.iter().map(tenant).collect()),
+            ),
+        ])
     }
 
-    impl<const WALL: bool, const SOUND: bool> Suite for Toy<WALL, SOUND> {
+    impl<const GOLDEN: bool, const SOUND: bool> Suite for Toy<GOLDEN, SOUND> {
         const NAME: &'static str = "toy";
-        const CLOCK: Clock = if WALL { Clock::Wall } else { Clock::Logical };
-        type Results = Rows;
+        const GOLDEN: Option<Render<ToyRun>> = if GOLDEN { Some(doc) } else { None };
+        type Results = ToyRun;
 
-        fn run(_quick: bool) -> Rows {
-            vec![("a", 100.0), ("b", 200.0), ("c", 300.0), ("idle", 0.0)]
+        fn run() -> ToyRun {
+            base()
         }
 
-        fn render(rows: &Rows) -> Json {
-            doc(rows)
-        }
-
-        fn gates(_: &Rows) -> GateResult {
+        fn gates(_: &ToyRun) -> GateResult {
             let broke = if SOUND {
                 None
             } else {
@@ -463,82 +284,213 @@ mod tests {
             verdict(vec!["toy gate holds".into()], broke.into_iter().collect())
         }
 
-        fn gated_metrics(doc: &Json) -> Vec<(String, f64)> {
-            row_metrics(doc, "rows", &["name"], &["ns"])
-        }
-
-        fn table(rows: &Rows) -> Vec<Vec<String>> {
+        fn table(run: &ToyRun) -> Vec<Vec<String>> {
             table(
                 ["name", "ns"],
-                rows.iter().map(|(n, v)| [n.to_string(), num(*v)]),
+                run.rows
+                    .iter()
+                    .map(|(n, ns, _)| [n.to_string(), ns.to_string()]),
             )
         }
     }
 
-    type Logical = Toy<false, true>;
-    type Wall = Toy<true, true>;
+    /// Renders a different document on every run.
+    struct Flaky;
 
-    const BASE: [(&str, f64); 4] = [("a", 100.0), ("b", 200.0), ("c", 300.0), ("idle", 0.0)];
+    impl Suite for Flaky {
+        const NAME: &'static str = "flaky";
+        const GOLDEN: Option<Render<ToyRun>> = Some(doc);
+        type Results = ToyRun;
 
-    #[test]
-    fn equal_documents_pass_under_both_clocks() {
-        assert!(compare_to_baseline::<Logical>(&doc(&BASE), &doc(&BASE)).is_ok());
-        let wall = compare_to_baseline::<Wall>(&doc(&BASE), &doc(&BASE));
-        assert!(wall.is_ok(), "{:?}", wall.errors());
-        assert!(wall.passed[0].contains("median current/baseline ratio 1.000"));
-    }
-
-    #[test]
-    fn logical_gate_is_absolute() {
-        let near = [("a", 109.0), ("b", 200.0), ("c", 300.0), ("idle", 0.0)];
-        assert!(compare_to_baseline::<Logical>(&doc(&near), &doc(&BASE)).is_ok());
-        let over = [("a", 111.0), ("b", 200.0), ("c", 300.0), ("idle", 0.0)];
-        let cmp = compare_to_baseline::<Logical>(&doc(&over), &doc(&BASE));
-        assert_eq!(cmp.regressed.len(), 1, "{:?}", cmp.errors());
-        assert_eq!(cmp.regressed[0].0, "a.ns");
-        assert!(cmp.regressed[0].1.contains("111 vs baseline 100"));
-        // A uniform 2x slowdown of the timing model is a regression too.
-        let doubled = [("a", 200.0), ("b", 400.0), ("c", 600.0), ("idle", 0.0)];
-        let cmp = compare_to_baseline::<Logical>(&doc(&doubled), &doc(&BASE));
-        assert_eq!(cmp.regressed.len(), 3, "{:?}", cmp.errors());
-    }
-
-    #[test]
-    fn wall_gate_cancels_machine_speed_but_not_skew() {
-        let doubled = [("a", 200.0), ("b", 400.0), ("c", 600.0), ("idle", 0.0)];
-        let cmp = compare_to_baseline::<Wall>(&doc(&doubled), &doc(&BASE));
-        assert!(cmp.is_ok(), "{:?}", cmp.errors());
-        let skewed = [("a", 200.0), ("b", 400.0), ("c", 900.0), ("idle", 0.0)];
-        let cmp = compare_to_baseline::<Wall>(&doc(&skewed), &doc(&BASE));
-        assert_eq!(cmp.regressed.len(), 1, "{:?}", cmp.errors());
-        assert_eq!(cmp.regressed[0].0, "c.ns");
-        assert!(cmp.regressed[0].1.contains("past the median ratio 2.000"));
-    }
-
-    #[test]
-    fn missing_baseline_row_is_red_and_names_the_bless_command() {
-        let cmp = compare_to_baseline::<Logical>(&doc(&BASE), &doc(&BASE[1..]));
-        assert!(cmp.regressed.is_empty());
-        assert_eq!(cmp.invalid.len(), 1);
-        assert!(cmp.invalid[0].starts_with("a.ns: no baseline entry"));
-        assert!(cmp.invalid[0].contains("`bench toy --bless`"));
-        let empty = compare_to_baseline::<Logical>(&doc(&[]), &doc(&BASE));
-        assert!(!empty.is_ok());
-    }
-
-    #[test]
-    fn zero_baseline_admits_only_zero() {
-        for woke in [("idle", 3.0), ("idle", 0.01)] {
-            let fresh = [BASE[0], BASE[1], BASE[2], woke];
-            let logical = compare_to_baseline::<Logical>(&doc(&fresh), &doc(&BASE));
-            let wall = compare_to_baseline::<Wall>(&doc(&fresh), &doc(&BASE));
-            for cmp in [logical, wall] {
-                assert_eq!(cmp.regressed.len(), 1, "{:?}", cmp.errors());
-                assert_eq!(cmp.regressed[0].0, "idle.ns");
-                let expect = format!("{} vs baseline 0", num(woke.1));
-                assert!(cmp.regressed[0].1.contains(&expect), "{:?}", cmp.errors());
-            }
+        fn run() -> ToyRun {
+            use std::sync::atomic::{AtomicU32, Ordering};
+            static RUNS: AtomicU32 = AtomicU32::new(0);
+            let mut run = base();
+            run.rows[0].1 += RUNS.fetch_add(1, Ordering::Relaxed) as f64;
+            run
         }
+
+        fn gates(run: &ToyRun) -> GateResult {
+            Logical::gates(run)
+        }
+
+        fn table(run: &ToyRun) -> Vec<Vec<String>> {
+            Logical::table(run)
+        }
+    }
+
+    type Logical = Toy<true, true>;
+    type Wall = Toy<false, true>;
+
+    const PLAIN: Opts = Opts {
+        check: false,
+        bless: false,
+        markdown: false,
+    };
+    const CHECK: Opts = Opts {
+        check: true,
+        ..PLAIN
+    };
+    const BLESS: Opts = Opts {
+        bless: true,
+        ..PLAIN
+    };
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("hpcc-harness-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Every file under `root` with its bytes; empty when `root` is absent.
+    fn snapshot(root: &Path) -> Vec<(String, Vec<u8>)> {
+        let Ok(entries) = std::fs::read_dir(root) else {
+            return Vec::new();
+        };
+        let mut files: Vec<(String, Vec<u8>)> = entries
+            .map(|entry| {
+                let entry = entry.unwrap();
+                let name = entry.file_name().into_string().unwrap();
+                (name, std::fs::read(entry.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// What `bench toy --check` says with `golden` checked in.
+    fn check_against(name: &str, golden: &ToyRun) -> Result<(), String> {
+        let root = scratch(name);
+        std::fs::create_dir_all(&root).unwrap();
+        std::fs::write(golden_path(&root, "toy"), doc(golden).render()).unwrap();
+        let verdict = drive_checked::<Logical>(&root, &CHECK);
+        std::fs::remove_dir_all(&root).unwrap();
+        verdict
+    }
+
+    /// The `file:` and `code:` lines of a first-difference report, trimmed.
+    fn sides(why: &str) -> [&str; 2] {
+        ["  file:", "  code:"].map(|side| {
+            let line = why.lines().find_map(|l| l.strip_prefix(side));
+            line.unwrap_or_else(|| panic!("no `{side}` line in {why}"))
+                .trim()
+        })
+    }
+
+    #[test]
+    fn a_golden_above_the_run_is_red_because_looking_faster_is_a_change_too() {
+        assert_eq!(check_against("equal", &base()), Ok(()));
+        let mut slower = base();
+        slower.rows[0].1 = 150.0;
+        let why = check_against("faster", &slower).unwrap_err();
+        assert!(why.contains("is not what the code produces"), "{why}");
+        assert_eq!(sides(&why), ["\"ns\": 150", "\"ns\": 100"]);
+        assert!(why.ends_with("re-bless with `bench toy --bless`"), "{why}");
+        // One part in a hundred is as red as half: there is no tolerance.
+        let mut near = base();
+        near.rows[1].1 = 198.0;
+        assert!(check_against("near", &near).is_err());
+    }
+
+    #[test]
+    fn every_number_of_the_document_is_held_not_a_listed_few() {
+        let mut bytes = base();
+        bytes.rows[0].2 = 4097.0;
+        let why = check_against("bytes", &bytes).unwrap_err();
+        assert_eq!(sides(&why), ["\"bytes\": 4097,", "\"bytes\": 4096,"]);
+        let mut woke = base();
+        woke.rows[2].1 = 0.5;
+        assert!(check_against("woke", &woke).is_err());
+    }
+
+    #[test]
+    fn a_row_missing_from_any_array_is_red() {
+        let mut fewer = base();
+        fewer.tenants.remove(0);
+        let why = check_against("tenant", &fewer).unwrap_err();
+        assert_eq!(sides(&why), ["\"name\": \"guest\"", "\"name\": \"batch\""]);
+        let mut fewer = base();
+        fewer.rows.pop();
+        assert!(check_against("row", &fewer).is_err());
+    }
+
+    #[test]
+    fn bless_then_check_round_trips_through_the_files() {
+        let root = scratch("bless");
+        // No golden yet: --check is red (and creates nothing), --bless
+        // writes exactly one file, and then --check is green.
+        assert_eq!(drive::<Logical>(&root, &CHECK), 1);
+        assert!(!root.exists());
+        assert_eq!(drive::<Logical>(&root, &BLESS), 0);
+        let golden = doc(&base()).render().into_bytes();
+        assert_eq!(snapshot(&root), [("BENCH_toy.json".to_string(), golden)]);
+        assert_eq!(drive::<Logical>(&root, &CHECK), 0);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn check_and_a_plain_run_leave_the_directory_as_they_found_it() {
+        let root = scratch("writes");
+        assert_eq!(drive::<Logical>(&root, &PLAIN), 0);
+        assert!(!root.exists(), "a plain run wrote something");
+        assert_eq!(drive::<Logical>(&root, &BLESS), 0);
+        let blessed = snapshot(&root);
+        assert_eq!(drive::<Logical>(&root, &PLAIN), 0);
+        assert_eq!(drive::<Logical>(&root, &CHECK), 0);
+        assert_eq!(snapshot(&root), blessed);
+        // A stale golden stays as stale as it was found: red, not repaired.
+        std::fs::write(golden_path(&root, "toy"), "{}\n").unwrap();
+        let stale = snapshot(&root);
+        assert_eq!(drive::<Logical>(&root, &CHECK), 1);
+        assert_eq!(drive::<Logical>(&root, &PLAIN), 0);
+        assert_eq!(snapshot(&root), stale);
+        assert_eq!(drive::<Logical>(&root, &BLESS), 0);
+        assert_eq!(snapshot(&root), blessed);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_missing_golden_is_red_and_names_the_bless_command() {
+        let why = drive_checked::<Logical>(&scratch("missing"), &CHECK).unwrap_err();
+        assert!(why.starts_with("cannot read ") && why.contains("BENCH_toy.json"));
+        assert!(why.ends_with("create it with `bench toy --bless`"), "{why}");
+    }
+
+    #[test]
+    fn bless_refuses_a_run_that_fails_its_own_gates() {
+        let root = scratch("refuse");
+        assert_eq!(drive::<Toy<true, false>>(&root, &BLESS), 1);
+        assert!(!root.exists(), "a golden was written");
+        // Gates run on a plain invocation and under --check too, and a
+        // red gate is red whatever the golden says.
+        assert_eq!(drive::<Toy<true, false>>(&root, &PLAIN), 1);
+        assert_eq!(drive::<Logical>(&root, &BLESS), 0);
+        assert_eq!(drive::<Toy<true, false>>(&root, &CHECK), 1);
+        assert_eq!(drive::<Toy<false, false>>(&root, &CHECK), 1);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_suite_that_does_not_repeat_itself_is_never_compared_or_blessed() {
+        let root = scratch("flaky");
+        let why = drive_checked::<Flaky>(&root, &BLESS).unwrap_err();
+        assert!(why.starts_with("two runs rendered different text"), "{why}");
+        assert!(!root.exists(), "a flaky golden was written");
+        let why = drive_checked::<Flaky>(&root, &CHECK).unwrap_err();
+        assert!(why.contains("nondeterministic"), "{why}");
+        // Printing its table is still allowed; only checking it in is not.
+        assert_eq!(drive::<Flaky>(&root, &PLAIN), 0);
+    }
+
+    #[test]
+    fn a_suite_that_reads_the_host_clock_has_no_golden() {
+        let root = scratch("wall");
+        assert_eq!(drive::<Wall>(&root, &PLAIN), 0);
+        assert_eq!(drive::<Wall>(&root, &CHECK), 0);
+        assert_eq!(drive::<Wall>(&root, &BLESS), 2);
+        assert!(!root.exists(), "a suite without a golden wrote a file");
+        // The refusal comes before the run: this would take seconds.
+        assert_eq!(run(&["core".to_string(), "--bless".to_string()]), 2);
     }
 
     #[test]
@@ -549,66 +501,50 @@ mod tests {
         assert_eq!(run(&args(&["pipeline", "--filter"])), 2);
         assert_eq!(run(&args(&["--list", "--check"])), 2);
         assert_eq!(run(&args(&["--list"])), 0);
-        // --quick only where the suite declares quick sizes; never with --bless.
-        let quick = Opts {
-            quick: true,
-            ..Opts::default()
-        };
-        assert_eq!(drive::<Logical>(Path::new("/nonexistent"), &quick), 2);
-        assert_eq!(run(&args(&["core", "--quick", "--bless"])), 2);
     }
 
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("hpcc-harness-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
+    /// One size per suite: the flag that picked another is gone.
     #[test]
-    fn bless_then_check_round_trips_through_the_files() {
-        let root = scratch("bless");
-        let opts = |check, bless| Opts {
-            check,
-            bless,
-            ..Opts::default()
-        };
-        // No baseline yet: --check is red and says how to create one.
-        assert_eq!(drive::<Logical>(&root, &opts(true, false)), 1);
-        assert_eq!(drive::<Logical>(&root, &opts(false, true)), 0);
-        assert_eq!(drive::<Logical>(&root, &opts(true, false)), 0);
-        let blessed = std::fs::read_to_string(baseline_path(&root, "toy")).unwrap();
-        assert_eq!(blessed, doc(&BASE).render());
-        assert_eq!(
-            std::fs::read_to_string(results_path(&root, "toy")).unwrap(),
-            blessed
-        );
-        // A baseline 20% under the run turns --check red.
-        let faster = [("a", 80.0), BASE[1], BASE[2], BASE[3]];
-        write_doc(&baseline_path(&root, "toy"), &doc(&faster)).unwrap();
-        assert_eq!(drive::<Logical>(&root, &opts(true, false)), 1);
-        std::fs::remove_dir_all(&root).unwrap();
+    fn quick_is_an_unknown_flag_for_every_suite() {
+        for suite in SUITES {
+            for flags in [&["--quick"][..], &["--check", "--quick"]] {
+                let args: Vec<String> = std::iter::once(&suite.name)
+                    .chain(flags)
+                    .map(|arg| arg.to_string())
+                    .collect();
+                assert_eq!(run(&args), 2, "{args:?}");
+            }
+        }
     }
 
+    /// One golden per deterministic suite and none for the wall clock: a
+    /// stray `BENCH_core.json`, or a suite nobody blessed, fails here.
     #[test]
-    fn bless_refuses_a_run_that_fails_its_own_gates() {
-        let root = scratch("refuse");
-        let bless = Opts {
-            bless: true,
-            ..Opts::default()
-        };
-        assert_eq!(drive::<Toy<false, false>>(&root, &bless), 1);
-        assert!(
-            !baseline_path(&root, "toy").exists(),
-            "baseline was written"
-        );
-        // Gates run on a plain invocation too.
-        assert_eq!(drive::<Toy<false, false>>(&root, &Opts::default()), 1);
-        std::fs::remove_dir_all(&root).unwrap();
+    fn root_goldens_are_exactly_the_deterministic_suites() {
+        let mut files: Vec<String> = std::fs::read_dir(guard::repo_root())
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+            .collect();
+        let mut expected: Vec<String> = SUITES
+            .iter()
+            .filter(|suite| suite.has_golden)
+            .map(|suite| format!("BENCH_{}.json", suite.name))
+            .collect();
+        files.sort();
+        expected.sort();
+        assert_eq!(files, expected);
+        let clocked: Vec<&str> = SUITES
+            .iter()
+            .filter(|suite| !suite.has_golden)
+            .map(|suite| suite.name)
+            .collect();
+        assert_eq!(clocked, ["core"], "suites that read the host clock");
     }
 
     #[test]
     fn markdown_and_aligned_tables_share_rows() {
-        let rows = Logical::table(&Logical::run(false));
+        let rows = Logical::table(&Logical::run());
         let md = render_markdown_table(&rows);
         assert!(
             md.starts_with("| name | ns |\n|---|---|\n| a | 100 |\n"),
@@ -632,7 +568,7 @@ mod tests {
                 .unwrap_or_else(|| panic!("`{line}` does not call bench_stage <suite>"));
             staged.push(suite);
         }
-        let mut suites: Vec<&str> = SUITES.iter().map(|(name, _)| *name).collect();
+        let mut suites: Vec<&str> = SUITES.iter().map(|suite| suite.name).collect();
         staged.sort_unstable();
         suites.sort_unstable();
         assert_eq!(staged, suites, "ci.sh bench stages vs `bench --list`");

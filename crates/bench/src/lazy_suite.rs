@@ -16,15 +16,14 @@
 //! where eager cold-start pays for 768 files it never touches — while a
 //! full scan (`materialize`) must *lose* to eager, reproducing the §7
 //! trade-off. Both directions are gated live, alongside a
-//! bytes-to-first-exec gate and a shared-store sibling gate, plus the
-//! harness's [`Clock::Logical`] regression gate against
-//! `tests/bench/BENCH_lazy_baseline.json` (re-bless with
-//! `bench lazy --bless`).
+//! bytes-to-first-exec gate and a shared-store sibling gate.
 //!
 //! Everything runs on the logical clock: runs are bit-for-bit
-//! deterministic and the harness double-runs to prove it.
+//! deterministic, the harness double-runs to prove it and `--check`
+//! holds the document to `BENCH_lazy.json` byte for byte (re-bless with
+//! `bench lazy --bless`).
 
-use crate::harness::{self, Clock, GateResult};
+use crate::harness::{self, GateResult};
 use crate::json::Json;
 use crate::storm_suite::percentile;
 use crate::suite::{Workload, WORKLOADS};
@@ -288,31 +287,31 @@ fn render_row(r: &LazyRow) -> Json {
     ])
 }
 
+/// Render results as the BENCH_lazy.json document.
+fn render(results: &[LazyRow]) -> Json {
+    Json::obj([
+        ("schema", Json::Str("hpcc-bench-lazy/v1".to_string())),
+        ("replicas", Json::Num(REPLICAS as f64)),
+        ("chunk_size", Json::Num(DEFAULT_CHUNK_SIZE as f64)),
+        ("eager_parallelism", Json::Num(EAGER_PARALLELISM as f64)),
+        ("rows", Json::Arr(results.iter().map(render_row).collect())),
+    ])
+}
+
 /// `bench lazy`.
 pub struct Lazy;
 
 impl harness::Suite for Lazy {
     const NAME: &'static str = "lazy";
-    const CLOCK: Clock = Clock::Logical;
+    const GOLDEN: Option<harness::Render<Self::Results>> = Some(|rows| render(rows));
     type Results = Vec<LazyRow>;
 
     /// Run all three workload shapes.
-    fn run(_quick: bool) -> Vec<LazyRow> {
+    fn run() -> Vec<LazyRow> {
         WORKLOADS.into_iter().map(bench_workload).collect()
     }
 
-    /// Render results as the BENCH_lazy.json document.
-    fn render(results: &Vec<LazyRow>) -> Json {
-        Json::obj([
-            ("schema", Json::Str("hpcc-bench-lazy/v1".to_string())),
-            ("replicas", Json::Num(REPLICAS as f64)),
-            ("chunk_size", Json::Num(DEFAULT_CHUNK_SIZE as f64)),
-            ("eager_parallelism", Json::Num(EAGER_PARALLELISM as f64)),
-            ("rows", Json::Arr(results.iter().map(render_row).collect())),
-        ])
-    }
-
-    /// Structural gates that hold regardless of baseline state:
+    /// Structural gates that hold whatever the golden says:
     ///
     /// 1. On many-small-files, lazy ttfe beats eager cold-start by at least
     ///    [`LAZY_WIN_FLOOR`]× — the headline claim.
@@ -394,18 +393,6 @@ impl harness::Suite for Lazy {
         }
     }
 
-    fn gated_metrics(doc: &Json) -> Vec<(String, f64)> {
-        let metrics = [
-            "lazy_ttfe_p50_ns",
-            "lazy_ttfe_p95_ns",
-            "eager_ttfe_p50_ns",
-            "sibling_ttfe_ns",
-            "lazy_full_ns",
-            "eager_full_ns",
-        ];
-        harness::row_metrics(doc, "rows", &["workload"], &metrics)
-    }
-
     /// The time-to-first-exec table of EXPERIMENTS.md.
     fn table(results: &Vec<LazyRow>) -> Vec<Vec<String>> {
         let ms = |ns: u64| format!("{:.2} ms", ns as f64 / 1e6);
@@ -444,7 +431,6 @@ impl harness::Suite for Lazy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Suite;
 
     /// One shape measured end to end satisfies the structural gates and
     /// renders a well-formed row.
@@ -463,15 +449,15 @@ mod tests {
             "full scan favors eager"
         );
         assert!(row.sibling_ttfe_ns < row.lazy_ttfe_p50_ns);
-        let json = Lazy::render(&vec![row]);
+        let json = render(&[row]);
         assert!(json.render().contains("many-small-files"));
     }
 
     /// Two runs of one shape are byte-identical (logical time only).
     #[test]
     fn rows_are_deterministic() {
-        let a = Lazy::render(&vec![bench_workload(Workload::Small)]);
-        let b = Lazy::render(&vec![bench_workload(Workload::Small)]);
+        let a = render(&[bench_workload(Workload::Small)]);
+        let b = render(&[bench_workload(Workload::Small)]);
         assert_eq!(a.render(), b.render());
     }
 

@@ -108,23 +108,10 @@ impl Artefact<'_> {
             Artefact::Transcript(exp) => exp,
             Artefact::Trace(golden) => return goldens::check_golden(golden),
         };
-        let (name, path) = (exp.name, self.path(root));
-        let fresh = transcript(exp)?;
-        let file = std::fs::read_to_string(&path).map_err(|e| {
-            format!(
-                "{name}: cannot read {} ({e}); create it with `repro --bless {name}`",
-                path.display()
-            )
-        })?;
-        if file == fresh {
-            return Ok(());
-        }
-        Err(format!(
-            "{name}: `repro {name}` no longer prints {}\n{}\n\
-             if intentional, re-bless with `repro --bless {name}`",
-            path.display(),
-            guard::first_difference(&file, &fresh, ["file", "code"])
-        ))
+        let name = exp.name;
+        let bless = format!("repro --bless {name}");
+        guard::matches_checked_in(&self.path(root), &transcript(exp)?, &bless)
+            .map_err(|e| format!("{name}: {e}"))
     }
 
     /// Rebuild the artefact and overwrite its checked-in file.
@@ -225,15 +212,18 @@ pub fn drive(
     Ok(0)
 }
 
-fn repo_root() -> &'static Path {
-    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
-}
-
 /// The `repro` binary: `repro <name>`, `repro --list`, `repro --check
 /// [name...]` or `repro --bless [name...]`. Returns the process exit code.
 pub fn run(args: &[String]) -> i32 {
     let out = &mut io::stdout().lock();
-    drive(&EXPERIMENTS, goldens::all_goldens(), repo_root(), args, out).unwrap_or_else(|e| {
+    drive(
+        &EXPERIMENTS,
+        goldens::all_goldens(),
+        guard::repo_root(),
+        args,
+        out,
+    )
+    .unwrap_or_else(|e| {
         eprintln!("repro: {e}");
         1
     })
@@ -282,7 +272,7 @@ mod tests {
         let quants = (1..=11).map(|n| format!("quant{n}"));
         let paper: Vec<String> = tables.chain(["fig1".to_string()]).chain(quants).collect();
         assert_eq!(names, paper);
-        let mut files: Vec<String> = std::fs::read_dir(repo_root().join("tests/repro"))
+        let mut files: Vec<String> = std::fs::read_dir(guard::repo_root().join("tests/repro"))
             .unwrap()
             .map(|entry| entry.unwrap().file_name().into_string().unwrap())
             .collect();
@@ -313,7 +303,11 @@ mod tests {
         assert_eq!(toy(&registry, &root, &["--check"]), 1);
         assert_eq!(toy(&registry, &root, &["--check", "other"]), 0);
         let why = Artefact::Transcript(&registry[0]).check(&root).unwrap_err();
-        assert!(why.starts_with("steady: `repro steady` no longer prints"));
+        assert!(why.starts_with("steady: ") && why.contains("is not what the code produces"));
+        assert!(
+            why.ends_with("re-bless with `repro --bless steady`"),
+            "{why}"
+        );
         assert!(
             why.contains("line 2:\n  file: row 7\n  code: row 1"),
             "{why}"
@@ -374,7 +368,7 @@ mod tests {
         let table5 = EXPERIMENTS.iter().find(|e| e.name == "table5").unwrap();
         let mut printed = Vec::new();
         (table5.run)(&mut printed).unwrap();
-        let file = std::fs::read(Artefact::Transcript(table5).path(repo_root())).unwrap();
+        let file = std::fs::read(Artefact::Transcript(table5).path(guard::repo_root())).unwrap();
         assert!(printed == file, "tests/repro/table5.txt is stale");
     }
 }

@@ -3,7 +3,7 @@
 //! Unlike `core_suite` (wall clock), every number here is *logical* time
 //! from the DES, so runs are bit-for-bit deterministic: the harness's
 //! double-run guard asserts the rendered JSON is byte-identical, and any
-//! baseline drift is a real timing-model change, not noise.
+//! drift from `BENCH_storm.json` is a real timing-model change, not noise.
 //!
 //! Three distribution strategies pull the same multi-GiB image across a
 //! node sweep from 16 to 10,000:
@@ -28,11 +28,12 @@
 //!   [`DIRECT_BLOWUP_FLOOR`]× over the same sweep (proving the contrast
 //!   is real, not an easy workload).
 //! * **Coalescing** — every tiered run must reach the origin exactly
-//!   once per distinct blob, regardless of fleet size.
-//! * **Regression gate** — every sweep row's p50 and makespan vs the
-//!   checked-in baseline under the harness's [`Clock::Logical`] rule.
+//!   once per distinct blob, regardless of fleet size, while the direct
+//!   path's origin requests grow with the fleet (one per node and blob).
+//! * **Golden** — the whole document, tenant rows and request counts
+//!   included, is `BENCH_storm.json` byte for byte.
 
-use crate::harness::{self, Clock, GateResult};
+use crate::harness::{self, GateResult};
 use crate::json::Json;
 use hpcc_registry::tiered::{ImageSpec, StormConfig, StormTopology, TenantPolicy};
 use hpcc_sim::net::{Fabric, NodeId};
@@ -69,7 +70,7 @@ pub struct StormRow {
     pub p95_ns: u64,
     pub max_ns: u64,
     pub makespan_ns: u64,
-    /// Requests that reached the origin (0 for strategies without one).
+    /// Requests that reached the origin.
     pub origin_requests: u64,
     /// Bottom-tier (rack) hit ratio, hits + coalesced joins over total.
     pub rack_hit_ratio: f64,
@@ -102,32 +103,25 @@ fn row_from_latencies(mode: &'static str, nodes: usize, mut lat: Vec<u64>) -> St
 fn direct_storm(nodes: usize, image: &ImageSpec) -> StormRow {
     let origin = hpcc_registry::tiered::OriginParams::default();
     let q = QueueServer::new(origin.egress);
-    let service = |size: u64| SimSpan::from_secs_f64(size as f64 / origin.bandwidth_bps);
+    let mut requests = 0;
+    let mut fetch = |after: SimTime, size: u64| {
+        requests += 1;
+        let service = SimSpan::from_secs_f64(size as f64 / origin.bandwidth_bps);
+        q.submit(after + origin.request_latency, service).1
+    };
     let manifest_done: Vec<SimTime> = (0..nodes)
-        .map(|_| {
-            let (_, fin) = q.submit(
-                SimTime::ZERO + origin.request_latency,
-                service(image.manifest.1),
-            );
-            fin
-        })
+        .map(|_| fetch(SimTime::ZERO, image.manifest.1))
         .collect();
     let lat: Vec<u64> = manifest_done
         .into_iter()
         .map(|mdone| {
-            image
-                .blobs
-                .iter()
-                .map(|(_, size)| {
-                    let (_, fin) = q.submit(mdone + origin.request_latency, service(*size));
-                    fin
-                })
-                .max()
-                .unwrap_or(mdone)
-                .as_nanos()
+            let blobs = image.blobs.iter().map(|(_, size)| fetch(mdone, *size));
+            blobs.max().unwrap_or(mdone).as_nanos()
         })
         .collect();
-    row_from_latencies("direct", nodes, lat)
+    let mut row = row_from_latencies("direct", nodes, lat);
+    row.origin_requests = requests;
+    row
 }
 
 fn attach_tier_stats(row: &mut StormRow, topo: &StormTopology) {
@@ -331,17 +325,44 @@ fn render_row(r: &StormRow) -> Json {
     ])
 }
 
+/// Render results as the BENCH_storm.json document.
+fn render(results: &StormResults) -> Json {
+    let image = storm_image();
+    Json::obj([
+        ("schema", Json::Str("hpcc-bench-storm/v1".to_string())),
+        (
+            "image",
+            Json::obj([
+                ("blobs", Json::Num(image.blobs.len() as f64 + 1.0)),
+                ("bytes", Json::Num(image.total_bytes() as f64)),
+            ]),
+        ),
+        (
+            "sweep",
+            Json::Arr(results.sweep.iter().map(render_row).collect()),
+        ),
+        (
+            "tenants",
+            Json::Arr(results.tenants.iter().map(render_row).collect()),
+        ),
+        (
+            "tenant_rate_wait_ns",
+            Json::Num(results.tenant_rate_wait_ns as f64),
+        ),
+    ])
+}
+
 /// `bench storm`.
 pub struct Storm;
 
 impl harness::Suite for Storm {
     const NAME: &'static str = "storm";
-    const CLOCK: Clock = Clock::Logical;
+    const GOLDEN: Option<harness::Render<Self::Results>> = Some(render);
     type Results = StormResults;
 
     /// Run the full sweep + the multi-tenant variant. Pure logical time:
     /// identical output every run.
-    fn run(_quick: bool) -> StormResults {
+    fn run() -> StormResults {
         let image = storm_image();
         let mut sweep = Vec::with_capacity(NODE_COUNTS.len() * 3);
         for &nodes in NODE_COUNTS {
@@ -357,35 +378,9 @@ impl harness::Suite for Storm {
         }
     }
 
-    /// Render results as the BENCH_storm.json document.
-    fn render(results: &StormResults) -> Json {
-        let image = storm_image();
-        Json::obj([
-            ("schema", Json::Str("hpcc-bench-storm/v1".to_string())),
-            (
-                "image",
-                Json::obj([
-                    ("blobs", Json::Num(image.blobs.len() as f64 + 1.0)),
-                    ("bytes", Json::Num(image.total_bytes() as f64)),
-                ]),
-            ),
-            (
-                "sweep",
-                Json::Arr(results.sweep.iter().map(render_row).collect()),
-            ),
-            (
-                "tenants",
-                Json::Arr(results.tenants.iter().map(render_row).collect()),
-            ),
-            (
-                "tenant_rate_wait_ns",
-                Json::Num(results.tenant_rate_wait_ns as f64),
-            ),
-        ])
-    }
-
     /// The structural acceptance gates: flat tiered latency, a genuinely
-    /// degrading direct path, and exactly one origin fetch per blob.
+    /// degrading direct path, and origin requests that grow with the fleet
+    /// on the direct path but stay at one per blob behind the tiers.
     fn gates(results: &StormResults) -> GateResult {
         let mut report = Vec::new();
         let mut errors = Vec::new();
@@ -426,23 +421,30 @@ impl harness::Suite for Storm {
             _ => errors.push("direct: sweep rows missing".to_string()),
         }
         let distinct_blobs = storm_image().blobs.len() as u64 + 1;
-        for row in results.sweep.iter().filter(|r| r.mode != "direct") {
-            if row.origin_requests != distinct_blobs {
+        for row in &results.sweep {
+            let (expected, why) = if row.mode == "direct" {
+                let every = row.nodes as u64 * distinct_blobs;
+                (every, "every node fetches every blob itself")
+            } else {
+                (distinct_blobs, "coalescing broke")
+            };
+            if row.origin_requests != expected {
                 errors.push(format!(
-                    "{} @ {} nodes: {} origin requests, expected exactly {distinct_blobs} (coalescing broke)",
+                    "{} @ {} nodes: {} origin requests, expected exactly {expected} ({why})",
                     row.mode, row.nodes, row.origin_requests
                 ));
             }
         }
+        report.push(format!(
+            "origin requests: direct grows {} -> {} with the fleet, tiered stays at {distinct_blobs}",
+            lo as u64 * distinct_blobs,
+            hi as u64 * distinct_blobs
+        ));
         if errors.is_empty() {
             Ok(report)
         } else {
             Err(errors)
         }
-    }
-
-    fn gated_metrics(doc: &Json) -> Vec<(String, f64)> {
-        harness::row_metrics(doc, "sweep", &["mode", "nodes"], &["p50_ns", "makespan_ns"])
     }
 
     /// The latency-vs-node-count table of EXPERIMENTS.md.
@@ -476,6 +478,7 @@ impl harness::Suite for Storm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Suite;
 
     /// A miniature sweep must satisfy both gates end to end and render a
     /// well-formed document.
@@ -496,6 +499,58 @@ mod tests {
             direct.p50_ns > large.p50_ns,
             "direct should already lose at 256 nodes"
         );
+    }
+
+    #[test]
+    fn direct_mode_counts_one_origin_request_per_node_and_blob() {
+        let image = storm_image();
+        let distinct_blobs = image.blobs.len() as u64 + 1;
+        for nodes in [16, 64, 256] {
+            let row = direct_storm(nodes, &image);
+            assert_eq!(row.origin_requests, nodes as u64 * distinct_blobs);
+        }
+    }
+
+    /// The two fleet sizes the gates read, with latencies every latency
+    /// gate accepts and the given origin requests at 10,000 nodes.
+    fn fabricated(direct: u64, tiered: u64) -> StormResults {
+        let row = |mode, nodes, p50_ns, origin_requests| StormRow {
+            mode,
+            nodes,
+            p50_ns,
+            p95_ns: p50_ns,
+            max_ns: p50_ns,
+            makespan_ns: p50_ns,
+            origin_requests,
+            rack_hit_ratio: 0.0,
+        };
+        StormResults {
+            sweep: vec![
+                row("direct", 16, 1_000, 96),
+                row("tiered", 16, 1_000, 6),
+                row("tiered-tree", 16, 1_000, 6),
+                row("direct", 10_000, 100_000, direct),
+                row("tiered", 10_000, 1_100, tiered),
+                row("tiered-tree", 10_000, 1_050, 6),
+            ],
+            tenants: Vec::new(),
+            tenant_rate_wait_ns: 0,
+        }
+    }
+
+    #[test]
+    fn gates_hold_direct_requests_to_the_fleet_and_tiered_to_the_blob_count() {
+        let report = Storm::gates(&fabricated(60_000, 6)).unwrap();
+        let last = report.last().unwrap();
+        assert!(last.contains("direct grows 96 -> 60000"), "{last}");
+        let stopped_counting = Storm::gates(&fabricated(0, 6)).unwrap_err();
+        assert_eq!(stopped_counting.len(), 1, "{stopped_counting:?}");
+        let expected = "direct @ 10000 nodes: 0 origin requests, expected exactly 60000";
+        assert!(stopped_counting[0].starts_with(expected));
+        let leaked = Storm::gates(&fabricated(60_000, 7)).unwrap_err();
+        assert_eq!(leaked.len(), 1, "{leaked:?}");
+        assert!(leaked[0].starts_with("tiered @ 10000 nodes: 7 origin requests"));
+        assert!(leaked[0].ends_with("(coalescing broke)"));
     }
 
     #[test]

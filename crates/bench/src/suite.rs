@@ -16,10 +16,10 @@
 //!
 //! Everything runs on the logical clock, so the numbers are makespans of
 //! the simulated schedule — exactly reproducible, which is what lets
-//! `--check` treat a >10% drift from the checked-in baseline as a hard
-//! CI failure rather than noise.
+//! `--check` hold the whole document to the checked-in
+//! `BENCH_pipeline.json` byte for byte.
 
-use crate::harness::{self, Clock, GateResult};
+use crate::harness::{self, GateResult};
 use crate::json::Json;
 use hpcc_engine::engine::{Engine, Host};
 use hpcc_engine::engines;
@@ -240,16 +240,92 @@ fn cold_at(runs: &[PipelineRun], workload: Workload, parallelism: usize) -> u64 
         .map_or(0, |r| r.cold_makespan_ns)
 }
 
+fn render(runs: &[PipelineRun]) -> Json {
+    let run_objs: Vec<Json> = runs
+        .iter()
+        .map(|r| {
+            let stages: BTreeMap<String, Json> = r
+                .stages
+                .iter()
+                .map(|(name, (count, total_ns))| {
+                    (
+                        name.clone(),
+                        Json::obj([
+                            ("count", Json::Num(*count as f64)),
+                            ("total_ns", Json::Num(*total_ns as f64)),
+                        ]),
+                    )
+                })
+                .collect();
+            Json::obj([
+                ("workload", Json::Str(r.workload.into())),
+                ("parallelism", Json::Num(r.parallelism as f64)),
+                ("layers", Json::Num(r.layers as f64)),
+                ("image_bytes", Json::Num(r.image_bytes as f64)),
+                ("cold_makespan_ns", Json::Num(r.cold_makespan_ns as f64)),
+                ("warm_makespan_ns", Json::Num(r.warm_makespan_ns as f64)),
+                (
+                    "sibling_makespan_ns",
+                    Json::Num(r.sibling_makespan_ns as f64),
+                ),
+                (
+                    "warm_hit_rate",
+                    Json::Num((r.warm_hit_rate * 1e6).round() / 1e6),
+                ),
+                ("deduped_bytes", Json::Num(r.deduped_bytes as f64)),
+                ("stages", Json::Obj(stages)),
+            ])
+        })
+        .collect();
+    let summary: BTreeMap<String, Json> = WORKLOADS
+        .iter()
+        .map(|w| {
+            let (p1, p16) = (cold_at(runs, *w, 1), cold_at(runs, *w, 16));
+            let speedup = if p16 == 0 {
+                0.0
+            } else {
+                p1 as f64 / p16 as f64
+            };
+            (
+                w.name().to_string(),
+                Json::obj([
+                    ("cold_p1_ns", Json::Num(p1 as f64)),
+                    ("cold_p16_ns", Json::Num(p16 as f64)),
+                    (
+                        "cold_speedup_p16_over_p1",
+                        Json::Num((speedup * 1e3).round() / 1e3),
+                    ),
+                ]),
+            )
+        })
+        .collect();
+    Json::obj([
+        ("schema", Json::Str("hpcc-pipeline-bench/v1".into())),
+        ("engine", Json::Str("Podman-HPC".into())),
+        (
+            "parallelism_levels",
+            Json::Arr(
+                PARALLELISM_LEVELS
+                    .iter()
+                    .map(|p| Json::Num(*p as f64))
+                    .collect(),
+            ),
+        ),
+        ("runs", Json::Arr(run_objs)),
+        ("summary", Json::Obj(summary)),
+    ])
+}
+
 /// `bench pipeline`.
 pub struct Pipeline;
 
 impl harness::Suite for Pipeline {
     const NAME: &'static str = "pipeline";
-    const CLOCK: Clock = Clock::Logical;
+    const GOLDEN: Option<harness::Render<Self::Results>> = Some(|rows| render(rows));
     type Results = Vec<PipelineRun>;
 
     /// The full sweep: every workload at every parallelism level.
-    fn run(_quick: bool) -> Vec<PipelineRun> {
+    fn run() -> Vec<PipelineRun> {
         let mut runs = Vec::new();
         for workload in WORKLOADS {
             for parallelism in PARALLELISM_LEVELS {
@@ -257,82 +333,6 @@ impl harness::Suite for Pipeline {
             }
         }
         runs
-    }
-
-    fn render(runs: &Vec<PipelineRun>) -> Json {
-        let run_objs: Vec<Json> = runs
-            .iter()
-            .map(|r| {
-                let stages: BTreeMap<String, Json> = r
-                    .stages
-                    .iter()
-                    .map(|(name, (count, total_ns))| {
-                        (
-                            name.clone(),
-                            Json::obj([
-                                ("count", Json::Num(*count as f64)),
-                                ("total_ns", Json::Num(*total_ns as f64)),
-                            ]),
-                        )
-                    })
-                    .collect();
-                Json::obj([
-                    ("workload", Json::Str(r.workload.into())),
-                    ("parallelism", Json::Num(r.parallelism as f64)),
-                    ("layers", Json::Num(r.layers as f64)),
-                    ("image_bytes", Json::Num(r.image_bytes as f64)),
-                    ("cold_makespan_ns", Json::Num(r.cold_makespan_ns as f64)),
-                    ("warm_makespan_ns", Json::Num(r.warm_makespan_ns as f64)),
-                    (
-                        "sibling_makespan_ns",
-                        Json::Num(r.sibling_makespan_ns as f64),
-                    ),
-                    (
-                        "warm_hit_rate",
-                        Json::Num((r.warm_hit_rate * 1e6).round() / 1e6),
-                    ),
-                    ("deduped_bytes", Json::Num(r.deduped_bytes as f64)),
-                    ("stages", Json::Obj(stages)),
-                ])
-            })
-            .collect();
-        let summary: BTreeMap<String, Json> = WORKLOADS
-            .iter()
-            .map(|w| {
-                let (p1, p16) = (cold_at(runs, *w, 1), cold_at(runs, *w, 16));
-                let speedup = if p16 == 0 {
-                    0.0
-                } else {
-                    p1 as f64 / p16 as f64
-                };
-                (
-                    w.name().to_string(),
-                    Json::obj([
-                        ("cold_p1_ns", Json::Num(p1 as f64)),
-                        ("cold_p16_ns", Json::Num(p16 as f64)),
-                        (
-                            "cold_speedup_p16_over_p1",
-                            Json::Num((speedup * 1e3).round() / 1e3),
-                        ),
-                    ]),
-                )
-            })
-            .collect();
-        Json::obj([
-            ("schema", Json::Str("hpcc-pipeline-bench/v1".into())),
-            ("engine", Json::Str("Podman-HPC".into())),
-            (
-                "parallelism_levels",
-                Json::Arr(
-                    PARALLELISM_LEVELS
-                        .iter()
-                        .map(|p| Json::Num(*p as f64))
-                        .collect(),
-                ),
-            ),
-            ("runs", Json::Arr(run_objs)),
-            ("summary", Json::Obj(summary)),
-        ])
     }
 
     /// The acceptance properties of the parallel pipeline itself; the
@@ -385,19 +385,6 @@ impl harness::Suite for Pipeline {
             }
         }
         harness::verdict(report, errors)
-    }
-
-    fn gated_metrics(doc: &Json) -> Vec<(String, f64)> {
-        harness::row_metrics(
-            doc,
-            "runs",
-            &["workload", "parallelism"],
-            &[
-                "cold_makespan_ns",
-                "warm_makespan_ns",
-                "sibling_makespan_ns",
-            ],
-        )
     }
 
     fn table(runs: &Vec<PipelineRun>) -> Vec<Vec<String>> {

@@ -576,11 +576,6 @@ impl Engine {
         self.ctx.write().crash = crash;
     }
 
-    /// The engine's hook registry (engines and sites may register more).
-    pub fn hooks_mut(&mut self) -> &mut HookRegistry {
-        &mut self.hooks
-    }
-
     /// Conversion-cache statistics.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache.hit_count(), self.cache.miss_count())

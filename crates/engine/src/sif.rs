@@ -95,17 +95,6 @@ impl SifImage {
         })
     }
 
-    /// Wrap an existing squash image.
-    pub fn from_squash(definition: &str, squash: &SquashImage) -> SifImage {
-        SifImage {
-            definition: definition.to_string(),
-            partition: squash.as_bytes().to_vec(),
-            encrypted: false,
-            signatures: Vec::new(),
-            overlay: None,
-        }
-    }
-
     /// Digest of the partition (what signatures cover).
     pub fn partition_digest(&self) -> Digest {
         sha256(&self.partition)

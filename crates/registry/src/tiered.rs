@@ -785,25 +785,16 @@ fn digest_of(label: &str) -> Digest {
 }
 
 /// A node's handle on the topology — the engine-facing adapter. Pulls are
-/// attributed to `node` (for rack routing) and `tenant` (for quotas).
+/// attributed to `node` (for rack routing) and to the first tenant.
 #[derive(Clone)]
 pub struct TierClient {
     topo: Arc<StormTopology>,
     node: usize,
-    tenant: usize,
 }
 
 impl TierClient {
     pub fn new(topo: Arc<StormTopology>, node: usize) -> TierClient {
-        TierClient {
-            topo,
-            node,
-            tenant: 0,
-        }
-    }
-
-    pub fn for_tenant(topo: Arc<StormTopology>, node: usize, tenant: usize) -> TierClient {
-        TierClient { topo, node, tenant }
+        TierClient { topo, node }
     }
 
     pub fn topology(&self) -> &Arc<StormTopology> {
@@ -816,8 +807,7 @@ impl TierClient {
         tag: &str,
         at: SimTime,
     ) -> Result<(Manifest, SimTime), RegistryError> {
-        self.topo
-            .pull_manifest(self.node, self.tenant, repo, tag, at)
+        self.topo.pull_manifest(self.node, 0, repo, tag, at)
     }
 
     pub fn pull_blob(
@@ -825,7 +815,7 @@ impl TierClient {
         digest: &Digest,
         at: SimTime,
     ) -> Result<(Arc<Vec<u8>>, SimTime), RegistryError> {
-        self.topo.pull_blob(self.node, self.tenant, digest, at)
+        self.topo.pull_blob(self.node, 0, digest, at)
     }
 }
 

@@ -323,11 +323,6 @@ impl DomainSchedule {
             .any(|e| matches!(&e.kind, OutageKind::LinkDown { link: l } if l == link))
     }
 
-    /// True while *any* event is in force.
-    pub fn any_active(&self, now: SimTime) -> bool {
-        self.active(now).next().is_some()
-    }
-
     /// When every event active at `now` has healed (`None` when nothing
     /// is active). This is the timed-recovery instant a chaos gate
     /// measures recovery-to-baseline from.

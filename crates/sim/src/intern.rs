@@ -71,11 +71,6 @@ impl Symbol {
     pub fn id(self) -> u32 {
         self.0
     }
-
-    /// Number of distinct strings interned so far (diagnostics).
-    pub fn table_len() -> usize {
-        interner().lock().strings.len()
-    }
 }
 
 impl fmt::Display for Symbol {

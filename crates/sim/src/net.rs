@@ -29,13 +29,6 @@ pub struct LinkParams {
     pub bandwidth_bytes_per_sec: f64,
 }
 
-impl LinkParams {
-    /// Time to move `size` bytes across this link.
-    pub fn transfer_time(&self, size: Bytes) -> SimSpan {
-        self.latency + SimSpan::from_secs_f64(size.as_u64() as f64 / self.bandwidth_bytes_per_sec)
-    }
-}
-
 /// Identifier of a node endpoint on the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
@@ -74,11 +67,6 @@ impl Fabric {
                 .map(|n| (n, QueueServer::new(1)))
                 .collect(),
         }
-    }
-
-    /// Override the parameters of a link class.
-    pub fn set_params(&mut self, class: LinkClass, p: LinkParams) {
-        self.params.insert(class, p);
     }
 
     /// Parameters of a link class.

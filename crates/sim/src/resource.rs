@@ -112,11 +112,6 @@ impl QueueServer {
         (start, finish)
     }
 
-    /// Earliest time any server becomes free (for reporting).
-    pub fn earliest_free(&self) -> SimTime {
-        *self.free_at.lock().iter().min().expect("non-empty")
-    }
-
     /// Reset all servers to idle at t=0 (between benchmark iterations).
     pub fn reset(&self) {
         for t in self.free_at.lock().iter_mut() {

@@ -99,12 +99,6 @@ impl DetRng {
         (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
     }
 
-    /// Log-normal variate with the given parameters of the underlying
-    /// normal (`mu`, `sigma`).
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        (mu + sigma * self.std_normal()).exp()
-    }
-
     /// Standard normal via Box–Muller.
     pub fn std_normal(&mut self) -> f64 {
         let u1 = (1.0 - self.unit()).max(f64::MIN_POSITIVE);

@@ -75,16 +75,6 @@ impl NodeLocalDisk {
         let span = SimSpan::from_secs_f64(data.len() as f64 / self.bandwidth);
         Ok((data, arrival + self.op_latency + span))
     }
-
-    /// Access the underlying tree (driver construction).
-    pub fn with_tree<R>(&self, f: impl FnOnce(&MemFs) -> R) -> R {
-        f(&self.fs.read())
-    }
-
-    /// Mutate the underlying tree (unpacking images).
-    pub fn with_tree_mut<R>(&self, f: impl FnOnce(&mut MemFs) -> R) -> R {
-        f(&mut self.fs.write())
-    }
 }
 
 /// Where a staged image ended up on each node.

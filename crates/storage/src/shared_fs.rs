@@ -100,11 +100,6 @@ impl SharedFs {
         f(&mut self.fs.write())
     }
 
-    /// Read-only snapshot view (setup/verification).
-    pub fn with_tree<R>(&self, f: impl FnOnce(&MemFs) -> R) -> R {
-        f(&self.fs.read())
-    }
-
     /// One metadata operation (stat/open/lookup) arriving at `arrival`.
     /// Returns its completion time.
     pub fn metadata_op(&self, arrival: SimTime) -> SimTime {

@@ -270,16 +270,6 @@ impl OverlayFs {
         }
         Ok(())
     }
-
-    /// The whiteout set (diff extraction needs it).
-    pub fn whiteout_paths(&self) -> impl Iterator<Item = &VPath> {
-        self.whiteouts.iter()
-    }
-
-    /// The opaque-directory set.
-    pub fn opaque_paths(&self) -> impl Iterator<Item = &VPath> {
-        self.opaque.iter()
-    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,9 @@
 #                file and the per-scenario `run_traced` twins stay gone;
 #                hpcc-bench has exactly two drivers (`bench`, `repro`), no
 #                `benches/` and no criterion; no per-tick caller recounts
-#                the pod or node set (`list_pods` / `list_nodes`)
+#                the pod or node set (`list_pods` / `list_nodes`); a bench
+#                suite has one golden or none (no `tests/bench`, no
+#                `BENCH_core.json`, no tolerance or JSON reader)
 #   test         full test suite, then hpcc-codec and hpcc-vfs again under
 #                `taskset -c 0` so the inline (one-core) path of block
 #                compression is exercised too (skipped with a notice when
@@ -22,41 +24,34 @@
 #                included: about 2 s of this stage, about 4 min of it
 #                before a controller tick cost O(1) — the number to hold
 #                the stage timer against
-#   bench        pipeline benchmark suite vs checked-in baseline (>10%
-#                makespan regression fails; every bench-* stage below
-#                is `bench <suite> --check`, and `bench <suite> --bless`
-#                re-baselines it)
-#   bench-adapt  adaptive-partition policy sweep vs checked-in baseline
-#                (>10% regression in makespan / p95 pod start /
-#                reprovision count fails; re-baseline with
-#                `bench adapt --bless`); skipped under CI_QUICK=1
-#   bench-core   simulator-core wall-clock microbenches (quick sizes):
-#                live event-dispatch speedup floor plus >15% normalized
-#                ns/op regression vs checked-in baseline (re-baseline
-#                with `bench core --bless`); skipped under CI_QUICK=1
-#   bench-storm  fleet-scale pull-storm sweep (16 -> 10k nodes, logical
-#                time): flat-latency + coalescing structural gates plus
-#                >10% regression vs checked-in baseline (re-baseline
-#                with `bench storm --bless`); skipped under CI_QUICK=1
-#   bench-lazy   lazy-vs-eager pull benchmark: time-to-first-exec
-#                structural gates (lazy wins on many-small-files, moves
-#                fewer bytes; full scans still favor eager) plus >10%
-#                regression vs checked-in baseline (re-baseline with
-#                `bench lazy --bless`); skipped under CI_QUICK=1
+#   bench*       every bench-* stage is `bench <suite> --check`: the
+#                suite's structural gates, and for the six deterministic
+#                suites exact bytes against `BENCH_<suite>.json`
+#                (`bench <suite> --bless` rewrites it; nothing else
+#                does). All but `bench` are skipped under CI_QUICK=1.
+#                What each suite's own gates claim:
+#   bench        pipeline suite: parallelism never slows a cold pull,
+#                warm pulls hit the blob store, siblings dedup
+#   bench-adapt  adaptive-partition policy sweep: every workload
+#                completes; on the bursty trace ewma-forecast beats static
+#                on utilization and queue-threshold on p95 pod start
+#   bench-core   simulator-core microbenches, the one suite that reads
+#                the host clock and so has no golden: the live
+#                event-dispatch speedup floor, about 2 s
+#   bench-storm  fleet-scale pull-storm sweep (16 -> 10k nodes): tiered
+#                latency stays flat and reaches the origin once per
+#                blob while direct requests grow with the fleet
+#   bench-lazy   lazy-vs-eager pull: lazy wins time-to-first-exec on
+#                many-small-files and moves fewer bytes; full scans
+#                still favor eager
 #   bench-build  build-plane sweep (N tenants x M builds, cold / warm /
 #                shared-base): warm rebuilds replay from cache, shared
-#                base builds and uploads once (origin blob count flat),
-#                plus >10% regression vs checked-in baseline
-#                (re-baseline with `bench build --bless`); skipped under
-#                CI_QUICK=1
+#                base builds and uploads once (origin blob count flat)
 #   bench-chaos  game-day chaos suite (rack power loss, row partition,
-#                origin overload x none / breakers): the breaker
-#                rows must absorb every outage with zero
-#                failed pulls and recover within the ceiling, the dead
-#                rack's broadcast subtree must re-heal, plus >10%
-#                latency regression vs checked-in baseline
-#                (re-baseline with `bench chaos --bless`); skipped under
-#                CI_QUICK=1
+#                origin overload x none / breakers): the breaker rows
+#                absorb every outage with zero failed pulls and recover
+#                within the ceiling, the dead rack's broadcast subtree
+#                re-heals
 #   crash-matrix kill-at-every-crash-point recovery matrix, run in the
 #                debug profile so the unregistered-journal-site debug
 #                assertion is live; skipped under CI_QUICK=1
@@ -184,6 +179,16 @@ stage_lint() {
         exit 1
     fi
     echo "OK: bench + repro, no benches/, no criterion"
+    echo "==> one golden or none (DESIGN.md §\"Bench harness\")"
+    if [[ -e tests/bench || -e BENCH_core.json ]]; then
+        echo "FAIL: tests/bench or BENCH_core.json is back; a deterministic suite has one golden, BENCH_<suite>.json, and a wall-clock suite has none" >&2
+        exit 1
+    fi
+    if grep -rnE '_TOLERANCE|gated_metrics|compare_to_baseline|HAS_QUICK|CHECK_RETRIES|json::parse' crates/bench/src; then
+        echo "FAIL: the tolerance gate is growing back; bench --check compares bytes, and host time is compared by benchmark/run.sh compare" >&2
+        exit 1
+    fi
+    echo "OK: no second baseline copy, no tolerance, no JSON reader"
 }
 
 stage_test() {
@@ -237,27 +242,26 @@ stage_goldens() {
     cargo run --release -q -p hpcc-bench --bin repro -- --check
 }
 
-# Every bench stage is `bench <suite> --check [flags]`; the heavy sweeps
-# are skipped under CI_QUICK=1.
+# Every bench stage is `bench <suite> --check`; the heavy sweeps are
+# skipped under CI_QUICK=1.
 bench_stage() {
     local suite="$1" banner="$2"
-    shift 2
     if [[ "$CI_QUICK" == 1 ]]; then
         echo "==> $banner skipped (CI_QUICK=1)"
         return 0
     fi
     echo "==> $banner"
-    cargo run --release -q -p hpcc-bench --bin bench -- "$suite" --check "$@"
+    cargo run --release -q -p hpcc-bench --bin bench -- "$suite" --check
 }
 
 # The quick job keeps the pipeline gate live, so this stage ignores CI_QUICK.
-stage_bench() { CI_QUICK=0 bench_stage pipeline "pipeline benchmark suite vs baseline"; }
-stage_bench-adapt() { bench_stage adapt "adaptive-partition policy sweep vs baseline"; }
-stage_bench-core() { bench_stage core "simulator-core microbenches: speedup floor + baseline gate" --quick; }
-stage_bench-storm() { bench_stage storm "fleet-scale pull-storm sweep: flat-latency + baseline gate"; }
-stage_bench-lazy() { bench_stage lazy "lazy-vs-eager pull: time-to-first-exec gates + baseline"; }
-stage_bench-build() { bench_stage build "build plane: incremental-rebuild + shared-base gates + baseline"; }
-stage_bench-chaos() { bench_stage chaos "game-day chaos suite: outage absorption + recovery + baseline"; }
+stage_bench() { CI_QUICK=0 bench_stage pipeline "pipeline benchmark suite: gates + golden"; }
+stage_bench-adapt() { bench_stage adapt "adaptive-partition policy sweep: gates + golden"; }
+stage_bench-core() { bench_stage core "simulator-core microbenches: live speedup floor (host clock, ~2 s)"; }
+stage_bench-storm() { bench_stage storm "fleet-scale pull-storm sweep: flat-latency + origin-request gates + golden"; }
+stage_bench-lazy() { bench_stage lazy "lazy-vs-eager pull: time-to-first-exec gates + golden"; }
+stage_bench-build() { bench_stage build "build plane: incremental-rebuild + shared-base gates + golden"; }
+stage_bench-chaos() { bench_stage chaos "game-day chaos suite: outage absorption + recovery + golden"; }
 
 stage_crash-matrix() {
     if [[ "$CI_QUICK" == 1 ]]; then
