@@ -28,12 +28,10 @@
 //!         reprovision done
 //! ```
 //!
-//! The harness drives the loop as events on [`hpcc_sim::des::Engine`]:
-//! job/pod arrivals are scheduled at their trace times and a
-//! self-rescheduling tick event advances the controller. The world it
-//! steps — WLM partition, control plane, kubelet boot, the *drained*
-//! predicate, the outcome epilogue — is [`crate::cosim::World`], and step 5
-//! is [`hpcc_k8s::ControlPlane::tick`]: the same code the hand-written §6
+//! [`run`] steps the loop on [`World::drive`], admitting the trace's
+//! arrivals ahead of each tick. The world it steps, the driver and the
+//! outcome epilogue are [`crate::cosim`]'s and step 5 is
+//! [`hpcc_k8s::ControlPlane::tick`]: the same code the hand-written §6
 //! scenarios in `hpcc-core` run, so the [`crate::presets`] sit in one
 //! table with them.
 
@@ -43,7 +41,6 @@ use crate::signals::DemandSignals;
 use crate::traces::TimedWorkload;
 use hpcc_k8s::kubelet::{CriRuntime, Kubelet, KubeletMode};
 use hpcc_k8s::objects::{PodSpec, Resources};
-use hpcc_sim::des::Engine;
 use hpcc_sim::sym;
 use hpcc_sim::{
     DomainHealth, DomainSchedule, FaultInjector, FaultKind, SimSpan, SimTime, Stage, Tracer,
@@ -51,6 +48,7 @@ use hpcc_sim::{
 use hpcc_wlm::accounting::{UsageRecord, UsageSource};
 use hpcc_wlm::types::{NodeId, NodeSpec};
 use std::collections::BTreeMap;
+use std::iter::Peekable;
 use std::sync::Arc;
 
 /// How pod usage reaches (or escapes) the WLM's accounting.
@@ -268,7 +266,6 @@ struct Controller {
     cfg: ControllerConfig,
     policy: Box<dyn PartitionPolicy>,
     faults: Arc<FaultInjector>,
-    w: World,
     domains: Option<Arc<DomainSchedule>>,
 
     agents: Vec<AgentSlot>,
@@ -276,12 +273,12 @@ struct Controller {
     returning: Vec<Returning>,
     phases: BTreeMap<NodeId, NodePhase>,
 
-    arrivals: BTreeMap<String, SimTime>,
+    /// The arrivals still to come as `(at, index)`, pods numbered after
+    /// jobs, sorted: a job before a pod of the same instant, each in trace
+    /// order.
+    due: Peekable<std::vec::IntoIter<(SimTime, usize)>>,
     total_pods: usize,
-    /// Jobs and pods of the trace that have not arrived yet.
-    arrivals_pending: usize,
 
-    done_at: Option<SimTime>,
     last_grow: Option<SimTime>,
     last_release: Option<SimTime>,
     reprovisions: u32,
@@ -337,8 +334,18 @@ impl Controller {
     /// True once every pod and job has arrived and finished. Pod phases
     /// reflect the last kubelet sync, so at the top of a tick this reports
     /// the state as of the end of the previous tick.
-    fn workload_done(&self) -> bool {
-        self.arrivals_pending == 0 && self.w.drained(self.total_pods)
+    fn workload_done(&self, w: &World) -> bool {
+        self.due.len() == 0 && w.drained(self.total_pods)
+    }
+
+    /// Admit every arrival due by `t`, each at its own trace time.
+    fn admit(&mut self, w: &mut World, wl: &TimedWorkload, t: SimTime) {
+        while let Some((at, i)) = self.due.next_if(|(at, _)| *at <= t) {
+            match i.checked_sub(wl.jobs.len()) {
+                None => w.submit(wl.jobs[i].0.clone(), at),
+                Some(p) => w.k8s.api.create_pod(wl.pods[p].0.clone()).unwrap(),
+            }
+        }
     }
 
     /// Start (or, after a flap, restart) reimaging `node` toward Kubernetes.
@@ -368,6 +375,7 @@ impl Controller {
     /// Log one actuation to the decision list and the trace.
     fn decide<const N: usize>(
         &mut self,
+        w: &World,
         t: SimTime,
         kind: DecisionKind,
         requested: u32,
@@ -391,19 +399,18 @@ impl Controller {
             ("applied", applied.to_string()),
         ];
         attrs.extend(context);
-        self.w
-            .tracer
+        w.tracer
             .record(sym!("adapt.decision"), Stage::Adapt, t, t, &attrs);
     }
 
     /// Close `agent`'s books at `t`: the capacity it offered, and — for a
     /// node borrowed from the WLM under tenure accounting — its whole
     /// Kubernetes tenure as one external usage record.
-    fn retire(&mut self, agent: &AgentSlot, t: SimTime) {
+    fn retire(&mut self, w: &mut World, agent: &AgentSlot, t: SimTime) {
         self.agent_capacity_core_seconds +=
             self.cfg.node_spec.cores as f64 * t.since(agent.since).as_secs_f64();
         if agent.wlm_id.is_some() && self.cfg.accounting == AccountingModel::AgentTenure {
-            self.w.slurm.record_external_usage(UsageRecord {
+            w.slurm.record_external_usage(UsageRecord {
                 job: None,
                 user: self.cfg.external_user,
                 cores: self.cfg.node_spec.cores as u64,
@@ -417,17 +424,17 @@ impl Controller {
 
     /// One control-loop tick at `t`. Returns true when the workload is
     /// done and the partition has settled home.
-    fn step(&mut self, t: SimTime) -> bool {
-        self.w.slurm.advance_to(t);
+    fn step(&mut self, w: &mut World, t: SimTime) -> bool {
+        w.slurm.advance_to(t);
 
         // Demand signal: pending pods needing capacity, active pod load.
-        let pods = self.w.k8s.api.pod_tallies();
+        let pods = w.k8s.api.pod_tallies();
         // Workload status at the top of the tick (job queues just advanced;
         // pod phases reflect the end of the previous tick). Once everything
         // is done, growth is pointless: without this gate a policy with a
         // warm-pool floor (EwmaForecast) would re-grow the pool every time
         // the drain-down releases it and the partition would never settle.
-        let workload_done_pre = self.workload_done();
+        let workload_done_pre = self.workload_done(w);
 
         let node_cpu_millis = Resources::from(self.cfg.node_spec).cpu_millis;
         let signals = DemandSignals {
@@ -435,8 +442,8 @@ impl Controller {
             pending_pods: pods.pending,
             pending_pod_millis: pods.pending_cpu_millis,
             running_pod_millis: pods.bound_cpu_millis,
-            wlm_pending_jobs: self.w.slurm.pending_count(),
-            wlm_idle_nodes: self.w.slurm.idle_nodes(),
+            wlm_pending_jobs: w.slurm.pending_count(),
+            wlm_idle_nodes: w.slurm.idle_nodes(),
             agents: self.dynamic_agents(),
             provisioning: self.provisioning.len(),
             agents_idle_ready: self.idle_ready(t),
@@ -445,7 +452,7 @@ impl Controller {
                 .domains
                 .as_ref()
                 .map(|d| d.health(t))
-                .unwrap_or_else(|| DomainHealth::all_healthy(self.w.wlm_nodes.len())),
+                .unwrap_or_else(|| DomainHealth::all_healthy(w.wlm_nodes.len())),
         };
 
         // Policy: grow, damped by cooldown and the reprovision budget.
@@ -469,8 +476,8 @@ impl Controller {
             // a reprovision there would boot a kubelet nobody can reach,
             // or pull images through a severed origin path.
             let mut need = granted;
-            for idx in 0..self.w.wlm_nodes.len() {
-                let id = self.w.wlm_nodes[idx];
+            for idx in 0..w.wlm_nodes.len() {
+                let id = w.wlm_nodes[idx];
                 if need == 0 {
                     break;
                 }
@@ -478,7 +485,7 @@ impl Controller {
                     domain_skipped += 1;
                     continue;
                 }
-                if self.w.slurm.drain_node(id).is_ok() && self.w.slurm.offline_node(id).is_ok() {
+                if w.slurm.drain_node(id).is_ok() && w.slurm.offline_node(id).is_ok() {
                     self.provision(id, t, 0, t);
                     need -= 1;
                     drained += 1;
@@ -488,7 +495,7 @@ impl Controller {
                 self.last_grow = Some(t);
             }
             if domain_skipped > 0 {
-                self.w.tracer.record(
+                w.tracer.record(
                     sym!("adapt.domain_skip"),
                     Stage::Adapt,
                     t,
@@ -505,7 +512,7 @@ impl Controller {
                 ("pending_pods", pods.pending.to_string()),
                 ("supplying", signals.supplying().to_string()),
             ];
-            self.decide(t, DecisionKind::Grow, requested, drained, context);
+            self.decide(w, t, DecisionKind::Grow, requested, drained, context);
         }
 
         // Finish provisioning → boot kubelets (or flap and go around).
@@ -520,7 +527,7 @@ impl Controller {
                     .cfg
                     .reprovision_budget
                     .is_none_or(|b| self.reprovisions < b);
-                self.w.tracer.record(
+                w.tracer.record(
                     sym!("adapt.flap"),
                     Stage::Adapt,
                     t,
@@ -540,17 +547,16 @@ impl Controller {
                 continue;
             }
             // A reprovisioned agent boots on the shared clock, at `t`.
-            self.w.clock.advance_to(t);
-            let kubelet = self
-                .w
+            w.clock.advance_to(t);
+            let kubelet = w
                 .boot_kubelet(
                     &format!("{}{}", self.cfg.dynamic_agent_prefix, prov.node.0),
                     KubeletMode::Rootful,
                     &mut node_cgroups(KubeletMode::Rootful),
-                    &self.w.clock,
+                    &w.clock,
                 )
                 .expect("rootful kubelet boots");
-            self.w.tracer.record(
+            w.tracer.record(
                 sym!("adapt.reprovision"),
                 Stage::Adapt,
                 prov.drained_at,
@@ -574,12 +580,9 @@ impl Controller {
             self.returning.drain(..).partition(|r| r.ready_at <= t);
         self.returning = still;
         for ret in back {
-            self.w
-                .slurm
-                .return_node(ret.node)
-                .expect("offline node returns");
+            w.slurm.return_node(ret.node).expect("offline node returns");
             self.set_phase(ret.node, NodePhase::Wlm);
-            self.w.tracer.record(
+            w.tracer.record(
                 sym!("adapt.return"),
                 Stage::Adapt,
                 ret.released_at,
@@ -590,13 +593,12 @@ impl Controller {
 
         // K8s control loop.
         let kubelets = self.agents.iter_mut().map(|a| &mut a.kubelet);
-        self.w.k8s.tick(kubelets, &self.w.clock, t, |pod| {
+        w.k8s.tick(kubelets, &w.clock, t, |pod| {
             self.pod_core_seconds += pod.resources.cpu_millis as f64 / 1000.0
                 * pod.ended.since(pod.started).as_secs_f64();
             if self.cfg.accounting == AccountingModel::PerPod {
                 // Pod usage is invisible to the WLM: External.
-                self.w
-                    .slurm
+                w.slurm
                     .record_external_usage(external_pod_usage(self.cfg.external_user, &pod));
             }
         });
@@ -609,7 +611,7 @@ impl Controller {
         }
 
         // Workload status (drives the forced drain-down and completion).
-        let workload_done = self.workload_done();
+        let workload_done = self.workload_done(w);
 
         // Policy: release idle-ready agents, damped by cooldown; a fully
         // drained workload overrides the policy so standing pools retire.
@@ -634,8 +636,8 @@ impl Controller {
             let slots = std::mem::take(&mut self.agents);
             for mut agent in slots {
                 if agent.returnable(t, self.cfg.idle_return_after) && released < to_release {
-                    agent.kubelet.shutdown(&self.w.k8s.api);
-                    self.retire(&agent, t);
+                    agent.kubelet.shutdown(&w.k8s.api);
+                    self.retire(w, &agent, t);
                     self.send_home(agent.wlm_id.expect("dynamic agent"), t);
                     released += 1;
                     self.releases += 1;
@@ -648,7 +650,7 @@ impl Controller {
                 self.last_release = Some(t);
             }
             let context = [("idle_ready", idle_ready.to_string())];
-            self.decide(t, DecisionKind::Release, to_release, released, context);
+            self.decide(w, t, DecisionKind::Release, to_release, released, context);
         }
 
         workload_done && self.dynamic_agents() == 0 && self.returning.is_empty()
@@ -669,17 +671,6 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-fn tick_event(eng: &mut Engine<Controller>, c: &mut Controller) {
-    let t = eng.now();
-    if c.step(t) {
-        c.done_at = Some(t);
-        return;
-    }
-    if (t + c.cfg.tick).since(SimTime::ZERO) < c.cfg.horizon {
-        eng.after(c.cfg.tick, tick_event);
-    }
-}
-
 /// Nearest-rank percentile of sorted spans.
 fn percentile(sorted: &[SimSpan], q: f64) -> Option<SimSpan> {
     if sorted.is_empty() {
@@ -689,131 +680,134 @@ fn percentile(sorted: &[SimSpan], q: f64) -> Option<SimSpan> {
     Some(sorted[rank - 1])
 }
 
-/// Run one controller configuration over one workload trace.
+/// Run one controller configuration over one workload trace: every tick
+/// admits the arrivals due by then, then steps the controller. A trace that
+/// outlasts the ticks still arrives in full, after the last of them.
 pub fn run(spec: RunSpec<'_>) -> AdaptOutcome {
-    let cfg = spec.config;
-    let w = World::new(
-        spec.scenario,
-        &spec.tracer,
-        spec.cri,
-        cfg.node_spec,
-        cfg.wlm_nodes,
-    );
-    w.tracer.attr(w.span, sym!("policy"), spec.policy.name());
+    let (wl, cfg) = (spec.workload, spec.config);
+    let (mut ctl, mut w) = Controller::start(spec);
+    let done_at = w.drive(cfg.tick, cfg.horizon, |w, t| {
+        ctl.admit(w, wl, t);
+        ctl.step(w, t)
+    });
+    ctl.admit(&mut w, wl, SimTime(u64::MAX));
+    ctl.finish(w, wl, done_at)
+}
 
-    // Static carve-out: permanent kubelets on a dedicated control plane,
-    // booted in parallel before the t=0 workload (fresh clocks).
-    let names = (0..cfg.static_agents).map(|i| format!("{}{i}", cfg.static_agent_prefix));
-    let agents = w
-        .boot_fleet(names, KubeletMode::Rootful)
-        .into_iter()
-        .map(|kubelet| AgentSlot {
-            wlm_id: None,
-            kubelet,
-            since: SimTime::ZERO,
-            idle_since: None,
-        })
-        .collect();
+impl Controller {
+    /// The world at t=0 — partition, control plane, static carve-out — and
+    /// the controller beside it, nothing of the trace admitted yet.
+    fn start(spec: RunSpec<'_>) -> (Controller, World) {
+        let cfg = spec.config;
+        let w = World::new(
+            spec.scenario,
+            &spec.tracer,
+            spec.cri,
+            cfg.node_spec,
+            cfg.wlm_nodes,
+        );
+        w.tracer.attr(w.span, sym!("policy"), spec.policy.name());
 
-    let arrivals_pending = spec.workload.jobs.len() + spec.workload.pods.len();
-    let mut ctl = Controller {
-        policy: spec.policy,
-        faults: spec.faults,
-        w,
-        domains: spec.domains,
-        agents,
-        provisioning: Vec::new(),
-        returning: Vec::new(),
-        phases: BTreeMap::new(),
-        arrivals: BTreeMap::new(),
-        total_pods: spec.workload.pods.len(),
-        arrivals_pending,
-        done_at: None,
-        last_grow: None,
-        last_release: None,
-        reprovisions: 0,
-        flaps: 0,
-        releases: 0,
-        abandoned: 0,
-        decisions: Vec::new(),
-        pod_core_seconds: 0.0,
-        agent_capacity_core_seconds: 0.0,
-        cfg,
-    };
+        // Static carve-out: permanent kubelets on a dedicated control plane,
+        // booted in parallel before the t=0 workload (fresh clocks).
+        let names = (0..cfg.static_agents).map(|i| format!("{}{i}", cfg.static_agent_prefix));
+        let agents = w
+            .boot_fleet(names, KubeletMode::Rootful)
+            .into_iter()
+            .map(|kubelet| AgentSlot {
+                wlm_id: None,
+                kubelet,
+                since: SimTime::ZERO,
+                idle_since: None,
+            })
+            .collect();
 
-    // Arrivals as events; the self-rescheduling tick drives the loop.
-    let mut eng = Engine::<Controller>::new();
-    for (job, at) in spec.workload.jobs.iter().cloned() {
-        eng.at(at, move |e, c: &mut Controller| {
-            c.arrivals_pending -= 1;
-            c.w.submit(job, e.now());
-        });
-    }
-    for (pod, at) in spec.workload.pods.iter().cloned() {
-        eng.at(at, move |_, c: &mut Controller| {
-            c.arrivals_pending -= 1;
-            c.arrivals.insert(pod.name.clone(), at);
-            c.w.k8s.api.create_pod(pod).unwrap();
-        });
-    }
-    eng.at(SimTime::ZERO, tick_event);
-    let max_events = cfg.horizon.0 / cfg.tick.0.max(1) + arrivals_pending as u64 + 16;
-    eng.run_to_completion(&mut ctl, max_events);
-
-    // Account anything still out when the run stops.
-    let final_t = ctl.done_at.unwrap_or(SimTime::ZERO + cfg.horizon);
-    for agent in std::mem::take(&mut ctl.agents) {
-        ctl.retire(&agent, final_t);
+        let (jobs, pods) = (&spec.workload.jobs, &spec.workload.pods);
+        let times = jobs.iter().map(|j| j.1).chain(pods.iter().map(|p| p.1));
+        let mut due: Vec<(SimTime, usize)> = times.zip(0..).collect();
+        due.sort_unstable();
+        let ctl = Controller {
+            policy: spec.policy,
+            faults: spec.faults,
+            domains: spec.domains,
+            agents,
+            provisioning: Vec::new(),
+            returning: Vec::new(),
+            phases: BTreeMap::new(),
+            total_pods: pods.len(),
+            due: due.into_iter().peekable(),
+            last_grow: None,
+            last_release: None,
+            reprovisions: 0,
+            flaps: 0,
+            releases: 0,
+            abandoned: 0,
+            decisions: Vec::new(),
+            pod_core_seconds: 0.0,
+            agent_capacity_core_seconds: 0.0,
+            cfg,
+        };
+        (ctl, w)
     }
 
-    let capacity = cfg.capacity_cores();
-    let stats = ctl.w.finish(ctl.done_at, cfg.horizon, capacity);
+    /// Close the books on a run of `wl` that settled at `done_at` (`None`:
+    /// the horizon stopped it) and read the outcome off the final state.
+    fn finish(
+        mut self,
+        mut w: World,
+        wl: &TimedWorkload,
+        done_at: Option<SimTime>,
+    ) -> AdaptOutcome {
+        let cfg = self.cfg;
+        // Account anything still out when the run stops.
+        let final_t = done_at.unwrap_or(SimTime::ZERO + cfg.horizon);
+        for agent in std::mem::take(&mut self.agents) {
+            self.retire(&mut w, &agent, final_t);
+        }
 
-    // Arrival→running latency of every pod that got to run.
-    let mut latencies: Vec<SimSpan> = stats
-        .pod_starts
-        .iter()
-        .map(|(name, started)| {
-            started.since(ctl.arrivals.get(name).copied().unwrap_or(SimTime::ZERO))
-        })
-        .collect();
-    latencies.sort();
-    let slo_violations =
-        latencies.iter().filter(|l| **l > cfg.slo_pod_start).count() + stats.pods_failed;
+        let capacity = cfg.capacity_cores();
+        let stats = w.finish(done_at, cfg.horizon, capacity);
 
-    let wlm_core_seconds = ctl
-        .w
-        .slurm
-        .ledger()
-        .total_core_seconds(Some(UsageSource::Wlm));
-    let work_secs = stats.work_makespan.as_secs_f64();
-    let wlm_capacity = cfg.wlm_nodes as u64 * cfg.node_spec.cores as u64;
+        // Arrival→running latency of every pod that got to run.
+        let arrivals: BTreeMap<&str, SimTime> =
+            (wl.pods.iter().map(|(pod, at)| (pod.name.as_str(), *at))).collect();
+        let mut latencies: Vec<SimSpan> = (stats.pod_starts.iter())
+            .map(|(name, started)| started.since(arrivals[name.as_str()]))
+            .collect();
+        latencies.sort();
+        let slo_violations =
+            latencies.iter().filter(|l| **l > cfg.slo_pod_start).count() + stats.pods_failed;
 
-    AdaptOutcome {
-        policy: ctl.policy.name().to_string(),
-        makespan: stats.makespan,
-        work_makespan: stats.work_makespan,
-        first_pod_start: stats.first_pod_start,
-        mean_pod_start: stats.mean_pod_start,
-        p50_pod_start: percentile(&latencies, 0.50),
-        p95_pod_start: percentile(&latencies, 0.95),
-        utilization: stats.utilization,
-        combined_utilization: ratio(
-            wlm_core_seconds + ctl.pod_core_seconds,
-            capacity as f64 * work_secs,
-        ),
-        wlm_utilization: ratio(wlm_core_seconds, wlm_capacity as f64 * work_secs),
-        k8s_utilization: ratio(ctl.pod_core_seconds, ctl.agent_capacity_core_seconds),
-        accounting_coverage: stats.accounting_coverage,
-        pods_succeeded: stats.pods_succeeded,
-        pods_failed: stats.pods_failed,
-        jobs_completed: stats.jobs_completed,
-        reprovisions: ctl.reprovisions,
-        flaps: ctl.flaps,
-        releases: ctl.releases,
-        abandoned: ctl.abandoned,
-        slo_violations,
-        decisions: ctl.decisions,
+        let wlm_core_seconds = w.slurm.ledger().total_core_seconds(Some(UsageSource::Wlm));
+        let work_secs = stats.work_makespan.as_secs_f64();
+        let wlm_capacity = cfg.wlm_nodes as u64 * cfg.node_spec.cores as u64;
+
+        AdaptOutcome {
+            policy: self.policy.name().to_string(),
+            makespan: stats.makespan,
+            work_makespan: stats.work_makespan,
+            first_pod_start: stats.first_pod_start,
+            mean_pod_start: stats.mean_pod_start,
+            p50_pod_start: percentile(&latencies, 0.50),
+            p95_pod_start: percentile(&latencies, 0.95),
+            utilization: stats.utilization,
+            combined_utilization: ratio(
+                wlm_core_seconds + self.pod_core_seconds,
+                capacity as f64 * work_secs,
+            ),
+            wlm_utilization: ratio(wlm_core_seconds, wlm_capacity as f64 * work_secs),
+            k8s_utilization: ratio(self.pod_core_seconds, self.agent_capacity_core_seconds),
+            accounting_coverage: stats.accounting_coverage,
+            pods_succeeded: stats.pods_succeeded,
+            pods_failed: stats.pods_failed,
+            jobs_completed: stats.jobs_completed,
+            reprovisions: self.reprovisions,
+            flaps: self.flaps,
+            releases: self.releases,
+            abandoned: self.abandoned,
+            slo_violations,
+            decisions: self.decisions,
+        }
     }
 }
 
@@ -821,8 +815,223 @@ pub fn run(spec: RunSpec<'_>) -> AdaptOutcome {
 mod tests {
     use super::*;
     use crate::policy::{QueueThresholdPolicy, StaticPolicy};
+    use crate::presets;
     use crate::traces::{generate, TimedWorkload, TraceConfig, TraceShape};
+    use hpcc_sim::des::Engine;
     use hpcc_sim::FaultRule;
+    use hpcc_wlm::types::JobRequest;
+    use proptest::prelude::*;
+
+    /// The event-driven driver [`run`] replaced, kept as its
+    /// executable specification: every arrival is an event at its trace
+    /// time (jobs scheduled before pods, so `(at, id)` order puts a job
+    /// ahead of a pod of the same instant and both ahead of that instant's
+    /// tick), the tick reschedules itself until the run settles or the next
+    /// one would reach the horizon, and the queue drains to the end — so
+    /// arrivals later than the last tick still land. It reads `due` only
+    /// as the count of arrivals pending, never for their order. (It always
+    /// runs the tick at t=0; `World::drive` runs none under a zero horizon.)
+    fn run_on_des(spec: RunSpec<'_>) -> AdaptOutcome {
+        struct Des {
+            c: Controller,
+            w: World,
+            done_at: Option<SimTime>,
+        }
+        fn tick_event(eng: &mut Engine<Des>, d: &mut Des) {
+            let t = eng.now();
+            if d.c.step(&mut d.w, t) {
+                d.done_at = Some(t);
+                return;
+            }
+            if (t + d.c.cfg.tick).since(SimTime::ZERO) < d.c.cfg.horizon {
+                eng.after(d.c.cfg.tick, tick_event);
+            }
+        }
+        let (workload, cfg) = (spec.workload, spec.config);
+        let (c, w) = Controller::start(spec);
+        let arrivals_pending = c.due.len();
+        let mut d = Des {
+            c,
+            w,
+            done_at: None,
+        };
+
+        // Arrivals as events; the self-rescheduling tick drives the loop.
+        let mut eng = Engine::<Des>::new();
+        for (job, at) in workload.jobs.iter().cloned() {
+            eng.at(at, move |e, d: &mut Des| {
+                d.c.due.next(); // counts what is pending; the order here is the engine's
+                d.w.submit(job, e.now());
+            });
+        }
+        for (pod, at) in workload.pods.iter().cloned() {
+            eng.at(at, move |_, d: &mut Des| {
+                d.c.due.next(); // counts what is pending; the order here is the engine's
+                d.w.k8s.api.create_pod(pod).unwrap();
+            });
+        }
+        eng.at(SimTime::ZERO, tick_event);
+        let max_events = cfg.horizon.0 / cfg.tick.0.max(1) + arrivals_pending as u64 + 16;
+        eng.run_to_completion(&mut d, max_events);
+        d.c.finish(d.w, workload, d.done_at)
+    }
+
+    /// A trace from `(runtime s, arrival ms)` jobs and `(duration s, cores,
+    /// arrival ms)` pods, in the order given.
+    fn trace_of(jobs: &[(u64, u64)], pods: &[(u64, u64, u64)]) -> TimedWorkload {
+        let at = |ms: u64| SimTime::ZERO + SimSpan::millis(ms);
+        let job = |(i, &(secs, ms)): (usize, &(u64, u64))| {
+            let nodes = 1 + i as u32 % 2;
+            let req = JobRequest::batch(&format!("job-{i}"), 1000, nodes, SimSpan::secs(secs));
+            (req, at(ms))
+        };
+        let pod = |(i, &(secs, cores, ms)): (usize, &(u64, u64, u64))| {
+            let mut pod = PodSpec::simple(&format!("pod-{i}"), "a/b:v1", SimSpan::secs(secs));
+            pod.resources.cpu_millis = cores * 1000;
+            (pod, at(ms))
+        };
+        TimedWorkload {
+            jobs: jobs.iter().enumerate().map(job).collect(),
+            pods: pods.iter().enumerate().map(pod).collect(),
+        }
+    }
+
+    /// `run` and `run_on_des` over `wl` under each of the three presets on
+    /// eight nodes; returns the (identical) outcomes in preset order.
+    fn on_both_drivers(
+        wl: &TimedWorkload,
+        tick: SimSpan,
+        horizon: SimSpan,
+        flaps: Option<u64>,
+    ) -> Vec<AdaptOutcome> {
+        let on_preset = |i: usize| {
+            let spec = || {
+                let (policy, mut config) = match i {
+                    0 => presets::static_partition(8),
+                    1 => presets::on_demand_reallocation(8),
+                    _ => presets::ewma_forecast(8, SimSpan::secs(300), 2),
+                };
+                (config.tick, config.horizon) = (tick, horizon);
+                RunSpec {
+                    workload: wl,
+                    policy,
+                    config,
+                    cri: Arc::new(FixedCri(SimSpan::millis(1200))),
+                    tracer: Tracer::disabled(),
+                    faults: flaps.map_or_else(FaultInjector::disabled, |seed| {
+                        let rule = FaultRule::background(FaultKind::NodeFlap, 0.3);
+                        Arc::new(FaultInjector::new(seed, vec![rule]))
+                    }),
+                    domains: None,
+                    scenario: "test",
+                }
+            };
+            let stepped = run(spec());
+            assert_eq!(stepped, run_on_des(spec()), "preset {i} over {wl:?}");
+            stepped
+        };
+        (0..3).map(on_preset).collect()
+    }
+
+    /// Arrival instants in ms: t=0, on a 1 s and a 3 s tick, on a coarse
+    /// grid (so a job and a pod often share one), anywhere in the first two
+    /// minutes, late enough that what came before has drained, and at
+    /// 700 s and after — the horizon and past it for a 700 s run.
+    fn arrival_ms() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            (0u64..40).prop_map(|k| k * 3000),
+            (0u64..20).prop_map(|k| k * 500),
+            0u64..120_000,
+            400_000u64..900_000,
+            Just(700_000u64),
+            700_001u64..790_000,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any trace — arrival vectors unsorted, instants shared, on and
+        /// between ticks, after the drain, on and past the horizon — under
+        /// any preset: the fixed-step driver is the event-driven one.
+        #[test]
+        fn run_matches_the_event_driven_driver(
+            jobs in collection::vec((20u64..240, arrival_ms()), 0..6),
+            pods in collection::vec((10u64..120, 2u64..17, arrival_ms()), 0..10),
+            tick_ms in prop_oneof![Just(1000u64), Just(3000u64)],
+            horizon_s in prop_oneof![Just(700u64), Just(2000u64)],
+            flaps in prop_oneof![Just(None), (1u64..100).prop_map(Some)],
+        ) {
+            let wl = trace_of(&jobs, &pods);
+            on_both_drivers(&wl, SimSpan::millis(tick_ms), SimSpan::secs(horizon_s), flaps);
+        }
+    }
+
+    /// The same edges, one literal trace each on a 3 s tick under a 900 s
+    /// horizon, with what the on-demand preset makes of them: jobs
+    /// completed, pods succeeded, makespan in ms.
+    #[test]
+    fn arrival_edges_match_the_event_driven_driver() {
+        type Edge = (
+            &'static str,
+            &'static [(u64, u64)],
+            &'static [(u64, u64, u64)],
+            (usize, usize, u64),
+        );
+        let edges: [Edge; 8] = [
+            ("empty trace", &[], &[], (0, 0, 0)),
+            (
+                "unsorted arrival vectors",
+                &[(60, 5000), (30, 0), (45, 2500)],
+                &[(20, 4, 4000), (20, 4, 1000), (30, 8, 1000)],
+                (3, 3, 279_000),
+            ),
+            (
+                "a job and a pod at one instant, on a tick",
+                &[(60, 3000)],
+                &[(20, 4, 3000)],
+                (1, 1, 270_000),
+            ),
+            (
+                "a job and a pod at one instant, between ticks",
+                &[(60, 3500)],
+                &[(20, 4, 3500)],
+                (1, 1, 273_000),
+            ),
+            (
+                "arrivals after the workload drained and the agents went home",
+                &[(30, 0), (30, 450_250)],
+                &[(20, 4, 0), (20, 4, 450_000)],
+                (2, 2, 717_000),
+            ),
+            (
+                "arrivals on the last tick",
+                &[(30, 897_000)],
+                &[(20, 4, 897_000)],
+                (0, 0, 0),
+            ),
+            (
+                "arrivals on the horizon",
+                &[(30, 0), (30, 900_000)],
+                &[(20, 4, 0), (20, 4, 900_000)],
+                (1, 1, 84_200),
+            ),
+            (
+                "arrivals past the horizon",
+                &[(30, 0), (30, 900_001)],
+                &[(20, 4, 0), (20, 4, 1_200_000)],
+                (1, 1, 84_200),
+            ),
+        ];
+        for (name, jobs, pods, expected) in edges {
+            let wl = trace_of(jobs, pods);
+            let outcomes = on_both_drivers(&wl, SimSpan::secs(3), SimSpan::secs(900), None);
+            let o = &outcomes[1];
+            let got = (o.jobs_completed, o.pods_succeeded, o.makespan.0 / 1_000_000);
+            assert_eq!(got, expected, "{name}");
+        }
+    }
 
     fn small_trace(seed: u64) -> TimedWorkload {
         generate(&TraceConfig {

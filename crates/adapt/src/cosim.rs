@@ -5,11 +5,10 @@
 //! the other two — runs on this module: one [`World`] (a `batch` WLM
 //! partition, a standing [`ControlPlane`], the shared Kubernetes clock and
 //! the root `scenario` span), one way to boot a kubelet into it, one
-//! *drained* predicate, one fixed-step driver for workloads that are all
-//! present at t=0, and one epilogue that turns the final state into
-//! [`Stats`]. The Kubernetes tick itself is [`ControlPlane::tick`]; an
-//! architecture is only what differs: how it fills the world, and the
-//! per-tick step it hands [`World::drive`].
+//! *drained* predicate, one fixed-step driver, and one epilogue that turns
+//! the final state into [`Stats`]. The Kubernetes tick itself is
+//! [`ControlPlane::tick`]; an architecture is only what differs: how it
+//! fills the world, and the per-tick step it hands [`World::drive`].
 
 use hpcc_k8s::k3s::{ControlPlane, FinishedPod};
 use hpcc_k8s::kubelet::{CriRuntime, Kubelet, KubeletError, KubeletMode};
@@ -175,22 +174,20 @@ impl World {
             && self.slurm.running_count() == 0
     }
 
-    /// Step a workload that is all present at t=0 until it drains or the
-    /// horizon fires: each tick advances the WLM to `t`, then runs `step` —
-    /// the part that *is* the architecture, Kubernetes tick included.
-    /// Returns the tick the run settled on, `None` on horizon.
+    /// The one loop over ticks: run `step` at t = 0, `tick`, 2·`tick`, …
+    /// below `horizon` until it reports the run settled. The step *is* the
+    /// architecture — admit what arrived, advance the WLM to `t`, then the
+    /// Kubernetes tick. Returns the tick the run settled on, `None` on
+    /// horizon.
     pub fn drive(
         &mut self,
-        total_pods: usize,
         tick: SimSpan,
         horizon: SimSpan,
-        mut step: impl FnMut(&mut World, SimTime),
+        mut step: impl FnMut(&mut World, SimTime) -> bool,
     ) -> Option<SimTime> {
         let mut t = SimTime::ZERO;
         while t.since(SimTime::ZERO) < horizon {
-            self.slurm.advance_to(t);
-            step(self, t);
-            if self.drained(total_pods) {
+            if step(self, t) {
                 return Some(t);
             }
             t += tick;
@@ -315,8 +312,10 @@ mod tests {
         w.k8s.api.create_pod(huge).unwrap();
 
         let horizon = SimSpan::secs(120);
-        let done_at = w.drive(2, SimSpan::secs(1), horizon, |w, t| {
-            w.k8s.tick(&mut agents, &w.clock, t, |_| {})
+        let done_at = w.drive(SimSpan::secs(1), horizon, |w, t| {
+            w.slurm.advance_to(t);
+            w.k8s.tick(&mut agents, &w.clock, t, |_| {});
+            w.drained(2)
         });
         assert_eq!(done_at, None);
         assert!(!w.drained(2) && w.drained(1));
@@ -338,6 +337,30 @@ mod tests {
         assert_eq!(root.end, SimTime::ZERO + horizon);
         let errs = hpcc_sim::obs::check_invariants(&spans);
         assert!(errs.is_empty(), "{}", errs.join("\n"));
+    }
+
+    /// The stop rule: `step` runs at 0, tick, 2·tick, … strictly below the
+    /// horizon, and the first tick it reports settled on is the last.
+    #[test]
+    fn drive_stops_where_the_step_settles_or_short_of_the_horizon() {
+        let mut w = world(&Tracer::disabled(), 0);
+        let at = |s: u64| SimTime::ZERO + SimSpan::secs(s);
+        let mut ticks = |horizon: u64, settles_at: Option<u64>| {
+            let mut seen = Vec::new();
+            let done_at = w.drive(SimSpan::secs(2), SimSpan::secs(horizon), |_, t| {
+                seen.push(t);
+                settles_at.is_some_and(|s| t == at(s))
+            });
+            (done_at, seen)
+        };
+        assert_eq!(ticks(7, None), (None, vec![at(0), at(2), at(4), at(6)]));
+        assert_eq!(ticks(6, None), (None, vec![at(0), at(2), at(4)]));
+        assert_eq!(ticks(0, Some(0)), (None, vec![]));
+        assert_eq!(ticks(7, Some(0)), (Some(at(0)), vec![at(0)]));
+        assert_eq!(ticks(7, Some(4)), (Some(at(4)), vec![at(0), at(2), at(4)]));
+        // Settling off the tick grid, or on the horizon, is never seen.
+        assert_eq!(ticks(6, Some(3)).0, None);
+        assert_eq!(ticks(6, Some(6)).0, None);
     }
 
     #[test]

@@ -26,13 +26,12 @@
 //!   shipped policies.
 //! * [`cosim`] — the one Slurm + Kubernetes co-simulation world: WLM
 //!   partition beside a control plane, kubelet boot, the *drained*
-//!   predicate, the fixed-step driver and the outcome epilogue. The
+//!   predicate, the one fixed-step driver and the outcome epilogue. The
 //!   controller and every hand-written §6 scenario in `hpcc-core` run on it.
 //! * [`controller`] — per-node state machines, hysteresis/cooldowns, the
-//!   reprovision-budget limiter and the deterministic harness that drives
-//!   everything on [`hpcc_sim::des::Engine`].
-//! * [`traces`] — a seeded bursty/diurnal/Poisson workload-trace
-//!   generator for policy sweeps.
+//!   reprovision-budget limiter, and [`run`]: one trace under one policy.
+//! * [`traces`] — the seeded workload generator: everything at t=0 for the
+//!   §6 table, bursty/diurnal/Poisson arrivals for policy sweeps.
 //! * [`presets`] — the controller instantiations that *are* the §6
 //!   static-partition and on-demand-reallocation scenarios.
 //!

@@ -1,16 +1,12 @@
-//! Seeded workload-trace generator for policy sweeps.
+//! The one seeded workload generator: the §6.6 mixed workload (multi-node
+//! batch jobs with exponential ~10 min runtimes; 2–16-core pods with
+//! exponential ~2 min runtimes), as arrival-timed jobs and pods.
 //!
-//! The §6 scenarios submit everything at t=0, which only probes the cold
-//! transient. Adaptive policies differ on *temporal structure*: recurring
-//! bursts reward a warm pool, diurnal swells reward forecasting, and a
-//! memoryless Poisson stream rewards neither. This module generates all
-//! three shapes deterministically from a seed, as arrival-timed jobs and
-//! pods compatible with the controller harness.
-//!
-//! Job and pod parameter distributions deliberately mirror the §6.6 mixed
-//! workload (multi-node batch jobs with exponential ~10 min runtimes;
-//! 2–16-core pods with exponential ~2 min runtimes) so sweep results stay
-//! comparable with the scenario tables in EXPERIMENTS.md.
+//! The §6 scenario table submits everything at t=0
+//! ([`TraceShape::AtZero`]), which only probes the cold transient. Adaptive
+//! policies differ on *temporal structure*: recurring bursts reward a warm
+//! pool, diurnal swells reward forecasting, and a memoryless Poisson stream
+//! rewards neither — the other three shapes, for policy sweeps.
 
 use hpcc_k8s::objects::PodSpec;
 use hpcc_sim::rng::DetRng;
@@ -33,22 +29,16 @@ impl TimedWorkload {
             pods: pods.into_iter().map(|p| (p, SimTime::ZERO)).collect(),
         }
     }
-
-    /// Last arrival in the trace.
-    pub fn last_arrival(&self) -> SimTime {
-        self.jobs
-            .iter()
-            .map(|(_, t)| *t)
-            .chain(self.pods.iter().map(|(_, t)| *t))
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
 }
 
-/// Temporal structure of pod arrivals (jobs always arrive Poisson over
-/// the job window — WLM queues are the backdrop, not the subject).
+/// Temporal structure of pod arrivals (but for [`TraceShape::AtZero`],
+/// jobs arrive Poisson over the job window — WLM queues are the backdrop,
+/// not the subject).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceShape {
+    /// Every job and pod at t=0. Draws no arrival times, so the window
+    /// fields of [`TraceConfig`] are unused.
+    AtZero,
     /// Memoryless: exponential inter-arrivals over the whole duration.
     Poisson,
     /// `bursts` groups of `pods_per_burst` pods, `spacing` apart, the
@@ -68,6 +58,7 @@ impl TraceShape {
     /// Stable lower-case label used in bench output and filenames.
     pub fn label(&self) -> &'static str {
         match self {
+            TraceShape::AtZero => "at-zero",
             TraceShape::Poisson => "poisson",
             TraceShape::Bursty { .. } => "bursty",
             TraceShape::Diurnal { .. } => "diurnal",
@@ -96,46 +87,13 @@ pub struct TraceConfig {
 /// Generate a trace. Pure function of the config (seeded [`DetRng`]).
 pub fn generate(cfg: &TraceConfig) -> TimedWorkload {
     let mut rng = DetRng::seeded(cfg.seed);
-    let jobs = gen_jobs(cfg, &mut rng);
-    let pods = match cfg.shape {
-        TraceShape::Poisson => {
-            let times = poisson_times(&mut rng, cfg.n_pods, cfg.duration);
-            gen_pods(&mut rng, &times)
-        }
-        TraceShape::Bursty {
-            bursts,
-            pods_per_burst,
-            spacing,
-            first_at,
-        } => {
-            let mut times = Vec::new();
-            for b in 0..bursts {
-                let start = SimTime::ZERO + first_at + spacing * b as u64;
-                for i in 0..pods_per_burst {
-                    times.push(start + SimSpan::millis(100) * i as u64);
-                }
-            }
-            gen_pods(&mut rng, &times)
-        }
-        TraceShape::Diurnal { period } => {
-            let times = diurnal_times(&mut rng, cfg.n_pods, cfg.duration, period);
-            gen_pods(&mut rng, &times)
-        }
+    let job_times = match cfg.shape {
+        TraceShape::AtZero => vec![SimTime::ZERO; cfg.n_jobs],
+        _ if cfg.job_window.is_zero() => poisson_times(&mut rng, cfg.n_jobs, cfg.duration),
+        _ => poisson_times(&mut rng, cfg.n_jobs, cfg.job_window),
     };
-    TimedWorkload { jobs, pods }
-}
-
-fn gen_jobs(cfg: &TraceConfig, rng: &mut DetRng) -> Vec<(JobRequest, SimTime)> {
     let max_job_nodes = (cfg.nodes / 4).max(1);
-    let window = if cfg.job_window.is_zero() {
-        cfg.duration
-    } else {
-        cfg.job_window
-    };
-    let times = poisson_times(rng, cfg.n_jobs, window);
-    times
-        .iter()
-        .enumerate()
+    let jobs = (job_times.into_iter().enumerate())
         .map(|(i, at)| {
             let nodes = rng.uniform(1, max_job_nodes as u64 + 1) as u32;
             let runtime = SimSpan::from_secs_f64(rng.exponential(600.0).clamp(60.0, 3600.0));
@@ -146,15 +104,26 @@ fn gen_jobs(cfg: &TraceConfig, rng: &mut DetRng) -> Vec<(JobRequest, SimTime)> {
                 runtime,
             );
             req.walltime_limit = runtime * 2;
-            (req, *at)
+            (req, at)
         })
-        .collect()
-}
-
-fn gen_pods(rng: &mut DetRng, times: &[SimTime]) -> Vec<(PodSpec, SimTime)> {
-    times
-        .iter()
-        .enumerate()
+        .collect();
+    let pod_times = match cfg.shape {
+        TraceShape::AtZero => vec![SimTime::ZERO; cfg.n_pods],
+        TraceShape::Poisson => poisson_times(&mut rng, cfg.n_pods, cfg.duration),
+        TraceShape::Bursty {
+            bursts,
+            pods_per_burst,
+            spacing,
+            first_at,
+        } => (0..bursts)
+            .flat_map(|b| {
+                let start = SimTime::ZERO + first_at + spacing * b as u64;
+                (0..pods_per_burst).map(move |i| start + SimSpan::millis(100) * i as u64)
+            })
+            .collect(),
+        TraceShape::Diurnal { period } => diurnal_times(&mut rng, cfg.n_pods, cfg.duration, period),
+    };
+    let pods = (pod_times.into_iter().enumerate())
         .map(|(i, at)| {
             let mut pod = PodSpec::simple(
                 &format!("pod-{i}"),
@@ -164,16 +133,14 @@ fn gen_pods(rng: &mut DetRng, times: &[SimTime]) -> Vec<(PodSpec, SimTime)> {
             pod.resources.cpu_millis = rng.uniform(2, 17) * 1000;
             pod.resources.memory_mb = 4096;
             pod.user = 2000 + (i % 5) as u32;
-            (pod, *at)
+            (pod, at)
         })
-        .collect()
+        .collect();
+    TimedWorkload { jobs, pods }
 }
 
 /// `n` exponential inter-arrivals scaled into `[0, window)`, sorted.
 fn poisson_times(rng: &mut DetRng, n: usize, window: SimSpan) -> Vec<SimTime> {
-    if n == 0 {
-        return Vec::new();
-    }
     let mean_gap = window.as_secs_f64() / n as f64;
     let mut t = 0.0f64;
     let mut out = Vec::with_capacity(n);
@@ -305,6 +272,22 @@ mod tests {
         );
     }
 
+    /// The scenario table's shape: everything at t=0, and no draw spent on
+    /// arrival times — the window fields cannot move a job or a pod.
+    #[test]
+    fn at_zero_shape_ignores_the_windows() {
+        let tight = TraceConfig {
+            duration: SimSpan::ZERO,
+            job_window: SimSpan::ZERO,
+            ..base(TraceShape::AtZero)
+        };
+        let (a, b) = (generate(&tight), generate(&base(TraceShape::AtZero)));
+        assert_eq!((a.jobs.len(), a.pods.len()), (6, 24));
+        assert!(a.jobs.iter().all(|(_, t)| *t == SimTime::ZERO));
+        assert!(a.pods.iter().all(|(_, t)| *t == SimTime::ZERO));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
     #[test]
     fn at_zero_wraps_everything_at_t0() {
         let wl = generate(&base(TraceShape::Poisson));
@@ -312,6 +295,6 @@ mod tests {
         let pods: Vec<_> = wl.pods.into_iter().map(|(p, _)| p).collect();
         let z = TimedWorkload::at_zero(jobs, pods);
         assert!(z.jobs.iter().all(|(_, t)| *t == SimTime::ZERO));
-        assert_eq!(z.last_arrival(), SimTime::ZERO);
+        assert!(z.pods.iter().all(|(_, t)| *t == SimTime::ZERO));
     }
 }

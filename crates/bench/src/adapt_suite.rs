@@ -15,8 +15,9 @@ use crate::harness::{self, GateResult};
 use crate::json::Json;
 use hpcc_adapt::presets;
 use hpcc_adapt::traces::{generate, TraceConfig, TraceShape};
-use hpcc_adapt::{AdaptOutcome, RunSpec};
-use hpcc_core::scenarios::common::MeasuredCri;
+use hpcc_adapt::{RunSpec, TimedWorkload};
+use hpcc_core::scenarios::common::{MeasuredCri, HORIZON};
+use hpcc_k8s::kubelet::CriRuntime;
 use hpcc_sim::{FaultInjector, SimSpan, Tracer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -103,16 +104,37 @@ pub fn preset(
 /// Run one (policy × trace) configuration from scratch.
 pub fn run_config(policy: &'static str, trace: &'static str) -> AdaptRun {
     let workload = generate(&trace_config(trace));
-    let (p, cfg) = preset(policy, NODES);
-    let out: AdaptOutcome = hpcc_adapt::run(RunSpec {
-        workload: &workload,
+    run_cell(
+        policy,
+        trace,
+        &workload,
+        NODES,
+        HORIZON,
+        Arc::new(MeasuredCri),
+    )
+}
+
+/// One cell of a sweep, whatever its size: `policy`'s preset on `nodes`
+/// nodes over `workload` (labelled `trace`), stopped at `horizon`.
+pub fn run_cell(
+    policy: &'static str,
+    trace: &'static str,
+    workload: &TimedWorkload,
+    nodes: u32,
+    horizon: SimSpan,
+    cri: Arc<dyn CriRuntime>,
+) -> AdaptRun {
+    let (p, mut config) = preset(policy, nodes);
+    config.horizon = horizon;
+    let out = hpcc_adapt::run(RunSpec {
+        workload,
         policy: p,
-        config: cfg,
-        cri: Arc::new(MeasuredCri),
+        config,
+        cri,
         tracer: Tracer::disabled(),
         faults: FaultInjector::disabled(),
         domains: None,
-        scenario: "bench_adapt",
+        scenario: "adapt_cell",
     });
     AdaptRun {
         policy,

@@ -2,11 +2,11 @@
 //! six-hour arrival window on 64 nodes — 400 batch jobs and 600 pods per
 //! trace, one row per (trace shape × policy) cell.
 
-use crate::adapt_suite::{preset, POLICIES};
+use crate::adapt_suite::{run_cell, POLICIES};
 use crate::tables::render_table;
 use hpcc_adapt::traces::{generate, TraceConfig, TraceShape};
-use hpcc_adapt::{FixedCri, RunSpec};
-use hpcc_sim::{FaultInjector, SimSpan, Tracer};
+use hpcc_adapt::FixedCri;
+use hpcc_sim::SimSpan;
 use std::io::{self, Write};
 use std::sync::Arc;
 
@@ -77,37 +77,26 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
     for shape in shapes {
         let workload = generate(&trace(shape));
         for policy in POLICIES {
-            let (policy, mut config) = preset(policy, NODES);
-            config.horizon = HORIZON;
-            let o = hpcc_adapt::run(RunSpec {
-                workload: &workload,
-                policy,
-                config,
-                cri: Arc::new(FixedCri(SimSpan::millis(1200))),
-                tracer: Tracer::disabled(),
-                faults: FaultInjector::disabled(),
-                domains: None,
-                scenario: "quant11",
-            });
-            let hours = |s: SimSpan| format!("{:.2} h", s.as_secs_f64() / 3600.0);
+            let cri = Arc::new(FixedCri(SimSpan::millis(1200)));
+            let r = run_cell(policy, shape.label(), &workload, NODES, HORIZON, cri);
+            let hours = |ns: u64| format!("{:.2} h", ns as f64 / 3.6e12);
             let pct = |x: f64| format!("{:.1}%", x * 100.0);
-            let secs =
-                |s: Option<SimSpan>| s.map_or("-".into(), |s| format!("{:.1} s", s.as_secs_f64()));
+            let secs = |ns: u64| format!("{:.1} s", ns as f64 / 1e9);
             rows.push(vec![
-                shape.label().to_string(),
-                o.policy.clone(),
-                hours(o.makespan),
-                pct(o.combined_utilization),
-                pct(o.wlm_utilization),
-                pct(o.k8s_utilization),
-                secs(o.p50_pod_start),
-                secs(o.p95_pod_start),
-                o.reprovisions.to_string(),
-                o.releases.to_string(),
-                o.slo_violations.to_string(),
-                o.decisions.len().to_string(),
-                format!("{}/{}", o.jobs_completed, workload.jobs.len()),
-                format!("{}/{}", o.pods_succeeded, workload.pods.len()),
+                r.trace.to_string(),
+                r.policy.to_string(),
+                hours(r.makespan_ns),
+                pct(r.combined_utilization),
+                pct(r.wlm_utilization),
+                pct(r.k8s_utilization),
+                secs(r.p50_pod_start_ns),
+                secs(r.p95_pod_start_ns),
+                r.reprovisions.to_string(),
+                r.releases.to_string(),
+                r.slo_violations.to_string(),
+                r.decisions.to_string(),
+                format!("{}/{}", r.jobs_completed, workload.jobs.len()),
+                format!("{}/{}", r.pods_succeeded, workload.pods.len()),
             ]);
         }
     }

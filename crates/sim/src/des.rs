@@ -1,10 +1,12 @@
 //! Discrete-event simulation engine.
 //!
-//! The scheduling experiments (WLM backfill, Kubernetes pod placement, the
-//! Section 6 integration scenarios) are classic discrete-event simulations:
-//! events fire at logical instants, handlers mutate world state and schedule
-//! further events. The engine owns the event queue and the clock; world
-//! state lives outside and is threaded through handlers as `&mut W`.
+//! Events fire at logical instants, handlers mutate world state and
+//! schedule further events. The engine owns the event queue and the clock;
+//! world state lives outside and is threaded through handlers as `&mut W`.
+//! Nothing in `crates/` outside tests and `bench core` runs on it today:
+//! the §6 co-simulation is fixed-step (`hpcc_adapt::cosim::World::drive`),
+//! and the event-driven controller driver it replaced survives as that
+//! crate's test reference.
 //!
 //! # Queue backends
 //!
@@ -27,10 +29,7 @@
 //!
 //! Both backends fire events in ascending `(time, EventId)` order — FIFO
 //! among equal times via the monotonically assigned event id — so runs are
-//! deterministic and backend choice is unobservable except in speed. The
-//! `HPCC_DES_BACKEND=heap` environment variable forces the reference
-//! backend process-wide (used by the cross-process equivalence gate in
-//! `tests/integration_traces.rs`).
+//! deterministic and backend choice is unobservable except in speed.
 
 use crate::time::{SimSpan, SimTime};
 use std::cmp::Reverse;
@@ -50,18 +49,6 @@ pub enum DesBackend {
     /// Pre-refactor `BinaryHeap` queue (reference implementation for
     /// equivalence tests and benchmark comparisons).
     ReferenceHeap,
-}
-
-impl DesBackend {
-    /// Backend selected by the environment: `HPCC_DES_BACKEND=heap` forces
-    /// the reference heap, anything else (or unset) picks the wheel.
-    pub fn from_env() -> DesBackend {
-        static FROM_ENV: std::sync::OnceLock<DesBackend> = std::sync::OnceLock::new();
-        *FROM_ENV.get_or_init(|| match std::env::var("HPCC_DES_BACKEND") {
-            Ok(v) if v.eq_ignore_ascii_case("heap") => DesBackend::ReferenceHeap,
-            _ => DesBackend::TimingWheel,
-        })
-    }
 }
 
 type Handler<W> = Box<dyn FnOnce(&mut Engine<W>, &mut W)>;
@@ -368,10 +355,9 @@ impl<W> Default for Engine<W> {
 }
 
 impl<W> Engine<W> {
-    /// An engine on the environment-selected backend (the timing wheel
-    /// unless `HPCC_DES_BACKEND=heap`).
+    /// An engine on the timing wheel.
     pub fn new() -> Engine<W> {
-        Engine::with_backend(DesBackend::from_env())
+        Engine::with_backend(DesBackend::TimingWheel)
     }
 
     /// An engine on an explicit queue backend.

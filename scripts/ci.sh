@@ -6,6 +6,8 @@
 #                then the grep guards against copies growing back: the
 #                Kubernetes tick and kubelet boot each still live in one
 #                file and the per-scenario `run_traced` twins stay gone;
+#                `World::drive` is the one §6 driver (no DES in hpcc-adapt
+#                or hpcc-core outside tests, no backend env knob);
 #                hpcc-bench has exactly two drivers (`bench`, `repro`), no
 #                `benches/` and no criterion; no per-tick caller recounts
 #                the pod or node set (`list_pods` / `list_nodes`); a bench
@@ -145,6 +147,19 @@ stage_lint() {
         exit 1
     fi
     echo "OK: one tick, one kubelet boot, one entry per scenario"
+    echo "==> one §6 driver (DESIGN.md §\"One co-simulation loop\")"
+    # The pattern is split so this file does not match itself.
+    if grep -rn 'HPCC_DES_''BACKEND\|from_''env' crates tests scripts .github; then
+        echo "FAIL: the DES backend is chosen in code (Engine::with_backend), not by the environment" >&2
+        exit 1
+    fi
+    for f in $(find crates/adapt/src crates/core/src -name '*.rs'); do
+        if sed '/#\[cfg(test)\]/q' "$f" | grep -nE '\bdes::|\bEngine<|tick_event'; then
+            echo "FAIL: $f drives ticks on the event queue; World::drive is the one §6 driver (the event-driven one is hpcc-adapt's test reference)" >&2
+            exit 1
+        fi
+    done
+    echo "OK: no backend knob, no event-driven driver outside tests"
     echo "==> no per-tick recount (DESIGN.md §\"What a tick costs\")"
     # The API server keeps the counts control loops read every tick; the
     # listing calls are for callers that want the objects themselves.

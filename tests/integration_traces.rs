@@ -16,9 +16,7 @@
 //!    executions) and a cross-process re-exec check that the quickstart
 //!    trace is byte-identical between independent runs.
 
-use hpcc_core::goldens::{
-    all_goldens, check_golden, q5_degraded_pull_trace, quickstart_trace, storm_64_tiered_trace,
-};
+use hpcc_core::goldens::{all_goldens, check_golden, q5_degraded_pull_trace, quickstart_trace};
 use hpcc_core::scenarios::{self, ClusterConfig, MixedWorkload};
 use hpcc_sim::des::{DesBackend, Engine};
 use hpcc_sim::obs::{
@@ -237,29 +235,15 @@ fn child_emit_quickstart_trace() {
     println!("TRACE-END");
 }
 
-/// Re-exec helper: emits the 64-node tiered-storm trace between markers
-/// when asked. As a normal test-suite member (no env var) it is a no-op.
-#[test]
-fn child_emit_storm_trace() {
-    if std::env::var("TRACE_CHILD").is_err() {
-        return;
-    }
-    println!("TRACE-BEGIN");
-    print!("{}", export_tsv(&storm_64_tiered_trace()));
-    println!("TRACE-END");
-}
-
-/// Re-exec one of this binary's `child_emit_*` tests with extra env vars
-/// and return the TSV it emitted between the markers.
-fn run_trace_child(child_test: &str, envs: &[(&str, &str)]) -> String {
+/// Re-exec this binary's `child_emit_quickstart_trace` and return the TSV
+/// it emitted between the markers.
+fn run_trace_child() -> String {
     let exe = std::env::current_exe().expect("test binary path");
-    let mut cmd = Command::new(&exe);
-    cmd.args([child_test, "--exact", "--nocapture"])
-        .env("TRACE_CHILD", "1");
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let out = cmd.output().expect("child test run");
+    let out = Command::new(&exe)
+        .args(["child_emit_quickstart_trace", "--exact", "--nocapture"])
+        .env("TRACE_CHILD", "1")
+        .output()
+        .expect("child test run");
     assert!(out.status.success(), "child failed: {out:?}");
     let text = String::from_utf8(out.stdout).expect("utf8 output");
     let begin = text.find("TRACE-BEGIN\n").expect("begin marker") + "TRACE-BEGIN\n".len();
@@ -272,38 +256,8 @@ fn run_trace_child(child_test: &str, envs: &[(&str, &str)]) -> String {
 /// process state (ASLR, hash seeds, wall clock).
 #[test]
 fn quickstart_trace_is_stable_across_processes() {
-    let first = run_trace_child("child_emit_quickstart_trace", &[]);
-    let second = run_trace_child("child_emit_quickstart_trace", &[]);
+    let first = run_trace_child();
+    let second = run_trace_child();
     assert!(first.lines().count() > 1, "child emitted no spans");
     assert_eq!(first, second, "trace differs across processes");
-}
-
-/// Backend equivalence over the real pipeline: a child forced onto the
-/// reference heap (`HPCC_DES_BACKEND=heap`) must serialize the identical
-/// quickstart trace as the default timing-wheel child. Cross-process
-/// because the backend selection is read from the environment once per
-/// process.
-#[test]
-fn quickstart_trace_is_backend_independent_across_processes() {
-    let wheel = run_trace_child(
-        "child_emit_quickstart_trace",
-        &[("HPCC_DES_BACKEND", "wheel")],
-    );
-    let heap = run_trace_child(
-        "child_emit_quickstart_trace",
-        &[("HPCC_DES_BACKEND", "heap")],
-    );
-    assert!(wheel.lines().count() > 1, "child emitted no spans");
-    assert_eq!(wheel, heap, "quickstart trace differs between DES backends");
-}
-
-/// Backend equivalence over the fleet-scale pull path: the 64-node tiered
-/// storm (coalesced tier fills, queue-served egress, tree broadcast) must
-/// serialize byte-identically on the timing wheel and the reference heap.
-#[test]
-fn storm_trace_is_backend_independent_across_processes() {
-    let wheel = run_trace_child("child_emit_storm_trace", &[("HPCC_DES_BACKEND", "wheel")]);
-    let heap = run_trace_child("child_emit_storm_trace", &[("HPCC_DES_BACKEND", "heap")]);
-    assert!(wheel.lines().count() > 1, "child emitted no spans");
-    assert_eq!(wheel, heap, "storm trace differs between DES backends");
 }
