@@ -10,8 +10,8 @@
 //! store evicted a layer out from under an index entry, the lookup
 //! degrades to a miss and the step simply re-runs.
 
-use hpcc_codec::archive::Archive;
 use hpcc_crypto::sha256::Digest;
+use hpcc_oci::layer::SealedLayer;
 use hpcc_storage::BlobStore;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -51,8 +51,9 @@ pub struct BuildCache {
 /// A cache lookup that hit.
 #[derive(Debug, Clone)]
 pub enum CachedLayer {
-    /// The reconstructed layer archive, ready to apply.
-    Layer(Archive),
+    /// The layer, decoded and ready to apply, still holding the store's
+    /// own blob and the digest the store keeps it under.
+    Layer(SealedLayer),
     /// Cached knowledge that the step writes nothing.
     NoOp,
 }
@@ -79,15 +80,17 @@ impl BuildCache {
     }
 
     /// Look up the step keyed by chain `state`. `Some` is a hit — either
-    /// the layer archive (fetched back out of the blob store) or the
-    /// knowledge that the step is a no-op. `None` is a miss; the caller
-    /// runs the step and [`insert`](Self::insert)s.
+    /// the layer (fetched back out of the blob store) or the knowledge
+    /// that the step is a no-op. `None` is a miss; the caller runs the
+    /// step and [`insert`](Self::insert)s.
     pub fn lookup(&self, state: &Digest) -> Option<CachedLayer> {
         let cached = { self.index.lock().get(state).copied() };
         let out = match cached {
             Some(CachedStep::NoOp) => Some(CachedLayer::NoOp),
             Some(CachedStep::Layer(layer)) => match self.store.get(&layer) {
-                Some(bytes) => Archive::from_bytes(&bytes).ok().map(CachedLayer::Layer),
+                Some(bytes) => SealedLayer::from_stored(layer, bytes)
+                    .ok()
+                    .map(CachedLayer::Layer),
                 None => {
                     // Evicted under us: drop the dangling index entry.
                     self.index.lock().remove(state);
@@ -106,12 +109,11 @@ impl BuildCache {
     /// Record a completed step. Layer bytes go into the shared store
     /// (insert pins, release immediately — resident as evictable cache),
     /// the index remembers which blob the state maps to.
-    pub fn insert(&self, state: Digest, layer: Option<&Archive>) {
+    pub fn insert(&self, state: Digest, layer: Option<&SealedLayer>) {
         let cached = match layer {
-            Some(archive) => {
-                let bytes = archive.to_bytes();
-                let digest = archive.digest();
-                self.store.insert(digest, Arc::new(bytes));
+            Some(layer) => {
+                let digest = layer.blob_digest();
+                self.store.insert(digest, Arc::clone(layer.bytes()));
                 self.store.release(&digest);
                 CachedStep::Layer(digest)
             }
@@ -132,13 +134,13 @@ impl BuildCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcc_codec::archive::Entry;
+    use hpcc_codec::archive::{Archive, Entry};
     use hpcc_crypto::sha256::sha256;
 
-    fn layer() -> Archive {
+    fn layer() -> SealedLayer {
         let mut a = Archive::new();
         a.push(Entry::file("x", vec![7u8; 64]));
-        a
+        SealedLayer::seal(a)
     }
 
     #[test]
@@ -148,7 +150,10 @@ mod tests {
         assert!(cache.lookup(&state).is_none());
         cache.insert(state, Some(&layer()));
         match cache.lookup(&state) {
-            Some(CachedLayer::Layer(a)) => assert_eq!(a.digest(), layer().digest()),
+            Some(CachedLayer::Layer(l)) => {
+                assert_eq!(l.archive(), layer().archive());
+                assert_eq!(l.blob_digest(), layer().archive().digest());
+            }
             other => panic!("expected layer hit, got {other:?}"),
         }
         let stats = cache.stats();
@@ -170,7 +175,7 @@ mod tests {
         let l = layer();
         cache.insert(state, Some(&l));
         // Simulate LRU eviction of the backing blob.
-        assert!(cache.store().remove_unpinned(&l.digest()));
+        assert!(cache.store().remove_unpinned(&l.blob_digest()));
         assert!(cache.lookup(&state).is_none(), "dangling entry is a miss");
         assert_eq!(cache.stats().entries, 0, "dangling entry dropped");
     }

@@ -189,9 +189,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tampered_blob_rejected_with_typed_error() {
-        let mut s = stack();
+    /// Build, sign, push and verified-pull `acme/solver:v1`.
+    fn published_and_pulled(s: &mut Stack) -> hpcc_engine::engine::PulledImage {
         let reqs = vec![BuildRequest::new("acme", "solver", "v1", app_spec())];
         let outs = build_fleet(&reqs, 4, &s.cache, &s.cas, &s.tracer, &s.clock).unwrap();
         let signed = sign_and_push(
@@ -206,8 +205,7 @@ mod tests {
             &s.clock,
         )
         .unwrap();
-
-        let mut pulled = verified_pull(
+        verified_pull(
             &s.engine,
             &s.registry,
             "acme/solver",
@@ -216,13 +214,36 @@ mod tests {
             &s.log.head(),
             &s.clock,
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn tampered_blob_rejected_with_typed_error() {
+        let mut pulled = published_and_pulled(&mut stack());
         // A hostile mirror swaps one layer's bytes post-transit.
         pulled.layers[0].push(hpcc_codec::archive::Entry::file("evil", b"p0wned".to_vec()));
         let err = verify_pulled_content(&pulled.manifest, &pulled).unwrap_err();
         assert!(
             matches!(err, VerifyError::TamperedBlob { .. }),
             "expected TamperedBlob, got {err}"
+        );
+    }
+
+    #[test]
+    fn withheld_layer_rejected_with_typed_error() {
+        let mut pulled = published_and_pulled(&mut stack());
+        // Every layer that did arrive is genuine; the top one never did.
+        pulled.layers.pop();
+        let err = verify_pulled_content(&pulled.manifest, &pulled).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                VerifyError::LayerCountMismatch {
+                    manifest: 3,
+                    pulled: 2
+                }
+            ),
+            "expected LayerCountMismatch, got {err}"
         );
     }
 

@@ -261,12 +261,7 @@ fn push_locked(
             let data = cas
                 .get(&desc.digest)
                 .map_err(|_| PublishError::MissingLocalBlob(desc.digest))?;
-            journal.stage(
-                intent,
-                desc.digest,
-                Arc::new(data.as_ref().clone()),
-                clock.now(),
-            )?;
+            journal.stage(intent, desc.digest, Arc::clone(&data), clock.now())?;
             registry.admit_push(clock.now())?;
             if registry.has_blob(&desc.digest) {
                 // Layer-dedup HEAD check: pay only the handshake.

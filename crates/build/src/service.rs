@@ -14,8 +14,8 @@ use crate::spec::BuildSpec;
 use hpcc_crypto::sha256::Digest;
 use hpcc_oci::builder::BuiltImage;
 use hpcc_oci::cas::Cas;
-use hpcc_oci::image::{Descriptor, Manifest, MediaType};
-use hpcc_oci::layer;
+use hpcc_oci::image::{Manifest, MediaType};
+use hpcc_oci::layer::{self, SealedLayer};
 use hpcc_sim::obs::{Stage, Tracer};
 use hpcc_sim::sym;
 use hpcc_sim::{Executor, SimClock, SimSpan, SimTime, TaskFinish, TaskGraph};
@@ -105,7 +105,7 @@ impl std::error::Error for BuildError {}
 /// Mutable state threaded down one request's task chain.
 struct ChainState {
     fs: MemFs,
-    layers: Vec<hpcc_codec::archive::Archive>,
+    layers: Vec<SealedLayer>,
     config: hpcc_oci::image::ImageConfig,
     hits: u64,
     misses: u64,
@@ -139,7 +139,13 @@ pub fn build_fleet(
         let base_fs = layer::flatten(&req.spec.base_layers)?;
         let chain = Arc::new(Mutex::new(ChainState {
             fs: base_fs,
-            layers: req.spec.base_layers.clone(),
+            layers: req
+                .spec
+                .base_layers
+                .iter()
+                .cloned()
+                .map(SealedLayer::seal)
+                .collect(),
             config: req.spec.base_config.clone(),
             hits: 0,
             misses: 0,
@@ -168,9 +174,9 @@ pub fn build_fleet(
                 match cache.lookup(&state) {
                     Some(cached) => {
                         let done = probe_done + CACHE_HIT_COST;
-                        if let CachedLayer::Layer(archive) = cached {
-                            layer::apply(&mut st.fs, &archive)?;
-                            st.layers.push(archive);
+                        if let CachedLayer::Layer(sealed) = cached {
+                            layer::apply(&mut st.fs, sealed.archive())?;
+                            st.layers.push(sealed);
                         }
                         st.hits += 1;
                         tracer.metrics().incr("build.cache.hit");
@@ -210,8 +216,9 @@ pub fn build_fleet(
                         if delta.is_empty() {
                             cache.insert(state, None);
                         } else {
-                            cache.insert(state, Some(&delta));
-                            st.layers.push(delta);
+                            let sealed = SealedLayer::seal(delta);
+                            cache.insert(state, Some(&sealed));
+                            st.layers.push(sealed);
                         }
                         let done =
                             probe_done + STEP_LATENCY + span_nanos_for_bytes(bytes, STEP_WRITE_BPS);
@@ -234,9 +241,10 @@ pub fn build_fleet(
 
     let mut outputs = Vec::with_capacity(requests.len());
     for ((req, chain), tids) in requests.iter().zip(chains).zip(task_ranges) {
-        let st = chain.lock();
+        let mut st = chain.lock();
         let root_digest = st.fs.tree_digest(&VPath::parse("/"))?;
-        let image = assemble_image(&st.layers, st.config.clone(), cas);
+        let layers = std::mem::take(&mut st.layers);
+        let image = assemble_image(layers, st.config.clone(), cas);
         let (started, finished) = match (tids.first(), tids.last()) {
             (Some(a), Some(b)) => (report.started[a.0], report.finished[b.0]),
             _ => (start, start),
@@ -257,36 +265,25 @@ pub fn build_fleet(
 }
 
 /// Store layers/config/manifest in `cas` and assemble the [`BuiltImage`]
-/// (mirrors `ImageBuilder::build`'s tail, but over already-made layers).
+/// (mirrors `ImageBuilder::build`'s tail, but over layers that were
+/// sealed when their step ran or replayed: the store shares their bytes
+/// and the manifest names the digests they carry).
 fn assemble_image(
-    layers: &[hpcc_codec::archive::Archive],
+    layers: Vec<SealedLayer>,
     config: hpcc_oci::image::ImageConfig,
     cas: &Cas,
 ) -> BuiltImage {
-    for l in layers {
-        cas.put(MediaType::Layer, l.to_bytes());
-    }
-    let config_desc = cas.put(MediaType::Config, config.to_bytes());
+    let layer_descs = layers.iter().map(|l| cas.put_sealed(l)).collect();
     let manifest = Manifest {
-        config: config_desc,
-        layers: layers
-            .iter()
-            .map(|l| {
-                let bytes = l.to_bytes();
-                Descriptor {
-                    media_type: MediaType::Layer,
-                    digest: l.digest(),
-                    size: bytes.len() as u64,
-                }
-            })
-            .collect(),
+        config: cas.put(MediaType::Config, config.to_bytes()),
+        layers: layer_descs,
         annotations: BTreeMap::new(),
     };
     cas.put(MediaType::Manifest, manifest.to_bytes());
     BuiltImage {
         manifest,
         config,
-        layers: layers.to_vec(),
+        layers: layers.into_iter().map(SealedLayer::into_archive).collect(),
     }
 }
 
@@ -397,8 +394,59 @@ mod tests {
                 outs.iter()
                     .map(|o| (o.cache_hits, o.cache_misses))
                     .collect::<Vec<_>>(),
+                cas.stats(),
             )
         };
-        assert_eq!(run(), run(), "double run is byte-identical");
+        let first = run();
+        assert_eq!(first, run(), "double run is byte-identical");
+        // Counted before layers were sealed, when every put encoded and
+        // hashed its own copy: sharing the bytes must not change what the
+        // image store is told.
+        assert_eq!(
+            first.3,
+            hpcc_oci::cas::CasStats {
+                blobs: 5,
+                stored_bytes: 266_732,
+                logical_bytes: 800_196,
+                dedup_hits: 10,
+            }
+        );
+    }
+
+    #[test]
+    fn a_layer_keeps_one_encoding_and_digest_from_step_to_image_store() {
+        let cache = BuildCache::node_local();
+        let tracer = Tracer::new();
+        let clock = SimClock::new();
+        let v1 = BuildRequest::new("acme", "app", "v1", spec("a"));
+        let cold = std::slice::from_ref(&v1);
+        build_fleet(cold, 4, &cache, &Cas::new(), &tracer, &clock).unwrap();
+        // v1 replays whole, v2 replays the prefix and runs its own leaf.
+        let v2 = BuildRequest::new("acme", "app", "v2", spec("b"));
+        let cas = Cas::new();
+        let outs = build_fleet(&[v1, v2], 4, &cache, &cas, &tracer, &clock).unwrap();
+        let hits: u64 = outs.iter().map(|o| o.cache_hits).sum();
+        let misses: u64 = outs.iter().map(|o| o.cache_misses).sum();
+        assert_eq!((hits, misses), (5, 1));
+
+        for out in &outs {
+            let image = &out.image;
+            assert_eq!(image.manifest.layers.len(), image.layers.len());
+            for (desc, archive) in image.manifest.layers.iter().zip(&image.layers) {
+                let bytes = archive.to_bytes();
+                assert_eq!(
+                    (desc.digest, desc.size),
+                    (hpcc_crypto::sha256::sha256(&bytes), bytes.len() as u64),
+                    "descriptor names the archive's own encoding"
+                );
+                let blob = cas.get(&desc.digest).unwrap();
+                assert_eq!(*blob, bytes);
+                let cached = cache.store().get(&desc.digest).unwrap();
+                assert!(
+                    Arc::ptr_eq(&blob, &cached),
+                    "image store and build cache share one allocation"
+                );
+            }
+        }
     }
 }

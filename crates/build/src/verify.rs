@@ -50,6 +50,12 @@ pub enum VerifyError {
         claimed: Digest,
         actual: Digest,
     },
+    /// The pulled image does not carry one layer per manifest descriptor
+    /// (a layer withheld, or one slipped in).
+    LayerCountMismatch {
+        manifest: usize,
+        pulled: usize,
+    },
     /// The pulled manifest is not the one the tag was signed for.
     ManifestMismatch {
         signed: Digest,
@@ -81,6 +87,9 @@ impl std::fmt::Display for VerifyError {
             VerifyError::NotInLog(d) => write!(f, "entry for {d} not proven in log"),
             VerifyError::TamperedBlob { claimed, actual } => {
                 write!(f, "blob claims {claimed} but hashes to {actual}")
+            }
+            VerifyError::LayerCountMismatch { manifest, pulled } => {
+                write!(f, "manifest names {manifest} layers, pull delivered {pulled}")
             }
             VerifyError::ManifestMismatch { signed, pulled } => {
                 write!(f, "tag resolves to {pulled}, signature covers {signed}")
@@ -136,6 +145,12 @@ pub fn verify_pulled_content(manifest: &Manifest, pulled: &PulledImage) -> Resul
         return Err(VerifyError::TamperedBlob {
             claimed: manifest.config.digest,
             actual: config_actual,
+        });
+    }
+    if manifest.layers.len() != pulled.layers.len() {
+        return Err(VerifyError::LayerCountMismatch {
+            manifest: manifest.layers.len(),
+            pulled: pulled.layers.len(),
         });
     }
     for (desc, layer) in manifest.layers.iter().zip(pulled.layers.iter()) {

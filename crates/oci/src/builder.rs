@@ -193,27 +193,15 @@ impl<'a> ImageBuilder<'a> {
             layers.push(delta);
         }
 
-        // Store blobs.
-        for l in &layers {
-            cas.put(MediaType::Layer, l.to_bytes());
-        }
-        let config_desc = {
-            let bytes = self.config.to_bytes();
-            cas.put(MediaType::Config, bytes)
-        };
+        // Store blobs; each put encodes and hashes its blob once and the
+        // manifest names what the store returned.
+        let layer_descs = layers
+            .iter()
+            .map(|l| cas.put(MediaType::Layer, l.to_bytes()))
+            .collect();
         let manifest = Manifest {
-            config: config_desc,
-            layers: layers
-                .iter()
-                .map(|l| {
-                    let bytes = l.to_bytes();
-                    crate::image::Descriptor {
-                        media_type: MediaType::Layer,
-                        digest: l.digest(),
-                        size: bytes.len() as u64,
-                    }
-                })
-                .collect(),
+            config: cas.put(MediaType::Config, self.config.to_bytes()),
+            layers: layer_descs,
             annotations: self.annotations,
         };
         cas.put(MediaType::Manifest, manifest.to_bytes());

@@ -7,6 +7,7 @@
 //! The dedup experiment (Q6) reads the logical-vs-stored accounting here.
 
 use crate::image::{Descriptor, MediaType};
+use crate::layer::SealedLayer;
 use hpcc_crypto::sha256::{sha256, Digest};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -85,21 +86,17 @@ impl Cas {
     pub fn put(&self, media_type: MediaType, data: impl Into<Vec<u8>>) -> Descriptor {
         let data = data.into();
         let digest = sha256(&data);
-        let size = data.len() as u64;
-        let mut st = self.state.write();
-        st.stats.logical_bytes += size;
-        if let std::collections::hash_map::Entry::Vacant(e) = st.blobs.entry(digest) {
-            e.insert((media_type, Arc::new(data)));
-            st.stats.blobs += 1;
-            st.stats.stored_bytes += size;
-        } else {
-            st.stats.dedup_hits += 1;
-        }
-        Descriptor {
-            media_type,
-            digest,
-            size,
-        }
+        self.insert(media_type, digest, Arc::new(data))
+    }
+
+    /// Store a sealed layer under the digest it carries, sharing its
+    /// encoding rather than copying or re-hashing it.
+    pub fn put_sealed(&self, layer: &SealedLayer) -> Descriptor {
+        self.insert(
+            MediaType::Layer,
+            layer.blob_digest(),
+            Arc::clone(layer.bytes()),
+        )
     }
 
     /// Store bytes under a digest the caller claims; verified before
@@ -115,7 +112,27 @@ impl Cas {
         if actual != claimed {
             return Err(CasError::DigestMismatch { claimed, actual });
         }
-        Ok(self.put(media_type, data))
+        Ok(self.insert(media_type, actual, Arc::new(data)))
+    }
+
+    /// `digest` must be the SHA-256 of `data`: every caller has just
+    /// computed it, or holds it sealed with these bytes.
+    fn insert(&self, media_type: MediaType, digest: Digest, data: Arc<Vec<u8>>) -> Descriptor {
+        let size = data.len() as u64;
+        let mut st = self.state.write();
+        st.stats.logical_bytes += size;
+        if let std::collections::hash_map::Entry::Vacant(e) = st.blobs.entry(digest) {
+            e.insert((media_type, data));
+            st.stats.blobs += 1;
+            st.stats.stored_bytes += size;
+        } else {
+            st.stats.dedup_hits += 1;
+        }
+        Descriptor {
+            media_type,
+            digest,
+            size,
+        }
     }
 
     /// Fetch a blob.
@@ -227,6 +244,20 @@ mod tests {
             .put_verified(MediaType::Layer, d, b"real bytes".to_vec())
             .unwrap();
         assert_eq!(desc.digest, d);
+        assert_eq!(&**cas.get(&d).unwrap(), b"real bytes");
+        let s = cas.stats();
+        assert_eq!((s.blobs, s.logical_bytes, s.dedup_hits), (1, 10, 0));
+    }
+
+    #[test]
+    fn sealed_put_shares_the_layer_bytes() {
+        let mut archive = hpcc_codec::archive::Archive::new();
+        archive.push(hpcc_codec::archive::Entry::file("x", vec![7u8; 64]));
+        let sealed = SealedLayer::seal(archive.clone());
+        let cas = Cas::new();
+        let desc = cas.put_sealed(&sealed);
+        assert_eq!(desc, Cas::new().put(MediaType::Layer, archive.to_bytes()));
+        assert!(Arc::ptr_eq(&cas.get(&desc.digest).unwrap(), sealed.bytes()));
     }
 
     #[test]

@@ -6,9 +6,73 @@
 //! layer" — Section 3.1. A layer here is a [`hpcc_codec::Archive`] whose
 //! whiteout/opaque entries are first-class (no `.wh.` string matching).
 
-use hpcc_codec::archive::{Archive, Entry, EntryKind};
+use hpcc_codec::archive::{Archive, ArchiveError, Entry, EntryKind};
+use hpcc_crypto::sha256::{sha256, Digest};
 use hpcc_vfs::fs::{FileType, FsError, MemFs, Meta};
 use hpcc_vfs::path::VPath;
+use std::sync::Arc;
+
+/// A layer together with its one encoding and that encoding's digest.
+///
+/// The write path (build step → build cache → image store → push) names
+/// the same bytes at every hop; sealing a layer where it is born lets
+/// each hop share the `Arc` and the digest instead of encoding and
+/// hashing the archive again. The fields are private so that
+/// `blob_digest() == sha256(bytes())` and `bytes() == archive().to_bytes()`
+/// hold for every value: a digest travels only with the bytes this
+/// process computed it over. Bytes that arrive from outside (a registry
+/// push, a pull) are still hashed where they arrive.
+#[derive(Debug, Clone)]
+pub struct SealedLayer {
+    archive: Archive,
+    bytes: Arc<Vec<u8>>,
+    digest: Digest,
+}
+
+impl SealedLayer {
+    /// Encode `archive` and hash the encoding, once each.
+    pub fn seal(archive: Archive) -> SealedLayer {
+        let bytes = archive.to_bytes();
+        let digest = sha256(&bytes);
+        SealedLayer {
+            archive,
+            bytes: Arc::new(bytes),
+            digest,
+        }
+    }
+
+    /// Reopen a layer from a content-addressed store of this process:
+    /// `bytes` is the blob the store holds under `digest`, a key that was
+    /// computed over those bytes when they were inserted. Decodes, does
+    /// not hash again (debug builds do, to catch a caller that breaks
+    /// that contract).
+    pub fn from_stored(digest: Digest, bytes: Arc<Vec<u8>>) -> Result<SealedLayer, ArchiveError> {
+        debug_assert_eq!(sha256(&bytes), digest, "store key is not the blob's digest");
+        Ok(SealedLayer {
+            archive: Archive::from_bytes(&bytes)?,
+            bytes,
+            digest,
+        })
+    }
+
+    pub fn archive(&self) -> &Archive {
+        &self.archive
+    }
+
+    pub fn into_archive(self) -> Archive {
+        self.archive
+    }
+
+    /// The encoded layer, shared with every store it has been put in.
+    pub fn bytes(&self) -> &Arc<Vec<u8>> {
+        &self.bytes
+    }
+
+    /// SHA-256 of [`bytes`](Self::bytes): the layer's content address.
+    pub fn blob_digest(&self) -> Digest {
+        self.digest
+    }
+}
 
 /// Compute the changeset that turns `base` into `target` (both full
 /// filesystem trees): additions, modifications, and whiteouts for

@@ -9,7 +9,8 @@
 //! * [`cas`] — the content-addressable blob store with dedup accounting
 //!   (Section 3.1's layer deduplication).
 //! * [`layer`] — filesystem diffing into changesets and changeset
-//!   application with OCI whiteout/opaque semantics.
+//!   application with OCI whiteout/opaque semantics; [`SealedLayer`], a
+//!   layer carried with its one encoding and digest along the write path.
 //! * [`builder`] — the Dockerfile analogue: base image + mutation steps →
 //!   layers, plus the sample image family the experiments use.
 //! * [`spec`] — the runtime spec (namespaces, id mappings, mounts,
@@ -32,6 +33,7 @@ pub use cas::{Cas, CasError, CasStats};
 pub use encryption::{decrypt_layers, encrypt_layers, is_encrypted, EncError};
 pub use hooks::{HookContext, HookError, HookRegistry};
 pub use image::{Descriptor, ImageConfig, Manifest, MediaType};
+pub use layer::SealedLayer;
 pub use reference::{ImageRef, RefError, DEFAULT_REGISTRY, DEFAULT_TAG};
 pub use sbom::{scan, Advisory, Component, Finding, Sbom, Severity, VulnDb};
 pub use spec::{

@@ -812,10 +812,17 @@ mod tests {
         let err = reg
             .push_blob(MediaType::Layer, wrong, b"data".to_vec())
             .unwrap_err();
-        assert!(matches!(
-            err,
-            RegistryError::Cas(CasError::DigestMismatch { .. })
-        ));
+        let actual = hpcc_crypto::sha256::sha256(b"data");
+        assert!(
+            matches!(
+                err,
+                RegistryError::Cas(CasError::DigestMismatch { claimed, actual: a })
+                    if claimed == wrong && a == actual
+            ),
+            "got {err}"
+        );
+        assert!(!reg.has_blob(&wrong) && !reg.has_blob(&actual));
+        assert_eq!(reg.stats().pushes, 0);
     }
 
     #[test]

@@ -12,7 +12,11 @@
 #                `benches/` and no criterion; no per-tick caller recounts
 #                the pod or node set (`list_pods` / `list_nodes`); a bench
 #                suite has one golden or none (no `tests/bench`, no
-#                `BENCH_core.json`, no tolerance or JSON reader)
+#                `BENCH_core.json`, no tolerance or JSON reader); the
+#                write path encodes and hashes a layer once (no
+#                `.digest()` and no spare `.to_bytes()` in the build
+#                service, build cache or image builder) and hpcc-crypto
+#                has no `unsafe`
 #   test         full test suite, then hpcc-codec and hpcc-vfs again under
 #                `taskset -c 0` so the inline (one-core) path of block
 #                compression is exercised too (skipped with a notice when
@@ -204,6 +208,28 @@ stage_lint() {
         exit 1
     fi
     echo "OK: no second baseline copy, no tolerance, no JSON reader"
+    echo "==> a layer is encoded and hashed once (DESIGN.md §\"A layer is encoded and hashed once\")"
+    if grep -rn 'unsafe' crates/crypto/src; then
+        echo "FAIL: hpcc-crypto is safe portable Rust; a faster kernel is measured against benchmark/ first" >&2
+        exit 1
+    fi
+    # file : layer encodings allowed above its tests. The build plane
+    # carries SealedLayers (none); ImageBuilder::build encodes each layer
+    # for the one Cas::put whose descriptor the manifest reuses.
+    for site in crates/build/src/service.rs:0 crates/build/src/cache.rs:0 crates/oci/src/builder.rs:1; do
+        f="${site%:*}"
+        body="$(sed '/#\[cfg(test)\]/q' "$f")"
+        if grep -nE '\.digest\(\)' <<< "$body"; then
+            echo "FAIL: $f hashes an archive again; take the digest from the SealedLayer or from the descriptor Cas::put returned" >&2
+            exit 1
+        fi
+        encodings="$(grep -E '\.to_bytes\(\)' <<< "$body" | grep -cvE '(config|manifest)\.to_bytes\(\)' || true)"
+        if [[ "$encodings" -gt "${site##*:}" ]]; then
+            echo "FAIL: $f calls .to_bytes() on a layer $encodings time(s), allowed ${site##*:}; seal it once and share the bytes" >&2
+            exit 1
+        fi
+    done
+    echo "OK: no unsafe in hpcc-crypto, no second encoding or digest on the write path"
 }
 
 stage_test() {
