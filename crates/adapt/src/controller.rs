@@ -130,7 +130,7 @@ impl ControllerConfig {
 
 /// Where a movable node currently is in the controller's lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodePhase {
+pub(crate) enum NodePhase {
     /// Under WLM control (idle or running jobs).
     Wlm,
     /// Drained, offline, being reimaged toward Kubernetes.

@@ -47,8 +47,7 @@ pub mod signals;
 pub mod traces;
 
 pub use controller::{
-    run, AccountingModel, AdaptOutcome, ControllerConfig, Decision, DecisionKind, FixedCri,
-    NodePhase, RunSpec,
+    run, AccountingModel, AdaptOutcome, ControllerConfig, Decision, DecisionKind, FixedCri, RunSpec,
 };
 pub use policy::{EwmaForecastPolicy, PartitionPolicy, QueueThresholdPolicy, StaticPolicy};
 pub use signals::DemandSignals;

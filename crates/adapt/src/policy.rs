@@ -137,11 +137,6 @@ impl EwmaForecastPolicy {
         }
     }
 
-    /// Current forecast of pod CPU demand, in millicores.
-    pub fn forecast_millis(&self) -> f64 {
-        self.ewma_millis
-    }
-
     fn observe(&mut self, s: &DemandSignals) {
         let demand = (s.pending_pod_millis + s.running_pod_millis) as f64;
         match self.last_update {
@@ -321,10 +316,10 @@ mod tests {
         fast.grow(&later);
         slow.grow(&later);
         assert!(
-            fast.forecast_millis() < slow.forecast_millis(),
+            fast.ewma_millis < slow.ewma_millis,
             "shorter half-life must decay faster ({} vs {})",
-            fast.forecast_millis(),
-            slow.forecast_millis()
+            fast.ewma_millis,
+            slow.ewma_millis
         );
     }
 }

@@ -42,7 +42,7 @@ pub struct DemandSignals {
 
 impl DemandSignals {
     /// Supply already committed to Kubernetes: serving + in flight.
-    pub fn supplying(&self) -> usize {
+    pub(crate) fn supplying(&self) -> usize {
         self.agents + self.provisioning
     }
 }

@@ -26,13 +26,13 @@ use std::sync::Arc;
 pub const NODES: u32 = 16;
 
 /// Seed the trace generator runs on.
-pub const TRACE_SEED: u64 = 2024;
+pub(crate) const TRACE_SEED: u64 = 2024;
 
 /// Policy names in sweep order.
 pub const POLICIES: [&str; 3] = ["static", "queue-threshold", "ewma-forecast"];
 
 /// Trace-shape labels in sweep order.
-pub const TRACES: [&str; 3] = ["bursty", "diurnal", "poisson"];
+pub(crate) const TRACES: [&str; 3] = ["bursty", "diurnal", "poisson"];
 
 /// The canonical trace of one shape: 16 nodes, ~30 pods over an hour,
 /// twelve front-loaded batch jobs as WLM backdrop. The job pressure is
@@ -116,7 +116,7 @@ pub fn run_config(policy: &'static str, trace: &'static str) -> AdaptRun {
 
 /// One cell of a sweep, whatever its size: `policy`'s preset on `nodes`
 /// nodes over `workload` (labelled `trace`), stopped at `horizon`.
-pub fn run_cell(
+pub(crate) fn run_cell(
     policy: &'static str,
     trace: &'static str,
     workload: &TimedWorkload,

@@ -7,7 +7,7 @@
 //!   dedups across a tenant's M builds.
 //! * **warm** — the same specs rebuilt on the now-populated caches.
 //!   Every layer step must replay from cache (zero misses) and the
-//!   rebuild must beat the cold build by [`WARM_WIN_FLOOR`]× — the
+//!   rebuild must beat the cold build by `WARM_WIN_FLOOR`× — the
 //!   incremental-rebuild headline.
 //! * **shared-base** — one *site-wide* cache shared by all tenants, plus
 //!   signed pushes to one origin registry. The shared base layers build
@@ -37,17 +37,17 @@ use hpcc_storage::BlobStore;
 use std::sync::Arc;
 
 /// Tenants in the sweep.
-pub const TENANTS: usize = 4;
+pub(crate) const TENANTS: usize = 4;
 /// Builds per tenant.
-pub const BUILDS_PER_TENANT: usize = 3;
+pub(crate) const BUILDS_PER_TENANT: usize = 3;
 /// Bounded workers per build fleet.
-pub const WORKERS: usize = 4;
+pub(crate) const WORKERS: usize = 4;
 /// Layer-producing steps per spec (base run + mpi_base + app copy).
-pub const LAYER_STEPS: u64 = 3;
+pub(crate) const LAYER_STEPS: u64 = 3;
 /// Shared base layer steps every spec starts with.
-pub const SHARED_STEPS: u64 = 2;
+pub(crate) const SHARED_STEPS: u64 = 2;
 /// A warm rebuild must beat the cold build by at least this factor.
-pub const WARM_WIN_FLOOR: f64 = 5.0;
+pub(crate) const WARM_WIN_FLOOR: f64 = 5.0;
 
 /// One scenario's measurement. All times logical ns.
 #[derive(Debug, Clone)]
@@ -76,7 +76,7 @@ pub struct BuildRow {
 /// Tenant `t`'s spec for app `m`: two shared base layer steps every
 /// tenant starts from, one tenant-unique app layer, and two config-only
 /// steps. Cross-tenant dedup comes entirely from the base prefix.
-pub fn tenant_spec(tenant: usize, app: usize) -> BuildSpec {
+pub(crate) fn tenant_spec(tenant: usize, app: usize) -> BuildSpec {
     BuildSpec::from_scratch("app")
         .run("base", &[("/usr/lib/libc.so", &[0xB0u8; 64 << 10][..])])
         .mpi_base(MpiFamily::Mpich)
@@ -165,7 +165,7 @@ fn render(results: &[BuildRow]) -> Json {
 }
 
 /// `bench build`.
-pub struct Build;
+pub(crate) struct Build;
 
 impl harness::Suite for Build {
     const NAME: &'static str = "build";

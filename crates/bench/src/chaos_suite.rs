@@ -27,7 +27,7 @@
 //! * **Zero give-ups** — resilient rows must complete every admitted
 //!   pull while the mirror replica path stays reachable.
 //! * **Bounded recovery** — after the outage heals, the slowest
-//!   post-heal pull must land within [`RECOVERY_CEILING`] of the heal
+//!   post-heal pull must land within `RECOVERY_CEILING` of the heal
 //!   instant, with the breaker probing closed again on its own.
 //! * **Rack-scale tree repair** — a mid-broadcast rack power loss must
 //!   be repaired in one whole-subtree pass and every dead node
@@ -57,19 +57,19 @@ pub const NODES: usize = 1024;
 
 /// The correlated outages swept (each is one [`OutageKind`] striking
 /// domain 0 of its tier).
-pub const SCENARIOS: &[&str] = &["rack-power", "row-partition", "origin-overload"];
+pub(crate) const SCENARIOS: &[&str] = &["rack-power", "row-partition", "origin-overload"];
 
 /// Resilience modes swept per scenario.
-pub const MODES: &[&str] = &["none", "breakers"];
+pub(crate) const MODES: &[&str] = &["none", "breakers"];
 
 /// The outage window: strikes at 60 s, timed recovery at 120 s.
-pub const OUTAGE_FROM: SimSpan = SimSpan(60_000_000_000);
+pub(crate) const OUTAGE_FROM: SimSpan = SimSpan(60_000_000_000);
 /// Outage duration (heal = [`OUTAGE_FROM`] + [`OUTAGE_LEN`]).
-pub const OUTAGE_LEN: SimSpan = SimSpan(60_000_000_000);
+pub(crate) const OUTAGE_LEN: SimSpan = SimSpan(60_000_000_000);
 
 /// Post-heal recovery budget: the slowest recovery-wave pull of a
 /// resilient row must land within this span of the heal instant.
-pub const RECOVERY_CEILING: SimSpan = SimSpan(5_000_000_000);
+pub(crate) const RECOVERY_CEILING: SimSpan = SimSpan(5_000_000_000);
 
 fn outage_from() -> SimTime {
     SimTime::ZERO + OUTAGE_FROM
@@ -103,9 +103,9 @@ fn mirror_pull(mirror: &QueueServer, image: &ImageSpec, at: SimTime) -> SimTime 
 /// One (scenario, mode) cell. All times are logical ns.
 #[derive(Debug, Clone)]
 pub struct ChaosRow {
-    /// Scenario label (see [`SCENARIOS`]).
+    /// Scenario label (see `SCENARIOS`).
     pub scenario: &'static str,
-    /// Resilience mode (see [`MODES`]).
+    /// Resilience mode (see `MODES`).
     pub mode: &'static str,
     /// Fleet size.
     pub nodes: usize,
@@ -539,7 +539,7 @@ fn render(results: &ChaosResults) -> Json {
 }
 
 /// `bench chaos`.
-pub struct Chaos;
+pub(crate) struct Chaos;
 
 impl harness::Suite for Chaos {
     const NAME: &'static str = "chaos";

@@ -11,7 +11,7 @@
 //! construction: the event-dispatch speedup is the ratio of the reference
 //! heap to the timing wheel under the same live tracer, *measured in the
 //! same run*, so it compares code, not machines. It fails below
-//! [`DISPATCH_SPEEDUP_FLOOR`]. Claims about absolute host time are made
+//! `DISPATCH_SPEEDUP_FLOOR`. Claims about absolute host time are made
 //! with `benchmark/run.sh compare`, under alternating pairs.
 //!
 //! All workloads are seeded and deterministic in *what* they execute; only
@@ -32,7 +32,7 @@ use std::time::Instant;
 /// least this factor (events/sec), both under the live tracer, measured in
 /// the same process. Three quarters of the lowest of ten measured ratios
 /// (1.98–2.53x; EXPERIMENTS.md §"Simulator-core microbenches").
-pub const DISPATCH_SPEEDUP_FLOOR: f64 = 1.4;
+pub(crate) const DISPATCH_SPEEDUP_FLOOR: f64 = 1.4;
 
 // ------------------------------------------------------------- workloads
 
@@ -229,13 +229,13 @@ fn counter_batched(ops: u64) -> u64 {
 // -------------------------------------------------------------- the suite
 
 /// One microbench: a workload sized in ops, returning elapsed wall ns.
-pub struct CoreBenchDef {
+pub(crate) struct CoreBenchDef {
     pub name: &'static str,
     pub ops: u64,
     pub run: fn(u64) -> u64,
 }
 
-pub const CORE_BENCHES: &[CoreBenchDef] = &[
+pub(crate) const CORE_BENCHES: &[CoreBenchDef] = &[
     CoreBenchDef {
         name: "des.event_dispatch.wheel",
         ops: 200_000,
@@ -290,11 +290,11 @@ pub struct BenchResult {
 }
 
 impl BenchResult {
-    pub fn ns_per_op(&self) -> f64 {
+    pub(crate) fn ns_per_op(&self) -> f64 {
         self.best_total_ns as f64 / self.ops as f64
     }
 
-    pub fn ops_per_sec(&self) -> f64 {
+    pub(crate) fn ops_per_sec(&self) -> f64 {
         if self.best_total_ns == 0 {
             0.0
         } else {
@@ -308,7 +308,7 @@ fn find<'a>(results: &'a [BenchResult], name: &str) -> Option<&'a BenchResult> {
 }
 
 /// Live speedups: reference/current ns-per-op ratios from the same run.
-pub fn speedups(results: &[BenchResult]) -> Vec<(&'static str, f64)> {
+pub(crate) fn speedups(results: &[BenchResult]) -> Vec<(&'static str, f64)> {
     let pairs: [(&'static str, &str, &str); 3] = [
         (
             "event_dispatch",
@@ -337,7 +337,7 @@ pub fn speedups(results: &[BenchResult]) -> Vec<(&'static str, f64)> {
 }
 
 /// `bench core`.
-pub struct Core;
+pub(crate) struct Core;
 
 impl Suite for Core {
     const NAME: &'static str = "core";

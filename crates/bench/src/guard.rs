@@ -12,7 +12,7 @@ use std::path::Path;
 
 /// The repository root, which every checked-in artefact is resolved
 /// against.
-pub fn repo_root() -> &'static Path {
+pub(crate) fn repo_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
@@ -20,7 +20,7 @@ pub fn repo_root() -> &'static Path {
 ///
 /// Returns the first run's results; on divergence, the error says where
 /// the two renders first disagree.
-pub fn deterministic_runs<R>(
+pub(crate) fn deterministic_runs<R>(
     run: impl Fn() -> R,
     render: impl Fn(&R) -> String,
 ) -> Result<R, String> {
@@ -39,7 +39,7 @@ pub fn deterministic_runs<R>(
 /// the checked-in file at `path`. The error says where the two first
 /// disagree — or that the file is missing — and names `bless`, the
 /// command that rewrites it.
-pub fn matches_checked_in(path: &Path, fresh: &str, bless: &str) -> Result<(), String> {
+pub(crate) fn matches_checked_in(path: &Path, fresh: &str, bless: &str) -> Result<(), String> {
     let file = std::fs::read_to_string(path).map_err(|e| {
         format!(
             "cannot read {} ({e}); create it with `{bless}`",
@@ -58,7 +58,7 @@ pub fn matches_checked_in(path: &Path, fresh: &str, bless: &str) -> Result<(), S
 
 /// Where two differing texts first disagree, one `label: line` row per
 /// side; a side that ran out of lines reads `<end of text>`.
-pub fn first_difference(a: &str, b: &str, labels: [&str; 2]) -> String {
+pub(crate) fn first_difference(a: &str, b: &str, labels: [&str; 2]) -> String {
     let (mut left, mut right) = (a.lines(), b.lines());
     for n in 1.. {
         match (left.next(), right.next()) {

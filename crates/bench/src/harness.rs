@@ -2,7 +2,7 @@
 //! [`drive`] owns everything every suite used to re-implement — argument
 //! handling, the double-run guard, the structural gates, the golden
 //! `BENCH_<NAME>.json` and all pass/fail printing. The `bench` binary is
-//! [`run`] over [`SUITES`].
+//! [`run`] over `SUITES`.
 //!
 //! A suite is either deterministic — then it has exactly one golden, held
 //! to exact bytes by `--check` and written by nothing but `--bless` — or
@@ -66,7 +66,7 @@ fn golden_path(root: &Path, name: &str) -> PathBuf {
 }
 
 /// The summary rows as a markdown table (the EXPERIMENTS.md format).
-pub fn render_markdown_table(rows: &[Vec<String>]) -> String {
+pub(crate) fn render_markdown_table(rows: &[Vec<String>]) -> String {
     let mut out = String::new();
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!("| {} |\n", row.join(" | ")));
@@ -157,7 +157,7 @@ fn drive_checked<S: Suite>(root: &Path, opts: &Opts) -> Result<(), String> {
 /// [`drive`] instantiated for one suite.
 pub type Driver = fn(&Path, &Opts) -> i32;
 
-/// One line of [`SUITES`].
+/// One line of `SUITES`.
 pub struct Entry {
     pub name: &'static str,
     /// Whether `BENCH_<name>.json` exists.
@@ -174,7 +174,7 @@ const fn entry<S: Suite>() -> Entry {
 }
 
 /// Every suite the `bench` binary can run, in `--list` order.
-pub const SUITES: &[Entry] = &[
+pub(crate) const SUITES: &[Entry] = &[
     entry::<suite::Pipeline>(),
     entry::<adapt_suite::Adapt>(),
     entry::<core_suite::Core>(),

@@ -44,17 +44,17 @@ use std::sync::Arc;
 
 /// Cold replicas measured per (shape, path); the first-exec set varies by
 /// replica on the many-small-files shape, so p95 is a real spread there.
-pub const REPLICAS: usize = 6;
+pub(crate) const REPLICAS: usize = 6;
 
 /// Eager pipeline width — the same width the goldens and the pipeline
 /// bench run at, so the eager baseline is the tuned pipeline, not a straw
 /// man.
-pub const EAGER_PARALLELISM: usize = 4;
+pub(crate) const EAGER_PARALLELISM: usize = 4;
 
 /// On many-small-files, eager cold-start ttfe must exceed lazy ttfe by at
 /// least this factor (strictly greater than 1 would gate on a rounding
 /// error; this demands a visible win).
-pub const LAZY_WIN_FLOOR: f64 = 1.05;
+pub(crate) const LAZY_WIN_FLOOR: f64 = 1.05;
 
 /// One workload shape's lazy-vs-eager measurement. All times logical ns.
 #[derive(Debug, Clone)]
@@ -95,7 +95,7 @@ pub struct LazyRow {
 /// before first exec. Varies per replica on many-small-files (a python
 /// interpreter imports a handful of the 768 modules), fixed on the other
 /// shapes.
-pub fn first_exec_set(workload: Workload, replica: usize) -> Vec<String> {
+pub(crate) fn first_exec_set(workload: Workload, replica: usize) -> Vec<String> {
     match workload {
         Workload::Small => vec!["usr/lib/libc.so.6".into(), "opt/app/run".into()],
         Workload::Large => vec!["opt/data/part0.bin".into()],
@@ -169,7 +169,7 @@ fn eager_cold_start(registry: &Registry, repo: &str, touch: Option<&[String]>) -
 }
 
 /// Measure one workload shape end to end.
-pub fn bench_workload(workload: Workload) -> LazyRow {
+pub(crate) fn bench_workload(workload: Workload) -> LazyRow {
     let cas = Cas::new();
     let rootfs = flattened_rootfs(workload, &cas);
     let registry = Registry::new("bench-lazy", RegistryCaps::open());
@@ -299,7 +299,7 @@ fn render(results: &[LazyRow]) -> Json {
 }
 
 /// `bench lazy`.
-pub struct Lazy;
+pub(crate) struct Lazy;
 
 impl harness::Suite for Lazy {
     const NAME: &'static str = "lazy";

@@ -3,7 +3,7 @@
 //! `bench` suites; live feature probes and table rendering sit under both.
 //!
 //! Every *technical* cell of Tables 1–5 is derived by exercising the
-//! corresponding code path ([`probe_engine`], [`probe_registry`]); only
+//! corresponding code path ([`probes`]); only
 //! social facts (versions, champions, contributor counts, documentation
 //! grades) are copied from the survey and labelled `survey-reported`.
 
@@ -21,7 +21,3 @@ pub mod storm_suite;
 pub mod suite;
 pub mod tables;
 pub mod workloads;
-
-pub use probes::{probe_engine, probe_registry, EngineProbe, RegistryProbe};
-pub use tables::render_table;
-pub use workloads::{site_registry_with_samples, SampleImages};

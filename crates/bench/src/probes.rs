@@ -21,12 +21,9 @@ use std::sync::Arc;
 
 /// Observed behaviour of one engine.
 #[derive(Debug, Clone)]
-pub struct EngineProbe {
-    pub name: &'static str,
+pub(crate) struct EngineProbe {
     /// Deploys as an unprivileged user with no daemons running.
     pub rootless_ok: bool,
-    /// Needs dockerd.
-    pub needs_daemon: bool,
     /// The root filesystem mechanism observed (`prepare().root_kind`).
     pub root_kind: &'static str,
     /// Converts OCI→native without an explicit step.
@@ -56,8 +53,8 @@ pub struct EngineProbe {
 }
 
 /// Run every probe against one engine.
-pub fn probe_engine(engine: &Engine) -> EngineProbe {
-    let (registry, _) = site_registry_with_samples(60);
+pub(crate) fn probe_engine(engine: &Engine) -> EngineProbe {
+    let registry = site_registry_with_samples(60);
     let host = Host::compute_node();
     let daemon_host = Host::compute_node().with_daemon("dockerd");
     let user = 1000;
@@ -202,9 +199,7 @@ pub fn probe_engine(engine: &Engine) -> EngineProbe {
     let module_system = shpc::generate_module(engine, "hpc/solver", "v1", &["solve"]).is_ok();
 
     EngineProbe {
-        name: engine.info.name,
         rootless_ok,
-        needs_daemon,
         root_kind,
         transparent_conversion,
         caching,
@@ -223,8 +218,7 @@ pub fn probe_engine(engine: &Engine) -> EngineProbe {
 
 /// Observed behaviour of one registry product.
 #[derive(Debug, Clone)]
-pub struct RegistryProbe {
-    pub name: &'static str,
+pub(crate) struct RegistryProbe {
     /// Protocols that answered.
     pub oci: bool,
     pub library_api: bool,
@@ -254,7 +248,7 @@ fn push_probe_image(reg: &Registry, repo: &str) -> Option<hpcc_oci::image::Manif
 }
 
 /// Run every probe against one registry product.
-pub fn probe_registry(product: &RegistryProduct) -> RegistryProbe {
+pub(crate) fn probe_registry(product: &RegistryProduct) -> RegistryProbe {
     let reg = &product.registry;
 
     // Multi-tenancy first (repos below live in this namespace when it
@@ -322,7 +316,6 @@ pub fn probe_registry(product: &RegistryProduct) -> RegistryProbe {
     let squashing = oci && reg.squash_on_demand(repo, "v1").is_ok();
 
     RegistryProbe {
-        name: product.info.name,
         oci: oci
             || reg
                 .caps()
@@ -368,7 +361,6 @@ mod tests {
     fn podman_probe_matches_table_rows() {
         let p = probe_engine(&engines::podman());
         assert!(p.rootless_ok);
-        assert!(!p.needs_daemon);
         assert_eq!(p.root_kind, "overlay-fuse");
         assert!(p.netns_on_exec, "full isolation");
         assert!(p.oci_signing);
@@ -406,8 +398,10 @@ mod tests {
     fn docker_probe_needs_daemon() {
         let p = probe_engine(&engines::docker());
         assert!(!p.rootless_ok);
-        assert!(p.needs_daemon);
-        assert_eq!(p.root_kind, "overlay-kernel");
+        assert_eq!(
+            p.root_kind, "overlay-kernel",
+            "prepared on the dockerd host"
+        );
     }
 
     #[test]

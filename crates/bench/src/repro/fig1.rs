@@ -10,7 +10,7 @@ use hpcc_core::scenarios::common::{ClusterConfig, MixedWorkload};
 use hpcc_core::scenarios::kubelet_in_allocation;
 use std::io::{self, Write};
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "Figure 1 — Kubelets dynamically inside a WLM job allocation (§6.5 PoC)\n"

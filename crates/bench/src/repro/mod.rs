@@ -1,5 +1,5 @@
 //! The paper's artefacts behind one driver. `repro <name>` prints one of
-//! [`EXPERIMENTS`] — Tables 1–5, Figure 1, the quantitative claims
+//! `EXPERIMENTS` — Tables 1–5, Figure 1, the quantitative claims
 //! Q1–Q11 — and `repro --check` / `repro --bless` walk one list of every
 //! checked-in text artefact: the transcript of each experiment
 //! (`tests/repro/<name>.txt`, exactly the bytes `repro <name>` prints) and
@@ -47,7 +47,7 @@ const fn experiment(name: &'static str, paper: &'static str, run: Run) -> Experi
 }
 
 /// Every artefact `repro` regenerates, in paper order.
-pub const EXPERIMENTS: [Experiment; 17] = [
+pub(crate) const EXPERIMENTS: [Experiment; 17] = [
     experiment("table1", "Table 1", table1::run),
     experiment("table2", "Table 2", table2::run),
     experiment("table3", "Table 3", table3::run),

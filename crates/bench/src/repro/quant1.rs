@@ -26,7 +26,7 @@ fn build_tree(files: usize, size: usize) -> MemFs {
     fs
 }
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "Q1 — random 4 KiB reads through each driver (§4.1.2 claim: ~10x IOPS gap)\n"

@@ -7,7 +7,7 @@ use hpcc_storage::p2p::{broadcast_p2p, broadcast_via_shared_fs, ideal_p2p_rounds
 use hpcc_storage::shared_fs::SharedFs;
 use std::io::{self, Write};
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "Q10 — image broadcast to an allocation: shared FS vs P2P swarm (§7 Dragonfly)\n"

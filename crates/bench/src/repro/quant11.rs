@@ -32,7 +32,7 @@ fn trace(shape: TraceShape) -> TraceConfig {
     }
 }
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "Q11 — partition policies at site scale (§6.1 on-demand reallocation, §6.6 static split)\n"

@@ -28,7 +28,7 @@ fn python_like_tree(files: usize) -> MemFs {
     fs
 }
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "Q2 — container cold start: 10k small files on shared FS vs one squash image\n"

@@ -6,7 +6,7 @@ use hpcc_runtime::fakeroot::{self, FakerootCosts, FakerootMode, HostConfig, Sysc
 use hpcc_sim::{SimClock, SimSpan};
 use std::io::{self, Write};
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(out, "Q3 — fakeroot mechanism overheads (§4.1.2)\n")?;
     let workloads = [
         (

@@ -5,7 +5,7 @@
 use hpcc_core::scenarios::{self, ClusterConfig, MixedWorkload};
 use std::io::{self, Write};
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "Q4 — §6 integration scenarios under a mixed HPC+cloud workload\n"

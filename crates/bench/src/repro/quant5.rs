@@ -25,7 +25,7 @@ fn rate_limited_hub() -> Arc<Registry> {
     Arc::new(hub)
 }
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "Q5 — registry pulls under an upstream rate limit: direct vs site proxy\n"
@@ -88,7 +88,7 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(out, "  upstream reqs    {}", s.upstream_requests)?;
     writeln!(out, "  bytes cached     {}", s.bytes_cached)?;
     // Mirror comparison: a pre-synced mirror needs zero upstream traffic.
-    let (site, _) = site_registry_with_samples(100);
+    let site = site_registry_with_samples(100);
     let (_, done) = site
         .pull_manifest("hpc/pyapp", "v1", SimTime::ZERO)
         .unwrap();

@@ -6,7 +6,7 @@ use hpcc_oci::cas::Cas;
 use hpcc_vfs::path::VPath;
 use std::io::{self, Write};
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "Q6 — layer deduplication in content-addressable storage (§3.1)\n"

@@ -8,12 +8,12 @@ use hpcc_engine::engines;
 use hpcc_sim::SimClock;
 use std::io::{self, Write};
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "Q7 — engine deployment latency, cold vs warm conversion cache\n"
     )?;
-    let (registry, _) = site_registry_with_samples(400);
+    let registry = site_registry_with_samples(400);
     writeln!(
         out,
         "{:<16} {:>12} {:>12} {:>10} {:>14}",

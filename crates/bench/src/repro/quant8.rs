@@ -34,7 +34,7 @@ fn pseudo_random_tree(files: usize, size: usize) -> MemFs {
     fs
 }
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "Q8 — lazy pulling vs eager staging (the §7 eStargz/EroFS outlook)\n"

@@ -22,7 +22,7 @@ fn profile_for(monitor: MonitorModel) -> (NoiseProfile, &'static str) {
     }
 }
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "Q9 — monitor-process jitter amplified by BSP barriers (§3.2)\n"

@@ -10,7 +10,7 @@ use hpcc_engine::caps::{
 use hpcc_engine::engines;
 use std::io::{self, Write};
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "Table 1 — Container engines: overview, rootless techniques, OCI compatibility"

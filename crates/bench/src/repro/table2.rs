@@ -7,7 +7,7 @@ use crate::tables::{render_table, yn_opt};
 use hpcc_engine::engines;
 use std::io::{self, Write};
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "Table 2 — Image formats, conversion, caching, namespacing, signing, encryption"

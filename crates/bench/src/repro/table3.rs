@@ -8,7 +8,7 @@ use hpcc_engine::caps::{AccelSupport, WlmIntegration};
 use hpcc_engine::engines;
 use std::io::{self, Write};
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(out, "Table 3 — HPC enablement and integrations")?;
     writeln!(out, "(GPU/MPI/module cells probed live; Accel/WLM from capability models; docs and contributors survey-reported)\n")?;
 

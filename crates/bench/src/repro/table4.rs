@@ -7,7 +7,7 @@ use hpcc_registry::products;
 use hpcc_registry::registry::Protocol;
 use std::io::{self, Write};
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "Table 4 — Container registries: protocols and feature set"

@@ -6,7 +6,7 @@ use crate::tables::{render_table, yn};
 use hpcc_registry::products;
 use std::io::{self, Write};
 
-pub fn run(out: &mut dyn Write) -> io::Result<()> {
+pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "Table 5 — Registries: squashing, tenancy, quota, signing, deployment"

@@ -23,9 +23,9 @@
 //! stage):
 //!
 //! * **Flat-latency floor** — tiered p50 per-node latency at 10k nodes
-//!   must stay within [`FLAT_LATENCY_CEILING`]× of the 16-node run,
+//!   must stay within `FLAT_LATENCY_CEILING`× of the 16-node run,
 //!   while the direct path must degrade by at least
-//!   [`DIRECT_BLOWUP_FLOOR`]× over the same sweep (proving the contrast
+//!   `DIRECT_BLOWUP_FLOOR`× over the same sweep (proving the contrast
 //!   is real, not an easy workload).
 //! * **Coalescing** — every tiered run must reach the origin exactly
 //!   once per distinct blob, regardless of fleet size, while the direct
@@ -42,19 +42,19 @@ use hpcc_sim::{Bytes, FaultInjector, MetricsRegistry, QueueServer, SimSpan, SimT
 use hpcc_storage::p2p::{broadcast_tree_from_seeds, chunk_count, DistributionTree, TreeSpec};
 
 /// Fleet sizes swept by every strategy.
-pub const NODE_COUNTS: &[usize] = &[16, 64, 256, 1024, 4096, 10_000];
+pub(crate) const NODE_COUNTS: &[usize] = &[16, 64, 256, 1024, 4096, 10_000];
 
 /// Tiered p50 per-node latency at the largest sweep point must stay
 /// within this factor of the smallest.
-pub const FLAT_LATENCY_CEILING: f64 = 2.0;
+pub(crate) const FLAT_LATENCY_CEILING: f64 = 2.0;
 
 /// The direct path must degrade by at least this factor over the same
 /// sweep, or the workload is too easy to prove anything.
-pub const DIRECT_BLOWUP_FLOOR: f64 = 50.0;
+pub(crate) const DIRECT_BLOWUP_FLOOR: f64 = 50.0;
 
 /// The image every storm pulls: 4 layers, 2 GiB total, plus config and
 /// manifest blobs.
-pub fn storm_image() -> ImageSpec {
+pub(crate) fn storm_image() -> ImageSpec {
     ImageSpec::synthetic("bench-storm", 4, Bytes::gib(2))
 }
 
@@ -353,7 +353,7 @@ fn render(results: &StormResults) -> Json {
 }
 
 /// `bench storm`.
-pub struct Storm;
+pub(crate) struct Storm;
 
 impl harness::Suite for Storm {
     const NAME: &'static str = "storm";

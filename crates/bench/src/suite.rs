@@ -3,7 +3,7 @@
 //!
 //! For each workload shape (few big layers, one big binary, many small
 //! files — the §4.1.4 axis) and each pipeline parallelism in
-//! [`PARALLELISM_LEVELS`], the suite drives the full pull→convert
+//! `PARALLELISM_LEVELS`, the suite drives the full pull→convert
 //! pipeline three times against one node-local [`BlobStore`]:
 //!
 //! 1. **cold** — empty store and conversion cache; pins the overlapped
@@ -34,7 +34,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Pipeline widths the suite sweeps.
-pub const PARALLELISM_LEVELS: [usize; 3] = [1, 4, 16];
+pub(crate) const PARALLELISM_LEVELS: [usize; 3] = [1, 4, 16];
 
 /// The three workload shapes of the §4.1.4 image-layout axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +48,8 @@ pub enum Workload {
     ManySmallFiles,
 }
 
-pub const WORKLOADS: [Workload; 3] = [Workload::Small, Workload::Large, Workload::ManySmallFiles];
+pub(crate) const WORKLOADS: [Workload; 3] =
+    [Workload::Small, Workload::Large, Workload::ManySmallFiles];
 
 impl Workload {
     pub fn name(self) -> &'static str {
@@ -317,7 +318,7 @@ fn render(runs: &[PipelineRun]) -> Json {
 }
 
 /// `bench pipeline`.
-pub struct Pipeline;
+pub(crate) struct Pipeline;
 
 impl harness::Suite for Pipeline {
     const NAME: &'static str = "pipeline";

@@ -1,7 +1,7 @@
 //! Plain-text table rendering for the table/figure binaries.
 
 /// Render rows as an aligned table. The first row is the header.
-pub fn render_table(rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(rows: &[Vec<String>]) -> String {
     if rows.is_empty() {
         return String::new();
     }
@@ -37,7 +37,7 @@ pub fn render_table(rows: &[Vec<String>]) -> String {
 }
 
 /// yes/no rendering.
-pub fn yn(b: bool) -> String {
+pub(crate) fn yn(b: bool) -> String {
     if b {
         "yes".into()
     } else {
@@ -46,7 +46,7 @@ pub fn yn(b: bool) -> String {
 }
 
 /// yes/no/- rendering for optional probes.
-pub fn yn_opt(b: Option<bool>) -> String {
+pub(crate) fn yn_opt(b: Option<bool>) -> String {
     match b {
         Some(true) => "yes".into(),
         Some(false) => "no".into(),

@@ -1,6 +1,6 @@
 //! The content-addressed build cache.
 //!
-//! Keys are the [`BuildSpec::state_chain`](crate::spec::BuildSpec::state_chain)
+//! Keys are the `BuildSpec::state_chain`
 //! digests — (parent state, step fingerprint) folded into one hash — and
 //! values name the layer archive the step produced (or record that the
 //! step was a filesystem no-op). Layer bytes themselves live in a shared

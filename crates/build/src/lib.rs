@@ -7,7 +7,7 @@
 //!
 //! - [`spec`] — declarative [`BuildSpec`]s: base image + ordered
 //!   fingerprintable steps (`run`/`copy`/`env`/`entrypoint` plus the
-//!   HPC-specific `mpi_base`/`gpu_hook`).
+//!   HPC-specific `mpi_base`).
 //! - [`cache`] — a content-addressed [`BuildCache`] keyed by the
 //!   (parent state, step fingerprint) hash chain, with layer bytes in
 //!   the shared [`hpcc_storage::BlobStore`]: unchanged prefixes replay
@@ -28,14 +28,15 @@ pub mod spec;
 pub mod verify;
 
 pub use cache::{BuildCache, BuildCacheStats};
-pub use publish::{sign_and_push, sign_and_push_resilient, PublishError, SignedImage};
+pub use publish::{sign_and_push, PublishError, SignedImage};
 pub use service::{build_fleet, BuildError, BuildOutput, BuildRequest};
 pub use spec::{BuildSpec, BuildStep, MpiFamily};
-pub use verify::{verified_pull, verify_provenance, verify_pulled_content, VerifyError};
+pub use verify::{verified_pull, VerifyError};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::{verify_provenance, verify_pulled_content};
     use hpcc_engine::engine::{Host, RunOptions};
     use hpcc_engine::engines;
     use hpcc_oci::cas::Cas;
@@ -328,10 +329,8 @@ mod tests {
     }
 
     #[test]
-    fn brownout_push_fails_plain_but_recovers_with_resilience() {
+    fn brownout_push_fails_and_rolls_its_intent_back() {
         use hpcc_registry::registry::RegistryError;
-        use hpcc_sim::resilience::{BreakerConfig, BreakerState, CircuitBreaker};
-        use hpcc_sim::RetryPolicy;
         let mut s = stack();
         let reqs = vec![BuildRequest::new("acme", "solver", "v1", app_spec())];
         let outs = build_fleet(&reqs, 4, &s.cache, &s.cas, &s.tracer, &s.clock).unwrap();
@@ -339,8 +338,7 @@ mod tests {
         s.registry
             .set_fault_injector(std::sync::Arc::clone(&faults));
 
-        // Without resilience the brownout kills the push outright (and
-        // rolls its intent back).
+        // The brownout kills the push outright and rolls its intent back.
         let err = sign_and_push(
             &s.engine,
             &mut s.key,
@@ -361,111 +359,5 @@ mod tests {
             "got {err}"
         );
         assert!(s.journal.open_intents().is_empty());
-
-        // The resilient path walks its backoff ladder past the brownout
-        // window and lands the push without tripping the breaker.
-        let breaker = CircuitBreaker::new("origin-push", BreakerConfig::default());
-        let signed = sign_and_push_resilient(
-            &s.engine,
-            &mut s.key,
-            &mut s.log,
-            &s.registry,
-            &outs[0],
-            &s.cas,
-            &s.journal,
-            &s.crash,
-            &s.clock,
-            &faults,
-            &breaker,
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(
-            s.registry.resolve_tag("acme/solver", "v1").unwrap(),
-            signed.manifest_digest
-        );
-        assert!(s.journal.open_intents().is_empty());
-        assert_eq!(breaker.state(), BreakerState::Closed);
-        let m = faults.metrics();
-        assert!(
-            m.get("retry.build.push.recovered") >= 1,
-            "must have retried"
-        );
-        assert!(m.get("retry.build.push.attempts") >= 2);
-    }
-
-    #[test]
-    fn persistent_brownout_trips_breaker_then_probe_recovers() {
-        use hpcc_registry::registry::RegistryError;
-        use hpcc_sim::resilience::{BreakerConfig, BreakerState, CircuitBreaker};
-        use hpcc_sim::{RetryPolicy, SimSpan};
-        let mut s = stack();
-        let reqs = vec![BuildRequest::new("acme", "solver", "v1", app_spec())];
-        let outs = build_fleet(&reqs, 4, &s.cache, &s.cas, &s.tracer, &s.clock).unwrap();
-        // Brownout outlives the whole (short) retry ladder.
-        let faults = brownout_injector(SimSpan::secs(2));
-        s.registry
-            .set_fault_injector(std::sync::Arc::clone(&faults));
-        let breaker = CircuitBreaker::new(
-            "origin-push",
-            BreakerConfig {
-                failure_threshold: 1,
-                ..BreakerConfig::default()
-            },
-        );
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        };
-        let push = |s: &mut Stack| {
-            sign_and_push_resilient(
-                &s.engine,
-                &mut s.key,
-                &mut s.log,
-                &s.registry,
-                &outs[0],
-                &s.cas,
-                &s.journal,
-                &s.crash,
-                &s.clock,
-                &faults,
-                &breaker,
-                &policy,
-            )
-        };
-
-        // Exhausting the ladder feeds the breaker, which opens.
-        let err = push(&mut s).unwrap_err();
-        assert!(matches!(
-            err,
-            PublishError::Registry(RegistryError::Unavailable { .. })
-        ));
-        assert!(matches!(breaker.state(), BreakerState::Open { .. }));
-
-        // While open, pushes short-circuit before touching the registry.
-        let pushes_before = s.registry.stats().pushes;
-        let attempts_before = faults.metrics().get("retry.build.push.attempts");
-        let err = push(&mut s).unwrap_err();
-        assert!(matches!(
-            err,
-            PublishError::Registry(RegistryError::Unavailable { status: 503 })
-        ));
-        assert_eq!(s.registry.stats().pushes, pushes_before);
-        assert_eq!(
-            faults.metrics().get("retry.build.push.attempts"),
-            attempts_before,
-            "short-circuit must not burn retry attempts"
-        );
-        assert_eq!(faults.metrics().get("breaker.origin-push.push_rejected"), 1);
-
-        // After the cooldown (and the brownout healing) the half-open
-        // probe lands the push and closes the breaker.
-        s.clock.advance(SimSpan::secs(8));
-        let signed = push(&mut s).expect("probe push succeeds after heal");
-        assert_eq!(
-            s.registry.resolve_tag("acme/solver", "v1").unwrap(),
-            signed.manifest_digest
-        );
-        assert_eq!(breaker.state(), BreakerState::Closed);
     }
 }

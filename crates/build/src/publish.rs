@@ -17,22 +17,20 @@ use hpcc_crypto::wots::Keypair;
 use hpcc_engine::engine::{Engine, EngineError};
 use hpcc_oci::cas::Cas;
 use hpcc_registry::registry::{Registry, RegistryError};
-use hpcc_sim::faults::{FaultInjector, RetryPolicy};
 use hpcc_sim::obs::Stage;
-use hpcc_sim::resilience::CircuitBreaker;
 use hpcc_sim::sym;
 use hpcc_sim::{CrashInjector, Crashed, SimClock, SimSpan};
 use hpcc_storage::journal::JournaledStore;
 use std::sync::Arc;
 
 /// WOTS signing cost (hash-chain walks dominate).
-pub const SIGN_COST: SimSpan = SimSpan(2_000_000); // 2 ms
+pub(crate) const SIGN_COST: SimSpan = SimSpan(2_000_000); // 2 ms
 /// Transparency-log append + proof mint round trip.
-pub const LOG_APPEND_COST: SimSpan = SimSpan(500_000); // 0.5 ms
+pub(crate) const LOG_APPEND_COST: SimSpan = SimSpan(500_000); // 0.5 ms
 /// Per-blob upload round-trip floor (HEAD + POST handshake).
-pub const PUSH_RTT: SimSpan = SimSpan(400_000); // 0.4 ms
+pub(crate) const PUSH_RTT: SimSpan = SimSpan(400_000); // 0.4 ms
 /// Upload bandwidth toward the registry.
-pub const PUSH_BPS: u64 = 128 << 20;
+pub(crate) const PUSH_BPS: u64 = 128 << 20;
 
 /// Everything a verifier needs: the signed manifest plus its log
 /// provenance, as minted at push time.
@@ -174,64 +172,6 @@ pub fn sign_and_push(
         log_index,
         proof,
         head,
-    })
-}
-
-/// [`sign_and_push`] hardened for origin brownouts: the push is gated on
-/// a per-registry [`CircuitBreaker`] and transient registry failures
-/// (rate limits, 5xx, timeouts) are retried under `policy` with backoff
-/// charged to the clock.
-///
-/// The breaker short-circuits with `Unavailable { status: 503 }` while
-/// open, so a browned-out origin costs one probe per cooldown instead of
-/// a full retry ladder per build. Only an exhausted ladder of transient
-/// registry errors counts against the breaker ([`CircuitBreaker::settle`]);
-/// signing failures, missing local blobs, and armed crash points
-/// propagate immediately without tripping it. Each retry attempt re-runs
-/// the full sign-and-push, so (as with crash-recovery resumes) every
-/// attempt appends a fresh transparency-log entry and the returned
-/// provenance references the newest one — blob uploads dedup
-/// content-addressed as usual.
-#[allow(clippy::too_many_arguments)]
-pub fn sign_and_push_resilient(
-    engine: &Engine,
-    key: &mut Keypair,
-    log: &mut TransparencyLog,
-    registry: &Registry,
-    output: &BuildOutput,
-    cas: &Cas,
-    journal: &JournaledStore,
-    crash: &CrashInjector,
-    clock: &SimClock,
-    faults: &FaultInjector,
-    breaker: &CircuitBreaker,
-    policy: &RetryPolicy,
-) -> Result<SignedImage, PublishError> {
-    if !breaker.allow(faults, crash, clock.now())? {
-        faults
-            .metrics()
-            .incr(&format!("breaker.{}.push_rejected", breaker.name()));
-        return Err(PublishError::Registry(RegistryError::Unavailable {
-            status: 503,
-        }));
-    }
-    let transient = |e: &PublishError| matches!(e, PublishError::Registry(r) if r.is_transient());
-    let run = policy.run_clocked(
-        faults,
-        "build.push",
-        Stage::Request,
-        clock,
-        transient,
-        |_| {
-            sign_and_push(
-                engine, key, log, registry, output, cas, journal, crash, clock,
-            )
-        },
-    );
-    breaker.settle(faults, &run, |e| matches!(e, PublishError::Crash(_)));
-    run.map(|ok| ok.value).map_err(|err| {
-        err.cause
-            .into_op(|after| PublishError::Registry(RegistryError::Timeout { after }))
     })
 }
 

@@ -26,15 +26,15 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Fixed per-step process overhead of a cache miss (spawn, snapshot).
-pub const STEP_LATENCY: SimSpan = SimSpan(2_000_000); // 2 ms
+pub(crate) const STEP_LATENCY: SimSpan = SimSpan(2_000_000); // 2 ms
 /// Write bandwidth a cold step's payload pays.
-pub const STEP_WRITE_BPS: u64 = 256 << 20;
+pub(crate) const STEP_WRITE_BPS: u64 = 256 << 20;
 /// Probing the cache index (either outcome pays this).
-pub const CACHE_PROBE_COST: SimSpan = SimSpan(10_000); // 10 µs
+pub(crate) const CACHE_PROBE_COST: SimSpan = SimSpan(10_000); // 10 µs
 /// Replaying a cached layer: metadata-speed, the incremental-rebuild win.
-pub const CACHE_HIT_COST: SimSpan = SimSpan(20_000); // 20 µs
+pub(crate) const CACHE_HIT_COST: SimSpan = SimSpan(20_000); // 20 µs
 /// Config-only steps (env/entrypoint) are bookkeeping.
-pub const CONFIG_STEP_COST: SimSpan = SimSpan(5_000); // 5 µs
+pub(crate) const CONFIG_STEP_COST: SimSpan = SimSpan(5_000); // 5 µs
 
 /// One tenant's build order: where the image goes once built.
 #[derive(Debug, Clone)]

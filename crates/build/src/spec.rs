@@ -57,13 +57,11 @@ pub enum BuildStep {
     /// loader config, and export `MPI_HOME` (the ABI-compat replace
     /// mechanism every surveyed engine hooks).
     MpiBase { family: MpiFamily },
-    /// Install the OCI GPU hook script and mark the image as GPU-ready.
-    GpuHook,
 }
 
 impl BuildStep {
     /// Does this step produce a filesystem layer?
-    pub fn produces_layer(&self) -> bool {
+    pub(crate) fn produces_layer(&self) -> bool {
         !matches!(self, BuildStep::Env { .. } | BuildStep::Entrypoint { .. })
     }
 
@@ -75,7 +73,6 @@ impl BuildStep {
             BuildStep::Env { key, .. } => format!("env:{key}"),
             BuildStep::Entrypoint { .. } => "entrypoint".to_string(),
             BuildStep::MpiBase { family } => format!("mpi_base:{}", family.name()),
-            BuildStep::GpuHook => "gpu_hook".to_string(),
         }
     }
 
@@ -99,27 +96,18 @@ impl BuildStep {
                     ),
                 ]
             }
-            BuildStep::GpuHook => vec![(
-                "/opt/hooks/gpu/hook.sh".to_string(),
-                b"#!/bin/sh\nexec ldconfig /usr/local/cuda/lib64\n".to_vec(),
-            )],
         }
     }
 
     /// Mutate the image config the way this step's Dockerfile analogue
     /// would. Layer steps may also set config (e.g. `MpiBase` exports
     /// `MPI_HOME`).
-    pub fn apply_config(&self, cfg: &mut ImageConfig) {
+    pub(crate) fn apply_config(&self, cfg: &mut ImageConfig) {
         match self {
             BuildStep::Env { key, value } => cfg.env.push(format!("{key}={value}")),
             BuildStep::Entrypoint { argv } => cfg.entrypoint = argv.clone(),
             BuildStep::MpiBase { family } => {
                 cfg.env.push(format!("MPI_HOME=/opt/mpi/{}", family.name()));
-            }
-            BuildStep::GpuHook => {
-                cfg.env.push("HPCC_GPU_HOOK=1".to_string());
-                cfg.labels
-                    .insert("org.hpcc.gpu".to_string(), "hook".to_string());
             }
             BuildStep::Run { .. } | BuildStep::Copy { .. } => {}
         }
@@ -165,7 +153,6 @@ impl BuildStep {
                 buf.push(5);
                 put_str(&mut buf, family.name());
             }
-            BuildStep::GpuHook => buf.push(6),
         }
         sha256(&buf)
     }
@@ -255,16 +242,10 @@ impl BuildSpec {
         self
     }
 
-    /// Install the GPU hook.
-    pub fn gpu_hook(mut self) -> Self {
-        self.steps.push(BuildStep::GpuHook);
-        self
-    }
-
     /// The cache-chain state digest after each step:
     /// `state[i] = H(state[i-1] || fingerprint(step_i))`, seeded by
     /// [`base_id`](Self::from_image).
-    pub fn state_chain(&self) -> Vec<Digest> {
+    pub(crate) fn state_chain(&self) -> Vec<Digest> {
         let mut states = Vec::with_capacity(self.steps.len());
         let mut prev = self.base_id;
         for step in &self.steps {

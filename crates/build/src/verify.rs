@@ -105,7 +105,7 @@ impl std::error::Error for VerifyError {}
 /// Check a signature artifact + log provenance against `trusted_head`.
 /// `signature` is the artifact as attached (`pubkey ++ sig`); the log
 /// entry is reconstructed as `manifest_digest ++ signature`.
-pub fn verify_provenance(
+pub(crate) fn verify_provenance(
     manifest_digest: Digest,
     signature: &[u8],
     proof: &InclusionProof,
@@ -139,7 +139,10 @@ pub fn verify_provenance(
 
 /// Re-hash every part of a pulled image against its (already verified)
 /// manifest. Catches tampered registries/mirrors that substitute bytes.
-pub fn verify_pulled_content(manifest: &Manifest, pulled: &PulledImage) -> Result<(), VerifyError> {
+pub(crate) fn verify_pulled_content(
+    manifest: &Manifest,
+    pulled: &PulledImage,
+) -> Result<(), VerifyError> {
     let config_actual = sha256(&pulled.config.to_bytes());
     if config_actual != manifest.config.digest {
         return Err(VerifyError::TamperedBlob {

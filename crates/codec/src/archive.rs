@@ -102,19 +102,6 @@ impl Entry {
             _ => 0,
         }
     }
-
-    /// Builder-style ownership override.
-    pub fn owned_by(mut self, uid: u32, gid: u32) -> Entry {
-        self.uid = uid;
-        self.gid = gid;
-        self
-    }
-
-    /// Builder-style mode override.
-    pub fn with_mode(mut self, mode: u32) -> Entry {
-        self.mode = mode;
-        self
-    }
 }
 
 /// Errors from archive parsing.
@@ -153,7 +140,7 @@ const MAGIC: &[u8; 4] = b"HARC";
 /// Validate an archive-relative path: non-empty, relative, no `..` or empty
 /// segments. Archives cross trust boundaries (registry → engine), so path
 /// traversal must be rejected at parse time.
-pub fn validate_path(path: &str) -> Result<(), ArchiveError> {
+pub(crate) fn validate_path(path: &str) -> Result<(), ArchiveError> {
     if path.is_empty() || path.starts_with('/') || path.ends_with('/') {
         return Err(ArchiveError::BadPath(path.to_string()));
     }
@@ -274,7 +261,10 @@ mod tests {
         let mut a = Archive::new();
         a.push(Entry::dir("usr"))
             .push(Entry::dir("usr/lib"))
-            .push(Entry::file("usr/lib/libm.so", b"ELF-math".to_vec()).with_mode(0o755))
+            .push(Entry {
+                mode: 0o755,
+                ..Entry::file("usr/lib/libm.so", b"ELF-math".to_vec())
+            })
             .push(Entry::symlink("usr/lib/libm.so.6", "libm.so"))
             .push(Entry::whiteout("etc/old.conf"))
             .push(Entry {
@@ -359,15 +349,12 @@ mod tests {
     #[test]
     fn setuid_bit_survives_roundtrip() {
         let mut a = Archive::new();
-        a.push(Entry::file("bin/starter", vec![1]).with_mode(0o4755));
+        a.push(Entry {
+            mode: 0o4755,
+            ..Entry::file("bin/starter", vec![1])
+        });
         let parsed = Archive::from_bytes(&a.to_bytes()).unwrap();
         assert_eq!(parsed.entries[0].mode, 0o4755);
-    }
-
-    #[test]
-    fn ownership_builder() {
-        let e = Entry::file("f", vec![]).owned_by(1000, 100);
-        assert_eq!((e.uid, e.gid), (1000, 100));
     }
 
     fn arb_entry() -> impl Strategy<Value = Entry> {

@@ -154,12 +154,6 @@ pub fn decompress(container: &[u8]) -> Result<Vec<u8>, CodecError> {
     Ok(out)
 }
 
-/// The codec recorded in a container, without decompressing.
-pub fn sniff(container: &[u8]) -> Result<Codec, CodecError> {
-    let id = *container.first().ok_or(CodecError::Corrupt("empty"))?;
-    Codec::from_id(id).ok_or(CodecError::UnknownCodec(id))
-}
-
 // ---------------------------------------------------------------- RLE
 
 fn rle_compress(data: &[u8], out: &mut Vec<u8>) {
@@ -402,17 +396,6 @@ fn lz_decompress(payload: &[u8], cap: usize) -> Result<Vec<u8>, CodecError> {
     Ok(out)
 }
 
-/// Pick a codec automatically: try LZ, fall back to Store when the payload
-/// is incompressible (compressed would be larger).
-pub fn compress_auto(data: &[u8]) -> Vec<u8> {
-    let lz = compress(Codec::Lz, data);
-    if lz.len() < data.len() + 10 {
-        lz
-    } else {
-        compress(Codec::Store, data)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,31 +594,6 @@ mod tests {
         }
         c.truncate(c.len() / 2);
         let _ = decompress(&c);
-    }
-
-    #[test]
-    fn sniff_reports_codec() {
-        assert_eq!(sniff(&compress(Codec::Lz, b"abc")).unwrap(), Codec::Lz);
-        assert_eq!(sniff(&compress(Codec::Rle, b"abc")).unwrap(), Codec::Rle);
-        assert!(sniff(&[]).is_err());
-    }
-
-    #[test]
-    fn auto_falls_back_to_store_on_random_data() {
-        // Pseudo-random bytes: LZ cannot win.
-        let data: Vec<u8> = (0..4096u32)
-            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
-            .collect();
-        let c = compress_auto(&data);
-        assert_eq!(decompress(&c).unwrap(), data);
-    }
-
-    #[test]
-    fn auto_uses_lz_on_text() {
-        let data = text_like(10_000);
-        let c = compress_auto(&data);
-        assert_eq!(sniff(&c).unwrap(), Codec::Lz);
-        assert!(c.len() < data.len());
     }
 
     #[test]

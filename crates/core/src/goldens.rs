@@ -192,7 +192,7 @@ pub fn quickstart_trace() -> Vec<SpanRecord> {
 /// restarted engine finishes the deploy without re-fetching them. The
 /// trace pins the crash span, the recovery span, and the resumed
 /// pipeline's cache-hit timing.
-pub fn quickstart_crash_recover_trace() -> Vec<SpanRecord> {
+pub(crate) fn quickstart_crash_recover_trace() -> Vec<SpanRecord> {
     let registry = quickstart_registry();
     let tracer = Tracer::new();
     registry.set_tracer(Arc::clone(&tracer));
@@ -316,7 +316,7 @@ pub fn q5_degraded_pull_trace() -> Vec<SpanRecord> {
 /// Q10's swarm on a small allocation: 16 nodes, 2 seeds, one 2 GiB image.
 /// The trace pins the seed pulls from shared storage and the logarithmic
 /// fan-out of peer transfers over the high-speed fabric.
-pub fn q10_p2p_broadcast_trace() -> Vec<SpanRecord> {
+pub(crate) fn q10_p2p_broadcast_trace() -> Vec<SpanRecord> {
     let tracer = Tracer::new();
     let shared = SharedFs::with_defaults();
     shared.set_tracer(Arc::clone(&tracer));
@@ -340,7 +340,7 @@ pub fn q10_p2p_broadcast_trace() -> Vec<SpanRecord> {
 /// trace pins the coalesced tier fills (one origin fetch per blob no
 /// matter how many racks ask), the per-node rack-served pulls, and the
 /// pipelined fan-out of the distribution tree.
-pub fn storm_64_tiered_trace() -> Vec<SpanRecord> {
+pub(crate) fn storm_64_tiered_trace() -> Vec<SpanRecord> {
     let hub = Registry::new("hub", RegistryCaps::open());
     hub.create_namespace("hpc", None).unwrap();
     let cas = Cas::new();
@@ -398,7 +398,7 @@ pub fn storm_64_tiered_trace() -> Vec<SpanRecord> {
 /// verification and run. The trace pins the `build.step` / `build.cache`
 /// / `build.sign` / `build.push` span schedule and the verified pull's
 /// engine timing.
-pub fn build_plane_trace() -> Vec<SpanRecord> {
+pub(crate) fn build_plane_trace() -> Vec<SpanRecord> {
     use hpcc_build::{
         build_fleet, sign_and_push, verified_pull, BuildCache, BuildRequest, BuildSpec, MpiFamily,
     };

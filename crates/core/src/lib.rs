@@ -24,8 +24,8 @@ pub mod workflow;
 
 pub use pipeline::{deploy_to_allocation, DeploymentReport, PipelineError};
 pub use requirements::{
-    score_engine, score_registry, select_engine, select_registry, EngineScore,
-    RegistryRequirements, RegistryScore, SiteRequirements,
+    select_engine, select_registry, EngineScore, RegistryRequirements, RegistryScore,
+    SiteRequirements,
 };
 pub use scenarios::{run_all, ClusterConfig, MixedWorkload, ScenarioOutcome};
 pub use workflow::{run_on_k8s, run_on_wlm, Step, Workflow, WorkflowError, WorkflowRun};

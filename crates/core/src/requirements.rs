@@ -108,7 +108,7 @@ impl EngineScore {
 }
 
 /// Score one engine against requirements.
-pub fn score_engine(engine: &Engine, req: &SiteRequirements) -> EngineScore {
+pub(crate) fn score_engine(engine: &Engine, req: &SiteRequirements) -> EngineScore {
     let caps = &engine.caps;
     let mut violations = Vec::new();
     let mut score = 0;
@@ -263,7 +263,10 @@ impl RegistryScore {
 }
 
 /// Score one registry product.
-pub fn score_registry(product: &RegistryProduct, req: &RegistryRequirements) -> RegistryScore {
+pub(crate) fn score_registry(
+    product: &RegistryProduct,
+    req: &RegistryRequirements,
+) -> RegistryScore {
     let caps = product.registry.caps();
     let mut violations = Vec::new();
     let mut score = 0;

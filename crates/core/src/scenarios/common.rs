@@ -106,20 +106,20 @@ macro_rules! outcome {
 }
 
 /// Simulation step and horizon used by the scenario drivers.
-pub const TICK: SimSpan = SimSpan(1_000_000_000);
+pub(crate) const TICK: SimSpan = SimSpan(1_000_000_000);
 pub const HORIZON: SimSpan = SimSpan(6 * 3600 * 1_000_000_000);
 
 /// Pipeline worker count used by the scenario startup measurement: blob
 /// fetches and per-layer conversions overlap four wide, the typical
 /// containerd/`podman --max-parallel-downloads` default class.
-pub const SCENARIO_PIPELINE_PARALLELISM: usize = 4;
+pub(crate) const SCENARIO_PIPELINE_PARALLELISM: usize = 4;
 
 /// The measured single-node container startup latency (pull through a
 /// local registry + convert + launch, via the real Podman-HPC pipeline,
 /// with the pipeline overlapping work [`SCENARIO_PIPELINE_PARALLELISM`]
 /// wide against a node-local layer store).
 /// Measured once and cached — every scenario charges the same real cost.
-pub fn measured_container_startup() -> SimSpan {
+pub(crate) fn measured_container_startup() -> SimSpan {
     static STARTUP: OnceLock<SimSpan> = OnceLock::new();
     *STARTUP.get_or_init(|| {
         let registry = Registry::new("scenario-site", RegistryCaps::open());

@@ -104,7 +104,7 @@ impl Workflow {
 
     /// Validate: unique names, known deps, acyclic. Returns a topological
     /// order.
-    pub fn validate(&self) -> Result<Vec<&Step>, WorkflowError> {
+    pub(crate) fn validate(&self) -> Result<Vec<&Step>, WorkflowError> {
         let mut by_name: BTreeMap<&str, &Step> = BTreeMap::new();
         for s in &self.steps {
             if by_name.insert(&s.name, s).is_some() {

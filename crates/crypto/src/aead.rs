@@ -1,9 +1,9 @@
 //! Authenticated encryption: ChaCha20 + HMAC-SHA256, encrypt-then-MAC.
 //!
-//! Models ocicrypt-style encrypted layers and SIF encrypted partitions.
-//! The MAC covers `nonce || aad_len || aad || ciphertext` so truncation and
-//! context-swap attacks are detected, which is what the "encrypted
-//! container support" rows of Table 2 actually test.
+//! Models SIF encrypted partitions. The MAC covers
+//! `nonce || aad_len || aad || ciphertext` so truncation and context-swap
+//! attacks are detected, which is what the "encrypted container support"
+//! rows of Table 2 actually test.
 
 use crate::chacha20::{self, KEY_LEN, NONCE_LEN};
 use crate::hmac::{hmac_sha256, verify_mac};

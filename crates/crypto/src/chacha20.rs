@@ -1,7 +1,7 @@
 //! ChaCha20 stream cipher (RFC 8439 construction).
 //!
 //! Encrypted-container support (Table 2's last column, SIF encrypted
-//! partitions, ocicrypt-style layer encryption) needs a real cipher. The
+//! partitions) needs a real cipher. The
 //! keystream generator below follows RFC 8439: 32-byte key, 12-byte nonce,
 //! 32-bit block counter.
 
@@ -62,7 +62,7 @@ pub fn block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8;
 
 /// XOR `data` in place with the ChaCha20 keystream starting at block
 /// `initial_counter`. Encryption and decryption are the same operation.
-pub fn xor_stream(
+pub(crate) fn xor_stream(
     key: &[u8; KEY_LEN],
     nonce: &[u8; NONCE_LEN],
     initial_counter: u32,

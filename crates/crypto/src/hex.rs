@@ -1,7 +1,7 @@
 //! Hexadecimal encoding/decoding for digest display and parsing.
 
 /// Encode bytes as lowercase hex.
-pub fn encode(bytes: &[u8]) -> String {
+pub(crate) fn encode(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
     for b in bytes {
         s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble"));

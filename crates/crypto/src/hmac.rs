@@ -9,7 +9,7 @@ use crate::sha256::{Digest, Sha256};
 const BLOCK: usize = 64;
 
 /// Compute `HMAC-SHA256(key, message)`.
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
+pub(crate) fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
     // Keys longer than the block size are hashed first.
     let mut k = [0u8; BLOCK];
     if key.len() > BLOCK {
@@ -38,7 +38,7 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
 /// Constant-time comparison of two MACs (avoids modelling timing leaks even
 /// though the testbed is simulated — the comparison API is part of the
 /// security surface the survey discusses).
-pub fn verify_mac(expected: &Digest, actual: &Digest) -> bool {
+pub(crate) fn verify_mac(expected: &Digest, actual: &Digest) -> bool {
     let mut diff = 0u8;
     for (a, b) in expected.0.iter().zip(actual.0.iter()) {
         diff |= a ^ b;

@@ -29,7 +29,6 @@ pub mod translog;
 pub mod wots;
 
 pub use aead::{open, seal, AeadError, AeadKey};
-pub use hmac::hmac_sha256;
-pub use sha256::{sha256, Digest, Sha256};
+pub use sha256::{sha256, Digest};
 pub use translog::TransparencyLog;
 pub use wots::{Keypair, PublicKey, Signature};

@@ -115,7 +115,7 @@ pub struct Signature {
 
 impl Signature {
     /// Serialized size in bytes (for the registry storage accounting).
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         4 + self.chains.len() * 32 + self.auth_path.len() * 32
     }
 

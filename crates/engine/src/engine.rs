@@ -587,11 +587,6 @@ impl Engine {
         self.ctx.write().faults = injector;
     }
 
-    /// The engine's current fault injector (trace/metrics inspection).
-    pub fn fault_injector(&self) -> Arc<FaultInjector> {
-        self.ctx.read().faults.clone()
-    }
-
     /// Replace the pipeline retry policy.
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
         self.ctx.write().retry = policy;
@@ -653,7 +648,7 @@ impl Engine {
     /// locally instead of fetched; fetched blobs are deposited there.
     /// With parallelism 1 the schedule degenerates to the sequential
     /// config-then-layers order this method used to hard-code. The blobs
-    /// come back raw (possibly still encrypted) for [`Engine::decode`].
+    /// come back raw for [`Engine::decode`].
     fn fetch_via(
         ctx: &PullCtx,
         source: &dyn PullBackend,
@@ -780,8 +775,8 @@ impl Engine {
         Ok((FetchedImage { manifest, blobs }, report.end))
     }
 
-    /// The decode half of a pull: parse the (plaintext) config and layer
-    /// blobs of a fetched image.
+    /// The decode half of a pull: parse the config and layer blobs of a
+    /// fetched image.
     fn decode(fetched: FetchedImage) -> Result<PulledImage, EngineError> {
         let config = ImageConfig::from_bytes(&fetched.blobs[0])?;
         let layers = fetched.blobs[1..]
@@ -869,115 +864,31 @@ impl Engine {
                 .then(|| self.pull_memo.read().get(&key).cloned())
                 .flatten()
         };
-        let plaintext = |fetched| Ok((fetched, SimSpan(0)));
-        let (pulled, source) = Self::pull_spanned(ctx, sources, repo, tag, clock, plaintext, warm)?;
+        // The `engine.pull` span around one walk of the ladder whose
+        // attempts are [`Engine::fetch_via`] → [`Engine::decode`].
+        let name = sym!("engine.pull");
+        let (pulled, source) =
+            Self::spanned(&ctx.tracer, name, Stage::Pull, true, clock, |span| {
+                ctx.tracer
+                    .attr(span, sym!("image"), format_args!("{repo}:{tag}"));
+                let (pulled, source, attempts) = ctx.ladder(
+                    &PULL_OPS,
+                    sources,
+                    clock,
+                    |backend, at| {
+                        let (fetched, done) = Self::fetch_via(ctx, backend, repo, tag, at)?;
+                        Ok((Self::decode(fetched)?, done))
+                    },
+                    warm,
+                )?;
+                ctx.tracer.attr(span, sym!("source"), source);
+                ctx.tracer.attr(span, sym!("attempts"), attempts);
+                Ok((pulled, source))
+            })?;
         if source != WARM_CACHE {
             self.pull_memo.write().insert(key, pulled.clone());
         }
         Ok((pulled, source))
-    }
-
-    /// The `engine.pull` span around one walk of the ladder whose attempts
-    /// are [`Engine::fetch_via`] → `decrypt` (to plaintext blobs, plus the
-    /// CPU time that took) → [`Engine::decode`].
-    fn pull_spanned(
-        ctx: &PullCtx,
-        sources: &PullSources<'_>,
-        repo: &str,
-        tag: &str,
-        clock: &SimClock,
-        decrypt: impl Fn(FetchedImage) -> Result<(FetchedImage, SimSpan), EngineError>,
-        warm: impl FnOnce() -> Option<PulledImage>,
-    ) -> Result<(PulledImage, &'static str), EngineError> {
-        let name = sym!("engine.pull");
-        Self::spanned(&ctx.tracer, name, Stage::Pull, true, clock, |span| {
-            ctx.tracer
-                .attr(span, sym!("image"), format_args!("{repo}:{tag}"));
-            let (pulled, source, attempts) = ctx.ladder(
-                &PULL_OPS,
-                sources,
-                clock,
-                |backend, at| {
-                    let (fetched, done) = Self::fetch_via(ctx, backend, repo, tag, at)?;
-                    let (plain, cpu) = decrypt(fetched)?;
-                    Ok((Self::decode(plain)?, done + cpu))
-                },
-                warm,
-            )?;
-            ctx.tracer.attr(span, sym!("source"), source);
-            ctx.tracer.attr(span, sym!("attempts"), attempts);
-            Ok((pulled, source))
-        })
-    }
-
-    /// Pull by parsed [`hpcc_oci::reference::ImageRef`]. When the
-    /// reference carries a digest pin, the pulled manifest must hash to
-    /// it (immutable references).
-    pub fn pull_ref(
-        &self,
-        registry: &Registry,
-        image: &hpcc_oci::reference::ImageRef,
-        clock: &SimClock,
-    ) -> Result<PulledImage, EngineError> {
-        let pulled = self.pull(registry, &image.repository, &image.tag, clock)?;
-        if let Some(pin) = &image.digest {
-            let actual = pulled.manifest.digest();
-            if actual != *pin {
-                return Err(EngineError::Cas(CasError::DigestMismatch {
-                    claimed: *pin,
-                    actual,
-                }));
-            }
-        }
-        Ok(pulled)
-    }
-
-    /// Pull an image whose layers may be ocicrypt-style encrypted
-    /// (§7 outlook): [`Engine::pull`]'s ladder, span, journal intent and
-    /// crash points around the fetch, then decrypt, then the same decode.
-    /// Engines without full encryption support refuse encrypted content;
-    /// plaintext images pass through unchanged. The result never enters
-    /// the pull memo — a later keyless pull must not be served plaintext.
-    pub fn pull_with_decryption(
-        &self,
-        registry: &Registry,
-        repo: &str,
-        tag: &str,
-        key: Option<&AeadKey>,
-        clock: &SimClock,
-    ) -> Result<PulledImage, EngineError> {
-        let decrypt = |fetched: FetchedImage| {
-            let manifest = &fetched.manifest;
-            if !hpcc_oci::encryption::is_encrypted(manifest) {
-                return Ok((fetched, SimSpan(0)));
-            }
-            if !matches!(self.caps.encryption, EncryptionSupport::Yes) {
-                return Err(EngineError::Unsupported("encrypted container images"));
-            }
-            let key = key.ok_or(EngineError::Unsupported("decryption without a key"))?;
-            // Decrypt through a client-side CAS (~1 GiB/s of CPU).
-            let cas = hpcc_oci::cas::Cas::new();
-            let descriptors = std::iter::once(&manifest.config).chain(manifest.layers.iter());
-            for (d, bytes) in descriptors.zip(&fetched.blobs) {
-                cas.put(d.media_type, bytes.as_ref().clone());
-            }
-            let cpu =
-                SimSpan::from_secs_f64(manifest.total_layer_size() as f64 / (1u64 << 30) as f64);
-            let plain = hpcc_oci::encryption::decrypt_layers(manifest, &cas, key)
-                .map_err(|_| EngineError::Unsupported("decryption failed (wrong key?)"))?;
-            let blobs = std::iter::once(&plain.config)
-                .chain(plain.layers.iter())
-                .map(|d| cas.get(&d.digest))
-                .collect::<Result<_, _>>()?;
-            let plain = FetchedImage {
-                manifest: plain,
-                blobs,
-            };
-            Ok((plain, cpu))
-        };
-        let sources = PullSources::primary_only(registry);
-        Self::pull_spanned(&self.ctx(), &sources, repo, tag, clock, decrypt, || None)
-            .map(|(pulled, _)| pulled)
     }
 
     // ---------------------------------------------------------- prepare
@@ -1542,67 +1453,6 @@ impl Engine {
 
     // ------------------------------------------------------------ build
 
-    /// Build an image as an unprivileged user (§4.1.2's fakeroot
-    /// discussion, `apptainer build --fakeroot` style).
-    ///
-    /// Build steps expect root-like behaviour (chown, package-manager
-    /// writes), so engines without a build tool refuse, and the requested
-    /// fakeroot mechanism must both be available to the engine and work
-    /// for the step's binaries: LD_PRELOAD fails on static tooling,
-    /// ptrace needs CAP_SYS_PTRACE, user namespaces must be enabled.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_rootless(
-        &self,
-        cas: &hpcc_oci::cas::Cas,
-        builder: hpcc_oci::builder::ImageBuilder<'_>,
-        mode: hpcc_runtime::fakeroot::FakerootMode,
-        build_workload: hpcc_runtime::fakeroot::SyscallWorkload,
-        caps: &hpcc_runtime::caps::CapSet,
-        host_cfg: hpcc_runtime::fakeroot::HostConfig,
-        clock: &SimClock,
-    ) -> Result<hpcc_oci::builder::BuiltImage, EngineError> {
-        use hpcc_runtime::fakeroot::FakerootMode;
-        if !self.caps.build_tool {
-            return Err(EngineError::Unsupported("image building"));
-        }
-        let mode_available = match mode {
-            FakerootMode::UserNs => self
-                .caps
-                .rootless
-                .contains(&crate::caps::RootlessMech::UserNs),
-            FakerootMode::LdPreload | FakerootMode::Ptrace => self
-                .caps
-                .rootless
-                .contains(&crate::caps::RootlessMech::Fakeroot),
-        };
-        if !mode_available {
-            return Err(EngineError::Unsupported(
-                "this fakeroot mechanism on this engine",
-            ));
-        }
-        // Pay the build's syscall-interception cost up front; failure
-        // modes (static binaries, missing caps, disabled userns) abort
-        // the build exactly like the real tools do.
-        hpcc_runtime::fakeroot::run(
-            mode,
-            build_workload,
-            caps,
-            host_cfg,
-            hpcc_runtime::fakeroot::FakerootCosts::default(),
-            clock,
-        )
-        .map_err(|e| {
-            EngineError::Container(ContainerError::Hook(hpcc_oci::hooks::HookError::Failed(
-                e.to_string(),
-            )))
-        })?;
-        builder.build(cas).map_err(|e| {
-            EngineError::Container(ContainerError::Hook(hpcc_oci::hooks::HookError::Failed(
-                e.to_string(),
-            )))
-        })
-    }
-
     /// Convenience: the full pull→prepare→run pipeline against one
     /// registry, returning the wall-clock span it took.
     #[allow(clippy::too_many_arguments)]
@@ -1869,9 +1719,10 @@ mod tests {
         let reg = registry_with_solver("site");
         let engine = engines::apptainer();
         let clock = SimClock::new();
+        let m = FaultInjector::disabled();
+        engine.set_fault_injector(Arc::clone(&m));
         let err = engine.pull(&reg, "hpc/ghost", "v1", &clock).unwrap_err();
         assert!(matches!(err, EngineError::Registry(_)));
-        let m = engine.fault_injector();
         assert_eq!(m.metrics().get("retry.engine.pull.attempts"), 1);
         assert_eq!(m.metrics().get("retry.engine.pull.fatal"), 1);
     }

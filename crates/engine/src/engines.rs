@@ -200,7 +200,7 @@ pub fn sarus() -> Engine {
 }
 
 /// Charliecloud — LANL's fully unprivileged engine.
-pub fn charliecloud() -> Engine {
+pub(crate) fn charliecloud() -> Engine {
     Engine::new(
         EngineInfo {
             name: "Charliecloud",
@@ -384,7 +384,6 @@ mod tests {
     use hpcc_runtime::container::ContainerState;
     use hpcc_sim::SimClock;
     use hpcc_vfs::path::VPath;
-    use std::sync::Arc;
 
     fn registry_with_solver() -> Registry {
         let reg = Registry::new("site", RegistryCaps::open());
@@ -629,7 +628,7 @@ mod tests {
         let clock = SimClock::new();
         let pulled = engine.pull(&reg, "hpc/solver", "v1", &clock).unwrap();
         let mut prepared = engine.prepare(&pulled, 1000, &host, false, &clock).unwrap();
-        crate::hookup::stamp_container_glibc(&mut prepared.rootfs, (2, 34));
+        crate::hookup::tests::stamp_container_glibc(&mut prepared.rootfs, (2, 34));
         let report = engine
             .run(
                 prepared,
@@ -657,7 +656,7 @@ mod tests {
         let clock = SimClock::new();
         let pulled = engine.pull(&reg, "hpc/solver", "v1", &clock).unwrap();
         let mut prepared = engine.prepare(&pulled, 1000, &host, false, &clock).unwrap();
-        crate::hookup::stamp_container_glibc(&mut prepared.rootfs, (2, 31));
+        crate::hookup::tests::stamp_container_glibc(&mut prepared.rootfs, (2, 31));
         let err = engine
             .run(
                 prepared,
@@ -791,233 +790,6 @@ mod tests {
             .stat(&VPath::parse("/results/out.h5"))
             .unwrap();
         assert_eq!(st.meta.uid, 4242);
-    }
-
-    /// A registry holding `hpc/secret:v1`, the solver image with its
-    /// layers encrypted under `key`.
-    fn registry_with_secret(key: &hpcc_crypto::aead::AeadKey) -> Registry {
-        let cas = Cas::new();
-        let img = samples::mpi_solver(&cas);
-        let enc_manifest = hpcc_oci::encryption::encrypt_layers(&img.manifest, &cas, key).unwrap();
-        let reg = Registry::new("enc", hpcc_registry::registry::RegistryCaps::open());
-        reg.create_namespace("hpc", None).unwrap();
-        reg.push_image("hpc/secret", "v1", &enc_manifest, &cas)
-            .unwrap();
-        reg
-    }
-
-    #[test]
-    fn encrypted_layer_images_work_for_full_encryption_engines() {
-        use hpcc_crypto::aead::AeadKey;
-        let key = AeadKey::derive(b"ocicrypt-key");
-        let reg = registry_with_secret(&key);
-
-        let host = Host::compute_node();
-        let clock = SimClock::new();
-        // Podman (encryption: yes) decrypts and runs.
-        let engine = podman();
-        let pulled = engine
-            .pull_with_decryption(&reg, "hpc/secret", "v1", Some(&key), &clock)
-            .unwrap();
-        let prepared = engine.prepare(&pulled, 1000, &host, true, &clock).unwrap();
-        assert!(prepared
-            .rootfs
-            .exists(&VPath::parse("/opt/solver/bin/solve")));
-        // Wrong key fails.
-        let wrong = AeadKey::derive(b"wrong");
-        assert!(engine
-            .pull_with_decryption(&reg, "hpc/secret", "v1", Some(&wrong), &clock)
-            .is_err());
-        // Shifter (no encryption) refuses encrypted content outright.
-        assert!(matches!(
-            shifter().pull_with_decryption(&reg, "hpc/secret", "v1", Some(&key), &clock),
-            Err(EngineError::Unsupported(_))
-        ));
-        // Plain images pass through the same entry point.
-        let reg2 = registry_with_solver();
-        let plain = engine
-            .pull_with_decryption(&reg2, "hpc/solver", "v1", None, &clock)
-            .unwrap();
-        assert_eq!(plain.layers.len(), 3);
-    }
-
-    /// The encrypted path is the ordinary pull ladder: a 50 ms registry
-    /// blip is retried through, under the same `engine.pull` span.
-    #[test]
-    fn encrypted_pull_retries_through_a_registry_blip() {
-        use hpcc_crypto::aead::AeadKey;
-        use hpcc_sim::{FaultInjector, FaultKind, FaultRule, SimSpan, SimTime, Tracer};
-        let key = AeadKey::derive(b"ocicrypt-key");
-        let reg = registry_with_secret(&key);
-        let blip = SimTime::ZERO + SimSpan::millis(50);
-        let inj = Arc::new(FaultInjector::new(
-            3,
-            vec![FaultRule::sticky(
-                FaultKind::RegistryUnavailable,
-                SimTime::ZERO,
-                blip,
-            )],
-        ));
-        reg.set_fault_injector(Arc::clone(&inj));
-        let engine = podman();
-        engine.set_fault_injector(Arc::clone(&inj));
-        let tracer = Tracer::new();
-        engine.set_tracer(Arc::clone(&tracer));
-
-        let clock = SimClock::new();
-        let pulled = engine
-            .pull_with_decryption(&reg, "hpc/secret", "v1", Some(&key), &clock)
-            .unwrap();
-        assert_eq!(pulled.layers.len(), 3);
-        assert!(clock.now() > blip, "the pull waited the blip out");
-        assert_eq!(inj.metrics().get("retry.engine.pull.recovered"), 1);
-        let spans = tracer.finished();
-        let pulls = spans.iter().filter(|s| s.name.as_str() == "engine.pull");
-        assert_eq!(
-            pulls.count(),
-            1,
-            "one engine.pull span covers the encrypted pull"
-        );
-    }
-
-    #[test]
-    fn digest_pinned_references_are_immutable() {
-        use hpcc_oci::reference::ImageRef;
-        let reg = registry_with_solver();
-        let engine = podman();
-        let clock = SimClock::new();
-        // Pin to the real digest: pull succeeds.
-        let (manifest, _) = reg
-            .pull_manifest("hpc/solver", "v1", hpcc_sim::SimTime::ZERO)
-            .unwrap();
-        let pinned = ImageRef::new("site", "hpc/solver", "v1").with_digest(manifest.digest());
-        engine.pull_ref(&reg, &pinned, &clock).unwrap();
-        // Pin to a different digest: the pull is rejected even though the
-        // tag resolves (tag moved / registry compromised).
-        let wrong = ImageRef::new("site", "hpc/solver", "v1")
-            .with_digest(hpcc_crypto::sha256::sha256(b"other manifest"));
-        assert!(matches!(
-            engine.pull_ref(&reg, &wrong, &clock),
-            Err(EngineError::Cas(_))
-        ));
-        // Unpinned references just pull.
-        let plain = ImageRef::new("site", "hpc/solver", "v1");
-        engine.pull_ref(&reg, &plain, &clock).unwrap();
-    }
-
-    #[test]
-    fn rootless_builds_follow_fakeroot_rules() {
-        use hpcc_oci::builder::ImageBuilder;
-        use hpcc_runtime::caps::{CapSet, Capability};
-        use hpcc_runtime::fakeroot::{FakerootMode, HostConfig, SyscallWorkload};
-
-        let workload = |static_binary| SyscallWorkload {
-            intercepted_syscalls: 10_000,
-            other_syscalls: 40_000,
-            compute: hpcc_sim::SimSpan::millis(50),
-            static_binary,
-        };
-        let builder = || {
-            ImageBuilder::from_scratch().run("install", |fs| {
-                fs.write_p(&VPath::parse("/opt/pkg/bin/tool"), vec![0xAA; 512])
-                    .map_err(|e| e.to_string())
-            })
-        };
-
-        // Apptainer supports both userns and fakeroot builds.
-        let apptainer = apptainer();
-        let cas = Cas::new();
-        let clock = SimClock::new();
-        let img = apptainer
-            .build_rootless(
-                &cas,
-                builder(),
-                FakerootMode::UserNs,
-                workload(false),
-                &CapSet::empty(),
-                HostConfig::default(),
-                &clock,
-            )
-            .unwrap();
-        assert!(cas.has(&img.manifest.digest()));
-
-        // LD_PRELOAD fakeroot fails on static build tooling.
-        let err = apptainer
-            .build_rootless(
-                &cas,
-                builder(),
-                FakerootMode::LdPreload,
-                workload(true),
-                &CapSet::empty(),
-                HostConfig::default(),
-                &clock,
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("statically linked"));
-
-        // ptrace fakeroot needs the capability...
-        assert!(apptainer
-            .build_rootless(
-                &cas,
-                builder(),
-                FakerootMode::Ptrace,
-                workload(true),
-                &CapSet::empty(),
-                HostConfig::default(),
-                &clock,
-            )
-            .is_err());
-        // ...and succeeds with it, even on static binaries.
-        apptainer
-            .build_rootless(
-                &cas,
-                builder(),
-                FakerootMode::Ptrace,
-                workload(true),
-                &CapSet::empty().with(Capability::SysPtrace),
-                HostConfig::default(),
-                &clock,
-            )
-            .unwrap();
-
-        // Podman has no fakeroot mechanism — userns builds only.
-        let podman = podman();
-        assert!(podman
-            .build_rootless(
-                &cas,
-                builder(),
-                FakerootMode::LdPreload,
-                workload(false),
-                &CapSet::empty(),
-                HostConfig::default(),
-                &clock,
-            )
-            .is_err());
-        podman
-            .build_rootless(
-                &cas,
-                builder(),
-                FakerootMode::UserNs,
-                workload(false),
-                &CapSet::empty(),
-                HostConfig::default(),
-                &clock,
-            )
-            .unwrap();
-
-        // Shifter ships no build tool at all (Table 3).
-        assert!(matches!(
-            shifter().build_rootless(
-                &cas,
-                builder(),
-                FakerootMode::UserNs,
-                workload(false),
-                &CapSet::empty(),
-                HostConfig::default(),
-                &clock,
-            ),
-            Err(EngineError::Unsupported("image building"))
-        ));
     }
 
     #[test]

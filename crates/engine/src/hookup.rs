@@ -45,15 +45,15 @@ fn import_host_file(ctx: &mut HookContext<'_>, path: &str) -> Result<(), HookErr
 }
 
 /// Standard host-file locations the hooks use.
-pub const HOST_CUDA_LIB: &str = "/usr/lib64/libcuda.so";
-pub const HOST_GPU_DEVICE: &str = "/dev/nvidia0";
-pub const HOST_MPI_LIB: &str = "/opt/cray/lib/libmpi.so";
-pub const HOST_FABRIC_LIB: &str = "/opt/cray/lib/libfabric.so";
-pub const CONTAINER_LIBC: &str = "/usr/lib/libc.so.6";
+pub(crate) const HOST_CUDA_LIB: &str = "/usr/lib64/libcuda.so";
+pub(crate) const HOST_GPU_DEVICE: &str = "/dev/nvidia0";
+pub(crate) const HOST_MPI_LIB: &str = "/opt/cray/lib/libmpi.so";
+pub(crate) const HOST_FABRIC_LIB: &str = "/opt/cray/lib/libfabric.so";
+pub(crate) const CONTAINER_LIBC: &str = "/usr/lib/libc.so.6";
 
 /// Populate a host filesystem with a typical driver/MPI stack. The glibc
 /// requirement markers drive the ABI check.
-pub fn sample_host_fs(glibc_req: (u32, u32)) -> MemFs {
+pub(crate) fn sample_host_fs(glibc_req: (u32, u32)) -> MemFs {
     let mut fs = MemFs::new();
     let marker = format!("GLIBC_REQ={}.{};", glibc_req.0, glibc_req.1);
     let mut cuda = marker.clone().into_bytes();
@@ -68,16 +68,8 @@ pub fn sample_host_fs(glibc_req: (u32, u32)) -> MemFs {
     fs
 }
 
-/// Stamp a container rootfs with the glibc version it provides.
-pub fn stamp_container_glibc(rootfs: &mut MemFs, provides: (u32, u32)) {
-    let marker = format!("GLIBC_PROVIDES={}.{};", provides.0, provides.1);
-    let mut libc = marker.into_bytes();
-    libc.extend_from_slice(&[0xC1; 1024]);
-    rootfs.write_p(&p(CONTAINER_LIBC), libc).unwrap();
-}
-
 /// Register the standard enablement hooks.
-pub fn register_standard_hooks(reg: &mut HookRegistry) {
+pub(crate) fn register_standard_hooks(reg: &mut HookRegistry) {
     // NVIDIA GPU enablement: driver library + device node + env.
     reg.register("gpu-nvidia", |ctx| {
         if ctx.state.get("host.gpu").map(String::as_str) != Some("present") {
@@ -145,10 +137,19 @@ pub fn register_standard_hooks(reg: &mut HookRegistry) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hpcc_oci::spec::{HookRef, HookStage, RuntimeSpec};
     use std::collections::BTreeMap;
+
+    /// Stamp a container rootfs with the glibc version it provides (test
+    /// fixture for the glibc-compatibility check).
+    pub(crate) fn stamp_container_glibc(rootfs: &mut MemFs, provides: (u32, u32)) {
+        let marker = format!("GLIBC_PROVIDES={}.{};", provides.0, provides.1);
+        let mut libc = marker.into_bytes();
+        libc.extend_from_slice(&[0xC1; 1024]);
+        rootfs.write_p(&p(CONTAINER_LIBC), libc).unwrap();
+    }
 
     fn run_hooks(
         names: &[&str],

@@ -21,12 +21,12 @@ use crate::engine::{
     Engine, EngineError, PullBackend, PullCtx, PullSources, BLOB_STORE_READ_BPS,
     BLOB_STORE_READ_LATENCY, LAZY_FETCH_OPS,
 };
-use hpcc_codec::compress::{self, Codec};
+use hpcc_codec::compress::Codec;
 use hpcc_crypto::sha256::{sha256, Digest};
 use hpcc_oci::cas::CasError;
 use hpcc_oci::image::MediaType;
 use hpcc_registry::registry::{Registry, RegistryError};
-use hpcc_sim::{sym, SimClock, SimSpan, SimTime, Stage};
+use hpcc_sim::{sym, SimClock, SimSpan, Stage};
 use hpcc_storage::blobstore::BlobStore;
 use hpcc_vfs::driver::DriverProfile;
 use hpcc_vfs::fs::MemFs;
@@ -101,23 +101,10 @@ pub struct LazyPullStats {
     pub bytes_fetched: u64,
     /// File reads served through [`LazyContainer::read_file`].
     pub files_touched: u64,
-    /// Chunks fetched by the readahead heuristic (piggybacked on a
-    /// demand fault's round trip — no extra FUSE op charged).
+    /// Chunks fetched ahead of demand: always 0, since every fault-in is a
+    /// demand fault. The field stays because the host-time benchmark
+    /// reports it.
     pub chunks_prefetched: u64,
-}
-
-/// Consecutive sequential faults in one file before readahead engages.
-pub const READAHEAD_MIN_RUN: u32 = 2;
-/// How many chunks past the demanded range readahead fetches.
-pub const READAHEAD_CHUNKS: usize = 4;
-
-/// Per-file sequential-access detector for readahead.
-#[derive(Debug, Clone, Copy, Default)]
-struct ReadaheadState {
-    /// The chunk index the next sequential access would start at.
-    next_chunk: usize,
-    /// Length of the current run of sequential accesses.
-    run: u32,
 }
 
 /// Fetch one blob down the pull ladder (see [`PullCtx::ladder`]) at blob
@@ -216,13 +203,11 @@ impl Engine {
             engine: self,
             sources,
             index,
-            launched_at: clock.now(),
             index_source,
             profile,
             store,
             cache: Mutex::new(HashMap::new()),
             mapped: Mutex::new(HashSet::new()),
-            readahead: Mutex::new(HashMap::new()),
             stats: Mutex::new(LazyPullStats::default()),
         })
     }
@@ -239,9 +224,6 @@ pub struct LazyContainer<'a> {
     engine: &'a Engine,
     sources: PullSources<'a>,
     index: SeekableIndex,
-    /// Instant the container became launchable: index resident and
-    /// mounted — everything after this is first-touch faulting.
-    launched_at: SimTime,
     /// Where the index blob came from ("store", "primary", "tier", ...).
     index_source: &'static str,
     profile: DriverProfile,
@@ -251,8 +233,6 @@ pub struct LazyContainer<'a> {
     /// Chunks this container has mapped (its page-cache analogue):
     /// re-reads of a mapped chunk pay only the driver read cost.
     mapped: Mutex<HashSet<Digest>>,
-    /// Per-file sequential-fault detectors driving readahead.
-    readahead: Mutex<HashMap<String, ReadaheadState>>,
     stats: Mutex<LazyPullStats>,
 }
 
@@ -260,11 +240,6 @@ impl LazyContainer<'_> {
     /// The resident index.
     pub fn index(&self) -> &SeekableIndex {
         &self.index
-    }
-
-    /// When the container became launchable (index resident + mounted).
-    pub fn launched_at(&self) -> SimTime {
-        self.launched_at
     }
 
     /// Which source served the index blob.
@@ -275,11 +250,6 @@ impl LazyContainer<'_> {
     /// Page-in statistics so far.
     pub fn stats(&self) -> LazyPullStats {
         *self.stats.lock()
-    }
-
-    /// Distinct chunks this container has mapped.
-    pub fn resident_chunks(&self) -> usize {
-        self.mapped.lock().len()
     }
 
     fn chunk_resident(&self, d: &Digest) -> bool {
@@ -314,110 +284,33 @@ impl LazyContainer<'_> {
     /// eagerly pulled image would return.
     pub fn read_file(&self, path: &str, clock: &SimClock) -> Result<Vec<u8>, EngineError> {
         let (orig_len, chunks) = self.index.file_chunks(path)?;
-        self.fault_in(&self.engine.ctx(), path, chunks, &[], clock)?;
+        self.fault_in(&self.engine.ctx(), path, chunks, clock)?;
         let stored: u64 = chunks.iter().map(|c| c.stored_len).sum();
         clock.advance(self.profile.read_cost(stored, orig_len));
         self.stats.lock().files_touched += 1;
         Ok(self.index.assemble_file(path, |d| self.chunk_bytes(d))?)
     }
 
-    /// Read `len` bytes of one file starting at `offset` — the windowed
-    /// read a FUSE `read(2)` maps to. Only the chunk ranges covering the
-    /// window fault in; the readahead heuristic watches for sequential
-    /// windows per file and, after [`READAHEAD_MIN_RUN`] consecutive
-    /// sequential accesses, extends each fault with the next
-    /// [`READAHEAD_CHUNKS`] ranges. Prefetched ranges piggyback on the
-    /// demand fault's service (no extra per-op round trip), so sequential
-    /// scans pay fewer FUSE round trips while random access is unchanged.
-    pub fn read_range(
-        &self,
-        path: &str,
-        offset: u64,
-        len: u64,
-        clock: &SimClock,
-    ) -> Result<Vec<u8>, EngineError> {
-        let (orig_len, chunks) = self.index.file_chunks(path)?;
-        let end = (offset.saturating_add(len)).min(orig_len);
-        if offset >= end {
-            return Ok(Vec::new());
-        }
-        let chunk_size = self.index.chunk_size.max(1);
-        let first = (offset / chunk_size) as usize;
-        let last = ((end - 1) / chunk_size) as usize;
-        let demand = &chunks[first..=last.min(chunks.len() - 1)];
-
-        // Sequential-run detection + readahead window, per file.
-        let prefetch: Vec<ChunkRef> = {
-            let mut ra = self.readahead.lock();
-            let st = ra.entry(path.to_string()).or_default();
-            if first == st.next_chunk {
-                st.run += 1;
-            } else {
-                st.run = 1;
-            }
-            st.next_chunk = last + 1;
-            if st.run >= READAHEAD_MIN_RUN {
-                chunks
-                    .iter()
-                    .skip(last + 1)
-                    .take(READAHEAD_CHUNKS)
-                    .copied()
-                    .collect()
-            } else {
-                Vec::new()
-            }
-        };
-
-        self.fault_in(&self.engine.ctx(), path, demand, &prefetch, clock)?;
-        let stored: u64 = demand.iter().map(|c| c.stored_len).sum();
-        clock.advance(self.profile.read_cost(stored, end - offset));
-        self.stats.lock().files_touched += 1;
-
-        // Assemble the window from the demanded chunks.
-        let mut buf = Vec::with_capacity(((last - first + 1) as u64 * chunk_size) as usize);
-        for c in demand {
-            let bytes =
-                self.chunk_bytes(&c.digest)
-                    .ok_or(EngineError::Squash(SquashError::Codec(
-                        hpcc_codec::compress::CodecError::Corrupt("chunk not resident"),
-                    )))?;
-            buf.extend_from_slice(&compress::decompress(&bytes).map_err(SquashError::Codec)?);
-        }
-        let lo = (offset - first as u64 * chunk_size) as usize;
-        let hi = lo + (end - offset) as usize;
-        Ok(buf[lo..hi.min(buf.len())].to_vec())
-    }
-
-    /// Make every `demand` chunk resident, plus an optional readahead
-    /// set. Shared-store hits charge blob-store read costs; misses charge
-    /// a FUSE round trip plus the ladder fetch, and land in the store
-    /// under one journalled intent (begin → stage-per-chunk → commit) so a
-    /// crash mid-page-in is recovered by the same fsck as a crashed pull —
-    /// no orphaned chunks. `prefetch` chunks ride the same intent and
-    /// fetch path but skip the per-chunk FUSE round-trip charge (they
-    /// piggyback the demand fault's service) and count as
-    /// `chunks_prefetched`.
+    /// Make every `demand` chunk resident. Shared-store hits charge
+    /// blob-store read costs; misses charge a FUSE round trip plus the
+    /// ladder fetch, and land in the store under one journalled intent
+    /// (begin → stage-per-chunk → commit) so a crash mid-page-in is
+    /// recovered by the same fsck as a crashed pull — no orphaned chunks.
     fn fault_in(
         &self,
         ctx: &PullCtx,
         key: &str,
         demand: &[ChunkRef],
-        prefetch: &[ChunkRef],
         clock: &SimClock,
     ) -> Result<(), EngineError> {
         // First-touch set: distinct chunks this container hasn't mapped.
-        // Demand chunks win over prefetch duplicates.
-        let mut todo: Vec<(ChunkRef, bool)> = Vec::new();
+        let mut todo: Vec<ChunkRef> = Vec::new();
         {
             let mapped = self.mapped.lock();
             let mut seen = HashSet::new();
-            for (c, is_prefetch) in demand
-                .iter()
-                .map(|c| (c, false))
-                .chain(prefetch.iter().map(|c| (c, true)))
-            {
+            for c in demand {
                 if !mapped.contains(&c.digest) && seen.insert(c.digest) {
-                    todo.push((*c, is_prefetch));
+                    todo.push(*c);
                 }
             }
         }
@@ -425,22 +318,18 @@ impl LazyContainer<'_> {
             return Ok(());
         }
 
-        // Already resident on the node: map without fetching. Prefetch
-        // candidates that are already resident are simply dropped — no
-        // cost, no stat.
-        let mut missing: Vec<(ChunkRef, bool)> = Vec::new();
-        for (c, is_prefetch) in todo {
+        // Already resident on the node: map without fetching.
+        let mut missing: Vec<ChunkRef> = Vec::new();
+        for c in todo {
             if self.chunk_resident(&c.digest) {
-                if !is_prefetch {
-                    clock.advance(
-                        BLOB_STORE_READ_LATENCY
-                            + SimSpan::from_secs_f64(c.stored_len as f64 / BLOB_STORE_READ_BPS),
-                    );
-                    self.stats.lock().chunk_hits += 1;
-                }
+                clock.advance(
+                    BLOB_STORE_READ_LATENCY
+                        + SimSpan::from_secs_f64(c.stored_len as f64 / BLOB_STORE_READ_BPS),
+                );
+                self.stats.lock().chunk_hits += 1;
                 self.mapped.lock().insert(c.digest);
             } else {
-                missing.push((c, is_prefetch));
+                missing.push(c);
             }
         }
         if missing.is_empty() {
@@ -453,12 +342,9 @@ impl LazyContainer<'_> {
             None => None,
         };
         let fetched = (|| -> Result<(), EngineError> {
-            for (c, is_prefetch) in &missing {
-                // FUSE round trip to notice and service the fault;
-                // readahead rides the demand fault's round trip.
-                if !is_prefetch {
-                    clock.advance(self.profile.per_op);
-                }
+            for c in &missing {
+                // FUSE round trip to notice and service the fault.
+                clock.advance(self.profile.per_op);
                 let (bytes, _source) =
                     fetch_blob(ctx, &self.sources, "lazy.fault.fetch.pre", &c.digest, clock)?;
                 match (journal, intent) {
@@ -477,11 +363,7 @@ impl LazyContainer<'_> {
                 }
                 {
                     let mut st = self.stats.lock();
-                    if *is_prefetch {
-                        st.chunks_prefetched += 1;
-                    } else {
-                        st.chunk_misses += 1;
-                    }
+                    st.chunk_misses += 1;
                     st.bytes_fetched += bytes.len() as u64;
                 }
                 self.mapped.lock().insert(c.digest);
@@ -510,11 +392,11 @@ impl LazyContainer<'_> {
 
     /// Fault in every chunk of the image (background prefetch). Charges
     /// only the fault-in path, no read costs.
-    pub fn prefetch_all(&self, clock: &SimClock) -> Result<(), EngineError> {
+    pub(crate) fn prefetch_all(&self, clock: &SimClock) -> Result<(), EngineError> {
         let ctx = self.engine.ctx();
         for p in self.index.file_paths() {
             let (_, chunks) = self.index.file_chunks(p)?;
-            self.fault_in(&ctx, p, chunks, &[], clock)?;
+            self.fault_in(&ctx, p, chunks, clock)?;
         }
         Ok(())
     }
@@ -670,7 +552,7 @@ mod tests {
         let c = engine
             .pull_lazy(PullSources::primary_only(&reg), &index_digest, &clock)
             .unwrap();
-        let launched = c.launched_at();
+        let launched = clock.now();
         let data = c.read_file("app/pkg0/f0.bin", &clock).unwrap();
         assert_eq!(data.len(), 65536);
 
@@ -760,7 +642,7 @@ mod tests {
         );
         assert!(journal.open_intents().is_empty());
         assert!(journal.orphaned_staged().is_empty());
-        assert!(c.resident_chunks() > 0);
+        assert!(!c.mapped.lock().is_empty());
     }
 
     fn sample_tree_with_links() -> MemFs {
@@ -825,139 +707,5 @@ mod tests {
             assert_eq!(c.read_file(&format!("f{i}"), &clock).unwrap(), [7u8; 4096]);
         }
         assert_eq!(c.stats().chunk_misses, 1);
-    }
-
-    // ---------------------------------------------- readahead prefetch
-
-    /// One big incompressible file chunked at 4 KiB, published seekable.
-    fn big_file_container(chunks: usize) -> (Registry, Digest, Vec<u8>) {
-        let reg = registry();
-        let mut fs = MemFs::new();
-        let mut x: u64 = 0x243F6A8885A308D3;
-        let data: Vec<u8> = (0..chunks * 4096)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (x >> 56) as u8
-            })
-            .collect();
-        fs.write_p(&VPath::parse("/app/big.bin"), data.clone())
-            .unwrap();
-        let (index_digest, _) = publish_seekable(&reg, &fs, &VPath::root(), 4096).unwrap();
-        (reg, index_digest, data)
-    }
-
-    #[test]
-    fn sequential_scan_prefetches_and_pays_fewer_round_trips() {
-        let (reg, index_digest, data) = big_file_container(64);
-        let (engine, _store, _journal) = engine_with_store();
-        let clock = SimClock::new();
-        let c = engine
-            .pull_lazy(PullSources::primary_only(&reg), &index_digest, &clock)
-            .unwrap();
-
-        // A forward scan in chunk-sized windows.
-        let mut assembled = Vec::new();
-        for i in 0..64u64 {
-            assembled.extend(c.read_range("app/big.bin", i * 4096, 4096, &clock).unwrap());
-        }
-        assert_eq!(assembled, data, "windowed reads reassemble the file");
-
-        let s = c.stats();
-        assert_eq!(
-            s.chunk_misses + s.chunks_prefetched + s.chunk_hits,
-            64,
-            "every chunk becomes resident exactly once"
-        );
-        assert!(
-            s.chunks_prefetched > 0,
-            "readahead engaged on a sequential scan"
-        );
-        assert!(
-            s.chunk_misses <= 64 / (READAHEAD_CHUNKS as u64 + 1) + READAHEAD_MIN_RUN as u64,
-            "demand round trips collapse to ~1 per readahead window: {} misses",
-            s.chunk_misses
-        );
-    }
-
-    #[test]
-    fn random_access_is_unchanged_by_readahead() {
-        let (reg, index_digest, _) = big_file_container(64);
-        let (engine, _store, _journal) = engine_with_store();
-        let clock = SimClock::new();
-        let c = engine
-            .pull_lazy(PullSources::primary_only(&reg), &index_digest, &clock)
-            .unwrap();
-
-        // Scattered, never-sequential windows.
-        for i in [3u64, 40, 9, 55, 21, 61, 0, 33] {
-            c.read_range("app/big.bin", i * 4096, 4096, &clock).unwrap();
-        }
-        let s = c.stats();
-        assert_eq!(s.chunks_prefetched, 0, "no readahead on random access");
-        assert_eq!(s.chunk_misses, 8, "each random window pays its fault");
-    }
-
-    #[test]
-    fn readahead_runs_are_tracked_per_file() {
-        let (reg, index_digest, _) = big_file_container(16);
-        let reg2fs = {
-            let mut fs = MemFs::new();
-            fs.write_p(&VPath::parse("/app/big.bin"), vec![0x5A; 16 * 4096])
-                .unwrap();
-            fs
-        };
-        // Second file in the same image: interleaved sequential scans of
-        // two files must both trigger readahead (state is per-file).
-        let _ = reg2fs; // (single-file image is enough: interleave two cursors)
-        let (engine, _store, _journal) = engine_with_store();
-        let clock = SimClock::new();
-        let c = engine
-            .pull_lazy(PullSources::primary_only(&reg), &index_digest, &clock)
-            .unwrap();
-
-        // Cursor A walks forward from 0, cursor B from chunk 8 — B's
-        // jumps reset nothing for A because runs key on the file, but
-        // interleaving the same file breaks sequentiality; this pins the
-        // conservative behavior (no spurious prefetch).
-        for i in 0..4u64 {
-            c.read_range("app/big.bin", i * 4096, 4096, &clock).unwrap();
-            c.read_range("app/big.bin", (8 + i) * 4096, 4096, &clock)
-                .unwrap();
-        }
-        let s = c.stats();
-        assert_eq!(
-            s.chunks_prefetched, 0,
-            "interleaved cursors on one file look random — no readahead"
-        );
-    }
-
-    #[test]
-    fn read_range_clamps_and_rereads_are_local() {
-        let (reg, index_digest, data) = big_file_container(4);
-        let (engine, _store, _journal) = engine_with_store();
-        let clock = SimClock::new();
-        let c = engine
-            .pull_lazy(PullSources::primary_only(&reg), &index_digest, &clock)
-            .unwrap();
-
-        // Cross-chunk window.
-        let w = c.read_range("app/big.bin", 4000, 200, &clock).unwrap();
-        assert_eq!(w, &data[4000..4200]);
-        // Tail clamp.
-        let tail = c
-            .read_range("app/big.bin", 4 * 4096 - 10, 100, &clock)
-            .unwrap();
-        assert_eq!(tail, &data[4 * 4096 - 10..]);
-        // Past-EOF is empty, not an error.
-        assert!(c
-            .read_range("app/big.bin", 1 << 20, 16, &clock)
-            .unwrap()
-            .is_empty());
-
-        let misses_before = c.stats().chunk_misses;
-        c.read_range("app/big.bin", 4000, 200, &clock).unwrap();
-        assert_eq!(c.stats().chunk_misses, misses_before, "re-read is local");
     }
 }

@@ -96,7 +96,7 @@ impl SifImage {
     }
 
     /// Digest of the partition (what signatures cover).
-    pub fn partition_digest(&self) -> Digest {
+    pub(crate) fn partition_digest(&self) -> Digest {
         sha256(&self.partition)
     }
 
@@ -139,14 +139,9 @@ impl SifImage {
         Ok(signers)
     }
 
-    /// Signatures embedded.
-    pub fn signature_count(&self) -> usize {
-        self.signatures.len()
-    }
-
     /// Encrypt the partition in place (signatures over the plaintext are
     /// dropped — they would no longer verify).
-    pub fn encrypt(&mut self, key: &AeadKey, nonce: [u8; 12]) -> Result<(), SifError> {
+    pub(crate) fn encrypt(&mut self, key: &AeadKey, nonce: [u8; 12]) -> Result<(), SifError> {
         if self.encrypted {
             return Err(SifError::Encrypted);
         }
@@ -158,7 +153,7 @@ impl SifImage {
     }
 
     /// Decrypt the partition in place.
-    pub fn decrypt(&mut self, key: &AeadKey) -> Result<(), SifError> {
+    pub(crate) fn decrypt(&mut self, key: &AeadKey) -> Result<(), SifError> {
         if !self.encrypted {
             return Err(SifError::NotEncrypted);
         }
@@ -168,11 +163,6 @@ impl SifImage {
         self.partition = plain;
         self.encrypted = false;
         Ok(())
-    }
-
-    /// Attach writable overlay data.
-    pub fn set_overlay(&mut self, data: Vec<u8>) {
-        self.overlay = Some(data);
     }
 
     /// Serialize the whole SIF to bytes.
@@ -292,7 +282,7 @@ mod tests {
     #[test]
     fn serialization_roundtrip() {
         let mut sif = SifImage::build(DEF, &rootfs()).unwrap();
-        sif.set_overlay(vec![9u8; 128]);
+        sif.overlay = Some(vec![9u8; 128]);
         let parsed = SifImage::from_bytes(&sif.to_bytes()).unwrap();
         assert_eq!(parsed.definition, sif.definition);
         assert_eq!(parsed.overlay, Some(vec![9u8; 128]));
@@ -339,7 +329,7 @@ mod tests {
         sif.sign(&mut k1).unwrap();
         sif.sign(&mut k2).unwrap();
         assert_eq!(sif.verify().unwrap().len(), 2);
-        assert_eq!(sif.signature_count(), 2);
+        assert_eq!(sif.signatures.len(), 2);
     }
 
     #[test]
@@ -372,7 +362,7 @@ mod tests {
         let mut key = Keypair::generate(b"s", 1);
         sif.sign(&mut key).unwrap();
         sif.encrypt(&AeadKey::derive(b"k"), [0; 12]).unwrap();
-        assert_eq!(sif.signature_count(), 0);
+        assert_eq!(sif.signatures.len(), 0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The Kubernetes object model and API server: typed objects with
-//! resource versions and watchable event streams.
+//! resource versions.
 //!
 //! Only the objects the Section 6 scenarios need exist: Nodes and Pods.
-//! The API server is the coordination point — kubelets watch for pods
-//! bound to them, the scheduler watches for pending pods, operators watch
-//! for annotated pods.
+//! The API server is the coordination point — kubelets read the pods
+//! bound to them, the scheduler reads the pending pods, and both read
+//! counts the server keeps as pods change phase.
 
 use hpcc_sim::{SimSpan, SimTime};
 use parking_lot::RwLock;
@@ -20,13 +20,13 @@ pub struct Resources {
 }
 
 impl Resources {
-    pub fn fits_in(&self, avail: &Resources) -> bool {
+    pub(crate) fn fits_in(&self, avail: &Resources) -> bool {
         self.cpu_millis <= avail.cpu_millis
             && self.memory_mb <= avail.memory_mb
             && self.gpus <= avail.gpus
     }
 
-    pub fn minus(&self, used: &Resources) -> Resources {
+    pub(crate) fn minus(&self, used: &Resources) -> Resources {
         Resources {
             cpu_millis: self.cpu_millis.saturating_sub(used.cpu_millis),
             memory_mb: self.memory_mb.saturating_sub(used.memory_mb),
@@ -65,7 +65,9 @@ pub struct PodSpec {
     pub duration: SimSpan,
     /// Label selector the target node must match.
     pub node_selector: BTreeMap<String, String>,
-    /// Annotations (the bridge operator reads `bridge.wlm/submit`).
+    /// Free-form annotations. Nothing in the model reads them; the field
+    /// stays because `quant4`'s pinned workload digest covers its debug
+    /// form.
     pub annotations: BTreeMap<String, String>,
     /// The user the workload belongs to (accounting).
     pub user: u32,
@@ -125,16 +127,8 @@ pub struct Pod {
 pub struct NodeObject {
     pub name: String,
     pub allocatable: Resources,
-    pub ready: bool,
     pub labels: BTreeMap<String, String>,
     pub resource_version: u64,
-}
-
-/// A watch event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Event {
-    PodChanged(Pod),
-    NodeChanged(NodeObject),
 }
 
 /// API errors.
@@ -191,7 +185,6 @@ pub struct PodTallies {
 struct ApiState {
     pods: BTreeMap<String, Pod>,
     nodes: BTreeMap<String, NodeObject>,
-    events: Vec<Event>,
     rv: u64,
     /// Invariant: equal to a recount over `pods`.
     tallies: PodTallies,
@@ -275,7 +268,6 @@ impl ApiServer {
             &pod.phase,
             true,
         );
-        st.events.push(Event::PodChanged(pod.clone()));
         st.pods.insert(pod.spec.name.clone(), pod);
         Ok(())
     }
@@ -303,7 +295,7 @@ impl ApiServer {
 
     /// The `Scheduled` pods bound to `node`, in name order: what a kubelet
     /// has to start.
-    pub fn scheduled_pods(&self, node: &str) -> Vec<Pod> {
+    pub(crate) fn scheduled_pods(&self, node: &str) -> Vec<Pod> {
         let st = self.state.read();
         st.scheduled_on.get(node).map_or_else(Vec::new, |names| {
             names.iter().map(|name| st.pods[name].clone()).collect()
@@ -326,7 +318,7 @@ impl ApiServer {
     }
 
     /// Update a pod's phase with optimistic concurrency.
-    pub fn set_pod_phase(
+    pub(crate) fn set_pod_phase(
         &self,
         name: &str,
         expected_rv: u64,
@@ -348,18 +340,17 @@ impl ApiServer {
         // Past the refusals: from here the update happens, and is counted.
         let was = std::mem::replace(&mut pod.phase, phase);
         pod.resource_version = rv;
-        let snapshot = pod.clone();
-        let cpu_millis = snapshot.spec.resources.cpu_millis;
+        let now = pod.phase.clone();
+        let cpu_millis = pod.spec.resources.cpu_millis;
         st.tally(name, cpu_millis, &was, false);
-        st.tally(name, cpu_millis, &snapshot.phase, true);
-        st.events.push(Event::PodChanged(snapshot));
+        st.tally(name, cpu_millis, &now, true);
         Ok(rv)
     }
 
     // ------------------------------------------------------------ nodes
 
     /// Register a node.
-    pub fn register_node(
+    pub(crate) fn register_node(
         &self,
         name: &str,
         allocatable: Resources,
@@ -373,41 +364,20 @@ impl ApiServer {
         let node = NodeObject {
             name: name.to_string(),
             allocatable,
-            ready: true,
             labels,
             resource_version: rv,
         };
-        st.events.push(Event::NodeChanged(node.clone()));
         st.nodes.insert(name.to_string(), node);
         Ok(())
     }
 
     /// Remove a node (ephemeral agents leaving).
-    pub fn deregister_node(&self, name: &str) -> Result<(), ApiError> {
+    pub(crate) fn deregister_node(&self, name: &str) -> Result<(), ApiError> {
         let mut st = self.state.write();
-        let mut node = st
-            .nodes
+        st.nodes
             .remove(name)
             .ok_or_else(|| ApiError::NodeNotFound(name.to_string()))?;
-        let rv = Self::bump(&mut st);
-        node.ready = false;
-        node.resource_version = rv;
-        st.events.push(Event::NodeChanged(node));
-        Ok(())
-    }
-
-    /// Mark readiness.
-    pub fn set_node_ready(&self, name: &str, ready: bool) -> Result<(), ApiError> {
-        let mut st = self.state.write();
-        let rv = Self::bump(&mut st);
-        let node = st
-            .nodes
-            .get_mut(name)
-            .ok_or_else(|| ApiError::NodeNotFound(name.to_string()))?;
-        node.ready = ready;
-        node.resource_version = rv;
-        let snapshot = node.clone();
-        st.events.push(Event::NodeChanged(snapshot));
+        Self::bump(&mut st);
         Ok(())
     }
 
@@ -426,19 +396,9 @@ impl ApiServer {
         self.state.read().nodes.values().cloned().collect()
     }
 
-    // ------------------------------------------------------------ watch
-
     /// Current resource version.
     pub fn resource_version(&self) -> u64 {
         self.state.read().rv
-    }
-
-    /// Events since an index (a simplified watch). Returns the events and
-    /// the new index to resume from.
-    pub fn watch(&self, since: usize) -> (Vec<Event>, usize) {
-        let st = self.state.read();
-        let events = st.events[since.min(st.events.len())..].to_vec();
-        (events, st.events.len())
     }
 }
 
@@ -590,28 +550,9 @@ mod tests {
             gpus: 4,
         };
         api.register_node("n0", alloc, BTreeMap::new()).unwrap();
-        assert!(api.node("n0").unwrap().ready);
-        api.set_node_ready("n0", false).unwrap();
-        assert!(!api.node("n0").unwrap().ready);
+        assert_eq!(api.node("n0").unwrap().allocatable, alloc);
         api.deregister_node("n0").unwrap();
         assert!(matches!(api.node("n0"), Err(ApiError::NodeNotFound(_))));
-    }
-
-    #[test]
-    fn watch_streams_events() {
-        let api = ApiServer::new();
-        let (events, idx) = api.watch(0);
-        assert!(events.is_empty());
-        api.create_pod(spec("a")).unwrap();
-        api.register_node("n0", Resources::default(), BTreeMap::new())
-            .unwrap();
-        let (events, idx2) = api.watch(idx);
-        assert_eq!(events.len(), 2);
-        assert!(matches!(events[0], Event::PodChanged(_)));
-        assert!(matches!(events[1], Event::NodeChanged(_)));
-        // Resuming from the new index yields nothing.
-        let (more, _) = api.watch(idx2);
-        assert!(more.is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The pod scheduler: binds pending pods to ready nodes with sufficient
+//! The pod scheduler: binds pending pods to nodes with sufficient
 //! free allocatable resources, honoring node selectors.
 
 use crate::objects::{ApiServer, NodeObject, Pod, PodPhase, Resources};
@@ -51,7 +51,7 @@ impl Scheduler {
                 // Score: most free CPU first (spreading).
                 let mut best: Option<(&NodeObject, Resources)> = None;
                 for node in nodes.values() {
-                    if !node.ready || !Self::selector_matches(pod, node) {
+                    if !Self::selector_matches(pod, node) {
                         continue;
                     }
                     let free = self.free_on(node);
@@ -175,19 +175,6 @@ mod tests {
         let mut sched = Scheduler::new();
         let bindings = sched.schedule(&api);
         assert_eq!(bindings[0].1, "labelled");
-    }
-
-    #[test]
-    fn not_ready_nodes_skipped() {
-        let api = ApiServer::new();
-        api.register_node("n0", node_alloc(), BTreeMap::new())
-            .unwrap();
-        api.set_node_ready("n0", false).unwrap();
-        api.create_pod(pod("p", 1000, 0)).unwrap();
-        let mut sched = Scheduler::new();
-        assert!(sched.schedule(&api).is_empty());
-        api.set_node_ready("n0", true).unwrap();
-        assert_eq!(sched.schedule(&api).len(), 1);
     }
 
     #[test]

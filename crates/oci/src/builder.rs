@@ -70,7 +70,6 @@ pub struct ImageBuilder<'a> {
     base_layers: Vec<Archive>,
     steps: Vec<(String, Step<'a>)>,
     config: ImageConfig,
-    annotations: BTreeMap<String, String>,
 }
 
 impl<'a> Default for ImageBuilder<'a> {
@@ -86,7 +85,6 @@ impl<'a> ImageBuilder<'a> {
             base_layers: Vec::new(),
             steps: Vec::new(),
             config: ImageConfig::default(),
-            annotations: BTreeMap::new(),
         }
     }
 
@@ -96,7 +94,6 @@ impl<'a> ImageBuilder<'a> {
             base_layers: base.layers.clone(),
             steps: Vec::new(),
             config: base.config.clone(),
-            annotations: BTreeMap::new(),
         }
     }
 
@@ -129,21 +126,9 @@ impl<'a> ImageBuilder<'a> {
         self
     }
 
-    /// Set the working directory.
-    pub fn workdir(mut self, dir: &str) -> Self {
-        self.config.working_dir = dir.to_string();
-        self
-    }
-
     /// Set the user.
     pub fn user(mut self, user: &str) -> Self {
         self.config.user = user.to_string();
-        self
-    }
-
-    /// Declare an exposed port.
-    pub fn expose(mut self, port: u16) -> Self {
-        self.config.exposed_ports.push(port);
         self
     }
 
@@ -159,12 +144,6 @@ impl<'a> ImageBuilder<'a> {
         self.config
             .labels
             .insert(key.to_string(), value.to_string());
-        self
-    }
-
-    /// Add a manifest annotation.
-    pub fn annotation(mut self, key: &str, value: &str) -> Self {
-        self.annotations.insert(key.to_string(), value.to_string());
         self
     }
 
@@ -202,7 +181,7 @@ impl<'a> ImageBuilder<'a> {
         let manifest = Manifest {
             config: cas.put(MediaType::Config, self.config.to_bytes()),
             layers: layer_descs,
-            annotations: self.annotations,
+            annotations: BTreeMap::new(),
         };
         cas.put(MediaType::Manifest, manifest.to_bytes());
 
@@ -404,18 +383,13 @@ mod tests {
             .entrypoint(&["/bin/app"])
             .cmd(&["--serve"])
             .env("MODE", "fast")
-            .workdir("/work")
             .user("1000")
-            .expose(8080)
             .architecture("x86_64-v4")
             .label("org.example.team", "hpc")
-            .annotation("built-by", "test")
             .build(&cas)
             .unwrap();
         assert_eq!(img.config.argv(), vec!["/bin/app", "--serve"]);
         assert_eq!(img.config.user, "1000");
-        assert_eq!(img.config.exposed_ports, vec![8080]);
-        assert_eq!(img.manifest.annotations["built-by"], "test");
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl std::error::Error for CasError {}
 
 #[derive(Default)]
 struct CasState {
-    blobs: HashMap<Digest, (MediaType, Arc<Vec<u8>>)>,
+    blobs: HashMap<Digest, Arc<Vec<u8>>>,
     stats: CasStats,
 }
 
@@ -122,7 +122,7 @@ impl Cas {
         let mut st = self.state.write();
         st.stats.logical_bytes += size;
         if let std::collections::hash_map::Entry::Vacant(e) = st.blobs.entry(digest) {
-            e.insert((media_type, data));
+            e.insert(data);
             st.stats.blobs += 1;
             st.stats.stored_bytes += size;
         } else {
@@ -141,48 +141,13 @@ impl Cas {
             .read()
             .blobs
             .get(digest)
-            .map(|(_, d)| Arc::clone(d))
-            .ok_or(CasError::NotFound(*digest))
-    }
-
-    /// Fetch a blob and its media type.
-    pub fn get_with_type(&self, digest: &Digest) -> Result<(MediaType, Arc<Vec<u8>>), CasError> {
-        self.state
-            .read()
-            .blobs
-            .get(digest)
-            .map(|(mt, d)| (*mt, Arc::clone(d)))
+            .map(Arc::clone)
             .ok_or(CasError::NotFound(*digest))
     }
 
     /// True if the blob exists (registry HEAD requests).
     pub fn has(&self, digest: &Digest) -> bool {
         self.state.read().blobs.contains_key(digest)
-    }
-
-    /// Remove a blob (garbage collection).
-    pub fn remove(&self, digest: &Digest) -> bool {
-        let mut st = self.state.write();
-        if let Some((_, data)) = st.blobs.remove(digest) {
-            st.stats.blobs -= 1;
-            st.stats.stored_bytes -= data.len() as u64;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Keep only blobs named in `live`; return the number collected.
-    pub fn gc(&self, live: &dyn Fn(&Digest) -> bool) -> usize {
-        let mut st = self.state.write();
-        let dead: Vec<Digest> = st.blobs.keys().filter(|d| !live(d)).copied().collect();
-        for d in &dead {
-            if let Some((_, data)) = st.blobs.remove(d) {
-                st.stats.blobs -= 1;
-                st.stats.stored_bytes -= data.len() as u64;
-            }
-        }
-        dead.len()
     }
 
     /// Current statistics snapshot.
@@ -266,29 +231,6 @@ mod tests {
         let d = sha256(b"missing");
         assert!(matches!(cas.get(&d), Err(CasError::NotFound(_))));
         assert!(!cas.has(&d));
-    }
-
-    #[test]
-    fn media_type_preserved() {
-        let cas = Cas::new();
-        let d = cas.put(MediaType::Sif, b"sif".to_vec());
-        let (mt, _) = cas.get_with_type(&d.digest).unwrap();
-        assert_eq!(mt, MediaType::Sif);
-    }
-
-    #[test]
-    fn remove_and_gc() {
-        let cas = Cas::new();
-        let keep = cas.put(MediaType::Layer, b"keep".to_vec());
-        let drop1 = cas.put(MediaType::Layer, b"drop1".to_vec());
-        let drop2 = cas.put(MediaType::Layer, b"drop2".to_vec());
-        assert!(cas.remove(&drop1.digest));
-        assert!(!cas.remove(&drop1.digest), "second remove is a no-op");
-        let collected = cas.gc(&|d| *d == keep.digest);
-        assert_eq!(collected, 1);
-        assert!(cas.has(&keep.digest));
-        assert!(!cas.has(&drop2.digest));
-        assert_eq!(cas.stats().blobs, 1);
     }
 
     #[test]

@@ -66,18 +66,9 @@ impl IdMapping {
     }
 
     /// Map a container id to the host id through this mapping.
-    pub fn to_host(&self, inside: u32) -> Option<u32> {
+    pub(crate) fn to_host(self, inside: u32) -> Option<u32> {
         if inside >= self.inside && inside < self.inside + self.count {
             Some(self.outside + (inside - self.inside))
-        } else {
-            None
-        }
-    }
-
-    /// Map a host id into the namespace.
-    pub fn to_container(&self, outside: u32) -> Option<u32> {
-        if outside >= self.outside && outside < self.outside + self.count {
-            Some(self.inside + (outside - self.outside))
         } else {
             None
         }
@@ -186,7 +177,7 @@ impl RuntimeSpec {
     }
 
     /// Hooks registered for one stage, in order.
-    pub fn hooks_at(&self, stage: HookStage) -> impl Iterator<Item = &HookRef> {
+    pub(crate) fn hooks_at(&self, stage: HookStage) -> impl Iterator<Item = &HookRef> {
         self.hooks.iter().filter(move |h| h.stage == stage)
     }
 
@@ -220,8 +211,6 @@ mod tests {
         let m = IdMapping::identity_single(12345, 0);
         assert_eq!(m.to_host(0), Some(12345));
         assert_eq!(m.to_host(1), None, "only one id mapped");
-        assert_eq!(m.to_container(12345), Some(0));
-        assert_eq!(m.to_container(12346), None);
     }
 
     #[test]
@@ -234,7 +223,6 @@ mod tests {
         assert_eq!(m.to_host(0), Some(100_000));
         assert_eq!(m.to_host(65535), Some(165_535));
         assert_eq!(m.to_host(65536), None);
-        assert_eq!(m.to_container(100_010), Some(10));
     }
 
     #[test]

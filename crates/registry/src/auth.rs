@@ -1,16 +1,11 @@
 //! Registry authentication providers.
 //!
 //! Tables 4/5 compare registries by which identity backends they can
-//! delegate to (internal DB, LDAP, OIDC, PAM, Kerberos, SAML, ...). The
-//! model keeps one credential store per provider and issues opaque tokens;
-//! what matters for the comparison is which providers a product *accepts*,
-//! which the product configurations declare and the probes exercise.
+//! delegate to (internal DB, LDAP, OIDC, PAM, Kerberos, SAML, ...). What
+//! matters for the comparison is which providers a product *accepts*: the
+//! product configurations declare it and Table 4 reports it.
 
-use hpcc_crypto::hmac::hmac_sha256;
-use hpcc_crypto::sha256::Digest;
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Identity backends seen across Tables 4/5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -27,191 +22,18 @@ pub enum AuthProvider {
     GitHub,
 }
 
-/// An issued bearer token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Token(pub Digest);
-
-/// Errors from authentication.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AuthError {
-    /// The registry does not accept this provider.
-    ProviderNotEnabled(AuthProvider),
-    /// Unknown user or wrong secret.
-    BadCredentials,
-    /// Token not recognized.
-    BadToken,
-}
-
-impl std::fmt::Display for AuthError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AuthError::ProviderNotEnabled(p) => write!(f, "auth provider {p:?} not enabled"),
-            AuthError::BadCredentials => f.write_str("bad credentials"),
-            AuthError::BadToken => f.write_str("unknown token"),
-        }
-    }
-}
-
-impl std::error::Error for AuthError {}
-
-struct UserRecord {
-    provider: AuthProvider,
-    secret_mac: Digest,
-}
-
 /// The authentication service of one registry.
 pub struct AuthService {
     enabled: Vec<AuthProvider>,
-    key: Vec<u8>,
-    users: RwLock<HashMap<String, UserRecord>>,
-    tokens: RwLock<HashMap<Token, String>>,
 }
 
 impl AuthService {
     pub fn new(enabled: Vec<AuthProvider>) -> AuthService {
-        AuthService {
-            enabled,
-            key: b"registry-auth-key".to_vec(),
-            users: RwLock::new(HashMap::new()),
-            tokens: RwLock::new(HashMap::new()),
-        }
+        AuthService { enabled }
     }
 
     /// Providers this service accepts.
     pub fn providers(&self) -> &[AuthProvider] {
         &self.enabled
-    }
-
-    /// Provision a user under a provider (directory sync / signup).
-    pub fn add_user(
-        &self,
-        provider: AuthProvider,
-        user: &str,
-        secret: &str,
-    ) -> Result<(), AuthError> {
-        if !self.enabled.contains(&provider) {
-            return Err(AuthError::ProviderNotEnabled(provider));
-        }
-        self.users.write().insert(
-            user.to_string(),
-            UserRecord {
-                provider,
-                secret_mac: hmac_sha256(&self.key, secret.as_bytes()),
-            },
-        );
-        Ok(())
-    }
-
-    /// Authenticate and issue a token.
-    pub fn login(
-        &self,
-        provider: AuthProvider,
-        user: &str,
-        secret: &str,
-    ) -> Result<Token, AuthError> {
-        if !self.enabled.contains(&provider) {
-            return Err(AuthError::ProviderNotEnabled(provider));
-        }
-        let users = self.users.read();
-        let rec = users.get(user).ok_or(AuthError::BadCredentials)?;
-        if rec.provider != provider {
-            return Err(AuthError::BadCredentials);
-        }
-        let mac = hmac_sha256(&self.key, secret.as_bytes());
-        if mac != rec.secret_mac {
-            return Err(AuthError::BadCredentials);
-        }
-        drop(users);
-        let token = Token(hmac_sha256(
-            &self.key,
-            format!("token:{user}:{}", self.tokens.read().len()).as_bytes(),
-        ));
-        self.tokens.write().insert(token, user.to_string());
-        Ok(token)
-    }
-
-    /// Resolve a token back to a user.
-    pub fn whoami(&self, token: &Token) -> Result<String, AuthError> {
-        self.tokens
-            .read()
-            .get(token)
-            .cloned()
-            .ok_or(AuthError::BadToken)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn svc() -> AuthService {
-        AuthService::new(vec![AuthProvider::Internal, AuthProvider::Ldap])
-    }
-
-    #[test]
-    fn login_roundtrip() {
-        let s = svc();
-        s.add_user(AuthProvider::Ldap, "alice", "pw").unwrap();
-        let t = s.login(AuthProvider::Ldap, "alice", "pw").unwrap();
-        assert_eq!(s.whoami(&t).unwrap(), "alice");
-    }
-
-    #[test]
-    fn wrong_secret_rejected() {
-        let s = svc();
-        s.add_user(AuthProvider::Internal, "bob", "right").unwrap();
-        assert_eq!(
-            s.login(AuthProvider::Internal, "bob", "wrong"),
-            Err(AuthError::BadCredentials)
-        );
-    }
-
-    #[test]
-    fn unknown_user_rejected() {
-        let s = svc();
-        assert_eq!(
-            s.login(AuthProvider::Internal, "ghost", "x"),
-            Err(AuthError::BadCredentials)
-        );
-    }
-
-    #[test]
-    fn disabled_provider_rejected() {
-        let s = svc();
-        assert_eq!(
-            s.add_user(AuthProvider::Oidc, "carol", "pw"),
-            Err(AuthError::ProviderNotEnabled(AuthProvider::Oidc))
-        );
-        assert_eq!(
-            s.login(AuthProvider::Oidc, "carol", "pw"),
-            Err(AuthError::ProviderNotEnabled(AuthProvider::Oidc))
-        );
-    }
-
-    #[test]
-    fn provider_mismatch_rejected() {
-        let s = svc();
-        s.add_user(AuthProvider::Ldap, "dave", "pw").unwrap();
-        assert_eq!(
-            s.login(AuthProvider::Internal, "dave", "pw"),
-            Err(AuthError::BadCredentials)
-        );
-    }
-
-    #[test]
-    fn bad_token_rejected() {
-        let s = svc();
-        let fake = Token(hmac_sha256(b"x", b"y"));
-        assert_eq!(s.whoami(&fake), Err(AuthError::BadToken));
-    }
-
-    #[test]
-    fn tokens_are_unique_per_login() {
-        let s = svc();
-        s.add_user(AuthProvider::Internal, "eve", "pw").unwrap();
-        let t1 = s.login(AuthProvider::Internal, "eve", "pw").unwrap();
-        let t2 = s.login(AuthProvider::Internal, "eve", "pw").unwrap();
-        assert_ne!(t1, t2);
-        assert_eq!(s.whoami(&t2).unwrap(), "eve");
     }
 }

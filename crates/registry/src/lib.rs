@@ -21,7 +21,7 @@ pub mod proxy;
 pub mod registry;
 pub mod tiered;
 
-pub use auth::{AuthError, AuthProvider, AuthService, Token};
+pub use auth::{AuthProvider, AuthService};
 pub use products::{ProductInfo, RegistryProduct};
 pub use proxy::{mirror_sync, ProxyError, ProxyRegistry, ProxyStats};
 pub use registry::{

@@ -334,7 +334,7 @@ impl Registry {
 
     /// The modelled client-side connection timeout surfaced by injected
     /// [`FaultKind::RegistryTimeout`] faults.
-    pub const CONNECT_TIMEOUT: SimSpan = SimSpan(5_000_000_000);
+    pub(crate) const CONNECT_TIMEOUT: SimSpan = SimSpan(5_000_000_000);
 
     fn admit_pull(&self, arrival: SimTime) -> Result<SimTime, RegistryError> {
         // Injected failures happen at the connection/frontend, before the
@@ -433,15 +433,6 @@ impl Registry {
 
     fn namespace_of(repo: &str) -> Option<&str> {
         repo.split_once('/').map(|(ns, _)| ns)
-    }
-
-    /// Bytes used by a namespace.
-    pub fn namespace_usage(&self, name: &str) -> Result<u64, RegistryError> {
-        self.namespaces
-            .read()
-            .get(name)
-            .map(|n| n.used_bytes)
-            .ok_or_else(|| RegistryError::NamespaceNotFound(name.into()))
     }
 
     // ------------------------------------------------------- push
@@ -602,7 +593,7 @@ impl Registry {
     }
 
     /// Tags of a repository, sorted.
-    pub fn list_tags(&self, repo: &str) -> Result<Vec<String>, RegistryError> {
+    pub(crate) fn list_tags(&self, repo: &str) -> Result<Vec<String>, RegistryError> {
         let repos = self.repos.read();
         let r = repos
             .get(repo)
@@ -615,58 +606,6 @@ impl Registry {
         let mut v: Vec<String> = self.repos.read().keys().cloned().collect();
         v.sort();
         v
-    }
-
-    /// Delete a tag. The manifest and its blobs stay until
-    /// [`garbage_collect`](Self::garbage_collect) runs (the standard
-    /// registry two-phase deletion).
-    pub fn delete_tag(&self, repo: &str, tag: &str) -> Result<(), RegistryError> {
-        let mut repos = self.repos.write();
-        let r = repos
-            .get_mut(repo)
-            .ok_or_else(|| RegistryError::RepoNotFound(repo.into()))?;
-        r.tags
-            .remove(tag)
-            .map(|_| ())
-            .ok_or_else(|| RegistryError::TagNotFound(repo.into(), tag.into()))
-    }
-
-    /// Garbage-collect blobs unreachable from any tag: live = every tagged
-    /// manifest, its config and layers, plus attached signatures of live
-    /// manifests. Returns the number of blobs collected.
-    pub fn garbage_collect(&self) -> usize {
-        use std::collections::HashSet;
-        let mut live: HashSet<Digest> = HashSet::new();
-        {
-            let repos = self.repos.read();
-            for repo in repos.values() {
-                for digest in repo.tags.values() {
-                    live.insert(*digest);
-                    if let Ok(bytes) = self.cas.get(digest) {
-                        // Library-API tags point at raw SIF blobs, which
-                        // don't parse as manifests; they're live as-is.
-                        if let Ok(manifest) = Manifest::from_bytes(&bytes) {
-                            live.insert(manifest.config.digest);
-                            for l in &manifest.layers {
-                                live.insert(l.digest);
-                            }
-                            for sig in self
-                                .signatures
-                                .read()
-                                .get(&manifest.digest())
-                                .into_iter()
-                                .flatten()
-                            {
-                                live.insert(sig.digest);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Drop signature indexes of dead manifests.
-        self.signatures.write().retain(|m, _| live.contains(m));
-        self.cas.gc(&|d| live.contains(d))
     }
 
     // ------------------------------------------------------- signatures
@@ -869,7 +808,7 @@ mod tests {
         // Roomy namespace succeeds and accounts usage.
         reg.create_namespace("big", Some(10 << 20)).unwrap();
         reg.push_manifest("big/base", "v1", &img.manifest).unwrap();
-        assert!(reg.namespace_usage("big").unwrap() > 0);
+        assert!(reg.namespaces.read()["big"].used_bytes > 0);
     }
 
     #[test]
@@ -1007,51 +946,6 @@ mod tests {
             reg.cas().stats().dedup_hits > 0,
             "same layers pushed twice dedup"
         );
-    }
-
-    #[test]
-    fn delete_tag_then_gc_reclaims_unshared_blobs() {
-        let reg = open_registry();
-        let m1 = push_sample(&reg, "bio/base", "v1");
-        // A second, different image sharing nothing.
-        let cas = Cas::new();
-        let unique = hpcc_oci::builder::ImageBuilder::from_scratch()
-            .run("u", |fs| {
-                fs.write_p(&hpcc_vfs::path::VPath::parse("/unique"), vec![0xEE; 4096])
-                    .map_err(|e| e.to_string())
-            })
-            .build(&cas)
-            .unwrap();
-        reg.push_image("bio/unique", "v1", &unique.manifest, &cas)
-            .unwrap();
-        reg.attach_signature(unique.manifest.digest(), b"sig".to_vec())
-            .unwrap();
-
-        // Nothing to collect while both tags live.
-        assert_eq!(reg.garbage_collect(), 0);
-
-        // Drop the unique image's tag: its manifest, layer, config and
-        // signature become garbage; bio/base survives untouched.
-        reg.delete_tag("bio/unique", "v1").unwrap();
-        let collected = reg.garbage_collect();
-        assert!(collected >= 3, "manifest+config+layer+sig, got {collected}");
-        assert!(!reg.has_blob(&unique.manifest.layers[0].digest));
-        assert!(reg.has_blob(&m1.layers[0].digest));
-        let (pulled, _) = reg.pull_manifest("bio/base", "v1", SimTime::ZERO).unwrap();
-        assert_eq!(pulled, m1);
-        // Deleting twice errors.
-        assert!(reg.delete_tag("bio/unique", "v1").is_err());
-    }
-
-    #[test]
-    fn gc_keeps_blobs_shared_with_live_tags() {
-        let reg = open_registry();
-        push_sample(&reg, "bio/a", "v1");
-        push_sample(&reg, "bio/b", "v1"); // same layers, different repo
-        reg.delete_tag("bio/a", "v1").unwrap();
-        // Manifest digest is shared too (identical images) → nothing dies.
-        assert_eq!(reg.garbage_collect(), 0);
-        assert!(reg.pull_manifest("bio/b", "v1", SimTime::ZERO).is_ok());
     }
 
     #[test]

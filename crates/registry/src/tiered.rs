@@ -101,7 +101,7 @@ pub struct TenantPolicy {
 
 impl TenantPolicy {
     /// The unconstrained tenant every single-tenant run uses.
-    pub fn unlimited() -> TenantPolicy {
+    pub(crate) fn unlimited() -> TenantPolicy {
         TenantPolicy {
             name: "default",
             rate: None,
@@ -392,11 +392,6 @@ impl StormTopology {
         self.tiers.len()
     }
 
-    /// Cache instances at `level` (0 = node-facing).
-    pub fn instances(&self, level: usize) -> usize {
-        self.caches[level].len()
-    }
-
     /// The counters behind [`StormTopology::tier_stats`].
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -611,7 +606,7 @@ impl StormTopology {
 
     /// Pull one sized blob for `node` through the hierarchy; returns the
     /// completion time at the node. The model-plane workhorse.
-    pub fn pull_sized(
+    pub(crate) fn pull_sized(
         &self,
         node: usize,
         tenant: usize,
@@ -832,9 +827,8 @@ mod tests {
     fn instance_counts_follow_grouping() {
         let topo = model(10_000);
         assert_eq!(topo.levels(), 3);
-        assert_eq!(topo.instances(0), 625);
-        assert_eq!(topo.instances(1), 40);
-        assert_eq!(topo.instances(2), 1);
+        let instances: Vec<usize> = topo.caches.iter().map(Vec::len).collect();
+        assert_eq!(instances, [625, 40, 1]);
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Control groups (v1/v2) with delegation and accounting.
+//! Control groups (v1/v2) with delegation.
 //!
-//! Two survey needs drive this model: WLMs enforce job resource limits via
-//! cgroups (§4.1.6: "The WLM controls device access rights ... and may
-//! restrict the capabilities available to the user (like cgroups)"), and
-//! the rootless-Kubelet scenarios require "enabling version 2 of the Linux
-//! cgroups framework \[and\] cgroup delegations" (§6.5).
+//! The survey needs this model for one rule: the rootless-Kubelet
+//! scenarios require "enabling version 2 of the Linux cgroups framework
+//! \[and\] cgroup delegations" (§6.5) — a user may create groups only under
+//! a subtree delegated to them, and v1 cannot delegate at all.
 
-use hpcc_sim::SimSpan;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -15,28 +13,6 @@ use std::collections::BTreeMap;
 pub enum CgroupVersion {
     V1,
     V2,
-}
-
-/// Limits on a group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct CgroupLimits {
-    /// CPU in milli-cores (0 = unlimited).
-    pub cpu_millis: u64,
-    /// Memory bytes (0 = unlimited).
-    pub memory_bytes: u64,
-    /// Max processes (0 = unlimited).
-    pub pids: u64,
-}
-
-/// Accounted usage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct CgroupUsage {
-    /// CPU time consumed.
-    pub cpu_nanos: u64,
-    /// Peak memory observed.
-    pub memory_peak: u64,
-    /// Current process count.
-    pub pids: u64,
 }
 
 /// Errors from the hierarchy.
@@ -50,8 +26,6 @@ pub enum CgroupError {
         group: String,
         uid: u32,
     },
-    /// A limit would be exceeded.
-    LimitExceeded(&'static str),
     /// v1 has no delegation.
     DelegationUnsupported,
 }
@@ -64,7 +38,6 @@ impl std::fmt::Display for CgroupError {
             CgroupError::NotDelegated { group, uid } => {
                 write!(f, "cgroup {group} not delegated to uid {uid}")
             }
-            CgroupError::LimitExceeded(what) => write!(f, "cgroup limit exceeded: {what}"),
             CgroupError::DelegationUnsupported => f.write_str("cgroup v1 cannot delegate subtrees"),
         }
     }
@@ -72,36 +45,22 @@ impl std::fmt::Display for CgroupError {
 
 impl std::error::Error for CgroupError {}
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Group {
-    limits: CgroupLimits,
-    usage: CgroupUsage,
-    /// uid the subtree is delegated to (v2 only).
-    delegated_to: Option<u32>,
-    children: Vec<String>,
-}
-
 /// A cgroup hierarchy. Group names are slash-separated paths under the
 /// root, e.g. `slurm/job123/step0`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CgroupTree {
     version: CgroupVersion,
-    groups: BTreeMap<String, Group>,
+    /// Every group, root (`""`) included, with the uid its subtree is
+    /// delegated to (v2 only).
+    groups: BTreeMap<String, Option<u32>>,
 }
 
 impl CgroupTree {
     pub fn new(version: CgroupVersion) -> CgroupTree {
-        let mut groups = BTreeMap::new();
-        groups.insert(
-            String::new(),
-            Group {
-                limits: CgroupLimits::default(),
-                usage: CgroupUsage::default(),
-                delegated_to: None,
-                children: Vec::new(),
-            },
-        );
-        CgroupTree { version, groups }
+        CgroupTree {
+            version,
+            groups: BTreeMap::from([(String::new(), None)]),
+        }
     }
 
     pub fn version(&self) -> CgroupVersion {
@@ -127,10 +86,8 @@ impl CgroupTree {
         // Walk up looking for a delegation to this uid.
         let mut cur = path.to_string();
         loop {
-            if let Some(g) = self.groups.get(&cur) {
-                if g.delegated_to == Some(uid) {
-                    return true;
-                }
+            if self.groups.get(&cur) == Some(&Some(uid)) {
+                return true;
             }
             if cur.is_empty() {
                 return false;
@@ -140,12 +97,7 @@ impl CgroupTree {
     }
 
     /// Create a group as `uid`. Parents must exist.
-    pub fn create(
-        &mut self,
-        path: &str,
-        uid: u32,
-        limits: CgroupLimits,
-    ) -> Result<(), CgroupError> {
+    pub fn create(&mut self, path: &str, uid: u32) -> Result<(), CgroupError> {
         if self.groups.contains_key(path) {
             return Err(CgroupError::AlreadyExists(path.to_string()));
         }
@@ -156,21 +108,7 @@ impl CgroupTree {
         if !self.may_manage(&parent, uid) {
             return Err(CgroupError::NotDelegated { group: parent, uid });
         }
-        self.groups.insert(
-            path.to_string(),
-            Group {
-                limits,
-                usage: CgroupUsage::default(),
-                delegated_to: None,
-                children: Vec::new(),
-            },
-        );
-        let parent = Self::parent_of(path);
-        self.groups
-            .get_mut(&parent)
-            .expect("parent checked")
-            .children
-            .push(path.to_string());
+        self.groups.insert(path.to_string(), None);
         Ok(())
     }
 
@@ -194,83 +132,8 @@ impl CgroupTree {
                 uid: manager_uid,
             });
         }
-        self.groups.get_mut(path).expect("checked").delegated_to = Some(to_uid);
+        self.groups.insert(path.to_string(), Some(to_uid));
         Ok(())
-    }
-
-    /// Charge CPU time to a group (propagates to ancestors for
-    /// accounting). Fails if a cpu limit is zero... no: cpu limits
-    /// throttle rather than kill; callers use [`CgroupTree::throttled_span`].
-    pub fn charge_cpu(&mut self, path: &str, span: SimSpan) -> Result<(), CgroupError> {
-        if !self.groups.contains_key(path) {
-            return Err(CgroupError::NotFound(path.to_string()));
-        }
-        let mut cur = path.to_string();
-        loop {
-            let g = self.groups.get_mut(&cur).expect("walking known groups");
-            g.usage.cpu_nanos += span.as_nanos();
-            if cur.is_empty() {
-                break;
-            }
-            cur = Self::parent_of(&cur);
-        }
-        Ok(())
-    }
-
-    /// How long `span` of CPU demand takes under the group's cpu quota:
-    /// demanding 2 cores' worth in a 1-core group takes twice as long.
-    pub fn throttled_span(&self, path: &str, span: SimSpan, demanded_millis: u64) -> SimSpan {
-        let Some(g) = self.groups.get(path) else {
-            return span;
-        };
-        if g.limits.cpu_millis == 0 || demanded_millis <= g.limits.cpu_millis {
-            return span;
-        }
-        span.scale(demanded_millis as f64 / g.limits.cpu_millis as f64)
-    }
-
-    /// Track memory use; fails when the limit is exceeded (the OOM kill).
-    pub fn charge_memory(&mut self, path: &str, bytes: u64) -> Result<(), CgroupError> {
-        let g = self
-            .groups
-            .get_mut(path)
-            .ok_or_else(|| CgroupError::NotFound(path.to_string()))?;
-        if g.limits.memory_bytes != 0 && bytes > g.limits.memory_bytes {
-            return Err(CgroupError::LimitExceeded("memory"));
-        }
-        g.usage.memory_peak = g.usage.memory_peak.max(bytes);
-        Ok(())
-    }
-
-    /// Register a process entering the group.
-    pub fn attach_pid(&mut self, path: &str) -> Result<(), CgroupError> {
-        let g = self
-            .groups
-            .get_mut(path)
-            .ok_or_else(|| CgroupError::NotFound(path.to_string()))?;
-        if g.limits.pids != 0 && g.usage.pids + 1 > g.limits.pids {
-            return Err(CgroupError::LimitExceeded("pids"));
-        }
-        g.usage.pids += 1;
-        Ok(())
-    }
-
-    /// A process left the group.
-    pub fn detach_pid(&mut self, path: &str) -> Result<(), CgroupError> {
-        let g = self
-            .groups
-            .get_mut(path)
-            .ok_or_else(|| CgroupError::NotFound(path.to_string()))?;
-        g.usage.pids = g.usage.pids.saturating_sub(1);
-        Ok(())
-    }
-
-    /// Usage snapshot of one group.
-    pub fn usage(&self, path: &str) -> Result<CgroupUsage, CgroupError> {
-        self.groups
-            .get(path)
-            .map(|g| g.usage)
-            .ok_or_else(|| CgroupError::NotFound(path.to_string()))
     }
 
     /// All group paths, sorted.
@@ -286,31 +149,27 @@ mod tests {
     #[test]
     fn root_creates_groups() {
         let mut t = CgroupTree::new(CgroupVersion::V2);
-        t.create("slurm", 0, CgroupLimits::default()).unwrap();
-        t.create("slurm/job1", 0, CgroupLimits::default()).unwrap();
+        t.create("slurm", 0).unwrap();
+        t.create("slurm/job1", 0).unwrap();
         assert!(t.paths().contains(&"slurm/job1".to_string()));
     }
 
     #[test]
     fn non_root_needs_delegation_on_v2() {
         let mut t = CgroupTree::new(CgroupVersion::V2);
-        t.create("user", 0, CgroupLimits::default()).unwrap();
-        let err = t
-            .create("user/mine", 1000, CgroupLimits::default())
-            .unwrap_err();
+        t.create("user", 0).unwrap();
+        let err = t.create("user/mine", 1000).unwrap_err();
         assert!(matches!(err, CgroupError::NotDelegated { .. }));
         t.delegate("user", 0, 1000).unwrap();
-        t.create("user/mine", 1000, CgroupLimits::default())
-            .unwrap();
+        t.create("user/mine", 1000).unwrap();
         // Delegation covers the whole subtree.
-        t.create("user/mine/sub", 1000, CgroupLimits::default())
-            .unwrap();
+        t.create("user/mine/sub", 1000).unwrap();
     }
 
     #[test]
     fn v1_cannot_delegate() {
         let mut t = CgroupTree::new(CgroupVersion::V1);
-        t.create("user", 0, CgroupLimits::default()).unwrap();
+        t.create("user", 0).unwrap();
         assert_eq!(
             t.delegate("user", 0, 1000),
             Err(CgroupError::DelegationUnsupported)
@@ -318,7 +177,7 @@ mod tests {
         // And thus non-root can never create groups — the §6.5 requirement
         // for cgroup v2 in rootless Kubelet setups.
         assert!(matches!(
-            t.create("user/mine", 1000, CgroupLimits::default()),
+            t.create("user/mine", 1000),
             Err(CgroupError::NotDelegated { .. })
         ));
     }
@@ -326,103 +185,26 @@ mod tests {
     #[test]
     fn delegation_does_not_leak_to_other_users() {
         let mut t = CgroupTree::new(CgroupVersion::V2);
-        t.create("user", 0, CgroupLimits::default()).unwrap();
+        t.create("user", 0).unwrap();
         t.delegate("user", 0, 1000).unwrap();
         assert!(matches!(
-            t.create("user/notmine", 2000, CgroupLimits::default()),
+            t.create("user/notmine", 2000),
             Err(CgroupError::NotDelegated { .. })
         ));
     }
 
     #[test]
-    fn cpu_accounting_propagates_up() {
-        let mut t = CgroupTree::new(CgroupVersion::V2);
-        t.create("slurm", 0, CgroupLimits::default()).unwrap();
-        t.create("slurm/job1", 0, CgroupLimits::default()).unwrap();
-        t.charge_cpu("slurm/job1", SimSpan::secs(3)).unwrap();
-        assert_eq!(t.usage("slurm/job1").unwrap().cpu_nanos, 3_000_000_000);
-        assert_eq!(t.usage("slurm").unwrap().cpu_nanos, 3_000_000_000);
-        assert_eq!(t.usage("").unwrap().cpu_nanos, 3_000_000_000);
-    }
-
-    #[test]
-    fn cpu_throttling_scales_span() {
-        let mut t = CgroupTree::new(CgroupVersion::V2);
-        t.create(
-            "job",
-            0,
-            CgroupLimits {
-                cpu_millis: 2000, // 2 cores
-                ..CgroupLimits::default()
-            },
-        )
-        .unwrap();
-        // Demanding 8 cores in a 2-core group: 4x elongation.
-        assert_eq!(
-            t.throttled_span("job", SimSpan::secs(1), 8000),
-            SimSpan::secs(4)
-        );
-        // Within quota: unchanged.
-        assert_eq!(
-            t.throttled_span("job", SimSpan::secs(1), 1000),
-            SimSpan::secs(1)
-        );
-    }
-
-    #[test]
-    fn memory_limit_enforced() {
-        let mut t = CgroupTree::new(CgroupVersion::V2);
-        t.create(
-            "job",
-            0,
-            CgroupLimits {
-                memory_bytes: 1 << 20,
-                ..CgroupLimits::default()
-            },
-        )
-        .unwrap();
-        t.charge_memory("job", 512 << 10).unwrap();
-        assert_eq!(
-            t.charge_memory("job", 2 << 20),
-            Err(CgroupError::LimitExceeded("memory"))
-        );
-        assert_eq!(t.usage("job").unwrap().memory_peak, 512 << 10);
-    }
-
-    #[test]
-    fn pid_limit_enforced() {
-        let mut t = CgroupTree::new(CgroupVersion::V2);
-        t.create(
-            "job",
-            0,
-            CgroupLimits {
-                pids: 2,
-                ..CgroupLimits::default()
-            },
-        )
-        .unwrap();
-        t.attach_pid("job").unwrap();
-        t.attach_pid("job").unwrap();
-        assert_eq!(t.attach_pid("job"), Err(CgroupError::LimitExceeded("pids")));
-        t.detach_pid("job").unwrap();
-        t.attach_pid("job").unwrap();
-    }
-
-    #[test]
     fn missing_parent_rejected() {
         let mut t = CgroupTree::new(CgroupVersion::V2);
-        assert!(matches!(
-            t.create("a/b", 0, CgroupLimits::default()),
-            Err(CgroupError::NotFound(_))
-        ));
+        assert!(matches!(t.create("a/b", 0), Err(CgroupError::NotFound(_))));
     }
 
     #[test]
     fn duplicate_rejected() {
         let mut t = CgroupTree::new(CgroupVersion::V2);
-        t.create("a", 0, CgroupLimits::default()).unwrap();
+        t.create("a", 0).unwrap();
         assert_eq!(
-            t.create("a", 0, CgroupLimits::default()),
+            t.create("a", 0),
             Err(CgroupError::AlreadyExists("a".into()))
         );
     }

@@ -21,13 +21,12 @@ pub mod fakeroot;
 pub mod rootless;
 
 pub use caps::{CapSet, Capability};
-pub use cgroup::{CgroupError, CgroupLimits, CgroupTree, CgroupUsage, CgroupVersion};
+pub use cgroup::{CgroupError, CgroupTree, CgroupVersion};
 pub use container::{
     ch_run, crun, enroot_exec, runc, shifter_exec, Container, ContainerError, ContainerState,
     LowLevelRuntime, ProcessWork,
 };
 pub use fakeroot::{FakerootError, FakerootMode, HostConfig, SyscallWorkload};
 pub use rootless::{
-    check_mount, check_pivot_root, ImageProvenance, MountCredentials, MountRequestKind,
-    PolicyViolation,
+    check_mount, ImageProvenance, MountCredentials, MountRequestKind, PolicyViolation,
 };

@@ -115,14 +115,6 @@ impl ImageProvenance {
             user_supplied: false,
         }
     }
-
-    /// An image the user just handed over.
-    pub fn untrusted() -> ImageProvenance {
-        ImageProvenance {
-            user_writable: true,
-            user_supplied: true,
-        }
-    }
 }
 
 /// Policy verdicts.
@@ -200,7 +192,7 @@ pub fn check_mount(
 }
 
 /// Decide whether the process may pivot_root.
-pub fn check_pivot_root(creds: &MountCredentials) -> Result<(), PolicyViolation> {
+pub(crate) fn check_pivot_root(creds: &MountCredentials) -> Result<(), PolicyViolation> {
     let host_root = creds.host_uid == 0 && !creds.in_user_ns;
     if host_root || creds.via_setuid_helper {
         return Ok(());
@@ -228,7 +220,10 @@ mod tests {
                 check_mount(
                     &MountCredentials::host_root(),
                     kind,
-                    ImageProvenance::untrusted()
+                    ImageProvenance {
+                        user_writable: true,
+                        user_supplied: true,
+                    }
                 ),
                 Ok(())
             );
@@ -295,7 +290,10 @@ mod tests {
             check_mount(
                 &creds,
                 MountRequestKind::KernelBlockImage,
-                ImageProvenance::untrusted()
+                ImageProvenance {
+                    user_writable: true,
+                    user_supplied: true,
+                }
             ),
             Err(PolicyViolation::UntrustedImageViaSetuid)
         );
@@ -317,7 +315,14 @@ mod tests {
     fn setuid_helper_fuse_is_unrestricted() {
         let creds = MountCredentials::setuid_helper(1000);
         assert_eq!(
-            check_mount(&creds, MountRequestKind::Fuse, ImageProvenance::untrusted()),
+            check_mount(
+                &creds,
+                MountRequestKind::Fuse,
+                ImageProvenance {
+                    user_writable: true,
+                    user_supplied: true,
+                }
+            ),
             Ok(())
         );
     }

@@ -63,24 +63,6 @@ impl SimClock {
     }
 }
 
-/// A per-actor stopwatch measuring elapsed logical time on a clock.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: SimTime,
-}
-
-impl Stopwatch {
-    /// Start measuring at the clock's current time.
-    pub fn start(clock: &SimClock) -> Stopwatch {
-        Stopwatch { start: clock.now() }
-    }
-
-    /// Elapsed logical time since `start`.
-    pub fn elapsed(&self, clock: &SimClock) -> SimSpan {
-        clock.now().since(self.start)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,14 +86,6 @@ mod tests {
         assert_eq!(c.now(), before);
         c.advance_to(SimTime::ZERO + SimSpan::secs(2));
         assert_eq!(c.now(), SimTime::ZERO + SimSpan::secs(2));
-    }
-
-    #[test]
-    fn stopwatch_measures_span() {
-        let c = SimClock::new();
-        let sw = Stopwatch::start(&c);
-        c.advance(SimSpan::micros(250));
-        assert_eq!(sw.elapsed(&c), SimSpan::micros(250));
     }
 
     #[test]

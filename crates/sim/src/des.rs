@@ -14,11 +14,11 @@
 //! [`Engine`] API, selectable via [`DesBackend`]:
 //!
 //! * [`DesBackend::TimingWheel`] (the default) — a hierarchical timing
-//!   wheel: [`LEVELS`] levels of [`SLOTS`] slots each, every level covering
+//!   wheel: `LEVELS` levels of `SLOTS` slots each, every level covering
 //!   64× the span of the one below, with per-level occupancy bitmaps so the
 //!   engine jumps straight to the next occupied instant instead of ticking.
 //!   Schedule and cancel are O(1); dispatch is O(1) amortized (each event
-//!   cascades down at most [`LEVELS`] times). Events that land at or before
+//!   cascades down at most `LEVELS` times). Events that land at or before
 //!   the wheel's current position go to a small overflow heap, which also
 //!   keeps the rare past-scheduling path exactly ordered.
 //! * [`DesBackend::ReferenceHeap`] — the original `BinaryHeap` queue, kept
@@ -81,10 +81,10 @@ impl<W> Ord for Scheduled<W> {
 /// Bits per wheel level: each level has `2^SLOT_BITS` slots.
 const SLOT_BITS: u32 = 6;
 /// Slots per wheel level.
-pub const SLOTS: usize = 1 << SLOT_BITS;
+pub(crate) const SLOTS: usize = 1 << SLOT_BITS;
 /// Wheel levels. `LEVELS * SLOT_BITS = 66 >= 64`, so every `u64` instant
 /// maps to a slot and no unbounded overflow list is needed.
-pub const LEVELS: usize = 11;
+pub(crate) const LEVELS: usize = 11;
 
 /// Hierarchical timing wheel. Level `k` slot `s` holds events whose time,
 /// relative to the wheel's current position `elapsed`, first differs from
@@ -96,8 +96,7 @@ pub const LEVELS: usize = 11;
 ///   slot and sorting it by id reproduces global `(at, id)` order.
 struct Wheel<W> {
     /// Current wheel position (ns). Lags the next pending event, never
-    /// ahead of it; may run ahead of the engine's public clock when a
-    /// deadline cuts a run short of the next event.
+    /// ahead of it.
     elapsed: u64,
     /// `LEVELS * SLOTS` buckets, flattened.
     slots: Vec<Vec<Scheduled<W>>>,
@@ -117,8 +116,6 @@ struct Wheel<W> {
     /// the level), so a pass is only needed after the position crosses a
     /// level-1+ boundary — one XOR decides.
     last_scan: u64,
-    /// Live entries across `slots`, `due` and `stash`.
-    len: usize,
 }
 
 impl<W> Wheel<W> {
@@ -131,7 +128,6 @@ impl<W> Wheel<W> {
             stash: Vec::new(),
             scratch: Vec::new(),
             last_scan: 0,
-            len: 0,
         }
     }
 
@@ -146,7 +142,6 @@ impl<W> Wheel<W> {
     }
 
     fn insert(&mut self, ev: Scheduled<W>) {
-        self.len += 1;
         if ev.at <= self.elapsed {
             self.due.push(Reverse(ev));
             return;
@@ -167,7 +162,6 @@ impl<W> Wheel<W> {
         let mut scratch = std::mem::take(&mut self.scratch);
         std::mem::swap(&mut scratch, &mut self.slots[level * SLOTS + slot]);
         for ev in scratch.drain(..) {
-            self.len -= 1; // insert() re-counts it
             self.insert(ev);
         }
         self.scratch = scratch;
@@ -233,25 +227,19 @@ impl<W> Wheel<W> {
         }
     }
 
-    /// Remove and return the next event in `(at, id)` order, if its time is
-    /// at or before `deadline`.
-    fn pop_next(&mut self, deadline: u64) -> Option<Scheduled<W>> {
+    /// Remove and return the next event in `(at, id)` order.
+    fn pop_next(&mut self) -> Option<Scheduled<W>> {
         loop {
             // Current-slot stash and the due heap are the only sources of
             // already-located events; pick the earlier of their heads.
             let stash_key = self.stash.last().map(|e| (e.at, e.id));
             let due_key = self.due.peek().map(|Reverse(e)| (e.at, e.id));
-            let pick = match (stash_key, due_key) {
+            let from_stash = match (stash_key, due_key) {
                 (None, None) => None,
-                (Some(s), d) if d.is_none_or(|d| s <= d) => Some((s, true)),
-                (_, Some(d)) => Some((d, false)),
-                (Some(_), None) => unreachable!("covered by the second arm"),
+                (Some(s), d) => Some(d.is_none_or(|d| s <= d)),
+                (None, Some(_)) => Some(false),
             };
-            if let Some(((at, _), from_stash)) = pick {
-                if at > deadline {
-                    return None;
-                }
-                self.len -= 1;
+            if let Some(from_stash) = from_stash {
                 return Some(if from_stash {
                     self.stash.pop().expect("stash head")
                 } else {
@@ -259,9 +247,6 @@ impl<W> Wheel<W> {
                 });
             }
             let tick = self.next_tick()?;
-            if tick > deadline {
-                return None;
-            }
             if tick > self.elapsed {
                 self.elapsed = tick;
                 let slot = (tick & (SLOTS as u64 - 1)) as usize;
@@ -276,22 +261,6 @@ impl<W> Wheel<W> {
             // `tick == elapsed` means next_tick surfaced `due` entries;
             // the next loop iteration pops them.
         }
-    }
-
-    /// Earliest pending instant without removing anything (cascades as a
-    /// side effect, which preserves the event set).
-    fn peek_at(&mut self) -> Option<u64> {
-        let located = self
-            .stash
-            .last()
-            .map(|e| (e.at, e.id))
-            .into_iter()
-            .chain(self.due.peek().map(|Reverse(e)| (e.at, e.id)))
-            .min();
-        if let Some((at, _)) = located {
-            return Some(at);
-        }
-        self.next_tick()
     }
 
     fn iter_ids(&self) -> impl Iterator<Item = EventId> + '_ {
@@ -318,23 +287,10 @@ impl<W> Queue<W> {
         }
     }
 
-    fn pop_next(&mut self, deadline: u64) -> Option<Scheduled<W>> {
+    fn pop_next(&mut self) -> Option<Scheduled<W>> {
         match self {
-            Queue::Wheel(w) => w.pop_next(deadline),
-            Queue::Heap(h) => {
-                if h.peek().is_some_and(|Reverse(e)| e.at <= deadline) {
-                    h.pop().map(|Reverse(e)| e)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    fn peek_at(&mut self) -> Option<u64> {
-        match self {
-            Queue::Wheel(w) => w.peek_at(),
-            Queue::Heap(h) => h.peek().map(|Reverse(e)| e.at),
+            Queue::Wheel(w) => w.pop_next(),
+            Queue::Heap(h) => h.pop().map(|Reverse(e)| e),
         }
     }
 }
@@ -428,32 +384,12 @@ impl<W> Engine<W> {
         !self.cancelled.is_empty() && self.cancelled.remove(&EventId(id))
     }
 
-    /// Run all events up to and including `deadline`. Returns the number of
-    /// events executed.
-    pub fn run_until(&mut self, world: &mut W, deadline: SimTime) -> u64 {
-        let mut ran = 0;
-        while let Some(ev) = self.queue.pop_next(deadline.0) {
-            if self.take_cancelled(ev.id) {
-                continue;
-            }
-            self.now = SimTime(ev.at);
-            (ev.run)(self, world);
-            self.processed += 1;
-            ran += 1;
-        }
-        // Even if no event landed exactly on the deadline, time passes.
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        ran
-    }
-
     /// Run until the event queue drains. Returns the number of events
     /// executed. A `max_events` guard protects against runaway loops in
     /// model bugs.
     pub fn run_to_completion(&mut self, world: &mut W, max_events: u64) -> u64 {
         let mut ran = 0;
-        while let Some(ev) = self.queue.pop_next(u64::MAX) {
+        while let Some(ev) = self.queue.pop_next() {
             if ran >= max_events {
                 panic!(
                     "discrete-event engine exceeded {max_events} events at {:?}; \
@@ -470,12 +406,6 @@ impl<W> Engine<W> {
             ran += 1;
         }
         ran
-    }
-
-    /// Time of the next runnable event, cancelled or not (`None` when the
-    /// queue is empty). Cascading inside the wheel makes this `&mut`.
-    pub fn peek_next_at(&mut self) -> Option<SimTime> {
-        self.queue.peek_at().map(SimTime)
     }
 
     /// True if no runnable events remain.
@@ -552,20 +482,6 @@ mod tests {
             eng.cancel(id);
             eng.run_to_completion(w, 10);
             assert_eq!(w.log, vec![(20, "kept")]);
-        });
-    }
-
-    #[test]
-    fn run_until_respects_deadline_and_advances_clock() {
-        on_both(|eng, w| {
-            eng.at(SimTime(10), |_, w| w.log.push((10, "in")));
-            eng.at(SimTime(100), |_, w| w.log.push((100, "out")));
-            let ran = eng.run_until(w, SimTime(50));
-            assert_eq!(ran, 1);
-            assert_eq!(eng.now(), SimTime(50));
-            assert_eq!(w.log, vec![(10, "in")]);
-            eng.run_to_completion(w, 10);
-            assert_eq!(w.log.len(), 2);
         });
     }
 
@@ -675,46 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_stop_then_schedule_before_parked_event() {
-        // A deadline can park the wheel position past the public clock;
-        // events scheduled into that gap must still fire in time order.
-        on_both(|eng, w| {
-            eng.at(SimTime(1000), |e, w| w.log.push((e.now().0, "far")));
-            eng.run_until(w, SimTime(100));
-            assert_eq!(eng.now(), SimTime(100));
-            eng.at(SimTime(700), |e, w| w.log.push((e.now().0, "mid")));
-            eng.at(SimTime(300), |e, w| w.log.push((e.now().0, "near")));
-            eng.run_to_completion(w, 10);
-            assert_eq!(w.log, vec![(300, "near"), (700, "mid"), (1000, "far")]);
-        });
-    }
-
-    #[test]
-    fn run_until_with_receded_deadline_fires_nothing() {
-        on_both(|eng, w| {
-            eng.at(SimTime(100), |e, w| w.log.push((e.now().0, "ev")));
-            eng.run_until(w, SimTime(50));
-            assert_eq!(eng.now(), SimTime(50));
-            // Earlier deadline than the clock: nothing fires, no rewind.
-            let ran = eng.run_until(w, SimTime(10));
-            assert_eq!(ran, 0);
-            assert_eq!(eng.now(), SimTime(50));
-            eng.run_to_completion(w, 10);
-            assert_eq!(w.log, vec![(100, "ev")]);
-        });
-    }
-
-    #[test]
-    fn peek_next_at_reports_earliest_event() {
-        on_both(|eng, _| {
-            assert_eq!(eng.peek_next_at(), None);
-            eng.at(SimTime(90), |_, _| {});
-            eng.at(SimTime(40), |_, _| {});
-            assert_eq!(eng.peek_next_at(), Some(SimTime(40)));
-        });
-    }
-
-    #[test]
     fn backend_selection_is_visible() {
         assert_eq!(
             Engine::<World>::with_backend(DesBackend::TimingWheel).backend(),
@@ -770,7 +646,6 @@ mod equivalence {
     enum Op {
         Schedule { at: u64, key: u64 },
         CancelNth(usize),
-        RunUntil(u64),
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
@@ -780,7 +655,6 @@ mod equivalence {
             (0u64..1_000_000u64, 0u64..10_000u64).prop_map(|(at, key)| Op::Schedule { at, key }),
             (0u64..(1u64 << 40), 0u64..10_000u64).prop_map(|(at, key)| Op::Schedule { at, key }),
             (0usize..64usize).prop_map(Op::CancelNth),
-            (0u64..2_000_000u64).prop_map(Op::RunUntil),
         ]
     }
 
@@ -798,9 +672,6 @@ mod equivalence {
                     if !scheduled.is_empty() {
                         eng.cancel(scheduled[n % scheduled.len()]);
                     }
-                }
-                Op::RunUntil(t) => {
-                    eng.run_until(&mut w, SimTime(*t));
                 }
             }
         }

@@ -60,12 +60,12 @@ impl DomainTopology {
     }
 
     /// Rack index of a node.
-    pub fn rack_of(&self, node: usize) -> usize {
+    pub(crate) fn rack_of(&self, node: usize) -> usize {
         node / self.rack_size
     }
 
     /// Row index of a node.
-    pub fn row_of(&self, node: usize) -> usize {
+    pub(crate) fn row_of(&self, node: usize) -> usize {
         self.rack_of(node) / self.racks_per_row
     }
 
@@ -80,28 +80,9 @@ impl DomainTopology {
     }
 
     /// The dense node-id range of one rack, clamped to the fleet.
-    pub fn rack_nodes(&self, rack: usize) -> std::ops::Range<usize> {
+    pub(crate) fn rack_nodes(&self, rack: usize) -> std::ops::Range<usize> {
         let lo = rack * self.rack_size;
         lo.min(self.nodes)..((rack + 1) * self.rack_size).min(self.nodes)
-    }
-
-    /// The dense node-id range of one row, clamped to the fleet.
-    pub fn row_nodes(&self, row: usize) -> std::ops::Range<usize> {
-        let lo = row * self.racks_per_row * self.rack_size;
-        let hi = (row + 1) * self.racks_per_row * self.rack_size;
-        lo.min(self.nodes)..hi.min(self.nodes)
-    }
-
-    /// Every named network link in the topology: one uplink per rack,
-    /// one per row, and the site's origin uplink. Severing a link is
-    /// expressed as [`OutageKind::LinkDown`] on one of these names.
-    pub fn link_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = (0..self.racks())
-            .map(|r| format!("rack{r}.uplink"))
-            .collect();
-        names.extend((0..self.rows()).map(|w| format!("row{w}.uplink")));
-        names.push("site.origin-uplink".to_string());
-        names
     }
 }
 
@@ -118,7 +99,7 @@ pub enum OutageKind {
     /// The origin registry saturates: its admission queue sheds load and
     /// service degrades for everyone until the window ends.
     OriginOverload,
-    /// A named network link (see [`DomainTopology::link_names`]) is cut.
+    /// A named network link is cut.
     /// `rack<r>.uplink` isolates one rack from everything above it;
     /// `row<w>.uplink` behaves like [`OutageKind::RowPartition`];
     /// `site.origin-uplink` cuts the whole site off the origin.
@@ -159,7 +140,7 @@ pub struct OutageEvent {
 
 impl OutageEvent {
     /// True while the event is in force.
-    pub fn active_at(&self, now: SimTime) -> bool {
+    pub(crate) fn active_at(&self, now: SimTime) -> bool {
         self.from <= now && now < self.until
     }
 }
@@ -188,18 +169,6 @@ impl DomainHealth {
             nodes_partitioned: 0,
             origin_overloaded: false,
         }
-    }
-
-    /// Nodes that are neither dead nor partitioned.
-    pub fn healthy_nodes(&self) -> usize {
-        self.nodes_total
-            .saturating_sub(self.nodes_down)
-            .saturating_sub(self.nodes_partitioned)
-    }
-
-    /// True when nothing is impaired.
-    pub fn is_all_healthy(&self) -> bool {
-        self.nodes_down == 0 && self.nodes_partitioned == 0 && !self.origin_overloaded
     }
 }
 
@@ -299,28 +268,10 @@ impl DomainSchedule {
         })
     }
 
-    /// True when a row-level cut severs `row` from the site tier at
-    /// `now` — the query the tiered registry's recursion gates on.
-    pub fn row_partitioned(&self, row: usize, now: SimTime) -> bool {
-        self.active(now).any(|e| match &e.kind {
-            OutageKind::RowPartition { row: w } => *w == row,
-            OutageKind::LinkDown { link } => {
-                link == "site.origin-uplink" || link == &format!("row{row}.uplink")
-            }
-            _ => false,
-        })
-    }
-
     /// True while the origin registry is saturated.
     pub fn origin_overloaded(&self, now: SimTime) -> bool {
         self.active(now)
             .any(|e| matches!(e.kind, OutageKind::OriginOverload))
-    }
-
-    /// True when the named link is cut at `now`.
-    pub fn link_down(&self, link: &str, now: SimTime) -> bool {
-        self.active(now)
-            .any(|e| matches!(&e.kind, OutageKind::LinkDown { link: l } if l == link))
     }
 
     /// When every event active at `now` has healed (`None` when nothing
@@ -414,12 +365,6 @@ mod tests {
         assert_eq!(topo.racks(), 7);
         assert_eq!(topo.rows(), 4);
         assert_eq!(topo.rack_nodes(6), 96..100, "last rack is partial");
-        assert_eq!(topo.row_nodes(3), 96..100);
-        let links = topo.link_names();
-        assert!(links.contains(&"rack0.uplink".to_string()));
-        assert!(links.contains(&"row3.uplink".to_string()));
-        assert!(links.contains(&"site.origin-uplink".to_string()));
-        assert_eq!(links.len(), 7 + 4 + 1);
     }
 
     #[test]
@@ -456,14 +401,11 @@ mod tests {
         );
         assert!(!sched.node_down(0, t(10)), "partitioned nodes stay alive");
         assert!(sched.partitioned_from_origin(0, t(10)));
-        assert!(sched.row_partitioned(0, t(10)));
         assert!(!sched.partitioned_from_origin(32, t(10)), "row 1 fine");
         assert!(!sched.partitioned_from_origin(0, t(15)), "healed");
         let h = sched.health(t(10));
         assert_eq!(h.nodes_down, 0);
         assert_eq!(h.nodes_partitioned, 32);
-        assert_eq!(h.healthy_nodes(), 32);
-        assert!(!h.is_all_healthy());
     }
 
     #[test]
@@ -490,8 +432,7 @@ mod tests {
         );
         assert!(sched.node_down(3, t(5)), "rack uplink cut isolates rack 0");
         assert!(!sched.node_down(17, t(5)));
-        assert!(sched.link_down("rack0.uplink", t(5)));
-        assert!(!sched.link_down("rack0.uplink", t(15)));
+        assert!(!sched.node_down(3, t(15)), "rack uplink restored");
         // Origin uplink: everyone partitioned, nobody dead.
         assert!(sched.partitioned_from_origin(50, t(25)));
         assert!(!sched.node_down(50, t(25)));
@@ -513,7 +454,7 @@ mod tests {
         assert!(sched.origin_overloaded(t(100)));
         assert!(sched.health(t(120)).origin_overloaded);
         assert!(!sched.origin_overloaded(t(160)));
-        assert!(sched.health(t(200)).is_all_healthy());
+        assert_eq!(sched.health(t(200)), DomainHealth::all_healthy(256));
     }
 
     #[test]

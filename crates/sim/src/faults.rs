@@ -225,7 +225,7 @@ impl FaultInjector {
 
     /// Run a closure against the injector's RNG (deterministic jitter,
     /// peer selection under churn, ...).
-    pub fn with_rng<R>(&self, f: impl FnOnce(&mut DetRng) -> R) -> R {
+    pub(crate) fn with_rng<R>(&self, f: impl FnOnce(&mut DetRng) -> R) -> R {
         f(&mut self.rng.lock())
     }
 

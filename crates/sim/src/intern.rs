@@ -11,9 +11,8 @@
 //! Determinism note: symbol *ids* depend on interning order, which can vary
 //! across processes (test threads race to intern first). Ids therefore must
 //! never leak into exported bytes or sort keys — exporters always go
-//! through [`Symbol::as_str`]. The golden-trace harness pins this: TSV and
-//! Chrome exports are byte-identical across runs regardless of interning
-//! order.
+//! through [`Symbol::as_str`]. The golden-trace harness pins this: TSV
+//! exports are byte-identical across runs regardless of interning order.
 //!
 //! Use the [`crate::sym!`] macro at call sites with literal names: it
 //! caches the `Symbol` in a per-site `OnceLock` so the table lock is taken

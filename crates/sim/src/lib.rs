@@ -26,16 +26,16 @@
 //! * [`resilience`] — self-healing primitives: per-endpoint circuit
 //!   breakers (one `settle` rule from a retry outcome to breaker feedback)
 //!   and an admission-control/load-shedding queue, all over logical time.
-//! * [`rng`] — deterministic random number generation plus workload
-//!   distributions (exponential, Zipf, Pareto, log-normal).
+//! * [`rng`] — deterministic random number generation (uniform,
+//!   Bernoulli, exponential, shuffle).
 //! * [`faults`] — seeded fault injection (registry 429/5xx/timeouts,
 //!   metadata brownouts, disk-full, peer churn, CRI flaps) and the shared
 //!   retry policy (exponential backoff + jitter, deadlines, stage timeouts):
 //!   one loop executed over logical time, on a time cursor or a clock.
-//! * [`metrics`] — counters, gauges and log-binned histograms collected into
+//! * [`metrics`] — counters and log-binned histograms collected into
 //!   a registry, used by every experiment to report results.
 //! * [`obs`] — zero-cost-when-disabled hierarchical span tracing over the
-//!   logical clock, with Chrome-trace JSON and TSV exporters and the
+//!   logical clock, with a TSV exporter and the
 //!   structural diff / invariant checks behind the golden-trace harness.
 //! * [`resource`] — token buckets and queueing servers used to model rate
 //!   limits (registry pulls, metadata IOPS) and contention.
@@ -67,7 +67,7 @@ pub use domains::{DomainHealth, DomainSchedule, DomainTopology, OutageEvent, Out
 pub use exec::{ExecError, ExecReport, Executor, TaskFinish, TaskGraph, TaskId};
 pub use faults::{Fault, FaultInjector, FaultKind, FaultRule, RetryErr, RetryOk, RetryPolicy};
 pub use intern::Symbol;
-pub use metrics::{CounterBatch, Histogram, MetricsRegistry};
+pub use metrics::{CounterBatch, MetricsRegistry};
 pub use net::{Fabric, LinkClass};
 pub use noise::{bsp_run, BspOutcome, NoiseProfile};
 pub use obs::{SpanId, SpanRecord, Stage, Tracer};

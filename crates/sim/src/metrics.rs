@@ -1,16 +1,14 @@
 //! Metrics collection for experiments.
 //!
 //! Every experiment reports through a [`MetricsRegistry`]: counters for
-//! event counts (cache hits, pulls, scheduling decisions), gauges for
-//! levels (utilization, queue depth), and log-binned [`Histogram`]s for
-//! latency distributions. Snapshots render as aligned text tables, which is
-//! what the `table*`/`quant*` binaries print.
+//! event counts (cache hits, pulls, scheduling decisions) and log-binned
+//! histograms for latency distributions. Snapshots render as aligned text
+//! tables, which is what the `table*`/`quant*` binaries print.
 
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Log-binned histogram over `u64` samples (typically nanoseconds).
@@ -18,7 +16,7 @@ use std::sync::Arc;
 /// Bins are powers of two scaled by 16 sub-buckets, giving ≤ ~6% relative
 /// error on quantiles — plenty for simulator-scale comparisons.
 #[derive(Debug, Default)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     inner: Mutex<HistogramState>,
 }
 
@@ -34,7 +32,7 @@ struct HistogramState {
 /// Lower bound of the histogram bucket a sample lands in. Values below 16
 /// are exact; above, the top 5 significant bits are kept (≤ ~6% relative
 /// error). Public so tests and exporters can reason about bucket edges.
-pub fn bucket_lower_bound(v: u64) -> u64 {
+pub(crate) fn bucket_lower_bound(v: u64) -> u64 {
     if v < 16 {
         return v;
     }
@@ -48,19 +46,19 @@ fn bucket_of(v: u64) -> u64 {
 }
 
 impl Histogram {
-    pub fn new() -> Histogram {
+    pub(crate) fn new() -> Histogram {
         Histogram::default()
     }
 
     /// Record one sample.
-    pub fn record(&self, v: u64) {
+    pub(crate) fn record(&self, v: u64) {
         self.record_batch(std::slice::from_ref(&v));
     }
 
     /// Record many samples under one lock acquisition. State-equivalent to
     /// calling [`Histogram::record`] per sample, in order — the batched
     /// observability path relies on that equivalence.
-    pub fn record_batch(&self, samples: &[u64]) {
+    pub(crate) fn record_batch(&self, samples: &[u64]) {
         if samples.is_empty() {
             return;
         }
@@ -80,12 +78,12 @@ impl Histogram {
     }
 
     /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.inner.lock().count
     }
 
     /// Mean of samples (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         let st = self.inner.lock();
         if st.count == 0 {
             0.0
@@ -94,16 +92,16 @@ impl Histogram {
         }
     }
 
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         self.inner.lock().min
     }
 
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.inner.lock().max
     }
 
     /// Approximate quantile `q` in `[0, 1]` (bucket lower bound).
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let st = self.inner.lock();
         if st.count == 0 {
             return 0;
@@ -120,7 +118,7 @@ impl Histogram {
     }
 
     /// A point-in-time copy of summary statistics.
-    pub fn summary(&self) -> HistogramSummary {
+    pub(crate) fn summary(&self) -> HistogramSummary {
         HistogramSummary {
             count: self.count(),
             mean: self.mean(),
@@ -134,25 +132,25 @@ impl Histogram {
 }
 
 /// Summary statistics of a histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct HistogramSummary {
-    pub count: u64,
-    pub mean: f64,
-    pub min: u64,
-    pub p50: u64,
-    pub p95: u64,
-    pub p99: u64,
-    pub max: u64,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct HistogramSummary {
+    count: u64,
+    mean: f64,
+    min: u64,
+    p50: u64,
+    p95: u64,
+    p99: u64,
+    max: u64,
 }
 
 /// Maximum distinct series per instrument kind. Dynamic names (per-op
 /// retry counters, per-span histograms) are bounded in practice; the cap is
 /// a backstop against an attribute leaking into a metric name and growing
 /// the registry without bound.
-pub const MAX_SERIES: usize = 4096;
+pub(crate) const MAX_SERIES: usize = 4096;
 
 /// Series that absorbs samples once [`MAX_SERIES`] is reached.
-pub const OVERFLOW_SERIES: &str = "metrics.overflow";
+pub(crate) const OVERFLOW_SERIES: &str = "metrics.overflow";
 
 /// Typed handle to one counter: cheap to clone, saturating on overflow.
 #[derive(Debug, Clone)]
@@ -229,29 +227,10 @@ impl Drop for CounterBatch {
     }
 }
 
-/// Typed handle to one gauge.
-#[derive(Debug, Clone)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Named counters, gauges and histograms for one experiment.
+/// Named counters and histograms for one experiment.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     /// Series requests refused by the [`MAX_SERIES`] cap.
     dropped_series: AtomicU64,
@@ -299,7 +278,7 @@ impl MetricsRegistry {
     }
 
     /// Number of series requests refused by the cardinality cap.
-    pub fn dropped_series(&self) -> u64 {
+    pub(crate) fn dropped_series(&self) -> u64 {
         self.dropped_series.load(Ordering::Relaxed)
     }
 
@@ -312,28 +291,8 @@ impl MetricsRegistry {
             .unwrap_or(0)
     }
 
-    /// Get or create a gauge.
-    pub fn gauge(&self, name: &str) -> Arc<AtomicI64> {
-        let mut map = self.gauges.lock();
-        let name = self.admit(map.len(), map.contains_key(name), name);
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicI64::new(0))),
-        )
-    }
-
-    /// Typed handle to a gauge.
-    pub fn typed_gauge(&self, name: &str) -> Gauge {
-        Gauge(self.gauge(name))
-    }
-
-    /// Set a gauge to an absolute value.
-    pub fn set_gauge(&self, name: &str, v: i64) {
-        self.gauge(name).store(v, Ordering::Relaxed);
-    }
-
     /// Get or create a histogram.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+    pub(crate) fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut map = self.histograms.lock();
         let name = self.admit(map.len(), map.contains_key(name), name);
         Arc::clone(
@@ -354,13 +313,6 @@ impl MetricsRegistry {
         if !counters.is_empty() {
             out.push_str("counters:\n");
             for (k, v) in counters.iter() {
-                let _ = writeln!(out, "  {:<48} {}", k, v.load(Ordering::Relaxed));
-            }
-        }
-        let gauges = self.gauges.lock();
-        if !gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (k, v) in gauges.iter() {
                 let _ = writeln!(out, "  {:<48} {}", k, v.load(Ordering::Relaxed));
             }
         }
@@ -395,15 +347,6 @@ mod tests {
         m.add("pulls", 4);
         assert_eq!(m.get("pulls"), 5);
         assert_eq!(m.get("unknown"), 0);
-    }
-
-    #[test]
-    fn gauges_hold_levels() {
-        let m = MetricsRegistry::new();
-        m.set_gauge("queue_depth", 7);
-        assert_eq!(m.gauge("queue_depth").load(Ordering::Relaxed), 7);
-        m.set_gauge("queue_depth", -2);
-        assert_eq!(m.gauge("queue_depth").load(Ordering::Relaxed), -2);
     }
 
     #[test]
@@ -457,13 +400,11 @@ mod tests {
     fn render_contains_all_kinds() {
         let m = MetricsRegistry::new();
         m.incr("c");
-        m.set_gauge("g", 1);
         m.observe("h", 5);
         let text = m.render();
         assert!(text.contains("counters:"));
-        assert!(text.contains("gauges:"));
         assert!(text.contains("histograms"));
-        assert!(text.contains('c') && text.contains('g') && text.contains('h'));
+        assert!(text.contains('c') && text.contains('h'));
     }
 
     #[test]
@@ -580,15 +521,5 @@ mod tests {
         m.incr("series.0");
         assert_eq!(m.get("series.0"), 2);
         assert!(m.render().contains("dropped series: 50"));
-    }
-
-    #[test]
-    fn typed_gauge_tracks_levels() {
-        let m = MetricsRegistry::new();
-        let g = m.typed_gauge("depth");
-        g.set(3);
-        g.add(-5);
-        assert_eq!(g.get(), -2);
-        assert_eq!(m.gauge("depth").load(Ordering::Relaxed), -2);
     }
 }

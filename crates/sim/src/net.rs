@@ -74,16 +74,6 @@ impl Fabric {
         self.params[&class]
     }
 
-    /// Register a node (idempotent).
-    pub fn add_node(&mut self, node: NodeId) {
-        self.nics.entry(node).or_insert_with(|| QueueServer::new(1));
-    }
-
-    /// True if the node is on the fabric.
-    pub fn has_node(&self, node: NodeId) -> bool {
-        self.nics.contains_key(&node)
-    }
-
     /// Send `size` bytes from `from` to `to` over `class`, the message
     /// leaving at `at`. Returns the delivery time. The sender's NIC
     /// serializes its outgoing transfers.
@@ -242,13 +232,5 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, NetError::UnknownNode(NodeId(99)));
-    }
-
-    #[test]
-    fn add_node_is_idempotent() {
-        let mut f = fabric();
-        f.add_node(NodeId(1));
-        f.add_node(NodeId(10));
-        assert!(f.has_node(NodeId(10)));
     }
 }

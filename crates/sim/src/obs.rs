@@ -5,7 +5,7 @@
 //! trade-offs. This module lets every experiment answer them per stage. A
 //! [`Tracer`] collects [`SpanRecord`]s keyed to the logical clock —
 //! hierarchical (parent ids), stage-tagged, attributed — next to the
-//! counters/gauges/histograms of a shared [`MetricsRegistry`].
+//! counters/histograms of a shared [`MetricsRegistry`].
 //!
 //! Two properties the rest of the testbed depends on:
 //!
@@ -19,8 +19,8 @@
 //!   harness in `tests/integration_traces.rs` diffs exports byte-for-byte
 //!   across runs and structurally against checked-in goldens.
 //!
-//! Exporters: Chrome-trace JSON (`chrome://tracing` / Perfetto) and a flat
-//! TSV that round-trips through [`parse_tsv`] for golden storage.
+//! Exporter: a flat TSV that round-trips through [`parse_tsv`] for golden
+//! storage.
 
 use crate::intern::Symbol;
 use crate::metrics::{CounterBatch, Histogram, MetricsRegistry};
@@ -77,7 +77,7 @@ impl Stage {
     }
 
     /// Parse a label produced by [`Stage::label`].
-    pub fn from_label(s: &str) -> Option<Stage> {
+    pub(crate) fn from_label(s: &str) -> Option<Stage> {
         Some(match s {
             "pull" => Stage::Pull,
             "convert" => Stage::Convert,
@@ -522,98 +522,6 @@ pub fn trace_digest(spans: &[SpanRecord]) -> u64 {
     h
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Microseconds with fixed nanosecond decimals, as Chrome's `ts` expects.
-fn micros(t: SimTime) -> String {
-    format!("{}.{:03}", t.as_nanos() / 1_000, t.as_nanos() % 1_000)
-}
-
-/// Export spans as Chrome-trace JSON (load in `chrome://tracing` or
-/// Perfetto). Every span becomes a matched `B`/`E` duration-event pair;
-/// children are emitted inside their parent's pair.
-pub fn export_chrome_trace(spans: &[SpanRecord]) -> String {
-    let ordered = sorted_for_export(spans);
-    let mut children: std::collections::BTreeMap<Option<SpanId>, Vec<&SpanRecord>> =
-        std::collections::BTreeMap::new();
-    let known: std::collections::BTreeSet<SpanId> = ordered.iter().map(|s| s.id).collect();
-    for s in &ordered {
-        // Orphans (parent never finished) render as roots.
-        let key = s.parent.filter(|p| known.contains(p));
-        children.entry(key).or_default().push(s);
-    }
-
-    let mut events: Vec<String> = Vec::new();
-    fn emit(
-        span: &SpanRecord,
-        children: &std::collections::BTreeMap<Option<SpanId>, Vec<&SpanRecord>>,
-        events: &mut Vec<String>,
-    ) {
-        let mut begin = format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"B\",\"ts\":{},\"pid\":1,\"tid\":1",
-            json_escape(span.name.as_str()),
-            span.stage,
-            micros(span.start)
-        );
-        if !span.attrs.is_empty() {
-            begin.push_str(",\"args\":{");
-            for (i, (k, v)) in span.attrs.iter().enumerate() {
-                if i > 0 {
-                    begin.push(',');
-                }
-                let _ = write!(
-                    begin,
-                    "\"{}\":\"{}\"",
-                    json_escape(k.as_str()),
-                    json_escape(v)
-                );
-            }
-            begin.push('}');
-        }
-        begin.push('}');
-        events.push(begin);
-        for child in children.get(&Some(span.id)).into_iter().flatten() {
-            emit(child, children, events);
-        }
-        events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"E\",\"ts\":{},\"pid\":1,\"tid\":1}}",
-            json_escape(span.name.as_str()),
-            span.stage,
-            micros(span.end)
-        ));
-    }
-    for root in children.get(&None).cloned().unwrap_or_default() {
-        emit(root, &children, &mut events);
-    }
-
-    let mut out = String::from("{\"traceEvents\":[\n");
-    for (i, e) in events.iter().enumerate() {
-        out.push_str(e);
-        if i + 1 < events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
-    out
-}
-
 fn name_path(span: &SpanRecord, by_id: &std::collections::BTreeMap<SpanId, &SpanRecord>) -> String {
     let mut parts = vec![span.name.as_str().to_string()];
     let mut cur = span.parent;
@@ -642,7 +550,7 @@ fn name_path(span: &SpanRecord, by_id: &std::collections::BTreeMap<SpanId, &Span
 /// Canonical structural form of a trace: one line per span, sorted, with
 /// the full ancestor path instead of raw ids (so id assignment can change
 /// without a structural diff).
-pub fn canonical_lines(spans: &[SpanRecord]) -> Vec<String> {
+pub(crate) fn canonical_lines(spans: &[SpanRecord]) -> Vec<String> {
     let by_id: std::collections::BTreeMap<SpanId, &SpanRecord> =
         spans.iter().map(|s| (s.id, s)).collect();
     sorted_for_export(spans)
@@ -800,116 +708,6 @@ mod tests {
         SimTime::ZERO + SimSpan::millis(ms)
     }
 
-    /// Minimal JSON validity checker (the container has no serde_json):
-    /// recursive descent over the grammar, rejecting trailing garbage.
-    fn check_json(s: &str) -> Result<(), String> {
-        let b = s.as_bytes();
-        let mut i = 0usize;
-        fn ws(b: &[u8], i: &mut usize) {
-            while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-                *i += 1;
-            }
-        }
-        fn value(b: &[u8], i: &mut usize) -> Result<(), String> {
-            ws(b, i);
-            match b.get(*i) {
-                Some(b'{') => {
-                    *i += 1;
-                    ws(b, i);
-                    if b.get(*i) == Some(&b'}') {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    loop {
-                        ws(b, i);
-                        string(b, i)?;
-                        ws(b, i);
-                        if b.get(*i) != Some(&b':') {
-                            return Err(format!("expected ':' at {i}"));
-                        }
-                        *i += 1;
-                        value(b, i)?;
-                        ws(b, i);
-                        match b.get(*i) {
-                            Some(b',') => *i += 1,
-                            Some(b'}') => {
-                                *i += 1;
-                                return Ok(());
-                            }
-                            _ => return Err(format!("expected ',' or '}}' at {i}")),
-                        }
-                    }
-                }
-                Some(b'[') => {
-                    *i += 1;
-                    ws(b, i);
-                    if b.get(*i) == Some(&b']') {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    loop {
-                        value(b, i)?;
-                        ws(b, i);
-                        match b.get(*i) {
-                            Some(b',') => *i += 1,
-                            Some(b']') => {
-                                *i += 1;
-                                return Ok(());
-                            }
-                            _ => return Err(format!("expected ',' or ']' at {i}")),
-                        }
-                    }
-                }
-                Some(b'"') => string(b, i),
-                Some(b't') => lit(b, i, "true"),
-                Some(b'f') => lit(b, i, "false"),
-                Some(b'n') => lit(b, i, "null"),
-                Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                    *i += 1;
-                    while *i < b.len()
-                        && (b[*i].is_ascii_digit()
-                            || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
-                    {
-                        *i += 1;
-                    }
-                    Ok(())
-                }
-                other => Err(format!("unexpected {other:?} at {i}")),
-            }
-        }
-        fn lit(b: &[u8], i: &mut usize, word: &str) -> Result<(), String> {
-            if b[*i..].starts_with(word.as_bytes()) {
-                *i += word.len();
-                Ok(())
-            } else {
-                Err(format!("bad literal at {i}"))
-            }
-        }
-        fn string(b: &[u8], i: &mut usize) -> Result<(), String> {
-            if b.get(*i) != Some(&b'"') {
-                return Err(format!("expected string at {i}"));
-            }
-            *i += 1;
-            while let Some(&c) = b.get(*i) {
-                match c {
-                    b'"' => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    b'\\' => *i += 2,
-                    _ => *i += 1,
-                }
-            }
-            Err("unterminated string".to_string())
-        }
-        value(b, &mut i)?;
-        ws(b, &mut i);
-        if i != b.len() {
-            return Err(format!("trailing garbage at {i}"));
-        }
-        Ok(())
-    }
-
     fn sample_trace() -> Vec<SpanRecord> {
         let tr = Tracer::new();
         let root = tr.begin("engine.deploy", Stage::Other, t(0));
@@ -1017,40 +815,6 @@ mod tests {
             "id\tparent\tname\tstage\tstart_ns\tdur_ns\tattrs\n1\t-\tx\tnostage\t0\t1\t\n"
         )
         .is_err());
-    }
-
-    #[test]
-    fn chrome_export_is_valid_json() {
-        let json = export_chrome_trace(&sample_trace());
-        check_json(&json).unwrap();
-    }
-
-    #[test]
-    fn chrome_export_has_matched_begin_end_events() {
-        let spans = sample_trace();
-        let json = export_chrome_trace(&spans);
-        let begins = json.matches("\"ph\":\"B\"").count();
-        let ends = json.matches("\"ph\":\"E\"").count();
-        assert_eq!(begins, spans.len());
-        assert_eq!(ends, spans.len());
-        // Nesting: the root's E event comes after every other event.
-        let last_e = json.rfind("\"ph\":\"E\"").unwrap();
-        let tail = &json[last_e..];
-        assert!(json[..last_e].rfind("engine.deploy").is_some());
-        assert!(tail.starts_with("\"ph\":\"E\""));
-        // Attribute values carry over, JSON-escaped.
-        assert!(json.contains("\"repo\":\"library/pyapp\""));
-        check_json(&json).unwrap();
-    }
-
-    #[test]
-    fn chrome_export_escapes_hostile_attrs() {
-        let tr = Tracer::new();
-        let id = tr.begin("op", Stage::Other, t(0));
-        tr.attr(id, "err", "a \"quoted\"\nline\\with junk");
-        tr.end(id, t(1));
-        let json = export_chrome_trace(&tr.finished());
-        check_json(&json).unwrap();
     }
 
     #[test]
@@ -1217,7 +981,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Flush granularity is unobservable: per-event flushing and
-        /// flush-at-barrier yield byte-identical TSV and Chrome exports
+        /// flush-at-barrier yield byte-identical TSV exports
         /// and an identical registry (values, admission, drops).
         #[test]
         fn flush_granularity_does_not_change_observables(
@@ -1228,7 +992,6 @@ mod tests {
             let sa = a.finished();
             let sb = b.finished();
             prop_assert_eq!(export_tsv(&sa), export_tsv(&sb));
-            prop_assert_eq!(export_chrome_trace(&sa), export_chrome_trace(&sb));
             prop_assert_eq!(a.metrics().render(), b.metrics().render());
             prop_assert_eq!(
                 a.metrics().dropped_series(),

@@ -53,7 +53,7 @@ impl TokenBucket {
     /// or the caller learns how long it must wait (the bucket reserves the
     /// token, going temporarily negative, so queued callers are serialized
     /// fairly in arrival order).
-    pub fn acquire(&self, now: SimTime) -> Admission {
+    pub(crate) fn acquire(&self, now: SimTime) -> Admission {
         let mut st = self.inner.lock();
         // Refill for elapsed time.
         let dt = now.since(st.last).as_secs_f64();

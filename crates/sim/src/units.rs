@@ -17,10 +17,6 @@ impl Bytes {
         Bytes(n)
     }
     #[inline]
-    pub const fn kib(n: u64) -> Bytes {
-        Bytes(n << 10)
-    }
-    #[inline]
     pub const fn mib(n: u64) -> Bytes {
         Bytes(n << 20)
     }
@@ -108,8 +104,7 @@ mod tests {
 
     #[test]
     fn unit_constructors() {
-        assert_eq!(Bytes::kib(1), Bytes::new(1024));
-        assert_eq!(Bytes::mib(1), Bytes::kib(1024));
+        assert_eq!(Bytes::mib(1), Bytes::new(1024 * 1024));
         assert_eq!(Bytes::gib(1), Bytes::mib(1024));
     }
 
@@ -129,7 +124,7 @@ mod tests {
     #[test]
     fn display_picks_unit() {
         assert_eq!(format!("{}", Bytes::new(17)), "17B");
-        assert_eq!(format!("{}", Bytes::kib(2)), "2.0KiB");
+        assert_eq!(format!("{}", Bytes::new(2048)), "2.0KiB");
         assert_eq!(format!("{}", Bytes::mib(3)), "3.0MiB");
         assert_eq!(format!("{}", Bytes::gib(4)), "4.00GiB");
     }

@@ -52,18 +52,6 @@ pub struct BlobStoreStats {
     pub resident_bytes: u64,
 }
 
-impl BlobStoreStats {
-    /// Fraction of lookups that hit, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 struct Entry {
     data: Arc<Vec<u8>>,
     refs: u64,
@@ -261,7 +249,7 @@ impl BlobStore {
     /// a crash nothing is legitimately in flight, so the recovery fsck
     /// rebuilds refcounts from this clean slate (pins died with their
     /// owners; the journal knows which blobs are wanted).
-    pub fn reset_refs(&self) -> u64 {
+    pub(crate) fn reset_refs(&self) -> u64 {
         let mut cleared = 0;
         for shard in &self.shards {
             for e in shard.lock().entries.values_mut() {
@@ -329,7 +317,6 @@ mod tests {
         let s = store.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(s.hit_bytes, 100);
-        assert!((s.hit_rate() - 0.5).abs() < 1e-9);
         assert_eq!(s.resident_blobs, 1);
         assert_eq!(s.resident_bytes, 100);
     }

@@ -23,10 +23,7 @@ pub mod shared_fs;
 
 pub use blobstore::{BlobStore, BlobStoreStats};
 pub use journal::{JournalRecord, JournaledStore, JOURNAL_SITES};
-pub use local::{
-    stage_image_to_nodes, stage_image_to_nodes_bounded, ConversionCache, NodeLocalDisk,
-    StagingReport,
-};
+pub use local::{stage_image_to_nodes, ConversionCache, NodeLocalDisk, StagingReport};
 pub use p2p::{
     broadcast_p2p, broadcast_tree, broadcast_tree_from_seeds, broadcast_via_shared_fs,
     replicate_to_stores, BroadcastReport, DistributionTree, TreeBroadcastReport, TreeSpec,

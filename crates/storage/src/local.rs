@@ -108,7 +108,7 @@ pub fn stage_image_to_nodes(
 /// sites use to keep staging from flattening the metadata servers). Each
 /// node's fetch+write is one executor task, recorded as a `stage.node`
 /// span on `tracer`.
-pub fn stage_image_to_nodes_bounded(
+pub(crate) fn stage_image_to_nodes_bounded(
     shared: &SharedFs,
     image: &SquashImage,
     nodes: &[Arc<NodeLocalDisk>],
@@ -189,10 +189,6 @@ impl ConversionCache {
         }
     }
 
-    pub fn is_shared(&self) -> bool {
-        self.shared_across_users
-    }
-
     fn full_key(&self, key: &str, uid: u32) -> CacheKey {
         let user_key = if self.shared_across_users {
             None
@@ -202,12 +198,11 @@ impl ConversionCache {
         (key.to_string(), user_key)
     }
 
-    /// Look up `key` for `uid`, counting a hit or a miss exactly like
-    /// [`ConversionCache::get_or_convert`]. The crash-aware convert path
-    /// uses the split lookup/insert API so the artifact only becomes
-    /// durable *after* the conversion work — and its crash points — have
-    /// completed; an artifact must never survive a crash that interrupted
-    /// the conversion producing it.
+    /// Look up `key` for `uid`, counting a hit or a miss. The convert path
+    /// pairs it with [`ConversionCache::insert`] so the artifact only
+    /// becomes durable *after* the conversion work — and its crash points —
+    /// have completed; an artifact must never survive a crash that
+    /// interrupted the conversion producing it.
     pub fn lookup(&self, key: &str, uid: u32) -> Option<Arc<Vec<u8>>> {
         let full_key = self.full_key(key, uid);
         match self.entries.read().get(&full_key) {
@@ -227,22 +222,6 @@ impl ConversionCache {
     pub fn insert(&self, key: &str, uid: u32, artifact: Arc<Vec<u8>>) {
         let full_key = self.full_key(key, uid);
         self.entries.write().insert(full_key, artifact);
-    }
-
-    /// Look up `key` for `uid`; on miss, run `convert` (paying its cost at
-    /// the caller) and insert. Returns (artifact, was_hit).
-    pub fn get_or_convert(
-        &self,
-        key: &str,
-        uid: u32,
-        convert: impl FnOnce() -> Vec<u8>,
-    ) -> (Arc<Vec<u8>>, bool) {
-        if let Some(hit) = self.lookup(key, uid) {
-            return (hit, true);
-        }
-        let artifact = Arc::new(convert());
-        self.insert(key, uid, Arc::clone(&artifact));
-        (artifact, false)
     }
 
     pub fn hit_count(&self) -> u64 {
@@ -266,6 +245,22 @@ mod tests {
 
     fn p(s: &str) -> VPath {
         VPath::parse(s)
+    }
+
+    /// Look up `key` for `uid`; on miss, run `convert` and insert — the
+    /// lookup/insert pair every engine runs. Returns (artifact, was_hit).
+    fn get_or_convert(
+        cache: &ConversionCache,
+        key: &str,
+        uid: u32,
+        convert: impl FnOnce() -> Vec<u8>,
+    ) -> (Arc<Vec<u8>>, bool) {
+        if let Some(hit) = cache.lookup(key, uid) {
+            return (hit, true);
+        }
+        let artifact = Arc::new(convert());
+        cache.insert(key, uid, Arc::clone(&artifact));
+        (artifact, false)
     }
 
     fn sample_image() -> SquashImage {
@@ -340,7 +335,7 @@ mod tests {
         let cache = ConversionCache::shared();
         let mut conversions = 0;
         for uid in [1000, 2000, 3000] {
-            let (_, hit) = cache.get_or_convert("sha256:abc", uid, || {
+            let (_, hit) = get_or_convert(&cache, "sha256:abc", uid, || {
                 conversions += 1;
                 vec![1]
             });
@@ -358,7 +353,7 @@ mod tests {
         let mut conversions = 0;
         for uid in [1000, 2000] {
             for _ in 0..2 {
-                cache.get_or_convert("sha256:abc", uid, || {
+                get_or_convert(&cache, "sha256:abc", uid, || {
                     conversions += 1;
                     vec![1]
                 });
@@ -367,14 +362,14 @@ mod tests {
         assert_eq!(conversions, 2, "one conversion per user");
         assert_eq!(cache.stored(), 2);
         assert_eq!(cache.hit_count(), 2);
-        assert!(!cache.is_shared());
+        assert!(!cache.shared_across_users);
     }
 
     #[test]
     fn different_digests_do_not_collide() {
         let cache = ConversionCache::shared();
-        cache.get_or_convert("a", 0, || vec![1]);
-        let (v, hit) = cache.get_or_convert("b", 0, || vec![2]);
+        get_or_convert(&cache, "a", 0, || vec![1]);
+        let (v, hit) = get_or_convert(&cache, "b", 0, || vec![2]);
         assert!(!hit);
         assert_eq!(*v, vec![2]);
     }

@@ -267,7 +267,7 @@ impl DistributionTree {
     }
 
     /// Number of participating nodes.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.order.len()
     }
 
@@ -314,7 +314,7 @@ impl DistributionTree {
     }
 
     /// Hops from `pos` up to its segment root.
-    pub fn depth_of(&self, pos: usize) -> u32 {
+    pub(crate) fn depth_of(&self, pos: usize) -> u32 {
         let mut d = 0;
         let mut at = pos;
         while let Some(p) = self.parent(at) {
@@ -437,7 +437,7 @@ pub fn broadcast_tree(
 
 /// Result of one whole-subtree forest repair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RepairStats {
+pub(crate) struct RepairStats {
     /// Dead positions disconnected (requested minus protected roots).
     pub dead: usize,
     /// Parent pointers rewritten: one per orphaned live subtree root.
@@ -458,7 +458,7 @@ pub struct RepairStats {
 /// Forest roots (positions with no parent) are never disconnected — the
 /// seed set must survive — so a `dead` entry naming a root is skipped.
 /// Callers decide separately whether (and when) dead positions rejoin.
-pub fn repair_forest(
+pub(crate) fn repair_forest(
     parent: &mut [Option<usize>],
     children: &mut [Vec<usize>],
     alive: &mut [bool],
@@ -542,7 +542,7 @@ pub fn broadcast_tree_from_seeds(
 /// [`broadcast_tree_from_seeds`] under a correlated outage: `outage =
 /// (dead_positions, heal_at)` kills the named tree positions before the
 /// first chunk moves. Their live subtrees are re-parented around the
-/// hole in one [`repair_forest`] pass (rack-scale repair, not
+/// hole in one `repair_forest` pass (rack-scale repair, not
 /// peer-at-a-time), and the dead nodes themselves rejoin as leaves of
 /// their nearest live ancestor, gated so no chunk reaches them before
 /// `heal_at` + the re-registration latency. With `None` this is exactly

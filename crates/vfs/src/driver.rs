@@ -54,7 +54,7 @@ impl DriverProfile {
 
     /// Unpacked directory on node-local storage: no decompression, plain
     /// VFS path.
-    pub fn local_dir() -> DriverProfile {
+    pub(crate) fn local_dir() -> DriverProfile {
         DriverProfile {
             per_op: SimSpan::micros(6),
             read_bandwidth: 3.0 * (1u64 << 30) as f64,
@@ -64,7 +64,7 @@ impl DriverProfile {
 
     /// In-kernel OverlayFS: near-native with a small per-layer lookup tax
     /// folded into `per_op` by [`OverlayDriver`].
-    pub fn kernel_overlay() -> DriverProfile {
+    pub(crate) fn kernel_overlay() -> DriverProfile {
         DriverProfile {
             per_op: SimSpan::micros(5),
             read_bandwidth: 2.5 * (1u64 << 30) as f64,
@@ -73,7 +73,7 @@ impl DriverProfile {
     }
 
     /// fuse-overlayfs: "heavy I/O must be absorbed by the CPU" (§4.1.2).
-    pub fn fuse_overlay() -> DriverProfile {
+    pub(crate) fn fuse_overlay() -> DriverProfile {
         DriverProfile {
             per_op: SimSpan::micros(48),
             read_bandwidth: 0.9 * (1u64 << 30) as f64,

@@ -9,7 +9,7 @@
 
 use crate::path::VPath;
 use hpcc_codec::archive::{Archive, Entry, EntryKind};
-use hpcc_crypto::sha256::{Digest, Sha256};
+use hpcc_crypto::sha256::Digest;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -37,12 +37,6 @@ impl Meta {
             uid: 0,
             gid: 0,
         }
-    }
-
-    /// True if the setuid bit is set (the suid-helper discussions of
-    /// Sections 3.2/4.1.2 hinge on this bit).
-    pub fn is_setuid(&self) -> bool {
-        self.mode & 0o4000 != 0
     }
 }
 
@@ -539,14 +533,6 @@ impl MemFs {
     pub fn tree_digest(&self, root: &VPath) -> Result<Digest, FsError> {
         Ok(self.to_archive(root)?.digest())
     }
-
-    /// Digest of a single file's contents.
-    pub fn file_digest(&self, path: &VPath) -> Result<Digest, FsError> {
-        let data = self.read(path)?;
-        let mut h = Sha256::new();
-        h.update(&data);
-        Ok(h.finalize())
-    }
 }
 
 #[cfg(test)]
@@ -702,7 +688,7 @@ mod tests {
         let mut fs = MemFs::new();
         fs.write_p(&p("/bin/starter"), vec![1]).unwrap();
         fs.chmod(&p("/bin/starter"), 0o4755).unwrap();
-        assert!(fs.stat(&p("/bin/starter")).unwrap().meta.is_setuid());
+        assert_eq!(fs.stat(&p("/bin/starter")).unwrap().meta.mode, 0o4755);
     }
 
     #[test]
@@ -733,15 +719,6 @@ mod tests {
         let mut fs2 = sample();
         fs2.chmod(&p("/etc/hosts"), 0o600).unwrap();
         assert_ne!(d1, fs2.tree_digest(&VPath::root()).unwrap());
-    }
-
-    #[test]
-    fn file_digest_matches_content_hash() {
-        let fs = sample();
-        assert_eq!(
-            fs.file_digest(&p("/usr/lib/libm.so")).unwrap(),
-            hpcc_crypto::sha256::sha256(b"ELF")
-        );
     }
 
     #[test]

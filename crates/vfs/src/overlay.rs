@@ -1,5 +1,5 @@
 //! OverlayFS: a union view over read-only lower layers and one writable
-//! upper layer, with whiteouts, opaque directories and copy-up.
+//! upper layer, with whiteouts and copy-up.
 //!
 //! This is the mechanism behind `overlayfs`/`fuse-overlayfs` in the survey:
 //! OCI bundles mount their layers through it, and HPC engines either use it
@@ -19,7 +19,6 @@ pub struct OverlayFs {
     lowers: Vec<Arc<MemFs>>,
     upper: MemFs,
     whiteouts: BTreeSet<VPath>,
-    opaque: BTreeSet<VPath>,
 }
 
 impl OverlayFs {
@@ -30,12 +29,11 @@ impl OverlayFs {
             lowers,
             upper: MemFs::new(),
             whiteouts: BTreeSet::new(),
-            opaque: BTreeSet::new(),
         }
     }
 
     /// Number of lower layers.
-    pub fn lower_count(&self) -> usize {
+    pub(crate) fn lower_count(&self) -> usize {
         self.lowers.len()
     }
 
@@ -58,13 +56,6 @@ impl OverlayFs {
             if self.whiteouts.contains(&anc) && !self.upper.exists(&anc) {
                 return true;
             }
-            if self.opaque.contains(&anc) {
-                return true;
-            }
-        }
-        if self.opaque.contains(path) {
-            // Opaque marks apply to the dir's *lower* contents, not the dir.
-            return false;
         }
         false
     }
@@ -120,8 +111,7 @@ impl OverlayFs {
             return Err(FsError::NotADirectory(path.clone()));
         }
 
-        let lowers_visible = !self.hidden(path) && !self.opaque.contains(path);
-        if lowers_visible {
+        if !self.hidden(path) {
             for lower in &self.lowers {
                 if let Ok(kids) = lower.list(path) {
                     found_dir = true;
@@ -181,19 +171,6 @@ impl OverlayFs {
         Ok(())
     }
 
-    /// Append-style modify: read the current contents (from whichever
-    /// layer wins), apply `f`, write the result up.
-    pub fn modify(
-        &mut self,
-        path: &VPath,
-        f: impl FnOnce(&[u8]) -> Vec<u8>,
-    ) -> Result<(), FsError> {
-        let current = self.read(path)?;
-        let meta = self.stat(path)?.meta;
-        let new = f(&current);
-        self.write(path, new, meta)
-    }
-
     /// Make a directory (and missing parents) visible in the union,
     /// materializing existing union directories into the upper layer on
     /// the way down.
@@ -225,14 +202,6 @@ impl OverlayFs {
         if in_lower {
             self.whiteouts.insert(path.clone());
         }
-        Ok(())
-    }
-
-    /// Mark a directory opaque: lower contents disappear, upper contents
-    /// remain (the `.wh..wh..opq` marker).
-    pub fn set_opaque(&mut self, path: &VPath) -> Result<(), FsError> {
-        self.mkdir_p(path)?;
-        self.opaque.insert(path.clone());
         Ok(())
     }
 
@@ -366,20 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn opaque_dir_hides_lower_contents_only() {
-        let mut o = overlay();
-        o.set_opaque(&p("/usr/share")).unwrap();
-        assert!(o.exists(&p("/usr/share")), "dir itself visible");
-        assert!(
-            !o.exists(&p("/usr/share/doc/readme")),
-            "lower contents hidden"
-        );
-        o.write(&p("/usr/share/new"), b"x".to_vec(), Meta::file())
-            .unwrap();
-        assert_eq!(o.list(&p("/usr/share")).unwrap(), vec!["new"]);
-    }
-
-    #[test]
     fn list_merges_layers() {
         let o = overlay();
         let names = o.list(&p("/")).unwrap();
@@ -389,13 +344,12 @@ mod tests {
     #[test]
     fn modify_reads_lower_writes_upper() {
         let mut o = overlay();
-        o.modify(&p("/usr/lib/libc.so"), |old| {
-            let mut v = old.to_vec();
-            v.extend_from_slice(b"-patched");
-            v
-        })
-        .unwrap();
-        assert_eq!(&**o.read(&p("/usr/lib/libc.so")).unwrap(), b"libc-patched");
+        let path = p("/usr/lib/libc.so");
+        let mut v = o.read(&path).unwrap().to_vec();
+        v.extend_from_slice(b"-patched");
+        let meta = o.stat(&path).unwrap().meta;
+        o.write(&path, v, meta).unwrap();
+        assert_eq!(&**o.read(&path).unwrap(), b"libc-patched");
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl VPath {
 
     /// Re-root: interpret `self` as relative to `old_root` and graft onto
     /// `new_root`. Returns `None` if `self` is not under `old_root`.
-    pub fn rebase(&self, old_root: &VPath, new_root: &VPath) -> Option<VPath> {
+    pub(crate) fn rebase(&self, old_root: &VPath, new_root: &VPath) -> Option<VPath> {
         if !self.starts_with(old_root) {
             return None;
         }
@@ -112,7 +112,7 @@ impl VPath {
     }
 
     /// Iterate ancestor paths from root (exclusive) down to the parent.
-    pub fn ancestors(&self) -> impl Iterator<Item = VPath> + '_ {
+    pub(crate) fn ancestors(&self) -> impl Iterator<Item = VPath> + '_ {
         (0..self.segments.len()).map(move |i| VPath {
             segments: self.segments[..i].to_vec(),
         })

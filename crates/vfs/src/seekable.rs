@@ -29,6 +29,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"HSKI";
+/// Fewest bytes a serialized [`ChunkRef`] takes: its digest plus two
+/// one-byte varints. An untrusted chunk count reserves no more refs than
+/// the rest of the input could hold.
+const CHUNK_REF_MIN_LEN: usize = 32 + 1 + 1;
 
 /// Chunk granularity used when callers have no reason to pick another:
 /// large enough that the index stays small next to the data, small enough
@@ -218,7 +222,8 @@ impl SeekableIndex {
                 0 => {
                     let orig_len = r.varint()?;
                     let count = r.varint()? as usize;
-                    let mut chunks = Vec::with_capacity(count);
+                    let mut chunks =
+                        Vec::with_capacity(count.min(r.remaining() / CHUNK_REF_MIN_LEN));
                     for _ in 0..count {
                         let mut digest = [0u8; 32];
                         digest.copy_from_slice(r.take(32)?);
@@ -358,12 +363,19 @@ impl SeekableIndex {
         mut fetch: impl FnMut(&Digest) -> Option<Arc<Vec<u8>>>,
     ) -> Result<Vec<u8>, SquashError> {
         let (orig_len, chunks) = self.file_chunks(path)?;
-        let mut out = Vec::with_capacity(orig_len as usize);
+        let mut out = Vec::new();
         for c in chunks {
             let stored = fetch(&c.digest).ok_or(SquashError::Codec(CodecError::Corrupt(
                 "chunk not resident",
             )))?;
-            out.extend_from_slice(&decompress(&stored)?);
+            let plain = decompress(&stored)?;
+            if out.is_empty() {
+                // The index's `orig_len` is a claim; reserve only what the
+                // decompressed chunks could really add up to.
+                let bound = plain.len().saturating_mul(chunks.len());
+                out.reserve_exact(bound.min(usize::try_from(orig_len).unwrap_or(usize::MAX)));
+            }
+            out.extend_from_slice(&plain);
         }
         if out.len() as u64 != orig_len {
             return Err(SquashError::Codec(CodecError::Corrupt(
@@ -624,5 +636,71 @@ mod tests {
             SeekableIndex::build(&fs, &p("/usr"), Codec::Store, DEFAULT_CHUNK_SIZE).unwrap();
         assert!(index.entry("bin/tool").is_some());
         assert!(index.entry("usr/bin/tool").is_none());
+    }
+
+    /// A one-file index whose header declares `orig_len` bytes in `count`
+    /// chunks, followed by `tail`.
+    fn lying_index(orig_len: u64, count: u64, tail: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        for v in [DEFAULT_CHUNK_SIZE, 1] {
+            put_varint(&mut out, v);
+        }
+        put_str(&mut out, "f");
+        out.push(0);
+        for v in [0o644, 0, 0, orig_len, count] {
+            put_varint(&mut out, v);
+        }
+        out.extend_from_slice(tail);
+        out
+    }
+
+    /// Regression: a 2^40 chunk count in a 22-byte index reserved 48 TiB
+    /// before reading one chunk, and the process died on the failed
+    /// allocation (SIGABRT, which no `catch_unwind` stops).
+    #[test]
+    fn from_bytes_caps_the_chunk_reservation_by_its_input() {
+        let data = lying_index(0, 1 << 40, &[]);
+        assert_eq!(data.len(), 22);
+        assert!(SeekableIndex::from_bytes(&data).is_err());
+    }
+
+    /// Regression: `assemble_file` reserved the index's declared length
+    /// before decompressing a single chunk.
+    #[test]
+    fn assemble_file_reserves_nothing_a_lying_index_declares() {
+        let chunk = hpcc_codec::compress::compress(Codec::Lz, b"abc");
+        let mut tail = sha256(&chunk).0.to_vec();
+        put_varint(&mut tail, chunk.len() as u64);
+        put_varint(&mut tail, 3);
+        let index = SeekableIndex::from_bytes(&lying_index(1 << 50, 1, &tail)).unwrap();
+        let chunk = Arc::new(chunk);
+        assert_eq!(
+            index.assemble_file("f", |_| Some(Arc::clone(&chunk))),
+            Err(SquashError::Codec(CodecError::Corrupt(
+                "reassembled length mismatch"
+            )))
+        );
+    }
+
+    proptest::proptest! {
+        /// Structure-aware garbage: valid magic and header varints, one
+        /// file entry with arbitrary declared lengths, then arbitrary
+        /// bytes. Parsing, and assembling whatever parses, must return,
+        /// never panic or abort.
+        #[test]
+        fn from_bytes_never_panics_on_garbage(
+            orig_len in proptest::prelude::any::<u64>(),
+            count in proptest::prop_oneof![
+                0u64..3,
+                (1u64 << 36)..(1u64 << 56),
+                proptest::prelude::any::<u64>()
+            ],
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..160),
+        ) {
+            if let Ok(index) = SeekableIndex::from_bytes(&lying_index(orig_len, count, &tail)) {
+                let chunk = Arc::new(hpcc_codec::compress::compress(Codec::Lz, &tail));
+                let _ = index.assemble_file("f", |_| Some(Arc::clone(&chunk)));
+            }
+        }
     }
 }

@@ -227,17 +227,6 @@ impl SquashImage {
         self.bytes.len() as u64
     }
 
-    /// Sum of original (uncompressed) file sizes.
-    pub fn original_bytes(&self) -> u64 {
-        self.index
-            .values()
-            .map(|e| match e {
-                SquashEntry::File { orig_len, .. } => *orig_len,
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// Content digest of the image file.
     pub fn digest(&self) -> Digest {
         sha256(&self.bytes)
@@ -356,6 +345,17 @@ impl SquashImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sum of original (uncompressed) file sizes.
+    fn original_bytes(img: &SquashImage) -> u64 {
+        img.index
+            .values()
+            .map(|e| match e {
+                SquashEntry::File { orig_len, .. } => *orig_len,
+                _ => 0,
+            })
+            .sum()
+    }
 
     fn p(s: &str) -> VPath {
         VPath::parse(s)
@@ -480,10 +480,10 @@ mod tests {
     fn compression_shrinks_image() {
         let img = image();
         assert!(
-            img.len_bytes() < img.original_bytes(),
+            img.len_bytes() < original_bytes(&img),
             "stored {} >= original {}",
             img.len_bytes(),
-            img.original_bytes()
+            original_bytes(&img)
         );
     }
 
@@ -582,7 +582,7 @@ mod tests {
         let fs = sample_fs();
         let img = SquashImage::build(&fs, &VPath::root(), Codec::Store).unwrap();
         assert_eq!(img.read_file("usr/lib/libc.so").unwrap(), vec![b'c'; 4096]);
-        assert!(img.len_bytes() >= img.original_bytes());
+        assert!(img.len_bytes() >= original_bytes(&img));
     }
 
     #[test]
@@ -590,12 +590,40 @@ mod tests {
         let fs = MemFs::new();
         let img = SquashImage::build(&fs, &VPath::root(), Codec::Lz).unwrap();
         assert_eq!(img.entry_count(), 0);
-        assert_eq!(img.original_bytes(), 0);
+        assert_eq!(original_bytes(&img), 0);
         assert!(img
             .unpack()
             .unwrap()
             .list(&VPath::root())
             .unwrap()
             .is_empty());
+    }
+
+    proptest::proptest! {
+        /// Structure-aware garbage: valid magic and header varints, one
+        /// entry of any kind with arbitrary offsets and lengths, then
+        /// arbitrary bytes. Parsing, reading and unpacking whatever parses
+        /// must return, never panic or abort.
+        #[test]
+        fn from_bytes_never_panics_on_garbage(
+            kind in 0u8..4,
+            offset in proptest::prop_oneof![0u64..64, proptest::prelude::any::<u64>()],
+            stored_len in proptest::prop_oneof![0u64..64, proptest::prelude::any::<u64>()],
+            orig_len in proptest::prelude::any::<u64>(),
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..160),
+        ) {
+            let mut data = MAGIC.to_vec();
+            put_varint(&mut data, 1);
+            put_str(&mut data, "f");
+            data.push(kind);
+            for v in [0o644, 0, 0, offset, stored_len, orig_len] {
+                put_varint(&mut data, v);
+            }
+            data.extend_from_slice(&tail);
+            if let Ok(img) = SquashImage::from_bytes(data) {
+                let _ = img.read_file("f");
+                let _ = img.unpack();
+            }
+        }
     }
 }

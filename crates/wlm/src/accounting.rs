@@ -33,7 +33,7 @@ pub struct UsageRecord {
 
 impl UsageRecord {
     /// Core-seconds consumed.
-    pub fn core_seconds(&self) -> f64 {
+    pub(crate) fn core_seconds(&self) -> f64 {
         self.cores as f64 * self.end.since(self.start).as_secs_f64()
     }
 }

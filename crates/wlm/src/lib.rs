@@ -19,4 +19,4 @@ pub mod types;
 pub use accounting::{Ledger, UsageRecord, UsageSource};
 pub use slurm::{Slurm, WlmError};
 pub use spank::{ContainerSpank, SpankContext, SpankError, SpankPlugin};
-pub use types::{Job, JobId, JobRequest, JobState, NodeId, NodeSpec, NodeState};
+pub use types::{Job, JobId, JobRequest, JobState, NodeId, NodeSpec};

@@ -164,11 +164,6 @@ impl Slurm {
         self.max_requeues = n;
     }
 
-    /// Requeues consumed by a job so far.
-    pub fn requeue_count(&self, id: JobId) -> u32 {
-        self.requeues.get(&id).copied().unwrap_or(0)
-    }
-
     /// The job's journalled execution epoch: how many times it has started
     /// executing (0 = never started).
     pub fn epoch(&self, id: JobId) -> u32 {
@@ -663,7 +658,7 @@ impl Slurm {
             // Real slurm marks "draining"; model: keep allocation, flag
             // handled at completion by caller re-draining.
             NodeState::Allocated(_) => return Err(WlmError::NodeBusy(id)),
-            NodeState::Draining | NodeState::Offline | NodeState::Down => {}
+            NodeState::Draining | NodeState::Offline => {}
         }
         Ok(())
     }
@@ -691,7 +686,7 @@ impl Slurm {
     }
 
     /// Node state (inspection).
-    pub fn node_state(&self, id: NodeId) -> Result<NodeState, WlmError> {
+    pub(crate) fn node_state(&self, id: NodeId) -> Result<NodeState, WlmError> {
         self.nodes
             .get(&id)
             .map(|n| n.state)
@@ -827,12 +822,15 @@ mod tests {
         let b = s.submit(job(2, 100), SimTime::ZERO).unwrap();
         s.schedule(SimTime::ZERO);
         assert!(s.job(a).unwrap().is_running());
-        assert!(s.job(b).unwrap().is_pending());
+        assert_eq!(s.job(b).unwrap().state, JobState::Pending);
         // b starts when a completes.
         s.advance_to(SimTime::ZERO + SimSpan::secs(100));
         assert!(s.job(b).unwrap().is_running());
-        let wait = s.job(b).unwrap().wait_time().unwrap();
-        assert_eq!(wait, SimSpan::secs(100));
+        let started = SimTime::ZERO + SimSpan::secs(100);
+        assert!(
+            matches!(s.job(b).unwrap().state, JobState::Running { started: t, .. } if t == started),
+            "b waited exactly a's runtime"
+        );
     }
 
     #[test]
@@ -846,7 +844,7 @@ mod tests {
         c_req.walltime_limit = SimSpan::secs(200); // ends before A's limit
         let c = s.submit(c_req, SimTime::ZERO).unwrap();
         s.schedule(SimTime::ZERO);
-        assert!(s.job(b).unwrap().is_pending(), "head blocked");
+        assert_eq!(s.job(b).unwrap().state, JobState::Pending, "head blocked");
         assert!(s.job(c).unwrap().is_running(), "c backfilled");
     }
 
@@ -864,7 +862,11 @@ mod tests {
         c_req.walltime_limit = SimSpan::secs(3000);
         let c = s.submit(c_req, SimTime::ZERO).unwrap();
         s.schedule(SimTime::ZERO);
-        assert!(s.job(c).unwrap().is_pending(), "c would delay b");
+        assert_eq!(
+            s.job(c).unwrap().state,
+            JobState::Pending,
+            "c would delay b"
+        );
         // When A ends at 1000, B starts.
         s.advance_to(SimTime::ZERO + SimSpan::secs(1000));
         assert!(s.job(b).unwrap().is_running());
@@ -920,7 +922,7 @@ mod tests {
         s.submit(r1, SimTime::ZERO).unwrap();
         let excl = s.submit(job(1, 10), SimTime::ZERO).unwrap();
         s.schedule(SimTime::ZERO);
-        assert!(s.job(excl).unwrap().is_pending());
+        assert_eq!(s.job(excl).unwrap().state, JobState::Pending);
     }
 
     #[test]
@@ -1000,7 +1002,7 @@ mod tests {
         // Offline node not schedulable: a 2-node job queues.
         let id = s.submit(job(2, 10), SimTime::ZERO).unwrap();
         s.schedule(SimTime::ZERO);
-        assert!(s.job(id).unwrap().is_pending());
+        assert_eq!(s.job(id).unwrap().state, JobState::Pending);
         s.return_node(node).unwrap();
         s.schedule(SimTime::ZERO);
         assert!(s.job(id).unwrap().is_running());
@@ -1086,8 +1088,8 @@ mod tests {
         // Inside the window every start attempt fails and requeues.
         let started = s.schedule(SimTime::ZERO);
         assert!(started.is_empty());
-        assert!(s.job(id).unwrap().is_pending());
-        assert!(s.requeue_count(id) >= 1);
+        assert_eq!(s.job(id).unwrap().state, JobState::Pending);
+        assert!(s.requeues[&id] >= 1);
         assert_eq!(s.idle_nodes(), 2, "failed prolog must release the nodes");
         // Past the window the requeued job starts and completes.
         let t = SimTime::ZERO + SimSpan::secs(100);
@@ -1124,7 +1126,7 @@ mod tests {
             s.schedule(SimTime::ZERO);
         }
         assert!(s.job(id).unwrap().is_failed());
-        assert_eq!(s.requeue_count(id), 2);
+        assert_eq!(s.requeues[&id], 2);
         assert_eq!(s.pending_count(), 0);
         assert_eq!(s.idle_nodes(), 1);
         assert_eq!(inj.metrics().get("wlm.prolog.failures"), 3);
@@ -1155,7 +1157,7 @@ mod tests {
 
         let requeued = s.node_crash(crashed_node, t).unwrap();
         assert_eq!(requeued, vec![victim], "completed job must not requeue");
-        assert!(s.job(victim).unwrap().is_pending());
+        assert_eq!(s.job(victim).unwrap().state, JobState::Pending);
         assert_eq!(s.node_state(crashed_node).unwrap(), NodeState::Offline);
         assert_eq!(s.epoch(victim), 1, "crashed epoch stays journalled");
 
@@ -1445,9 +1447,10 @@ mod tests {
             );
         }
         // Serial packing: third job started at t=200.
-        assert_eq!(
-            s.job(ids[2]).unwrap().wait_time().unwrap(),
-            SimSpan::secs(200)
-        );
+        let started = SimTime::ZERO + SimSpan::secs(200);
+        assert!(matches!(
+            s.job(ids[2]).unwrap().state,
+            JobState::Completed { started: t, .. } if t == started
+        ));
     }
 }

@@ -41,7 +41,7 @@ impl NodeSpec {
 
 /// Node availability state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NodeState {
+pub(crate) enum NodeState {
     Idle,
     /// Allocated to a job.
     Allocated(JobId),
@@ -49,7 +49,6 @@ pub enum NodeState {
     Draining,
     /// Removed from the WLM's control (handed to Kubernetes in §6.1).
     Offline,
-    Down,
 }
 
 /// A job submission.
@@ -124,11 +123,6 @@ pub struct Job {
 }
 
 impl Job {
-    /// True while queued.
-    pub fn is_pending(&self) -> bool {
-        matches!(self.state, JobState::Pending)
-    }
-
     /// True while running.
     pub fn is_running(&self) -> bool {
         matches!(self.state, JobState::Running { .. })
@@ -137,17 +131,6 @@ impl Job {
     /// True when the job failed before start (requeues exhausted).
     pub fn is_failed(&self) -> bool {
         matches!(self.state, JobState::Failed { .. })
-    }
-
-    /// Queue wait (start − submit), if started.
-    pub fn wait_time(&self) -> Option<SimSpan> {
-        match &self.state {
-            JobState::Running { started, .. } | JobState::Completed { started, .. } => {
-                Some(started.since(self.submitted))
-            }
-            JobState::TimedOut { started, .. } => Some(started.since(self.submitted)),
-            _ => None,
-        }
     }
 }
 
@@ -161,22 +144,5 @@ mod tests {
         assert_eq!(r.nodes, 4);
         assert!(r.exclusive);
         assert_eq!(r.walltime_limit, SimSpan::secs(1200));
-    }
-
-    #[test]
-    fn wait_time_requires_a_start() {
-        let r = JobRequest::batch("j", 1, 1, SimSpan::secs(1));
-        let mut job = Job {
-            id: JobId(1),
-            request: r,
-            state: JobState::Pending,
-            submitted: SimTime(100),
-        };
-        assert_eq!(job.wait_time(), None);
-        job.state = JobState::Running {
-            started: SimTime(400),
-            nodes: vec![NodeId(0)],
-        };
-        assert_eq!(job.wait_time(), Some(SimSpan(300)));
     }
 }

@@ -16,7 +16,10 @@
 #                write path encodes and hashes a layer once (no
 #                `.digest()` and no spare `.to_bytes()` in the build
 #                service, build cache or image builder) and hpcc-crypto
-#                has no `unsafe`
+#                has no `unsafe`; one public surface: a `pub` item nothing
+#                outside its crate names is a FAIL naming the item (it is
+#                `pub(crate)` or deleted), and no `allow(dead_code)` or
+#                `allow(unused…)` under crates/, tests/ or examples/
 #   test         full test suite, then hpcc-codec and hpcc-vfs again under
 #                `taskset -c 0` so the inline (one-core) path of block
 #                compression is exercised too (skipped with a notice when
@@ -230,6 +233,79 @@ stage_lint() {
         fi
     done
     echo "OK: no unsafe in hpcc-crypto, no second encoding or digest on the write path"
+    echo "==> one public surface (docs/pr/25.md)"
+    # `pub` hides an item from rustc's dead_code lint, and every module is
+    # `pub mod`, so `unreachable_pub` cannot tell either: check names. A
+    # `pub` item above a library's test module must be named outside the
+    # library (other crates, tests/, examples/, benchmark/src, its own
+    # src/bin) or by another `pub` signature of the library (a type it
+    # exposes); comments name nothing, doc links do.
+    local lib crate bad=0
+    for lib in crates/*/src/lib.rs; do
+        crate="${lib%/src/lib.rs}"
+        find "$crate/src" -name '*.rs' -not -path "$crate/src/bin/*" | sort > "$tmpdir/lib"
+        { find crates/*/src tests examples benchmark/src -name '*.rs' -not -path "$crate/src/*"
+          find "$crate/src" -path "$crate/src/bin/*" -name '*.rs'; } \
+            | xargs awk '!/^[ \t]*\/\// { print; next }
+                { s = $0; while (match(s, /\[[^]]*\]/)) { print substr(s, RSTART, RLENGTH); s = substr(s, RSTART + RLENGTH) } }' \
+            | tr -cs 'A-Za-z0-9_' '\n' | sort -u > "$tmpdir/outside"
+        # First the outside words, then the library. A signature runs from
+        # a `pub` line to its `{` or `;` (a field to its `,`; an enum, a
+        # trait or an exported macro to its closing brace), plus trait
+        # impls' associated types; within `impl T`, signatures do not
+        # count as exposing `T` itself.
+        xargs awk '
+            FNR == NR { outside[$0] = 1; next }
+            FNR == 1 { done = 0; sig = 0; gated = 0; owner = "" }
+            done { next }
+            prev ~ /^#\[cfg\(test\)\]/ && /^(pub(\([a-z]+\))? )?mod / { done = 1; next }
+            { prev = $0 }
+            /^[ \t]*#\[cfg\(test\)\]/ { gated = 1; next }
+            /^#\[macro_export\]/ { exported = 1; next }
+            /^[ \t]*(#|\/\/)/ { next }
+            /^impl[ <]/ {
+                owner = $0; sub(/^impl(<[^>]*>+)? */, "", owner); sub(/.* for +/, "", owner)
+                sub(/[^A-Za-z0-9_].*/, "", owner); if (/\{ *\}$/) owner = ""
+            }
+            /^}/ { owner = "" }
+            /^[ \t]*pub +/ && !/^[ \t]*pub +(use|mod|extern) / && !sig {
+                s = $0
+                sub(/^[ \t]*pub +((const|async|unsafe) +)*(fn|struct|enum|trait|type|const|static) +/, "", s)
+                if (!gated && s != $0 && match(s, /^[A-Za-z_][A-Za-z0-9_]*/)) {
+                    n++; name[n] = substr(s, 1, RLENGTH); at[n] = FILENAME ":" FNR
+                }
+                sig = 1; chunks++; indent = $0; sub(/[^ \t].*/, "", indent)
+                body = $0 ~ /^[ \t]*pub +(enum|trait) /
+                field = $0 ~ /^[ \t]*pub +[A-Za-z_][A-Za-z0-9_]* *:/
+            }
+            /^    type [A-Za-z_]+.*=/ && !sig { sig = 1; chunks++; body = 0; field = 0 }
+            /^macro_rules!/ && exported { sig = 1; chunks++; indent = ""; body = 1; field = 0 }
+            { gated = 0; exported = 0 }
+            sig {
+                line = $0; gsub(/[^A-Za-z0-9_]+/, " ", line)
+                k = split(line, w, " ")
+                for (i = 1; i <= k; i++) if (seen[w[i]] != chunks && w[i] != owner) { seen[w[i]] = chunks; named[w[i]]++ }
+                if (body) { if ($0 == indent "}" || $0 ~ /^[ \t]*pub .*(\{ *\}|;)[ \t]*$/) sig = 0 }
+                else if (field ? $0 ~ /,[ \t]*$/ : $0 ~ /[{;]/) sig = 0
+            }
+            END {
+                # Its own declaration is one signature naming it.
+                for (i = 1; i <= n; i++) if (!(name[i] in outside) && named[name[i]] < 2)
+                    print "FAIL: " at[i] ": pub " name[i] " is named nowhere outside its crate; make it pub(crate), or delete it"
+            }' "$tmpdir/outside" < "$tmpdir/lib" > "$tmpdir/surface"
+        if [[ -s "$tmpdir/surface" ]]; then
+            cat "$tmpdir/surface" >&2
+            bad=1
+        fi
+    done
+    if grep -rnE 'allow\((dead_code|unused)' crates tests examples --include='*.rs'; then
+        echo "FAIL: dead code is deleted, not allowed" >&2
+        bad=1
+    fi
+    if [[ "$bad" != 0 ]]; then
+        exit 1
+    fi
+    echo "OK: every pub item is named outside its crate or by a pub signature; no dead code allowed"
 }
 
 stage_test() {
