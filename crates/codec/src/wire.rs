@@ -7,7 +7,7 @@
 pub enum WireError {
     /// Input ended before the value was complete.
     Truncated,
-    /// A varint ran longer than 10 bytes.
+    /// A varint ran longer than 10 bytes or past 64 bits.
     VarintOverflow,
     /// A declared length exceeds the remaining input.
     BadLength(u64),
@@ -19,7 +19,7 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireError::Truncated => f.write_str("input truncated"),
-            WireError::VarintOverflow => f.write_str("varint longer than 10 bytes"),
+            WireError::VarintOverflow => f.write_str("varint overflows 64 bits"),
             WireError::BadLength(n) => write!(f, "declared length {n} exceeds input"),
             WireError::BadUtf8 => f.write_str("invalid UTF-8 in string field"),
         }
@@ -87,6 +87,11 @@ impl<'a> Reader<'a> {
         let mut shift = 0u32;
         for _ in 0..10 {
             let byte = self.u8()?;
+            // The tenth byte carries bit 63 only; anything above would be
+            // shifted out of the u64.
+            if shift == 63 && byte > 1 {
+                return Err(WireError::VarintOverflow);
+            }
             v |= ((byte & 0x7f) as u64) << shift;
             if byte & 0x80 == 0 {
                 return Ok(v);
@@ -175,6 +180,26 @@ mod tests {
         let buf = [0x80u8; 11];
         let mut r = Reader::new(&buf);
         assert_eq!(r.varint(), Err(WireError::VarintOverflow));
+    }
+
+    /// Regression: a tenth byte above 1 was shifted out of the u64, so
+    /// `[0x80 ×9, 0x02]` decoded to 0 and `[0xff ×9, 0x7f]` to `u64::MAX`.
+    #[test]
+    fn tenth_byte_past_bit_63_rejected() {
+        for last in [0x02u8, 0x7f] {
+            for fill in [0x80u8, 0xff] {
+                let mut buf = vec![fill; 9];
+                buf.push(last);
+                assert_eq!(
+                    Reader::new(&buf).varint(),
+                    Err(WireError::VarintOverflow),
+                    "{buf:02x?}"
+                );
+            }
+        }
+        let mut max = vec![0xffu8; 9];
+        max.push(0x01);
+        assert_eq!(Reader::new(&max).varint(), Ok(u64::MAX));
     }
 
     #[test]

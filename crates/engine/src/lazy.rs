@@ -82,10 +82,9 @@ pub fn publish_seekable(
             registry.push_blob(MediaType::Layer, *digest, data.as_ref().clone())?;
         }
     }
-    let bytes = index.to_bytes();
-    let digest = sha256(&bytes);
+    let digest = index.digest();
     if !registry.has_blob(&digest) {
-        registry.push_blob(MediaType::UserDefined, digest, bytes)?;
+        registry.push_blob(MediaType::UserDefined, digest, index.to_bytes())?;
     }
     Ok((digest, index))
 }
@@ -195,7 +194,7 @@ impl Engine {
                 (bytes, label)
             }
         };
-        let index = SeekableIndex::from_bytes(&index_bytes)?;
+        let index = SeekableIndex::from_shared(index_bytes)?;
         // Mount setup (index parse + FUSE session) — one interposed op.
         let profile = DriverProfile::fuse_squash();
         clock.advance(profile.per_op);
@@ -272,10 +271,9 @@ impl LazyContainer<'_> {
     pub fn touch(&self, path: &str, clock: &SimClock) -> Result<u64, EngineError> {
         clock.advance(self.profile.per_op);
         let real = self.index.resolve(path)?;
-        match self.index.entry(&real) {
-            Some(SeekableEntry::File { orig_len, .. }) => Ok(*orig_len),
-            Some(_) => Ok(0),
-            None => Err(EngineError::Squash(SquashError::NotFound(path.to_string()))),
+        match self.index.entry(real) {
+            Some(SeekableEntry::File { orig_len, .. }) => Ok(orig_len),
+            _ => Ok(0),
         }
     }
 

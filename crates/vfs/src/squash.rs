@@ -14,6 +14,7 @@ use crate::path::VPath;
 use hpcc_codec::compress::{compress_blocks, decompress, Codec, CodecError};
 use hpcc_codec::wire::{put_str, put_varint, Reader, WireError};
 use hpcc_crypto::sha256::{sha256, Digest};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -86,6 +87,96 @@ impl std::fmt::Display for SquashError {
 
 impl std::error::Error for SquashError {}
 
+/// Well-formed input that contradicts the format.
+pub(crate) fn corrupt(what: &'static str) -> SquashError {
+    SquashError::Codec(CodecError::Corrupt(what))
+}
+
+/// Resolve an image-relative `path` to the entry it ends at, expanding a
+/// symlink at any component as [`MemFs`] does — `lib/libm.so` through
+/// `lib -> usr/lib` included. `lookup` finds an entry by its exact path;
+/// `link` is a symlink entry's target and `None` for anything else. The
+/// full path is tried first, so a path without symlinks costs one lookup.
+pub(crate) fn resolve_in_image<'a, E: Copy>(
+    path: &str,
+    lookup: impl Fn(&str) -> Option<E>,
+    link: impl Fn(E) -> Option<&'a str>,
+) -> Result<E, SquashError> {
+    let not_found = || SquashError::NotFound(path.to_string());
+    let mut current = Cow::Borrowed(path);
+    // At most 40 expansions, as in `MemFs`, before it is a loop.
+    for _ in 0..40 {
+        // The symlink to expand: the whole path, or its first prefix that
+        // is one (a missing prefix means a missing path).
+        let (at, target) = match lookup(current.as_ref()) {
+            Some(e) => match link(e) {
+                Some(target) => (current.len(), target),
+                None => return Ok(e),
+            },
+            None => current
+                .match_indices('/')
+                .find_map(|(i, _)| match lookup(&current[..i]) {
+                    Some(e) => link(e).map(|target| Some((i, target))),
+                    None => Some(None),
+                })
+                .flatten()
+                .ok_or_else(not_found)?,
+        };
+        let parent = VPath::parse(&current[..at]).parent();
+        let mut next = parent.unwrap_or_else(VPath::root).join(target);
+        if at < current.len() {
+            next = next.join(&current[at + 1..]);
+        }
+        current = Cow::Owned(next.to_string().trim_start_matches('/').to_string());
+    }
+    Err(SquashError::SymlinkLoop(path.to_string()))
+}
+
+/// One entry of an image's source tree as both formats store it:
+/// image-relative path, metadata, a file's bytes, a symlink's target.
+pub(crate) type Walked = (String, Meta, Option<Arc<Vec<u8>>>, Option<String>);
+
+/// The subtree of `fs` at `root` in walk order.
+pub(crate) fn walk_image(fs: &MemFs, root: &VPath) -> Result<Vec<Walked>, SquashError> {
+    let mut walked = Vec::new();
+    for p in fs.walk(root)? {
+        let st = fs.lstat(&p)?;
+        let (data, target) = match st.kind {
+            FileType::File => (Some(fs.read(&p)?), None),
+            FileType::Dir => (None, None),
+            FileType::Symlink => (None, Some(fs.readlink(&p)?)),
+        };
+        let rel = p
+            .rebase(root, &VPath::root())
+            .expect("walked path under root");
+        let rel = rel.to_string().trim_start_matches('/').to_string();
+        walked.push((rel, st.meta, data, target));
+    }
+    Ok(walked)
+}
+
+/// Encode a walked entry's path, kind byte (0 file, 1 dir, 2 symlink)
+/// and metadata: the head every entry of both formats starts with.
+pub(crate) fn put_entry_head(out: &mut Vec<u8>, (path, meta, data, target): &Walked) {
+    put_str(out, path);
+    out.push(match (data, target) {
+        (Some(_), _) => 0,
+        (None, None) => 1,
+        (None, Some(_)) => 2,
+    });
+    for v in [meta.mode, meta.uid, meta.gid] {
+        put_varint(out, v as u64);
+    }
+}
+
+pub(crate) fn read_meta(r: &mut Reader<'_>) -> Result<Meta, SquashError> {
+    Ok(Meta {
+        mode: r.varint()? as u32,
+        uid: r.varint()? as u32,
+        gid: r.varint()? as u32,
+    })
+}
+
 /// An immutable single-file image: parsed index plus the raw bytes.
 #[derive(Debug, Clone)]
 pub struct SquashImage {
@@ -100,67 +191,31 @@ pub struct SquashImage {
 impl SquashImage {
     /// Pack the subtree of `fs` at `root` into an image using `codec`.
     pub fn build(fs: &MemFs, root: &VPath, codec: Codec) -> Result<SquashImage, SquashError> {
-        // First pass: collect entries; file payloads are compressed side
-        // by side afterwards, one independent block per file.
-        struct Pending {
-            path: String,
-            kind: u8,
-            meta: Meta,
-            data: Option<Arc<Vec<u8>>>,
-            target: Option<String>,
-        }
-        let mut pending = Vec::new();
-        for p in fs.walk(root)? {
-            let rel = p
-                .rebase(root, &VPath::root())
-                .expect("walked path under root")
-                .to_string()
-                .trim_start_matches('/')
-                .to_string();
-            let st = fs.lstat(&p)?;
-            let (kind, data, target) = match st.kind {
-                FileType::File => (0, Some(fs.read(&p)?), None),
-                FileType::Dir => (1, None, None),
-                FileType::Symlink => (2, None, Some(fs.readlink(&p)?)),
-            };
-            pending.push(Pending {
-                path: rel,
-                kind,
-                meta: st.meta,
-                data,
-                target,
-            });
-        }
-        let blocks: Vec<&[u8]> = pending
+        // Walk first; file payloads are compressed side by side
+        // afterwards, one independent block per file.
+        let walked = walk_image(fs, root)?;
+        let blocks: Vec<&[u8]> = walked
             .iter()
-            .filter_map(|p| p.data.as_ref().map(|d| d.as_slice()))
+            .filter_map(|(_, _, data, _)| data.as_ref().map(|d| d.as_slice()))
             .collect();
         let stored = compress_blocks(codec, &blocks);
 
         // Serialize: header + index + blobs, offsets in entry order.
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        put_varint(&mut out, pending.len() as u64);
+        let mut out = MAGIC.to_vec();
+        put_varint(&mut out, walked.len() as u64);
         let mut blobs = stored.iter();
         let mut offset = 0u64;
-        for p in &pending {
-            put_str(&mut out, &p.path);
-            out.push(p.kind);
-            put_varint(&mut out, p.meta.mode as u64);
-            put_varint(&mut out, p.meta.uid as u64);
-            put_varint(&mut out, p.meta.gid as u64);
-            match p.kind {
-                0 => {
-                    let data = p.data.as_ref().expect("file has data");
-                    let blob = blobs.next().expect("one block per file");
-                    put_varint(&mut out, offset);
-                    put_varint(&mut out, blob.len() as u64);
-                    put_varint(&mut out, data.len() as u64);
-                    offset += blob.len() as u64;
-                }
-                1 => {}
-                2 => put_str(&mut out, p.target.as_ref().expect("symlink has target")),
-                _ => unreachable!(),
+        for entry in &walked {
+            put_entry_head(&mut out, entry);
+            if let (_, _, Some(data), _) = entry {
+                let blob = blobs.next().expect("one block per file");
+                put_varint(&mut out, offset);
+                put_varint(&mut out, blob.len() as u64);
+                put_varint(&mut out, data.len() as u64);
+                offset += blob.len() as u64;
+            }
+            if let (_, _, _, Some(target)) = entry {
+                put_str(&mut out, target);
             }
         }
         out.reserve_exact(offset as usize);
@@ -182,11 +237,7 @@ impl SquashImage {
         for _ in 0..n {
             let path = r.str()?.to_string();
             let kind = r.u8()?;
-            let meta = Meta {
-                mode: r.varint()? as u32,
-                uid: r.varint()? as u32,
-                gid: r.varint()? as u32,
-            };
+            let meta = read_meta(&mut r)?;
             let entry = match kind {
                 0 => SquashEntry::File {
                     meta,
@@ -247,34 +298,25 @@ impl SquashImage {
         self.index.get(path)
     }
 
-    /// Resolve symlinks within the image to a final entry path.
-    fn resolve(&self, path: &str) -> Result<String, SquashError> {
-        let mut current = path.to_string();
-        for _ in 0..40 {
-            match self.index.get(&current) {
-                Some(SquashEntry::Symlink { target, .. }) => {
-                    let dir = VPath::parse(&current).parent().unwrap_or_else(VPath::root);
-                    current = dir
-                        .join(target)
-                        .to_string()
-                        .trim_start_matches('/')
-                        .to_string();
-                }
-                Some(_) => return Ok(current),
-                None => return Err(SquashError::NotFound(path.to_string())),
-            }
-        }
-        Err(SquashError::SymlinkLoop(path.to_string()))
+    /// The entry `path` ends at, symlinks followed.
+    fn resolve(&self, path: &str) -> Result<&SquashEntry, SquashError> {
+        resolve_in_image(
+            path,
+            |p| self.index.get(p),
+            |e| match e {
+                SquashEntry::Symlink { target, .. } => Some(target.as_str()),
+                _ => None,
+            },
+        )
     }
 
     /// Read (and decompress) one file. This is the random-access operation
     /// whose cost the kernel/FUSE drivers model.
     pub fn read_file(&self, path: &str) -> Result<Vec<u8>, SquashError> {
-        let real = self.resolve(path)?;
-        match self.index.get(&real) {
-            Some(SquashEntry::File {
+        match self.resolve(path)? {
+            SquashEntry::File {
                 offset, stored_len, ..
-            }) => {
+            } => {
                 // Offsets and lengths come from the image's own index
                 // bytes: overflow is corruption, not a panic.
                 let block = (|| {
@@ -284,25 +326,22 @@ impl SquashImage {
                     let end = start.checked_add(usize::try_from(*stored_len).ok()?)?;
                     self.bytes.get(start..end)
                 })()
-                .ok_or(SquashError::Codec(CodecError::Corrupt("blob out of range")))?;
+                .ok_or(corrupt("blob out of range"))?;
                 Ok(decompress(block)?)
             }
-            Some(_) => Err(SquashError::NotAFile(path.to_string())),
-            None => Err(SquashError::NotFound(path.to_string())),
+            _ => Err(SquashError::NotAFile(path.to_string())),
         }
     }
 
     /// The stored (compressed) length of one file, for IO accounting.
     pub fn stored_len(&self, path: &str) -> Result<(u64, u64), SquashError> {
-        let real = self.resolve(path)?;
-        match self.index.get(&real) {
-            Some(SquashEntry::File {
+        match self.resolve(path)? {
+            SquashEntry::File {
                 stored_len,
                 orig_len,
                 ..
-            }) => Ok((*stored_len, *orig_len)),
-            Some(_) => Err(SquashError::NotAFile(path.to_string())),
-            None => Err(SquashError::NotFound(path.to_string())),
+            } => Ok((*stored_len, *orig_len)),
+            _ => Err(SquashError::NotAFile(path.to_string())),
         }
     }
 
@@ -310,30 +349,23 @@ impl SquashImage {
     /// extract-to-node-local-dir strategies do).
     pub fn unpack(&self) -> Result<MemFs, SquashError> {
         let mut fs = MemFs::new();
-        // Dirs first (BTreeMap order already gives parents before children
-        // because '/' sorts low, but create parents defensively).
+        // Path order puts parents first; create them defensively anyway.
         for (path, entry) in &self.index {
             let at = VPath::root().join(path);
+            if let Some(parent) = at.parent() {
+                fs.mkdir_p(&parent)?;
+            }
             match entry {
                 SquashEntry::Dir { meta } => {
-                    if let Some(parent) = at.parent() {
-                        fs.mkdir_p(&parent)?;
-                    }
                     if !fs.exists(&at) {
                         fs.mkdir(&at, *meta)?;
                     }
                 }
                 SquashEntry::File { meta, .. } => {
-                    if let Some(parent) = at.parent() {
-                        fs.mkdir_p(&parent)?;
-                    }
                     let data = self.read_file(path)?;
                     fs.write(&at, data, *meta)?;
                 }
                 SquashEntry::Symlink { target, .. } => {
-                    if let Some(parent) = at.parent() {
-                        fs.mkdir_p(&parent)?;
-                    }
                     fs.symlink(&at, target)?;
                 }
             }

@@ -16,7 +16,10 @@
 #                write path encodes and hashes a layer once (no
 #                `.digest()` and no spare `.to_bytes()` in the build
 #                service, build cache or image builder) and hpcc-crypto
-#                has no `unsafe`; one public surface: a `pub` item nothing
+#                has no `unsafe`; the seekable index is a flat table over
+#                its bytes (no `BTreeMap<String` in seekable.rs) and the
+#                engine shares the index blob (no `from_bytes` copy in
+#                lazy.rs); one public surface: a `pub` item nothing
 #                outside its crate names is a FAIL naming the item (it is
 #                `pub(crate)` or deleted), and no `allow(dead_code)` or
 #                `allow(unused…)` under crates/, tests/ or examples/
@@ -233,6 +236,16 @@ stage_lint() {
         fi
     done
     echo "OK: no unsafe in hpcc-crypto, no second encoding or digest on the write path"
+    echo "==> the lazy-pull index is its own bytes (DESIGN.md §\"Lazy image format\")"
+    if sed '/#\[cfg(test)\]/q' crates/vfs/src/seekable.rs | grep -n 'BTreeMap<String'; then
+        echo "FAIL: crates/vfs/src/seekable.rs maps owned paths again; the index is a flat table over its encoding" >&2
+        exit 1
+    fi
+    if sed '/#\[cfg(test)\]/q' crates/engine/src/lazy.rs | grep -n 'SeekableIndex::from_bytes'; then
+        echo "FAIL: crates/engine/src/lazy.rs copies the index blob; hand its Arc to SeekableIndex::from_shared" >&2
+        exit 1
+    fi
+    echo "OK: no path map in the seekable index, no copy of the index blob in the engine"
     echo "==> one public surface (docs/pr/25.md)"
     # `pub` hides an item from rustc's dead_code lint, and every module is
     # `pub mod`, so `unreachable_pub` cannot tell either: check names. A

@@ -2,16 +2,19 @@
 //! trees through diff/apply/flatten/squash, random job streams through
 //! the scheduler, random blobs through the CAS.
 
+use hpcc_codec::compress::Codec;
 use hpcc_oci::cas::Cas;
 use hpcc_oci::image::MediaType;
 use hpcc_oci::layer;
 use hpcc_sim::{FaultInjector, FaultKind, FaultRule, SimClock, SimSpan, SimTime};
-use hpcc_vfs::fs::MemFs;
+use hpcc_vfs::fs::{FileType, MemFs};
 use hpcc_vfs::path::VPath;
+use hpcc_vfs::seekable::SeekableIndex;
 use hpcc_vfs::squash::SquashImage;
 use hpcc_wlm::slurm::Slurm;
 use hpcc_wlm::types::{JobRequest, JobState, NodeSpec};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 // ------------------------------------------------------------ fixtures
@@ -186,7 +189,7 @@ proptest! {
     fn squash_roundtrip(ops in proptest::collection::vec(arb_op(), 0..30)) {
         let mut fs = MemFs::new();
         apply_ops(&mut fs, &ops);
-        let img = SquashImage::build(&fs, &VPath::root(), hpcc_codec::compress::Codec::Lz).unwrap();
+        let img = SquashImage::build(&fs, &VPath::root(), Codec::Lz).unwrap();
         let restored = img.unpack().unwrap();
         prop_assert_eq!(
             restored.tree_digest(&VPath::root()).unwrap(),
@@ -195,6 +198,61 @@ proptest! {
         // And the serialized image reparses identically.
         let reparsed = SquashImage::from_bytes(img.as_bytes().to_vec()).unwrap();
         prop_assert_eq!(reparsed.digest(), img.digest());
+    }
+
+    /// Every real path, and every path through a symlinked directory,
+    /// reads alike from `MemFs`, a squash image and a seekable index: all
+    /// three `Ok` with equal bytes, or all three `Err`.
+    #[test]
+    fn image_reads_follow_symlinks_like_memfs(
+        ops in proptest::collection::vec(arb_op(), 0..30),
+        links in proptest::collection::vec((any::<u8>(), "[a-d]{1,3}"), 1..4),
+        probes in proptest::collection::vec(arb_path(), 0..8),
+    ) {
+        let mut fs = MemFs::new();
+        apply_ops(&mut fs, &ops);
+        // Link a few directories the ops made, from beside them or from
+        // the root, so paths through a directory symlink are never rare.
+        for (pick, name) in &links {
+            let dirs: Vec<VPath> = fs.walk(&VPath::root()).unwrap().into_iter()
+                .filter(|p| fs.lstat(p).is_ok_and(|st| st.kind == FileType::Dir))
+                .collect();
+            if let Some(dir) = dirs.get(*pick as usize % dirs.len().max(1)) {
+                let _ = if pick % 2 == 0 {
+                    let parent = dir.parent().unwrap_or_else(VPath::root);
+                    fs.symlink(&parent.child(name), dir.file_name().unwrap())
+                } else {
+                    fs.symlink(&VPath::root().child(name), dir.to_string().trim_start_matches('/'))
+                };
+            }
+        }
+        let mut paths = fs.walk(&VPath::root()).unwrap();
+        for link in paths.clone() {
+            if fs.lstat(&link).unwrap().kind != FileType::Symlink {
+                continue;
+            }
+            // Two levels below each symlinked directory.
+            let mut level = vec![link];
+            for _ in 0..2 {
+                level = level.iter()
+                    .flat_map(|dir| fs.list(dir).into_iter().flatten().map(|name| dir.child(&name)))
+                    .collect();
+                paths.extend(level.iter().cloned());
+            }
+        }
+        paths.extend(probes.iter().map(|p| VPath::parse(p)));
+
+        let squash = SquashImage::build(&fs, &VPath::root(), Codec::Lz).unwrap();
+        let (index, chunks) = SeekableIndex::build(&fs, &VPath::root(), Codec::Lz, 16).unwrap();
+        let chunks: HashMap<_, _> = chunks.into_iter().collect();
+        for path in &paths {
+            let rel = path.to_string();
+            let rel = rel.trim_start_matches('/');
+            let want = fs.read(path).ok().map(|data| data.to_vec());
+            prop_assert_eq!(squash.read_file(rel).ok(), want.clone(), "squash {}", rel);
+            let seekable = index.assemble_file(rel, |d| chunks.get(d).cloned());
+            prop_assert_eq!(seekable.ok(), want, "seekable {}", rel);
+        }
     }
 
     /// CAS: logical ≥ stored, and content always reads back verbatim.
