@@ -43,7 +43,7 @@ use hpcc_k8s::kubelet::{CriRuntime, Kubelet, KubeletMode};
 use hpcc_k8s::objects::{PodSpec, Resources};
 use hpcc_sim::sym;
 use hpcc_sim::{
-    DomainHealth, DomainSchedule, FaultInjector, FaultKind, SimSpan, SimTime, Stage, Tracer,
+    DomainHealth, DomainSchedule, FaultInjector, FaultKind, SimSpan, SimTime, Stage, Symbol, Tracer,
 };
 use hpcc_wlm::accounting::{UsageRecord, UsageSource};
 use hpcc_wlm::types::{NodeId, NodeSpec};
@@ -380,7 +380,7 @@ impl Controller {
         kind: DecisionKind,
         requested: u32,
         applied: u32,
-        context: [(&str, String); N],
+        context: [(Symbol, String); N],
     ) {
         self.decisions.push(Decision {
             at: t,
@@ -392,15 +392,19 @@ impl Controller {
             DecisionKind::Grow => "grow",
             DecisionKind::Release => "release",
         };
-        let mut attrs = vec![
-            ("policy", self.policy.name().to_string()),
-            ("action", action.to_string()),
-            ("requested", requested.to_string()),
-            ("applied", applied.to_string()),
+        let attrs = [
+            (sym!("policy"), self.policy.name().to_string()),
+            (sym!("action"), action.to_string()),
+            (sym!("requested"), requested.to_string()),
+            (sym!("applied"), applied.to_string()),
         ];
-        attrs.extend(context);
-        w.tracer
-            .record(sym!("adapt.decision"), Stage::Adapt, t, t, &attrs);
+        w.tracer.record(
+            sym!("adapt.decision"),
+            Stage::Adapt,
+            t,
+            t,
+            attrs.into_iter().chain(context),
+        );
     }
 
     /// Close `agent`'s books at `t`: the capacity it offered, and — for a
@@ -500,17 +504,17 @@ impl Controller {
                     Stage::Adapt,
                     t,
                     t,
-                    &[
-                        ("skipped", domain_skipped.to_string()),
-                        ("granted", granted.to_string()),
+                    [
+                        (sym!("skipped"), domain_skipped.to_string()),
+                        (sym!("granted"), granted.to_string()),
                     ],
                 );
             }
         }
         if requested > 0 {
             let context = [
-                ("pending_pods", pods.pending.to_string()),
-                ("supplying", signals.supplying().to_string()),
+                (sym!("pending_pods"), pods.pending.to_string()),
+                (sym!("supplying"), signals.supplying().to_string()),
             ];
             self.decide(w, t, DecisionKind::Grow, requested, drained, context);
         }
@@ -532,10 +536,10 @@ impl Controller {
                     Stage::Adapt,
                     t,
                     t,
-                    &[
-                        ("node", prov.node.0.to_string()),
-                        ("attempts", attempts.to_string()),
-                        ("retried", within_budget.to_string()),
+                    [
+                        (sym!("node"), prov.node.0.to_string()),
+                        (sym!("attempts"), attempts.to_string()),
+                        (sym!("retried"), within_budget.to_string()),
                     ],
                 );
                 if within_budget {
@@ -561,9 +565,9 @@ impl Controller {
                 Stage::Adapt,
                 prov.drained_at,
                 t,
-                &[
-                    ("node", prov.node.0.to_string()),
-                    ("attempts", (prov.attempts + 1).to_string()),
+                [
+                    (sym!("node"), prov.node.0.to_string()),
+                    (sym!("attempts"), (prov.attempts + 1).to_string()),
                 ],
             );
             self.set_phase(prov.node, NodePhase::Agent { since: t });
@@ -587,7 +591,7 @@ impl Controller {
                 Stage::Adapt,
                 ret.released_at,
                 t,
-                &[("node", ret.node.0.to_string())],
+                [(sym!("node"), ret.node.0.to_string())],
             );
         }
 
@@ -649,7 +653,7 @@ impl Controller {
             if released > 0 {
                 self.last_release = Some(t);
             }
-            let context = [("idle_ready", idle_ready.to_string())];
+            let context = [(sym!("idle_ready"), idle_ready.to_string())];
             self.decide(w, t, DecisionKind::Release, to_release, released, context);
         }
 

@@ -93,7 +93,7 @@ fn chain(eng: &mut Engine<DispatchWorld>, w: &mut DispatchWorld) {
         Stage::Other,
         now,
         now + SimSpan::nanos(64),
-        &[],
+        [],
     );
     w.fired += 1;
     if w.remaining > 0 {

@@ -185,7 +185,10 @@ pub fn build_fleet(
                             Stage::Cache,
                             at,
                             probe_done,
-                            &[("result", "hit".into()), ("step", label.clone())],
+                            [
+                                (sym!("result"), "hit".into()),
+                                (sym!("step"), label.clone()),
+                            ],
                         );
                         Ok(TaskFinish::at(done)
                             .attr("step", &label)
@@ -199,7 +202,10 @@ pub fn build_fleet(
                             Stage::Cache,
                             at,
                             probe_done,
-                            &[("result", "miss".into()), ("step", label.clone())],
+                            [
+                                (sym!("result"), "miss".into()),
+                                (sym!("step"), label.clone()),
+                            ],
                         );
                         let before = st.fs.clone();
                         let mut bytes = 0u64;

@@ -632,7 +632,10 @@ impl Engine {
                 Stage::Other,
                 now,
                 now,
-                &[("point", c.point.to_string()), ("seq", c.seq.to_string())],
+                [
+                    (sym!("point"), c.point.to_string()),
+                    (sym!("seq"), c.seq.to_string()),
+                ],
             );
         }
         tracer.end(span, clock.now());
@@ -998,7 +1001,7 @@ impl Engine {
                     Stage::Cache,
                     t_cache,
                     clock.now(),
-                    &[("hit", hit.to_string())],
+                    [(sym!("hit"), hit.to_string())],
                 );
                 let artifact = match cached {
                     Some(artifact) => artifact,

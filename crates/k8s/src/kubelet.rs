@@ -320,7 +320,10 @@ impl Kubelet {
                 Stage::Pod,
                 r.started,
                 ended,
-                &[("pod", name.clone()), ("node", self.node_name.clone())],
+                [
+                    (sym!("pod"), name.clone()),
+                    (sym!("node"), self.node_name.clone()),
+                ],
             );
             let _ = api.set_pod_phase(
                 &name,
@@ -357,9 +360,9 @@ impl Kubelet {
             Stage::Pod,
             died,
             died,
-            &[
-                ("node", self.node_name.clone()),
-                ("lost_volatile", self.running.len().to_string()),
+            [
+                (sym!("node"), self.node_name.clone()),
+                (sym!("lost_volatile"), self.running.len().to_string()),
             ],
         );
         self.faults.metrics().incr("kubelet.crashes");
@@ -396,9 +399,9 @@ impl Kubelet {
             Stage::Pod,
             died,
             clock.now(),
-            &[
-                ("node", self.node_name.clone()),
-                ("adopted", adopted.len().to_string()),
+            [
+                (sym!("node"), self.node_name.clone()),
+                (sym!("adopted"), adopted.len().to_string()),
             ],
         );
         adopted

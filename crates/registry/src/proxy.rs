@@ -194,7 +194,10 @@ impl ProxyRegistry {
                     Stage::Request,
                     arrival,
                     done,
-                    &[("image", format!("{repo}:{tag}")), ("hit", hit.to_string())],
+                    [
+                        (sym!("image"), format!("{repo}:{tag}")),
+                        (sym!("hit"), hit.to_string()),
+                    ],
                 );
                 Ok((manifest, done))
             }
@@ -231,10 +234,10 @@ impl ProxyRegistry {
             Stage::Request,
             arrival,
             done,
-            &[
-                ("digest", format!("{digest}")),
-                ("bytes", data.len().to_string()),
-                ("hit", hit.to_string()),
+            [
+                (sym!("digest"), format!("{digest}")),
+                (sym!("bytes"), data.len().to_string()),
+                (sym!("hit"), hit.to_string()),
             ],
         );
         Ok((data, done))

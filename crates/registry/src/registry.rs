@@ -559,9 +559,9 @@ impl Registry {
             Stage::Request,
             arrival,
             done,
-            &[
-                ("registry", self.name.to_string()),
-                ("image", format!("{repo}:{tag}")),
+            [
+                (sym!("registry"), self.name.to_string()),
+                (sym!("image"), format!("{repo}:{tag}")),
             ],
         );
         Ok((manifest, done))
@@ -583,10 +583,10 @@ impl Registry {
             Stage::Request,
             arrival,
             done + xfer,
-            &[
-                ("registry", self.name.to_string()),
-                ("digest", digest.short().to_string()),
-                ("bytes", data.len().to_string()),
+            [
+                (sym!("registry"), self.name.to_string()),
+                (sym!("digest"), digest.short()),
+                (sym!("bytes"), data.len().to_string()),
             ],
         );
         Ok((data, done + xfer))

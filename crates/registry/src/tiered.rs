@@ -35,6 +35,7 @@
 use crate::registry::{Registry, RegistryError};
 use hpcc_crypto::sha256::Digest;
 use hpcc_oci::image::Manifest;
+use hpcc_sim::metrics::Counter;
 use hpcc_sim::sym;
 use hpcc_sim::{
     Admission, AdmissionConfig, AdmissionQueue, Bytes, CrashInjector, DomainSchedule,
@@ -42,7 +43,7 @@ use hpcc_sim::{
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One network hop of the hierarchy: latency plus per-stream bandwidth.
 #[derive(Debug, Clone, Copy)]
@@ -250,6 +251,73 @@ impl TierCache {
 struct TenantMeta {
     policy: TenantPolicy,
     bucket: Option<TokenBucket>,
+    /// `storm.tenant.<name>.pulls`.
+    pulls: Series,
+}
+
+/// One counter of the topology's registry, named when the topology is
+/// built and resolved on its first bump: the registry lists exactly the
+/// series a run has touched, and every bump after the first is one
+/// atomic add, with no name built and no map searched.
+struct Series {
+    name: String,
+    counter: OnceLock<Counter>,
+}
+
+impl Series {
+    fn new(name: String) -> Series {
+        Series {
+            name,
+            counter: OnceLock::new(),
+        }
+    }
+
+    fn add(&self, metrics: &MetricsRegistry, n: u64) {
+        self.counter
+            .get_or_init(|| metrics.typed_counter(&self.name))
+            .add(n);
+    }
+
+    /// The series' value, read by name: a series another handle
+    /// resolved first counts too.
+    fn get(&self, metrics: &MetricsRegistry) -> u64 {
+        metrics.get(&self.name)
+    }
+}
+
+/// The counters one cache level bumps, `storm.<tier>.<key>`.
+struct LevelSeries {
+    hits: Series,
+    coalesce_hits: Series,
+    misses: Series,
+    evictions: Series,
+    bytes_served: Series,
+    bytes_filled: Series,
+}
+
+impl LevelSeries {
+    fn new(tier: &str) -> LevelSeries {
+        let series = |key: &str| Series::new(format!("storm.{tier}.{key}"));
+        LevelSeries {
+            hits: series("hits"),
+            coalesce_hits: series("coalesce_hits"),
+            misses: series("misses"),
+            evictions: series("evictions"),
+            bytes_served: series("bytes_served"),
+            bytes_filled: series("bytes_filled"),
+        }
+    }
+}
+
+/// Every counter a pull can bump, resolved once per topology.
+struct StormSeries {
+    levels: Vec<LevelSeries>,
+    rate_wait_ns: Series,
+    node_down_rejects: Series,
+    partition_timeouts: Series,
+    origin_shed: Series,
+    origin_requests: Series,
+    origin_bytes: Series,
 }
 
 /// Correlated-outage overlay: a schedule plus the injector its decisions
@@ -276,6 +344,7 @@ pub struct StormTopology {
     blob_data: RwLock<HashMap<Digest, Arc<Vec<u8>>>>,
     tenants: Vec<TenantMeta>,
     metrics: MetricsRegistry,
+    series: StormSeries,
     tracer: RwLock<Arc<Tracer>>,
     domain: RwLock<Option<DomainGate>>,
 }
@@ -326,6 +395,15 @@ impl StormTopology {
         }
         assert_eq!(below, 1, "top tier must reduce to a single instance");
         let origin_egress = QueueServer::new(cfg.origin.egress);
+        let series = StormSeries {
+            levels: cfg.tiers.iter().map(|t| LevelSeries::new(t.name)).collect(),
+            rate_wait_ns: Series::new("storm.tenant.rate_wait_ns".into()),
+            node_down_rejects: Series::new("storm.domain.node_down_rejects".into()),
+            partition_timeouts: Series::new("storm.domain.partition_timeouts".into()),
+            origin_shed: Series::new("storm.origin.shed".into()),
+            origin_requests: Series::new("storm.origin.requests".into()),
+            origin_bytes: Series::new("storm.origin.bytes".into()),
+        };
         Arc::new(StormTopology {
             nodes: cfg.nodes,
             tiers: cfg.tiers,
@@ -341,10 +419,12 @@ impl StormTopology {
                     bucket: policy
                         .rate
                         .map(|(rate, burst)| TokenBucket::new(rate, burst)),
+                    pulls: Series::new(format!("storm.tenant.{}.pulls", policy.name)),
                     policy,
                 })
                 .collect(),
             metrics: MetricsRegistry::new(),
+            series,
             tracer: RwLock::new(Tracer::disabled()),
             domain: RwLock::new(None),
         })
@@ -399,26 +479,21 @@ impl StormTopology {
 
     /// Aggregated counters for one cache level.
     pub fn tier_stats(&self, level: usize) -> TierStats {
-        let name = self.tiers[level].name;
-        let get = |k: &str| self.metrics.get(&format!("storm.{name}.{k}"));
+        let s = &self.series.levels[level];
+        let m = &self.metrics;
         TierStats {
-            hits: get("hits"),
-            coalesce_hits: get("coalesce_hits"),
-            misses: get("misses"),
-            evictions: get("evictions"),
-            bytes_served: get("bytes_served"),
-            bytes_filled: get("bytes_filled"),
+            hits: s.hits.get(m),
+            coalesce_hits: s.coalesce_hits.get(m),
+            misses: s.misses.get(m),
+            evictions: s.evictions.get(m),
+            bytes_served: s.bytes_served.get(m),
+            bytes_filled: s.bytes_filled.get(m),
         }
     }
 
     /// Requests that reached the origin (the stampede the tiers absorb).
     pub fn origin_requests(&self) -> u64 {
-        self.metrics.get("storm.origin.requests")
-    }
-
-    fn tier_metric(&self, level: usize, key: &str, n: u64) {
-        self.metrics
-            .add(&format!("storm.{}.{key}", self.tiers[level].name), n);
+        self.series.origin_requests.get(&self.metrics)
     }
 
     /// Ensure `digest` is resident (or in flight) at `(level, inst)`;
@@ -440,23 +515,25 @@ impl StormTopology {
             let mut c = self.caches[level][inst].lock();
             if c.entries.contains_key(digest) {
                 c.touch(digest);
-                self.tier_metric(level, "hits", 1);
+                self.series.levels[level].hits.add(&self.metrics, 1);
                 return Ok(at);
             }
             if let Some(f) = c.in_flight.get(digest).copied() {
                 if at < f.done {
                     // Coalesce: join the pending fill, no new upstream fetch.
-                    self.tier_metric(level, "coalesce_hits", 1);
+                    self.series.levels[level]
+                        .coalesce_hits
+                        .add(&self.metrics, 1);
                     return Ok(f.done);
                 }
                 // The fill completed; promote it to a resident entry.
                 c.in_flight.remove(digest);
                 self.admit_entry(&mut c, level, *digest, size, f.tenant);
                 c.touch(digest);
-                self.tier_metric(level, "hits", 1);
+                self.series.levels[level].hits.add(&self.metrics, 1);
                 return Ok(at);
             }
-            self.tier_metric(level, "misses", 1);
+            self.series.levels[level].misses.add(&self.metrics, 1);
         }
         // Miss: fetch from the level above (or the origin), then fill.
         let fill_done = if level + 1 < self.tiers.len() {
@@ -465,31 +542,35 @@ impl StormTopology {
             let hop = self.tiers[level + 1].hop;
             let xfer = SimSpan::from_secs_f64(size as f64 / hop.bandwidth_bps);
             let (_, sent) = self.egress[level + 1][up_inst].submit(ready, xfer);
-            self.tier_metric(level + 1, "bytes_served", size);
+            self.series.levels[level + 1]
+                .bytes_served
+                .add(&self.metrics, size);
             sent + hop.latency
         } else {
             if !origin_ok {
                 // Split-brain: the requester's row is partitioned from
                 // the origin. Everything cached below keeps serving, but
                 // an origin-bound fill hangs until the client times out.
-                self.metrics.incr("storm.domain.partition_timeouts");
+                self.series.partition_timeouts.add(&self.metrics, 1);
                 return Err(RegistryError::Timeout {
                     after: self.origin.request_latency,
                 });
             }
             self.origin_fetch(digest, size, at)?
         };
-        self.tier_metric(level, "bytes_filled", size);
+        self.series.levels[level]
+            .bytes_filled
+            .add(&self.metrics, size);
         self.tracer.read().record(
             sym!("tier.fill"),
             Stage::Request,
             at,
             fill_done,
-            &[
-                ("tier", self.tiers[level].name.to_string()),
-                ("instance", inst.to_string()),
-                ("digest", digest.short().to_string()),
-                ("bytes", size.to_string()),
+            [
+                (sym!("tier"), self.tiers[level].name.to_string()),
+                (sym!("instance"), inst.to_string()),
+                (sym!("digest"), digest.short()),
+                (sym!("bytes"), size.to_string()),
             ],
         );
         let mut c = self.caches[level][inst].lock();
@@ -537,7 +618,7 @@ impl StormTopology {
 
     fn evict(&self, c: &mut TierCache, level: usize, tenant: Option<usize>) -> Option<u64> {
         let freed = c.evict_lru(tenant)?;
-        self.tier_metric(level, "evictions", 1);
+        self.series.levels[level].evictions.add(&self.metrics, 1);
         Some(freed)
     }
 
@@ -569,14 +650,14 @@ impl StormTopology {
                 {
                     Admission::Admitted { .. } => {}
                     Admission::Shed { retry_after } => {
-                        self.metrics.incr("storm.origin.shed");
+                        self.series.origin_shed.add(&self.metrics, 1);
                         return Err(RegistryError::RateLimited { retry_after });
                     }
                 }
             }
         }
-        self.metrics.incr("storm.origin.requests");
-        self.metrics.add("storm.origin.bytes", size);
+        self.series.origin_requests.add(&self.metrics, 1);
+        self.series.origin_bytes.add(&self.metrics, size);
         let done = match &self.origin_reg {
             Some(reg) => {
                 let (data, done) = reg.pull_blob(digest, at)?;
@@ -596,9 +677,9 @@ impl StormTopology {
             Stage::Request,
             at,
             done,
-            &[
-                ("digest", digest.short().to_string()),
-                ("bytes", size.to_string()),
+            [
+                (sym!("digest"), digest.short()),
+                (sym!("bytes"), size.to_string()),
             ],
         );
         Ok(done)
@@ -621,42 +702,41 @@ impl StormTopology {
             if gate.schedule.node_down(node, at) {
                 // The node's rack has no power (or no uplink): the pull
                 // never leaves the node.
-                self.metrics.incr("storm.domain.node_down_rejects");
+                self.series.node_down_rejects.add(&self.metrics, 1);
                 return Err(RegistryError::Unavailable { status: 503 });
             }
             origin_ok = !gate.schedule.partitioned_from_origin(node, at);
         }
-        let at = match &self.tenants[tenant].bucket {
+        let meta = &self.tenants[tenant];
+        let at = match &meta.bucket {
             Some(b) => {
                 let admitted = b.admit_at(at);
                 if admitted > at {
-                    self.metrics
-                        .add("storm.tenant.rate_wait_ns", (admitted - at).as_nanos());
+                    self.series
+                        .rate_wait_ns
+                        .add(&self.metrics, (admitted - at).as_nanos());
                 }
                 admitted
             }
             None => at,
         };
-        self.metrics.incr(&format!(
-            "storm.tenant.{}.pulls",
-            self.tenants[tenant].policy.name
-        ));
+        meta.pulls.add(&self.metrics, 1);
         let rack = node / self.tiers[0].group;
         let ready = self.ensure(0, rack, tenant, digest, size, at, origin_ok)?;
         let hop = self.tiers[0].hop;
         let xfer = SimSpan::from_secs_f64(size as f64 / hop.bandwidth_bps);
         let (_, sent) = self.egress[0][rack].submit(ready.max(at), xfer);
-        self.tier_metric(0, "bytes_served", size);
+        self.series.levels[0].bytes_served.add(&self.metrics, size);
         let done = sent + hop.latency;
         self.tracer.read().record(
             sym!("tier.pull"),
             Stage::Request,
             at,
             done,
-            &[
-                ("node", node.to_string()),
-                ("digest", digest.short().to_string()),
-                ("bytes", size.to_string()),
+            [
+                (sym!("node"), node.to_string()),
+                (sym!("digest"), digest.short()),
+                (sym!("bytes"), size.to_string()),
             ],
         );
         Ok(done)
@@ -1021,5 +1101,114 @@ mod tests {
         let before = topo.origin_requests();
         topo.pull_blob(1, 0, &layer.digest, done).expect("pull");
         assert_eq!(topo.origin_requests(), before);
+    }
+
+    /// Every series the topology bumps, driven through a game day that
+    /// reaches all of them: a rack loses power, a row is partitioned from
+    /// the origin, the origin browns out, a small rack cache and a tenant
+    /// quota force evictions and a rate limit makes pulls wait. Waves
+    /// revisit earlier images so completed fills are promoted and evicted.
+    fn game_day_registry() -> String {
+        use hpcc_sim::{DomainTopology, OutageEvent, OutageKind};
+        let secs = |s: u64| SimTime::ZERO + SimSpan::secs(s);
+        let mut cfg = StormConfig::default_for(256);
+        cfg.tiers[0].capacity = Bytes::gib(2);
+        cfg.tiers[1].group = 4;
+        cfg.tenants = vec![
+            TenantPolicy {
+                name: "batch",
+                rate: Some((200.0, 8)),
+                cache_quota: Some(Bytes::gib(1)),
+            },
+            TenantPolicy {
+                name: "ai",
+                rate: None,
+                cache_quota: None,
+            },
+        ];
+        let topo = StormTopology::new(cfg);
+        let window = |kind, from| OutageEvent {
+            kind,
+            from: secs(from),
+            until: secs(from + 10),
+        };
+        topo.set_domain_schedule(
+            Arc::new(DomainSchedule::new(
+                DomainTopology::new(256, 16, 4),
+                vec![
+                    window(OutageKind::RackPower { rack: 3 }, 10),
+                    window(OutageKind::RowPartition { row: 1 }, 30),
+                    window(OutageKind::OriginOverload, 50),
+                ],
+            )),
+            Arc::new(FaultInjector::new(7, Vec::new())),
+            CrashInjector::disabled(),
+        );
+        // Per wave and row: one of three shared images, except where an
+        // origin-bound fill is wanted (the partitioned row in wave 2, every
+        // row in the brownout wave 3).
+        let plan: Vec<Vec<ImageSpec>> = (0..5)
+            .map(|w| {
+                (0..4)
+                    .map(|row| {
+                        let label = if (w, row) == (2, 1) || w == 3 {
+                            format!("fresh{w}.{row}")
+                        } else {
+                            format!("base{}", (w + row) % 3)
+                        };
+                        ImageSpec::synthetic(&label, 4, Bytes::mib(768))
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut failed = 0;
+        for (w, base) in [0u64, 12, 32, 52, 70].into_iter().enumerate() {
+            for node in 0..256 {
+                let image = &plan[w][node / 64];
+                let at = secs(base) + SimSpan::millis(node as u64);
+                if topo.pull_image_sized(node, node % 2, image, at).is_err() {
+                    failed += 1;
+                }
+            }
+        }
+        format!("failed pulls: {failed}\n{}", topo.metrics().render())
+    }
+
+    /// The registry a game day leaves behind, series by series, as the
+    /// per-event string-keyed bumps produced it. `sim_digest` and the
+    /// goldens never read `evictions`, `coalesce_hits` or `bytes_*`, so
+    /// this is what holds each counter handle to its own series.
+    #[test]
+    fn game_day_registry_is_unchanged_series_by_series() {
+        let expected = "\
+failed pulls: 136
+counters:
+  storm.domain.node_down_rejects                   16
+  storm.domain.partition_timeouts                  64
+  storm.origin.bytes                               8053125120
+  storm.origin.requests                            60
+  storm.origin.shed                                56
+  storm.rack.bytes_filled                          57177194496
+  storm.rack.bytes_served                          926914744320
+  storm.rack.coalesce_hits                         433
+  storm.rack.evictions                             291
+  storm.rack.hits                                  6060
+  storm.rack.misses                                547
+  storm.row.bytes_filled                           14495625216
+  storm.row.bytes_served                           57177194496
+  storm.row.coalesce_hits                          74
+  storm.row.evictions                              64
+  storm.row.hits                                   245
+  storm.row.misses                                 228
+  storm.site.bytes_filled                          8053125120
+  storm.site.bytes_served                          14495625216
+  storm.site.evictions                             27
+  storm.site.hits                                  48
+  storm.site.misses                                180
+  storm.tenant.ai.pulls                            3520
+  storm.tenant.batch.pulls                         3520
+  storm.tenant.rate_wait_ns                        4034863858
+";
+        assert_eq!(game_day_registry(), expected);
     }
 }

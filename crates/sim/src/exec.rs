@@ -257,12 +257,18 @@ impl Executor {
                 stopped_at: finished.iter().copied().max().unwrap_or(start).max(est),
             })?;
             let done = fin.done.max(est);
-            tracer.record(names[tid], stages[tid], est, done, &{
-                let mut attrs: Vec<(&str, String)> =
-                    vec![("task", tid.to_string()), ("worker", widx.to_string())];
-                attrs.extend(fin.attrs.iter().map(|(k, v)| (k.as_str(), v.clone())));
-                attrs
-            });
+            tracer.record(
+                names[tid],
+                stages[tid],
+                est,
+                done,
+                [
+                    (crate::sym!("task"), tid.to_string()),
+                    (crate::sym!("worker"), widx.to_string()),
+                ]
+                .into_iter()
+                .chain(fin.attrs.into_iter().map(|(k, v)| (Symbol::intern(&k), v))),
+            );
             started[tid] = est;
             finished[tid] = done;
             workers[widx] = done;

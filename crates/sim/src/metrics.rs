@@ -243,8 +243,8 @@ impl MetricsRegistry {
 
     /// Apply the cardinality cap: an unseen name beyond [`MAX_SERIES`]
     /// folds into [`OVERFLOW_SERIES`] and is counted as dropped.
-    fn admit<'a>(&self, len: usize, present: bool, name: &'a str) -> &'a str {
-        if present || len < MAX_SERIES || name == OVERFLOW_SERIES {
+    fn admit<'a>(&self, len: usize, name: &'a str) -> &'a str {
+        if len < MAX_SERIES || name == OVERFLOW_SERIES {
             name
         } else {
             self.dropped_series.fetch_add(1, Ordering::Relaxed);
@@ -252,10 +252,14 @@ impl MetricsRegistry {
         }
     }
 
-    /// Get or create a counter.
+    /// Get or create a counter. An existing series is returned without
+    /// allocating its key; only a new one copies `name` into the map.
     pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
         let mut map = self.counters.lock();
-        let name = self.admit(map.len(), map.contains_key(name), name);
+        if let Some(c) = map.get(name) {
+            return Arc::clone(c);
+        }
+        let name = self.admit(map.len(), name);
         Arc::clone(
             map.entry(name.to_string())
                 .or_insert_with(|| Arc::new(AtomicU64::new(0))),
@@ -294,7 +298,10 @@ impl MetricsRegistry {
     /// Get or create a histogram.
     pub(crate) fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut map = self.histograms.lock();
-        let name = self.admit(map.len(), map.contains_key(name), name);
+        if let Some(h) = map.get(name) {
+            return Arc::clone(h);
+        }
+        let name = self.admit(map.len(), name);
         Arc::clone(
             map.entry(name.to_string())
                 .or_insert_with(|| Arc::new(Histogram::new())),

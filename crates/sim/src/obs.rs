@@ -142,9 +142,10 @@ impl SpanRecord {
 }
 
 /// Attribute values may carry arbitrary error text; keep the flat formats
-/// parseable.
+/// parseable. A `\r` goes too: the parser's line split drops one that
+/// ends a line.
 fn sanitize(v: &str) -> String {
-    v.replace(['\t', '\n'], " ").replace(',', ";")
+    v.replace(['\t', '\n', '\r'], " ").replace(',', ";")
 }
 
 #[derive(Debug)]
@@ -307,19 +308,32 @@ impl Tracer {
 
     /// Record a complete span retrospectively (arrival→completion style
     /// operations that only know both endpoints at the end). The parent is
-    /// the innermost span currently open.
+    /// the innermost span currently open. Attributes are moved into the
+    /// record; a disabled tracer drops them unread.
     pub fn record(
         &self,
         name: impl Into<Symbol>,
         stage: Stage,
         start: SimTime,
         end: SimTime,
-        attrs: &[(&str, String)],
+        attrs: impl IntoIterator<Item = (Symbol, String)>,
     ) {
         if !self.enabled {
             return;
         }
-        let name = name.into();
+        self.push_record(name.into(), stage, start, end, attrs.into_iter().collect());
+    }
+
+    /// The body of [`Tracer::record`], kept out of the generic part so
+    /// each call site instantiates only the check and the collect.
+    fn push_record(
+        &self,
+        name: Symbol,
+        stage: Stage,
+        start: SimTime,
+        end: SimTime,
+        attrs: Vec<(Symbol, String)>,
+    ) {
         let mut st = self.state.lock();
         st.next_id += 1;
         let id = st.next_id;
@@ -331,10 +345,7 @@ impl Tracer {
             stage,
             start,
             end: end.max(start),
-            attrs: attrs
-                .iter()
-                .map(|(k, v)| (Symbol::intern(k), v.clone()))
-                .collect(),
+            attrs,
         };
         st.pending_metrics
             .push((record.name, record.duration().as_nanos()));
@@ -488,6 +499,7 @@ pub fn parse_tsv(text: &str) -> Result<Vec<SpanRecord>, String> {
         let stage = Stage::from_label(fields[3]).ok_or_else(|| bad("stage"))?;
         let start_ns: u64 = fields[4].parse().map_err(|_| bad("start_ns"))?;
         let dur_ns: u64 = fields[5].parse().map_err(|_| bad("dur_ns"))?;
+        let end_ns = start_ns.checked_add(dur_ns).ok_or_else(|| bad("dur_ns"))?;
         let attrs = if fields[6].is_empty() {
             Vec::new()
         } else {
@@ -505,7 +517,7 @@ pub fn parse_tsv(text: &str) -> Result<Vec<SpanRecord>, String> {
             name: Symbol::intern(fields[2]),
             stage,
             start: SimTime(start_ns),
-            end: SimTime(start_ns + dur_ns),
+            end: SimTime(end_ns),
             attrs,
         });
     }
@@ -720,7 +732,7 @@ mod tests {
             Stage::Cache,
             t(10),
             t(12),
-            &[("hit", "false".into())],
+            [(crate::sym!("hit"), "false".into())],
         );
         tr.end(prep, t(30));
         let run = tr.begin("engine.run", Stage::Run, t(30));
@@ -736,7 +748,7 @@ mod tests {
         assert_eq!(id, 0);
         tr.attr(id, "k", "v");
         tr.end(id, t(5));
-        tr.record("y", Stage::Other, t(0), t(1), &[]);
+        tr.record("y", Stage::Other, t(0), t(1), []);
         assert_eq!(tr.span_count(), 0);
         assert_eq!(tr.metrics().render(), "");
     }
@@ -817,6 +829,20 @@ mod tests {
         .is_err());
     }
 
+    /// A span whose end does not fit in a `u64` is malformed: it used to
+    /// overflow (a panic in debug builds, a span ending before its start
+    /// in release builds).
+    #[test]
+    fn tsv_rejects_an_end_past_u64_max() {
+        let line = |start: u64, dur: u64| {
+            format!("id\tparent\tname\tstage\tstart_ns\tdur_ns\tattrs\n1\t-\tx\tother\t{start}\t{dur}\t\n")
+        };
+        assert!(parse_tsv(&line(u64::MAX, 1)).is_err());
+        assert!(parse_tsv(&line(1, u64::MAX)).is_err());
+        let edge = parse_tsv(&line(u64::MAX - 1, 1)).unwrap();
+        assert_eq!(edge[0].end, SimTime(u64::MAX));
+    }
+
     #[test]
     fn diff_is_empty_for_identical_traces_and_reports_changes() {
         let a = sample_trace();
@@ -863,7 +889,7 @@ mod tests {
     #[test]
     fn explicit_flush_lands_buffered_metrics() {
         let tr = Tracer::new();
-        tr.record("flushtest.op", Stage::Other, t(0), t(3), &[]);
+        tr.record("flushtest.op", Stage::Other, t(0), t(3), []);
         tr.flush();
         // Read the registry through its own Arc, bypassing the tracer:
         // the explicit barrier must have landed the emission.
@@ -876,7 +902,7 @@ mod tests {
         let registry = Arc::new(MetricsRegistry::new());
         {
             let tr = Tracer::with_metrics(Arc::clone(&registry));
-            tr.record("droptest.op", Stage::Other, t(0), t(2), &[]);
+            tr.record("droptest.op", Stage::Other, t(0), t(2), []);
             // No barrier reached; the drop must not lose the emission.
         }
         assert_eq!(registry.get("span.droptest.op.count"), 1);
@@ -886,7 +912,7 @@ mod tests {
     fn auto_flush_triggers_at_batch_capacity() {
         let tr = Tracer::new();
         for i in 0..super::METRIC_BATCH {
-            tr.record("autoflush.op", Stage::Other, t(0), t(1), &[]);
+            tr.record("autoflush.op", Stage::Other, t(0), t(1), []);
             let _ = i;
         }
         // Registry read without going through the tracer: the batch
@@ -958,7 +984,7 @@ mod tests {
                         Stage::Other,
                         now,
                         now + SimSpan::millis(dur),
-                        &[("kind", "retro".to_string())],
+                        [(crate::sym!("kind"), "retro".to_string())],
                     );
                 }
                 ObsOp::Attr(k, v) => {
@@ -1000,6 +1026,107 @@ mod tests {
         }
     }
 
+    // ------------------------------------------------ hostile TSV input
+
+    /// A number near either end of the `u64` range, or not a number.
+    fn tsv_number() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0u64..4).prop_map(|k| (u64::MAX - k).to_string()),
+            (0u64..1000).prop_map(|v| v.to_string()),
+            any::<u64>().prop_map(|v| v.to_string()),
+            "[-+]?[0-9]{0,21}",
+        ]
+    }
+
+    /// One line of seven tab-separated fields, shaped like an export.
+    fn tsv_line() -> impl Strategy<Value = String> {
+        let parent = prop_oneof![Just("-".to_string()), tsv_number()];
+        let stage = prop_oneof![
+            Just("pull".to_string()),
+            Just("other".to_string()),
+            "[a-z]{0,8}",
+        ];
+        let kv = prop_oneof!["[a-z]{1,6}=[ -~]{0,8}", "[a-z=;]{0,6}"];
+        let attrs = proptest::collection::vec(kv, 0..5).prop_map(|kvs: Vec<String>| kvs.join(","));
+        let ids = (tsv_number(), parent);
+        let times = (tsv_number(), tsv_number());
+        (ids, "[a-z.]{0,10}", stage, times, attrs).prop_map(
+            |((id, parent), name, stage, (start, dur), attrs): (
+                (String, String),
+                String,
+                String,
+                (String, String),
+                String,
+            )| [id, parent, name, stage, start, dur, attrs].join("\t"),
+        )
+    }
+
+    /// A span as the program makes one: names and attribute keys are
+    /// code vocabulary, values are arbitrary text (error messages) with
+    /// the separators the exporter has to neutralise.
+    fn arb_span() -> impl Strategy<Value = SpanRecord> {
+        const STAGES: [Stage; 10] = [
+            Stage::Pull,
+            Stage::Convert,
+            Stage::Cache,
+            Stage::Run,
+            Stage::Request,
+            Stage::Storage,
+            Stage::Schedule,
+            Stage::Pod,
+            Stage::Adapt,
+            Stage::Other,
+        ];
+        let attr = ("[a-z_]{1,8}", "[a-c \t\n\r,=;é]{0,10}")
+            .prop_map(|(k, v): (String, String)| (Symbol::intern(&k), v));
+        let parent = prop_oneof![Just(None), any::<u64>().prop_map(Some)];
+        let name = "[a-z._]{1,12}".prop_map(|n: String| Symbol::intern(&n));
+        let when = (0usize..STAGES.len(), any::<u64>(), any::<u64>());
+        (
+            (any::<u64>(), parent, name),
+            when,
+            proptest::collection::vec(attr, 0..4),
+        )
+            .prop_map(|((id, parent, name), (stage, a, b), attrs)| SpanRecord {
+                id,
+                parent,
+                name,
+                stage: STAGES[stage],
+                start: SimTime(a.min(b)),
+                end: SimTime(a.max(b)),
+                attrs,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Structure-aware garbage never panics the parser, and whatever
+        /// it accepts is a span that ends no earlier than it starts.
+        #[test]
+        fn parse_tsv_never_panics_on_hostile_lines(
+            lines in proptest::collection::vec(tsv_line(), 0..6)
+        ) {
+            let text = format!("id\tparent\tname\tstage\tstart_ns\tdur_ns\tattrs\n{}\n", lines.join("\n"));
+            if let Ok(spans) = parse_tsv(&text) {
+                for s in spans {
+                    prop_assert!(s.start <= s.end);
+                }
+            }
+        }
+
+        /// Export is a fixpoint of parse: what the exporter writes, the
+        /// parser reads back into spans that export to the same bytes.
+        #[test]
+        fn export_parse_export_is_a_fixpoint(
+            spans in proptest::collection::vec(arb_span(), 0..8)
+        ) {
+            let once = export_tsv(&spans);
+            let parsed = parse_tsv(&once).expect("an export parses");
+            prop_assert_eq!(export_tsv(&parsed), once);
+        }
+    }
+
     /// The cardinality cap trips at the same counts with interned keys,
     /// whether emission is flushed per event or batched: same number of
     /// refused series, same overflow-sentinel absorption.
@@ -1010,7 +1137,7 @@ mod tests {
         let run = |flush_every: bool| {
             let tr = Tracer::new();
             for i in 0..MAX_SERIES + EXTRA {
-                tr.record(format!("capsym.{i}"), Stage::Other, t(0), t(1), &[]);
+                tr.record(format!("capsym.{i}"), Stage::Other, t(0), t(1), []);
                 if flush_every {
                     tr.flush();
                 }

@@ -373,11 +373,11 @@ impl Recoverable for JournaledStore {
             Stage::Cache,
             now,
             now + took,
-            &[
-                ("records", records.len().to_string()),
-                ("rolled_forward", rolled_forward.to_string()),
-                ("discarded", discarded.to_string()),
-                ("rebuilt", rebuilt.to_string()),
+            [
+                (sym!("records"), records.len().to_string()),
+                (sym!("rolled_forward"), rolled_forward.to_string()),
+                (sym!("discarded"), discarded.to_string()),
+                (sym!("rebuilt"), rebuilt.to_string()),
             ],
         );
         Ok(RecoveryReport {

@@ -155,9 +155,9 @@ pub fn broadcast_p2p(
             Stage::Storage,
             free_at,
             arrival,
-            &[
-                ("from", node_ids[holder].0.to_string()),
-                ("to", node_ids[i].0.to_string()),
+            [
+                (sym!("from"), node_ids[holder].0.to_string()),
+                (sym!("to"), node_ids[i].0.to_string()),
             ],
         );
         done[i] = Some(arrival);
@@ -685,9 +685,9 @@ pub fn broadcast_tree_from_seeds_gated(
                     Stage::Storage,
                     at,
                     at + TREE_REPAIR_LATENCY,
-                    &[
-                        ("node", node_ids[tree.assignments()[p]].0.to_string()),
-                        ("orphans", orphans.len().to_string()),
+                    [
+                        (sym!("node"), node_ids[tree.assignments()[p]].0.to_string()),
+                        (sym!("orphans"), orphans.len().to_string()),
                     ],
                 );
                 continue;

@@ -383,9 +383,9 @@ impl Slurm {
             Stage::Schedule,
             now,
             now,
-            &[
-                ("job", id.0.to_string()),
-                ("ok", failure.is_none().to_string()),
+            [
+                (sym!("job"), id.0.to_string()),
+                (sym!("ok"), failure.is_none().to_string()),
             ],
         );
 
@@ -511,7 +511,7 @@ impl Slurm {
                 Stage::Schedule,
                 now,
                 now,
-                &[("started", started.len().to_string())],
+                [(sym!("started"), started.len().to_string())],
             );
         }
         started
@@ -575,7 +575,10 @@ impl Slurm {
                 Stage::Schedule,
                 now,
                 now,
-                &[("job", id.0.to_string()), ("ok", epilog_ok.to_string())],
+                [
+                    (sym!("job"), id.0.to_string()),
+                    (sym!("ok"), epilog_ok.to_string()),
+                ],
             );
         }
         self.contexts.insert(id, ctx);
@@ -585,10 +588,10 @@ impl Slurm {
             Stage::Schedule,
             started,
             now,
-            &[
-                ("job", id.0.to_string()),
-                ("nodes", nodes.len().to_string()),
-                ("timed_out", timed_out.to_string()),
+            [
+                (sym!("job"), id.0.to_string()),
+                (sym!("nodes"), nodes.len().to_string()),
+                (sym!("timed_out"), timed_out.to_string()),
             ],
         );
 
@@ -745,9 +748,9 @@ impl Slurm {
                 Stage::Schedule,
                 now,
                 now,
-                &[
-                    ("job", jid.0.to_string()),
-                    ("epoch", self.epoch(*jid).to_string()),
+                [
+                    (sym!("job"), jid.0.to_string()),
+                    (sym!("epoch"), self.epoch(*jid).to_string()),
                 ],
             );
         }
@@ -761,9 +764,9 @@ impl Slurm {
             Stage::Schedule,
             now,
             now,
-            &[
-                ("node", id.0.to_string()),
-                ("requeued", affected.len().to_string()),
+            [
+                (sym!("node"), id.0.to_string()),
+                (sym!("requeued"), affected.len().to_string()),
             ],
         );
         Ok(affected)
@@ -778,7 +781,7 @@ impl Slurm {
             Stage::Schedule,
             now,
             now,
-            &[("node", id.0.to_string())],
+            [(sym!("node"), id.0.to_string())],
         );
         Ok(self.schedule(now))
     }

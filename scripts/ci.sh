@@ -19,10 +19,14 @@
 #                has no `unsafe`; the seekable index is a flat table over
 #                its bytes (no `BTreeMap<String` in seekable.rs) and the
 #                engine shares the index blob (no `from_bytes` copy in
-#                lazy.rs); one public surface: a `pub` item nothing
-#                outside its crate names is a FAIL naming the item (it is
-#                `pub(crate)` or deleted), and no `allow(dead_code)` or
-#                `allow(unused…)` under crates/, tests/ or examples/
+#                lazy.rs); a storm pull builds no metric name (no
+#                `self.metrics.incr(`/`.add(` or `tier_metric` in
+#                tiered.rs) and span attributes are moved (no
+#                `&[(&str, String)]` in obs.rs); one public surface: a
+#                `pub` item nothing outside its crate names is a FAIL
+#                naming the item (it is `pub(crate)` or deleted), and no
+#                `allow(dead_code)` or `allow(unused…)` under crates/,
+#                tests/ or examples/
 #   test         full test suite, then hpcc-codec and hpcc-vfs again under
 #                `taskset -c 0` so the inline (one-core) path of block
 #                compression is exercised too (skipped with a notice when
@@ -246,6 +250,17 @@ stage_lint() {
         exit 1
     fi
     echo "OK: no path map in the seekable index, no copy of the index blob in the engine"
+    echo "==> a storm pull builds no name (DESIGN.md §\"Observability\")"
+    if sed '/#\[cfg(test)\]/q' crates/registry/src/tiered.rs \
+        | grep -nE 'self\.metrics\.(incr|add)\(|fn tier_metric\b'; then
+        echo "FAIL: crates/registry/src/tiered.rs looks a counter up by name per event; bump its Series handle, named once per topology" >&2
+        exit 1
+    fi
+    if grep -nF '&[(&str, String)]' crates/sim/src/obs.rs; then
+        echo "FAIL: crates/sim/src/obs.rs takes borrowed span attributes; Tracer::record is the one entry and moves (Symbol, String) pairs" >&2
+        exit 1
+    fi
+    echo "OK: storm counters are handles, span attributes are moved"
     echo "==> one public surface (docs/pr/25.md)"
     # `pub` hides an item from rustc's dead_code lint, and every module is
     # `pub mod`, so `unreachable_pub` cannot tell either: check names. A

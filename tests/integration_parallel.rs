@@ -16,6 +16,7 @@ use hpcc_oci::builder::samples;
 use hpcc_oci::cas::Cas;
 use hpcc_registry::registry::{Registry, RegistryCaps};
 use hpcc_sim::obs::{diff_traces, SpanRecord, Stage, Tracer};
+use hpcc_sim::sym;
 use hpcc_sim::{Executor, SimClock, SimSpan, SimTime, TaskFinish, TaskGraph, TaskId};
 use hpcc_storage::BlobStore;
 use proptest::prelude::*;
@@ -82,7 +83,10 @@ fn run_sequential_reference(dag: &[(u64, Vec<usize>)]) -> (Vec<SpanRecord>, SimT
             Stage::Other,
             now,
             done,
-            &[("task", i.to_string()), ("worker", "0".to_string())],
+            [
+                (sym!("task"), i.to_string()),
+                (sym!("worker"), "0".to_string()),
+            ],
         );
         now = done;
     }

@@ -174,7 +174,7 @@ fn engine_trace_is_backend_independent() {
             Stage::Other,
             now,
             now + SimSpan::nanos(5),
-            &[],
+            [],
         );
         if w.left > 0 {
             w.left -= 1;
@@ -194,7 +194,7 @@ fn engine_trace_is_backend_independent() {
         let doomed = eng.at(SimTime(2), |eng: &mut Engine<W>, w: &mut W| {
             let now = eng.now();
             w.tracer
-                .record(sym!("des.doomed"), Stage::Other, now, now, &[]);
+                .record(sym!("des.doomed"), Stage::Other, now, now, []);
         });
         eng.cancel(doomed);
         eng.run_to_completion(&mut w, 10_000);
