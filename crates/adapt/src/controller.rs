@@ -43,7 +43,8 @@ use hpcc_k8s::kubelet::{CriRuntime, Kubelet, KubeletMode};
 use hpcc_k8s::objects::{PodSpec, Resources};
 use hpcc_sim::sym;
 use hpcc_sim::{
-    DomainHealth, DomainSchedule, FaultInjector, FaultKind, SimSpan, SimTime, Stage, Symbol, Tracer,
+    AttrValue, DomainHealth, DomainSchedule, FaultInjector, FaultKind, SimSpan, SimTime, Stage,
+    Symbol, Tracer,
 };
 use hpcc_wlm::accounting::{UsageRecord, UsageSource};
 use hpcc_wlm::types::{NodeId, NodeSpec};
@@ -380,7 +381,7 @@ impl Controller {
         kind: DecisionKind,
         requested: u32,
         applied: u32,
-        context: [(Symbol, String); N],
+        context: [(Symbol, AttrValue); N],
     ) {
         self.decisions.push(Decision {
             at: t,
@@ -393,10 +394,10 @@ impl Controller {
             DecisionKind::Release => "release",
         };
         let attrs = [
-            (sym!("policy"), self.policy.name().to_string()),
-            (sym!("action"), action.to_string()),
-            (sym!("requested"), requested.to_string()),
-            (sym!("applied"), applied.to_string()),
+            (sym!("policy"), self.policy.name().into()),
+            (sym!("action"), action.into()),
+            (sym!("requested"), requested.into()),
+            (sym!("applied"), applied.into()),
         ];
         w.tracer.record(
             sym!("adapt.decision"),
@@ -505,16 +506,16 @@ impl Controller {
                     t,
                     t,
                     [
-                        (sym!("skipped"), domain_skipped.to_string()),
-                        (sym!("granted"), granted.to_string()),
+                        (sym!("skipped"), domain_skipped.into()),
+                        (sym!("granted"), granted.into()),
                     ],
                 );
             }
         }
         if requested > 0 {
             let context = [
-                (sym!("pending_pods"), pods.pending.to_string()),
-                (sym!("supplying"), signals.supplying().to_string()),
+                (sym!("pending_pods"), pods.pending.into()),
+                (sym!("supplying"), signals.supplying().into()),
             ];
             self.decide(w, t, DecisionKind::Grow, requested, drained, context);
         }
@@ -537,9 +538,9 @@ impl Controller {
                     t,
                     t,
                     [
-                        (sym!("node"), prov.node.0.to_string()),
-                        (sym!("attempts"), attempts.to_string()),
-                        (sym!("retried"), within_budget.to_string()),
+                        (sym!("node"), prov.node.0.into()),
+                        (sym!("attempts"), attempts.into()),
+                        (sym!("retried"), within_budget.into()),
                     ],
                 );
                 if within_budget {
@@ -566,8 +567,8 @@ impl Controller {
                 prov.drained_at,
                 t,
                 [
-                    (sym!("node"), prov.node.0.to_string()),
-                    (sym!("attempts"), (prov.attempts + 1).to_string()),
+                    (sym!("node"), prov.node.0.into()),
+                    (sym!("attempts"), (prov.attempts + 1).into()),
                 ],
             );
             self.set_phase(prov.node, NodePhase::Agent { since: t });
@@ -591,7 +592,7 @@ impl Controller {
                 Stage::Adapt,
                 ret.released_at,
                 t,
-                [(sym!("node"), ret.node.0.to_string())],
+                [(sym!("node"), ret.node.0.into())],
             );
         }
 
@@ -653,7 +654,7 @@ impl Controller {
             if released > 0 {
                 self.last_release = Some(t);
             }
-            let context = [(sym!("idle_ready"), idle_ready.to_string())];
+            let context = [(sym!("idle_ready"), idle_ready.into())];
             self.decide(w, t, DecisionKind::Release, to_release, released, context);
         }
 
@@ -1271,11 +1272,14 @@ mod tests {
                 // Fresh Slurm: node ids are 0..8 in node_ids order, so the
                 // trace attribute is the domain index directly.
                 "adapt.reprovision" => {
-                    let node: usize = s
+                    let node: u64 = s
                         .attrs
                         .iter()
                         .find(|(k, _)| k.as_str() == "node")
-                        .map(|(_, v)| v.parse().unwrap())
+                        .map(|(_, v)| match v {
+                            AttrValue::U64(n) => *n,
+                            v => panic!("node attribute {v:?} is not a number"),
+                        })
                         .unwrap();
                     assert!(node >= 4, "provisioned node {node} sits in the dead rack");
                 }

@@ -155,7 +155,7 @@ pub fn sign_and_push(
     );
     match &result {
         Ok(()) => {}
-        Err(e) => tracer.attr(push_span, sym!("error"), e),
+        Err(e) => tracer.attr(push_span, sym!("error"), format_args!("{e}")),
     }
     if !matches!(result, Err(PublishError::Crash(_))) {
         // A crash never closes its span — the process is dead.

@@ -167,8 +167,8 @@ pub fn build_fleet(
                 step.apply_config(&mut st.config);
                 if !step.produces_layer() {
                     return Ok(TaskFinish::at(at + CONFIG_STEP_COST)
-                        .attr("step", &label)
-                        .attr("cache", "config"));
+                        .attr(sym!("step"), &label)
+                        .attr(sym!("cache"), "config"));
                 }
                 let probe_done = at + CACHE_PROBE_COST;
                 match cache.lookup(&state) {
@@ -187,12 +187,12 @@ pub fn build_fleet(
                             probe_done,
                             [
                                 (sym!("result"), "hit".into()),
-                                (sym!("step"), label.clone()),
+                                (sym!("step"), label.clone().into()),
                             ],
                         );
                         Ok(TaskFinish::at(done)
-                            .attr("step", &label)
-                            .attr("cache", "hit"))
+                            .attr(sym!("step"), &label)
+                            .attr(sym!("cache"), "hit"))
                     }
                     None => {
                         st.misses += 1;
@@ -204,7 +204,7 @@ pub fn build_fleet(
                             probe_done,
                             [
                                 (sym!("result"), "miss".into()),
-                                (sym!("step"), label.clone()),
+                                (sym!("step"), label.clone().into()),
                             ],
                         );
                         let before = st.fs.clone();
@@ -229,9 +229,9 @@ pub fn build_fleet(
                         let done =
                             probe_done + STEP_LATENCY + span_nanos_for_bytes(bytes, STEP_WRITE_BPS);
                         Ok(TaskFinish::at(done)
-                            .attr("step", &label)
-                            .attr("cache", "miss")
-                            .attr("bytes", bytes))
+                            .attr(sym!("step"), &label)
+                            .attr(sym!("cache"), "miss")
+                            .attr(sym!("bytes"), bytes))
                     }
                 }
             });

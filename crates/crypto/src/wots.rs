@@ -22,6 +22,9 @@ const DIGITS_MSG: usize = 64;
 const DIGITS_CSUM: usize = 3;
 const CHAINS: usize = DIGITS_MSG + DIGITS_CSUM;
 const W: u32 = 16;
+/// The tallest Merkle tree a keypair has (`2^12` leaves keeps generation
+/// tractable); a public key declaring more is malformed.
+const MAX_HEIGHT: u8 = 12;
 
 /// Domain-separated chain step: `F(chain, step, x)`.
 fn chain_step(chain: usize, step: u32, x: &[u8; 32]) -> [u8; 32] {
@@ -184,9 +187,10 @@ impl PublicKey {
         out
     }
 
-    /// Parse from bytes produced by [`PublicKey::to_bytes`].
+    /// Parse from bytes produced by [`PublicKey::to_bytes`]. A height no
+    /// keypair can have is rejected.
     pub fn from_bytes(data: &[u8]) -> Option<PublicKey> {
-        if data.len() != 33 {
+        if data.len() != 33 || data[32] > MAX_HEIGHT {
             return None;
         }
         let mut root = [0u8; 32];
@@ -239,7 +243,7 @@ impl Keypair {
     /// Generate a keypair with `2^height` one-time leaves from a master
     /// seed. `height` up to 10 keeps generation fast for tests.
     pub fn generate(seed: &[u8], height: u8) -> Keypair {
-        assert!(height <= 12, "keep key generation tractable");
+        assert!(height <= MAX_HEIGHT, "keep key generation tractable");
         let master = {
             let mut h = Sha256::new();
             h.update(b"hpcc-wots-master");
@@ -309,9 +313,13 @@ impl Keypair {
     }
 }
 
-/// Verify a detached signature over `message` against `public`.
+/// Verify a detached signature over `message` against `public`. Total: a
+/// key or signature of any shape gets an answer, never a panic.
 pub fn verify(public: &PublicKey, message: &Digest, sig: &Signature) -> bool {
-    if sig.chains.len() != CHAINS || sig.auth_path.len() != public.height as usize {
+    if public.height > MAX_HEIGHT
+        || sig.chains.len() != CHAINS
+        || sig.auth_path.len() != public.height as usize
+    {
         return false;
     }
     if sig.leaf >= 1u32 << public.height {
@@ -448,6 +456,89 @@ mod tests {
         for input in [&b"a"[..], b"bb", b"ccc", b""] {
             let d = digits(&sha256(input));
             assert!(d.iter().all(|x| *x < 16));
+        }
+    }
+
+    /// A hostile public key declaring 40 levels, with a signature whose
+    /// 40-entry path makes the lengths agree: verification used to shift
+    /// `1u32` by 40 (a panic in debug builds, a wrapped bound in release).
+    #[test]
+    fn hostile_height_is_rejected_without_panicking() {
+        let mut key = vec![0xab; 32];
+        key.push(40);
+        assert_eq!(PublicKey::from_bytes(&key), None);
+        let sig = Signature {
+            leaf: 0,
+            chains: vec![[7; 32]; CHAINS],
+            auth_path: vec![Digest([9; 32]); 40],
+        };
+        let sig = Signature::from_bytes(&sig.to_bytes()).expect("a 40-entry path parses");
+        let hostile = PublicKey {
+            root: Digest([0xab; 32]),
+            height: 40,
+        };
+        assert!(!verify(&hostile, &msg(b"m"), &sig));
+        // The largest height a keypair can have still verifies.
+        let edge = PublicKey {
+            root: Digest([0xab; 32]),
+            height: MAX_HEIGHT,
+        };
+        assert_eq!(PublicKey::from_bytes(&edge.to_bytes()), Some(edge));
+    }
+
+    use proptest::prelude::*;
+
+    /// Bytes shaped like a signature encoding: a leaf near a power of two,
+    /// a chain count and a path length near the real ones, then the
+    /// declared entries, some trailing bytes, and a cut anywhere.
+    fn signature_bytes() -> impl Strategy<Value = Vec<u8>> {
+        let leaf = prop_oneof![any::<u32>(), (0u32..32).prop_map(|k| 1u32.wrapping_shl(k))];
+        let chains = prop_oneof![Just(CHAINS as u32), 0u32..80, any::<u32>()];
+        let path = prop_oneof![0u32..70, any::<u32>()];
+        (leaf, chains, path, any::<u8>(), 0usize..3, any::<u16>()).prop_map(
+            |(leaf, nc, np, fill, trailing, cut)| {
+                let mut out = leaf.to_be_bytes().to_vec();
+                out.extend_from_slice(&nc.to_be_bytes());
+                out.resize(out.len() + 32 * nc.min(80) as usize, fill);
+                out.extend_from_slice(&np.to_be_bytes());
+                out.resize(out.len() + 32 * np.min(70) as usize + trailing, fill ^ 0x5a);
+                if cut % 4 == 0 {
+                    out.truncate(cut as usize % (out.len() + 1));
+                }
+                out
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Whatever the two parsers accept, `verify` answers without
+        /// panicking, and garbage never verifies, also under a key built
+        /// by hand whose height matches the parsed path.
+        #[test]
+        fn parsed_garbage_never_panics_verify(
+            sig in signature_bytes(),
+            root in any::<u8>(),
+            height in any::<u8>(),
+            match_path in any::<bool>(),
+            key_len in prop_oneof![Just(33usize), 0usize..40],
+        ) {
+            let mut key = vec![root; 32];
+            key.push(height);
+            key.resize(key_len, root);
+            let public = PublicKey::from_bytes(&key);
+            if let Some(public) = public {
+                prop_assert!(public.height <= MAX_HEIGHT);
+            }
+            if let Some(sig) = Signature::from_bytes(&sig) {
+                if let Some(public) = public {
+                    prop_assert!(!verify(&public, &msg(b"m"), &sig));
+                }
+                let height = if match_path { sig.auth_path.len() as u8 } else { height };
+                let by_hand = PublicKey { root: Digest([root; 32]), height };
+                prop_assert!(!verify(&by_hand, &msg(b"m"), &sig));
+            }
         }
     }
 }

@@ -622,7 +622,7 @@ impl Engine {
         let span = tracer.begin(name, stage, clock.now());
         let result = body(span);
         if let Err(e) = &result {
-            tracer.attr(span, sym!("error"), e);
+            tracer.attr(span, sym!("error"), format_args!("{e}"));
         }
         if let (Err(EngineError::Crash(c)), true) = (&result, dies_here) {
             clock.advance_to(c.at);
@@ -632,10 +632,7 @@ impl Engine {
                 Stage::Other,
                 now,
                 now,
-                [
-                    (sym!("point"), c.point.to_string()),
-                    (sym!("seq"), c.seq.to_string()),
-                ],
+                [(sym!("point"), c.point.into()), (sym!("seq"), c.seq.into())],
             );
         }
         tracer.end(span, clock.now());
@@ -730,8 +727,8 @@ impl Engine {
                 };
                 fetched.borrow_mut()[i] = Some(bytes);
                 Ok(TaskFinish::at(done)
-                    .attr("bytes", size)
-                    .attr("cached", cached))
+                    .attr(sym!("bytes"), size)
+                    .attr(sym!("cached"), cached))
             });
         }
         let run = Executor::new(ctx.parallelism).run(graph, t, &ctx.tracer);
@@ -1001,7 +998,7 @@ impl Engine {
                     Stage::Cache,
                     t_cache,
                     clock.now(),
-                    [(sym!("hit"), hit.to_string())],
+                    [(sym!("hit"), hit.into())],
                 );
                 let artifact = match cached {
                     Some(artifact) => artifact,
@@ -1049,7 +1046,7 @@ impl Engine {
                                             bytes as f64 / (500.0 * (1u64 << 20) as f64),
                                         ),
                                     )
-                                    .attr("bytes", bytes))
+                                    .attr(sym!("bytes"), bytes))
                                 },
                             ));
                         }
@@ -1060,7 +1057,7 @@ impl Engine {
                                     total_bytes as f64 / (1u64 << 30) as f64,
                                 ),
                             )
-                            .attr("bytes", total_bytes))
+                            .attr(sym!("bytes"), total_bytes))
                         });
                         let run = Executor::new(ctx.parallelism).run(graph, t_conv, tracer);
                         let report = match run {
@@ -1167,7 +1164,7 @@ impl Engine {
                         Ok(TaskFinish::at(
                             at + SimSpan::from_secs_f64(bytes as f64 / (1u64 << 30) as f64),
                         )
-                        .attr("bytes", bytes))
+                        .attr(sym!("bytes"), bytes))
                     });
                 }
                 let report = Executor::new(ctx.parallelism)

@@ -321,8 +321,8 @@ impl Kubelet {
                 r.started,
                 ended,
                 [
-                    (sym!("pod"), name.clone()),
-                    (sym!("node"), self.node_name.clone()),
+                    (sym!("pod"), name.clone().into()),
+                    (sym!("node"), self.node_name.clone().into()),
                 ],
             );
             let _ = api.set_pod_phase(
@@ -361,8 +361,8 @@ impl Kubelet {
             died,
             died,
             [
-                (sym!("node"), self.node_name.clone()),
-                (sym!("lost_volatile"), self.running.len().to_string()),
+                (sym!("node"), self.node_name.clone().into()),
+                (sym!("lost_volatile"), self.running.len().into()),
             ],
         );
         self.faults.metrics().incr("kubelet.crashes");
@@ -400,8 +400,8 @@ impl Kubelet {
             died,
             clock.now(),
             [
-                (sym!("node"), self.node_name.clone()),
-                (sym!("adopted"), adopted.len().to_string()),
+                (sym!("node"), self.node_name.clone().into()),
+                (sym!("adopted"), adopted.len().into()),
             ],
         );
         adopted

@@ -195,8 +195,8 @@ impl ProxyRegistry {
                     arrival,
                     done,
                     [
-                        (sym!("image"), format!("{repo}:{tag}")),
-                        (sym!("hit"), hit.to_string()),
+                        (sym!("image"), format!("{repo}:{tag}").into()),
+                        (sym!("hit"), hit.into()),
                     ],
                 );
                 Ok((manifest, done))
@@ -235,9 +235,9 @@ impl ProxyRegistry {
             arrival,
             done,
             [
-                (sym!("digest"), format!("{digest}")),
-                (sym!("bytes"), data.len().to_string()),
-                (sym!("hit"), hit.to_string()),
+                (sym!("digest"), format!("{digest}").into()),
+                (sym!("bytes"), data.len().into()),
+                (sym!("hit"), hit.into()),
             ],
         );
         Ok((data, done))

@@ -560,8 +560,8 @@ impl Registry {
             arrival,
             done,
             [
-                (sym!("registry"), self.name.to_string()),
-                (sym!("image"), format!("{repo}:{tag}")),
+                (sym!("registry"), self.name.into()),
+                (sym!("image"), format!("{repo}:{tag}").into()),
             ],
         );
         Ok((manifest, done))
@@ -584,9 +584,9 @@ impl Registry {
             arrival,
             done + xfer,
             [
-                (sym!("registry"), self.name.to_string()),
-                (sym!("digest"), digest.short()),
-                (sym!("bytes"), data.len().to_string()),
+                (sym!("registry"), self.name.into()),
+                (sym!("digest"), digest.short().into()),
+                (sym!("bytes"), data.len().into()),
             ],
         );
         Ok((data, done + xfer))

@@ -39,7 +39,8 @@ use hpcc_sim::metrics::Counter;
 use hpcc_sim::sym;
 use hpcc_sim::{
     Admission, AdmissionConfig, AdmissionQueue, Bytes, CrashInjector, DomainSchedule,
-    FaultInjector, MetricsRegistry, QueueServer, SimSpan, SimTime, Stage, TokenBucket, Tracer,
+    FaultInjector, MetricsRegistry, QueueServer, SimSpan, SimTime, Stage, Symbol, TokenBucket,
+    Tracer,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -287,6 +288,8 @@ impl Series {
 
 /// The counters one cache level bumps, `storm.<tier>.<key>`.
 struct LevelSeries {
+    /// The tier's name as a span attribute, interned once.
+    tier: Symbol,
     hits: Series,
     coalesce_hits: Series,
     misses: Series,
@@ -299,6 +302,7 @@ impl LevelSeries {
     fn new(tier: &str) -> LevelSeries {
         let series = |key: &str| Series::new(format!("storm.{tier}.{key}"));
         LevelSeries {
+            tier: Symbol::intern(tier),
             hits: series("hits"),
             coalesce_hits: series("coalesce_hits"),
             misses: series("misses"),
@@ -567,10 +571,10 @@ impl StormTopology {
             at,
             fill_done,
             [
-                (sym!("tier"), self.tiers[level].name.to_string()),
-                (sym!("instance"), inst.to_string()),
-                (sym!("digest"), digest.short()),
-                (sym!("bytes"), size.to_string()),
+                (sym!("tier"), self.series.levels[level].tier.into()),
+                (sym!("instance"), inst.into()),
+                (sym!("digest"), digest.short().into()),
+                (sym!("bytes"), size.into()),
             ],
         );
         let mut c = self.caches[level][inst].lock();
@@ -678,8 +682,8 @@ impl StormTopology {
             at,
             done,
             [
-                (sym!("digest"), digest.short()),
-                (sym!("bytes"), size.to_string()),
+                (sym!("digest"), digest.short().into()),
+                (sym!("bytes"), size.into()),
             ],
         );
         Ok(done)
@@ -734,9 +738,9 @@ impl StormTopology {
             at,
             done,
             [
-                (sym!("node"), node.to_string()),
-                (sym!("digest"), digest.short()),
-                (sym!("bytes"), size.to_string()),
+                (sym!("node"), node.into()),
+                (sym!("digest"), digest.short().into()),
+                (sym!("bytes"), size.into()),
             ],
         );
         Ok(done)

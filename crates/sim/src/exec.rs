@@ -29,7 +29,7 @@
 //! pinning the overlap structure.
 
 use crate::intern::Symbol;
-use crate::obs::{Stage, Tracer};
+use crate::obs::{AttrValue, Stage, Tracer};
 use crate::time::SimTime;
 
 /// Identifier of a task within one [`TaskGraph`] (dense, creation order).
@@ -41,7 +41,7 @@ pub struct TaskId(pub usize);
 #[derive(Debug, Clone)]
 pub struct TaskFinish {
     pub done: SimTime,
-    pub attrs: Vec<(String, String)>,
+    pub attrs: Vec<(Symbol, AttrValue)>,
 }
 
 impl TaskFinish {
@@ -54,8 +54,8 @@ impl TaskFinish {
     }
 
     /// Attach a span attribute.
-    pub fn attr(mut self, key: &str, value: impl std::fmt::Display) -> TaskFinish {
-        self.attrs.push((key.to_string(), value.to_string()));
+    pub fn attr(mut self, key: impl Into<Symbol>, value: impl Into<AttrValue>) -> TaskFinish {
+        self.attrs.push((key.into(), value.into()));
         self
     }
 }
@@ -263,11 +263,11 @@ impl Executor {
                 est,
                 done,
                 [
-                    (crate::sym!("task"), tid.to_string()),
-                    (crate::sym!("worker"), widx.to_string()),
+                    (crate::sym!("task"), tid.into()),
+                    (crate::sym!("worker"), widx.into()),
                 ]
                 .into_iter()
-                .chain(fin.attrs.into_iter().map(|(k, v)| (Symbol::intern(&k), v))),
+                .chain(fin.attrs),
             );
             started[tid] = est;
             finished[tid] = done;
@@ -406,11 +406,11 @@ mod tests {
         let attrs: std::collections::BTreeMap<_, _> = spans[0]
             .attrs
             .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .map(|(k, v)| (k.as_str(), v.clone()))
             .collect();
-        assert_eq!(attrs["worker"], "0");
-        assert_eq!(attrs["task"], "0");
-        assert_eq!(attrs["bytes"], "512");
+        assert_eq!(attrs["worker"], AttrValue::U64(0));
+        assert_eq!(attrs["task"], AttrValue::U64(0));
+        assert_eq!(attrs["bytes"], AttrValue::U64(512));
     }
 
     #[test]

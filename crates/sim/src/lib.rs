@@ -70,7 +70,7 @@ pub use intern::Symbol;
 pub use metrics::{CounterBatch, MetricsRegistry};
 pub use net::{Fabric, LinkClass};
 pub use noise::{bsp_run, BspOutcome, NoiseProfile};
-pub use obs::{SpanId, SpanRecord, Stage, Tracer};
+pub use obs::{AttrValue, SpanId, SpanRecord, Stage, Tracer};
 pub use resilience::{
     Admission, AdmissionConfig, AdmissionQueue, BreakerConfig, BreakerState, CircuitBreaker,
 };

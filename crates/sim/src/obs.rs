@@ -29,7 +29,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Pipeline stage a span (or a fault-layer retry) belongs to. The same tag
 /// is threaded through [`crate::RetryPolicy`] trace lines so obs spans and
@@ -104,6 +104,141 @@ impl fmt::Display for Stage {
 /// by a disabled tracer; real ids start at 1 and increase in creation order.
 pub type SpanId = u64;
 
+/// A span attribute value. Ids, sizes, counts and flags stay numbers until
+/// an exporter formats them, so a query over spans reads them without
+/// parsing; free text (error messages, image references) is `Str`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AttrValue {
+    U64(u64),
+    Bool(bool),
+    /// An interned label (a tier, a policy): a copy, not an allocation.
+    Sym(Symbol),
+    Str(String),
+}
+
+impl AttrValue {
+    /// The value as the flat formats write it: numbers in decimal, flags
+    /// as `true`/`false`, text with the separators mapped away. A `\r`
+    /// goes too: the parser's line split drops one that ends a line.
+    fn write_sanitized(&self, out: &mut String) {
+        let text = |out: &mut String, text: &str| {
+            out.extend(text.chars().map(|c| match c {
+                '\t' | '\n' | '\r' => ' ',
+                ',' => ';',
+                c => c,
+            }))
+        };
+        match self {
+            AttrValue::U64(n) => {
+                let _ = write!(out, "{n}");
+            }
+            AttrValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            AttrValue::Sym(s) => text(out, s.as_str()),
+            AttrValue::Str(s) => text(out, s),
+        }
+    }
+
+    /// The inverse of [`AttrValue::write_sanitized`] up to type: a
+    /// canonical decimal (no sign, no leading zero, fits a `u64`) reads
+    /// back as `U64`, `true`/`false` as `Bool`, anything else as `Str`.
+    fn parse(v: &str) -> AttrValue {
+        match v {
+            "true" => return AttrValue::Bool(true),
+            "false" => return AttrValue::Bool(false),
+            _ => {}
+        }
+        let canonical = v.bytes().all(|b| b.is_ascii_digit()) && (v == "0" || !v.starts_with('0'));
+        match v.parse() {
+            Ok(n) if canonical => AttrValue::U64(n),
+            _ => AttrValue::Str(v.to_string()),
+        }
+    }
+}
+
+impl From<u64> for AttrValue {
+    fn from(v: u64) -> AttrValue {
+        AttrValue::U64(v)
+    }
+}
+
+impl From<u32> for AttrValue {
+    fn from(v: u32) -> AttrValue {
+        AttrValue::U64(v.into())
+    }
+}
+
+impl From<usize> for AttrValue {
+    fn from(v: usize) -> AttrValue {
+        AttrValue::U64(v as u64)
+    }
+}
+
+/// A negative number has no `U64`; it is kept as the text the exporter
+/// would write, which the parser reads back the same way.
+impl From<i32> for AttrValue {
+    fn from(v: i32) -> AttrValue {
+        u64::try_from(v).map_or_else(|_| AttrValue::Str(v.to_string()), AttrValue::U64)
+    }
+}
+
+impl From<bool> for AttrValue {
+    fn from(v: bool) -> AttrValue {
+        AttrValue::Bool(v)
+    }
+}
+
+impl From<Symbol> for AttrValue {
+    fn from(v: Symbol) -> AttrValue {
+        AttrValue::Sym(v)
+    }
+}
+
+impl From<String> for AttrValue {
+    fn from(v: String) -> AttrValue {
+        AttrValue::Str(v)
+    }
+}
+
+impl From<&str> for AttrValue {
+    fn from(v: &str) -> AttrValue {
+        AttrValue::Str(v.to_string())
+    }
+}
+
+impl From<&String> for AttrValue {
+    fn from(v: &String) -> AttrValue {
+        AttrValue::Str(v.clone())
+    }
+}
+
+/// Text built by `format_args!`: [`Tracer::attr`] converts its value only
+/// once it knows the tracer is enabled, so a disabled tracer formats
+/// nothing.
+impl From<fmt::Arguments<'_>> for AttrValue {
+    fn from(v: fmt::Arguments<'_>) -> AttrValue {
+        AttrValue::Str(v.to_string())
+    }
+}
+
+/// A finished span's attributes, frozen: snapshots of the trace share the
+/// list instead of copying it.
+type Attrs = Arc<[(Symbol, AttrValue)]>;
+
+/// The one attribute list of every span that has none, so such a span
+/// allocates nothing for it.
+fn no_attrs() -> Attrs {
+    static EMPTY: OnceLock<Attrs> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(|| Arc::new([])))
+}
+
+fn freeze(attrs: Vec<(Symbol, AttrValue)>) -> Attrs {
+    if attrs.is_empty() {
+        no_attrs()
+    } else {
+        attrs.into()
+    }
+}
+
 /// One finished span: a named interval on the logical timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
@@ -117,35 +252,26 @@ pub struct SpanRecord {
     pub start: SimTime,
     pub end: SimTime,
     /// Ordered key=value attributes (source, attempts, bytes, ...). Keys
-    /// are interned (drawn from a small fixed vocabulary); values stay
-    /// owned strings (they carry per-event data).
-    pub attrs: Vec<(Symbol, String)>,
+    /// are interned (drawn from a small fixed vocabulary); values are
+    /// typed. Shared: cloning a record copies no attribute.
+    pub attrs: Attrs,
 }
 
 impl SpanRecord {
     pub fn duration(&self) -> SimSpan {
         self.end.since(self.start)
     }
-
-    fn attr_string(&self) -> String {
-        let mut out = String::new();
-        for (i, (k, v)) in self.attrs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(k.as_str());
-            out.push('=');
-            out.push_str(&sanitize(v));
-        }
-        out
-    }
 }
 
-/// Attribute values may carry arbitrary error text; keep the flat formats
-/// parseable. A `\r` goes too: the parser's line split drops one that
-/// ends a line.
-fn sanitize(v: &str) -> String {
-    v.replace(['\t', '\n', '\r'], " ").replace(',', ";")
+fn write_attrs(out: &mut String, attrs: &[(Symbol, AttrValue)]) {
+    for (i, (k, v)) in attrs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(k.as_str());
+        out.push('=');
+        v.write_sanitized(out);
+    }
 }
 
 #[derive(Debug)]
@@ -155,7 +281,7 @@ struct OpenSpan {
     name: Symbol,
     stage: Stage,
     start: SimTime,
-    attrs: Vec<(Symbol, String)>,
+    attrs: Vec<(Symbol, AttrValue)>,
 }
 
 /// Cached per-span-name instruments: resolved from the registry once (one
@@ -264,14 +390,14 @@ impl Tracer {
     }
 
     /// Attach an attribute to an open span.
-    pub fn attr(&self, id: SpanId, key: impl Into<Symbol>, value: impl fmt::Display) {
+    pub fn attr(&self, id: SpanId, key: impl Into<Symbol>, value: impl Into<AttrValue>) {
         if !self.enabled || id == 0 {
             return;
         }
-        let key = key.into();
+        let (key, value) = (key.into(), value.into());
         let mut st = self.state.lock();
         if let Some(s) = st.open.iter_mut().find(|s| s.id == id) {
-            s.attrs.push((key, value.to_string()));
+            s.attrs.push((key, value));
         }
     }
 
@@ -295,7 +421,7 @@ impl Tracer {
                 stage: open.stage,
                 start: open.start,
                 end: now.max(open.start),
-                attrs: open.attrs,
+                attrs: freeze(open.attrs),
             };
             st.pending_metrics
                 .push((record.name, record.duration().as_nanos()));
@@ -308,32 +434,31 @@ impl Tracer {
 
     /// Record a complete span retrospectively (arrival→completion style
     /// operations that only know both endpoints at the end). The parent is
-    /// the innermost span currently open. Attributes are moved into the
-    /// record; a disabled tracer drops them unread.
+    /// the innermost span currently open. Attributes are collected straight
+    /// into the record's shared list; a disabled tracer drops them unread.
     pub fn record(
         &self,
         name: impl Into<Symbol>,
         stage: Stage,
         start: SimTime,
         end: SimTime,
-        attrs: impl IntoIterator<Item = (Symbol, String)>,
+        attrs: impl IntoIterator<Item = (Symbol, AttrValue)>,
     ) {
         if !self.enabled {
             return;
         }
-        self.push_record(name.into(), stage, start, end, attrs.into_iter().collect());
+        let attrs = attrs.into_iter();
+        let attrs = if attrs.size_hint().1 == Some(0) {
+            no_attrs()
+        } else {
+            attrs.collect()
+        };
+        self.push_record(name.into(), stage, start, end, attrs);
     }
 
     /// The body of [`Tracer::record`], kept out of the generic part so
     /// each call site instantiates only the check and the collect.
-    fn push_record(
-        &self,
-        name: Symbol,
-        stage: Stage,
-        start: SimTime,
-        end: SimTime,
-        attrs: Vec<(Symbol, String)>,
-    ) {
+    fn push_record(&self, name: Symbol, stage: Stage, start: SimTime, end: SimTime, attrs: Attrs) {
         let mut st = self.state.lock();
         st.next_id += 1;
         let id = st.next_id;
@@ -407,7 +532,8 @@ impl Tracer {
     }
 
     /// All finished spans, in completion order. Flushes buffered metrics
-    /// (this is the canonical end-of-run barrier).
+    /// (this is the canonical end-of-run barrier). The snapshot shares each
+    /// span's attribute list with the tracer.
     pub fn finished(&self) -> Vec<SpanRecord> {
         let mut st = self.state.lock();
         self.flush_metrics_locked(&mut st);
@@ -448,23 +574,36 @@ fn sorted_for_export(spans: &[SpanRecord]) -> Vec<&SpanRecord> {
     v
 }
 
+const TSV_HEADER: &str = "id\tparent\tname\tstage\tstart_ns\tdur_ns\tattrs\n";
+
+/// One span as one TSV line, newline included: the only line formatter,
+/// shared by [`export_tsv`] and [`trace_digest`].
+fn write_tsv_line(out: &mut String, s: &SpanRecord) {
+    let _ = write!(out, "{}\t", s.id);
+    match s.parent {
+        Some(p) => {
+            let _ = write!(out, "{p}\t");
+        }
+        None => out.push_str("-\t"),
+    }
+    let _ = write!(
+        out,
+        "{}\t{}\t{}\t{}\t",
+        s.name,
+        s.stage,
+        s.start.as_nanos(),
+        s.duration().as_nanos()
+    );
+    write_attrs(out, &s.attrs);
+    out.push('\n');
+}
+
 /// Export spans as a flat TSV: one line per span, sorted by (start, id).
 /// Round-trips through [`parse_tsv`]; this is the golden-file format.
 pub fn export_tsv(spans: &[SpanRecord]) -> String {
-    let mut out = String::from("id\tparent\tname\tstage\tstart_ns\tdur_ns\tattrs\n");
+    let mut out = String::from(TSV_HEADER);
     for s in sorted_for_export(spans) {
-        let parent = s.parent.map_or_else(|| "-".to_string(), |p| p.to_string());
-        let _ = writeln!(
-            out,
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            s.id,
-            parent,
-            s.name,
-            s.stage,
-            s.start.as_nanos(),
-            s.duration().as_nanos(),
-            s.attr_string()
-        );
+        write_tsv_line(&mut out, s);
     }
     out
 }
@@ -506,7 +645,7 @@ pub fn parse_tsv(text: &str) -> Result<Vec<SpanRecord>, String> {
             fields[6]
                 .split(',')
                 .map(|kv| match kv.split_once('=') {
-                    Some((k, v)) => Ok((Symbol::intern(k), v.to_string())),
+                    Some((k, v)) => Ok((Symbol::intern(k), AttrValue::parse(v))),
                     None => Err(bad("attrs")),
                 })
                 .collect::<Result<Vec<_>, _>>()?
@@ -518,18 +657,32 @@ pub fn parse_tsv(text: &str) -> Result<Vec<SpanRecord>, String> {
             stage,
             start: SimTime(start_ns),
             end: SimTime(end_ns),
-            attrs,
+            attrs: freeze(attrs),
         });
     }
     Ok(spans)
 }
 
-/// FNV-1a digest of the TSV export — a cheap fingerprint two runs compare.
-pub fn trace_digest(spans: &[SpanRecord]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in export_tsv(spans).as_bytes() {
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
         h ^= *b as u64;
         h = h.wrapping_mul(0x1_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a digest of the TSV export — a cheap fingerprint two runs compare.
+/// Hashed line by line through one reused buffer, so the whole export is
+/// never held at once.
+pub fn trace_digest(spans: &[SpanRecord]) -> u64 {
+    let mut h = fnv1a(FNV_OFFSET, TSV_HEADER.as_bytes());
+    let mut line = String::new();
+    for s in sorted_for_export(spans) {
+        line.clear();
+        write_tsv_line(&mut line, s);
+        h = fnv1a(h, line.as_bytes());
     }
     h
 }
@@ -568,14 +721,16 @@ pub(crate) fn canonical_lines(spans: &[SpanRecord]) -> Vec<String> {
     sorted_for_export(spans)
         .into_iter()
         .map(|s| {
-            format!(
-                "{} stage={} start={} dur={} attrs=[{}]",
+            let mut line = format!(
+                "{} stage={} start={} dur={} attrs=[",
                 name_path(s, &by_id),
                 s.stage,
                 s.start.as_nanos(),
-                s.duration().as_nanos(),
-                s.attr_string()
-            )
+                s.duration().as_nanos()
+            );
+            write_attrs(&mut line, &s.attrs);
+            line.push(']');
+            line
         })
         .collect()
 }
@@ -732,7 +887,7 @@ mod tests {
             Stage::Cache,
             t(10),
             t(12),
-            [(crate::sym!("hit"), "false".into())],
+            [(crate::sym!("hit"), false.into())],
         );
         tr.end(prep, t(30));
         let run = tr.begin("engine.run", Stage::Run, t(30));
@@ -984,7 +1139,7 @@ mod tests {
                         Stage::Other,
                         now,
                         now + SimSpan::millis(dur),
-                        [(crate::sym!("kind"), "retro".to_string())],
+                        [(crate::sym!("kind"), "retro".into())],
                     );
                 }
                 ObsOp::Attr(k, v) => {
@@ -1077,8 +1232,8 @@ mod tests {
             Stage::Adapt,
             Stage::Other,
         ];
-        let attr = ("[a-z_]{1,8}", "[a-c \t\n\r,=;é]{0,10}")
-            .prop_map(|(k, v): (String, String)| (Symbol::intern(&k), v));
+        let attr = ("[a-z_]{1,8}", arb_value())
+            .prop_map(|(k, v): (String, AttrValue)| (Symbol::intern(&k), v));
         let parent = prop_oneof![Just(None), any::<u64>().prop_map(Some)];
         let name = "[a-z._]{1,12}".prop_map(|n: String| Symbol::intern(&n));
         let when = (0usize..STAGES.len(), any::<u64>(), any::<u64>());
@@ -1094,8 +1249,25 @@ mod tests {
                 stage: STAGES[stage],
                 start: SimTime(a.min(b)),
                 end: SimTime(a.max(b)),
-                attrs,
+                attrs: freeze(attrs),
             })
+    }
+
+    /// A value of every type; text carries the separators the exporter
+    /// has to neutralise and shapes that look almost like numbers.
+    fn arb_value() -> impl Strategy<Value = AttrValue> {
+        prop_oneof![
+            any::<u64>().prop_map(AttrValue::U64),
+            any::<bool>().prop_map(AttrValue::Bool),
+            "[a-c \t\n\r,=;é]{0,10}".prop_map(|v: String| AttrValue::Sym(Symbol::intern(&v))),
+            "[0-9a-c \t\n\r,=;é+-]{0,10}".prop_map(AttrValue::Str),
+        ]
+    }
+
+    /// The digest's definition: FNV-1a over the whole export, built as one
+    /// string. [`trace_digest`] streams the same bytes.
+    fn trace_digest_reference(spans: &[SpanRecord]) -> u64 {
+        fnv1a(FNV_OFFSET, export_tsv(spans).as_bytes())
     }
 
     proptest! {
@@ -1116,7 +1288,8 @@ mod tests {
         }
 
         /// Export is a fixpoint of parse: what the exporter writes, the
-        /// parser reads back into spans that export to the same bytes.
+        /// parser reads back into spans that export to the same bytes, for
+        /// values of every type.
         #[test]
         fn export_parse_export_is_a_fixpoint(
             spans in proptest::collection::vec(arb_span(), 0..8)
@@ -1125,6 +1298,102 @@ mod tests {
             let parsed = parse_tsv(&once).expect("an export parses");
             prop_assert_eq!(export_tsv(&parsed), once);
         }
+
+        /// Streaming the digest did not change what it digests: it equals
+        /// FNV-1a over the whole export, separators in text included.
+        #[test]
+        fn streamed_digest_equals_the_digest_of_the_export(
+            spans in proptest::collection::vec(arb_span(), 0..8)
+        ) {
+            prop_assert_eq!(trace_digest(&spans), trace_digest_reference(&spans));
+        }
+    }
+
+    #[test]
+    fn parse_reads_canonical_numbers_and_flags_back_typed() {
+        let line = |attrs: &str| {
+            format!(
+                "id\tparent\tname\tstage\tstart_ns\tdur_ns\tattrs\n1\t-\tx\tother\t0\t1\t{attrs}\n"
+            )
+        };
+        let parsed = parse_tsv(&line(
+            "a=0,b=42,c=18446744073709551615,d=true,e=false,f=tier",
+        ))
+        .unwrap();
+        let values: Vec<&AttrValue> = parsed[0].attrs.iter().map(|(_, v)| v).collect();
+        assert_eq!(
+            values,
+            [
+                &AttrValue::U64(0),
+                &AttrValue::U64(42),
+                &AttrValue::U64(u64::MAX),
+                &AttrValue::Bool(true),
+                &AttrValue::Bool(false),
+                &AttrValue::Str("tier".into()),
+            ]
+        );
+        // Not canonical, or not a u64: the text is kept as it was.
+        for text in ["007", "-1", "+1", "18446744073709551616", "", "1e3", "True"] {
+            let parsed = parse_tsv(&line(&format!("k={text}"))).unwrap();
+            assert_eq!(
+                parsed[0].attrs[0].1,
+                AttrValue::Str(text.into()),
+                "{text:?}"
+            );
+            assert_eq!(export_tsv(&parsed), line(&format!("k={text}")));
+        }
+    }
+
+    #[test]
+    fn typed_values_export_as_their_text() {
+        let tr = Tracer::new();
+        let id = tr.begin("typed", Stage::Other, t(0));
+        tr.attr(id, "n", 7u64);
+        tr.attr(id, "neg", -1);
+        tr.attr(id, "flag", true);
+        tr.attr(id, "tier", crate::sym!("rack,row"));
+        tr.attr(id, "msg", "a\tb,c");
+        tr.end(id, t(1));
+        let tsv = export_tsv(&tr.finished());
+        assert!(
+            tsv.ends_with("\tn=7,neg=-1,flag=true,tier=rack;row,msg=a b;c\n"),
+            "{tsv}"
+        );
+        // An attribute pair stays four words: a symbol and a 24-byte value.
+        assert_eq!(std::mem::size_of::<(Symbol, AttrValue)>(), 32);
+    }
+
+    /// A snapshot copies no attribute: two snapshots share every list,
+    /// spans without attributes share one empty list, and a reset drops
+    /// the tracer's reference without touching a snapshot taken before.
+    #[test]
+    fn snapshots_share_attribute_lists_and_outlive_a_reset() {
+        let tr = Tracer::new();
+        let id = tr.begin("outer", Stage::Other, t(0));
+        tr.attr(id, "k", 1u64);
+        tr.record(
+            "inner",
+            Stage::Other,
+            t(0),
+            t(1),
+            [(crate::sym!("bytes"), 2u64.into())],
+        );
+        tr.record("bare", Stage::Other, t(1), t(2), []);
+        tr.end(id, t(3));
+        tr.record("bare", Stage::Other, t(3), t(4), []);
+        let a = tr.finished();
+        let b = tr.finished();
+        assert_eq!(a.len(), 4);
+        for (x, y) in a.iter().zip(&b) {
+            assert!(Arc::ptr_eq(&x.attrs, &y.attrs), "{} copied", x.name);
+        }
+        let bare: Vec<&SpanRecord> = a.iter().filter(|s| s.name == "bare").collect();
+        assert!(Arc::ptr_eq(&bare[0].attrs, &bare[1].attrs));
+        let before = export_tsv(&a);
+        tr.reset();
+        assert_eq!(tr.span_count(), 0);
+        assert_eq!(export_tsv(&a), before);
+        assert_eq!(a, b);
     }
 
     /// The cardinality cap trips at the same counts with interned keys,

@@ -374,10 +374,10 @@ impl Recoverable for JournaledStore {
             now,
             now + took,
             [
-                (sym!("records"), records.len().to_string()),
-                (sym!("rolled_forward"), rolled_forward.to_string()),
-                (sym!("discarded"), discarded.to_string()),
-                (sym!("rebuilt"), rebuilt.to_string()),
+                (sym!("records"), records.len().into()),
+                (sym!("rolled_forward"), rolled_forward.into()),
+                (sym!("discarded"), discarded.into()),
+                (sym!("rebuilt"), rebuilt.into()),
             ],
         );
         Ok(RecoveryReport {

@@ -133,8 +133,8 @@ pub(crate) fn stage_image_to_nodes_bounded(
                 .map_err(SquashError::Fs)?;
             done.borrow_mut()[i] = Some(t);
             Ok(TaskFinish::at(t)
-                .attr("node", i)
-                .attr("bytes", size.as_u64()))
+                .attr(sym!("node"), i)
+                .attr(sym!("bytes"), size.as_u64()))
         });
     }
     Executor::new(workers)

@@ -102,7 +102,7 @@ pub fn broadcast_p2p(
             graph.add(sym!("p2p.seed_pull"), Stage::Storage, &[], move |at| {
                 let t = shared.read_bulk(image_size, at);
                 seed_done.borrow_mut()[i] = Some(t);
-                Ok(TaskFinish::at(t).attr("node", node.0))
+                Ok(TaskFinish::at(t).attr(sym!("node"), node.0))
             });
         }
         Executor::new(seeds)
@@ -156,8 +156,8 @@ pub fn broadcast_p2p(
             free_at,
             arrival,
             [
-                (sym!("from"), node_ids[holder].0.to_string()),
-                (sym!("to"), node_ids[i].0.to_string()),
+                (sym!("from"), node_ids[holder].0.into()),
+                (sym!("to"), node_ids[i].0.into()),
             ],
         );
         done[i] = Some(arrival);
@@ -409,7 +409,9 @@ pub fn broadcast_tree(
                 let id = graph.add(sym!("tree.seed_pull"), Stage::Storage, &deps, move |at| {
                     let t = shared.read_bulk(chunk_size(image_size, chunk, c), at);
                     done.borrow_mut()[s].push(t);
-                    Ok(TaskFinish::at(t).attr("node", node.0).attr("chunk", c))
+                    Ok(TaskFinish::at(t)
+                        .attr(sym!("node"), node.0)
+                        .attr(sym!("chunk"), c))
                 });
                 *prev = Some(id);
             }
@@ -686,8 +688,8 @@ pub fn broadcast_tree_from_seeds_gated(
                     at,
                     at + TREE_REPAIR_LATENCY,
                     [
-                        (sym!("node"), node_ids[tree.assignments()[p]].0.to_string()),
-                        (sym!("orphans"), orphans.len().to_string()),
+                        (sym!("node"), node_ids[tree.assignments()[p]].0.into()),
+                        (sym!("orphans"), orphans.len().into()),
                     ],
                 );
                 continue;

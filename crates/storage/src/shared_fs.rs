@@ -155,7 +155,7 @@ impl SharedFs {
             Stage::Storage,
             arrival,
             done,
-            [(sym!("bytes"), size.as_u64().to_string())],
+            [(sym!("bytes"), size.as_u64().into())],
         );
         done
     }

@@ -384,8 +384,8 @@ impl Slurm {
             now,
             now,
             [
-                (sym!("job"), id.0.to_string()),
-                (sym!("ok"), failure.is_none().to_string()),
+                (sym!("job"), id.0.into()),
+                (sym!("ok"), failure.is_none().into()),
             ],
         );
 
@@ -511,7 +511,7 @@ impl Slurm {
                 Stage::Schedule,
                 now,
                 now,
-                [(sym!("started"), started.len().to_string())],
+                [(sym!("started"), started.len().into())],
             );
         }
         started
@@ -575,10 +575,7 @@ impl Slurm {
                 Stage::Schedule,
                 now,
                 now,
-                [
-                    (sym!("job"), id.0.to_string()),
-                    (sym!("ok"), epilog_ok.to_string()),
-                ],
+                [(sym!("job"), id.0.into()), (sym!("ok"), epilog_ok.into())],
             );
         }
         self.contexts.insert(id, ctx);
@@ -589,9 +586,9 @@ impl Slurm {
             started,
             now,
             [
-                (sym!("job"), id.0.to_string()),
-                (sym!("nodes"), nodes.len().to_string()),
-                (sym!("timed_out"), timed_out.to_string()),
+                (sym!("job"), id.0.into()),
+                (sym!("nodes"), nodes.len().into()),
+                (sym!("timed_out"), timed_out.into()),
             ],
         );
 
@@ -749,8 +746,8 @@ impl Slurm {
                 now,
                 now,
                 [
-                    (sym!("job"), jid.0.to_string()),
-                    (sym!("epoch"), self.epoch(*jid).to_string()),
+                    (sym!("job"), jid.0.into()),
+                    (sym!("epoch"), self.epoch(*jid).into()),
                 ],
             );
         }
@@ -765,8 +762,8 @@ impl Slurm {
             now,
             now,
             [
-                (sym!("node"), id.0.to_string()),
-                (sym!("requeued"), affected.len().to_string()),
+                (sym!("node"), id.0.into()),
+                (sym!("requeued"), affected.len().into()),
             ],
         );
         Ok(affected)
@@ -781,7 +778,7 @@ impl Slurm {
             Stage::Schedule,
             now,
             now,
-            [(sym!("node"), id.0.to_string())],
+            [(sym!("node"), id.0.into())],
         );
         Ok(self.schedule(now))
     }

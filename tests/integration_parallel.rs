@@ -83,10 +83,7 @@ fn run_sequential_reference(dag: &[(u64, Vec<usize>)]) -> (Vec<SpanRecord>, SimT
             Stage::Other,
             now,
             done,
-            [
-                (sym!("task"), i.to_string()),
-                (sym!("worker"), "0".to_string()),
-            ],
+            [(sym!("task"), i.into()), (sym!("worker"), 0usize.into())],
         );
         now = done;
     }
