@@ -207,7 +207,7 @@ fn push_locked(
                 // Layer-dedup HEAD check: pay only the handshake.
                 clock.advance(PUSH_RTT);
             } else {
-                registry.push_blob(desc.media_type, desc.digest, data.as_ref().clone())?;
+                registry.push_blob(desc.media_type, desc.digest, data)?;
                 clock.advance(
                     PUSH_RTT + SimSpan(desc.size.saturating_mul(1_000_000_000) / PUSH_BPS),
                 );

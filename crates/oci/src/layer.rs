@@ -136,7 +136,7 @@ pub fn diff(base: &MemFs, target: &MemFs) -> Result<Archive, FsError> {
         let st = target.lstat(p)?;
         let rel = rel_str(p);
         let kind = match st.kind {
-            FileType::File => EntryKind::File(target.read(p)?.as_ref().clone()),
+            FileType::File => EntryKind::File(target.read(p)?),
             FileType::Dir => EntryKind::Dir,
             FileType::Symlink => EntryKind::Symlink(target.readlink(p)?),
         };
@@ -207,7 +207,7 @@ pub fn apply(fs: &mut MemFs, layer: &Archive) -> Result<(), FsError> {
                 }
                 fs.write(
                     &at,
-                    data.clone(),
+                    Arc::clone(data),
                     Meta {
                         mode: e.mode,
                         uid: e.uid,
@@ -267,6 +267,31 @@ mod tests {
             rebuilt.tree_digest(&VPath::root()).unwrap(),
             target.tree_digest(&VPath::root()).unwrap()
         );
+    }
+
+    #[test]
+    fn diff_and_flatten_share_file_bytes() {
+        let target = base();
+        let layer = diff(&MemFs::new(), &target).unwrap();
+        let flat = flatten(std::slice::from_ref(&layer)).unwrap();
+        let mut files = 0;
+        for e in &layer.entries {
+            if let EntryKind::File(data) = &e.kind {
+                let at = VPath::root().join(&e.path);
+                assert!(
+                    Arc::ptr_eq(data, &target.read(&at).unwrap()),
+                    "diff copied {}",
+                    e.path
+                );
+                assert!(
+                    Arc::ptr_eq(data, &flat.read(&at).unwrap()),
+                    "flatten copied {}",
+                    e.path
+                );
+                files += 1;
+            }
+        }
+        assert_eq!(files, 3);
     }
 
     #[test]

@@ -178,8 +178,7 @@ impl ProxyRegistry {
                         let (data, done) = self.upstream_blob(&d.digest, t)?;
                         t = done;
                         self.deposited.write().insert(d.digest, data.len() as u64);
-                        self.local
-                            .push_blob(d.media_type, d.digest, data.as_ref().clone())?;
+                        self.local.push_blob(d.media_type, d.digest, data)?;
                     }
                     self.local.push_manifest(repo, tag, &manifest)?;
                     Ok((manifest, t, false))
@@ -225,7 +224,7 @@ impl ProxyRegistry {
             self.local.push_blob(
                 hpcc_oci::image::MediaType::Layer,
                 *digest,
-                data.as_ref().clone(),
+                Arc::clone(&data),
             )?;
             (data, done, false)
         };
@@ -262,7 +261,7 @@ pub fn mirror_sync(src: &Registry, dst: &Registry, repos: &[&str]) -> Result<u64
                     continue;
                 }
                 let (data, _) = src.pull_blob(&d.digest, SimTime::ZERO)?;
-                dst.push_blob(d.media_type, d.digest, data.as_ref().clone())?;
+                dst.push_blob(d.media_type, d.digest, data)?;
                 copied += 1;
             }
             dst.push_manifest(repo, &tag, &manifest)?;

@@ -442,7 +442,7 @@ impl Registry {
         &self,
         media_type: MediaType,
         claimed: Digest,
-        data: Vec<u8>,
+        data: impl Into<Arc<Vec<u8>>>,
     ) -> Result<Descriptor, RegistryError> {
         if !self.accepts(media_type) {
             return Err(RegistryError::UnsupportedArtifact(media_type));
@@ -519,7 +519,7 @@ impl Registry {
     ) -> Result<Descriptor, RegistryError> {
         for d in std::iter::once(&manifest.config).chain(manifest.layers.iter()) {
             let data = cas.get(&d.digest)?;
-            self.push_blob(d.media_type, d.digest, data.as_ref().clone())?;
+            self.push_blob(d.media_type, d.digest, data)?;
         }
         self.push_manifest(repo, tag, manifest)
     }
@@ -659,9 +659,7 @@ impl Registry {
         }
         let fs = layer::flatten(&archives)?;
         let img = SquashImage::build(&fs, &VPath::root(), hpcc_codec::compress::Codec::Lz)?;
-        // The image was just built, so the bytes are ours to hand over.
-        let bytes = Arc::unwrap_or_clone(img.into_bytes());
-        Ok(self.cas.put(MediaType::SquashImage, bytes))
+        Ok(self.cas.put(MediaType::SquashImage, img.into_bytes()))
     }
 
     // ------------------------------------------------------- Library API
@@ -762,6 +760,17 @@ mod tests {
         );
         assert!(!reg.has_blob(&wrong) && !reg.has_blob(&actual));
         assert_eq!(reg.stats().pushes, 0);
+    }
+
+    #[test]
+    fn push_blob_keeps_the_allocation_it_is_handed() {
+        let reg = open_registry();
+        let data = Arc::new(b"layer-bytes".to_vec());
+        let d = hpcc_crypto::sha256::sha256(&data);
+        reg.push_blob(MediaType::Layer, d, Arc::clone(&data))
+            .unwrap();
+        let (pulled, _) = reg.pull_blob(&d, SimTime::ZERO).unwrap();
+        assert!(Arc::ptr_eq(&pulled, &data));
     }
 
     #[test]

@@ -165,7 +165,7 @@ fn apply_mount(
                         rootfs.mkdir_p(&parent).map_err(ContainerError::Fs)?;
                     }
                     rootfs
-                        .write(&dest, data.as_ref().clone(), st.meta)
+                        .write(&dest, data, st.meta)
                         .map_err(ContainerError::Fs)?;
                 }
             }
@@ -180,7 +180,7 @@ fn apply_mount(
                 rootfs.mkdir_p(&parent).map_err(ContainerError::Fs)?;
             }
             rootfs
-                .write(&dest, data.as_ref().clone(), Meta::file())
+                .write(&dest, data, Meta::file())
                 .map_err(ContainerError::Fs)?;
         }
     }

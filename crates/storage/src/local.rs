@@ -55,7 +55,12 @@ impl NodeLocalDisk {
     /// [`FaultKind::DiskFull`] fault is active the scratch disk rejects
     /// writes with [`FsError::NoSpace`]; reads of already-landed data keep
     /// working.
-    pub fn write(&self, path: &VPath, data: Vec<u8>, arrival: SimTime) -> Result<SimTime, FsError> {
+    pub fn write(
+        &self,
+        path: &VPath,
+        data: impl Into<Arc<Vec<u8>>>,
+        arrival: SimTime,
+    ) -> Result<SimTime, FsError> {
         if self
             .faults
             .read()
@@ -64,6 +69,7 @@ impl NodeLocalDisk {
         {
             return Err(FsError::NoSpace(path.clone()));
         }
+        let data = data.into();
         let span = SimSpan::from_secs_f64(data.len() as f64 / self.bandwidth);
         self.fs.write().write_p(path, data)?;
         Ok(arrival + self.op_latency + span)
@@ -117,17 +123,20 @@ pub(crate) fn stage_image_to_nodes_bounded(
     tracer: &Tracer,
 ) -> Result<StagingReport, SquashError> {
     let size = Bytes::new(image.len_bytes());
+    // Every node lands the same bytes: one allocation, shared.
+    let bytes = image.clone().into_bytes();
     let done: RefCell<Vec<Option<SimTime>>> = RefCell::new(vec![None; nodes.len()]);
     let mut graph: TaskGraph<'_, SquashError> = TaskGraph::new();
     for (i, disk) in nodes.iter().enumerate() {
         let done = &done;
+        let bytes = &bytes;
         graph.add(sym!("stage.node"), Stage::Storage, &[], move |at| {
             let fetched = shared.read_bulk(size, at);
             // Land the bytes on the local disk.
             let t = disk
                 .write(
                     &VPath::parse("/scratch/image.sqsh"),
-                    image.as_bytes().to_vec(),
+                    Arc::clone(bytes),
                     fetched,
                 )
                 .map_err(SquashError::Fs)?;

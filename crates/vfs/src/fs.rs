@@ -341,14 +341,16 @@ impl MemFs {
         Ok(())
     }
 
-    /// Write a file, creating or truncating it. Parents must exist.
+    /// Write a file, creating or truncating it. Parents must exist. An
+    /// `Arc` is kept as it is, so a tree, an archive and a blob can hold
+    /// one allocation between them.
     pub fn write(
         &mut self,
         path: &VPath,
-        data: impl Into<Vec<u8>>,
+        data: impl Into<Arc<Vec<u8>>>,
         meta: Meta,
     ) -> Result<(), FsError> {
-        let data = Arc::new(data.into());
+        let data = data.into();
         // Overwrite through a final symlink like open(O_TRUNC) would.
         if let Ok((idx, real)) = self.resolve(path) {
             match &mut self.nodes[idx].kind {
@@ -377,7 +379,7 @@ impl MemFs {
     }
 
     /// Convenience: `mkdir_p(parent)` then write with default metadata.
-    pub fn write_p(&mut self, path: &VPath, data: impl Into<Vec<u8>>) -> Result<(), FsError> {
+    pub fn write_p(&mut self, path: &VPath, data: impl Into<Arc<Vec<u8>>>) -> Result<(), FsError> {
         if let Some(parent) = path.parent() {
             self.mkdir_p(&parent)?;
         }
@@ -470,7 +472,7 @@ impl MemFs {
             let idx = self.lookup_no_follow(&p)?;
             let node = &self.nodes[idx];
             let kind = match &node.kind {
-                NodeKind::File { data } => EntryKind::File(data.as_ref().clone()),
+                NodeKind::File { data } => EntryKind::File(Arc::clone(data)),
                 NodeKind::Dir { .. } => EntryKind::Dir,
                 NodeKind::Symlink { target } => EntryKind::Symlink(target.clone()),
             };
@@ -512,7 +514,7 @@ impl MemFs {
                     if let Some(parent) = at.parent() {
                         self.mkdir_p(&parent)?;
                     }
-                    self.write(&at, data.clone(), meta)?;
+                    self.write(&at, Arc::clone(data), meta)?;
                 }
                 EntryKind::Symlink(target) => {
                     if let Some(parent) = at.parent() {
@@ -702,6 +704,28 @@ mod tests {
             fs.tree_digest(&VPath::root()).unwrap()
         );
         assert_eq!(&**restored.read(&p("/usr/lib/libm.so.6")).unwrap(), b"ELF");
+    }
+
+    #[test]
+    fn a_snapshot_shares_file_bytes_with_its_tree() {
+        let fs = sample();
+        let archive = fs.to_archive(&VPath::root()).unwrap();
+        let mut restored = MemFs::new();
+        restored.apply_archive(&VPath::root(), &archive).unwrap();
+        let mut files = 0;
+        for e in &archive.entries {
+            if let EntryKind::File(data) = &e.kind {
+                let at = VPath::root().join(&e.path);
+                assert!(Arc::ptr_eq(data, &fs.read(&at).unwrap()), "{}", e.path);
+                assert!(
+                    Arc::ptr_eq(data, &restored.read(&at).unwrap()),
+                    "{}",
+                    e.path
+                );
+                files += 1;
+            }
+        }
+        assert_eq!(files, 2);
     }
 
     #[test]

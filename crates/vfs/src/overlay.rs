@@ -157,7 +157,7 @@ impl OverlayFs {
     pub fn write(
         &mut self,
         path: &VPath,
-        data: impl Into<Vec<u8>>,
+        data: impl Into<Arc<Vec<u8>>>,
         meta: Meta,
     ) -> Result<(), FsError> {
         if let Ok(st) = self.stat(path) {
@@ -229,8 +229,7 @@ impl OverlayFs {
                     self.flatten_into(&p, out)?;
                 }
                 FileType::File => {
-                    let data = self.read(&p)?;
-                    out.write(&p, data.as_ref().clone(), st.meta)?;
+                    out.write(&p, self.read(&p)?, st.meta)?;
                 }
                 FileType::Symlink => {
                     out.symlink(&p, &readlink.expect("symlink has target"))?;
