@@ -191,5 +191,23 @@ mod tests {
             let sealed = seal(&k, nonce, &aad, &data);
             prop_assert_eq!(open(&k, &aad, &sealed).unwrap(), data);
         }
+
+        #[test]
+        fn sealed_bytes_roundtrip(nonce in any::<[u8; 12]>(),
+                                  tag in any::<[u8; 32]>(),
+                                  ciphertext in proptest::collection::vec(any::<u8>(), 0..96)) {
+            let sealed = Sealed { nonce, ciphertext, tag };
+            prop_assert_eq!(Sealed::from_bytes(&sealed.to_bytes()), Some(sealed));
+        }
+
+        /// Any bytes: shorter than a nonce and a tag is `None`, anything
+        /// longer parses and encodes back to itself.
+        #[test]
+        fn sealed_parser_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
+            match Sealed::from_bytes(&bytes) {
+                None => prop_assert!(bytes.len() < NONCE_LEN + 32),
+                Some(sealed) => prop_assert_eq!(sealed.to_bytes(), bytes),
+            }
+        }
     }
 }

@@ -145,58 +145,123 @@ macro_rules! round {
     };
 }
 
+/// Four rounds from round `$i`. After them the working variables are in
+/// `$e, $f, $g, $h, $a, $b, $c, $d` order. `$kw` maps a round index to
+/// `K[t] + W[t]`.
+macro_rules! rounds4 {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr, $i:expr) => {
+        round!($a, $b, $c, $d, $e, $f, $g, $h, $kw($i));
+        round!($h, $a, $b, $c, $d, $e, $f, $g, $kw($i + 1));
+        round!($g, $h, $a, $b, $c, $d, $e, $f, $kw($i + 2));
+        round!($f, $g, $h, $a, $b, $c, $d, $e, $kw($i + 3));
+    };
+}
+
 /// Sixteen rounds: after them the working variables are back in `a..h`
 /// order. `$kw` maps a round index within the sixteen to `K[t] + W[t]`.
 macro_rules! rounds16 {
     ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $kw:expr) => {
-        round!($a, $b, $c, $d, $e, $f, $g, $h, $kw(0));
-        round!($h, $a, $b, $c, $d, $e, $f, $g, $kw(1));
-        round!($g, $h, $a, $b, $c, $d, $e, $f, $kw(2));
-        round!($f, $g, $h, $a, $b, $c, $d, $e, $kw(3));
-        round!($e, $f, $g, $h, $a, $b, $c, $d, $kw(4));
-        round!($d, $e, $f, $g, $h, $a, $b, $c, $kw(5));
-        round!($c, $d, $e, $f, $g, $h, $a, $b, $kw(6));
-        round!($b, $c, $d, $e, $f, $g, $h, $a, $kw(7));
-        round!($a, $b, $c, $d, $e, $f, $g, $h, $kw(8));
-        round!($h, $a, $b, $c, $d, $e, $f, $g, $kw(9));
-        round!($g, $h, $a, $b, $c, $d, $e, $f, $kw(10));
-        round!($f, $g, $h, $a, $b, $c, $d, $e, $kw(11));
-        round!($e, $f, $g, $h, $a, $b, $c, $d, $kw(12));
-        round!($d, $e, $f, $g, $h, $a, $b, $c, $kw(13));
-        round!($c, $d, $e, $f, $g, $h, $a, $b, $kw(14));
-        round!($b, $c, $d, $e, $f, $g, $h, $a, $kw(15));
+        rounds4!($a, $b, $c, $d, $e, $f, $g, $h, $kw, 0);
+        rounds4!($e, $f, $g, $h, $a, $b, $c, $d, $kw, 4);
+        rounds4!($a, $b, $c, $d, $e, $f, $g, $h, $kw, 8);
+        rounds4!($e, $f, $g, $h, $a, $b, $c, $d, $kw, 12);
     };
 }
 
-/// The compression function over one block. The message schedule is a
-/// rolling window of sixteen words: `W[t]` for `t >= 16` overwrites
-/// `W[t - 16]`, the oldest word it is computed from.
+/// Rounds 0..4, which read only the message words `w[0..4]`. Returns the
+/// working variables in `a..h` order.
+#[inline(always)]
+fn rounds_0_to_3(vars: [u32; 8], w: &[u32; 16]) -> [u32; 8] {
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = vars;
+    let first = |i: usize| K[0][i].wrapping_add(w[i]);
+    rounds4!(a, b, c, d, e, f, g, h, first, 0);
+    [e, f, g, h, a, b, c, d]
+}
+
+/// Rounds 4..64 from the working variables after round 3. The message
+/// schedule is a rolling window of sixteen words: `W[t]` for `t >= 16`
+/// overwrites `W[t - 16]`, the oldest word it is computed from.
+///
+/// Straight-line code, with no loop over `K`: that is what lets the loop
+/// over lanes in [`SharedPrefix::compress4`] run as vector instructions.
+#[inline(always)]
+fn rounds_4_to_63(vars: [u32; 8], w: &mut [u32; 16]) -> [u32; 8] {
+    // Named as rounds 0..4 of `rounds16!` would have left them.
+    let [mut e, mut f, mut g, mut h, mut a, mut b, mut c, mut d] = vars;
+    let first = |i: usize| K[0][i].wrapping_add(w[i]);
+    rounds4!(e, f, g, h, a, b, c, d, first, 4);
+    rounds4!(a, b, c, d, e, f, g, h, first, 8);
+    rounds4!(e, f, g, h, a, b, c, d, first, 12);
+    macro_rules! scheduled16 {
+        ($k:expr) => {
+            let mut next = |i: usize| {
+                let w15 = w[(i + 1) % 16];
+                let w2 = w[(i + 14) % 16];
+                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                w[i] = w[i]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[(i + 9) % 16])
+                    .wrapping_add(s1);
+                $k[i].wrapping_add(w[i])
+            };
+            rounds16!(a, b, c, d, e, f, g, h, next);
+        };
+    }
+    scheduled16!(K[1]);
+    scheduled16!(K[2]);
+    scheduled16!(K[3]);
+    [a, b, c, d, e, f, g, h]
+}
+
+/// The compression function over one block.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 16];
     for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
         *word = u32::from_be_bytes(bytes.try_into().expect("4 bytes"));
     }
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    let vars = rounds_4_to_63(rounds_0_to_3(*state, &w), &mut w);
+    for (s, v) in state.iter_mut().zip(vars) {
+        *s = s.wrapping_add(v);
+    }
+}
 
-    let first = |i: usize| K[0][i].wrapping_add(w[i]);
-    rounds16!(a, b, c, d, e, f, g, h, first);
-    for k in &K[1..] {
-        let mut next = |i: usize| {
-            let w15 = w[(i + 1) % 16];
-            let w2 = w[(i + 14) % 16];
-            let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
-            let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
-            w[i] = w[i]
-                .wrapping_add(s0)
-                .wrapping_add(w[(i + 9) % 16])
-                .wrapping_add(s1);
-            k[i].wrapping_add(w[i])
-        };
-        rounds16!(a, b, c, d, e, f, g, h, next);
+/// Four one-block messages at a time, whose first four message words are
+/// the same in all four: a domain-separation tag at the head of each block.
+/// Rounds 0..4 read only those words, so they run once, here.
+pub(crate) struct SharedPrefix {
+    words: [u32; 4],
+    vars: [u32; 8],
+}
+
+impl SharedPrefix {
+    pub(crate) fn new(words: [u32; 4]) -> SharedPrefix {
+        let mut w = [0; 16];
+        w[..4].copy_from_slice(&words);
+        SharedPrefix {
+            words,
+            vars: rounds_0_to_3(H0, &w),
+        }
     }
 
-    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-        *s = s.wrapping_add(v);
+    /// The digests, as words, of four blocks `words ++ rest` (padding
+    /// included) compressed from the initial state. Lanes are the inner
+    /// index: `rest[t][lane]` is word `4 + t` of block `lane`, and so is
+    /// the result's `[word][lane]`.
+    pub(crate) fn compress4(&self, rest: &[[u32; 4]; 12]) -> [[u32; 4]; 8] {
+        let mut out = [[0; 4]; 8];
+        for lane in 0..4 {
+            let mut w = [0; 16];
+            w[..4].copy_from_slice(&self.words);
+            for (word, lanes) in w[4..].iter_mut().zip(rest) {
+                *word = lanes[lane];
+            }
+            let vars = rounds_4_to_63(self.vars, &mut w);
+            for ((o, h), v) in out.iter_mut().zip(H0).zip(vars) {
+                o[lane] = h.wrapping_add(v);
+            }
+        }
+        out
     }
 }
 
@@ -364,6 +429,30 @@ mod tests {
                 compress(&mut fast, &block);
                 compress_reference(&mut slow, &block);
                 prop_assert_eq!(fast, slow);
+            }
+        }
+
+        /// Each lane of the four-lane kernel equals `compress` and
+        /// `compress_reference` over its block, from the initial state.
+        #[test]
+        fn compress4_matches_compress_in_every_lane(
+            prefix in any::<[u32; 4]>(),
+            rest in proptest::collection::vec(any::<[u32; 4]>(), 12..13),
+        ) {
+            let rest: [[u32; 4]; 12] = rest.try_into().unwrap();
+            let lanes = SharedPrefix::new(prefix).compress4(&rest);
+            for lane in 0..4 {
+                let mut block = [0u8; 64];
+                let words = prefix.iter().copied().chain(rest.iter().map(|w| w[lane]));
+                for (bytes, word) in block.chunks_exact_mut(4).zip(words) {
+                    bytes.copy_from_slice(&word.to_be_bytes());
+                }
+                let (mut fast, mut slow) = (H0, H0);
+                compress(&mut fast, &block);
+                compress_reference(&mut slow, &block);
+                let got = lanes.map(|w| w[lane]);
+                prop_assert_eq!(got, fast, "lane {}", lane);
+                prop_assert_eq!(got, slow, "lane {}", lane);
             }
         }
 

@@ -15,7 +15,7 @@
 
 #[cfg(test)]
 use crate::sha256::sha256;
-use crate::sha256::{Digest, Sha256};
+use crate::sha256::{Digest, Sha256, SharedPrefix};
 use serde::{Deserialize, Serialize};
 
 const DIGITS_MSG: usize = 64;
@@ -25,24 +25,6 @@ const W: u32 = 16;
 /// The tallest Merkle tree a keypair has (`2^12` leaves keeps generation
 /// tractable); a public key declaring more is malformed.
 const MAX_HEIGHT: u8 = 12;
-
-/// Domain-separated chain step: `F(chain, step, x)`.
-fn chain_step(chain: usize, step: u32, x: &[u8; 32]) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(b"hpcc-wots-chain");
-    h.update(&(chain as u32).to_be_bytes());
-    h.update(&step.to_be_bytes());
-    h.update(x);
-    h.finalize().0
-}
-
-/// Apply `n` chain steps starting from `start` within chain `chain`.
-fn chain_apply(chain: usize, start: u32, n: u32, mut x: [u8; 32]) -> [u8; 32] {
-    for s in start..start + n {
-        x = chain_step(chain, s, &x);
-    }
-    x
-}
 
 /// Map a 32-byte digest to 67 base-16 digits (message digits + checksum).
 fn digits(msg: &Digest) -> [u8; CHAINS] {
@@ -59,30 +41,136 @@ fn digits(msg: &Digest) -> [u8; CHAINS] {
     out
 }
 
-/// A one-time secret key: 67 chain seeds, derived from a master seed and a
-/// leaf index.
-fn ots_secret(master: &[u8; 32], leaf: u32) -> Vec<[u8; 32]> {
-    (0..CHAINS)
-        .map(|c| {
-            let mut h = Sha256::new();
-            h.update(b"hpcc-wots-sk");
-            h.update(master);
-            h.update(&leaf.to_be_bytes());
-            h.update(&(c as u32).to_be_bytes());
-            h.finalize().0
-        })
-        .collect()
+/// Big-endian words of `bytes`, zero-padded to `N` words.
+fn be_words<const N: usize>(bytes: &[u8]) -> [u32; N] {
+    let mut out = [0; N];
+    for (word, chunk) in out.iter_mut().zip(bytes.chunks(4)) {
+        let mut be = [0; 4];
+        be[..chunk.len()].copy_from_slice(chunk);
+        *word = u32::from_be_bytes(be);
+    }
+    out
+}
+
+fn be_bytes(words: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0; 32];
+    for (be, word) in out.chunks_exact_mut(4).zip(words) {
+        be.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// A one-time secret key: 67 chain seeds, as digest words, derived from a
+/// master seed and a leaf index. Chain `c`'s seed is
+/// `H("hpcc-wots-sk" || master || leaf || c)`, one 52-byte block; four
+/// chains are hashed at a time.
+fn ots_secret(master: &[u8; 32], leaf: u32) -> [[u32; 8]; CHAINS] {
+    let m: [u32; 8] = be_words(master);
+    let tag: [u32; 4] = be_words(b"hpcc-wots-sk");
+    let prefix = SharedPrefix::new([tag[0], tag[1], tag[2], m[0]]);
+    let mut rest = [[0; 4]; 12];
+    for (lanes, word) in rest.iter_mut().zip(&m[1..]) {
+        *lanes = [*word; 4];
+    }
+    rest[7] = [leaf; 4];
+    rest[9] = [0x8000_0000; 4];
+    rest[11] = [52 * 8; 4];
+    let mut out = [[0; 8]; CHAINS];
+    for (group, seeds) in (0..).zip(out.chunks_mut(4)) {
+        rest[8] = std::array::from_fn(|lane| 4 * group + lane as u32);
+        let digests = prefix.compress4(&rest);
+        for (lane, seed) in seeds.iter_mut().enumerate() {
+            *seed = digests.map(|w| w[lane]);
+        }
+    }
+    out
+}
+
+/// `steps` steps of chain `chain`, from step `start`.
+struct Walk {
+    chain: u32,
+    start: u32,
+    steps: u32,
+}
+
+/// Walk chains four at a time. `values[i]` holds the start value of
+/// `walks[i]` as digest words and ends holding its last. Step `s` of chain
+/// `c` maps `x` to `H("hpcc-wots-chain" || c || s || x)`, one 55-byte
+/// block. A lane whose chain ends takes the next one at once, so chains of
+/// different lengths share the lanes.
+fn walk_chains(walks: &[Walk], values: &mut [[u32; 8]]) {
+    // The tag fills the first four words but their last byte, which is the
+    // high byte of the chain index: zero, as `CHAINS < 2^24`.
+    let prefix = SharedPrefix::new(be_words(b"hpcc-wots-chain"));
+    let mut pending = (0..).zip(walks).filter(|(_, w)| w.steps > 0);
+    let mut owner: [Option<usize>; 4] = [None; 4];
+    let (mut chain, mut step, mut left) = ([0u32; 4], [0u32; 4], [0u32; 4]);
+    // Digest words, lanes inner, as `SharedPrefix::compress4` takes them.
+    let mut x = [[0u32; 4]; 8];
+    loop {
+        for lane in 0..4 {
+            if owner[lane].is_some() {
+                continue;
+            }
+            if let Some((i, walk)) = pending.next() {
+                owner[lane] = Some(i);
+                (chain[lane], step[lane], left[lane]) = (walk.chain, walk.start, walk.steps);
+                for (lanes, word) in x.iter_mut().zip(values[i]) {
+                    lanes[lane] = word;
+                }
+            }
+        }
+        if owner == [None; 4] {
+            return;
+        }
+        // Words 4.. of the block: the low three bytes of the chain index,
+        // the step, then x one byte late (each word straddles two of x's),
+        // then the padding of a 55-byte message.
+        let mut rest = [[0; 4]; 12];
+        for lane in 0..4 {
+            rest[0][lane] = (chain[lane] << 8) | (step[lane] >> 24);
+            rest[1][lane] = (step[lane] << 8) | (x[0][lane] >> 24);
+            for k in 1..8 {
+                rest[k + 1][lane] = (x[k - 1][lane] << 8) | (x[k][lane] >> 24);
+            }
+            rest[9][lane] = (x[7][lane] << 8) | 0x80;
+            rest[11][lane] = 55 * 8;
+        }
+        x = prefix.compress4(&rest);
+        for lane in 0..4 {
+            let Some(i) = owner[lane] else { continue };
+            step[lane] += 1;
+            left[lane] -= 1;
+            if left[lane] == 0 {
+                values[i] = x.map(|w| w[lane]);
+                owner[lane] = None;
+            }
+        }
+    }
+}
+
+/// The compressed OTS public key over the chains' last values.
+fn ots_public_key(ends: &[[u32; 8]]) -> Digest {
+    let mut h = Sha256::new();
+    h.update(b"hpcc-wots-pk");
+    for end in ends {
+        h.update(&be_bytes(end));
+    }
+    h.finalize()
 }
 
 /// Compressed OTS public key for a leaf.
 fn ots_public(master: &[u8; 32], leaf: u32) -> Digest {
-    let sk = ots_secret(master, leaf);
-    let mut h = Sha256::new();
-    h.update(b"hpcc-wots-pk");
-    for (c, s) in sk.iter().enumerate() {
-        h.update(&chain_apply(c, 0, W - 1, *s));
-    }
-    h.finalize()
+    let mut values = ots_secret(master, leaf);
+    let walks: Vec<Walk> = (0..CHAINS as u32)
+        .map(|chain| Walk {
+            chain,
+            start: 0,
+            steps: W - 1,
+        })
+        .collect();
+    walk_chains(&walks, &mut values);
+    ots_public_key(&values)
 }
 
 fn merkle_parent(l: &Digest, r: &Digest) -> Digest {
@@ -241,7 +329,8 @@ impl std::fmt::Debug for Keypair {
 
 impl Keypair {
     /// Generate a keypair with `2^height` one-time leaves from a master
-    /// seed. `height` up to 10 keeps generation fast for tests.
+    /// seed. `height` is at most 12 (`MAX_HEIGHT`); each leaf costs 1,072
+    /// one-block hashes.
     pub fn generate(seed: &[u8], height: u8) -> Keypair {
         assert!(height <= MAX_HEIGHT, "keep key generation tractable");
         let master = {
@@ -290,11 +379,17 @@ impl Keypair {
         let leaf = self.next_leaf;
         self.next_leaf += 1;
 
-        let sk = ots_secret(&self.master, leaf);
-        let d = digits(message);
-        let chains: Vec<[u8; 32]> = (0..CHAINS)
-            .map(|c| chain_apply(c, 0, d[c] as u32, sk[c]))
+        let mut values = ots_secret(&self.master, leaf);
+        let walks: Vec<Walk> = (0..CHAINS as u32)
+            .zip(digits(message))
+            .map(|(chain, d)| Walk {
+                chain,
+                start: 0,
+                steps: d as u32,
+            })
             .collect();
+        walk_chains(&walks, &mut values);
+        let chains = values.iter().map(be_bytes).collect();
 
         // Merkle authentication path.
         let mut auth_path = Vec::with_capacity(self.height as usize);
@@ -326,15 +421,17 @@ pub fn verify(public: &PublicKey, message: &Digest, sig: &Signature) -> bool {
         return false;
     }
     // Recompute the candidate OTS public key by completing every chain.
-    let d = digits(message);
-    let mut h = Sha256::new();
-    h.update(b"hpcc-wots-pk");
-    #[allow(clippy::needless_range_loop)] // c indexes two arrays in lockstep
-    for c in 0..CHAINS {
-        let completed = chain_apply(c, d[c] as u32, (W - 1) - d[c] as u32, sig.chains[c]);
-        h.update(&completed);
-    }
-    let mut node = h.finalize();
+    let mut values: Vec<[u32; 8]> = sig.chains.iter().map(|c| be_words(c)).collect();
+    let walks: Vec<Walk> = (0..CHAINS as u32)
+        .zip(digits(message))
+        .map(|(chain, d)| Walk {
+            chain,
+            start: d as u32,
+            steps: (W - 1) - d as u32,
+        })
+        .collect();
+    walk_chains(&walks, &mut values);
+    let mut node = ots_public_key(&values);
 
     // Walk the authentication path to the root.
     let mut idx = sig.leaf;
@@ -488,6 +585,136 @@ mod tests {
 
     use proptest::prelude::*;
 
+    /// Domain-separated chain step: `F(chain, step, x)`, one hash at a
+    /// time over bytes. Reference model for [`walk_chains`].
+    fn chain_step(chain: usize, step: u32, x: &[u8; 32]) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.update(b"hpcc-wots-chain");
+        h.update(&(chain as u32).to_be_bytes());
+        h.update(&step.to_be_bytes());
+        h.update(x);
+        h.finalize().0
+    }
+
+    /// Apply `n` chain steps starting from `start` within chain `chain`.
+    fn chain_apply(chain: usize, start: u32, n: u32, mut x: [u8; 32]) -> [u8; 32] {
+        for s in start..start + n {
+            x = chain_step(chain, s, &x);
+        }
+        x
+    }
+
+    /// Reference model for [`ots_secret`].
+    fn ots_secret_reference(master: &[u8; 32], leaf: u32) -> Vec<[u8; 32]> {
+        (0..CHAINS)
+            .map(|c| {
+                let mut h = Sha256::new();
+                h.update(b"hpcc-wots-sk");
+                h.update(master);
+                h.update(&leaf.to_be_bytes());
+                h.update(&(c as u32).to_be_bytes());
+                h.finalize().0
+            })
+            .collect()
+    }
+
+    /// Reference model for [`ots_public`].
+    fn ots_public_reference(master: &[u8; 32], leaf: u32) -> Digest {
+        let mut h = Sha256::new();
+        h.update(b"hpcc-wots-pk");
+        for (c, s) in ots_secret_reference(master, leaf).iter().enumerate() {
+            h.update(&chain_apply(c, 0, W - 1, *s));
+        }
+        h.finalize()
+    }
+
+    /// The chains [`Keypair::sign`] must put in leaf `leaf`'s signature.
+    fn sign_reference(master: &[u8; 32], leaf: u32, message: &Digest) -> Vec<[u8; 32]> {
+        let d = digits(message);
+        (0..CHAINS)
+            .zip(ots_secret_reference(master, leaf))
+            .map(|(c, sk)| chain_apply(c, 0, d[c] as u32, sk))
+            .collect()
+    }
+
+    /// Reference model for [`verify`], over [`chain_apply`].
+    fn verify_reference(public: &PublicKey, message: &Digest, sig: &Signature) -> bool {
+        if public.height > MAX_HEIGHT
+            || sig.chains.len() != CHAINS
+            || sig.auth_path.len() != public.height as usize
+            || sig.leaf >= 1u32 << public.height
+        {
+            return false;
+        }
+        let d = digits(message);
+        let mut h = Sha256::new();
+        h.update(b"hpcc-wots-pk");
+        for (c, chain) in sig.chains.iter().enumerate() {
+            h.update(&chain_apply(c, d[c] as u32, (W - 1) - d[c] as u32, *chain));
+        }
+        let mut node = h.finalize();
+        let mut idx = sig.leaf;
+        for sibling in &sig.auth_path {
+            node = if idx & 1 == 0 {
+                merkle_parent(&node, sibling)
+            } else {
+                merkle_parent(sibling, &node)
+            };
+            idx >>= 1;
+        }
+        node == public.root
+    }
+
+    /// A digest that sends every chain to one end: all digits 0 (the
+    /// checksum then reads 960) or all 15 (checksum 0).
+    #[test]
+    fn extreme_digits_match_the_reference() {
+        let mut kp = Keypair::generate(b"edge", 1);
+        let pk = kp.public();
+        for m in [Digest([0; 32]), Digest([0xff; 32])] {
+            let leaf = kp.next_leaf;
+            let sig = kp.sign(&m).unwrap();
+            assert_eq!(sig.chains, sign_reference(&kp.master, leaf, &m));
+            assert!(verify(&pk, &m, &sig));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Keygen, every signature up to exhaustion and verification,
+        /// four chains at a time, equal the one-hash-at-a-time reference;
+        /// a signature with one byte flipped fails under both.
+        #[test]
+        fn lanes_match_the_scalar_reference(
+            seed in proptest::collection::vec(any::<u8>(), 0..40),
+            height in 0u8..6,
+            messages in proptest::collection::vec(any::<[u8; 32]>(), 1..5),
+            flip in (0usize..CHAINS, 0usize..32, 1u8..=255),
+        ) {
+            let mut kp = Keypair::generate(&seed, height);
+            for (leaf, pk) in (0..).zip(&kp.tree[0]) {
+                prop_assert_eq!(*pk, ots_public_reference(&kp.master, leaf));
+            }
+            let public = kp.public();
+            let mut signed = 0;
+            for m in messages.iter().cycle().map(|m| Digest(*m)) {
+                let leaf = kp.next_leaf;
+                let Ok(sig) = kp.sign(&m) else { break };
+                signed += 1;
+                prop_assert_eq!(&sig.chains, &sign_reference(&kp.master, leaf, &m));
+                prop_assert!(verify(&public, &m, &sig));
+                prop_assert!(verify_reference(&public, &m, &sig));
+                let mut forged = sig.clone();
+                forged.chains[flip.0][flip.1] ^= flip.2;
+                prop_assert!(!verify(&public, &m, &forged));
+                prop_assert!(!verify_reference(&public, &m, &forged));
+            }
+            prop_assert_eq!(signed, 1u32 << height);
+            prop_assert_eq!(kp.remaining(), 0);
+        }
+    }
+
     /// Bytes shaped like a signature encoding: a leaf near a power of two,
     /// a chain count and a path length near the real ones, then the
     /// declared entries, some trailing bytes, and a cut anywhere.
@@ -538,6 +765,7 @@ mod tests {
                 let height = if match_path { sig.auth_path.len() as u8 } else { height };
                 let by_hand = PublicKey { root: Digest([root; 32]), height };
                 prop_assert!(!verify(&by_hand, &msg(b"m"), &sig));
+                prop_assert!(!verify_reference(&by_hand, &msg(b"m"), &sig));
             }
         }
     }

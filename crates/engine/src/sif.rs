@@ -36,6 +36,8 @@ pub enum SifError {
     /// The partition is not encrypted.
     NotEncrypted,
     Serde(String),
+    /// Bytes after the last section.
+    TrailingBytes,
 }
 
 impl From<WireError> for SifError {
@@ -60,6 +62,7 @@ impl std::fmt::Display for SifError {
             SifError::DecryptFailed => f.write_str("decryption failed"),
             SifError::NotEncrypted => f.write_str("partition is not encrypted"),
             SifError::Serde(s) => write!(f, "serialization: {s}"),
+            SifError::TrailingBytes => f.write_str("trailing bytes after the last section"),
         }
     }
 }
@@ -146,7 +149,7 @@ impl SifImage {
             return Err(SifError::Encrypted);
         }
         let sealed = aead::seal(key, nonce, self.definition.as_bytes(), &self.partition);
-        self.partition = serialize_sealed(&sealed);
+        self.partition = sealed.to_bytes();
         self.encrypted = true;
         self.signatures.clear();
         Ok(())
@@ -157,7 +160,7 @@ impl SifImage {
         if !self.encrypted {
             return Err(SifError::NotEncrypted);
         }
-        let sealed = parse_sealed(&self.partition)?;
+        let sealed = Sealed::from_bytes(&self.partition).ok_or(SifError::DecryptFailed)?;
         let plain = aead::open(key, self.definition.as_bytes(), &sealed)
             .map_err(|_| SifError::DecryptFailed)?;
         self.partition = plain;
@@ -193,8 +196,15 @@ impl SifImage {
         if r.take(4)? != MAGIC {
             return Err(SifError::BadMagic);
         }
+        // A flag byte is 0 or 1, as `to_bytes` writes it: one value, one
+        // encoding.
+        let flag = |r: &mut Reader<'_>| match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(SifError::Serde(format!("flag byte {b}"))),
+        };
         let definition = r.str()?.to_string();
-        let encrypted = r.u8()? != 0;
+        let encrypted = flag(&mut r)?;
         let partition = r.bytes()?.to_vec();
         let n = r.varint()? as usize;
         let mut signatures = Vec::with_capacity(n.min(64));
@@ -205,11 +215,14 @@ impl SifImage {
                 .ok_or_else(|| SifError::Serde("bad signature".into()))?;
             signatures.push((pk, sig));
         }
-        let overlay = if r.u8()? != 0 {
+        let overlay = if flag(&mut r)? {
             Some(r.bytes()?.to_vec())
         } else {
             None
         };
+        if !r.is_empty() {
+            return Err(SifError::TrailingBytes);
+        }
         Ok(SifImage {
             definition,
             partition,
@@ -228,29 +241,6 @@ impl SifImage {
     pub fn len_bytes(&self) -> u64 {
         self.to_bytes().len() as u64
     }
-}
-
-fn serialize_sealed(s: &Sealed) -> Vec<u8> {
-    let mut out = Vec::with_capacity(s.ciphertext.len() + 64);
-    out.extend_from_slice(&s.nonce);
-    out.extend_from_slice(&s.tag);
-    out.extend_from_slice(&s.ciphertext);
-    out
-}
-
-fn parse_sealed(data: &[u8]) -> Result<Sealed, SifError> {
-    if data.len() < 44 {
-        return Err(SifError::DecryptFailed);
-    }
-    let mut nonce = [0u8; 12];
-    nonce.copy_from_slice(&data[..12]);
-    let mut tag = [0u8; 32];
-    tag.copy_from_slice(&data[12..44]);
-    Ok(Sealed {
-        nonce,
-        tag,
-        ciphertext: data[44..].to_vec(),
-    })
 }
 
 #[cfg(test)]
@@ -387,6 +377,122 @@ mod tests {
         ));
         let mut plain = SifImage::build(DEF, &rootfs()).unwrap();
         assert!(matches!(plain.decrypt(&key), Err(SifError::NotEncrypted)));
+    }
+
+    /// A byte appended to a SIF used to parse as the SIF without it.
+    #[test]
+    fn trailing_byte_is_rejected() {
+        let mut bytes = SifImage::build(DEF, &rootfs()).unwrap().to_bytes();
+        bytes.push(0);
+        assert!(matches!(
+            SifImage::from_bytes(&bytes),
+            Err(SifError::TrailingBytes)
+        ));
+    }
+
+    use proptest::prelude::*;
+
+    /// A signature-shaped encoding: leaf, 67 chains, an auth path of
+    /// `path` nodes, every byte `fill`.
+    fn signature(path: u8, fill: u8) -> Signature {
+        let mut bytes = vec![fill; 4];
+        bytes.extend_from_slice(&67u32.to_be_bytes());
+        bytes.resize(bytes.len() + 67 * 32, fill);
+        bytes.extend_from_slice(&u32::from(path).to_be_bytes());
+        bytes.resize(bytes.len() + 32 * path as usize, fill);
+        Signature::from_bytes(&bytes).expect("a well-formed signature")
+    }
+
+    fn arb_sif() -> impl Strategy<Value = SifImage> {
+        (
+            "[ -~]{0,24}",
+            any::<bool>(),
+            proptest::collection::vec(any::<u8>(), 0..64),
+            proptest::collection::vec((any::<[u8; 32]>(), 0u8..13, any::<u8>()), 0..3),
+            any::<bool>(),
+            proptest::collection::vec(any::<u8>(), 0..32),
+        )
+            .prop_map(
+                |(definition, encrypted, partition, signers, has_overlay, overlay)| SifImage {
+                    definition,
+                    partition,
+                    encrypted,
+                    signatures: signers
+                        .into_iter()
+                        .map(|(root, height, fill)| {
+                            let pk = PublicKey {
+                                root: Digest(root),
+                                height,
+                            };
+                            (pk, signature(height, fill))
+                        })
+                        .collect(),
+                    overlay: has_overlay.then_some(overlay),
+                },
+            )
+    }
+
+    /// A count or length: small, or anything.
+    fn hostile_varint() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..80, any::<u64>()]
+    }
+
+    /// Valid magic, then the sections' varints and flag bytes, each
+    /// followed by a few bytes of garbage, then a cut anywhere.
+    fn hostile_sif() -> impl Strategy<Value = Vec<u8>> {
+        (
+            proptest::collection::vec(
+                (
+                    hostile_varint(),
+                    0u8..3,
+                    proptest::collection::vec(any::<u8>(), 0..40),
+                ),
+                0..6,
+            ),
+            any::<u16>(),
+        )
+            .prop_map(|(sections, cut)| {
+                let mut out = MAGIC.to_vec();
+                for (len, flag, body) in sections {
+                    put_varint(&mut out, len);
+                    out.push(flag);
+                    out.extend_from_slice(&body);
+                }
+                if cut % 3 == 0 {
+                    out.truncate(cut as usize % (out.len() + 1));
+                }
+                out
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn sif_roundtrips(sif in arb_sif()) {
+            let bytes = sif.to_bytes();
+            let back = SifImage::from_bytes(&bytes).unwrap();
+            prop_assert_eq!(back.to_bytes(), bytes);
+            prop_assert_eq!(back.signatures, sif.signatures);
+            prop_assert_eq!(back.overlay, sif.overlay);
+        }
+
+        /// Structure-aware garbage never panics the parser, and whatever
+        /// parses encodes back to bytes that parse to the same encoding.
+        #[test]
+        fn parser_never_panics_on_hostile_bytes(
+            garbage in hostile_sif(),
+            valid in arb_sif(),
+            flip in (any::<u16>(), 1u8..=255),
+        ) {
+            let mut flipped = valid.to_bytes();
+            let at = flip.0 as usize % flipped.len();
+            flipped[at] ^= flip.1;
+            for bytes in [garbage, flipped] {
+                if let Ok(sif) = SifImage::from_bytes(&bytes) {
+                    let again = sif.to_bytes();
+                    prop_assert_eq!(SifImage::from_bytes(&again).unwrap().to_bytes(), again);
+                }
+            }
+        }
     }
 
     #[test]

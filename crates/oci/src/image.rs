@@ -80,6 +80,12 @@ pub enum ImageError {
     BadMediaType(u8),
     /// An exposed port that does not fit in 16 bits.
     BadPort(u64),
+    /// An annotation or label key not above the key before it: `to_bytes`
+    /// writes them strictly ascending, so a repeat would decode two
+    /// encodings to one value.
+    KeyOrder(String),
+    /// Bytes after the last field.
+    TrailingBytes,
 }
 
 impl From<WireError> for ImageError {
@@ -95,6 +101,8 @@ impl std::fmt::Display for ImageError {
             ImageError::BadMagic => f.write_str("not a manifest/config"),
             ImageError::BadMediaType(t) => write!(f, "unknown media type {t}"),
             ImageError::BadPort(p) => write!(f, "exposed port {p} is out of range"),
+            ImageError::KeyOrder(k) => write!(f, "key {k:?} repeated or out of order"),
+            ImageError::TrailingBytes => f.write_str("trailing bytes after the last field"),
         }
     }
 }
@@ -105,6 +113,34 @@ fn put_descriptor(buf: &mut Vec<u8>, d: &Descriptor) {
     buf.push(d.media_type.id());
     buf.extend_from_slice(&d.digest.0);
     put_varint(buf, d.size);
+}
+
+/// A string map as `to_bytes` writes it: a count, then its pairs with keys
+/// strictly ascending.
+fn read_map(r: &mut Reader<'_>) -> Result<BTreeMap<String, String>, ImageError> {
+    let n = r.varint()?;
+    let mut map: BTreeMap<String, String> = BTreeMap::new();
+    for _ in 0..n {
+        let k = r.str()?;
+        let v = r.str()?;
+        if map
+            .last_key_value()
+            .is_some_and(|(last, _)| last.as_str() >= k)
+        {
+            return Err(ImageError::KeyOrder(k.to_string()));
+        }
+        map.insert(k.to_string(), v.to_string());
+    }
+    Ok(map)
+}
+
+/// The end of an encoding: nothing may follow its last field.
+fn finish(r: &Reader<'_>) -> Result<(), ImageError> {
+    if r.is_empty() {
+        Ok(())
+    } else {
+        Err(ImageError::TrailingBytes)
+    }
 }
 
 fn read_descriptor(r: &mut Reader<'_>) -> Result<Descriptor, ImageError> {
@@ -160,13 +196,8 @@ impl Manifest {
         for _ in 0..n {
             layers.push(read_descriptor(&mut r)?);
         }
-        let na = r.varint()? as usize;
-        let mut annotations = BTreeMap::new();
-        for _ in 0..na {
-            let k = r.str()?.to_string();
-            let v = r.str()?.to_string();
-            annotations.insert(k, v);
-        }
+        let annotations = read_map(&mut r)?;
+        finish(&r)?;
         Ok(Manifest {
             config,
             layers,
@@ -273,13 +304,8 @@ impl ImageConfig {
             exposed_ports.push(u16::try_from(port).map_err(|_| ImageError::BadPort(port))?);
         }
         let architecture = r.str()?.to_string();
-        let nl = r.varint()? as usize;
-        let mut labels = BTreeMap::new();
-        for _ in 0..nl {
-            let k = r.str()?.to_string();
-            let v = r.str()?.to_string();
-            labels.insert(k, v);
-        }
+        let labels = read_map(&mut r)?;
+        finish(&r)?;
         Ok(ImageConfig {
             env,
             entrypoint,
@@ -428,6 +454,46 @@ mod tests {
         );
     }
 
+    /// One byte appended to a valid encoding used to decode to the same
+    /// value as the encoding without it.
+    #[test]
+    fn trailing_byte_is_rejected() {
+        let mut bytes = manifest().to_bytes();
+        bytes.push(0);
+        assert_eq!(Manifest::from_bytes(&bytes), Err(ImageError::TrailingBytes));
+        let mut bytes = ImageConfig::default().to_bytes();
+        bytes.push(0);
+        assert_eq!(
+            ImageConfig::from_bytes(&bytes),
+            Err(ImageError::TrailingBytes)
+        );
+    }
+
+    /// A key written twice used to decode, the second value winning.
+    #[test]
+    fn duplicated_key_is_rejected() {
+        let mut bytes = manifest().to_bytes();
+        let at = bytes.len() - (1 + "org.opencontainers.ref".len() + 1 + 1);
+        let pair = bytes[at..].to_vec();
+        bytes[at - 1] = 2; // annotation count
+        bytes.extend_from_slice(&pair);
+        assert_eq!(
+            Manifest::from_bytes(&bytes),
+            Err(ImageError::KeyOrder("org.opencontainers.ref".into()))
+        );
+        let mut bytes = ImageConfig::default().to_bytes();
+        bytes.pop(); // label count 0
+        put_varint(&mut bytes, 2);
+        for value in ["b", "a"] {
+            put_str(&mut bytes, "k");
+            put_str(&mut bytes, value);
+        }
+        assert_eq!(
+            ImageConfig::from_bytes(&bytes),
+            Err(ImageError::KeyOrder("k".into()))
+        );
+    }
+
     fn arb_descriptor() -> impl Strategy<Value = Descriptor> {
         (0u8..9, any::<u64>(), any::<u64>()).prop_map(|(id, seed, size)| Descriptor {
             media_type: MediaType::from_id(id).expect("ids 0..9 exist"),
@@ -516,6 +582,23 @@ mod tests {
                 labels,
             };
             prop_assert_eq!(ImageConfig::from_bytes(&c.to_bytes()).unwrap(), c);
+        }
+
+        /// A valid encoding followed by anything is not that value.
+        #[test]
+        fn any_suffix_is_rejected(
+            layers in proptest::collection::vec(arb_descriptor(), 0..3),
+            labels in arb_map(),
+            suffix in proptest::collection::vec(any::<u8>(), 1..16),
+        ) {
+            let m = Manifest { config: manifest().config, layers, annotations: labels.clone() };
+            let mut bytes = m.to_bytes();
+            bytes.extend_from_slice(&suffix);
+            prop_assert!(Manifest::from_bytes(&bytes).is_err());
+            let c = ImageConfig { labels, ..ImageConfig::default() };
+            let mut bytes = c.to_bytes();
+            bytes.extend_from_slice(&suffix);
+            prop_assert!(ImageConfig::from_bytes(&bytes).is_err());
         }
 
         /// Structure-aware garbage never panics either parser, and
