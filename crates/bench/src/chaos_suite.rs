@@ -183,8 +183,12 @@ fn scenario_schedule(topo: DomainTopology, scenario: &str) -> DomainSchedule {
     )
 }
 
+/// What the waves of one cell add up: counts, every completed pull's
+/// latency and the slowest completion after the heal instant.
 #[derive(Debug, Default)]
 struct Counters {
+    lat: Vec<u64>,
+    recovery_ns: u64,
     pulls: u64,
     ok: u64,
     failed: u64,
@@ -261,16 +265,13 @@ fn pull_once(
 /// 1 ms apart from `base`. Breaker state evolves in (wave, node)
 /// processing order — a deliberate determinism choice that models the
 /// fleet sharing one breaker view.
-#[allow(clippy::too_many_arguments)]
 fn run_wave(
     ctx: &CellCtx<'_>,
     nodes: usize,
     images: &[ImageSpec],
     base: SimTime,
     measure_recovery_from: Option<SimTime>,
-    lat: &mut Vec<u64>,
     c: &mut Counters,
-    recovery_ns: &mut u64,
 ) {
     let rack_size = ctx.schedule.topology().rack_size;
     for node in 0..nodes {
@@ -284,9 +285,9 @@ fn run_wave(
         match pull_once(ctx, node, image, start, c) {
             Some(done) => {
                 c.ok += 1;
-                lat.push(done.since(start).as_nanos());
+                c.lat.push(done.since(start).as_nanos());
                 if let Some(heal) = measure_recovery_from {
-                    *recovery_ns = (*recovery_ns).max(done.since(heal).as_nanos());
+                    c.recovery_ns = c.recovery_ns.max(done.since(heal).as_nanos());
                 }
             }
             None => c.failed += 1,
@@ -355,9 +356,10 @@ fn run_cell(nodes: usize, scenario: &'static str, mode: &'static str, seed: u64)
     }
 
     let racks = domain.racks();
-    let mut lat = Vec::with_capacity(nodes * 2);
-    let mut c = Counters::default();
-    let mut recovery_ns = 0u64;
+    let mut c = Counters {
+        lat: Vec::with_capacity(nodes * 2),
+        ..Counters::default()
+    };
 
     // Wave 2 (mid-outage): fresh per-rack images one second into the
     // outage window.
@@ -368,27 +370,16 @@ fn run_cell(nodes: usize, scenario: &'static str, mode: &'static str, seed: u64)
         &w2,
         outage_from() + SimSpan::secs(1),
         None,
-        &mut lat,
         &mut c,
-        &mut recovery_ns,
     );
 
     // Wave 3 (recovery): fresh per-rack images at the heal instant; the
     // slowest completion minus the heal instant is the recovery time the
     // gate bounds.
     let w3 = rack_images(scenario, "w3", racks);
-    run_wave(
-        &ctx,
-        nodes,
-        &w3,
-        heal_at(),
-        Some(heal_at()),
-        &mut lat,
-        &mut c,
-        &mut recovery_ns,
-    );
+    run_wave(&ctx, nodes, &w3, heal_at(), Some(heal_at()), &mut c);
 
-    lat.sort_unstable();
+    c.lat.sort_unstable();
     ChaosRow {
         scenario,
         mode,
@@ -401,9 +392,9 @@ fn run_cell(nodes: usize, scenario: &'static str, mode: &'static str, seed: u64)
         shed: topo.metrics().get("storm.origin.shed"),
         mirror_fallbacks: c.mirror_fallbacks,
         breaker_rejects: c.breaker_rejects,
-        p50_ns: percentile(&lat, 0.50),
-        p95_ns: percentile(&lat, 0.95),
-        recovery_ns,
+        p50_ns: percentile(&c.lat, 0.50),
+        p95_ns: percentile(&c.lat, 0.95),
+        recovery_ns: c.recovery_ns,
     }
 }
 

@@ -6,7 +6,7 @@ use crate::workloads::site_registry_with_samples;
 use hpcc_crypto::aead::AeadKey;
 use hpcc_crypto::wots::Keypair;
 use hpcc_engine::caps::MonitorModel;
-use hpcc_engine::engine::{Engine, EngineError, Host, MpiFlavor, RunOptions};
+use hpcc_engine::engine::{DeployRequest, Engine, EngineError, Host, MpiFlavor, RunOptions};
 use hpcc_engine::shpc;
 use hpcc_engine::sif::SifImage;
 use hpcc_oci::image::MediaType;
@@ -64,12 +64,7 @@ pub(crate) fn probe_engine(engine: &Engine) -> EngineProbe {
         let clock = SimClock::new();
         engine
             .deploy(
-                &registry,
-                "hpc/solver",
-                "v1",
-                user,
-                &host,
-                RunOptions::default(),
+                &DeployRequest::new(&registry, "hpc/solver", "v1", user, &host),
                 &clock,
             )
             .is_ok()
@@ -78,12 +73,7 @@ pub(crate) fn probe_engine(engine: &Engine) -> EngineProbe {
         let clock = SimClock::new();
         matches!(
             engine.deploy(
-                &registry,
-                "hpc/solver",
-                "v1",
-                user,
-                &host,
-                RunOptions::default(),
+                &DeployRequest::new(&registry, "hpc/solver", "v1", user, &host),
                 &clock
             ),
             Err(EngineError::DaemonNotRunning(_))
@@ -140,15 +130,10 @@ pub(crate) fn probe_engine(engine: &Engine) -> EngineProbe {
         let clock = SimClock::new();
         engine
             .deploy(
-                &registry,
-                "hpc/solver",
-                "v1",
-                user,
-                active_host,
-                RunOptions::default(),
+                &DeployRequest::new(&registry, "hpc/solver", "v1", user, active_host),
                 &clock,
             )
-            .map(|(r, _)| r.container.namespaces.contains(&Namespace::Network))
+            .map(|(r, ..)| r.container.namespaces.contains(&Namespace::Network))
             .unwrap_or(false)
     };
 
@@ -173,12 +158,10 @@ pub(crate) fn probe_engine(engine: &Engine) -> EngineProbe {
         let clock = SimClock::new();
         engine
             .deploy(
-                &registry,
-                "hpc/solver",
-                "v1",
-                user,
-                active_host,
-                opts,
+                &DeployRequest {
+                    opts,
+                    ..DeployRequest::new(&registry, "hpc/solver", "v1", user, active_host)
+                },
                 &clock,
             )
             .is_ok()

@@ -3,7 +3,7 @@
 //! architecture differences.
 
 use crate::workloads::site_registry_with_samples;
-use hpcc_engine::engine::{Host, RunOptions};
+use hpcc_engine::engine::{DeployRequest, Host};
 use hpcc_engine::engines;
 use hpcc_sim::SimClock;
 use std::io::{self, Write};
@@ -28,27 +28,17 @@ pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
         let c1 = SimClock::new();
         let cold = engine
             .deploy(
-                &registry,
-                "hpc/pyapp",
-                "v1",
-                1000,
-                &host,
-                RunOptions::default(),
+                &DeployRequest::new(&registry, "hpc/pyapp", "v1", 1000, &host),
                 &c1,
             )
-            .map(|(_, s)| s);
+            .map(|(_, s, _)| s);
         let c2 = SimClock::new();
         let warm = engine
             .deploy(
-                &registry,
-                "hpc/pyapp",
-                "v1",
-                1000,
-                &host,
-                RunOptions::default(),
+                &DeployRequest::new(&registry, "hpc/pyapp", "v1", 1000, &host),
                 &c2,
             )
-            .map(|(_, s)| s);
+            .map(|(_, s, _)| s);
         match (cold, warm) {
             (Ok(cold), Ok(warm)) => {
                 // Mechanism: what the prepare step produced.
@@ -92,26 +82,16 @@ pub(crate) fn run(out: &mut dyn Write) -> io::Result<()> {
         let c = SimClock::new();
         engine
             .deploy(
-                &registry,
-                "hpc/pyapp",
-                "v1",
-                1000,
-                &host,
-                RunOptions::default(),
+                &DeployRequest::new(&registry, "hpc/pyapp", "v1", 1000, &host),
                 &c,
             )
             .unwrap();
         let c2 = SimClock::new();
         let pulled = engine.pull(&registry, "hpc/pyapp", "v1", &c2).unwrap();
         let p = engine.prepare(&pulled, 2000, &host, true, &c2).unwrap();
-        let (_, span) = engine
+        let (_, span, _) = engine
             .deploy(
-                &registry,
-                "hpc/pyapp",
-                "v1",
-                2000,
-                &host,
-                RunOptions::default(),
+                &DeployRequest::new(&registry, "hpc/pyapp", "v1", 2000, &host),
                 &SimClock::new(),
             )
             .unwrap();

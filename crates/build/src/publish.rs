@@ -102,6 +102,7 @@ impl std::error::Error for PublishError {}
 /// signature artifact is detected and skipped (each resume does append a
 /// fresh log entry — the log is append-only by design — and the returned
 /// provenance always references the newest entry).
+// hostbench calls this; thaw in ROADMAP 9(a).
 #[allow(clippy::too_many_arguments)]
 pub fn sign_and_push(
     engine: &Engine,
@@ -143,16 +144,17 @@ pub fn sign_and_push(
     // ---- journalled push -------------------------------------------
     let push_span = tracer.begin(sym!("build.push"), Stage::Request, clock.now());
     tracer.attr(push_span, sym!("repo"), &output.repo);
-    let result = push_locked(
-        registry,
-        output,
-        cas,
-        journal,
-        crash,
-        clock,
-        &signature,
+    let signed = SignedImage {
+        repo: output.repo.clone(),
+        tag: output.tag.clone(),
         manifest_digest,
-    );
+        signature,
+        log_entry,
+        log_index,
+        proof,
+        head,
+    };
+    let result = push_locked(registry, output, &signed, cas, journal, crash, clock);
     match &result {
         Ok(()) => {}
         Err(e) => tracer.attr(push_span, sym!("error"), format_args!("{e}")),
@@ -162,31 +164,26 @@ pub fn sign_and_push(
         tracer.end(push_span, clock.now());
     }
     result?;
-
-    Ok(SignedImage {
-        repo: output.repo.clone(),
-        tag: output.tag.clone(),
-        manifest_digest,
-        signature,
-        log_entry,
-        log_index,
-        proof,
-        head,
-    })
+    Ok(signed)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Push `signed` (blobs read from `cas`, the manifest, then the signature
+/// artifact) under one journalled `build.push` intent.
 fn push_locked(
     registry: &Registry,
     output: &BuildOutput,
+    signed: &SignedImage,
     cas: &Cas,
     journal: &JournaledStore,
     crash: &CrashInjector,
     clock: &SimClock,
-    signature: &[u8],
-    manifest_digest: Digest,
 ) -> Result<(), PublishError> {
     let manifest = &output.image.manifest;
+    let SignedImage {
+        manifest_digest,
+        signature,
+        ..
+    } = signed;
     let intent = journal.begin(
         "build.push",
         &format!("{}:{}", output.repo, output.tag),
@@ -221,12 +218,12 @@ fn push_locked(
         // Attach the signature artifact unless a resume already did.
         let sig_digest = sha256(signature);
         let attached = registry
-            .signatures_of(&manifest_digest)?
+            .signatures_of(manifest_digest)?
             .iter()
             .any(|d| d.digest == sig_digest);
         if !attached {
             registry.admit_push(clock.now())?;
-            registry.attach_signature(manifest_digest, signature.to_vec())?;
+            registry.attach_signature(*manifest_digest, signature.clone())?;
             clock.advance(PUSH_RTT);
         }
         Ok(())

@@ -116,6 +116,10 @@ pub enum ArchiveError {
     BadKind(u8),
     /// Path is absolute, empty, or contains `..`.
     BadPath(String),
+    /// The named field (`mode`, `uid` or `gid`) does not fit in 32 bits.
+    FieldOverflow(&'static str),
+    /// Bytes follow the last entry.
+    TrailingBytes,
 }
 
 impl From<WireError> for ArchiveError {
@@ -131,6 +135,8 @@ impl std::fmt::Display for ArchiveError {
             ArchiveError::BadMagic => f.write_str("not an archive (bad magic)"),
             ArchiveError::BadKind(t) => write!(f, "unknown entry kind {t}"),
             ArchiveError::BadPath(p) => write!(f, "illegal path {p:?}"),
+            ArchiveError::FieldOverflow(field) => write!(f, "{field} exceeds 32 bits"),
+            ArchiveError::TrailingBytes => f.write_str("trailing bytes after the last entry"),
         }
     }
 }
@@ -218,13 +224,16 @@ impl Archive {
         }
         let n = r.varint()? as usize;
         let mut entries = Vec::with_capacity(n.min(4096));
+        let u32_field = |r: &mut Reader, field| {
+            u32::try_from(r.varint()?).map_err(|_| ArchiveError::FieldOverflow(field))
+        };
         for _ in 0..n {
             let path = r.str()?.to_string();
             validate_path(&path)?;
             let tag = r.u8()?;
-            let mode = r.varint()? as u32;
-            let uid = r.varint()? as u32;
-            let gid = r.varint()? as u32;
+            let mode = u32_field(&mut r, "mode")?;
+            let uid = u32_field(&mut r, "uid")?;
+            let gid = u32_field(&mut r, "gid")?;
             let kind = match tag {
                 0 => {
                     let len = r.varint()? as usize;
@@ -243,6 +252,9 @@ impl Archive {
                 uid,
                 gid,
             });
+        }
+        if !r.is_empty() {
+            return Err(ArchiveError::TrailingBytes);
         }
         Ok(Archive { entries })
     }
@@ -346,6 +358,32 @@ mod tests {
         put_varint(&mut out, 0);
         put_varint(&mut out, 0);
         assert_eq!(Archive::from_bytes(&out), Err(ArchiveError::BadKind(9)));
+    }
+
+    #[test]
+    fn trailing_bytes_and_wide_ids_are_rejected() {
+        let mut trailing = sample().to_bytes();
+        trailing.push(0);
+        assert_eq!(
+            Archive::from_bytes(&trailing),
+            Err(ArchiveError::TrailingBytes)
+        );
+        // One directory entry whose mode, uid or gid is 2^32: it used to
+        // wrap to 0 and decode as the same archive as a 0 field.
+        for (field, at) in [("mode", 0), ("uid", 1), ("gid", 2)] {
+            let mut out = Vec::new();
+            out.extend_from_slice(MAGIC);
+            put_varint(&mut out, 1);
+            put_str(&mut out, "d");
+            out.push(1); // Dir
+            for i in 0..3 {
+                put_varint(&mut out, if i == at { 1 << 32 } else { 0 });
+            }
+            assert_eq!(
+                Archive::from_bytes(&out),
+                Err(ArchiveError::FieldOverflow(field))
+            );
+        }
     }
 
     #[test]

@@ -9,6 +9,9 @@ pub enum WireError {
     Truncated,
     /// A varint ran longer than 10 bytes or past 64 bits.
     VarintOverflow,
+    /// A varint ended in a zero byte after its first: the value has a
+    /// shorter encoding, and each value has exactly one.
+    VarintOverlong,
     /// A declared length exceeds the remaining input.
     BadLength(u64),
     /// A string field was not valid UTF-8.
@@ -20,6 +23,7 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::Truncated => f.write_str("input truncated"),
             WireError::VarintOverflow => f.write_str("varint overflows 64 bits"),
+            WireError::VarintOverlong => f.write_str("varint is not minimally encoded"),
             WireError::BadLength(n) => write!(f, "declared length {n} exceeds input"),
             WireError::BadUtf8 => f.write_str("invalid UTF-8 in string field"),
         }
@@ -94,6 +98,9 @@ impl<'a> Reader<'a> {
             }
             v |= ((byte & 0x7f) as u64) << shift;
             if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(WireError::VarintOverlong);
+                }
                 return Ok(v);
             }
             shift += 7;
@@ -152,6 +159,20 @@ mod tests {
         buf.clear();
         put_varint(&mut buf, 128);
         assert_eq!(buf.len(), 2);
+    }
+
+    #[test]
+    fn overlong_varints_are_rejected() {
+        for overlong in [&[0x80, 0x00][..], &[0xff, 0x00], &[0x81, 0x80, 0x00]] {
+            let mut r = Reader::new(overlong);
+            assert_eq!(
+                r.varint(),
+                Err(WireError::VarintOverlong),
+                "{overlong:02x?}"
+            );
+        }
+        // A lone zero is the one encoding of 0.
+        assert_eq!(Reader::new(&[0x00]).varint(), Ok(0));
     }
 
     #[test]

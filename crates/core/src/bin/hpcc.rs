@@ -16,7 +16,7 @@ use hpcc_core::requirements::{
 };
 use hpcc_core::scenarios::{self, common::ClusterConfig, common::MixedWorkload};
 use hpcc_core::workflow::{run_on_wlm, Step, Workflow};
-use hpcc_engine::engine::{Host, RunOptions};
+use hpcc_engine::engine::{DeployRequest, Host, RunOptions};
 use hpcc_engine::engines;
 use hpcc_oci::builder::samples;
 use hpcc_oci::cas::Cas;
@@ -108,16 +108,15 @@ fn cmd_deploy(engine_name: &str, image: &str, nodes: usize, gpu: bool) -> Result
     let report = deploy_to_allocation(
         &engine,
         &proxy,
-        repo,
-        tag,
-        1000,
-        &host,
+        &DeployRequest {
+            opts: RunOptions {
+                gpu,
+                ..RunOptions::default()
+            },
+            ..DeployRequest::new(&proxy.local, repo, tag, 1000, &host)
+        },
         &shared,
         &disks,
-        RunOptions {
-            gpu,
-            ..RunOptions::default()
-        },
         &clock,
     )
     .map_err(|e| e.to_string())?;

@@ -15,7 +15,7 @@
 //! scenario in [`scenarios::ALL`].
 
 use crate::scenarios::{self, ClusterConfig, MixedWorkload};
-use hpcc_engine::engine::{EngineError, Host, PullSources, RunOptions};
+use hpcc_engine::engine::{DeployRequest, EngineError, Host, PullSources, RunOptions};
 use hpcc_engine::engines;
 use hpcc_oci::builder::ImageBuilder;
 use hpcc_oci::cas::Cas;
@@ -156,17 +156,15 @@ pub fn quickstart_trace() -> Vec<SpanRecord> {
     let clock = SimClock::new();
     engine
         .deploy(
-            &registry,
-            "demo/app",
-            "v1",
-            1000,
-            &host,
-            RunOptions {
-                work: ProcessWork {
-                    compute: SimSpan::secs(30),
-                    writes: vec![("results/out.dat".into(), vec![42; 100])],
+            &DeployRequest {
+                opts: RunOptions {
+                    work: ProcessWork {
+                        compute: SimSpan::secs(30),
+                        writes: vec![("results/out.dat".into(), vec![42; 100])],
+                    },
+                    ..RunOptions::default()
                 },
-                ..RunOptions::default()
+                ..DeployRequest::new(&registry, "demo/app", "v1", 1000, &host)
             },
             &clock,
         )
@@ -174,12 +172,7 @@ pub fn quickstart_trace() -> Vec<SpanRecord> {
     // Warm re-run on the same clock: the conversion cache hits.
     engine
         .deploy(
-            &registry,
-            "demo/app",
-            "v1",
-            1000,
-            &host,
-            RunOptions::default(),
+            &DeployRequest::new(&registry, "demo/app", "v1", 1000, &host),
             &clock,
         )
         .expect("warm deploy succeeds");
@@ -215,12 +208,7 @@ pub(crate) fn quickstart_crash_recover_trace() -> Vec<SpanRecord> {
     let engine = engines::sarus();
     attach(&engine);
     match engine.deploy(
-        &registry,
-        "demo/app",
-        "v1",
-        1000,
-        &host,
-        RunOptions::default(),
+        &DeployRequest::new(&registry, "demo/app", "v1", 1000, &host),
         &clock,
     ) {
         Err(EngineError::Crash(dead)) => assert_eq!(dead.point, "convert.assemble.pre"),
@@ -236,17 +224,15 @@ pub(crate) fn quickstart_crash_recover_trace() -> Vec<SpanRecord> {
     attach(&engine);
     engine
         .deploy(
-            &registry,
-            "demo/app",
-            "v1",
-            1000,
-            &host,
-            RunOptions {
-                work: ProcessWork {
-                    compute: SimSpan::secs(30),
-                    writes: vec![("results/out.dat".into(), vec![42; 100])],
+            &DeployRequest {
+                opts: RunOptions {
+                    work: ProcessWork {
+                        compute: SimSpan::secs(30),
+                        writes: vec![("results/out.dat".into(), vec![42; 100])],
+                    },
+                    ..RunOptions::default()
                 },
-                ..RunOptions::default()
+                ..DeployRequest::new(&registry, "demo/app", "v1", 1000, &host)
             },
             &clock,
         )
@@ -257,7 +243,7 @@ pub(crate) fn quickstart_crash_recover_trace() -> Vec<SpanRecord> {
 /// Q5's failure mode with the Q10-era degradation path: the hub goes down
 /// permanently mid-experiment, the engine exhausts its retries against the
 /// primary, and the warm site proxy serves the image. The trace pins the
-/// retry/degrade timing of `deploy_resilient`.
+/// retry/degrade timing of `deploy` with the warm memo on.
 pub fn q5_degraded_pull_trace() -> Vec<SpanRecord> {
     let hub = Registry::new("hub", RegistryCaps::open());
     hub.create_namespace("hpc", None).unwrap();
@@ -293,21 +279,13 @@ pub fn q5_degraded_pull_trace() -> Vec<SpanRecord> {
 
     let clock = SimClock::new();
     let sources = PullSources {
-        primary: &hub,
-        tier: None,
         proxy: Some(&proxy),
-        mirror: None,
+        ..PullSources::primary_only(&hub).with_warm_memo()
     };
+    let host = Host::compute_node();
+    let req = DeployRequest::new(sources, "hpc/pyapp", "v1", 1000, &host);
     let (_, _, source) = engine
-        .deploy_resilient(
-            &sources,
-            "hpc/pyapp",
-            "v1",
-            1000,
-            &Host::compute_node(),
-            RunOptions::default(),
-            &clock,
-        )
+        .deploy(&req, &clock)
         .expect("degraded deploy succeeds via proxy");
     assert_eq!(source, "proxy");
     tracer.finished()

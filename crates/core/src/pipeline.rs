@@ -7,7 +7,7 @@
 //! converted image to the allocation's node-local disks over the shared
 //! filesystem → parallel launch on every node.
 
-use hpcc_engine::engine::{Engine, EngineError, Host, RunOptions};
+use hpcc_engine::engine::{DeployRequest, Engine, EngineError};
 use hpcc_registry::proxy::{ProxyError, ProxyRegistry};
 use hpcc_sim::{SimClock, SimSpan, SimTime};
 use hpcc_storage::local::{stage_image_to_nodes, NodeLocalDisk};
@@ -71,30 +71,34 @@ impl std::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// Deploy `repo:tag` through `engine` onto an allocation of nodes.
+/// Deploy `req` through `engine` onto an allocation of nodes.
 ///
 /// Steps: proxy pull (once, landing layers on the shared filesystem) →
-/// engine conversion with caching → stage the converted single-file image
-/// to each node's local disk → launch one container per node.
-#[allow(clippy::too_many_arguments)]
+/// engine pull from `req.sources` (normally the proxy's local registry) →
+/// conversion with caching → stage the converted single-file image to
+/// each node's local disk → launch one container per node.
 pub fn deploy_to_allocation(
     engine: &Engine,
     proxy: &ProxyRegistry,
-    repo: &str,
-    tag: &str,
-    user: u32,
-    host: &Host,
+    req: &DeployRequest<'_>,
     shared: &SharedFs,
     node_disks: &[Arc<NodeLocalDisk>],
-    opts: RunOptions,
     clock: &SimClock,
 ) -> Result<DeploymentReport, PipelineError> {
+    let DeployRequest {
+        sources,
+        repo,
+        tag,
+        user,
+        host,
+        ..
+    } = *req;
     let t0 = clock.now();
 
     // 1. Pull through the site proxy (cache-aware).
     let (_, pull_done) = proxy.pull_manifest(repo, tag, clock.now())?;
     clock.advance_to(pull_done);
-    let pulled = engine.pull(&proxy.local, repo, tag, clock)?;
+    let pulled = engine.pull(sources, repo, tag, clock)?;
     let t_pull = clock.now();
 
     // 2. Convert to native format (engine caches per its capability).
@@ -121,7 +125,7 @@ pub fn deploy_to_allocation(
     for _ in node_disks {
         let node_clock = SimClock::new();
         let prepared_node = engine.prepare(&pulled, user, host, true, &node_clock)?;
-        engine.run(prepared_node, user, host, opts.clone(), &node_clock)?;
+        engine.run(prepared_node, user, host, req.opts.clone(), &node_clock)?;
         max_launch = max_launch.max(node_clock.now().since(SimTime::ZERO));
     }
     clock.advance(max_launch);
@@ -141,6 +145,7 @@ pub fn deploy_to_allocation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcc_engine::engine::Host;
     use hpcc_engine::engines;
     use hpcc_oci::builder::samples;
     use hpcc_oci::cas::Cas;
@@ -178,13 +183,9 @@ mod tests {
         let report = deploy_to_allocation(
             &engine,
             &proxy,
-            "hpc/pyapp",
-            "v1",
-            1000,
-            &host,
+            &DeployRequest::new(&proxy.local, "hpc/pyapp", "v1", 1000, &host),
             &shared,
             &disks(8),
-            RunOptions::default(),
             &clock,
         )
         .unwrap();
@@ -207,13 +208,9 @@ mod tests {
         let first = deploy_to_allocation(
             &engine,
             &proxy,
-            "hpc/pyapp",
-            "v1",
-            1000,
-            &host,
+            &DeployRequest::new(&proxy.local, "hpc/pyapp", "v1", 1000, &host),
             &shared,
             &disks(4),
-            RunOptions::default(),
             &c1,
         )
         .unwrap();
@@ -222,13 +219,9 @@ mod tests {
         let second = deploy_to_allocation(
             &engine,
             &proxy,
-            "hpc/pyapp",
-            "v1",
-            1000,
-            &host,
+            &DeployRequest::new(&proxy.local, "hpc/pyapp", "v1", 1000, &host),
             &shared,
             &disks(4),
-            RunOptions::default(),
             &c2,
         )
         .unwrap();
@@ -252,13 +245,9 @@ mod tests {
             deploy_to_allocation(
                 &engine,
                 &proxy,
-                "hpc/pyapp",
-                "v1",
-                1000,
-                &host,
+                &DeployRequest::new(&proxy.local, "hpc/pyapp", "v1", 1000, &host),
                 &shared,
                 &disks(2),
-                RunOptions::default(),
                 &clock,
             )
             .unwrap()
@@ -270,13 +259,9 @@ mod tests {
             deploy_to_allocation(
                 &engine,
                 &proxy,
-                "hpc/pyapp",
-                "v1",
-                1000,
-                &host,
+                &DeployRequest::new(&proxy.local, "hpc/pyapp", "v1", 1000, &host),
                 &shared,
                 &disks(64),
-                RunOptions::default(),
                 &clock,
             )
             .unwrap()
@@ -294,14 +279,10 @@ mod tests {
         assert!(deploy_to_allocation(
             &engine,
             &proxy,
-            "hpc/ghost",
-            "v1",
-            1000,
-            &host,
+            &DeployRequest::new(&proxy.local, "hpc/ghost", "v1", 1000, &host),
             &shared,
             &disks(1),
-            RunOptions::default(),
-            &clock,
+            &clock
         )
         .is_err());
     }

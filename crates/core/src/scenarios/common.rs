@@ -6,7 +6,7 @@
 use hpcc_adapt::cosim::World;
 use hpcc_adapt::traces::{self, TimedWorkload, TraceConfig, TraceShape};
 use hpcc_adapt::{ControllerConfig, PartitionPolicy, RunSpec};
-use hpcc_engine::engine::{Host, RunOptions};
+use hpcc_engine::engine::{DeployRequest, Host};
 use hpcc_engine::engines;
 use hpcc_k8s::kubelet::CriRuntime;
 use hpcc_k8s::objects::{PodSpec, Resources};
@@ -134,14 +134,9 @@ pub(crate) fn measured_container_startup() -> SimSpan {
         engine.set_blob_store(BlobStore::node_local());
         let host = Host::compute_node();
         let clock = SimClock::new();
-        let (_, span) = engine
+        let (_, span, _) = engine
             .deploy(
-                &registry,
-                "hpc/pyapp",
-                "v1",
-                1000,
-                &host,
-                RunOptions::default(),
+                &DeployRequest::new(&registry, "hpc/pyapp", "v1", 1000, &host),
                 &clock,
             )
             .expect("startup measurement deploy succeeds");

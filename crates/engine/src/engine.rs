@@ -45,6 +45,7 @@ use hpcc_vfs::overlay::OverlayFs;
 use hpcc_vfs::path::VPath;
 use hpcc_vfs::squash::{SquashError, SquashImage};
 use parking_lot::RwLock;
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -186,6 +187,9 @@ pub struct PulledImage {
     pub manifest: Manifest,
     pub config: ImageConfig,
     pub layers: Vec<Archive>,
+    /// The source that served it: a ladder hop ("primary", "tier",
+    /// "proxy", "mirror") or "warm-cache" for the engine's pull memo.
+    pub source: &'static str,
 }
 
 /// A fetched, not yet decoded image: the manifest plus its verified raw
@@ -261,15 +265,21 @@ pub(crate) const LAZY_FETCH_OPS: [&str; 4] = [
 
 /// Where a pull may fetch from, in degradation order: the authoritative
 /// registry first, the node's tiered cache hierarchy next, then a site
-/// pull-through proxy, then a mirror. [`Engine::pull`] is the ladder over
-/// the primary alone; [`Engine::pull_resilient`] and
-/// [`Engine::pull_lazy`] walk whatever is present.
+/// pull-through proxy, then a mirror. [`Engine::pull`] and
+/// [`Engine::pull_lazy`] walk whatever is present; a bare `&Registry`
+/// converts to the primary alone.
+#[derive(Clone, Copy)]
 pub struct PullSources<'a> {
     pub primary: &'a Registry,
     /// The node's handle on the rack → row → site cache hierarchy.
     pub tier: Option<&'a TierClient>,
     pub proxy: Option<&'a ProxyRegistry>,
     pub mirror: Option<&'a Registry>,
+    /// Past the last hop, serve the engine's in-memory copy of an earlier
+    /// pull of the same `repo:tag` ("warm-cache"). Off by default, so a
+    /// plain pull reports [`EngineError::Exhausted`] when every hop is
+    /// down. [`Engine::pull_lazy`] has no image-level memo and ignores it.
+    pub warm_memo: bool,
 }
 
 impl<'a> PullSources<'a> {
@@ -280,6 +290,53 @@ impl<'a> PullSources<'a> {
             tier: None,
             proxy: None,
             mirror: None,
+            warm_memo: false,
+        }
+    }
+
+    /// The same ladder with the warm memo as its last resort.
+    pub fn with_warm_memo(self) -> PullSources<'a> {
+        PullSources {
+            warm_memo: true,
+            ..self
+        }
+    }
+}
+
+/// A registry (or a shared handle on one) is a ladder of one hop.
+impl<'a, R: Borrow<Registry>> From<&'a R> for PullSources<'a> {
+    fn from(primary: &'a R) -> PullSources<'a> {
+        PullSources::primary_only(primary.borrow())
+    }
+}
+
+/// One pull → prepare → run: what [`Engine::deploy`] takes.
+pub struct DeployRequest<'a> {
+    pub sources: PullSources<'a>,
+    pub repo: &'a str,
+    pub tag: &'a str,
+    pub user: u32,
+    pub host: &'a Host,
+    pub opts: RunOptions,
+}
+
+impl<'a> DeployRequest<'a> {
+    /// Deploy `repo:tag` from `sources` as `user` on `host` with default
+    /// run options; set [`DeployRequest::opts`] for anything else.
+    pub fn new(
+        sources: impl Into<PullSources<'a>>,
+        repo: &'a str,
+        tag: &'a str,
+        user: u32,
+        host: &'a Host,
+    ) -> DeployRequest<'a> {
+        DeployRequest {
+            sources: sources.into(),
+            repo,
+            tag,
+            user,
+            host,
+            opts: RunOptions::default(),
         }
     }
 }
@@ -327,59 +384,30 @@ pub(crate) trait PullBackend {
     ) -> Result<(Arc<Vec<u8>>, SimTime), EngineError>;
 }
 
-impl PullBackend for Registry {
-    fn manifest(
-        &self,
-        repo: &str,
-        tag: &str,
-        arrival: SimTime,
-    ) -> Result<(Manifest, SimTime), EngineError> {
-        Ok(self.pull_manifest(repo, tag, arrival)?)
-    }
-    fn blob(
-        &self,
-        digest: &Digest,
-        arrival: SimTime,
-    ) -> Result<(Arc<Vec<u8>>, SimTime), EngineError> {
-        Ok(self.pull_blob(digest, arrival)?)
-    }
+/// The registry, a tier client and the proxy answer the same two calls,
+/// so each is a hop as it stands.
+macro_rules! pull_backend {
+    ($($source:ty),*) => {$(
+        impl PullBackend for $source {
+            fn manifest(
+                &self,
+                repo: &str,
+                tag: &str,
+                arrival: SimTime,
+            ) -> Result<(Manifest, SimTime), EngineError> {
+                Ok(self.pull_manifest(repo, tag, arrival)?)
+            }
+            fn blob(
+                &self,
+                digest: &Digest,
+                arrival: SimTime,
+            ) -> Result<(Arc<Vec<u8>>, SimTime), EngineError> {
+                Ok(self.pull_blob(digest, arrival)?)
+            }
+        }
+    )*};
 }
-
-impl PullBackend for TierClient {
-    fn manifest(
-        &self,
-        repo: &str,
-        tag: &str,
-        arrival: SimTime,
-    ) -> Result<(Manifest, SimTime), EngineError> {
-        Ok(self.pull_manifest(repo, tag, arrival)?)
-    }
-    fn blob(
-        &self,
-        digest: &Digest,
-        arrival: SimTime,
-    ) -> Result<(Arc<Vec<u8>>, SimTime), EngineError> {
-        Ok(self.pull_blob(digest, arrival)?)
-    }
-}
-
-impl PullBackend for ProxyRegistry {
-    fn manifest(
-        &self,
-        repo: &str,
-        tag: &str,
-        arrival: SimTime,
-    ) -> Result<(Manifest, SimTime), EngineError> {
-        Ok(self.pull_manifest(repo, tag, arrival)?)
-    }
-    fn blob(
-        &self,
-        digest: &Digest,
-        arrival: SimTime,
-    ) -> Result<(Arc<Vec<u8>>, SimTime), EngineError> {
-        Ok(self.pull_blob(digest, arrival)?)
-    }
-}
+pull_backend!(Registry, TierClient, ProxyRegistry);
 
 /// Every settable knob of an [`Engine`] as one value. Setters write one
 /// field; each public operation takes one snapshot when it starts and
@@ -786,6 +814,8 @@ impl Engine {
             manifest: fetched.manifest,
             config,
             layers,
+            // Named by the ladder once a hop has served it.
+            source: "",
         })
     }
 
@@ -808,86 +838,60 @@ impl Engine {
         }
     }
 
-    /// Pull an image from a registry, charging the clock with transfer
-    /// time and verifying layer digests. Transient registry failures are
-    /// retried per the engine's [`RetryPolicy`]; exhaustion surfaces as
-    /// [`EngineError::Exhausted`] with the clock at the last attempt.
-    /// Without an installed fault schedule the first attempt always
-    /// succeeds or fails fatally, so behaviour (and timing) is identical
-    /// to a retry-free pull. This is [`Engine::pull_resilient`] over the
-    /// primary alone, minus the warm-memo last resort.
-    pub fn pull(
+    /// Pull an image, charging the clock with transfer time and verifying
+    /// blob digests: walk the pull ladder over `sources` — primary, then
+    /// the tiered cache hierarchy, the proxy cache and the mirror, each
+    /// retried per the engine's [`RetryPolicy`] and each fallback recorded
+    /// as a degrade decision in the fault injector's metrics — and, with
+    /// [`PullSources::with_warm_memo`], serve the engine's warm copy of an
+    /// earlier pull when every hop is down. A *fatal* primary error
+    /// (unknown repo, digest mismatch) propagates at once with the clock
+    /// untouched; fatal errors at fallbacks only move the chain along.
+    /// Exhaustion surfaces as [`EngineError::Exhausted`] with the clock at
+    /// the last attempt. Without an installed fault schedule the first
+    /// attempt always succeeds or fails fatally, so timing is identical to
+    /// a retry-free pull. [`PulledImage::source`] names what served it.
+    pub fn pull<'s>(
         &self,
-        registry: &Registry,
+        sources: impl Into<PullSources<'s>>,
         repo: &str,
         tag: &str,
         clock: &SimClock,
     ) -> Result<PulledImage, EngineError> {
-        let sources = PullSources::primary_only(registry);
-        self.pull_with(&self.ctx(), &sources, false, repo, tag, clock)
-            .map(|(pulled, _)| pulled)
-    }
-
-    /// Pull with graceful degradation: walk the pull ladder over `sources`
-    /// — primary, then the tiered cache hierarchy, the proxy cache and the
-    /// mirror, each retried per the engine's [`RetryPolicy`] and each
-    /// fallback recorded as a degrade decision in the fault injector's
-    /// metrics — and, when every remote source is down, serve the engine's
-    /// warm in-memory copy of an earlier pull. A *fatal* primary error
-    /// (unknown repo, digest mismatch) propagates immediately; fatal
-    /// errors at fallback sources only move the chain along. Returns the
-    /// image plus the label of the source that served it: "primary",
-    /// "tier", "proxy", "mirror" or "warm-cache".
-    pub fn pull_resilient(
-        &self,
-        sources: &PullSources<'_>,
-        repo: &str,
-        tag: &str,
-        clock: &SimClock,
-    ) -> Result<(PulledImage, &'static str), EngineError> {
-        self.pull_with(&self.ctx(), sources, true, repo, tag, clock)
-    }
-
-    fn pull_with(
-        &self,
-        ctx: &PullCtx,
-        sources: &PullSources<'_>,
-        memo_fallback: bool,
-        repo: &str,
-        tag: &str,
-        clock: &SimClock,
-    ) -> Result<(PulledImage, &'static str), EngineError> {
+        let ctx = &self.ctx();
+        let sources: PullSources<'_> = sources.into();
         let key = (repo.to_string(), tag.to_string());
         let warm = || {
-            memo_fallback
+            sources
+                .warm_memo
                 .then(|| self.pull_memo.read().get(&key).cloned())
                 .flatten()
         };
         // The `engine.pull` span around one walk of the ladder whose
         // attempts are [`Engine::fetch_via`] → [`Engine::decode`].
         let name = sym!("engine.pull");
-        let (pulled, source) =
-            Self::spanned(&ctx.tracer, name, Stage::Pull, true, clock, |span| {
-                ctx.tracer
-                    .attr(span, sym!("image"), format_args!("{repo}:{tag}"));
-                let (pulled, source, attempts) = ctx.ladder(
-                    &PULL_OPS,
-                    sources,
-                    clock,
-                    |backend, at| {
-                        let (fetched, done) = Self::fetch_via(ctx, backend, repo, tag, at)?;
-                        Ok((Self::decode(fetched)?, done))
-                    },
-                    warm,
-                )?;
-                ctx.tracer.attr(span, sym!("source"), source);
-                ctx.tracer.attr(span, sym!("attempts"), attempts);
-                Ok((pulled, source))
-            })?;
-        if source != WARM_CACHE {
+        let pulled = Self::spanned(&ctx.tracer, name, Stage::Pull, true, clock, |span| {
+            ctx.tracer
+                .attr(span, sym!("image"), format_args!("{repo}:{tag}"));
+            let (mut pulled, source, attempts) = ctx.ladder(
+                &PULL_OPS,
+                &sources,
+                clock,
+                |backend, at| {
+                    let (fetched, done) = Self::fetch_via(ctx, backend, repo, tag, at)?;
+                    Ok((Self::decode(fetched)?, done))
+                },
+                warm,
+            )?;
+            pulled.source = source;
+            ctx.tracer.attr(span, sym!("source"), source);
+            ctx.tracer.attr(span, sym!("attempts"), attempts);
+            Ok(pulled)
+        })?;
+        if pulled.source != WARM_CACHE {
             self.pull_memo.write().insert(key, pulled.clone());
         }
-        Ok((pulled, source))
+        Ok(pulled)
     }
 
     // ---------------------------------------------------------- prepare
@@ -914,273 +918,225 @@ impl Engine {
         explicit: bool,
         clock: &SimClock,
     ) -> Result<Prepared, EngineError> {
-        let name = sym!("engine.prepare");
-        Self::spanned(&ctx.tracer, name, Stage::Convert, true, clock, |span| {
-            let p = self.prepare_inner(ctx, pulled, user, explicit, clock)?;
-            ctx.tracer.attr(span, sym!("root_kind"), p.root_kind);
-            ctx.tracer.attr(span, sym!("cache_hit"), p.cache_hit);
-            Ok(p)
-        })
-    }
-
-    fn prepare_inner(
-        &self,
-        ctx: &PullCtx,
-        pulled: &PulledImage,
-        user: u32,
-        explicit: bool,
-        clock: &SimClock,
-    ) -> Result<Prepared, EngineError> {
         let PullCtx {
             tracer,
             crash,
             journal,
             ..
         } = ctx;
-        let rootfs = layer::flatten(&pulled.layers)?;
-
-        let needs_conversion = !matches!(self.caps.native_format, NativeFormat::OciLayers);
-        if needs_conversion && !self.caps.transparent_conversion && !explicit {
-            return Err(EngineError::ExplicitConversionRequired);
-        }
-
-        let userns_creds = MountCredentials::in_own_userns(user);
-
-        match self.caps.native_format {
-            NativeFormat::OciLayers => {
-                // Mount layers through (fuse-)overlayfs in a user
-                // namespace, or kernel overlay when a root daemon does it.
-                let lowers: Vec<Arc<MemFs>> = pulled
-                    .layers
-                    .iter()
-                    .map(|l| {
-                        let mut fs = MemFs::new();
-                        layer::apply(&mut fs, l).map(|_| Arc::new(fs))
-                    })
-                    .collect::<Result<_, _>>()?;
-                // Topmost-first for the overlay.
-                let lowers: Vec<Arc<MemFs>> = lowers.into_iter().rev().collect();
-                let overlay = Arc::new(OverlayFs::new(lowers));
-                let (driver, root_kind): (Box<dyn FsDriver>, _) = if self.caps.requires_daemon {
-                    // dockerd mounts as root with the kernel driver.
-                    check_mount(
-                        &MountCredentials::host_root(),
-                        MountRequestKind::Overlay,
-                        ImageProvenance::trusted(),
-                    )?;
-                    (Box::new(OverlayDriver::kernel(overlay)), "overlay-kernel")
-                } else {
-                    check_mount(
-                        &userns_creds,
-                        MountRequestKind::Fuse,
-                        ImageProvenance::trusted(),
-                    )?;
-                    (Box::new(OverlayDriver::fuse(overlay)), "overlay-fuse")
-                };
-                Ok(Prepared {
-                    root_kind,
-                    driver,
-                    rootfs,
-                    config: pulled.config.clone(),
-                    cache_hit: false,
-                })
+        let name = sym!("engine.prepare");
+        Self::spanned(tracer, name, Stage::Convert, true, clock, |span| {
+            let rootfs = layer::flatten(&pulled.layers)?;
+            let format = self.caps.native_format;
+            let needs_conversion = !matches!(format, NativeFormat::OciLayers);
+            if needs_conversion && !self.caps.transparent_conversion && !explicit {
+                return Err(EngineError::ExplicitConversionRequired);
             }
-            NativeFormat::SquashFile | NativeFormat::Sif => {
-                let key = pulled.manifest.digest().oci();
-                let total_bytes = rootfs.total_file_bytes(&VPath::root());
-                let is_sif = matches!(self.caps.native_format, NativeFormat::Sif);
-                let t_cache = clock.now();
-                let cached = self.cache.lookup(&key, user);
-                let hit = cached.is_some();
-                tracer.record(
-                    sym!("engine.cache"),
-                    Stage::Cache,
-                    t_cache,
-                    clock.now(),
-                    [(sym!("hit"), hit.into())],
-                );
-                let artifact = match cached {
-                    Some(artifact) => artifact,
-                    None => {
-                        // Conversion runs as a journalled intent: the
-                        // artifact only becomes durable (cache insert)
-                        // after the conversion work — and its crash
-                        // points — completed, so a crash mid-convert
-                        // never leaves a cached artifact behind.
-                        let intent = match journal {
-                            Some(j) => Some(j.begin("engine.convert", &key, clock.now())?),
-                            None => None,
-                        };
-                        // Simulated cost: each layer is compressed
-                        // independently (~500 MiB/s) on the engine's
-                        // worker pool, then one assemble pass (~1 GiB/s
-                        // over the flattened tree) that depends on every
-                        // layer stitches the image. The host work below
-                        // has the same shape — `SquashImage::build`
-                        // compresses its per-file blocks side by side,
-                        // then lays them out in order — but it only sees
-                        // bytes, never the clock, so it cannot move a
-                        // simulated number.
-                        let t_conv = clock.now();
-                        let conv_span =
-                            tracer.begin(sym!("engine.convert"), Stage::Convert, t_conv);
-                        tracer.attr(
-                            conv_span,
-                            sym!("format"),
-                            if is_sif { "sif" } else { "squash" },
-                        );
-                        tracer.attr(conv_span, sym!("bytes"), total_bytes);
-                        let mut graph: TaskGraph<'_, EngineError> = TaskGraph::new();
-                        let mut deps = Vec::with_capacity(pulled.layers.len());
-                        for layer in &pulled.layers {
-                            let bytes = layer.total_size();
-                            deps.push(graph.add(
-                                sym!("convert.layer"),
-                                Stage::Convert,
-                                &[],
-                                move |at| {
+            let userns_creds = MountCredentials::in_own_userns(user);
+            let total_bytes = || rootfs.total_file_bytes(&VPath::root());
+
+            let (driver, root_kind, cache_hit): (Box<dyn FsDriver>, _, _) = match format {
+                NativeFormat::OciLayers => {
+                    let lowers: Vec<Arc<MemFs>> = pulled
+                        .layers
+                        .iter()
+                        .map(|l| {
+                            let mut fs = MemFs::new();
+                            layer::apply(&mut fs, l).map(|_| Arc::new(fs))
+                        })
+                        .collect::<Result<_, _>>()?;
+                    // Topmost-first for the overlay.
+                    let overlay = Arc::new(OverlayFs::new(lowers.into_iter().rev().collect()));
+                    // dockerd mounts as root with the kernel driver; the
+                    // rest through fuse-overlayfs in a user namespace.
+                    let (creds, request, driver, kind) = if self.caps.requires_daemon {
+                        let driver = OverlayDriver::kernel(overlay);
+                        let root = MountCredentials::host_root();
+                        (root, MountRequestKind::Overlay, driver, "overlay-kernel")
+                    } else {
+                        let driver = OverlayDriver::fuse(overlay);
+                        (userns_creds, MountRequestKind::Fuse, driver, "overlay-fuse")
+                    };
+                    check_mount(&creds, request, ImageProvenance::trusted())?;
+                    (Box::new(driver), kind, false)
+                }
+                NativeFormat::SquashFile | NativeFormat::Sif => {
+                    let key = pulled.manifest.digest().oci();
+                    let is_sif = matches!(format, NativeFormat::Sif);
+                    let t_cache = clock.now();
+                    let cached = self.cache.lookup(&key, user);
+                    let hit = cached.is_some();
+                    let hit_attr = [(sym!("hit"), hit.into())];
+                    tracer.record(
+                        sym!("engine.cache"),
+                        Stage::Cache,
+                        t_cache,
+                        clock.now(),
+                        hit_attr,
+                    );
+                    let artifact = match cached {
+                        Some(artifact) => artifact,
+                        None => {
+                            // Conversion runs as a journalled intent: the
+                            // artifact only becomes durable (cache insert)
+                            // after the conversion work — and its crash
+                            // points — completed, so a crash mid-convert
+                            // never leaves a cached artifact behind.
+                            let t_conv = clock.now();
+                            let intent = match journal {
+                                Some(j) => Some(j.begin("engine.convert", &key, t_conv)?),
+                                None => None,
+                            };
+                            // Simulated cost: each layer is compressed
+                            // independently (~500 MiB/s) on the worker
+                            // pool, then one assemble pass (~1 GiB/s over
+                            // the flattened tree) that depends on every
+                            // layer stitches the image. The host work
+                            // below has the same shape — `SquashImage::
+                            // build` compresses its per-file blocks side by
+                            // side, then lays them out in order — but it
+                            // only sees bytes, never the clock, so it
+                            // cannot move a simulated number.
+                            let total_bytes = total_bytes();
+                            let mut graph: TaskGraph<'_, EngineError> = TaskGraph::new();
+                            let mut deps = Vec::with_capacity(pulled.layers.len());
+                            for layer in &pulled.layers {
+                                let bytes = layer.total_size();
+                                let secs = bytes as f64 / (500.0 * (1u64 << 20) as f64);
+                                let compress = move |at| {
                                     crash.crash_point("convert.layer.pre", at)?;
-                                    Ok(TaskFinish::at(
-                                        at + SimSpan::from_secs_f64(
-                                            bytes as f64 / (500.0 * (1u64 << 20) as f64),
-                                        ),
-                                    )
-                                    .attr(sym!("bytes"), bytes))
-                                },
-                            ));
-                        }
-                        graph.add(sym!("convert.assemble"), Stage::Convert, &deps, move |at| {
-                            crash.crash_point("convert.assemble.pre", at)?;
-                            Ok(TaskFinish::at(
-                                at + SimSpan::from_secs_f64(
-                                    total_bytes as f64 / (1u64 << 30) as f64,
-                                ),
-                            )
-                            .attr(sym!("bytes"), total_bytes))
-                        });
-                        let run = Executor::new(ctx.parallelism).run(graph, t_conv, tracer);
-                        let report = match run {
-                            Ok(report) => report,
-                            Err(e) => {
-                                let stopped = e.stopped_at;
-                                let mut error = e.error;
-                                if let EngineError::Crash(c) = &mut error {
-                                    // Close the convert span where the
-                                    // schedule stopped so the task spans
-                                    // the executor already recorded stay
-                                    // nested inside it.
-                                    c.at = c.at.max(stopped);
-                                    clock.advance_to(c.at);
-                                    tracer.end(conv_span, clock.now());
-                                } else if let (Some(j), Some(intent)) = (journal, intent) {
+                                    Ok(TaskFinish::at(at + SimSpan::from_secs_f64(secs))
+                                        .attr(sym!("bytes"), bytes))
+                                };
+                                let layer = sym!("convert.layer");
+                                deps.push(graph.add(layer, Stage::Convert, &[], compress));
+                            }
+                            let secs = total_bytes as f64 / (1u64 << 30) as f64;
+                            let assemble = move |at| {
+                                crash.crash_point("convert.assemble.pre", at)?;
+                                Ok(TaskFinish::at(at + SimSpan::from_secs_f64(secs))
+                                    .attr(sym!("bytes"), total_bytes))
+                            };
+                            graph.add(sym!("convert.assemble"), Stage::Convert, &deps, assemble);
+                            let kind = if is_sif { "sif" } else { "squash" };
+                            if let Err(e) = Self::convert(ctx, graph, kind, total_bytes, clock) {
+                                // A crash leaves the intent open for
+                                // recovery; anything else rolls it back.
+                                let died = matches!(e, EngineError::Crash(_));
+                                if let (false, Some(j), Some(intent)) = (died, journal, intent) {
                                     j.abort(intent, t_conv)?;
                                 }
-                                return Err(error);
+                                return Err(e);
                             }
-                        };
-                        clock.advance_to(report.end);
-                        tracer.end(conv_span, clock.now());
 
-                        crash.crash_point("convert.publish.pre", clock.now())?;
-                        let artifact = if is_sif {
-                            let sif = SifImage::build("Bootstrap: oci\n", &rootfs)
-                                .expect("conversion of a flattened tree succeeds");
-                            Arc::new(sif.to_bytes())
-                        } else {
-                            SquashImage::build(
-                                &rootfs,
-                                &VPath::root(),
-                                hpcc_codec::compress::Codec::Lz,
-                            )
-                            .expect("conversion of a flattened tree succeeds")
-                            .into_bytes()
-                        };
-                        self.cache.insert(&key, user, Arc::clone(&artifact));
-                        if let (Some(j), Some(intent)) = (journal, intent) {
-                            j.commit(intent, clock.now())?;
+                            crash.crash_point("convert.publish.pre", clock.now())?;
+                            const BUILT: &str = "conversion of a flattened tree succeeds";
+                            let artifact = if is_sif {
+                                let sif =
+                                    SifImage::build("Bootstrap: oci\n", &rootfs).expect(BUILT);
+                                Arc::new(sif.to_bytes())
+                            } else {
+                                let lz = hpcc_codec::compress::Codec::Lz;
+                                let squash = SquashImage::build(&rootfs, &VPath::root(), lz);
+                                squash.expect(BUILT).into_bytes()
+                            };
+                            self.cache.insert(&key, user, Arc::clone(&artifact));
+                            if let (Some(j), Some(intent)) = (journal, intent) {
+                                j.commit(intent, clock.now())?;
+                            }
+                            artifact
                         }
-                        artifact
-                    }
-                };
+                    };
 
-                let squash = if is_sif {
-                    let sif = SifImage::from_bytes(&artifact)?;
-                    Arc::new(sif.open_partition()?)
-                } else {
-                    // The cache and the mount share one copy of the image.
-                    Arc::new(SquashImage::from_bytes(artifact)?)
-                };
-
-                // Mount: suid-kernel or FUSE, by capability.
-                let use_suid = self.caps.rootless_fs.contains(&RootlessFsMech::Suid);
-                let (driver, root_kind): (Box<dyn FsDriver>, &'static str) = if use_suid {
-                    // The conversion/caching service produced the image:
-                    // not user-writable, not user-supplied.
-                    check_mount(
-                        &MountCredentials::setuid_helper(user),
-                        MountRequestKind::KernelBlockImage,
-                        ImageProvenance::trusted(),
-                    )?;
-                    (
-                        Box::new(SquashDriver::kernel(squash)),
-                        if is_sif {
-                            "sif-kernel"
+                    let squash = if is_sif {
+                        let sif = SifImage::from_bytes(&artifact)?;
+                        Arc::new(sif.open_partition()?)
+                    } else {
+                        // The cache and the mount share one copy.
+                        Arc::new(SquashImage::from_bytes(artifact)?)
+                    };
+                    // Mount: suid-kernel or FUSE, by capability. The
+                    // conversion/caching service produced the image: not
+                    // user-writable, not user-supplied.
+                    let (creds, request, driver, kind) =
+                        if self.caps.rootless_fs.contains(&RootlessFsMech::Suid) {
+                            let kind = if is_sif {
+                                "sif-kernel"
+                            } else {
+                                "squash-kernel"
+                            };
+                            let helper = MountCredentials::setuid_helper(user);
+                            let driver = SquashDriver::kernel(squash);
+                            (helper, MountRequestKind::KernelBlockImage, driver, kind)
                         } else {
-                            "squash-kernel"
-                        },
-                    )
-                } else {
-                    check_mount(
-                        &userns_creds,
-                        MountRequestKind::Fuse,
-                        ImageProvenance::trusted(),
-                    )?;
-                    (
-                        Box::new(SquashDriver::fuse(squash)),
-                        if is_sif { "sif-fuse" } else { "squash-fuse" },
-                    )
-                };
-                Ok(Prepared {
-                    root_kind,
-                    driver,
-                    rootfs,
-                    config: pulled.config.clone(),
-                    cache_hit: hit,
-                })
-            }
-            NativeFormat::UnpackedDir => {
-                // Unpack: each layer extracts independently (~1 GiB/s)
-                // on the engine's worker pool.
-                let total_bytes = rootfs.total_file_bytes(&VPath::root());
-                let t_conv = clock.now();
-                let conv_span = tracer.begin(sym!("engine.convert"), Stage::Convert, t_conv);
-                tracer.attr(conv_span, sym!("format"), "dir");
-                tracer.attr(conv_span, sym!("bytes"), total_bytes);
-                let mut graph: TaskGraph<'_, EngineError> = TaskGraph::new();
-                for layer in &pulled.layers {
-                    let bytes = layer.total_size();
-                    graph.add(sym!("convert.unpack"), Stage::Convert, &[], move |at| {
-                        Ok(TaskFinish::at(
-                            at + SimSpan::from_secs_f64(bytes as f64 / (1u64 << 30) as f64),
-                        )
-                        .attr(sym!("bytes"), bytes))
-                    });
+                            let kind = if is_sif { "sif-fuse" } else { "squash-fuse" };
+                            let driver = SquashDriver::fuse(squash);
+                            (userns_creds, MountRequestKind::Fuse, driver, kind)
+                        };
+                    check_mount(&creds, request, ImageProvenance::trusted())?;
+                    (Box::new(driver), kind, hit)
                 }
-                let report = Executor::new(ctx.parallelism)
-                    .run(graph, t_conv, tracer)
-                    .map_err(|e| e.error)?;
-                clock.advance_to(report.end);
-                tracer.end(conv_span, clock.now());
-                let driver = Box::new(DirDriver::local(Arc::new(rootfs.clone()), VPath::root()));
-                Ok(Prepared {
-                    root_kind: "dir",
-                    driver,
-                    rootfs,
-                    config: pulled.config.clone(),
-                    cache_hit: false,
-                })
-            }
-        }
+                NativeFormat::UnpackedDir => {
+                    // Unpack: each layer extracts independently
+                    // (~1 GiB/s) on the engine's worker pool.
+                    let mut graph: TaskGraph<'_, EngineError> = TaskGraph::new();
+                    for layer in &pulled.layers {
+                        let bytes = layer.total_size();
+                        let secs = bytes as f64 / (1u64 << 30) as f64;
+                        graph.add(sym!("convert.unpack"), Stage::Convert, &[], move |at| {
+                            Ok(TaskFinish::at(at + SimSpan::from_secs_f64(secs))
+                                .attr(sym!("bytes"), bytes))
+                        });
+                    }
+                    Self::convert(ctx, graph, "dir", total_bytes(), clock)?;
+                    let root = Arc::new(rootfs.clone());
+                    (
+                        Box::new(DirDriver::local(root, VPath::root())),
+                        "dir",
+                        false,
+                    )
+                }
+            };
+            tracer.attr(span, sym!("root_kind"), root_kind);
+            tracer.attr(span, sym!("cache_hit"), cache_hit);
+            Ok(Prepared {
+                root_kind,
+                driver,
+                rootfs,
+                config: pulled.config.clone(),
+                cache_hit,
+            })
+        })
+    }
+
+    /// One `engine.convert` span of `format` over `bytes`: run `graph` on
+    /// the worker pool from the clock, advance the clock to its end and
+    /// close the span there. A crash closes it where the schedule stopped,
+    /// so the task spans the executor already recorded stay nested inside.
+    fn convert(
+        ctx: &PullCtx,
+        graph: TaskGraph<'_, EngineError>,
+        format: &'static str,
+        bytes: u64,
+        clock: &SimClock,
+    ) -> Result<(), EngineError> {
+        let tracer = &ctx.tracer;
+        let span = tracer.begin(sym!("engine.convert"), Stage::Convert, clock.now());
+        tracer.attr(span, sym!("format"), format);
+        tracer.attr(span, sym!("bytes"), bytes);
+        let (end, result) = match Executor::new(ctx.parallelism).run(graph, clock.now(), tracer) {
+            Ok(report) => (report.end, Ok(())),
+            Err(e) => match e.error {
+                EngineError::Crash(mut c) => {
+                    c.at = c.at.max(e.stopped_at);
+                    (c.at, Err(EngineError::Crash(c)))
+                }
+                other => return Err(other),
+            },
+        };
+        clock.advance_to(end);
+        tracer.end(span, clock.now());
+        result
     }
 
     // -------------------------------------------------------------- run
@@ -1210,174 +1166,162 @@ impl Engine {
     ) -> Result<RunReport, EngineError> {
         let name = sym!("engine.run");
         Self::spanned(tracer, name, Stage::Run, false, clock, |span| {
-            let report = self.run_inner(prepared, user, host, opts, clock)?;
-            tracer.attr(span, sym!("exit"), report.container.exit_code.unwrap_or(-1));
-            Ok(report)
-        })
-    }
-
-    fn run_inner(
-        &self,
-        prepared: Prepared,
-        user: u32,
-        host: &Host,
-        opts: RunOptions,
-        clock: &SimClock,
-    ) -> Result<RunReport, EngineError> {
-        // Daemon requirement (Docker).
-        if self.caps.requires_daemon && !host.daemons.contains("dockerd") {
-            return Err(EngineError::DaemonNotRunning("dockerd"));
-        }
-        if !host.userns_enabled && !self.caps.requires_daemon {
-            return Err(EngineError::Policy(PolicyViolation::NoMountCapability));
-        }
-
-        let mut rootfs = prepared.rootfs;
-        let mut state: BTreeMap<String, String> = BTreeMap::new();
-        if host.gpu_present {
-            state.insert("host.gpu".into(), "present".into());
-        }
-        if let Some(devs) = &opts.wlm_granted_devices {
-            state.insert("wlm.granted_devices".into(), devs.clone());
-        }
-
-        // Which enablement hooks run, and how.
-        let runtime_runs_hooks = self.runtime.supports_oci_hooks
-            && matches!(
-                self.caps.oci_hooks,
-                HookSupport::Yes | HookSupport::ManualRootOnly
-            );
-        let mut hook_names: Vec<&'static str> = Vec::new();
-        if opts.gpu {
-            match self.caps.gpu {
-                GpuSupport::Builtin | GpuSupport::NvidiaOnly | GpuSupport::ViaOciHooks => {
-                    hook_names.push("gpu-nvidia");
-                    hook_names.push("wlm-devices");
-                }
-                GpuSupport::Manual => {
-                    return Err(EngineError::Unsupported(
-                        "automatic GPU enablement (manual setup required)",
-                    ))
-                }
-                GpuSupport::No => return Err(EngineError::Unsupported("GPU enablement")),
+            // Daemon requirement (Docker).
+            if self.caps.requires_daemon && !host.daemons.contains("dockerd") {
+                return Err(EngineError::DaemonNotRunning("dockerd"));
             }
-        }
-        if let Some(flavor) = opts.mpi {
-            match self.caps.lib_hookup {
-                LibHookup::MpichOnly if flavor != MpiFlavor::Mpich => {
-                    return Err(EngineError::Unsupported("non-MPICH MPI hookup"))
+            if !host.userns_enabled && !self.caps.requires_daemon {
+                return Err(EngineError::Policy(PolicyViolation::NoMountCapability));
+            }
+
+            let mut rootfs = prepared.rootfs;
+            let mut state: BTreeMap<String, String> = BTreeMap::new();
+            if host.gpu_present {
+                state.insert("host.gpu".into(), "present".into());
+            }
+            if let Some(devs) = &opts.wlm_granted_devices {
+                state.insert("wlm.granted_devices".into(), devs.clone());
+            }
+
+            // Which enablement hooks run, and how.
+            let runtime_runs_hooks = self.runtime.supports_oci_hooks
+                && matches!(
+                    self.caps.oci_hooks,
+                    HookSupport::Yes | HookSupport::ManualRootOnly
+                );
+            let mut hook_names: Vec<&'static str> = Vec::new();
+            if opts.gpu {
+                match self.caps.gpu {
+                    GpuSupport::Builtin | GpuSupport::NvidiaOnly | GpuSupport::ViaOciHooks => {
+                        hook_names.push("gpu-nvidia");
+                        hook_names.push("wlm-devices");
+                    }
+                    GpuSupport::Manual => {
+                        return Err(EngineError::Unsupported(
+                            "automatic GPU enablement (manual setup required)",
+                        ))
+                    }
+                    GpuSupport::No => return Err(EngineError::Unsupported("GPU enablement")),
                 }
-                LibHookup::Manual => {
-                    return Err(EngineError::Unsupported(
-                        "automatic MPI hookup (manual setup required)",
-                    ))
-                }
-                _ => {
-                    hook_names.push("mpi-hookup");
-                    if self.caps.abi_checks {
-                        hook_names.push("abi-check");
+            }
+            if let Some(flavor) = opts.mpi {
+                match self.caps.lib_hookup {
+                    LibHookup::MpichOnly if flavor != MpiFlavor::Mpich => {
+                        return Err(EngineError::Unsupported("non-MPICH MPI hookup"))
+                    }
+                    LibHookup::Manual => {
+                        return Err(EngineError::Unsupported(
+                            "automatic MPI hookup (manual setup required)",
+                        ))
+                    }
+                    _ => {
+                        hook_names.push("mpi-hookup");
+                        if self.caps.abi_checks {
+                            hook_names.push("abi-check");
+                        }
                     }
                 }
             }
-        }
 
-        // Assemble the spec.
-        let namespaces = match self.caps.namespacing {
-            crate::caps::ExecNamespacing::Full => Namespace::full_set(),
-            crate::caps::ExecNamespacing::UserAndMount
-            | crate::caps::ExecNamespacing::UserAndMountPlus => Namespace::hpc_set(),
-        };
-        let mut spec = RuntimeSpec {
-            process: ProcessSpec {
-                argv: prepared.config.argv(),
-                env: prepared.config.env.clone(),
-                cwd: prepared.config.working_dir.clone(),
-                uid: 0,
-                gid: 0,
-            },
-            namespaces,
-            uid_mappings: vec![IdMapping::identity_single(user, 0)],
-            gid_mappings: vec![IdMapping::identity_single(100, 0)],
-            mounts: Vec::new(),
-            hooks: Vec::new(),
-            readonly_rootfs: true,
-            resources: Default::default(),
-            annotations: BTreeMap::new(),
-        };
-        if self.caps.requires_daemon {
-            // Rootful daemon path: full id range available.
-            spec.uid_mappings = vec![IdMapping {
-                inside: 0,
-                outside: 0,
-                count: u32::MAX,
-            }];
-            spec.gid_mappings = spec.uid_mappings.clone();
-        }
-
-        if runtime_runs_hooks {
-            for name in &hook_names {
-                spec.hooks.push(HookRef {
-                    stage: HookStage::CreateRuntime,
-                    name: name.to_string(),
-                });
+            // Assemble the spec.
+            let namespaces = match self.caps.namespacing {
+                crate::caps::ExecNamespacing::Full => Namespace::full_set(),
+                crate::caps::ExecNamespacing::UserAndMount
+                | crate::caps::ExecNamespacing::UserAndMountPlus => Namespace::hpc_set(),
+            };
+            let mut spec = RuntimeSpec {
+                process: ProcessSpec {
+                    argv: prepared.config.argv(),
+                    env: prepared.config.env.clone(),
+                    cwd: prepared.config.working_dir.clone(),
+                    uid: 0,
+                    gid: 0,
+                },
+                namespaces,
+                uid_mappings: vec![IdMapping::identity_single(user, 0)],
+                gid_mappings: vec![IdMapping::identity_single(100, 0)],
+                mounts: Vec::new(),
+                hooks: Vec::new(),
+                readonly_rootfs: true,
+                resources: Default::default(),
+                annotations: BTreeMap::new(),
+            };
+            if self.caps.requires_daemon {
+                // Rootful daemon path: full id range available.
+                spec.uid_mappings = vec![IdMapping {
+                    inside: 0,
+                    outside: 0,
+                    count: u32::MAX,
+                }];
+                spec.gid_mappings = spec.uid_mappings.clone();
             }
-        } else {
-            // Built-in / custom-framework enablement: the engine executes
-            // the same logic itself before invoking the runtime.
-            let mut tmp_spec = spec.clone();
-            tmp_spec.hooks = hook_names
-                .iter()
-                .map(|n| HookRef {
-                    stage: HookStage::CreateRuntime,
-                    name: n.to_string(),
-                })
-                .collect();
-            self.hooks.run_stage(
-                HookStage::CreateRuntime,
-                &mut rootfs,
-                &mut tmp_spec,
+
+            if runtime_runs_hooks {
+                for name in &hook_names {
+                    spec.hooks.push(HookRef {
+                        stage: HookStage::CreateRuntime,
+                        name: name.to_string(),
+                    });
+                }
+            } else {
+                // Built-in / custom-framework enablement: the engine executes
+                // the same logic itself before invoking the runtime.
+                let mut tmp_spec = spec.clone();
+                tmp_spec.hooks = hook_names
+                    .iter()
+                    .map(|n| HookRef {
+                        stage: HookStage::CreateRuntime,
+                        name: n.to_string(),
+                    })
+                    .collect();
+                self.hooks.run_stage(
+                    HookStage::CreateRuntime,
+                    &mut rootfs,
+                    &mut tmp_spec,
+                    &host.fs,
+                    &mut state,
+                )?;
+                spec.process.env = tmp_spec.process.env;
+            }
+
+            // Credentials: daemon path is root, otherwise the user.
+            let creds = if self.caps.requires_daemon {
+                MountCredentials::host_root()
+            } else {
+                MountCredentials::unprivileged(user)
+            };
+
+            let mut container = self.runtime.create_with_state(
+                spec,
+                rootfs,
+                &creds,
                 &host.fs,
-                &mut state,
+                &self.hooks,
+                clock,
+                state.clone(),
             )?;
-            spec.process.env = tmp_spec.process.env;
-        }
+            self.runtime
+                .start(&mut container, opts.work, &host.fs, &self.hooks, clock)?;
+            self.runtime
+                .stop(&mut container, 0, &host.fs, &self.hooks, clock)?;
 
-        // Credentials: daemon path is root, otherwise the user.
-        let creds = if self.caps.requires_daemon {
-            MountCredentials::host_root()
-        } else {
-            MountCredentials::unprivileged(user)
-        };
+            // Merge runtime-hook state into the engine-collected state.
+            for (k, v) in container.hook_state() {
+                state.entry(k.clone()).or_insert_with(|| v.clone());
+            }
 
-        let mut container = self.runtime.create_with_state(
-            spec,
-            rootfs,
-            &creds,
-            &host.fs,
-            &self.hooks,
-            clock,
-            state.clone(),
-        )?;
-        self.runtime
-            .start(&mut container, opts.work, &host.fs, &self.hooks, clock)?;
-        self.runtime
-            .stop(&mut container, 0, &host.fs, &self.hooks, clock)?;
+            let monitor = match self.caps.monitor {
+                MonitorModel::PerMachineDaemon(d) => Some(d),
+                MonitorModel::PerContainer(m) => Some(m),
+                MonitorModel::None => None,
+            };
 
-        // Merge runtime-hook state into the engine-collected state.
-        for (k, v) in container.hook_state() {
-            state.entry(k.clone()).or_insert_with(|| v.clone());
-        }
-
-        let monitor = match self.caps.monitor {
-            MonitorModel::PerMachineDaemon(d) => Some(d),
-            MonitorModel::PerContainer(m) => Some(m),
-            MonitorModel::None => None,
-        };
-
-        Ok(RunReport {
-            container,
-            monitor,
-            state,
+            tracer.attr(span, sym!("exit"), container.exit_code.unwrap_or(-1));
+            Ok(RunReport {
+                container,
+                monitor,
+                state,
+            })
         })
     }
 
@@ -1450,54 +1394,15 @@ impl Engine {
         }
     }
 
-    // ------------------------------------------------------------ build
+    // ----------------------------------------------------------- deploy
 
-    /// Convenience: the full pull→prepare→run pipeline against one
-    /// registry, returning the wall-clock span it took.
-    #[allow(clippy::too_many_arguments)]
+    /// The full pull → prepare → run pipeline of `req`, the conversion
+    /// explicit. The pull is [`Engine::pull`] over `req.sources`; prepare
+    /// and run share one configuration snapshot. Returns the report, the
+    /// wall-clock span it took and the source that served the image.
     pub fn deploy(
         &self,
-        registry: &Registry,
-        repo: &str,
-        tag: &str,
-        user: u32,
-        host: &Host,
-        opts: RunOptions,
-        clock: &SimClock,
-    ) -> Result<(RunReport, SimSpan), EngineError> {
-        let sources = PullSources::primary_only(registry);
-        self.deploy_with(&sources, false, repo, tag, user, host, opts, clock)
-            .map(|(report, took, _)| (report, took))
-    }
-
-    /// [`Engine::deploy`] with [`Engine::pull_resilient`] as its pull:
-    /// the pull degrades across `sources` (and to the warm memo) when the
-    /// primary is down; prepare and run are the same. Returns the report,
-    /// the wall-clock span, and which source served the image.
-    #[allow(clippy::too_many_arguments)]
-    pub fn deploy_resilient(
-        &self,
-        sources: &PullSources<'_>,
-        repo: &str,
-        tag: &str,
-        user: u32,
-        host: &Host,
-        opts: RunOptions,
-        clock: &SimClock,
-    ) -> Result<(RunReport, SimSpan, &'static str), EngineError> {
-        self.deploy_with(sources, true, repo, tag, user, host, opts, clock)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn deploy_with(
-        &self,
-        sources: &PullSources<'_>,
-        memo_fallback: bool,
-        repo: &str,
-        tag: &str,
-        user: u32,
-        host: &Host,
-        opts: RunOptions,
+        req: &DeployRequest<'_>,
         clock: &SimClock,
     ) -> Result<(RunReport, SimSpan, &'static str), EngineError> {
         let ctx = self.ctx();
@@ -1505,19 +1410,26 @@ impl Engine {
         let t0 = clock.now();
         let name = sym!("engine.deploy");
         Self::spanned(tracer, name, Stage::Other, false, clock, |span| {
+            let (repo, tag) = (req.repo, req.tag);
             tracer.attr(span, sym!("image"), format_args!("{repo}:{tag}"));
-            let (pulled, source) =
-                self.pull_with(&ctx, sources, memo_fallback, repo, tag, clock)?;
-            tracer.attr(span, sym!("source"), source);
-            let prepared = self.prepare_with(&ctx, &pulled, user, true, clock)?;
+            let pulled = self.pull(req.sources, repo, tag, clock)?;
+            tracer.attr(span, sym!("source"), pulled.source);
+            let prepared = self.prepare_with(&ctx, &pulled, req.user, true, clock)?;
             tracer.attr(
                 span,
                 sym!("root_kind"),
                 format_args!("{:?}", prepared.root_kind),
             );
             tracer.attr(span, sym!("cache_hit"), prepared.cache_hit);
-            let report = self.run_with(tracer, prepared, user, host, opts, clock)?;
-            Ok((report, clock.now().since(t0), source))
+            let report = self.run_with(
+                tracer,
+                prepared,
+                req.user,
+                req.host,
+                req.opts.clone(),
+                clock,
+            )?;
+            Ok((report, clock.now().since(t0), pulled.source))
         })
     }
 }
@@ -1822,15 +1734,11 @@ mod tests {
         engine.set_fault_injector(Arc::clone(&inj));
         let clock = SimClock::new();
         let sources = PullSources {
-            primary: &hub,
-            tier: None,
             proxy: Some(&proxy),
-            mirror: None,
+            ..PullSources::primary_only(&hub).with_warm_memo()
         };
-        let (pulled, source) = engine
-            .pull_resilient(&sources, "hpc/solver", "v1", &clock)
-            .unwrap();
-        assert_eq!(source, "proxy");
+        let pulled = engine.pull(sources, "hpc/solver", "v1", &clock).unwrap();
+        assert_eq!(pulled.source, "proxy");
         assert!(!pulled.layers.is_empty());
         assert_eq!(inj.metrics().get("degrade.engine.pull.primary_to_proxy"), 1);
         assert_eq!(inj.metrics().get("retry.engine.pull.giveup"), 1);
@@ -1856,15 +1764,11 @@ mod tests {
         engine.set_fault_injector(Arc::clone(&inj));
         let clock = SimClock::new();
         let sources = PullSources {
-            primary: &hub,
             tier: Some(&client),
-            proxy: None,
-            mirror: None,
+            ..PullSources::primary_only(&hub).with_warm_memo()
         };
-        let (pulled, source) = engine
-            .pull_resilient(&sources, "hpc/solver", "v1", &clock)
-            .unwrap();
-        assert_eq!(source, "tier");
+        let pulled = engine.pull(sources, "hpc/solver", "v1", &clock).unwrap();
+        assert_eq!(pulled.source, "tier");
         assert!(!pulled.layers.is_empty());
         assert_eq!(inj.metrics().get("degrade.engine.pull.primary_to_tier"), 1);
         // The warm tier served the whole image without going back to origin.
@@ -1882,10 +1786,9 @@ mod tests {
         let inj = outage_forever(4);
         reg.set_fault_injector(Arc::clone(&inj));
         engine.set_fault_injector(Arc::clone(&inj));
-        let (pulled, source) = engine
-            .pull_resilient(&PullSources::primary_only(&reg), "hpc/solver", "v1", &clock)
-            .unwrap();
-        assert_eq!(source, "warm-cache");
+        let sources = PullSources::primary_only(&reg).with_warm_memo();
+        let pulled = engine.pull(sources, "hpc/solver", "v1", &clock).unwrap();
+        assert_eq!(pulled.source, "warm-cache");
         assert!(!pulled.layers.is_empty());
         assert_eq!(
             inj.metrics()
@@ -1895,7 +1798,7 @@ mod tests {
     }
 
     #[test]
-    fn deploy_resilient_completes_from_mirror() {
+    fn deploy_completes_from_mirror() {
         let hub = registry_with_solver("hub");
         let mirror = registry_with_solver("mirror");
         let inj = outage_forever(6);
@@ -1905,22 +1808,11 @@ mod tests {
         let clock = SimClock::new();
         let host = Host::compute_node();
         let sources = PullSources {
-            primary: &hub,
-            tier: None,
-            proxy: None,
             mirror: Some(&mirror),
+            ..PullSources::primary_only(&hub).with_warm_memo()
         };
-        let (report, span, source) = engine
-            .deploy_resilient(
-                &sources,
-                "hpc/solver",
-                "v1",
-                1000,
-                &host,
-                RunOptions::default(),
-                &clock,
-            )
-            .unwrap();
+        let req = DeployRequest::new(sources, "hpc/solver", "v1", 1000, &host);
+        let (report, span, source) = engine.deploy(&req, &clock).unwrap();
         assert_eq!(source, "mirror");
         assert_eq!(report.container.state(), ContainerState::Stopped);
         assert!(span > SimSpan::ZERO);
@@ -1939,17 +1831,8 @@ mod tests {
             let engine = engines::apptainer();
             let clock = SimClock::new();
             let host = Host::compute_node();
-            engine
-                .deploy(
-                    &reg,
-                    "hpc/solver",
-                    "v1",
-                    1000,
-                    &host,
-                    RunOptions::default(),
-                    &clock,
-                )
-                .unwrap();
+            let req = DeployRequest::new(&reg, "hpc/solver", "v1", 1000, &host);
+            engine.deploy(&req, &clock).unwrap();
             clock.now()
         };
         assert_eq!(run(), run());

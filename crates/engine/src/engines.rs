@@ -377,7 +377,7 @@ pub fn all() -> Vec<Engine> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineError, Host, MpiFlavor, RunOptions};
+    use crate::engine::{DeployRequest, EngineError, Host, MpiFlavor, RunOptions};
     use hpcc_oci::builder::samples;
     use hpcc_oci::cas::Cas;
     use hpcc_registry::registry::{Registry, RegistryCaps};
@@ -423,14 +423,9 @@ mod tests {
                 continue; // Docker handled separately
             }
             let clock = SimClock::new();
-            let (report, span) = engine
+            let (report, span, _) = engine
                 .deploy(
-                    &reg,
-                    "hpc/solver",
-                    "v1",
-                    1000,
-                    &host,
-                    RunOptions::default(),
+                    &DeployRequest::new(&reg, "hpc/solver", "v1", 1000, &host),
                     &clock,
                 )
                 .unwrap_or_else(|e| panic!("{} failed: {e}", engine.info.name));
@@ -447,12 +442,7 @@ mod tests {
         let host = Host::compute_node(); // no dockerd
         let err = engine
             .deploy(
-                &reg,
-                "hpc/solver",
-                "v1",
-                1000,
-                &host,
-                RunOptions::default(),
+                &DeployRequest::new(&reg, "hpc/solver", "v1", 1000, &host),
                 &clock,
             )
             .unwrap_err();
@@ -461,12 +451,7 @@ mod tests {
         let host = Host::compute_node().with_daemon("dockerd");
         engine
             .deploy(
-                &reg,
-                "hpc/solver",
-                "v1",
-                1000,
-                &host,
-                RunOptions::default(),
+                &DeployRequest::new(&reg, "hpc/solver", "v1", 1000, &host),
                 &clock,
             )
             .unwrap();
@@ -560,8 +545,14 @@ mod tests {
         // Builtin / hook-based engines succeed.
         for engine in [podman(), podman_hpc(), sarus(), apptainer(), enroot()] {
             let clock = SimClock::new();
-            let (report, _) = engine
-                .deploy(&reg, "hpc/solver", "v1", 1000, &host, opts.clone(), &clock)
+            let (report, ..) = engine
+                .deploy(
+                    &DeployRequest {
+                        opts: opts.clone(),
+                        ..DeployRequest::new(&reg, "hpc/solver", "v1", 1000, &host)
+                    },
+                    &clock,
+                )
                 .unwrap_or_else(|e| panic!("{}: {e}", engine.info.name));
             assert_eq!(
                 report.state.get("gpu.enabled").map(String::as_str),
@@ -578,7 +569,13 @@ mod tests {
         for engine in [shifter(), charliecloud()] {
             let clock = SimClock::new();
             assert!(matches!(
-                engine.deploy(&reg, "hpc/solver", "v1", 1000, &host, opts.clone(), &clock),
+                engine.deploy(
+                    &DeployRequest {
+                        opts: opts.clone(),
+                        ..DeployRequest::new(&reg, "hpc/solver", "v1", 1000, &host)
+                    },
+                    &clock
+                ),
                 Err(EngineError::Unsupported(_))
             ));
         }
@@ -591,30 +588,26 @@ mod tests {
         let engine = shifter();
         let clock = SimClock::new();
         let ok = engine.deploy(
-            &reg,
-            "hpc/solver",
-            "v1",
-            1000,
-            &host,
-            RunOptions {
-                mpi: Some(MpiFlavor::Mpich),
-                ..RunOptions::default()
+            &DeployRequest {
+                opts: RunOptions {
+                    mpi: Some(MpiFlavor::Mpich),
+                    ..RunOptions::default()
+                },
+                ..DeployRequest::new(&reg, "hpc/solver", "v1", 1000, &host)
             },
             &clock,
         );
         ok.unwrap();
         assert!(matches!(
             engine.deploy(
-                &reg,
-                "hpc/solver",
-                "v1",
-                1000,
-                &host,
-                RunOptions {
-                    mpi: Some(MpiFlavor::OpenMpi),
-                    ..RunOptions::default()
+                &DeployRequest {
+                    opts: RunOptions {
+                        mpi: Some(MpiFlavor::OpenMpi),
+                        ..RunOptions::default()
+                    },
+                    ..DeployRequest::new(&reg, "hpc/solver", "v1", 1000, &host)
                 },
-                &clock,
+                &clock
             ),
             Err(EngineError::Unsupported(_))
         ));
@@ -747,14 +740,9 @@ mod tests {
         // Podman: full isolation set; Sarus: user+mount only.
         for (engine, expect_net) in [(podman(), true), (sarus(), false)] {
             let clock = SimClock::new();
-            let (report, _) = engine
+            let (report, ..) = engine
                 .deploy(
-                    &reg,
-                    "hpc/solver",
-                    "v1",
-                    1000,
-                    &host,
-                    RunOptions::default(),
+                    &DeployRequest::new(&reg, "hpc/solver", "v1", 1000, &host),
                     &clock,
                 )
                 .unwrap();
@@ -781,8 +769,14 @@ mod tests {
             },
             ..RunOptions::default()
         };
-        let (report, _) = engine
-            .deploy(&reg, "hpc/solver", "v1", 4242, &host, opts, &clock)
+        let (report, ..) = engine
+            .deploy(
+                &DeployRequest {
+                    opts,
+                    ..DeployRequest::new(&reg, "hpc/solver", "v1", 4242, &host)
+                },
+                &clock,
+            )
             .unwrap();
         let st = report
             .container
@@ -801,12 +795,7 @@ mod tests {
         let clock = SimClock::new();
         assert!(engine
             .deploy(
-                &reg,
-                "hpc/solver",
-                "v1",
-                1000,
-                &host,
-                RunOptions::default(),
+                &DeployRequest::new(&reg, "hpc/solver", "v1", 1000, &host),
                 &clock
             )
             .is_err());

@@ -26,8 +26,8 @@ pub mod sif;
 pub use caps::{EngineCaps, EngineInfo};
 pub use engine::PullSources;
 pub use engine::{
-    Engine, EngineError, Host, MpiFlavor, Prepared, PullResilience, PulledImage, RunOptions,
-    RunReport,
+    DeployRequest, Engine, EngineError, Host, MpiFlavor, Prepared, PullResilience, PulledImage,
+    RunOptions, RunReport,
 };
 pub use lazy::{publish_seekable, LazyContainer, LazyPullStats};
 pub use sif::{SifError, SifImage};

@@ -11,7 +11,7 @@
 //!   pull/convert/launch costs.
 
 use crate::objects::{ApiServer, PodPhase, PodSpec, Resources};
-use hpcc_engine::engine::{Engine, Host, RunOptions};
+use hpcc_engine::engine::{DeployRequest, Engine, Host, RunOptions};
 use hpcc_registry::registry::Registry;
 use hpcc_runtime::cgroup::{CgroupTree, CgroupVersion};
 use hpcc_sim::sym;
@@ -47,18 +47,16 @@ impl CriRuntime for EngineCri {
         let scratch = SimClock::new();
         self.engine
             .deploy(
-                &self.registry,
-                repo,
-                tag,
-                self.user,
-                &self.host,
-                RunOptions {
-                    gpu: pod.resources.gpus > 0,
-                    ..RunOptions::default()
+                &DeployRequest {
+                    opts: RunOptions {
+                        gpu: pod.resources.gpus > 0,
+                        ..RunOptions::default()
+                    },
+                    ..DeployRequest::new(&self.registry, repo, tag, self.user, &self.host)
                 },
                 &scratch,
             )
-            .map(|(_, span)| span)
+            .map(|(_, span, _)| span)
             .map_err(|e| e.to_string())
     }
 }
@@ -160,6 +158,7 @@ const KUBELET_RESTART_BACKOFF: SimSpan = SimSpan(10_000_000_000); // 10s
 impl Kubelet {
     /// Start a kubelet: validate privileges, charge startup, register the
     /// node with the API server.
+    // Each is a separate part of node registration; no caller holds any two of them together.
     #[allow(clippy::too_many_arguments)]
     pub fn start(
         node_name: &str,

@@ -207,6 +207,18 @@ struct CacheEntry {
     tenant: usize,
 }
 
+/// One blob request as it walks up the hierarchy: each level it misses
+/// at passes it on unchanged.
+#[derive(Clone, Copy)]
+struct BlobRequest<'a> {
+    tenant: usize,
+    digest: &'a Digest,
+    size: u64,
+    at: SimTime,
+    /// False when the requester's row is partitioned from the origin.
+    origin_ok: bool,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     done: SimTime,
@@ -500,21 +512,23 @@ impl StormTopology {
         self.series.origin_requests.get(&self.metrics)
     }
 
-    /// Ensure `digest` is resident (or in flight) at `(level, inst)`;
+    /// Ensure `req.digest` is resident (or in flight) at `(level, inst)`;
     /// returns when the cache holds it. Recurses toward the origin on a
     /// miss; concurrent requests for an in-flight blob coalesce onto the
     /// pending fill instead of fetching again.
-    #[allow(clippy::too_many_arguments)]
     fn ensure(
         &self,
         level: usize,
         inst: usize,
-        tenant: usize,
-        digest: &Digest,
-        size: u64,
-        at: SimTime,
-        origin_ok: bool,
+        req: BlobRequest<'_>,
     ) -> Result<SimTime, RegistryError> {
+        let BlobRequest {
+            tenant,
+            digest,
+            size,
+            at,
+            origin_ok,
+        } = req;
         {
             let mut c = self.caches[level][inst].lock();
             if c.entries.contains_key(digest) {
@@ -542,7 +556,7 @@ impl StormTopology {
         // Miss: fetch from the level above (or the origin), then fill.
         let fill_done = if level + 1 < self.tiers.len() {
             let up_inst = inst / self.tiers[level + 1].group;
-            let ready = self.ensure(level + 1, up_inst, tenant, digest, size, at, origin_ok)?;
+            let ready = self.ensure(level + 1, up_inst, req)?;
             let hop = self.tiers[level + 1].hop;
             let xfer = SimSpan::from_secs_f64(size as f64 / hop.bandwidth_bps);
             let (_, sent) = self.egress[level + 1][up_inst].submit(ready, xfer);
@@ -726,7 +740,14 @@ impl StormTopology {
         };
         meta.pulls.add(&self.metrics, 1);
         let rack = node / self.tiers[0].group;
-        let ready = self.ensure(0, rack, tenant, digest, size, at, origin_ok)?;
+        let req = BlobRequest {
+            tenant,
+            digest,
+            size,
+            at,
+            origin_ok,
+        };
+        let ready = self.ensure(0, rack, req)?;
         let hop = self.tiers[0].hop;
         let xfer = SimSpan::from_secs_f64(size as f64 / hop.bandwidth_bps);
         let (_, sent) = self.egress[0][rack].submit(ready.max(at), xfer);

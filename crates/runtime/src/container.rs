@@ -239,6 +239,7 @@ impl LowLevelRuntime {
 
     /// [`create`](Self::create) with an initial hook-state map (engines
     /// seed host facts like GPU presence or WLM device grants here).
+    // The OCI create inputs plus the seeded hook state; no two of them travel together.
     #[allow(clippy::too_many_arguments)]
     pub fn create_with_state(
         &self,

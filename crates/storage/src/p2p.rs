@@ -72,6 +72,7 @@ pub fn broadcast_via_shared_fs(
 /// a `p2p.broadcast` span with one `p2p.seed_pull` child per seed fetch and
 /// one `p2p.send` child per peer transfer. [`FaultInjector::disabled`] and
 /// [`Tracer::disabled`] switch either off.
+// Fleet, image, seeding and observers are independent inputs of one broadcast.
 #[allow(clippy::too_many_arguments)]
 pub fn broadcast_p2p(
     shared: &SharedFs,
@@ -374,6 +375,7 @@ pub struct TreeBroadcastReport {
 /// restarts) re-attach to the nearest live ancestor and catch up.
 /// [`FaultInjector::disabled`] and [`Tracer::disabled`] switch faults and
 /// spans off.
+// faults, tracer and metrics go on to broadcast_tree_from_seeds, frozen until ROADMAP 9(a).
 #[allow(clippy::too_many_arguments)]
 pub fn broadcast_tree(
     shared: &SharedFs,
@@ -515,6 +517,7 @@ pub(crate) fn repair_forest(
 /// `c`). Lets callers feed the seeds from any upstream — shared fs here,
 /// the tiered registry in `bench storm`. The outage-free call of
 /// [`broadcast_tree_from_seeds_gated`].
+// hostbench calls this; thaw in ROADMAP 9(a).
 #[allow(clippy::too_many_arguments)]
 pub fn broadcast_tree_from_seeds(
     fabric: &Fabric,
@@ -549,6 +552,7 @@ pub fn broadcast_tree_from_seeds(
 /// their nearest live ancestor, gated so no chunk reaches them before
 /// `heal_at` + the re-registration latency. With `None` this is exactly
 /// [`broadcast_tree_from_seeds`].
+// broadcast_tree_from_seeds, frozen for hostbench, is this minus `outage`; fold in ROADMAP 9(a).
 #[allow(clippy::too_many_arguments)]
 pub fn broadcast_tree_from_seeds_gated(
     fabric: &Fabric,

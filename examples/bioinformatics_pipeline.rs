@@ -11,7 +11,7 @@
 
 use hpcc_core::pipeline::deploy_to_allocation;
 use hpcc_crypto::wots::Keypair;
-use hpcc_engine::engine::{Host, RunOptions};
+use hpcc_engine::engine::{DeployRequest, Host};
 use hpcc_engine::engines;
 use hpcc_oci::builder::ImageBuilder;
 use hpcc_oci::cas::Cas;
@@ -93,13 +93,9 @@ fn main() {
         let report = deploy_to_allocation(
             &engine,
             &proxy,
-            &format!("bio/{tool}"),
-            "v1",
-            1000,
-            &host,
+            &DeployRequest::new(&proxy.local, &format!("bio/{tool}"), "v1", 1000, &host),
             &shared,
             &disks,
-            RunOptions::default(),
             &clock,
         )
         .unwrap();

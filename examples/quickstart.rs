@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run -p hpcc-core --example quickstart`
 
-use hpcc_engine::engine::{Host, RunOptions};
+use hpcc_engine::engine::{DeployRequest, Host, RunOptions};
 use hpcc_engine::engines;
 use hpcc_oci::builder::ImageBuilder;
 use hpcc_oci::cas::Cas;
@@ -44,19 +44,20 @@ fn main() {
     let engine = engines::sarus();
     let host = Host::compute_node();
     let clock = SimClock::new();
-    let (report, span) = engine
+    let (report, span, _) = engine
         .deploy(
-            &registry,
-            "demo/app",
-            "v1",
-            1000, // our uid
-            &host,
-            RunOptions {
-                work: ProcessWork {
-                    compute: SimSpan::secs(30),
-                    writes: vec![("results/out.dat".into(), vec![42; 100])],
+            &DeployRequest {
+                opts: RunOptions {
+                    work: ProcessWork {
+                        compute: SimSpan::secs(30),
+                        writes: vec![("results/out.dat".into(), vec![42; 100])],
+                    },
+                    ..RunOptions::default()
                 },
-                ..RunOptions::default()
+                ..DeployRequest::new(
+                    &registry, "demo/app", "v1", 1000, // our uid
+                    &host,
+                )
             },
             &clock,
         )
@@ -76,14 +77,9 @@ fn main() {
 
     // 4. Second run hits the conversion cache.
     let clock2 = SimClock::new();
-    let (_, warm) = engine
+    let (_, warm, _) = engine
         .deploy(
-            &registry,
-            "demo/app",
-            "v1",
-            1000,
-            &host,
-            RunOptions::default(),
+            &DeployRequest::new(&registry, "demo/app", "v1", 1000, &host),
             &clock2,
         )
         .unwrap();

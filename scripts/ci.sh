@@ -26,7 +26,9 @@
 #                `pub` item nothing outside its crate names is a FAIL
 #                naming the item (it is `pub(crate)` or deleted), and no
 #                `allow(dead_code)` or `allow(unused…)` under crates/,
-#                tests/ or examples/
+#                tests/ or examples/, and every
+#                `allow(clippy::too_many_arguments)` has a `//` reason on
+#                the line above
 #   test         full test suite, then hpcc-codec and hpcc-vfs again under
 #                `taskset -c 0` so the inline (one-core) path of block
 #                compression is exercised too (skipped with a notice when
@@ -330,10 +332,25 @@ stage_lint() {
         echo "FAIL: dead code is deleted, not allowed" >&2
         bad=1
     fi
+    # A long parameter list says why on the line above its allow, in a
+    # plain `//` comment (a doc comment describes the function, not the
+    # allow); arguments that travel together belong in a struct.
+    local unexplained
+    unexplained="$(find crates tests examples -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { prev = "" }
+        /allow\(clippy::too_many_arguments\)/ && prev !~ /^[ \t]*\/\/([^\/!]|$)/ {
+            print FILENAME ":" FNR ": " $0
+        }
+        { prev = $0 }')"
+    if [[ -n "$unexplained" ]]; then
+        echo "$unexplained" >&2
+        echo "FAIL: an allow(clippy::too_many_arguments) without a // reason on the line above; bundle arguments that travel together into a struct, or say why they stay apart" >&2
+        bad=1
+    fi
     if [[ "$bad" != 0 ]]; then
         exit 1
     fi
-    echo "OK: every pub item is named outside its crate or by a pub signature; no dead code allowed"
+    echo "OK: every pub item is named outside its crate or by a pub signature; no dead code allowed; every too_many_arguments allow says why"
 }
 
 stage_test() {

@@ -19,7 +19,7 @@
 //! loop on the "no duplicate execution" invariant.
 
 use hpcc_crypto::sha256::Digest;
-use hpcc_engine::engine::{Engine, EngineError, Host, PullResilience, RunOptions};
+use hpcc_engine::engine::{DeployRequest, Engine, EngineError, Host, PullResilience};
 use hpcc_engine::{engines, publish_seekable, PullSources};
 use hpcc_k8s::kubelet::{EngineCri, Kubelet, KubeletMode};
 use hpcc_k8s::objects::{ApiServer, PodPhase, PodSpec, Resources};
@@ -105,12 +105,7 @@ fn attach_engine(c: &Cell) -> Engine {
 fn deploy_once(engine: &Engine, c: &Cell) -> Result<(), EngineError> {
     engine
         .deploy(
-            &c.hub,
-            "hpc/app",
-            "v1",
-            1000,
-            &Host::compute_node(),
-            RunOptions::default(),
+            &DeployRequest::new(&c.hub, "hpc/app", "v1", 1000, &Host::compute_node()),
             &c.clock,
         )
         .map(|_| ())
@@ -692,13 +687,11 @@ fn breaker_probe_crash_leaves_the_breaker_open_and_reprobes() {
         failure_threshold: 1,
         ..BreakerConfig::default()
     }));
-    let sources = PullSources::primary_only(&c.hub);
+    let sources = PullSources::primary_only(&c.hub).with_warm_memo();
 
     let engine = attach_engine(&c);
     engine.set_pull_resilience(Some(Arc::clone(&res)));
-    engine
-        .pull_resilient(&sources, "hpc/app", "v1", &c.clock)
-        .unwrap_err();
+    engine.pull(sources, "hpc/app", "v1", &c.clock).unwrap_err();
     let probe_at = match res.breaker("primary").state() {
         BreakerState::Open { probe_at } => probe_at,
         s => panic!("exhausted ladder must open the breaker, got {s:?}"),
@@ -708,9 +701,7 @@ fn breaker_probe_crash_leaves_the_breaker_open_and_reprobes() {
     // process dies right there.
     c.clock.advance_to(probe_at);
     c.crash.arm(BREAKER_PROBE_CRASH_POINT, 1);
-    let err = engine
-        .pull_resilient(&sources, "hpc/app", "v1", &c.clock)
-        .unwrap_err();
+    let err = engine.pull(sources, "hpc/app", "v1", &c.clock).unwrap_err();
     assert!(matches!(err, EngineError::Crash(_)), "{err}");
     assert_eq!(c.crash.visits(BREAKER_PROBE_CRASH_POINT), 1);
     assert!(
@@ -725,10 +716,10 @@ fn breaker_probe_crash_leaves_the_breaker_open_and_reprobes() {
         .advance_to(if probe_at > healed { probe_at } else { healed });
     let engine = attach_engine(&c);
     engine.set_pull_resilience(Some(Arc::clone(&res)));
-    let (pulled, source) = engine
-        .pull_resilient(&sources, "hpc/app", "v1", &c.clock)
+    let pulled = engine
+        .pull(sources, "hpc/app", "v1", &c.clock)
         .expect("re-probe after the brownout heals");
-    assert_eq!(source, "primary");
+    assert_eq!(pulled.source, "primary");
     assert!(!pulled.layers.is_empty());
     assert!(matches!(
         res.breaker("primary").state(),

@@ -88,15 +88,11 @@ fn registry_outage_mid_pull_recovers_via_proxy_cache() {
     engine.set_fault_injector(Arc::clone(&inj));
 
     let sources = PullSources {
-        primary: &hub,
-        tier: None,
         proxy: Some(&proxy),
-        mirror: None,
+        ..PullSources::primary_only(&hub).with_warm_memo()
     };
-    let (pulled, source) = engine
-        .pull_resilient(&sources, "hpc/app", "v1", &clock)
-        .unwrap();
-    assert_eq!(source, "proxy");
+    let pulled = engine.pull(sources, "hpc/app", "v1", &clock).unwrap();
+    assert_eq!(pulled.source, "proxy");
     assert!(!pulled.manifest.layers.is_empty());
 
     let m = inj.metrics();
@@ -125,8 +121,50 @@ fn outage_forever(seed: u64) -> Arc<FaultInjector> {
     ))
 }
 
+/// The warm memo is a rung a pull asks for: after a warm pull and a
+/// permanent outage, a plain pull of the registry still exhausts, and the
+/// same ladder with the memo serves the earlier copy.
+#[test]
+fn the_warm_memo_serves_only_the_pulls_that_ask_for_it() {
+    let hub = hub_with_image();
+    let engine = engines::podman();
+    let clock = SimClock::new();
+    engine.pull(&hub, "hpc/app", "v1", &clock).unwrap();
+    let inj = outage_forever(8);
+    hub.set_fault_injector(Arc::clone(&inj));
+    engine.set_fault_injector(inj);
+    let err = engine.pull(&hub, "hpc/app", "v1", &clock).unwrap_err();
+    assert!(matches!(err, EngineError::Exhausted { .. }), "{err}");
+    let warm = PullSources::primary_only(&hub).with_warm_memo();
+    let pulled = engine.pull(warm, "hpc/app", "v1", &clock).unwrap();
+    assert_eq!(pulled.source, "warm-cache");
+    assert!(!pulled.layers.is_empty());
+}
+
+/// A bare registry converts to the one-hop ladder: both pulls leave the
+/// same trace, span for span.
+#[test]
+fn a_registry_pulls_as_its_primary_only_ladder() {
+    let digest = |primary_only: bool| {
+        let hub = hub_with_image();
+        let engine = engines::podman();
+        let tracer = Tracer::new();
+        hub.set_tracer(Arc::clone(&tracer));
+        engine.set_tracer(Arc::clone(&tracer));
+        let clock = SimClock::new();
+        let pulled = if primary_only {
+            engine.pull(PullSources::primary_only(&hub), "hpc/app", "v1", &clock)
+        } else {
+            engine.pull(&hub, "hpc/app", "v1", &clock)
+        };
+        assert_eq!(pulled.unwrap().source, "primary");
+        hpcc_sim::obs::trace_digest(&tracer.finished())
+    };
+    assert_eq!(digest(false), digest(true));
+}
+
 /// The one degradation ladder, at both granularities it serves — a
-/// whole-image `pull_resilient` and a `LazyContainer`'s blob fetches (the
+/// whole-image `pull` and a `LazyContainer`'s blob fetches (the
 /// index at launch, then a chunk fault) — through every serving hop.
 /// Everything upstream of the serving hop is out for good: the hub is
 /// down, the tier and proxy in front of it are cold unless they are the
@@ -170,10 +208,10 @@ fn pull_ladder_serves_both_granularities_from_every_hop() {
             let tier = TierClient::new(topo, 0);
             let proxy = ProxyRegistry::new(site_registry(), Arc::clone(&hub)).unwrap();
             let sources = || PullSources {
-                primary: &hub,
                 tier: Some(&tier),
                 proxy: Some(&proxy),
                 mirror: Some(&mirror),
+                ..PullSources::primary_only(&hub).with_warm_memo()
             };
 
             // Warm only the cache hop under test, while the hub is healthy.
@@ -199,9 +237,7 @@ fn pull_ladder_serves_both_granularities_from_every_hop() {
             let engine = engines::podman();
             let clock = SimClock::new();
             if label == "warm-cache" {
-                engine
-                    .pull_resilient(&sources(), "hpc/app", "v1", &clock)
-                    .unwrap();
+                engine.pull(sources(), "hpc/app", "v1", &clock).unwrap();
             }
 
             // Then everything upstream of the serving hop goes away.
@@ -221,10 +257,8 @@ fn pull_ladder_serves_both_granularities_from_every_hop() {
                 assert_eq!(c.stats().chunk_misses, 1, "{row}");
                 ("engine.lazy.fetch", 2) // the index, then the chunk
             } else {
-                let (pulled, source) = engine
-                    .pull_resilient(&sources(), "hpc/app", "v1", &clock)
-                    .unwrap();
-                assert_eq!(source, label, "{row}");
+                let pulled = engine.pull(sources(), "hpc/app", "v1", &clock).unwrap();
+                assert_eq!(pulled.source, label, "{row}");
                 assert!(!pulled.layers.is_empty());
                 ("engine.pull", 1)
             };
@@ -248,10 +282,8 @@ fn pull_ladder_serves_both_granularities_from_every_hop() {
     let (index_digest, _) = publish_seekable(&hub, &lazy_fs, &VPath::root(), 4096).unwrap();
     publish_seekable(&mirror, &lazy_fs, &VPath::root(), 4096).unwrap();
     let sources = || PullSources {
-        primary: &hub,
-        tier: None,
-        proxy: None,
         mirror: Some(&mirror),
+        ..PullSources::primary_only(&hub).with_warm_memo()
     };
     let engine = engines::podman();
     let res = Arc::new(PullResilience::new(BreakerConfig {
@@ -266,10 +298,8 @@ fn pull_ladder_serves_both_granularities_from_every_hop() {
     let inj = outage_forever(37);
     hub.set_fault_injector(Arc::clone(&inj));
     engine.set_fault_injector(Arc::clone(&inj));
-    let (_, source) = engine
-        .pull_resilient(&sources(), "hpc/app", "v1", &clock)
-        .unwrap();
-    assert_eq!(source, "mirror");
+    let pulled = engine.pull(sources(), "hpc/app", "v1", &clock).unwrap();
+    assert_eq!(pulled.source, "mirror");
     let m = inj.metrics();
     assert_eq!(m.get("breaker.primary.open"), 1);
     assert!(matches!(
@@ -294,10 +324,8 @@ fn fatal_probe_answer_closes_the_breaker_instead_of_wedging_it() {
     let hub = hub_with_image();
     let mirror = hub_with_image();
     let sources = PullSources {
-        primary: &hub,
-        tier: None,
-        proxy: None,
         mirror: Some(&mirror),
+        ..PullSources::primary_only(&hub).with_warm_memo()
     };
     let inj = Arc::new(FaultInjector::new(
         41,
@@ -320,10 +348,8 @@ fn fatal_probe_answer_closes_the_breaker_instead_of_wedging_it() {
     let clock = SimClock::new();
 
     // The outage: the ladder exhausts on the primary, the mirror serves.
-    let (_, source) = engine
-        .pull_resilient(&sources, "hpc/app", "v1", &clock)
-        .unwrap();
-    assert_eq!(source, "mirror");
+    let pulled = engine.pull(sources, "hpc/app", "v1", &clock).unwrap();
+    assert_eq!(pulled.source, "mirror");
     assert!(matches!(
         res.breaker("primary").state(),
         BreakerState::Open { .. }
@@ -331,19 +357,15 @@ fn fatal_probe_answer_closes_the_breaker_instead_of_wedging_it() {
 
     // Healed and cooled down: the probe is a pull nobody can serve.
     clock.advance_to(SimTime::ZERO + SimSpan::secs(30));
-    let err = engine
-        .pull_resilient(&sources, "hpc/ghost", "v1", &clock)
-        .unwrap_err();
+    let err = engine.pull(sources, "hpc/ghost", "v1", &clock).unwrap_err();
     assert!(!err.is_transient(), "{err}");
     assert_eq!(inj.metrics().get("breaker.primary.half_open"), 1);
     assert_eq!(res.breaker("primary").state(), BreakerState::Closed);
 
     for minute in 1..=5 {
         clock.advance_to(SimTime::ZERO + SimSpan::secs(30 + 60 * minute));
-        let (_, source) = engine
-            .pull_resilient(&sources, "hpc/app", "v1", &clock)
-            .unwrap();
-        assert_eq!(source, "primary", "pull {minute} after the probe");
+        let pulled = engine.pull(sources, "hpc/app", "v1", &clock).unwrap();
+        assert_eq!(pulled.source, "primary", "pull {minute} after the probe");
     }
     assert_eq!(inj.metrics().get("breaker.primary.close"), 1);
 }
@@ -679,7 +701,7 @@ fn chaos_digests_are_stable_across_eight_seeds() {
 }
 
 /// Degradation-order contract: with the primary registry permanently
-/// down but a warm proxy tier available, `pull_resilient` must walk the
+/// down but a warm proxy tier available, `pull` must walk the
 /// fallback chain — it may never surface `Exhausted` while an untried
 /// tier remains, under any seed.
 #[test]
@@ -701,14 +723,12 @@ fn resilient_pull_never_exhausts_while_a_fallback_remains() {
         engine.set_fault_injector(Arc::clone(&inj));
         let clock = SimClock::new();
         let sources = PullSources {
-            primary: &hub,
-            tier: None,
             proxy: Some(&proxy),
-            mirror: None,
+            ..PullSources::primary_only(&hub).with_warm_memo()
         };
-        match engine.pull_resilient(&sources, "hpc/app", "v1", &clock) {
-            Ok((pulled, source)) => {
-                assert_ne!(source, "primary", "primary was down, seed {seed}");
+        match engine.pull(sources, "hpc/app", "v1", &clock) {
+            Ok(pulled) => {
+                assert_ne!(pulled.source, "primary", "primary was down, seed {seed}");
                 assert!(!pulled.layers.is_empty());
             }
             Err(e) => panic!("seed {seed}: gave up with '{e}' though the proxy tier was untried"),

@@ -182,10 +182,8 @@ fn dead_primary_degrades_lazy_pulls_to_the_mirror() {
     engine.set_fault_injector(Arc::clone(&inj));
     let clock = SimClock::new();
     let sources = PullSources {
-        primary: &primary,
-        tier: None,
-        proxy: None,
         mirror: Some(&mirror),
+        ..PullSources::primary_only(&primary)
     };
     let container = engine
         .pull_lazy(sources, &index_digest, &clock)

@@ -3,7 +3,7 @@
 
 use hpcc_core::pipeline::deploy_to_allocation;
 use hpcc_core::requirements::{select_engine, SiteRequirements};
-use hpcc_engine::engine::{Host, RunOptions};
+use hpcc_engine::engine::{DeployRequest, Host};
 use hpcc_engine::engines;
 use hpcc_engine::shpc;
 use hpcc_oci::builder::samples;
@@ -52,12 +52,7 @@ fn every_daemonless_engine_pulls_from_every_oci_product() {
             let clock = SimClock::new();
             engine
                 .deploy(
-                    &product.registry,
-                    repo,
-                    "v1",
-                    1000,
-                    &host,
-                    RunOptions::default(),
+                    &DeployRequest::new(&product.registry, repo, "v1", 1000, &host),
                     &clock,
                 )
                 .unwrap_or_else(|e| panic!("{} from {}: {e}", engine.info.name, product.info.name));
@@ -81,14 +76,9 @@ fn hub_to_harbor_mirror_to_engines() {
     let engine = engines::podman_hpc();
     let host = Host::compute_node();
     let clock = SimClock::new();
-    let (report, _) = engine
+    let (report, ..) = engine
         .deploy(
-            &harbor,
-            "library/pyapp",
-            "v1",
-            1000,
-            &host,
-            RunOptions::default(),
+            &DeployRequest::new(&harbor, "library/pyapp", "v1", 1000, &host),
             &clock,
         )
         .unwrap();
@@ -118,12 +108,7 @@ fn shpc_module_wraps_a_runnable_deployment() {
     let clock = SimClock::new();
     engine
         .deploy(
-            &reg,
-            "hpc/pyapp",
-            "v1",
-            1000,
-            &host,
-            RunOptions::default(),
+            &DeployRequest::new(&reg, "hpc/pyapp", "v1", 1000, &host),
             &clock,
         )
         .unwrap();
@@ -152,13 +137,9 @@ fn adaptive_pipeline_uses_the_selected_engine() {
     let report = deploy_to_allocation(
         &engine,
         &proxy,
-        "hpc/pyapp",
-        "v1",
-        1000,
-        &Host::compute_node(),
+        &DeployRequest::new(&proxy.local, "hpc/pyapp", "v1", 1000, &Host::compute_node()),
         &shared,
         &disks,
-        RunOptions::default(),
         &clock,
     )
     .unwrap();

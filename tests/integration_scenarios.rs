@@ -2,7 +2,7 @@
 //! than the unit tests, plus the SPANK-driven container job path.
 
 use hpcc_core::scenarios::{self, common::ClusterConfig, common::MixedWorkload};
-use hpcc_engine::engine::{Host, RunOptions};
+use hpcc_engine::engine::{DeployRequest, Host, RunOptions};
 use hpcc_engine::engines;
 use hpcc_oci::builder::samples;
 use hpcc_oci::cas::Cas;
@@ -92,17 +92,15 @@ fn spank_container_job_launches_a_real_engine() {
     let engine = engines::enroot();
     let host = Host::compute_node();
     let clock = SimClock::new();
-    let (report, _) = engine
+    let (report, ..) = engine
         .deploy(
-            &registry,
-            repo,
-            tag,
-            3000,
-            &host,
-            RunOptions {
-                gpu: true,
-                wlm_granted_devices: devices,
-                ..RunOptions::default()
+            &DeployRequest {
+                opts: RunOptions {
+                    gpu: true,
+                    wlm_granted_devices: devices,
+                    ..RunOptions::default()
+                },
+                ..DeployRequest::new(&registry, repo, tag, 3000, &host)
             },
             &clock,
         )

@@ -5,7 +5,7 @@
 use hpcc_crypto::aead::AeadKey;
 use hpcc_crypto::translog::{verify_inclusion, TransparencyLog};
 use hpcc_crypto::wots::{verify as wots_verify, Keypair, PublicKey, Signature};
-use hpcc_engine::engine::{Host, RunOptions};
+use hpcc_engine::engine::{DeployRequest, Host, RunOptions};
 use hpcc_engine::engines;
 use hpcc_engine::sif::SifImage;
 use hpcc_oci::builder::{samples, ImageBuilder};
@@ -65,19 +65,17 @@ fn build_sign_push_pull_verify_run() {
 
     // Run it.
     let host = Host::compute_node();
-    let (report, _) = engine
+    let (report, ..) = engine
         .deploy(
-            &reg,
-            "hpc/solver",
-            "v1",
-            1000,
-            &host,
-            RunOptions {
-                work: ProcessWork {
-                    compute: SimSpan::secs(5),
-                    writes: vec![("out/result".into(), vec![9])],
+            &DeployRequest {
+                opts: RunOptions {
+                    work: ProcessWork {
+                        compute: SimSpan::secs(5),
+                        writes: vec![("out/result".into(), vec![9])],
+                    },
+                    ..RunOptions::default()
                 },
-                ..RunOptions::default()
+                ..DeployRequest::new(&reg, "hpc/solver", "v1", 1000, &host)
             },
             &clock,
         )
