@@ -39,6 +39,8 @@
 //! outcome — including the full decision log — is a pure function of
 //! (workload trace, policy, controller config, fault seed).
 
+#![forbid(unsafe_code)]
+
 pub mod controller;
 pub mod cosim;
 pub mod policy;

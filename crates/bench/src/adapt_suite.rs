@@ -281,7 +281,7 @@ pub struct Adapt;
 
 impl harness::Suite for Adapt {
     const NAME: &'static str = "adapt";
-    const GOLDEN: Option<harness::Render<Self::Results>> = Some(|rows| render(rows));
+    const GOLDEN: harness::Render<Self::Results> = |rows| render(rows);
     type Results = Vec<AdaptRun>;
 
     fn run() -> Vec<AdaptRun> {

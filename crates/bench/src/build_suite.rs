@@ -169,7 +169,7 @@ pub(crate) struct Build;
 
 impl harness::Suite for Build {
     const NAME: &'static str = "build";
-    const GOLDEN: Option<harness::Render<Self::Results>> = Some(|rows| render(rows));
+    const GOLDEN: harness::Render<Self::Results> = |rows| render(rows);
     type Results = Vec<BuildRow>;
 
     /// Measure all three scenarios.

@@ -534,7 +534,7 @@ pub(crate) struct Chaos;
 
 impl harness::Suite for Chaos {
     const NAME: &'static str = "chaos";
-    const GOLDEN: Option<harness::Render<Self::Results>> = Some(render);
+    const GOLDEN: harness::Render<Self::Results> = render;
     type Results = ChaosResults;
 
     /// Run the full scenario × mode sweep plus the tree-repair cell. Pure

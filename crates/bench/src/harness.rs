@@ -4,15 +4,13 @@
 //! `BENCH_<NAME>.json` and all pass/fail printing. The `bench` binary is
 //! [`run`] over `SUITES`.
 //!
-//! A suite is either deterministic — then it has exactly one golden, held
-//! to exact bytes by `--check` and written by nothing but `--bless` — or
-//! it reads the host clock, and then it has none: its only verdict is its
-//! own structural gates, and wall-clock claims are made with
-//! `benchmark/run.sh compare`.
+//! Every suite runs on simulated time, so each has exactly one golden,
+//! held to exact bytes by `--check` and written by nothing but `--bless`;
+//! host time is measured by `benchmark/`, not here.
 
 use crate::json::Json;
 use crate::tables::render_table;
-use crate::{adapt_suite, build_suite, chaos_suite, core_suite, guard};
+use crate::{adapt_suite, build_suite, chaos_suite, guard};
 use crate::{lazy_suite, storm_suite, suite};
 use std::path::{Path, PathBuf};
 
@@ -44,13 +42,12 @@ pub fn table<const N: usize>(
 pub type Render<R> = fn(&R) -> Json;
 
 /// One benchmark suite: a sweep, its structural gates, its summary table
-/// and — when every number is simulated time — its golden document.
+/// and its golden document.
 pub trait Suite: Sized {
     /// Name on the command line and in `BENCH_<NAME>.json`.
     const NAME: &'static str;
-    /// The document `BENCH_<NAME>.json` holds, byte for byte; `None` for
-    /// a suite that measures the host, whose numbers no file can pin.
-    const GOLDEN: Option<Render<Self::Results>>;
+    /// The document `BENCH_<NAME>.json` holds, byte for byte.
+    const GOLDEN: Render<Self::Results>;
     type Results;
 
     /// Run the sweep.
@@ -89,36 +86,26 @@ pub struct Opts {
 }
 
 /// Run suite `S` with its golden under `root`; returns the process exit
-/// code (0 ok, 1 a gate failed, 2 the options make no sense for this
-/// suite).
+/// code (0 ok, 1 a gate failed or the golden mismatches).
 pub fn drive<S: Suite>(root: &Path, opts: &Opts) -> i32 {
-    let me = format!("bench {}", S::NAME);
-    if opts.bless && S::GOLDEN.is_none() {
-        eprintln!(
-            "{me}: the suite measures the host, so it has no golden to bless; \
-             wall-clock claims are made with `benchmark/run.sh compare`"
-        );
-        return 2;
-    }
     match drive_checked::<S>(root, opts) {
         Ok(()) => 0,
         Err(message) => {
-            eprintln!("\n{me}: {message}");
+            eprintln!("\nbench {}: {message}", S::NAME);
             1
         }
     }
 }
 
 fn drive_checked<S: Suite>(root: &Path, opts: &Opts) -> Result<(), String> {
-    // The golden's text, when this invocation compares or writes it.
-    let render = S::GOLDEN
-        .filter(|_| opts.check || opts.bless)
-        .map(|doc| move |results: &S::Results| doc(results).render());
+    let render = |results: &S::Results| (S::GOLDEN)(results).render();
     // Simulated time admits no noise: before a run is compared or
     // blessed, a second run must render the same bytes.
-    let results = match &render {
-        Some(render) => guard::deterministic_runs(S::run, render)?,
-        None => S::run(),
+    let golden = opts.check || opts.bless;
+    let results = if golden {
+        guard::deterministic_runs(S::run, render)?
+    } else {
+        S::run()
     };
 
     let rows = S::table(&results);
@@ -139,7 +126,9 @@ fn drive_checked<S: Suite>(root: &Path, opts: &Opts) -> Result<(), String> {
         println!("  {line}");
     }
 
-    let Some(render) = render else { return Ok(()) };
+    if !golden {
+        return Ok(());
+    }
     let (path, fresh) = (golden_path(root, S::NAME), render(&results));
     if opts.bless {
         std::fs::create_dir_all(root)
@@ -160,15 +149,12 @@ pub type Driver = fn(&Path, &Opts) -> i32;
 /// One line of `SUITES`.
 pub struct Entry {
     pub name: &'static str,
-    /// Whether `BENCH_<name>.json` exists.
-    pub has_golden: bool,
     pub drive: Driver,
 }
 
 const fn entry<S: Suite>() -> Entry {
     Entry {
         name: S::NAME,
-        has_golden: S::GOLDEN.is_some(),
         drive: drive::<S>,
     }
 }
@@ -177,7 +163,6 @@ const fn entry<S: Suite>() -> Entry {
 pub(crate) const SUITES: &[Entry] = &[
     entry::<suite::Pipeline>(),
     entry::<adapt_suite::Adapt>(),
-    entry::<core_suite::Core>(),
     entry::<storm_suite::Storm>(),
     entry::<lazy_suite::Lazy>(),
     entry::<build_suite::Build>(),
@@ -228,8 +213,8 @@ pub fn run(args: &[String]) -> i32 {
 mod tests {
     use super::*;
 
-    /// A suite with or without a golden and with a switchable gate verdict.
-    struct Toy<const GOLDEN: bool, const SOUND: bool>;
+    /// A suite with a switchable gate verdict.
+    struct Toy<const SOUND: bool>;
 
     /// `(name, ns, bytes)` per row, and the names of the `tenants` array.
     struct ToyRun {
@@ -266,9 +251,9 @@ mod tests {
         ])
     }
 
-    impl<const GOLDEN: bool, const SOUND: bool> Suite for Toy<GOLDEN, SOUND> {
+    impl<const SOUND: bool> Suite for Toy<SOUND> {
         const NAME: &'static str = "toy";
-        const GOLDEN: Option<Render<ToyRun>> = if GOLDEN { Some(doc) } else { None };
+        const GOLDEN: Render<ToyRun> = doc;
         type Results = ToyRun;
 
         fn run() -> ToyRun {
@@ -299,7 +284,7 @@ mod tests {
 
     impl Suite for Flaky {
         const NAME: &'static str = "flaky";
-        const GOLDEN: Option<Render<ToyRun>> = Some(doc);
+        const GOLDEN: Render<ToyRun> = doc;
         type Results = ToyRun;
 
         fn run() -> ToyRun {
@@ -319,8 +304,7 @@ mod tests {
         }
     }
 
-    type Logical = Toy<true, true>;
-    type Wall = Toy<false, true>;
+    type Logical = Toy<true>;
 
     const PLAIN: Opts = Opts {
         check: false,
@@ -459,14 +443,13 @@ mod tests {
     #[test]
     fn bless_refuses_a_run_that_fails_its_own_gates() {
         let root = scratch("refuse");
-        assert_eq!(drive::<Toy<true, false>>(&root, &BLESS), 1);
+        assert_eq!(drive::<Toy<false>>(&root, &BLESS), 1);
         assert!(!root.exists(), "a golden was written");
         // Gates run on a plain invocation and under --check too, and a
         // red gate is red whatever the golden says.
-        assert_eq!(drive::<Toy<true, false>>(&root, &PLAIN), 1);
+        assert_eq!(drive::<Toy<false>>(&root, &PLAIN), 1);
         assert_eq!(drive::<Logical>(&root, &BLESS), 0);
-        assert_eq!(drive::<Toy<true, false>>(&root, &CHECK), 1);
-        assert_eq!(drive::<Toy<false, false>>(&root, &CHECK), 1);
+        assert_eq!(drive::<Toy<false>>(&root, &CHECK), 1);
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -483,21 +466,12 @@ mod tests {
     }
 
     #[test]
-    fn a_suite_that_reads_the_host_clock_has_no_golden() {
-        let root = scratch("wall");
-        assert_eq!(drive::<Wall>(&root, &PLAIN), 0);
-        assert_eq!(drive::<Wall>(&root, &CHECK), 0);
-        assert_eq!(drive::<Wall>(&root, &BLESS), 2);
-        assert!(!root.exists(), "a suite without a golden wrote a file");
-        // The refusal comes before the run: this would take seconds.
-        assert_eq!(run(&["core".to_string(), "--bless".to_string()]), 2);
-    }
-
-    #[test]
     fn unknown_suite_or_flag_exits_2_before_running_anything() {
         let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(run(&args(&[])), 2);
         assert_eq!(run(&args(&["nope"])), 2);
+        // No suite reads the host clock; host time is benchmark/'s.
+        assert_eq!(run(&args(&["core"])), 2);
         assert_eq!(run(&args(&["pipeline", "--filter"])), 2);
         assert_eq!(run(&args(&["--list", "--check"])), 2);
         assert_eq!(run(&args(&["--list"])), 0);
@@ -517,8 +491,8 @@ mod tests {
         }
     }
 
-    /// One golden per deterministic suite and none for the wall clock: a
-    /// stray `BENCH_core.json`, or a suite nobody blessed, fails here.
+    /// One golden per suite and no other: a stray `BENCH_core.json`, or a
+    /// suite nobody blessed, fails here.
     #[test]
     fn root_goldens_are_exactly_the_deterministic_suites() {
         let mut files: Vec<String> = std::fs::read_dir(guard::repo_root())
@@ -528,18 +502,11 @@ mod tests {
             .collect();
         let mut expected: Vec<String> = SUITES
             .iter()
-            .filter(|suite| suite.has_golden)
             .map(|suite| format!("BENCH_{}.json", suite.name))
             .collect();
         files.sort();
         expected.sort();
         assert_eq!(files, expected);
-        let clocked: Vec<&str> = SUITES
-            .iter()
-            .filter(|suite| !suite.has_golden)
-            .map(|suite| suite.name)
-            .collect();
-        assert_eq!(clocked, ["core"], "suites that read the host clock");
     }
 
     #[test]

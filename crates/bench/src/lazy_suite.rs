@@ -303,7 +303,7 @@ pub(crate) struct Lazy;
 
 impl harness::Suite for Lazy {
     const NAME: &'static str = "lazy";
-    const GOLDEN: Option<harness::Render<Self::Results>> = Some(|rows| render(rows));
+    const GOLDEN: harness::Render<Self::Results> = |rows| render(rows);
     type Results = Vec<LazyRow>;
 
     /// Run all three workload shapes.

@@ -7,10 +7,11 @@
 //! social facts (versions, champions, contributor counts, documentation
 //! grades) are copied from the survey and labelled `survey-reported`.
 
+#![forbid(unsafe_code)]
+
 pub mod adapt_suite;
 pub mod build_suite;
 pub mod chaos_suite;
-pub mod core_suite;
 pub mod guard;
 pub mod harness;
 pub mod json;

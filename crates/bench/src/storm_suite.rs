@@ -1,9 +1,9 @@
 //! Fleet-scale pull-storm benchmark + the `bench-storm` CI gate.
 //!
-//! Unlike `core_suite` (wall clock), every number here is *logical* time
-//! from the DES, so runs are bit-for-bit deterministic: the harness's
-//! double-run guard asserts the rendered JSON is byte-identical, and any
-//! drift from `BENCH_storm.json` is a real timing-model change, not noise.
+//! Every number here is *logical* time, so runs are bit-for-bit
+//! deterministic: the harness's double-run guard asserts the rendered
+//! JSON is byte-identical, and any drift from `BENCH_storm.json` is a real
+//! timing-model change, not noise.
 //!
 //! Three distribution strategies pull the same multi-GiB image across a
 //! node sweep from 16 to 10,000:
@@ -357,7 +357,7 @@ pub(crate) struct Storm;
 
 impl harness::Suite for Storm {
     const NAME: &'static str = "storm";
-    const GOLDEN: Option<harness::Render<Self::Results>> = Some(render);
+    const GOLDEN: harness::Render<Self::Results> = render;
     type Results = StormResults;
 
     /// Run the full sweep + the multi-tenant variant. Pure logical time:

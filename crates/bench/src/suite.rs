@@ -322,7 +322,7 @@ pub(crate) struct Pipeline;
 
 impl harness::Suite for Pipeline {
     const NAME: &'static str = "pipeline";
-    const GOLDEN: Option<harness::Render<Self::Results>> = Some(|rows| render(rows));
+    const GOLDEN: harness::Render<Self::Results> = |rows| render(rows);
     type Results = Vec<PipelineRun>;
 
     /// The full sweep: every workload at every parallelism level.

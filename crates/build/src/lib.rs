@@ -21,6 +21,8 @@
 //!   path, then reject bad signatures, stale log proofs and tampered
 //!   blobs with typed errors.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod publish;
 pub mod service;

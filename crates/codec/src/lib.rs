@@ -12,6 +12,8 @@
 //!   uid/gid, file data, symlinks, and the OCI layer whiteout markers.
 //!   Layers and image exports serialize through this.
 
+#![forbid(unsafe_code)]
+
 pub mod archive;
 pub mod compress;
 pub mod wire;

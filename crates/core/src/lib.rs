@@ -16,6 +16,8 @@
 //!   instrumented stack (quickstart pipeline, Q5 degraded pull, Q10 P2P
 //!   broadcast, the five scenarios) diffed against checked-in TSV files.
 
+#![forbid(unsafe_code)]
+
 pub mod goldens;
 pub mod pipeline;
 pub mod requirements;

@@ -20,6 +20,8 @@
 //!   proofs, modelling sigstore/Rekor for the cosign-style rows.
 //! * [`hex`] — hexadecimal encoding/decoding for digest display.
 
+#![forbid(unsafe_code)]
+
 pub mod aead;
 pub mod chacha20;
 pub mod hex;

@@ -276,7 +276,7 @@ pub struct PullSources<'a> {
     pub proxy: Option<&'a ProxyRegistry>,
     pub mirror: Option<&'a Registry>,
     /// Past the last hop, serve the engine's in-memory copy of an earlier
-    /// pull of the same `repo:tag` ("warm-cache"). Off by default, so a
+    /// pull of the same `repo:tag` from the same primary ("warm-cache"). Off by default, so a
     /// plain pull reports [`EngineError::Exhausted`] when every hop is
     /// down. [`Engine::pull_lazy`] has no image-level memo and ignores it.
     pub warm_memo: bool,
@@ -523,9 +523,10 @@ pub struct Engine {
     hooks: HookRegistry,
     cache: ConversionCache,
     ctx: RwLock<PullCtx>,
-    /// Successfully pulled images by (repo, tag) — the degradation path's
-    /// last resort when every remote source is down.
-    pull_memo: RwLock<HashMap<(String, String), PulledImage>>,
+    /// Successfully pulled images by (primary registry name, repo, tag) —
+    /// the degradation path's last resort when every remote source is
+    /// down. A warm pull is served only what its own primary served.
+    pull_memo: RwLock<HashMap<(&'static str, String, String), PulledImage>>,
 }
 
 /// Local blob-store read: latency floor plus node-local NVMe-class
@@ -860,7 +861,7 @@ impl Engine {
     ) -> Result<PulledImage, EngineError> {
         let ctx = &self.ctx();
         let sources: PullSources<'_> = sources.into();
-        let key = (repo.to_string(), tag.to_string());
+        let key = (sources.primary.name, repo.to_string(), tag.to_string());
         let warm = || {
             sources
                 .warm_memo

@@ -15,6 +15,8 @@
 //!   Sarus-style ABI compatibility check.
 //! * [`shpc`] — module-system integration (Lmod module generation).
 
+#![forbid(unsafe_code)]
+
 pub mod caps;
 pub mod engine;
 pub mod engines;

@@ -16,6 +16,8 @@
 //!   about, and [`ControlPlane::tick`], the one schedule → sync → reap
 //!   turn every simulation in the tree runs.
 
+#![forbid(unsafe_code)]
+
 pub mod bridge;
 pub mod k3s;
 pub mod kubelet;

@@ -16,6 +16,8 @@
 //! * [`hooks`] — executable OCI lifecycle hooks (§4.1.3), the extension
 //!   point engines use for GPU/library/WLM integration.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod cas;
 pub mod hooks;

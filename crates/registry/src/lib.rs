@@ -15,6 +15,8 @@
 //! * [`products`] — the seven surveyed products as configured services:
 //!   Quay, Harbor, GitLab, Gitea, shpc, Hinkskalle, zot.
 
+#![forbid(unsafe_code)]
+
 pub mod auth;
 pub mod products;
 pub mod proxy;

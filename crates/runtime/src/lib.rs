@@ -14,6 +14,8 @@
 //!   (runc, crun, and the bespoke HPC launchers), including uid/gid
 //!   mapping of files the containerized process writes.
 
+#![forbid(unsafe_code)]
+
 pub mod caps;
 pub mod cgroup;
 pub mod container;

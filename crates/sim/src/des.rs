@@ -3,33 +3,28 @@
 //! Events fire at logical instants, handlers mutate world state and
 //! schedule further events. The engine owns the event queue and the clock;
 //! world state lives outside and is threaded through handlers as `&mut W`.
-//! Nothing in `crates/` outside tests and `bench core` runs on it today:
-//! the §6 co-simulation is fixed-step (`hpcc_adapt::cosim::World::drive`),
-//! and the event-driven controller driver it replaced survives as that
-//! crate's test reference.
+//! Nothing in `crates/` outside tests runs on it today: the §6
+//! co-simulation is fixed-step (`hpcc_adapt::cosim::World::drive`), and
+//! the event-driven controller driver it replaced survives as that crate's
+//! test reference.
 //!
-//! # Queue backends
+//! # The event queue
 //!
-//! The event queue has two interchangeable implementations behind the same
-//! [`Engine`] API, selectable via [`DesBackend`]:
+//! [`Engine`] runs on a hierarchical timing wheel: `LEVELS` levels of
+//! `SLOTS` slots each, every level covering 64× the span of the one below,
+//! with per-level occupancy bitmaps so the engine jumps straight to the
+//! next occupied instant instead of ticking. Schedule and cancel are O(1);
+//! dispatch is O(1) amortized (each event cascades down at most `LEVELS`
+//! times). Events that land at or before the wheel's current position go
+//! to a small overflow heap, which also keeps the rare past-scheduling
+//! path exactly ordered.
 //!
-//! * [`DesBackend::TimingWheel`] (the default) — a hierarchical timing
-//!   wheel: `LEVELS` levels of `SLOTS` slots each, every level covering
-//!   64× the span of the one below, with per-level occupancy bitmaps so the
-//!   engine jumps straight to the next occupied instant instead of ticking.
-//!   Schedule and cancel are O(1); dispatch is O(1) amortized (each event
-//!   cascades down at most `LEVELS` times). Events that land at or before
-//!   the wheel's current position go to a small overflow heap, which also
-//!   keeps the rare past-scheduling path exactly ordered.
-//! * [`DesBackend::ReferenceHeap`] — the original `BinaryHeap` queue, kept
-//!   as the executable specification. The equivalence property suite drives
-//!   random schedule/cancel/fire workloads through both backends and
-//!   asserts identical fire order; `bench core` measures the speedup of the
-//!   wheel over this reference.
-//!
-//! Both backends fire events in ascending `(time, EventId)` order — FIFO
-//! among equal times via the monotonically assigned event id — so runs are
-//! deterministic and backend choice is unobservable except in speed.
+//! Events fire in ascending `(time, EventId)` order — FIFO among equal
+//! times via the monotonically assigned event id — so runs are
+//! deterministic. The tests keep the original `BinaryHeap` queue as the
+//! executable specification: property suites drive random
+//! schedule/cancel/fire workloads through both queues and assert identical
+//! fire order and identical traces.
 
 use crate::time::{SimSpan, SimTime};
 use std::cmp::Reverse;
@@ -41,13 +36,13 @@ use std::collections::{BinaryHeap, HashSet};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
-/// Which event-queue implementation an [`Engine`] uses.
+/// Which event-queue implementation a test [`Engine`] uses.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DesBackend {
-    /// Hierarchical timing wheel (default; fast path).
+enum DesBackend {
+    /// Hierarchical timing wheel (what [`Engine::new`] builds).
     TimingWheel,
-    /// Pre-refactor `BinaryHeap` queue (reference implementation for
-    /// equivalence tests and benchmark comparisons).
+    /// Pre-refactor `BinaryHeap` queue: the reference implementation.
     ReferenceHeap,
 }
 
@@ -273,9 +268,10 @@ impl<W> Wheel<W> {
     }
 }
 
-/// The two queue implementations behind one engine API.
+/// The engine's event queue: the wheel, and in tests the reference heap.
 enum Queue<W> {
     Wheel(Wheel<W>),
+    #[cfg(test)]
     Heap(BinaryHeap<Reverse<Scheduled<W>>>),
 }
 
@@ -283,6 +279,7 @@ impl<W> Queue<W> {
     fn insert(&mut self, ev: Scheduled<W>) {
         match self {
             Queue::Wheel(w) => w.insert(ev),
+            #[cfg(test)]
             Queue::Heap(h) => h.push(Reverse(ev)),
         }
     }
@@ -290,6 +287,7 @@ impl<W> Queue<W> {
     fn pop_next(&mut self) -> Option<Scheduled<W>> {
         match self {
             Queue::Wheel(w) => w.pop_next(),
+            #[cfg(test)]
             Queue::Heap(h) => h.pop().map(|Reverse(e)| e),
         }
     }
@@ -313,28 +311,25 @@ impl<W> Default for Engine<W> {
 impl<W> Engine<W> {
     /// An engine on the timing wheel.
     pub fn new() -> Engine<W> {
-        Engine::with_backend(DesBackend::TimingWheel)
-    }
-
-    /// An engine on an explicit queue backend.
-    pub fn with_backend(backend: DesBackend) -> Engine<W> {
         Engine {
             now: SimTime::ZERO,
             next_id: 0,
-            queue: match backend {
-                DesBackend::TimingWheel => Queue::Wheel(Wheel::new()),
-                DesBackend::ReferenceHeap => Queue::Heap(BinaryHeap::new()),
-            },
+            queue: Queue::Wheel(Wheel::new()),
             cancelled: HashSet::new(),
             processed: 0,
         }
     }
 
-    /// Which queue backend this engine runs on.
-    pub fn backend(&self) -> DesBackend {
-        match self.queue {
-            Queue::Wheel(_) => DesBackend::TimingWheel,
-            Queue::Heap(_) => DesBackend::ReferenceHeap,
+    /// An engine on an explicit queue backend.
+    #[cfg(test)]
+    fn with_backend(backend: DesBackend) -> Engine<W> {
+        let queue = match backend {
+            DesBackend::TimingWheel => Queue::Wheel(Wheel::new()),
+            DesBackend::ReferenceHeap => Queue::Heap(BinaryHeap::new()),
+        };
+        Engine {
+            queue,
+            ..Engine::new()
         }
     }
 
@@ -412,6 +407,7 @@ impl<W> Engine<W> {
     pub fn is_idle(&self) -> bool {
         match &self.queue {
             Queue::Wheel(w) => w.iter_ids().all(|id| self.cancelled.contains(&id)),
+            #[cfg(test)]
             Queue::Heap(h) => h
                 .iter()
                 .all(|Reverse(e)| self.cancelled.contains(&EventId(e.id))),
@@ -422,6 +418,9 @@ impl<W> Engine<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::{export_tsv, trace_digest, Stage, Tracer};
+    use crate::sym;
+    use std::sync::Arc;
 
     const BACKENDS: [DesBackend; 2] = [DesBackend::TimingWheel, DesBackend::ReferenceHeap];
 
@@ -590,15 +589,69 @@ mod tests {
         });
     }
 
+    /// Backend equivalence, in process: the same event-driven workload run on
+    /// the timing wheel and on the reference heap must export byte-identical
+    /// traces — the wheel's FIFO same-instant tie-break reproduces heap
+    /// `(at, id)` order exactly, including around cancellations.
     #[test]
-    fn backend_selection_is_visible() {
-        assert_eq!(
-            Engine::<World>::with_backend(DesBackend::TimingWheel).backend(),
-            DesBackend::TimingWheel
+    fn engine_trace_is_backend_independent() {
+        struct W {
+            tracer: Arc<Tracer>,
+            left: u64,
+        }
+        fn tick(eng: &mut Engine<W>, w: &mut W) {
+            let now = eng.now();
+            w.tracer.record(
+                sym!("des.tick"),
+                Stage::Other,
+                now,
+                now + SimSpan::nanos(5),
+                [],
+            );
+            if w.left > 0 {
+                w.left -= 1;
+                eng.after(SimSpan::nanos(w.left % 9 * 17 + 1), tick);
+            }
+        }
+        let build = |backend: DesBackend| {
+            let mut eng = Engine::<W>::with_backend(backend);
+            let mut w = W {
+                tracer: Tracer::new(),
+                left: 400,
+            };
+            // Colliding start instants exercise the same-tick FIFO tie-break.
+            for i in 0..8u64 {
+                eng.at(SimTime(i % 3 + 1), tick);
+            }
+            let doomed = eng.at(SimTime(2), |eng: &mut Engine<W>, w: &mut W| {
+                let now = eng.now();
+                w.tracer
+                    .record(sym!("des.doomed"), Stage::Other, now, now, []);
+            });
+            eng.cancel(doomed);
+            eng.run_to_completion(&mut w, 10_000);
+            w.tracer.finished()
+        };
+        let wheel = build(DesBackend::TimingWheel);
+        let heap = build(DesBackend::ReferenceHeap);
+        assert!(
+            wheel.len() > 400,
+            "workload too small: {} spans",
+            wheel.len()
+        );
+        assert!(
+            !wheel.iter().any(|s| s.name == "des.doomed"),
+            "cancelled event fired"
         );
         assert_eq!(
-            Engine::<World>::with_backend(DesBackend::ReferenceHeap).backend(),
-            DesBackend::ReferenceHeap
+            trace_digest(&wheel),
+            trace_digest(&heap),
+            "trace digest differs between wheel and reference heap"
+        );
+        assert_eq!(
+            export_tsv(&wheel),
+            export_tsv(&heap),
+            "trace bytes differ between wheel and reference heap"
         );
     }
 }

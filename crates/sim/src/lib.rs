@@ -43,6 +43,8 @@
 //!   sufficient for the Figure 1 proof of concept.
 //! * [`units`] — byte-size newtype with human-readable formatting.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod crash;
 pub mod des;
@@ -62,12 +64,12 @@ pub mod units;
 
 pub use clock::SimClock;
 pub use crash::{CrashInjector, Crashed, Recoverable, RecoveryReport, StateDigest};
-pub use des::{DesBackend, Engine};
+pub use des::Engine;
 pub use domains::{DomainHealth, DomainSchedule, DomainTopology, OutageEvent, OutageKind};
 pub use exec::{ExecError, ExecReport, Executor, TaskFinish, TaskGraph, TaskId};
 pub use faults::{Fault, FaultInjector, FaultKind, FaultRule, RetryErr, RetryOk, RetryPolicy};
 pub use intern::Symbol;
-pub use metrics::{CounterBatch, MetricsRegistry};
+pub use metrics::MetricsRegistry;
 pub use net::{Fabric, LinkClass};
 pub use noise::{bsp_run, BspOutcome, NoiseProfile};
 pub use obs::{AttrValue, SpanId, SpanRecord, Stage, Tracer};

@@ -185,7 +185,7 @@ impl Counter {
 /// would have produced. The batched `Tracer` emission path depends on this
 /// equivalence (see `counter_batch_saturates_like_per_event_bumps`).
 #[derive(Debug)]
-pub struct CounterBatch {
+pub(crate) struct CounterBatch {
     counter: Counter,
     pending: u64,
 }
@@ -206,11 +206,6 @@ impl CounterBatch {
     /// Buffer `n` increments, saturating locally at `u64::MAX`.
     pub fn add(&mut self, n: u64) {
         self.pending = self.pending.saturating_add(n);
-    }
-
-    /// Increments buffered but not yet applied.
-    pub fn pending(&self) -> u64 {
-        self.pending
     }
 
     /// Apply all buffered increments in one saturating add.
@@ -491,7 +486,7 @@ mod tests {
         for _ in 0..10 {
             batch.incr();
         }
-        assert_eq!(batch.pending(), u64::MAX); // local accumulator saturated
+        assert_eq!(batch.pending, u64::MAX); // local accumulator saturated
         batch.flush();
         assert_eq!(m.get("audit.batched"), m.get("audit.per_event"));
         assert_eq!(m.get("audit.batched"), u64::MAX);

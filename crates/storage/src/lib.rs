@@ -15,6 +15,8 @@
 //!   (begin → stage → commit) with an fsck-style recovery pass; the
 //!   crash-consistency substrate behind the kill-at-every-step matrix.
 
+#![forbid(unsafe_code)]
+
 pub mod blobstore;
 pub mod journal;
 pub mod local;

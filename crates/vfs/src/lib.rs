@@ -20,6 +20,8 @@
 //!   calibrated logical-time costs, reproducing the §4.1.2 IOPS/latency
 //!   relationships.
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod fs;
 pub mod overlay;

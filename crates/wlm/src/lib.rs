@@ -11,6 +11,8 @@
 //! * [`accounting`] — the usage ledger with WLM-vs-external source
 //!   tracking, accounting-coverage and utilization metrics (§6.6).
 
+#![forbid(unsafe_code)]
+
 pub mod accounting;
 pub mod slurm;
 pub mod spank;

@@ -40,13 +40,18 @@ use std::sync::Arc;
 
 /// A hub registry holding `hpc/app:v1` (a small sample image).
 fn hub_with_image() -> Arc<Registry> {
-    let hub = Registry::new("hub", RegistryCaps::open());
-    hub.create_namespace("hpc", None).unwrap();
+    registry_with_image("hub")
+}
+
+/// A registry named `name` holding `hpc/app:v1`.
+fn registry_with_image(name: &'static str) -> Arc<Registry> {
+    let reg = Registry::new(name, RegistryCaps::open());
+    reg.create_namespace("hpc", None).unwrap();
     let cas = Cas::new();
     let img = samples::python_app(&cas, 8);
-    hub.push_image("hpc/app", "v1", &img.manifest, &cas)
+    reg.push_image("hpc/app", "v1", &img.manifest, &cas)
         .unwrap();
-    Arc::new(hub)
+    Arc::new(reg)
 }
 
 fn site_registry() -> Arc<Registry> {
@@ -139,6 +144,26 @@ fn the_warm_memo_serves_only_the_pulls_that_ask_for_it() {
     let pulled = engine.pull(warm, "hpc/app", "v1", &clock).unwrap();
     assert_eq!(pulled.source, "warm-cache");
     assert!(!pulled.layers.is_empty());
+}
+
+/// The memo is keyed by the primary too: an image pulled from registry
+/// `a` never answers a warm pull of the same name whose primary is `b`.
+#[test]
+fn a_warm_pull_is_served_only_what_its_own_primary_served() {
+    let (a, b) = (registry_with_image("a"), registry_with_image("b"));
+    let engine = engines::podman();
+    let clock = SimClock::new();
+    engine.pull(&a, "hpc/app", "v1", &clock).unwrap();
+    let inj = outage_forever(8);
+    a.set_fault_injector(Arc::clone(&inj));
+    b.set_fault_injector(Arc::clone(&inj));
+    engine.set_fault_injector(inj);
+    let from_b = PullSources::primary_only(&b).with_warm_memo();
+    let err = engine.pull(from_b, "hpc/app", "v1", &clock).unwrap_err();
+    assert!(matches!(err, EngineError::Exhausted { .. }), "{err}");
+    let from_a = PullSources::primary_only(&a).with_warm_memo();
+    let pulled = engine.pull(from_a, "hpc/app", "v1", &clock).unwrap();
+    assert_eq!(pulled.source, "warm-cache");
 }
 
 /// A bare registry converts to the one-hop ladder: both pulls leave the

@@ -18,15 +18,11 @@
 
 use hpcc_core::goldens::{all_goldens, check_golden, q5_degraded_pull_trace, quickstart_trace};
 use hpcc_core::scenarios::{self, ClusterConfig, MixedWorkload};
-use hpcc_sim::des::{DesBackend, Engine};
 use hpcc_sim::obs::{
-    check_conservation, check_invariants, export_tsv, trace_digest, SpanRecord, Stage, Tracer,
+    check_conservation, check_invariants, export_tsv, trace_digest, SpanRecord, Tracer,
 };
-use hpcc_sim::sym;
-use hpcc_sim::time::{SimSpan, SimTime};
 use proptest::prelude::*;
 use std::process::Command;
-use std::sync::Arc;
 
 // ------------------------------------------------------- golden matching
 
@@ -155,72 +151,6 @@ fn golden_traces_are_reproducible() {
         );
         println!("TRACE {} {first:016x}", golden.name);
     }
-}
-
-/// Backend equivalence, in process: the same event-driven workload run on
-/// the timing wheel and on the reference heap must export byte-identical
-/// traces — the wheel's FIFO same-instant tie-break reproduces heap
-/// `(at, id)` order exactly, including around cancellations.
-#[test]
-fn engine_trace_is_backend_independent() {
-    struct W {
-        tracer: Arc<Tracer>,
-        left: u64,
-    }
-    fn tick(eng: &mut Engine<W>, w: &mut W) {
-        let now = eng.now();
-        w.tracer.record(
-            sym!("des.tick"),
-            Stage::Other,
-            now,
-            now + SimSpan::nanos(5),
-            [],
-        );
-        if w.left > 0 {
-            w.left -= 1;
-            eng.after(SimSpan::nanos(w.left % 9 * 17 + 1), tick);
-        }
-    }
-    let build = |backend: DesBackend| {
-        let mut eng = Engine::<W>::with_backend(backend);
-        let mut w = W {
-            tracer: Tracer::new(),
-            left: 400,
-        };
-        // Colliding start instants exercise the same-tick FIFO tie-break.
-        for i in 0..8u64 {
-            eng.at(SimTime(i % 3 + 1), tick);
-        }
-        let doomed = eng.at(SimTime(2), |eng: &mut Engine<W>, w: &mut W| {
-            let now = eng.now();
-            w.tracer
-                .record(sym!("des.doomed"), Stage::Other, now, now, []);
-        });
-        eng.cancel(doomed);
-        eng.run_to_completion(&mut w, 10_000);
-        w.tracer.finished()
-    };
-    let wheel = build(DesBackend::TimingWheel);
-    let heap = build(DesBackend::ReferenceHeap);
-    assert!(
-        wheel.len() > 400,
-        "workload too small: {} spans",
-        wheel.len()
-    );
-    assert!(
-        !wheel.iter().any(|s| s.name == "des.doomed"),
-        "cancelled event fired"
-    );
-    assert_eq!(
-        trace_digest(&wheel),
-        trace_digest(&heap),
-        "trace digest differs between wheel and reference heap"
-    );
-    assert_eq!(
-        export_tsv(&wheel),
-        export_tsv(&heap),
-        "trace bytes differ between wheel and reference heap"
-    );
 }
 
 /// Re-exec helper: emits the quickstart trace between markers when asked.
